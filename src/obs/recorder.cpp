@@ -118,9 +118,10 @@ const char* flight_kind_name(FlightKind kind) {
   return "unknown";
 }
 
-void flight(FlightKind kind, OpId op, std::uint64_t time_us,
-            std::int32_t replica, std::uint64_t payload) {
-  if (!recorder_enabled()) return;
+namespace detail {
+
+void record_flight(FlightKind kind, OpId op, std::uint64_t time_us,
+                   std::int32_t replica, std::uint64_t payload) {
   Ring& r = ring();
   if (r.slots.empty()) return;
   if (r.wrapped)
@@ -140,6 +141,8 @@ void flight(FlightKind kind, OpId op, std::uint64_t time_us,
   r.recorded.store(r.recorded.load(std::memory_order_relaxed) + 1,
                    std::memory_order_relaxed);
 }
+
+}  // namespace detail
 
 FlightRunScope::FlightRunScope(std::uint32_t run) : saved_(tl_run) {
   tl_run = run;

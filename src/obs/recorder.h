@@ -10,7 +10,7 @@
 //
 // The flight recorder keeps a fixed-capacity ring buffer of compact binary
 // events per thread: (run, sim-time-us, op, kind, replica, payload). The
-// disabled fast path is one relaxed atomic load, like the metric gates;
+// disabled fast path is one inline relaxed atomic load, like the metric gates;
 // recording overwrites the ring's oldest entry on wraparound and never
 // blocks, allocates (after ring creation), or draws randomness, so enabling
 // it cannot change any simulated or served bit. When a chaos invariant fails
@@ -110,10 +110,22 @@ inline bool recorder_enabled() {
   return (detail::g_telemetry_flags.load(std::memory_order_relaxed) & 4u) != 0;
 }
 
-// Records one event into the calling thread's ring. One relaxed load when
-// the recorder is off; never blocks or draws randomness when on.
-void flight(FlightKind kind, OpId op, std::uint64_t time_us,
-            std::int32_t replica = -1, std::uint64_t payload = 0);
+namespace detail {
+// The recording half of flight(), out of line behind its gate.
+void record_flight(FlightKind kind, OpId op, std::uint64_t time_us,
+                   std::int32_t replica, std::uint64_t payload);
+}  // namespace detail
+
+// Records one event into the calling thread's ring; never blocks or draws
+// randomness when on. When the recorder is off this inline gate is the whole
+// cost: one relaxed load, no call. Arguments are still evaluated by the
+// caller, so a call site that converts them (virtual seconds to
+// microseconds) checks recorder_enabled() first on hot paths.
+inline void flight(FlightKind kind, OpId op, std::uint64_t time_us,
+                   std::int32_t replica = -1, std::uint64_t payload = 0) {
+  if (recorder_enabled())
+    detail::record_flight(kind, op, time_us, replica, payload);
+}
 
 // Tags subsequent events of this thread with a replicate index, so chaos
 // grids (where simulated time restarts per replicate) keep a total event

@@ -39,14 +39,42 @@ T get(const std::uint8_t* in, std::size_t offset) {
 }
 
 std::uint32_t record_checksum(const std::uint8_t* rec, std::size_t size) {
-  std::uint32_t h = 2166136261u;
-  for (std::size_t i = 0; i < size; ++i) {
-    const std::uint8_t byte = (i >= 4 && i < 8) ? 0 : rec[i];
-    h ^= byte;
-    h *= 16777619u;
-  }
+  std::uint32_t h = kFnvBasis;
+  for (std::size_t i = 0; i < size; ++i)
+    h = fnv_step(h, (i >= 4 && i < 8) ? 0 : rec[i]);
   return h;
 }
+
+// The checksum and certificate chains of one record, advanced together in
+// a single pass: each byte is loaded once, and the two independent multiply
+// chains overlap in the pipeline. Fed the same bytes in the same order, the
+// chains equal record_checksum and hmac32 exactly (both are fnv_step runs).
+struct FusedChains {
+  std::uint32_t sum = kFnvBasis;
+  std::uint32_t cert = kFnvBasis;  // callers start it past the key absorb
+
+  // Bytes [begin, end) into the checksum only.
+  void unsigned_bytes(const std::uint8_t* rec, std::size_t begin,
+                      std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) sum = fnv_step(sum, rec[i]);
+  }
+  // Bytes [begin, end) into both chains.
+  void signed_bytes(const std::uint8_t* rec, std::size_t begin,
+                    std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      sum = fnv_step(sum, rec[i]);
+      cert = fnv_step(cert, rec[i]);
+    }
+  }
+  // The checksum field [4, 8), absorbed as zero.
+  void checksum_field() {
+    for (int i = 0; i < 4; ++i) sum = fnv_step(sum, 0);
+  }
+};
+
+constexpr std::uint64_t kServiceKey = cert_key(kServicePrincipal);
+// The service chain after its leading key absorb — the same for every reply.
+constexpr std::uint32_t kServiceCertStart = absorb_key(kFnvBasis, kServiceKey);
 
 // True iff bytes [begin, end) are all zero.
 bool zero_range(const std::uint8_t* rec, std::size_t begin, std::size_t end) {
@@ -91,11 +119,20 @@ void encode_request(const Request& req, std::uint8_t* out) {
   put<std::uint32_t>(out, 4, record_checksum(out, kRequestWireSize));
 }
 
-Request decode_request(const std::uint8_t* in) {
+Request decode_request(const std::uint8_t* in, std::uint32_t* expected_cert) {
   Request req;
   if (get<std::uint32_t>(in, 0) != kRequestMagic) return req;
-  if (get<std::uint32_t>(in, 4) != record_checksum(in, kRequestWireSize))
-    return req;
+  // request_cert's canonical signing buffer is exactly the wire bytes
+  // [8, 29) and [32, 40), so the expected cert is one chain over them.
+  const std::uint64_t key = cert_key(get<std::uint32_t>(in, 24));
+  FusedChains chains{kFnvBasis, absorb_key(kFnvBasis, key)};
+  chains.unsigned_bytes(in, 0, 4);
+  chains.checksum_field();
+  chains.signed_bytes(in, 8, 29);
+  chains.unsigned_bytes(in, 29, 32);
+  chains.signed_bytes(in, 32, 40);
+  chains.unsigned_bytes(in, 40, kRequestWireSize);
+  if (get<std::uint32_t>(in, 4) != chains.sum) return req;
   const std::uint8_t kind = get<std::uint8_t>(in, 28);
   if (kind > static_cast<std::uint8_t>(OpKind::kWrite)) return req;
   if (!zero_range(in, 29, 32) || !zero_range(in, 44, 48)) return req;
@@ -106,6 +143,7 @@ Request decode_request(const std::uint8_t* in) {
   req.value = get<std::uint64_t>(in, 32);
   req.cert = get<std::uint32_t>(in, 40);
   req.valid = true;
+  if (expected_cert != nullptr) *expected_cert = absorb_key(chains.cert, key);
   return req;
 }
 
@@ -121,9 +159,23 @@ void encode_reply(const Reply& rep, std::uint8_t* out) {
   put<std::uint8_t>(out, 48, static_cast<std::uint8_t>(rep.kind));
   put<std::uint8_t>(out, 49, rep.ok ? 1 : 0);
   // Service signature over the semantic bytes [8, 52) — after the fields,
-  // before the checksum, so the cert is itself checksummed.
-  put<std::uint32_t>(out, 52, hmac32(cert_key(kServicePrincipal), out + 8, 44));
-  put<std::uint32_t>(out, 4, record_checksum(out, kReplyWireSize));
+  // before the checksum, so the cert is itself checksummed: the checksum
+  // chain absorbs the finished cert bytes last.
+  FusedChains chains{kFnvBasis, kServiceCertStart};
+  chains.unsigned_bytes(out, 0, 4);
+  chains.checksum_field();
+  chains.signed_bytes(out, 8, 52);
+  put<std::uint32_t>(out, 52, absorb_key(chains.cert, kServiceKey));
+  chains.unsigned_bytes(out, 52, kReplyWireSize);
+  put<std::uint32_t>(out, 4, chains.sum);
+}
+
+std::uint64_t count_write_requests(const std::uint8_t* in, std::uint64_t n) {
+  std::uint64_t writes = 0;
+  for (std::uint64_t i = 0; i < n; ++i)
+    writes += in[i * kRequestWireSize + 28] ==
+              static_cast<std::uint8_t>(OpKind::kWrite);
+  return writes;
 }
 
 bool decode_reply(const std::uint8_t* in, Reply* out) {
@@ -133,8 +185,7 @@ bool decode_reply(const std::uint8_t* in, Reply* out) {
   const std::uint8_t kind = get<std::uint8_t>(in, 48);
   if (kind > static_cast<std::uint8_t>(OpKind::kWrite)) return false;
   if (!zero_range(in, 50, 52)) return false;
-  if (get<std::uint32_t>(in, 52) !=
-      hmac32(cert_key(kServicePrincipal), in + 8, 44))
+  if (get<std::uint32_t>(in, 52) != hmac32(kServiceKey, in + 8, 44))
     return false;
   out->seq = get<std::uint64_t>(in, 8);
   out->latency_us = get<std::uint64_t>(in, 16);

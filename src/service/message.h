@@ -78,13 +78,26 @@ struct Reply {
   bool ok = false;
 };
 
+inline constexpr std::uint32_t kFnvBasis = 2166136261u;
+
+// One FNV-1a step. Every hash of the codec — fnv1a, hmac32, the record
+// checksum and the fused decode/encode chains — is a sequence of these, so
+// the fused chains are byte-for-byte the separate ones by construction.
+constexpr std::uint32_t fnv_step(std::uint32_t h, std::uint8_t byte) {
+  return (h ^ byte) * 16777619u;
+}
+
 // FNV-1a over `size` bytes.
 inline std::uint32_t fnv1a(const std::uint8_t* data, std::size_t size) {
-  std::uint32_t h = 2166136261u;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 16777619u;
-  }
+  std::uint32_t h = kFnvBasis;
+  for (std::size_t i = 0; i < size; ++i) h = fnv_step(h, data[i]);
+  return h;
+}
+
+// Absorbs the 8 key bytes, little-endian, into an FNV chain.
+constexpr std::uint32_t absorb_key(std::uint32_t h, std::uint64_t key) {
+  for (int i = 0; i < 8; ++i)
+    h = fnv_step(h, static_cast<std::uint8_t>(key >> (8 * i)));
   return h;
 }
 
@@ -93,25 +106,14 @@ inline std::uint32_t fnv1a(const std::uint8_t* data, std::size_t size) {
 // because lying code paths never call it with another principal's key.
 inline std::uint32_t hmac32(std::uint64_t key, const std::uint8_t* data,
                             std::size_t n) {
-  std::uint32_t h = 2166136261u;
-  const auto absorb_key = [&h, key] {
-    for (int i = 0; i < 8; ++i) {
-      h ^= static_cast<std::uint8_t>(key >> (8 * i));
-      h *= 16777619u;
-    }
-  };
-  absorb_key();
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 16777619u;
-  }
-  absorb_key();
-  return h;
+  std::uint32_t h = absorb_key(kFnvBasis, key);
+  for (std::size_t i = 0; i < n; ++i) h = fnv_step(h, data[i]);
+  return absorb_key(h, key);
 }
 
 // Per-principal signing key (a splitmix-style mix of the principal id with
 // a baked-in secret — the model's stand-in for a key distribution scheme).
-inline std::uint64_t cert_key(std::uint64_t principal) {
+constexpr std::uint64_t cert_key(std::uint64_t principal) {
   std::uint64_t x = principal ^ 0xC2B2AE3D27D4EB4Full;
   x ^= x >> 33;
   x *= 0xFF51AFD7ED558CCDull;
@@ -138,6 +140,7 @@ std::uint32_t replica_cert(int replica, const Timestamp& ts,
 // encode_request signs with the request's client key; encode_reply signs
 // with the service key. Both certificates are recomputed from the record
 // contents (the structs' cert fields are outputs of decode, not inputs).
+// encode_reply runs its certificate and checksum chains in one pass.
 void encode_request(const Request& req, std::uint8_t* out);
 void encode_reply(const Reply& rep, std::uint8_t* out);
 
@@ -145,8 +148,16 @@ void encode_reply(const Reply& rep, std::uint8_t* out);
 // reply decoder additionally verifies the service certificate. On failure
 // the result's `valid` flag (request) or the return value (reply) says so
 // and other fields are unspecified. Request certs are intentionally NOT
-// verified here (see Request::valid).
-Request decode_request(const std::uint8_t* in);
+// verified here (see Request::valid), but decode_request computes the
+// certificate the record should carry in the same pass as its checksum: if
+// `expected_cert` is non-null and the record decodes, it receives
+// request_cert(result), which the runner's prologue compares with `cert`.
+Request decode_request(const std::uint8_t* in,
+                       std::uint32_t* expected_cert = nullptr);
 bool decode_reply(const std::uint8_t* in, Reply* out);
+
+// Number of the `n` request records at `in` whose kind byte says write,
+// read without decoding: a sizing hint, never a validated count.
+std::uint64_t count_write_requests(const std::uint8_t* in, std::uint64_t n);
 
 }  // namespace sqs

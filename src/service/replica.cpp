@@ -1,6 +1,7 @@
 #include "service/replica.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "obs/telemetry.h"
@@ -36,7 +37,13 @@ ServiceReplica::ServiceReplica(int id, const ServerConfig& config, Rng rng)
 void ServiceReplica::advance_failure_process(double now) const {
   while (next_toggle_ <= now) {
     up_ = !up_;
-    if (up_ && config_.amnesia_on_recovery) objects_.clear();
+    if (up_ && config_.amnesia_on_recovery) {
+      for (Cell& c : cells_) {
+        c.ts = Timestamp{};
+        c.value = 0;
+        c.cert_fresh = false;
+      }
+    }
     next_toggle_ +=
         rng_.exponential(1.0 / (up_ ? config_.mean_up : config_.mean_down));
   }
@@ -68,24 +75,26 @@ std::optional<ServiceReplica::ReadServed> ServiceReplica::serve_read(
     return std::nullopt;
   }
   const double done = now + begin_service(now, qnow);
-  const Cell& cell = objects_[object];
-  const auto max_it = max_ts_seen_.find(object);
-  if (max_it != max_ts_seen_.end() && cell.ts < max_it->second) {
+  Cell& c = cell(object);
+  if (c.ts < c.max_seen) {
     ++ts_regressions_;
     ReplicaMetrics::get().regressions.add(1);
   }
   // The certificate always signs the TRUE stored state — the lie branch
   // below corrupts only the reported fields (unforgeable signatures).
-  const std::uint32_t cert = replica_cert(id_, cell.ts, cell.value);
+  if (!c.cert_fresh) {
+    c.cert = replica_cert(id_, c.ts, c.value);
+    c.cert_fresh = true;
+  }
   if (lie_active(now) && lie_corrupts_read(lie_mode_, client)) {
     ++lies_told_;
     ReplicaMetrics::get().lies.add(1);
     if (lie_mode_ == LieMode::kStaleTs)
-      return ReadServed{done, Timestamp{}, 0, cert};
-    return ReadServed{done, fabricated_timestamp(id_, cell.ts),
-                      fabricated_value(id_, cell.ts, cell.value), cert};
+      return ReadServed{done, Timestamp{}, 0, c.cert};
+    return ReadServed{done, fabricated_timestamp(id_, c.ts),
+                      fabricated_value(id_, c.ts, c.value), c.cert};
   }
-  return ReadServed{done, cell.ts, cell.value, cert};
+  return ReadServed{done, c.ts, c.value, c.cert};
 }
 
 std::optional<double> ServiceReplica::serve_write(const Timestamp& ts,
@@ -105,13 +114,7 @@ std::optional<double> ServiceReplica::serve_write(const Timestamp& ts,
     ReplicaMetrics::get().lies.add(1);
     return done;
   }
-  Cell& cell = objects_[object];
-  if (cell.ts < ts) {
-    cell.ts = ts;
-    cell.value = value;
-    Timestamp& max_seen = max_ts_seen_[object];
-    max_seen = std::max(max_seen, ts);
-  }
+  advance_cell(object, ts, value);
   return done;
 }
 
@@ -126,13 +129,29 @@ std::optional<double> ServiceReplica::serve_fence(double now, double qnow) {
 
 void ServiceReplica::adopt_state(const Timestamp& ts, std::uint64_t value,
                                  int object) {
-  Cell& cell = objects_[object];
-  if (cell.ts < ts) {
-    cell.ts = ts;
-    cell.value = value;
-    Timestamp& max_seen = max_ts_seen_[object];
-    max_seen = std::max(max_seen, ts);
-  }
+  advance_cell(object, ts, value);
+}
+
+ServiceReplica::Cell& ServiceReplica::cell(int object) {
+  assert(object >= 0);
+  const std::size_t i = static_cast<std::size_t>(object);
+  if (i >= cells_.size()) cells_.resize(i + 1);
+  return cells_[i];
+}
+
+const ServiceReplica::Cell* ServiceReplica::find_cell(int object) const {
+  const std::size_t i = static_cast<std::size_t>(object);
+  return object >= 0 && i < cells_.size() ? &cells_[i] : nullptr;
+}
+
+void ServiceReplica::advance_cell(int object, const Timestamp& ts,
+                                  std::uint64_t value) {
+  Cell& c = cell(object);
+  if (!(c.ts < ts)) return;
+  c.ts = ts;
+  c.value = value;
+  c.max_seen = std::max(c.max_seen, ts);
+  c.cert_fresh = false;
 }
 
 void ServiceReplica::force_crash(double now, double duration) {
@@ -154,18 +173,18 @@ void ServiceReplica::set_lie(LieMode mode, double now, double duration) {
 }
 
 Timestamp ServiceReplica::timestamp(int object) const {
-  auto it = objects_.find(object);
-  return it == objects_.end() ? Timestamp{} : it->second.ts;
+  const Cell* c = find_cell(object);
+  return c == nullptr ? Timestamp{} : c->ts;
 }
 
 std::uint64_t ServiceReplica::value(int object) const {
-  auto it = objects_.find(object);
-  return it == objects_.end() ? 0 : it->second.value;
+  const Cell* c = find_cell(object);
+  return c == nullptr ? 0 : c->value;
 }
 
 Timestamp ServiceReplica::max_timestamp_seen(int object) const {
-  auto it = max_ts_seen_.find(object);
-  return it == max_ts_seen_.end() ? Timestamp{} : it->second;
+  const Cell* c = find_cell(object);
+  return c == nullptr ? Timestamp{} : c->max_seen;
 }
 
 }  // namespace sqs

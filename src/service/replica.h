@@ -22,6 +22,11 @@
 // wipes, ts_regressions counts reads served below that high-water mark,
 // dropped_requests counts arrivals while down.
 //
+// Each cell caches the replica certificate over its stored (ts, value):
+// every state change (a write or adopted state that advances the cell, an
+// amnesia wipe) marks it stale, and the next read re-signs it. A read thus
+// hashes at most once, and a run of reads between writes hashes once.
+//
 // Like Transport, the failure process advances lazily and only forward; the
 // runner guarantees that by evaluating operations in arrival order.
 
@@ -29,7 +34,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "sim/server.h"  // Timestamp, ServerConfig
 #include "util/rng.h"
@@ -129,10 +134,23 @@ class ServiceReplica {
   }
 
  private:
+  struct Cell {
+    Timestamp ts;
+    std::uint64_t value = 0;
+    Timestamp max_seen;      // high-water mark; survives amnesia wipes
+    std::uint32_t cert = 0;  // replica_cert(id, ts, value) while cert_fresh
+    bool cert_fresh = false;
+  };
+
   void advance_failure_process(double now) const;
   // Returns the queue wait + service span to add after `now`; advances the
   // backlog on the monotone `qnow` clock.
   double begin_service(double now, double qnow);
+  // The cell of `object` (>= 0), created empty on first touch.
+  Cell& cell(int object);
+  const Cell* find_cell(int object) const;
+  // Stores (ts, value) if ts advances the cell (serve_write, adopt_state).
+  void advance_cell(int object, const Timestamp& ts, std::uint64_t value);
 
   int id_;
   ServerConfig config_;
@@ -153,12 +171,9 @@ class ServiceReplica {
   std::uint64_t dropped_requests_ = 0;
   std::uint64_t lies_told_ = 0;
 
-  struct Cell {
-    Timestamp ts;
-    std::uint64_t value = 0;
-  };
-  mutable std::unordered_map<int, Cell> objects_;
-  std::unordered_map<int, Timestamp> max_ts_seen_;
+  // Indexed by object id (the runner uses object 0 only). Mutable because
+  // an amnesia wipe happens while the const failure process advances.
+  mutable std::vector<Cell> cells_;
 };
 
 }  // namespace sqs

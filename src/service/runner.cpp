@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "obs/trace.h"
+#include "runtime/scratch.h"
 #include "runtime/thread_pool.h"
 
 namespace sqs {
@@ -55,6 +56,25 @@ std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size) {
 // Virtual seconds -> integer microseconds, the flight recorder's time unit.
 std::uint64_t us(double t) {
   return static_cast<std::uint64_t>(std::llround(t * 1e6));
+}
+
+// One batch's decoded requests and replies. The thread that owns a batch
+// borrows these from its WorkerScratch for all three stages, so the stage
+// buffers are batch-sized and their capacity is reused across batches and
+// serve() calls.
+struct BatchBuffers {
+  std::vector<Request> requests;
+  std::vector<Reply> replies;
+};
+
+// splitmix64's finalizer.
+std::uint64_t mix64(std::uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xFF51AFD7ED558CCDull;
+  x ^= x >> 33;
+  x *= 0xC4CEB9FE1A85EC53ull;
+  x ^= x >> 33;
+  return x;
 }
 
 // Masking vote (mirrors sim/client.cpp): the highest-timestamped (ts,
@@ -152,6 +172,7 @@ ServiceRunner::ServiceRunner(const QuorumFamily& family,
                    });
   replies_.resize(replicas_.size());
   reply_retired_.assign(replicas_.size(), 0);
+  cert_memo_.resize(replicas_.size());
   lat_counts_.assign(lat_bounds_.size() + 1, 0);
   if (config.timeline_window_us > 0)
     timeline_ = obs::Timeline(config.timeline_window_us,
@@ -273,6 +294,58 @@ void ServiceRunner::pop_completed_writes(double now) {
   }
 }
 
+std::uint32_t ServiceRunner::expected_replica_cert(int replica,
+                                                  const Timestamp& ts,
+                                                  std::uint64_t value) {
+  CertMemo& memo = cert_memo_[static_cast<std::size_t>(replica)];
+  if (!memo.valid || !(memo.ts == ts) || memo.value != value)
+    memo = CertMemo{ts, value, replica_cert(replica, ts, value), true};
+  return memo.cert;
+}
+
+std::size_t ServiceRunner::WriteSet::find(const Timestamp& ts,
+                                          std::uint64_t value) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = static_cast<std::size_t>(
+      mix64(ts.counter ^
+            mix64(value ^ static_cast<std::uint32_t>(ts.writer))));
+  for (i &= mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (!slot.used || (slot.counter == ts.counter &&
+                       slot.writer == ts.writer && slot.value == value))
+      return i;
+  }
+}
+
+bool ServiceRunner::WriteSet::contains(const Timestamp& ts,
+                                       std::uint64_t value) const {
+  return !slots_.empty() && slots_[find(ts, value)].used;
+}
+
+void ServiceRunner::WriteSet::rehash(std::size_t num_slots) {
+  std::vector<Slot> old(num_slots);
+  old.swap(slots_);
+  for (const Slot& slot : old)
+    if (slot.used)
+      slots_[find(Timestamp{slot.counter, slot.writer}, slot.value)] = slot;
+}
+
+void ServiceRunner::WriteSet::reserve(std::size_t more) {
+  std::size_t num_slots = std::max<std::size_t>(64, slots_.size());
+  while ((size_ + more) * 4 > num_slots * 3) num_slots *= 2;
+  if (num_slots != slots_.size()) rehash(num_slots);
+}
+
+void ServiceRunner::WriteSet::insert(const Timestamp& ts,
+                                     std::uint64_t value) {
+  if ((size_ + 1) * 4 > slots_.size() * 3)
+    rehash(std::max<std::size_t>(64, 2 * slots_.size()));
+  Slot& slot = slots_[find(ts, value)];
+  if (slot.used) return;
+  slot = Slot{ts.counter, value, ts.writer, true};
+  ++size_;
+}
+
 void ServiceRunner::record_latency(std::uint64_t us) {
   const std::size_t bucket = static_cast<std::size_t>(
       std::lower_bound(lat_bounds_.begin(), lat_bounds_.end(), us) -
@@ -390,8 +463,8 @@ Reply ServiceRunner::execute_op(const Request& req) {
               // timeout).
               answered = true;
               if (!config_.verify_replica_certs ||
-                  served->cert ==
-                      replica_cert(dst, served->ts, served->value)) {
+                  served->cert == expected_replica_cert(dst, served->ts,
+                                                        served->value)) {
                 reached = true;
                 replies_[static_cast<std::size_t>(s)] = {served->ts,
                                                          served->value};
@@ -411,11 +484,15 @@ Reply ServiceRunner::execute_op(const Request& req) {
         }
       }
       if (!answered) t += timeout;
-      if (reached) {
-        obs::flight(obs::FlightKind::kProbe, op, us(t0), dst, us(t - t0));
-      } else {
-        obs::flight(obs::FlightKind::kProbeMiss, op, us(t0), dst,
-                    us(timeout));
+      // Hot-path flight calls check the gate first, so an off recorder
+      // converts no times (see obs::flight).
+      if (obs::recorder_enabled()) {
+        if (reached) {
+          obs::flight(obs::FlightKind::kProbe, op, us(t0), dst, us(t - t0));
+        } else {
+          obs::flight(obs::FlightKind::kProbeMiss, op, us(t0), dst,
+                      us(timeout));
+        }
       }
       strategy->observe(s, reached);
     }
@@ -442,9 +519,10 @@ Reply ServiceRunner::execute_op(const Request& req) {
     obs::flight(obs::FlightKind::kViewRefresh, op, us(t), -1,
                 static_cast<std::uint64_t>(view_epoch_));
   }
-  obs::flight(acquired ? obs::FlightKind::kQuorumAcquired
-                       : obs::FlightKind::kQuorumFailed,
-              op, us(t), -1, probes);
+  if (obs::recorder_enabled())
+    obs::flight(acquired ? obs::FlightKind::kQuorumAcquired
+                         : obs::FlightKind::kQuorumFailed,
+                op, us(t), -1, probes);
   totals_.probes += probes;
   rep.probes = probes;
   double finish = t;
@@ -490,8 +568,7 @@ Reply ServiceRunner::execute_op(const Request& req) {
       // No-fabricated-write check, exact because the solo stage runs in
       // arrival order: a non-zero binding must have been produced by some
       // earlier ok write of this runner.
-      if (Timestamp{} < best &&
-          genuine_writes_.count({best.counter, best.writer, value}) == 0) {
+      if (Timestamp{} < best && !genuine_writes_.contains(best, value)) {
         ++totals_.fabricated_reads;
         obs::flight(obs::FlightKind::kFabricatedRead, op, us(t), -1, value);
       }
@@ -541,12 +618,12 @@ Reply ServiceRunner::execute_op(const Request& req) {
       // (the order install paths use everywhere else; indices map to the
       // wire through the op's view); each push resolves at its ack round
       // trip or at the timeout, and the write completes when the last
-      // target resolves.
-      std::vector<int> targets(touched_);
-      std::sort(targets.begin(), targets.end());
+      // target resolves. touched_ is sorted in place: nothing reads its
+      // probe order after the timestamp fold above.
+      std::sort(touched_.begin(), touched_.end());
       int acks = 0;
       double end = t;
-      for (int s : targets) {
+      for (int s : touched_) {
         const int dst =
             view != nullptr ? view->members[static_cast<std::size_t>(s)] : s;
         const Transport::Delivery to =
@@ -570,16 +647,17 @@ Reply ServiceRunner::execute_op(const Request& req) {
             ++op_drops;
           }
         }
-        obs::flight(acked ? obs::FlightKind::kWriteAck
-                          : obs::FlightKind::kWriteNack,
-                    op, us(t), dst, us(resolve));
+        if (obs::recorder_enabled())
+          obs::flight(acked ? obs::FlightKind::kWriteAck
+                            : obs::FlightKind::kWriteNack,
+                      op, us(t), dst, us(resolve));
         end = std::max(end, t + resolve);
       }
       totals_.write_acks += static_cast<std::uint64_t>(acks);
       rep.ok = true;
       rep.ts = new_ts;
       rep.value = req.value;
-      genuine_writes_.insert({new_ts.counter, new_ts.writer, req.value});
+      genuine_writes_.insert(new_ts, req.value);
       if (acks > 0) {
         any_acked_write_ = true;
         max_acked_ts_ = std::max(max_acked_ts_, new_ts);
@@ -593,7 +671,8 @@ Reply ServiceRunner::execute_op(const Request& req) {
       std::llround((finish - arrival) * 1e6));
   rep.latency_us = latency_us;
   record_latency(latency_us);
-  obs::flight(obs::FlightKind::kOpDone, op, us(finish), -1, latency_us);
+  if (obs::recorder_enabled())
+    obs::flight(obs::FlightKind::kOpDone, op, us(finish), -1, latency_us);
   // Op-tagged wall-clock instant so --trace-jsonl reconstructs a served
   // op's journey (scripts/op_timeline.py) alongside the flight recorder's
   // virtual-time view.
@@ -614,8 +693,6 @@ ServiceResult ServiceRunner::serve(const std::vector<std::uint8_t>& requests,
   const std::uint8_t* in = requests.data();
 
   std::vector<std::uint8_t> encoded(n * kReplyWireSize);
-  std::vector<Request> parsed(n);
-  std::vector<Reply> decoded(n);
   std::vector<std::uint64_t> decode_fail(num_batches, 0);
   std::vector<std::uint64_t> cert_fail(num_batches, 0);
 
@@ -625,31 +702,47 @@ ServiceResult ServiceRunner::serve(const std::vector<std::uint8_t>& requests,
   }
   const Totals before = totals_;  // obs counters get this call's deltas
 
+  // Size the audit set for this call's write requests here, on the calling
+  // thread. Grown inside the solo stage instead, each doubling would be
+  // allocated by whichever pool thread owns the batch, and the freed
+  // tables would pile up in every thread's malloc arena across runners.
+  genuine_writes_.reserve(
+      static_cast<std::size_t>(count_write_requests(in, n)));
+
   const auto wall_start = std::chrono::steady_clock::now();
   auto process = [&](std::uint64_t b) {
     const std::uint64_t begin = b * batch;
     const std::uint64_t end = std::min(n, begin + batch);
     const bool timed = obs::telemetry_enabled();
     const ServiceMetrics& metrics = ServiceMetrics::get();
+    Borrowed<BatchBuffers> buffers =
+        WorkerScratch::for_thread().borrow<BatchBuffers>();
+    std::vector<Request>& parsed = buffers->requests;
+    std::vector<Reply>& decoded = buffers->replies;
+    parsed.resize(end - begin);
+    decoded.resize(end - begin);
 
     // Prologue: decode + verify this batch's records (private slice). The
     // client-certificate check lives here too — the signature verification
     // a WAN deployment hoists into the stateless stage — so an impersonated
-    // request never reaches the solo stage.
+    // request never reaches the solo stage. The decoder computes the
+    // expected cert in the same pass as the checksum.
     std::uint64_t stage_start = timed ? obs::trace_now_ns() : 0;
     std::uint64_t bad = 0, bad_cert = 0;
     for (std::uint64_t i = begin; i < end; ++i) {
-      parsed[i] = decode_request(in + i * kRequestWireSize);
-      if (!parsed[i].valid) {
+      Request& req = parsed[i - begin];
+      std::uint32_t expected_cert = 0;
+      req = decode_request(in + i * kRequestWireSize, &expected_cert);
+      if (!req.valid) {
         ++bad;
-      } else if (parsed[i].cert != request_cert(parsed[i])) {
-        parsed[i].valid = false;
+      } else if (req.cert != expected_cert) {
+        req.valid = false;
         ++bad_cert;
       }
-      if (parsed[i].valid) {
+      if (req.valid) {
         obs::flight(obs::FlightKind::kDecoded,
-                    obs::make_op_id(obs::kServiceStream, parsed[i].seq),
-                    parsed[i].arrival_us, -1, 1);
+                    obs::make_op_id(obs::kServiceStream, req.seq),
+                    req.arrival_us, -1, 1);
       }
     }
     decode_fail[b] = bad;
@@ -664,11 +757,13 @@ ServiceResult ServiceRunner::serve(const std::vector<std::uint8_t>& requests,
     }
     stage_start = timed ? obs::trace_now_ns() : 0;
     for (std::uint64_t i = begin; i < end; ++i) {
-      if (parsed[i].valid) {
-        decoded[i] = execute_op(parsed[i]);
+      const Request& req = parsed[i - begin];
+      Reply& rep = decoded[i - begin];
+      if (req.valid) {
+        rep = execute_op(req);
       } else {
-        decoded[i] = Reply{};
-        decoded[i].seq = i;
+        rep = Reply{};
+        rep.seq = i;
       }
     }
     if (timed) metrics.solo_ns.record(obs::trace_now_ns() - stage_start);
@@ -681,12 +776,13 @@ ServiceResult ServiceRunner::serve(const std::vector<std::uint8_t>& requests,
     // Epilogue: encode + checksum this batch's replies (private slice).
     stage_start = timed ? obs::trace_now_ns() : 0;
     for (std::uint64_t i = begin; i < end; ++i) {
-      encode_reply(decoded[i], encoded.data() + i * kReplyWireSize);
-      if (parsed[i].valid) {
+      const Request& req = parsed[i - begin];
+      const Reply& rep = decoded[i - begin];
+      encode_reply(rep, encoded.data() + i * kReplyWireSize);
+      if (req.valid) {
         obs::flight(obs::FlightKind::kEncoded,
-                    obs::make_op_id(obs::kServiceStream, parsed[i].seq),
-                    parsed[i].arrival_us + decoded[i].latency_us, -1,
-                    decoded[i].ok ? 1 : 0);
+                    obs::make_op_id(obs::kServiceStream, req.seq),
+                    req.arrival_us + rep.latency_us, -1, rep.ok ? 1 : 0);
       }
     }
     if (timed) metrics.epilogue_ns.record(obs::trace_now_ns() - stage_start);
@@ -712,6 +808,7 @@ ServiceResult ServiceRunner::serve(const std::vector<std::uint8_t>& requests,
 
   ServiceResult result;
   result.requests = totals_.requests;
+  result.call_requests = n;
   result.decode_failures = totals_.decode_failures;
   result.reads = totals_.reads;
   result.reads_ok = totals_.reads_ok;

@@ -39,8 +39,6 @@
 #include <memory>
 #include <mutex>
 #include <queue>
-#include <set>
-#include <tuple>
 #include <vector>
 
 #include "core/epoch.h"
@@ -106,7 +104,8 @@ struct ServiceConfig {
 };
 
 struct ServiceResult {
-  std::uint64_t requests = 0;
+  std::uint64_t requests = 0;       // lifetime, like the counters below
+  std::uint64_t call_requests = 0;  // requests in this serve() call
   std::uint64_t decode_failures = 0;
   std::uint64_t reads = 0, reads_ok = 0;
   std::uint64_t writes = 0, writes_ok = 0;
@@ -160,8 +159,10 @@ struct ServiceResult {
     const std::uint64_t ops = reads + writes;
     return ops == 0 ? 0.0 : static_cast<double>(ops_ok()) / ops;
   }
+  // This call's throughput: wall_ms covers only this call, so its count does.
   double wall_ops_per_sec() const {
-    return wall_ms <= 0.0 ? 0.0 : static_cast<double>(requests) / (wall_ms / 1e3);
+    if (wall_ms <= 0.0) return 0.0;
+    return static_cast<double>(call_requests) / (wall_ms / 1e3);
   }
 };
 
@@ -183,7 +184,10 @@ class ServiceRunner {
   // Serves an encoded request stream (total_ops records of kRequestWireSize
   // bytes, arrival-sorted — generate_load's output shape). Repeated calls
   // continue on the same world state, and the returned stats are lifetime
-  // totals (wall_ms and reply_fingerprint cover the current call). If
+  // totals (call_requests, wall_ms and reply_fingerprint cover the current
+  // call). Besides the reply stream, memory is batch-sized: the thread
+  // that owns a batch keeps its decoded requests and replies in pooled
+  // scratch (runtime/scratch.h) through all three stages. If
   // `replies_out` is non-null it receives the encoded reply stream
   // (kReplyWireSize bytes per request).
   ServiceResult serve(const std::vector<std::uint8_t>& requests,
@@ -203,6 +207,9 @@ class ServiceRunner {
   void apply_epochs_until(double now);
   void pop_completed_writes(double now);
   Reply execute_op(const Request& req);
+  // replica_cert(replica, ts, value) through the per-replica memo.
+  std::uint32_t expected_replica_cert(int replica, const Timestamp& ts,
+                                      std::uint64_t value);
 
   ServiceConfig config_;
   Transport transport_;
@@ -257,8 +264,43 @@ class ServiceRunner {
   // (counter, writer, value) bindings of every ok write, solo-owned. The
   // solo stage runs in arrival order, so a read can only observe a binding
   // after its write registered it — the fabricated-read check is exact and
-  // synchronous (no end-of-run pass like the sim harness needs).
-  std::set<std::tuple<std::uint64_t, int, std::uint64_t>> genuine_writes_;
+  // synchronous (no end-of-run pass like the sim harness needs). Bindings
+  // are never erased; an open-addressing table (linear probing, power-of-
+  // two size, at most 3/4 full) keeps them without a node per write.
+  class WriteSet {
+   public:
+    bool contains(const Timestamp& ts, std::uint64_t value) const;
+    void insert(const Timestamp& ts, std::uint64_t value);
+    // Makes room for `more` inserts beyond the current size without growth.
+    void reserve(std::size_t more);
+
+   private:
+    void rehash(std::size_t num_slots);
+    struct Slot {
+      std::uint64_t counter = 0;
+      std::uint64_t value = 0;
+      int writer = 0;
+      bool used = false;
+    };
+    // Index of the binding's slot, or of the empty slot where it belongs.
+    std::size_t find(const Timestamp& ts, std::uint64_t value) const;
+    std::vector<Slot> slots_;
+    std::size_t size_ = 0;
+  };
+  WriteSet genuine_writes_;
+
+  // Verification memo, one entry per logical replica: the last reported
+  // (ts, value) that was checked and replica_cert over it. It caches a pure
+  // function exactly — a fabricated report misses and is hashed fresh, so
+  // it is rejected as before — while repeated honest reports of an
+  // unchanged register cost no hash.
+  struct CertMemo {
+    Timestamp ts;
+    std::uint64_t value = 0;
+    std::uint32_t cert = 0;
+    bool valid = false;
+  };
+  std::vector<CertMemo> cert_memo_;
 
   // Solo-owned windowed series; disabled (window 0) unless configured.
   obs::Timeline timeline_;

@@ -42,6 +42,13 @@ void poke_u32(std::uint8_t* rec, std::size_t offset, std::uint32_t v) {
     rec[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
+std::uint32_t peek_u32(const std::uint8_t* rec, std::size_t offset) {
+  std::uint32_t v = 0;
+  for (std::size_t i = 0; i < 4; ++i)
+    v |= static_cast<std::uint32_t>(rec[offset + i]) << (8 * i);
+  return v;
+}
+
 void fix_request_checksum(std::uint8_t* rec) {
   poke_u32(rec, 4, forge_checksum(rec, kRequestWireSize));
 }
@@ -94,6 +101,29 @@ TEST(ServiceWire, ReplyRoundTrip) {
   EXPECT_EQ(out.probes, rep.probes);
   EXPECT_EQ(out.kind, rep.kind);
   EXPECT_TRUE(out.ok);
+
+  // Seeded random replies: encode_reply computes its cert and checksum in
+  // one fused pass, which must equal the unfused definitions — hmac32 over
+  // bytes [8, 52) and the record checksum — byte for byte.
+  Rng rng(31);
+  for (int k = 0; k < 500; ++k) {
+    Reply r;
+    r.seq = rng.next_u64();
+    r.latency_us = rng.next_u64();
+    r.value = rng.next_u64();
+    r.ts = Timestamp{rng.next_u64(), static_cast<int>(rng.next_u64())};
+    r.probes = static_cast<std::uint32_t>(rng.next_u64());
+    r.kind = rng.bernoulli(0.5) ? OpKind::kRead : OpKind::kWrite;
+    r.ok = rng.bernoulli(0.5);
+    encode_reply(r, buf);
+    EXPECT_EQ(peek_u32(buf, 52),
+              hmac32(cert_key(kServicePrincipal), buf + 8, 44))
+        << "record " << k;
+    EXPECT_EQ(peek_u32(buf, 4), forge_checksum(buf, kReplyWireSize))
+        << "record " << k;
+    ASSERT_TRUE(decode_reply(buf, &out)) << "record " << k;
+    EXPECT_EQ(out.value, r.value);
+  }
 }
 
 TEST(ServiceWire, ChecksumCatchesCorruption) {
@@ -221,6 +251,53 @@ TEST(ServiceWire, RequestCertBindsClientAndContents) {
   const Request decoded = decode_request(buf);
   ASSERT_TRUE(decoded.valid);
   EXPECT_EQ(decoded.cert, cert);
+
+  // Seeded random requests: decode_request computes the expected cert in
+  // the checksum's pass, which must equal request_cert of what it decoded —
+  // for the record as sent, after one flipped byte in a signed range
+  // (contents change, the expected cert follows them), and after one in an
+  // unsigned range (the carried cert changes, the expected one does not).
+  // Each mutant gets a recomputed checksum so it still decodes.
+  Rng rng(37);
+  for (int k = 0; k < 500; ++k) {
+    Request r;
+    r.seq = rng.next_u64();
+    r.arrival_us = rng.next_u64();
+    r.value = rng.next_u64();
+    r.client = static_cast<std::uint32_t>(rng.next_u64());
+    r.kind = rng.bernoulli(0.5) ? OpKind::kRead : OpKind::kWrite;
+    encode_request(r, buf);
+    std::uint32_t expected = 0;
+    Request got = decode_request(buf, &expected);
+    ASSERT_TRUE(got.valid) << "record " << k;
+    EXPECT_EQ(expected, request_cert(got)) << "record " << k;
+    EXPECT_EQ(expected, got.cert) << "record " << k;
+
+    // Signed ranges: [8, 29) (seq, arrival_us, client, kind) and [32, 40)
+    // (value). Flipping bit 0 of the kind byte keeps it in range.
+    std::uint8_t mutant[kRequestWireSize];
+    std::memcpy(mutant, buf, kRequestWireSize);
+    const std::size_t pick = rng.next_below(29);
+    const std::size_t at = pick < 21 ? 8 + pick : 32 + (pick - 21);
+    mutant[at] ^= at == 28 ? 0x01
+                           : static_cast<std::uint8_t>(1 + rng.next_below(255));
+    fix_request_checksum(mutant);
+    got = decode_request(mutant, &expected);
+    ASSERT_TRUE(got.valid) << "record " << k << " signed byte " << at;
+    EXPECT_EQ(expected, request_cert(got)) << "record " << k << " byte " << at;
+    EXPECT_NE(expected, got.cert) << "record " << k << " byte " << at;
+
+    // Unsigned range that still decodes: the carried cert [40, 44).
+    std::memcpy(mutant, buf, kRequestWireSize);
+    const std::size_t cert_at = 40 + rng.next_below(4);
+    mutant[cert_at] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
+    fix_request_checksum(mutant);
+    got = decode_request(mutant, &expected);
+    ASSERT_TRUE(got.valid) << "record " << k << " unsigned byte " << cert_at;
+    EXPECT_EQ(expected, request_cert(got)) << "record " << k;
+    EXPECT_EQ(expected, request_cert(r)) << "record " << k;
+    EXPECT_NE(expected, got.cert) << "record " << k;
+  }
 }
 
 TEST(ServiceWire, ReplicaCertBindsReplicaAndState) {
@@ -311,6 +388,8 @@ TEST(ServiceLoadGen, ArrivalsMonotoneAndSchedulePlausible) {
   // Read mix near the configured fraction (binomial, generous bounds).
   EXPECT_GT(reads, n * 7 / 10);
   EXPECT_LT(reads, n * 9 / 10);
+  // The undecoded kind-byte count serve() sizes its audit set with.
+  EXPECT_EQ(count_write_requests(bytes.data(), n), n - reads);
 }
 
 // --- explicit-time replica --------------------------------------------------
@@ -353,6 +432,58 @@ TEST(ServiceReplicaTest, ForcedCrashDropsRequests) {
   EXPECT_EQ(r.dropped_requests(), 2u);
   EXPECT_TRUE(r.up(6.5));
   EXPECT_TRUE(r.serve_read(0, 6.5, 6.5).has_value());
+}
+
+TEST(ServiceReplicaTest, CachedCertMatchesFreshHashAcrossStateChanges) {
+  // The replica re-signs its cell lazily, after writes, adopted state and
+  // amnesia wipes. Oracle: every served read carries exactly the fresh
+  // hash of the true stored state, lie windows included (a liar corrupts
+  // the reported fields, never the signature over the truth).
+  ServerConfig config;
+  config.mean_up = 0.5;
+  config.mean_down = 0.1;
+  config.service_time = 0.0001;
+  config.amnesia_on_recovery = true;
+  const int id = 3;
+  ServiceReplica r(id, config, Rng(11));
+  Rng rng(12);
+  double now = 0.0;
+  std::uint64_t counter = 0;
+  int reads = 0;
+  for (int step = 0; step < 5000; ++step) {
+    now += rng.exponential(200.0);
+    const std::uint64_t value = rng.next_u64();
+    const int writer = static_cast<int>(rng.next_below(8));
+    switch (rng.next_below(6)) {
+      case 0:  // a write; one in five repeats the last counter (often stale)
+        r.serve_write(Timestamp{rng.bernoulli(0.2) ? counter : ++counter,
+                                writer},
+                      value, 0, now, now);
+        break;
+      case 1:  // epoch state transfer, sometimes behind the cell
+        r.adopt_state(Timestamp{rng.bernoulli(0.2) ? counter / 2 : ++counter,
+                                writer},
+                      value);
+        break;
+      case 2:
+        r.set_lie(static_cast<LieMode>(1 + rng.next_below(4)), now,
+                  rng.exponential(50.0));
+        break;
+      default: {
+        const auto served =
+            r.serve_read(0, now, now, static_cast<int>(rng.next_below(4)));
+        if (!served.has_value()) break;
+        ++reads;
+        EXPECT_EQ(served->cert, replica_cert(id, r.timestamp(0), r.value(0)))
+            << "step " << step;
+      }
+    }
+  }
+  EXPECT_GT(reads, 1000);
+  EXPECT_GT(r.lies_told(), 0u);
+  // Reads served from a wiped cell below its high-water mark: amnesia
+  // recoveries happened between reads.
+  EXPECT_GT(r.ts_regressions(), 0u);
 }
 
 TEST(ServiceReplicaTest, GraySlowdownInflatesServiceTime) {
@@ -525,6 +656,35 @@ TEST(ServiceByzantine, CertVerificationStripsLiesOffTheQuorumPath) {
   EXPECT_GT(r.reads_ok, 0u);
 }
 
+TEST(ServiceByzantine, AlternatingLieWindowsAreAllRejected) {
+  // Replica 0 — OPT_d's first probe, so it answers every op — lies for
+  // 2 ms of every 4 ms (about every other op at 500 ops/s) while writes
+  // keep changing its register. The runner's verification memo sees
+  // honest and fabricated reports interleaved; every lie must still miss
+  // it and be rejected. Links and replicas never fail here, so every lie
+  // reply is timely and cert_rejects counts exactly the lies told; hops
+  // take ~0.2 ms so a probe lands inside the window its op arrived in.
+  const OptDFamily family(12, 2);
+  ServiceConfig config = service_config();
+  config.network.base_latency = 1e-4;
+  config.network.jitter_mean = 1e-4;
+  config.network.link_mean_up = 1e12;
+  config.network.link_mean_down = 1e-9;
+  config.server = reliable_server();
+  for (int k = 0; k < 1000; ++k)
+    config.plan.lie(0.004 * k, 0, LieMode::kWrongValue, 0.002);
+  ServiceRunner runner(family, config);
+  const ServiceResult r = runner.serve(generate_load(small_load()));
+  const std::uint64_t lies = runner.replica(0).lies_told();
+  EXPECT_GT(lies, r.requests / 4);
+  EXPECT_LT(lies, r.requests * 3 / 4);
+  EXPECT_EQ(r.cert_rejects, lies);
+  EXPECT_EQ(r.fabricated_reads, 0u);
+  EXPECT_EQ(r.lost_acked_writes, 0u);
+  EXPECT_GT(r.writes_ok, 0u);
+  EXPECT_EQ(r.reads_ok, r.reads);
+}
+
 TEST(ServiceByzantine, UnverifiedUnvotedServiceReturnsFabrications) {
   // The designed-to-fail control: no cert verification and no masking vote
   // lets the boosted fabricated timestamps win the max fold.
@@ -593,6 +753,13 @@ TEST(Service, LifetimeTotalsAccumulateAcrossServeCalls) {
   EXPECT_EQ(once.requests, load.total_ops());
   EXPECT_EQ(twice.requests, 2 * load.total_ops());
   EXPECT_GE(twice.probes, once.probes);
+  // Throughput is per call: wall_ms covers only the second call, so its
+  // numerator must too (the lifetime count would report double).
+  ASSERT_GT(twice.wall_ms, 0.0);
+  EXPECT_DOUBLE_EQ(twice.wall_ops_per_sec(),
+                   static_cast<double>(load.total_ops()) /
+                       (twice.wall_ms / 1e3));
+  EXPECT_EQ(twice.call_requests, load.total_ops());
 }
 
 }  // namespace
