@@ -98,8 +98,8 @@ void simulated_scheduler() {
   ServerConfig server_config;
   server_config.mean_down = 1e-9;
   server_config.mean_up = 1e9;
-  std::vector<SimServer> servers;
-  for (int i = 0; i < 2; ++i) servers.emplace_back(&sim, i, server_config, Rng(i));
+  std::vector<Replica> servers;
+  for (int i = 0; i < 2; ++i) servers.emplace_back(i, server_config, Rng(i));
 
   const ThresholdFamily pqs(2, 1, "PQS(2 servers, quorum size 1)");
   ClientConfig client_config;
@@ -107,8 +107,8 @@ void simulated_scheduler() {
   SimClient y(&sim, &net, &servers, 1, &pqs, client_config, Rng(11));
 
   // Scheduler: starve x->server2 and y->server1 for the whole run.
-  net.block_link(0, 1, 1e9);
-  net.block_link(1, 0, 1e9);
+  net.transport().block_link(0, 1, sim.now(), 1e9);
+  net.transport().block_link(1, 0, sim.now(), 1e9);
 
   int both = 0, meet = 0;
   std::function<void(int)> round = [&](int remaining) {

@@ -63,10 +63,10 @@ LeaseStats run_lease_experiment(const QuorumFamily& family, double duration,
   ServerConfig server_config;
   server_config.mean_up = 30.0;
   server_config.mean_down = 3.0;
-  std::vector<SimServer> servers;
+  std::vector<Replica> servers;
   servers.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
-    servers.emplace_back(&sim, i, server_config, rng.split(100 + i));
+    servers.emplace_back(i, server_config, rng.split(100 + i));
 
   std::vector<SimClient> clients;
   std::vector<Holder> holders(static_cast<std::size_t>(num_clients));

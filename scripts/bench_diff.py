@@ -19,6 +19,13 @@ with benign scheduling detail and the p999 tail of a bucketed histogram is
 too coarse to threshold. Runs without quantile fields diff exactly as
 before.
 
+Records that carry a "cells" array (BENCH_faults.json, BENCH_service.json)
+hold virtual-time results: chaos and served outcomes that reproduce exactly
+on any host. When both sides have cells and the workloads are comparable,
+any difference fails the diff — a changed simulated or served result is a
+behaviour change, not noise. Refresh the baseline with --update when the
+change is intended.
+
 Records may also carry a "metrics" telemetry snapshot ({"counters": {...},
 "histograms": [...]}); when both sides have one, counter context (e.g. how
 many runtime chunks the workload executed) is printed next to the timing
@@ -150,6 +157,21 @@ def diff_quantiles(name, label, base, fresh, threshold):
     return regressions
 
 
+def diff_cells(name, baseline, fresh):
+    """Virtual-time cells must match exactly; returns [] or one failure."""
+    base_cells, fresh_cells = baseline.get("cells"), fresh.get("cells")
+    if base_cells is None or fresh_cells is None:
+        return []
+    if base_cells == fresh_cells:
+        print(f"[bench_diff] {name}: {len(fresh_cells)} cells identical")
+        return []
+    changed = sum(1 for b, f in zip(base_cells, fresh_cells) if b != f)
+    changed += abs(len(base_cells) - len(fresh_cells))
+    print(f"[bench_diff] {name}: cells CHANGED ({changed} of "
+          f"{len(base_cells)} differ from the baseline)")
+    return [f"{name}: {changed} cell(s) differ from the baseline"]
+
+
 def diff_record(name, baseline, fresh, threshold):
     """Returns a list of regression strings (empty when the record is ok)."""
     if not comparable(baseline, fresh):
@@ -158,7 +180,7 @@ def diff_record(name, baseline, fresh, threshold):
               f"fresh {fresh.get('workload')}); refresh with --update")
         return []
     baseline_runs = {run_key(r): r for r in baseline.get("runs", [])}
-    regressions = []
+    regressions = diff_cells(name, baseline, fresh)
     for run in fresh.get("runs", []):
         label = run_label(run)
         base = baseline_runs.get(run_key(run))
@@ -246,7 +268,7 @@ def run(argv):
 
 
 def _record(wall_ms_by_threads, workload=None, metrics=None, drop_wall=False,
-            quantiles=None):
+            quantiles=None, cells=None):
     # Keys are either a thread count or a (threads, mode) tuple; the bare
     # form writes no "mode" field, matching pre-batch-era records.
     runs = []
@@ -263,6 +285,8 @@ def _record(wall_ms_by_threads, workload=None, metrics=None, drop_wall=False,
     rec = {"workload": workload or {"name": "w", "trials": 100}, "runs": runs}
     if metrics is not None:
         rec["metrics"] = metrics
+    if cells is not None:
+        rec["cells"] = cells
     return rec
 
 
@@ -377,6 +401,27 @@ def self_test():
         check("mixed-era quantiles skipped", regs == [])
     except (KeyError, TypeError, AttributeError) as err:
         check(f"mixed-era quantiles skipped (raised {err!r})", False)
+    # Virtual-time cells: identical passes, any change fails even when the
+    # wall clock improved, and a side without cells is not gated.
+    cells = [{"scenario": "baseline", "availability": 1, "passed": True},
+             {"scenario": "byzantine", "fabricated_reads": 0}]
+    moved = [cells[0], {"scenario": "byzantine", "fabricated_reads": 3}]
+    check("identical cells pass",
+          diff_record("f", _record({1: 100.0}, cells=cells),
+                      _record({1: 100.0}, cells=cells), 0.25) == [])
+    regs = diff_record("f", _record({1: 100.0}, cells=cells),
+                       _record({1: 50.0}, cells=moved), 0.25)
+    check("changed cell gated", len(regs) == 1 and "1 cell" in regs[0])
+    regs = diff_record("f", _record({1: 100.0}, cells=cells),
+                       _record({1: 100.0}, cells=cells[:1]), 0.25)
+    check("missing cell gated", len(regs) == 1)
+    check("cell-less side not gated",
+          diff_record("f", _record({1: 100.0}),
+                      _record({1: 100.0}, cells=moved), 0.25) == [])
+    check("changed cells of another workload skipped",
+          diff_record("f", _record({1: 100.0}, cells=cells),
+                      _record({1: 100.0}, workload={"name": "w2"},
+                              cells=moved), 0.25) == [])
     # Record lacking wall_ms entirely: skipped, not fatal.
     try:
         regs = diff_record("a", _record({1: 100.0}, drop_wall=True),

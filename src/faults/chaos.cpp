@@ -375,7 +375,7 @@ std::vector<ChaosCellResult> run_chaos(
       const auto prev = p.config.fault_hook;
       const FaultPlan plan = s.plan;
       p.config.fault_hook = [plan, prev](Simulator& sim, Network& net,
-                                         std::vector<SimServer>& servers) {
+                                         std::vector<Replica>& servers) {
         install_fault_plan(plan, &sim, &net, &servers);
         if (prev) prev(sim, net, servers);
       };

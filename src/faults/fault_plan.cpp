@@ -62,54 +62,6 @@ LieMode lie_mode_for(FaultEvent::Kind kind) {
   }
 }
 
-void apply_event(const FaultEvent& ev, Network* net,
-                 std::vector<SimServer>* servers) {
-  switch (ev.kind) {
-    case FaultEvent::Kind::kServerCrash:
-      (*servers)[static_cast<std::size_t>(ev.server)].force_crash(ev.duration);
-      break;
-    case FaultEvent::Kind::kServerPin:
-      (*servers)[static_cast<std::size_t>(ev.server)].force_up(ev.duration);
-      break;
-    case FaultEvent::Kind::kGrayServer:
-      (*servers)[static_cast<std::size_t>(ev.server)].set_gray(ev.magnitude,
-                                                              ev.duration);
-      break;
-    case FaultEvent::Kind::kLinkDown:
-      net->block_link(ev.client, ev.server, ev.duration);
-      break;
-    case FaultEvent::Kind::kClientPartition:
-      if (ev.magnitude >= 1.0)
-        net->partition_client(ev.client, ev.duration);
-      else
-        net->partition_client_partial(ev.client, ev.magnitude, ev.duration);
-      break;
-    case FaultEvent::Kind::kServerPartition:
-      net->force_partition(ev.server, ev.duration);
-      break;
-    case FaultEvent::Kind::kLatencyBurst:
-      net->inject_latency_burst(ev.magnitude, ev.duration);
-      break;
-    case FaultEvent::Kind::kLossBurst:
-      net->inject_loss_burst(ev.magnitude, ev.duration);
-      break;
-    case FaultEvent::Kind::kLieWrongValue:
-    case FaultEvent::Kind::kLieStaleTs:
-    case FaultEvent::Kind::kLieEquivocate:
-    case FaultEvent::Kind::kLieFabricateAck:
-      (*servers)[static_cast<std::size_t>(ev.server)].set_lie(
-          lie_mode_for(ev.kind), ev.duration);
-      break;
-  }
-  const FaultMetrics& m = FaultMetrics::get();
-  m.injected.add(1);
-  m.for_kind(ev.kind).add(1);
-  obs::instant("faults", fault_kind_name(ev.kind), "target",
-               static_cast<std::uint64_t>(ev.server >= 0 ? ev.server
-                                          : ev.client >= 0 ? ev.client
-                                                           : 0));
-}
-
 }  // namespace
 
 const char* fault_kind_name(FaultEvent::Kind kind) {
@@ -325,19 +277,66 @@ FaultPlan make_byzantine_plan(int num_servers, int num_liars, double start,
   return plan;
 }
 
-void install_fault_plan(const FaultPlan& plan, Simulator* sim, Network* net,
-                        std::vector<SimServer>* servers) {
-  for (const FaultEvent& ev : plan.events) {
-    const double delay = ev.at > sim->now() ? ev.at - sim->now() : 0.0;
-    sim->schedule(delay, [ev, net, servers] { apply_event(ev, net, servers); });
+void apply_fault(const FaultEvent& event, double now, Transport& transport,
+                 std::vector<Replica>& replicas) {
+  using Kind = FaultEvent::Kind;
+  const double d = event.duration;
+  const auto replica = [&]() -> Replica& {
+    return replicas[static_cast<std::size_t>(event.server)];
+  };
+  switch (event.kind) {
+    case Kind::kServerCrash: replica().force_crash(now, d); break;
+    case Kind::kServerPin: replica().force_up(now, d); break;
+    case Kind::kGrayServer: replica().set_gray(event.magnitude, now, d); break;
+    case Kind::kLinkDown:
+      transport.block_link(event.client, event.server, now, d);
+      break;
+    case Kind::kClientPartition:
+      if (event.magnitude >= 1.0)
+        transport.partition_client(event.client, now, d);
+      else
+        transport.partition_client_partial(event.client, event.magnitude,
+                                           now, d);
+      break;
+    case Kind::kServerPartition:
+      transport.force_partition(event.server, now, d);
+      break;
+    case Kind::kLatencyBurst:
+      transport.inject_latency_burst(event.magnitude, now, d);
+      break;
+    case Kind::kLossBurst:
+      transport.inject_loss_burst(event.magnitude, now, d);
+      break;
+    case Kind::kLieWrongValue:
+    case Kind::kLieStaleTs:
+    case Kind::kLieEquivocate:
+    case Kind::kLieFabricateAck:
+      replica().set_lie(lie_mode_for(event.kind), now, d);
+      break;
   }
 }
 
-std::function<void(Simulator&, Network&, std::vector<SimServer>&)>
+void install_fault_plan(const FaultPlan& plan, Simulator* sim, Network* net,
+                        std::vector<Replica>* servers) {
+  for (const FaultEvent& ev : plan.events) {
+    const double delay = ev.at > sim->now() ? ev.at - sim->now() : 0.0;
+    sim->schedule(delay, [ev, sim, net, servers] {
+      apply_fault(ev, sim->now(), net->transport(), *servers);
+      const FaultMetrics& m = FaultMetrics::get();
+      m.injected.add(1);
+      m.for_kind(ev.kind).add(1);
+      obs::instant("faults", fault_kind_name(ev.kind), "target",
+                   static_cast<std::uint64_t>(ev.server >= 0 ? ev.server
+                                              : ev.client >= 0 ? ev.client
+                                                               : 0));
+    });
+  }
+}
+
+std::function<void(Simulator&, Network&, std::vector<Replica>&)>
 fault_hook(FaultPlan plan) {
   auto shared = std::make_shared<const FaultPlan>(std::move(plan));
-  return [shared](Simulator& sim, Network& net,
-                  std::vector<SimServer>& servers) {
+  return [shared](Simulator& sim, Network& net, std::vector<Replica>& servers) {
     install_fault_plan(*shared, &sim, &net, &servers);
   };
 }

@@ -7,14 +7,16 @@
 // randomness from an explicit Rng so the expansion itself is a pure
 // function of its inputs. Applying a plan (install_fault_plan, or a
 // RegisterExperimentConfig::fault_hook) schedules one simulator event per
-// fault event through the injection hooks grown on Network / SimServer;
-// the application draws nothing from the experiment's rng streams, so the
-// same plan + seed reproduces a bit-identical run at any thread count
-// (tests/test_faults.cpp asserts this at 1/2/8 threads).
+// fault event; the served runner applies the same events as its arrival
+// clock crosses them. Both go through apply_fault, the one switch onto the
+// Transport and Replica injection hooks. Application draws nothing from
+// any rng stream, so the same plan + seed reproduces a bit-identical run at
+// any thread count (tests/test_faults.cpp asserts this at 1/2/8 threads).
 //
-// Telemetry: each applied event bumps `sim.faults.injected` plus a per-kind
-// `sim.faults.<kind>` counter and emits a trace instant, so an injected
-// timeline is visible both in metric snapshots and in the Chrome trace.
+// Telemetry: each event a simulation applies bumps `sim.faults.injected`
+// plus a per-kind `sim.faults.<kind>` counter and emits a trace instant, so
+// an injected timeline is visible both in metric snapshots and in the
+// Chrome trace.
 
 #pragma once
 
@@ -23,7 +25,7 @@
 #include <vector>
 
 #include "sim/network.h"
-#include "sim/server.h"
+#include "sim/replica.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 
@@ -41,7 +43,7 @@ struct FaultEvent {
     kLatencyBurst,      // deliveries x `magnitude` latency for `duration`
     kLossBurst,         // extra drop probability `magnitude` for `duration`
     // Byzantine lie windows: `server` keeps answering but its replies are
-    // corrupted per sim/server.h's LieMode for `duration`. Lies are pure
+    // corrupted per sim/replica.h's LieMode for `duration`. Lies are pure
     // functions of (liar id, genuine state) — no rng stream is touched.
     kLieWrongValue,     // inflated timestamps + fabricated values
     kLieStaleTs,        // pretends the register was never written
@@ -123,15 +125,20 @@ FaultPlan make_byzantine_plan(int num_servers, int num_liars, double start,
 
 // --- application -----------------------------------------------------------
 
+// Applies `event` at `now`: its window runs over [now, now + duration).
+// The caller keeps its own telemetry.
+void apply_fault(const FaultEvent& event, double now, Transport& transport,
+                 std::vector<Replica>& replicas);
+
 // Schedules every event of `plan` on `sim` (events whose time already
 // passed fire immediately). Call while the simulator is at time 0 for
 // absolute timing; `servers` outlives the simulation.
 void install_fault_plan(const FaultPlan& plan, Simulator* sim, Network* net,
-                        std::vector<SimServer>* servers);
+                        std::vector<Replica>* servers);
 
 // Wraps the plan as a RegisterExperimentConfig::fault_hook. The returned
 // functor owns a copy of the plan (shared across config copies).
-std::function<void(Simulator&, Network&, std::vector<SimServer>&)>
+std::function<void(Simulator&, Network&, std::vector<Replica>&)>
 fault_hook(FaultPlan plan);
 
 }  // namespace sqs

@@ -35,6 +35,7 @@
 
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -75,7 +76,7 @@ enum class FlightKind : std::uint8_t {
   kFault,           // fault event applied (op kNoOp, payload: FaultEvent kind)
   kEpochTransition, // epoch boundary crossed (op kNoOp, payload: new epoch)
   kProbe,           // probe reached `replica` (payload: rtt us)
-  kProbeMiss,       // probe to `replica` timed out (payload: timeout us)
+  kProbeMiss,       // probe to `replica` got no usable reply (payload: us spent)
   kEpochFenced,     // probe rejected by retired `replica` (payload: its epoch)
   kFiltered,        // partition filter aborted the attempt
   kRetry,           // acquisition retry scheduled (payload: attempt)
@@ -125,6 +126,12 @@ inline void flight(FlightKind kind, OpId op, std::uint64_t time_us,
                    std::int32_t replica = -1, std::uint64_t payload = 0) {
   if (recorder_enabled())
     detail::record_flight(kind, op, time_us, replica, payload);
+}
+
+// Virtual (or simulated) seconds -> integer microseconds, the recorder's
+// time unit. Rounds to nearest.
+inline std::uint64_t to_us(double seconds) {
+  return static_cast<std::uint64_t>(std::llround(seconds * 1e6));
 }
 
 // Tags subsequent events of this thread with a replicate index, so chaos

@@ -96,17 +96,6 @@ std::uint32_t request_cert(const Request& req) {
   return hmac32(cert_key(req.client), buf, sizeof buf);
 }
 
-std::uint32_t replica_cert(int replica, const Timestamp& ts,
-                           std::uint64_t value) {
-  std::uint8_t buf[20];
-  put<std::uint64_t>(buf, 0, ts.counter);
-  put<std::uint32_t>(buf, 8, static_cast<std::uint32_t>(ts.writer));
-  put<std::uint64_t>(buf, 12, value);
-  return hmac32(
-      cert_key(kReplicaPrincipalBase + static_cast<std::uint64_t>(replica)),
-      buf, sizeof buf);
-}
-
 void encode_request(const Request& req, std::uint8_t* out) {
   std::memset(out, 0, kRequestWireSize);
   put<std::uint32_t>(out, 0, kRequestMagic);

@@ -14,12 +14,11 @@
 // carries a keyed certificate — hmac32 under a per-principal key — modeling
 // the unforgeable signatures of the Byzantine model: a request is signed by
 // its client, a service reply by the service, and a replica's probe reply
-// (ServiceReplica::ReadServed) by the replica *over its true stored state*.
+// (Replica::ReadServed) by the replica *over its true stored state*.
 // A Byzantine replica can corrupt the (ts, value) it reports but cannot
 // forge a certificate for the fabricated contents, so cert verification in
-// the runner strips lies off the quorum path before they can vote. The
-// "HMAC" is a keyed-FNV stand-in with the same interface shape as the real
-// thing; only unforgeability-in-model matters here, not cryptography.
+// the runner strips lies off the quorum path before they can vote (the
+// keyed-FNV primitives live in sim/keyed_hash.h).
 //
 // Reserved bytes are zero on encode AND enforced zero on decode, so a
 // record with garbage padding is rejected even when its (public) checksum
@@ -31,7 +30,8 @@
 #include <cstring>
 #include <vector>
 
-#include "sim/server.h"  // Timestamp
+#include "sim/keyed_hash.h"
+#include "sim/replica.h"  // Timestamp, replica_cert
 
 namespace sqs {
 
@@ -43,7 +43,6 @@ inline constexpr std::size_t kReplyWireSize = 56;
 // Principal id the service signs its replies under (clients are principals
 // 0..num_clients-1, replicas kReplicaPrincipalBase + id).
 inline constexpr std::uint64_t kServicePrincipal = 0xFFFFFFFFull;
-inline constexpr std::uint64_t kReplicaPrincipalBase = 0x100000000ull;
 
 enum class OpKind : std::uint8_t { kRead = 0, kWrite = 1 };
 
@@ -78,63 +77,11 @@ struct Reply {
   bool ok = false;
 };
 
-inline constexpr std::uint32_t kFnvBasis = 2166136261u;
-
-// One FNV-1a step. Every hash of the codec — fnv1a, hmac32, the record
-// checksum and the fused decode/encode chains — is a sequence of these, so
-// the fused chains are byte-for-byte the separate ones by construction.
-constexpr std::uint32_t fnv_step(std::uint32_t h, std::uint8_t byte) {
-  return (h ^ byte) * 16777619u;
-}
-
-// FNV-1a over `size` bytes.
-inline std::uint32_t fnv1a(const std::uint8_t* data, std::size_t size) {
-  std::uint32_t h = kFnvBasis;
-  for (std::size_t i = 0; i < size; ++i) h = fnv_step(h, data[i]);
-  return h;
-}
-
-// Absorbs the 8 key bytes, little-endian, into an FNV chain.
-constexpr std::uint32_t absorb_key(std::uint32_t h, std::uint64_t key) {
-  for (int i = 0; i < 8; ++i)
-    h = fnv_step(h, static_cast<std::uint8_t>(key >> (8 * i)));
-  return h;
-}
-
-// Keyed-FNV "HMAC" stand-in: absorbs the key, the data, then the key again
-// (the sandwich shape of the real construction). Unforgeable in-model
-// because lying code paths never call it with another principal's key.
-inline std::uint32_t hmac32(std::uint64_t key, const std::uint8_t* data,
-                            std::size_t n) {
-  std::uint32_t h = absorb_key(kFnvBasis, key);
-  for (std::size_t i = 0; i < n; ++i) h = fnv_step(h, data[i]);
-  return absorb_key(h, key);
-}
-
-// Per-principal signing key (a splitmix-style mix of the principal id with
-// a baked-in secret — the model's stand-in for a key distribution scheme).
-constexpr std::uint64_t cert_key(std::uint64_t principal) {
-  std::uint64_t x = principal ^ 0xC2B2AE3D27D4EB4Full;
-  x ^= x >> 33;
-  x *= 0xFF51AFD7ED558CCDull;
-  x ^= x >> 33;
-  x *= 0xC4CEB9FE1A85EC53ull;
-  x ^= x >> 33;
-  return x;
-}
-
 // The certificate a well-behaved client attaches to a request: signs the
 // semantic fields (seq, arrival_us, client, kind, value) under the client's
 // key. encode_request computes and embeds it; the runner's prologue
 // recomputes it from the decoded fields and rejects mismatches.
 std::uint32_t request_cert(const Request& req);
-
-// The certificate a replica attaches to a probe reply: signs the reported
-// (ts, value) under the replica's key. ServiceReplica computes it over its
-// TRUE stored state even while lying — a Byzantine replica can corrupt what
-// it reports but cannot sign the fabrication.
-std::uint32_t replica_cert(int replica, const Timestamp& ts,
-                           std::uint64_t value);
 
 // Encoders write exactly kRequestWireSize / kReplyWireSize bytes at `out`.
 // encode_request signs with the request's client key; encode_reply signs

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -53,10 +52,7 @@ std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size) {
   return h;
 }
 
-// Virtual seconds -> integer microseconds, the flight recorder's time unit.
-std::uint64_t us(double t) {
-  return static_cast<std::uint64_t>(std::llround(t * 1e6));
-}
+using obs::to_us;
 
 // One batch's decoded requests and replies. The thread that owns a batch
 // borrows these from its WorkerScratch for all three stages, so the stage
@@ -66,37 +62,6 @@ struct BatchBuffers {
   std::vector<Request> requests;
   std::vector<Reply> replies;
 };
-
-// splitmix64's finalizer.
-std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xFF51AFD7ED558CCDull;
-  x ^= x >> 33;
-  x *= 0xC4CEB9FE1A85EC53ull;
-  x ^= x >> 33;
-  return x;
-}
-
-// Masking vote (mirrors sim/client.cpp): the highest-timestamped (ts,
-// value) pair reported identically by at least b+1 replicas, or nullopt.
-// Deterministic in replica index order.
-std::optional<std::pair<Timestamp, std::uint64_t>> vote_replies(
-    const std::vector<std::optional<std::pair<Timestamp, std::uint64_t>>>&
-        replies,
-    int b) {
-  std::optional<std::pair<Timestamp, std::uint64_t>> best;
-  for (const auto& cand : replies) {
-    if (!cand.has_value()) continue;
-    if (best.has_value() && !(best->first < cand->first)) continue;
-    int votes = 0;
-    for (const auto& other : replies)
-      if (other.has_value() && other->first == cand->first &&
-          other->second == cand->second)
-        ++votes;
-    if (votes >= b + 1) best = *cand;
-  }
-  return best;
-}
 
 }  // namespace
 
@@ -185,58 +150,9 @@ void ServiceRunner::apply_faults_until(double now) {
   while (next_fault_ < fault_timeline_.size() &&
          fault_timeline_[next_fault_].at <= now) {
     const FaultEvent& e = fault_timeline_[next_fault_++];
-    obs::flight(obs::FlightKind::kFault, obs::kNoOp, us(e.at), e.server,
+    obs::flight(obs::FlightKind::kFault, obs::kNoOp, to_us(e.at), e.server,
                 static_cast<std::uint64_t>(e.kind));
-    switch (e.kind) {
-      case FaultEvent::Kind::kServerCrash:
-        replicas_[static_cast<std::size_t>(e.server)].force_crash(e.at,
-                                                                  e.duration);
-        break;
-      case FaultEvent::Kind::kServerPin:
-        replicas_[static_cast<std::size_t>(e.server)].force_up(e.at,
-                                                               e.duration);
-        break;
-      case FaultEvent::Kind::kGrayServer:
-        replicas_[static_cast<std::size_t>(e.server)].set_gray(e.magnitude,
-                                                               e.at, e.duration);
-        break;
-      case FaultEvent::Kind::kLinkDown:
-        transport_.block_link(e.client, e.server, e.at, e.duration);
-        break;
-      case FaultEvent::Kind::kClientPartition:
-        if (e.magnitude >= 1.0) {
-          transport_.partition_client(e.client, e.at, e.duration);
-        } else {
-          transport_.partition_client_partial(e.client, e.magnitude, e.at,
-                                              e.duration);
-        }
-        break;
-      case FaultEvent::Kind::kServerPartition:
-        transport_.force_partition(e.server, e.at, e.duration);
-        break;
-      case FaultEvent::Kind::kLatencyBurst:
-        transport_.inject_latency_burst(e.magnitude, e.at, e.duration);
-        break;
-      case FaultEvent::Kind::kLossBurst:
-        transport_.inject_loss_burst(e.magnitude, e.at, e.duration);
-        break;
-      case FaultEvent::Kind::kLieWrongValue:
-        replicas_[static_cast<std::size_t>(e.server)].set_lie(
-            LieMode::kWrongValue, e.at, e.duration);
-        break;
-      case FaultEvent::Kind::kLieStaleTs:
-        replicas_[static_cast<std::size_t>(e.server)].set_lie(
-            LieMode::kStaleTs, e.at, e.duration);
-        break;
-      case FaultEvent::Kind::kLieEquivocate:
-        replicas_[static_cast<std::size_t>(e.server)].set_lie(
-            LieMode::kEquivocate, e.at, e.duration);
-        break;
-      case FaultEvent::Kind::kLieFabricateAck:
-        replicas_[static_cast<std::size_t>(e.server)].set_lie(
-            LieMode::kFabricateAck, e.at, e.duration);
-        break;
-    }
+    apply_fault(e, e.at, transport_, replicas_);
     ServiceMetrics::get().faults_injected.add(1);
   }
 }
@@ -245,45 +161,13 @@ void ServiceRunner::apply_epochs_until(double now) {
   if (config_.epochs == nullptr) return;
   const EpochedFamily& sched = *config_.epochs;
   while (next_epoch_ < sched.num_epochs() && sched.entry(next_epoch_).at <= now) {
+    // Applied in arrival order from the solo stage, like the fault cursor.
     const int e = next_epoch_++;
-    const MembershipView& prev = sched.entry(e - 1).view;
-    const MembershipView& next = sched.entry(e).view;
-    // Drain-on-leave: every leaver's register moves to every member of the
-    // new view before the leaver is fenced, so an acked write never strands
-    // on a retired replica (the no-lost-acked-write invariant across epoch
-    // boundaries). Mirrors the sim harness's transition event: instant,
-    // rng-free, and applied in arrival order from the solo stage.
-    for (int id : prev.members) {
-      if (next.contains(id)) continue;
-      const Timestamp ts = replicas_[static_cast<std::size_t>(id)].timestamp(0);
-      if (!(Timestamp{} < ts)) continue;
-      const std::uint64_t value =
-          replicas_[static_cast<std::size_t>(id)].value(0);
-      for (int dst : next.members)
-        replicas_[static_cast<std::size_t>(dst)].adopt_state(ts, value, 0);
-    }
-    // Join-sync: joiners adopt the highest state the previous view holds.
-    Timestamp best;
-    std::uint64_t best_value = 0;
-    for (int id : prev.members) {
-      const Timestamp ts = replicas_[static_cast<std::size_t>(id)].timestamp(0);
-      if (best < ts) {
-        best = ts;
-        best_value = replicas_[static_cast<std::size_t>(id)].value(0);
-      }
-    }
-    for (int id : next.members) {
-      if (prev.contains(id) || !(Timestamp{} < best)) continue;
-      replicas_[static_cast<std::size_t>(id)].adopt_state(best, best_value, 0);
-    }
-    for (std::size_t i = 0; i < replicas_.size(); ++i) {
-      replicas_[i].set_member(next.contains(static_cast<int>(i)));
-      replicas_[i].set_epoch(e);
-    }
+    apply_epoch_transition(sched, e, replicas_);
     current_epoch_ = e;
     ++totals_.epoch_transitions;
     obs::flight(obs::FlightKind::kEpochTransition, obs::kNoOp,
-                us(sched.entry(e).at), -1, static_cast<std::uint64_t>(e));
+                to_us(sched.entry(e).at), -1, static_cast<std::uint64_t>(e));
   }
 }
 
@@ -301,49 +185,6 @@ std::uint32_t ServiceRunner::expected_replica_cert(int replica,
   if (!memo.valid || !(memo.ts == ts) || memo.value != value)
     memo = CertMemo{ts, value, replica_cert(replica, ts, value), true};
   return memo.cert;
-}
-
-std::size_t ServiceRunner::WriteSet::find(const Timestamp& ts,
-                                          std::uint64_t value) const {
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(
-      mix64(ts.counter ^
-            mix64(value ^ static_cast<std::uint32_t>(ts.writer))));
-  for (i &= mask;; i = (i + 1) & mask) {
-    const Slot& slot = slots_[i];
-    if (!slot.used || (slot.counter == ts.counter &&
-                       slot.writer == ts.writer && slot.value == value))
-      return i;
-  }
-}
-
-bool ServiceRunner::WriteSet::contains(const Timestamp& ts,
-                                       std::uint64_t value) const {
-  return !slots_.empty() && slots_[find(ts, value)].used;
-}
-
-void ServiceRunner::WriteSet::rehash(std::size_t num_slots) {
-  std::vector<Slot> old(num_slots);
-  old.swap(slots_);
-  for (const Slot& slot : old)
-    if (slot.used)
-      slots_[find(Timestamp{slot.counter, slot.writer}, slot.value)] = slot;
-}
-
-void ServiceRunner::WriteSet::reserve(std::size_t more) {
-  std::size_t num_slots = std::max<std::size_t>(64, slots_.size());
-  while ((size_ + more) * 4 > num_slots * 3) num_slots *= 2;
-  if (num_slots != slots_.size()) rehash(num_slots);
-}
-
-void ServiceRunner::WriteSet::insert(const Timestamp& ts,
-                                     std::uint64_t value) {
-  if ((size_ + 1) * 4 > slots_.size() * 3)
-    rehash(std::max<std::size_t>(64, 2 * slots_.size()));
-  Slot& slot = slots_[find(ts, value)];
-  if (slot.used) return;
-  slot = Slot{ts.counter, value, ts.writer, true};
-  ++size_;
 }
 
 void ServiceRunner::record_latency(std::uint64_t us) {
@@ -372,9 +213,9 @@ Reply ServiceRunner::execute_op(const Request& req) {
   std::uint64_t queue_us = 0;
   if (timeline_.enabled()) {
     double backlog = 0.0;
-    for (const ServiceReplica& r : replicas_)
+    for (const Replica& r : replicas_)
       backlog = std::max(backlog, r.backlog(arrival));
-    queue_us = us(backlog);
+    queue_us = to_us(backlog);
   }
   std::uint64_t op_drops = 0;  // arrivals at a down replica, this op
 
@@ -426,7 +267,7 @@ Reply ServiceRunner::execute_op(const Request& req) {
       const Transport::Delivery to =
           transport_.attempt(static_cast<int>(req.client), dst, t);
       if (to.delivered) {
-        ServiceReplica& replica = replicas_[static_cast<std::size_t>(dst)];
+        Replica& replica = replicas_[static_cast<std::size_t>(dst)];
         if (replica.fences_requests()) {
           // Epoch fence: the retired replica answers — at normal queueing
           // cost — with a rejection carrying its epoch. Negative evidence
@@ -440,7 +281,7 @@ Reply ServiceRunner::execute_op(const Request& req) {
                 answered = true;
                 saw_newer_epoch = true;
                 ++totals_.epoch_rejects;
-                obs::flight(obs::FlightKind::kEpochFenced, op, us(t0), dst,
+                obs::flight(obs::FlightKind::kEpochFenced, op, to_us(t0), dst,
                             static_cast<std::uint64_t>(replica.epoch()));
                 t += rtt;
               }
@@ -488,10 +329,11 @@ Reply ServiceRunner::execute_op(const Request& req) {
       // converts no times (see obs::flight).
       if (obs::recorder_enabled()) {
         if (reached) {
-          obs::flight(obs::FlightKind::kProbe, op, us(t0), dst, us(t - t0));
+          obs::flight(obs::FlightKind::kProbe, op, to_us(t0), dst,
+                      to_us(t - t0));
         } else {
-          obs::flight(obs::FlightKind::kProbeMiss, op, us(t0), dst,
-                      us(timeout));
+          obs::flight(obs::FlightKind::kProbeMiss, op, to_us(t0), dst,
+                      to_us(t - t0));
         }
       }
       strategy->observe(s, reached);
@@ -507,7 +349,7 @@ Reply ServiceRunner::execute_op(const Request& req) {
     ++totals_.view_refreshes;
     t += config_.view_fetch_delay;
     view_epoch_ = current_epoch_;
-    obs::flight(obs::FlightKind::kViewRefresh, op, us(t), -1,
+    obs::flight(obs::FlightKind::kViewRefresh, op, to_us(t), -1,
                 static_cast<std::uint64_t>(view_epoch_));
   }
   // A completed op (either outcome) that saw epoch evidence refreshes the
@@ -516,61 +358,44 @@ Reply ServiceRunner::execute_op(const Request& req) {
       current_epoch_ > view_epoch_) {
     ++totals_.view_refreshes;
     view_epoch_ = current_epoch_;
-    obs::flight(obs::FlightKind::kViewRefresh, op, us(t), -1,
+    obs::flight(obs::FlightKind::kViewRefresh, op, to_us(t), -1,
                 static_cast<std::uint64_t>(view_epoch_));
   }
   if (obs::recorder_enabled())
     obs::flight(acquired ? obs::FlightKind::kQuorumAcquired
                          : obs::FlightKind::kQuorumFailed,
-                op, us(t), -1, probes);
+                op, to_us(t), -1, probes);
   totals_.probes += probes;
   rep.probes = probes;
   double finish = t;
 
+  // What the acquired quorum's replies say; !ok fails the op. The masking
+  // vote breaks ties in family-index order, the max fold in probe order.
+  FoldResult adopted;
+  adopted.ok = acquired;
+  if (acquired) {
+    if (config_.lie_tolerance > 0) std::sort(touched_.begin(), touched_.end());
+    adopted = fold_replies(replies_, touched_, config_.lie_tolerance);
+  }
   if (req.kind == OpKind::kRead) {
     ++totals_.reads;
-    bool have_value = acquired;
-    Timestamp best;
-    std::uint64_t value = 0;
-    if (acquired) {
-      if (config_.lie_tolerance > 0) {
-        // Masking read: adopt only a pair vouched for by more replicas than
-        // can lie; no such pair fails the read instead of fabricating.
-        const auto voted = vote_replies(replies_, config_.lie_tolerance);
-        if (voted.has_value()) {
-          best = voted->first;
-          value = voted->second;
-        } else {
-          have_value = false;
-        }
-      } else {
-        // Max-timestamp value among reached servers; the default {0, -1}
-        // tag with value 0 is exactly an unwritten cell, so no special
-        // first-case.
-        for (int s : touched_) {
-          const auto& r = replies_[static_cast<std::size_t>(s)];
-          if (best < r->first) {
-            best = r->first;
-            value = r->second;
-          }
-        }
-      }
-    }
-    if (have_value) {
+    const Timestamp best = adopted.ts;
+    const std::uint64_t value = adopted.value;
+    if (adopted.ok) {
       ++totals_.reads_ok;
       rep.ok = true;
       rep.ts = best;
       rep.value = value;
       if (best < frontier_ts_) {
         ++totals_.stale_reads;
-        obs::flight(obs::FlightKind::kStaleRead, op, us(t));
+        obs::flight(obs::FlightKind::kStaleRead, op, to_us(t));
       }
       // No-fabricated-write check, exact because the solo stage runs in
       // arrival order: a non-zero binding must have been produced by some
       // earlier ok write of this runner.
       if (Timestamp{} < best && !genuine_writes_.contains(best, value)) {
         ++totals_.fabricated_reads;
-        obs::flight(obs::FlightKind::kFabricatedRead, op, us(t), -1, value);
+        obs::flight(obs::FlightKind::kFabricatedRead, op, to_us(t), -1, value);
       }
       // No-read-from-retired-server accounting: adopting state served by a
       // retired replica means the fence failed — only the
@@ -585,35 +410,17 @@ Reply ServiceRunner::execute_op(const Request& req) {
         }
         if (from_retired) {
           ++totals_.retired_reads;
-          obs::flight(obs::FlightKind::kRetiredRead, op, us(t), -1,
+          obs::flight(obs::FlightKind::kRetiredRead, op, to_us(t), -1,
                       static_cast<std::uint64_t>(best.counter));
         }
       }
     }
   } else {
     ++totals_.writes;
-    bool have_ts = acquired;
-    Timestamp max_ts;
-    if (acquired) {
-      if (config_.lie_tolerance > 0) {
-        // Masking write: the new timestamp grows from voted replies only,
-        // so a liar's boosted counter never enters the genuine order.
-        const auto voted = vote_replies(replies_, config_.lie_tolerance);
-        if (voted.has_value()) {
-          max_ts = voted->first;
-        } else {
-          have_ts = false;
-        }
-      } else {
-        for (int s : touched_) {
-          const auto& r = replies_[static_cast<std::size_t>(s)];
-          max_ts = std::max(max_ts, r->first);
-        }
-      }
-    }
-    if (have_ts) {
+    if (adopted.ok) {
       ++totals_.writes_ok;
-      const Timestamp new_ts{max_ts.counter + 1, static_cast<int>(req.client)};
+      const Timestamp new_ts{adopted.ts.counter + 1,
+                             static_cast<int>(req.client)};
       // Push to every reached probed server in ascending family-index order
       // (the order install paths use everywhere else; indices map to the
       // wire through the op's view); each push resolves at its ack round
@@ -650,7 +457,7 @@ Reply ServiceRunner::execute_op(const Request& req) {
         if (obs::recorder_enabled())
           obs::flight(acked ? obs::FlightKind::kWriteAck
                             : obs::FlightKind::kWriteNack,
-                      op, us(t), dst, us(resolve));
+                      op, to_us(t), dst, to_us(resolve));
         end = std::max(end, t + resolve);
       }
       totals_.write_acks += static_cast<std::uint64_t>(acks);
@@ -667,12 +474,11 @@ Reply ServiceRunner::execute_op(const Request& req) {
     }
   }
 
-  const std::uint64_t latency_us = static_cast<std::uint64_t>(
-      std::llround((finish - arrival) * 1e6));
+  const std::uint64_t latency_us = to_us(finish - arrival);
   rep.latency_us = latency_us;
   record_latency(latency_us);
   if (obs::recorder_enabled())
-    obs::flight(obs::FlightKind::kOpDone, op, us(finish), -1, latency_us);
+    obs::flight(obs::FlightKind::kOpDone, op, to_us(finish), -1, latency_us);
   // Op-tagged wall-clock instant so --trace-jsonl reconstructs a served
   // op's journey (scripts/op_timeline.py) alongside the flight recorder's
   // virtual-time view.
@@ -826,8 +632,8 @@ ServiceResult ServiceRunner::serve(const std::vector<std::uint8_t>& requests,
   result.current_epoch = current_epoch_;
   result.view_epoch = view_epoch_;
   if (totals_.fabricated_reads > 0 || totals_.retired_reads > 0)
-    obs::flight(obs::FlightKind::kViolation, obs::kNoOp, us(last_arrival_));
-  for (const ServiceReplica& r : replicas_) {
+    obs::flight(obs::FlightKind::kViolation, obs::kNoOp, to_us(last_arrival_));
+  for (const Replica& r : replicas_) {
     result.replica_dropped += r.dropped_requests();
     result.ts_regressions += r.ts_regressions();
   }
@@ -841,15 +647,16 @@ ServiceResult ServiceRunner::serve(const std::vector<std::uint8_t>& requests,
   // drain-on-leave must have moved it.
   if (any_acked_write_) {
     bool visible = false;
-    for (const ServiceReplica& r : replicas_) {
+    for (const Replica& r : replicas_) {
       if (config_.epochs != nullptr && r.retired()) continue;
       if (!(r.timestamp(0) < max_acked_ts_)) visible = true;
     }
     result.lost_acked_writes = visible ? 0 : 1;
     if (!visible) {
-      obs::flight(obs::FlightKind::kLostWrite, obs::kNoOp, us(last_arrival_),
+      obs::flight(obs::FlightKind::kLostWrite, obs::kNoOp, to_us(last_arrival_),
                   -1, static_cast<std::uint64_t>(max_acked_ts_.counter));
-      obs::flight(obs::FlightKind::kViolation, obs::kNoOp, us(last_arrival_));
+      obs::flight(obs::FlightKind::kViolation, obs::kNoOp,
+                  to_us(last_arrival_));
     }
   }
 

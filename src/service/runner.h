@@ -25,7 +25,7 @@
 //
 // Time is virtual. Operation semantics and latencies are computed on the
 // load schedule's deterministic timeline (probe RTTs from the Transport,
-// queueing from ServiceReplica's busy window, timeouts from probe_timeout);
+// queueing from the Replica's busy window, timeouts from probe_timeout);
 // the wall clock is used only for throughput reporting. Operations are
 // evaluated to completion at their arrival point even though their probes
 // extend past later arrivals — an *arrival-ordered linearization* that keeps
@@ -48,7 +48,7 @@
 #include "obs/telemetry.h"
 #include "obs/timeline.h"
 #include "service/message.h"
-#include "service/replica.h"
+#include "sim/register_core.h"
 #include "sim/transport.h"
 
 namespace sqs {
@@ -195,7 +195,7 @@ class ServiceRunner {
 
   const ServiceConfig& config() const { return config_; }
   int num_servers() const { return static_cast<int>(replicas_.size()); }
-  const ServiceReplica& replica(int i) const { return replicas_[i]; }
+  const Replica& replica(int i) const { return replicas_[i]; }
 
   // Windowed time-series over the served stream (enabled when
   // config.timeline_window_us > 0); lifetime of the runner, solo-owned.
@@ -213,7 +213,7 @@ class ServiceRunner {
 
   ServiceConfig config_;
   Transport transport_;
-  std::vector<ServiceReplica> replicas_;
+  std::vector<Replica> replicas_;
   std::unique_ptr<ProbeStrategy> strategy_;
   Rng op_rng_base_;
 
@@ -250,7 +250,7 @@ class ServiceRunner {
   // Solo-owned per-op scratch and lifetime totals. replies_ / touched_ are
   // indexed in FAMILY-INDEX space (== logical ids outside epoch mode); the
   // current view maps indices to logical replicas at every wire site.
-  std::vector<std::optional<std::pair<Timestamp, std::uint64_t>>> replies_;
+  std::vector<ReplySlot> replies_;
   std::vector<char> reply_retired_;  // reply came from a retired replica
   std::vector<int> touched_;
   struct Totals {
@@ -264,29 +264,7 @@ class ServiceRunner {
   // (counter, writer, value) bindings of every ok write, solo-owned. The
   // solo stage runs in arrival order, so a read can only observe a binding
   // after its write registered it — the fabricated-read check is exact and
-  // synchronous (no end-of-run pass like the sim harness needs). Bindings
-  // are never erased; an open-addressing table (linear probing, power-of-
-  // two size, at most 3/4 full) keeps them without a node per write.
-  class WriteSet {
-   public:
-    bool contains(const Timestamp& ts, std::uint64_t value) const;
-    void insert(const Timestamp& ts, std::uint64_t value);
-    // Makes room for `more` inserts beyond the current size without growth.
-    void reserve(std::size_t more);
-
-   private:
-    void rehash(std::size_t num_slots);
-    struct Slot {
-      std::uint64_t counter = 0;
-      std::uint64_t value = 0;
-      int writer = 0;
-      bool used = false;
-    };
-    // Index of the binding's slot, or of the empty slot where it belongs.
-    std::size_t find(const Timestamp& ts, std::uint64_t value) const;
-    std::vector<Slot> slots_;
-    std::size_t size_ = 0;
-  };
+  // synchronous (no end-of-run pass like the sim harness needs).
   WriteSet genuine_writes_;
 
   // Verification memo, one entry per logical replica: the last reported

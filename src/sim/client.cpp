@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <ranges>
 #include <utility>
 
 #include "obs/telemetry.h"
@@ -23,34 +24,11 @@ struct ClientMetrics {
   }
 };
 
-// Simulated seconds -> integer microseconds, the flight recorder's unit.
-std::uint64_t us(double t) {
-  return static_cast<std::uint64_t>(std::llround(t * 1e6));
-}
+using obs::to_us;
 
-// Masking vote: the highest-timestamped (ts, value) pair reported
-// identically by at least b+1 reached servers, or nullopt if no pair has
-// enough vouchers. O(n^2) over a small fleet, deterministic in server
-// index order. Two distinct pairs can never both clear b+1 at the same
-// timestamp in-model (that would need b+1 coordinated liars), and the
-// strict `<` keeps the first-seen winner stable if the model is ever
-// violated.
-std::optional<std::pair<Timestamp, std::uint64_t>> vote_reply(
-    const std::vector<std::optional<std::pair<Timestamp, std::uint64_t>>>&
-        replies,
-    int b) {
-  std::optional<std::pair<Timestamp, std::uint64_t>> best;
-  for (const auto& cand : replies) {
-    if (!cand.has_value()) continue;
-    if (best.has_value() && !(best->first < cand->first)) continue;
-    int votes = 0;
-    for (const auto& other : replies)
-      if (other.has_value() && other->first == cand->first &&
-          other->second == cand->second)
-        ++votes;
-    if (votes >= b + 1) best = *cand;
-  }
-  return best;
+// Every reply slot of an acquisition, in family-index order.
+auto index_order(const std::vector<ReplySlot>& replies) {
+  return std::views::iota(0, static_cast<int>(replies.size()));
 }
 
 }  // namespace
@@ -103,7 +81,7 @@ struct SimClient::Acquisition {
 };
 
 SimClient::SimClient(Simulator* sim, Network* net,
-                     std::vector<SimServer>* servers, int id,
+                     std::vector<Replica>* servers, int id,
                      const QuorumFamily* family, const ClientConfig& config,
                      Rng rng, const EpochState* epochs)
     : sim_(sim),
@@ -143,8 +121,8 @@ void SimClient::start_op(const QuorumFamily* family, int object,
   acq->done = std::move(done);
   acq->result.op = obs::make_op_id(1 + static_cast<std::uint32_t>(id_),
                                    next_op_++);
-  obs::flight(obs::FlightKind::kArrival, acq->result.op, us(acq->op_start), -1,
-              static_cast<std::uint64_t>(id_));
+  obs::flight(obs::FlightKind::kArrival, acq->result.op, to_us(acq->op_start),
+              -1, static_cast<std::uint64_t>(id_));
   start_attempt(std::move(acq));
 }
 
@@ -218,11 +196,12 @@ void SimClient::issue_next_probe(std::shared_ptr<Acquisition> acq) {
   // Request leg.
   net_->send(id_, target, Network::Direction::kToServer,
              [this, acq, seq, server, target] {
-    SimServer& s = (*servers_)[static_cast<std::size_t>(target)];
-    if (acq->view != nullptr && s.fences_requests() && s.up()) {
+    Replica& s = (*servers_)[static_cast<std::size_t>(target)];
+    if (acq->view != nullptr && s.fences_requests() && s.up(sim_->now())) {
       // Epoch fence: the retired server answers — at normal cost — with a
       // rejection carrying the current epoch instead of register state.
-      sim_->schedule(s.service_time(), [this, acq, seq, server, target] {
+      sim_->schedule(s.service_time(sim_->now()),
+                     [this, acq, seq, server, target] {
         net_->send(id_, target, Network::Direction::kToClient,
                    [this, acq, seq, server, target] {
                      finish_probe_fenced(acq, seq, server, target);
@@ -230,7 +209,7 @@ void SimClient::issue_next_probe(std::shared_ptr<Acquisition> acq) {
       });
       return;
     }
-    const auto reply = s.handle_read(acq->object, id_);
+    const auto reply = s.handle_read(sim_->now(), acq->object, id_);
     if (!reply.has_value()) return;  // server crashed: no reply
     // Retirement is sampled AT SERVE TIME and carried with the reply: the
     // server may retire (or a fresh one take its slot) before the op
@@ -238,7 +217,7 @@ void SimClient::issue_next_probe(std::shared_ptr<Acquisition> acq) {
     // retired read.
     const bool was_retired = s.retired();
     // Service delay, then the reply leg.
-    sim_->schedule(s.service_time(),
+    sim_->schedule(s.service_time(sim_->now()),
                    [this, acq, seq, server, target, reply, was_retired] {
       net_->send(id_, target, Network::Direction::kToClient,
                  [this, acq, seq, server, target, reply, was_retired] {
@@ -255,19 +234,18 @@ void SimClient::issue_next_probe(std::shared_ptr<Acquisition> acq) {
 
 void SimClient::finish_probe(
     std::shared_ptr<Acquisition> acq, std::uint64_t seq, int server,
-    int target, std::optional<std::pair<Timestamp, std::uint64_t>> reply,
-    bool served_retired) {
+    int target, ReplySlot reply, bool served_retired) {
   if (acq->pending_seq != seq) return;  // stale: already resolved
   acq->pending_seq = 0;
   const bool reached = reply.has_value();
   if (reached) {
     obs::flight(obs::FlightKind::kProbe, acq->result.op,
-                us(acq->probe_sent_at), target,
-                us(sim_->now() - acq->probe_sent_at));
+                to_us(acq->probe_sent_at), target,
+                to_us(sim_->now() - acq->probe_sent_at));
   } else {
     obs::flight(obs::FlightKind::kProbeMiss, acq->result.op,
-                us(acq->probe_sent_at), target,
-                us(sim_->now() - acq->probe_sent_at));
+                to_us(acq->probe_sent_at), target,
+                to_us(sim_->now() - acq->probe_sent_at));
   }
   if (reached) {
     if (config_.adaptive_timeout) {
@@ -304,7 +282,7 @@ void SimClient::finish_probe_fenced(std::shared_ptr<Acquisition> acq,
   ++acq->result.epoch_rejects;
   acq->saw_newer_epoch = true;
   obs::flight(obs::FlightKind::kEpochFenced, acq->result.op,
-              us(acq->probe_sent_at), target,
+              to_us(acq->probe_sent_at), target,
               static_cast<std::uint64_t>(
                   (*servers_)[static_cast<std::size_t>(target)].epoch()));
   // A fence is negative evidence for this epoch's quorum — the server will
@@ -318,7 +296,7 @@ void SimClient::finish_attempt(std::shared_ptr<Acquisition> acq, bool acquired) 
   acq->result.acquired = acquired;
   if (acquired) acq->result.quorum = acq->strategy->acquired_quorum();
   if (acq->result.filtered)
-    obs::flight(obs::FlightKind::kFiltered, acq->result.op, us(sim_->now()),
+    obs::flight(obs::FlightKind::kFiltered, acq->result.op, to_us(sim_->now()),
                 -1, static_cast<std::uint64_t>(id_));
   // Stale-view recovery: a failed attempt that saw epoch evidence fetches
   // the current view and re-probes under the new family. The fetch is a
@@ -333,7 +311,7 @@ void SimClient::finish_attempt(std::shared_ptr<Acquisition> acq, bool acquired) 
         (sim_->now() - acq->op_start) + delay < config_.op_deadline) {
       ++acq->result.view_fetches;
       obs::flight(obs::FlightKind::kViewRefresh, acq->result.op,
-                  us(sim_->now()), -1,
+                  to_us(sim_->now()), -1,
                   static_cast<std::uint64_t>(epochs_->current));
       sim_->schedule(delay, [this, acq] {
         if (epochs_->current > view_epoch_) {
@@ -358,8 +336,8 @@ void SimClient::finish_attempt(std::shared_ptr<Acquisition> acq, bool acquired) 
       ClientMetrics::get().retries.add(1);
       obs::instant_op("sim", "client_retry", acq->result.op, "client",
                       static_cast<std::uint64_t>(id_));
-      obs::flight(obs::FlightKind::kRetry, acq->result.op, us(sim_->now()), -1,
-                  static_cast<std::uint64_t>(acq->result.attempts));
+      obs::flight(obs::FlightKind::kRetry, acq->result.op, to_us(sim_->now()),
+                  -1, static_cast<std::uint64_t>(acq->result.attempts));
       sim_->schedule(backoff, [this, acq] { start_attempt(acq); });
       return;
     }
@@ -368,14 +346,15 @@ void SimClient::finish_attempt(std::shared_ptr<Acquisition> acq, bool acquired) 
     ClientMetrics::get().deadline_exceeded.add(1);
     obs::instant_op("sim", "client_deadline_exceeded", acq->result.op, "client",
                     static_cast<std::uint64_t>(id_));
-    obs::flight(obs::FlightKind::kDeadline, acq->result.op, us(sim_->now()));
+    obs::flight(obs::FlightKind::kDeadline, acq->result.op, to_us(sim_->now()));
   }
   // A completed op (either outcome) that saw epoch evidence refreshes the
   // view asynchronously so the *next* op probes the current membership.
   if (acq->epoch_mode && acq->saw_newer_epoch && config_.refresh_views &&
       epochs_->current > view_epoch_) {
-    obs::flight(obs::FlightKind::kViewRefresh, acq->result.op, us(sim_->now()),
-                -1, static_cast<std::uint64_t>(epochs_->current));
+    obs::flight(obs::FlightKind::kViewRefresh, acq->result.op,
+                to_us(sim_->now()), -1,
+                static_cast<std::uint64_t>(epochs_->current));
     sim_->schedule(config_.view_fetch_delay, [this] {
       if (epochs_->current > view_epoch_) {
         view_epoch_ = epochs_->current;
@@ -386,7 +365,7 @@ void SimClient::finish_attempt(std::shared_ptr<Acquisition> acq, bool acquired) 
   acq->result.latency = sim_->now() - acq->op_start;
   obs::flight(acquired ? obs::FlightKind::kQuorumAcquired
                        : obs::FlightKind::kQuorumFailed,
-              acq->result.op, us(sim_->now()), -1,
+              acq->result.op, to_us(sim_->now()), -1,
               static_cast<std::uint64_t>(acq->result.num_probes));
   acq->done(acq->result);
 }
@@ -420,37 +399,17 @@ void SimClient::finish_read(int object, AcquisitionResult acq,
   result.ok = acq.acquired;
   result.filtered = acq.filtered;
   result.probed = acq.probed;
-  int adopted_from = -1;  // family index of the reply the read adopted
   if (result.ok) {
-    if (config_.lie_tolerance > 0) {
-      // Masking read: only a (ts, value) pair vouched for by more servers
-      // than can lie is trusted; otherwise the read fails rather than
-      // returning a possible fabrication.
-      const auto voted = vote_reply(acq.replies, config_.lie_tolerance);
-      if (voted.has_value()) {
-        result.timestamp = voted->first;
-        result.value = voted->second;
-        for (std::size_t i = 0; i < acq.replies.size(); ++i)
-          if (acq.replies[i].has_value() && *acq.replies[i] == *voted) {
-            adopted_from = static_cast<int>(i);
-            break;
-          }
-      } else {
-        result.ok = false;
-      }
-    } else {
-      // Max-timestamp value over every reached probed server (S+), per the
-      // Sect. 4 client requirement.
-      for (std::size_t i = 0; i < acq.replies.size(); ++i) {
-        const auto& reply = acq.replies[i];
-        if (!reply.has_value()) continue;
-        if (result.timestamp < reply->first) {
-          result.timestamp = reply->first;
-          result.value = reply->second;
-          adopted_from = static_cast<int>(i);
-        }
-      }
-    }
+    // Max-timestamp value over every reached probed server (S+), per the
+    // Sect. 4 client requirement — or, under a masking lie_tolerance, only
+    // a pair vouched for by more servers than can lie (else the read fails
+    // rather than return a possible fabrication).
+    const FoldResult adopted = fold_replies(
+        acq.replies, index_order(acq.replies), config_.lie_tolerance);
+    result.ok = adopted.ok;
+    result.timestamp = adopted.ts;
+    result.value = adopted.value;
+    const int adopted_from = adopted.index;
     // No-read-from-retired-server accounting: adopting state served by a
     // replica outside the membership is exactly the silent stale read
     // reconfiguration fencing exists to prevent. The flag was captured at
@@ -461,7 +420,7 @@ void SimClient::finish_read(int object, AcquisitionResult acq,
         acq.reply_retired[static_cast<std::size_t>(adopted_from)] != 0) {
       const int target = wire(static_cast<std::size_t>(adopted_from));
       ++retired_reads_;
-      obs::flight(obs::FlightKind::kRetiredRead, acq.op, us(sim_->now()),
+      obs::flight(obs::FlightKind::kRetiredRead, acq.op, to_us(sim_->now()),
                   target, result.timestamp.counter);
     }
     if (config_.read_repair && result.ok) {
@@ -474,7 +433,7 @@ void SimClient::finish_read(int object, AcquisitionResult acq,
                    [this, server, object, ts = result.timestamp,
                     value = result.value] {
                      (*servers_)[static_cast<std::size_t>(server)].handle_write(
-                         ts, value, object);
+                         sim_->now(), ts, value, object);
                    });
       }
     }
@@ -507,29 +466,18 @@ void SimClient::finish_write(int object, std::uint64_t value,
   result.deadline_exceeded = acq.deadline_exceeded;
   result.filtered = acq.filtered;
   result.probed = acq.probed;
-  if (!acq.acquired) {
+  // Under a masking lie_tolerance the new timestamp grows from voted pairs
+  // only, so a liar's inflated counter never enters the genuine timestamp
+  // order; no voted pair fails the write without pushing anything.
+  const FoldResult adopted = fold_replies(
+      acq.replies, index_order(acq.replies), config_.lie_tolerance);
+  if (!acq.acquired || !adopted.ok) {
     result.latency = acq.latency;
     done(result);
     return;
   }
-  Timestamp max_ts;
-  if (config_.lie_tolerance > 0) {
-    // Masking write: derive the new timestamp from voted pairs only, so a
-    // liar's inflated counter never enters the genuine timestamp order.
-    // No voted pair -> fail the write without pushing anything.
-    const auto voted = vote_reply(acq.replies, config_.lie_tolerance);
-    if (!voted.has_value()) {
-      result.latency = acq.latency;
-      done(result);
-      return;
-    }
-    max_ts = voted->first;
-  } else {
-    for (const auto& reply : acq.replies)
-      if (reply.has_value() && max_ts < reply->first) max_ts = reply->first;
-  }
   result.ok = true;
-  result.timestamp = Timestamp{max_ts.counter + 1, id_};
+  result.timestamp = Timestamp{adopted.ts.counter + 1, id_};
 
   // Push the new value to every reached probed server; complete when all
   // acks arrive or time out.
@@ -555,9 +503,10 @@ void SimClient::finish_write(int object, std::uint64_t value,
     net_->send(id_, server, Network::Direction::kToServer,
                [this, server, object, ts = result.timestamp, value, resolved,
                 finish_one, push_start, op] {
-                 SimServer& s = (*servers_)[static_cast<std::size_t>(server)];
-                 if (!s.handle_write(ts, value, object)) return;
-                 sim_->schedule(s.service_time(), [this, server, resolved,
+                 Replica& s = (*servers_)[static_cast<std::size_t>(server)];
+                 if (!s.handle_write(sim_->now(), ts, value, object)) return;
+                 sim_->schedule(s.service_time(sim_->now()),
+                                [this, server, resolved,
                                                    finish_one, push_start,
                                                    op] {
                    net_->send(id_, server, Network::Direction::kToClient,
@@ -566,8 +515,8 @@ void SimClient::finish_write(int object, std::uint64_t value,
                                 if (*resolved) return;
                                 *resolved = true;
                                 obs::flight(obs::FlightKind::kWriteAck, op,
-                                            us(push_start), server,
-                                            us(sim_->now() - push_start));
+                                            to_us(push_start), server,
+                                            to_us(sim_->now() - push_start));
                                 finish_one(true);
                               });
                  });
@@ -576,8 +525,8 @@ void SimClient::finish_write(int object, std::uint64_t value,
                                              finish_one, push_start, op] {
       if (*resolved) return;
       *resolved = true;
-      obs::flight(obs::FlightKind::kWriteNack, op, us(push_start), server,
-                  us(sim_->now() - push_start));
+      obs::flight(obs::FlightKind::kWriteNack, op, to_us(push_start), server,
+                  to_us(sim_->now() - push_start));
       finish_one(false);
     });
   }

@@ -35,7 +35,7 @@
 #include "core/quorum_family.h"
 #include "obs/recorder.h"
 #include "sim/network.h"
-#include "sim/server.h"
+#include "sim/register_core.h"
 #include "sim/simulator.h"
 
 namespace sqs {
@@ -119,7 +119,7 @@ struct AcquisitionResult {
   double latency = 0.0;  // whole operation, first attempt start to done
   // Reply snapshot per server (only reached servers have values). In epoch
   // mode the index space is the *family's* (map to logical ids via `view`).
-  std::vector<std::optional<std::pair<Timestamp, std::uint64_t>>> replies;
+  std::vector<ReplySlot> replies;
   // Parallel to `replies`: nonzero when the reply was served by a replica
   // that was already retired AT SERVE TIME (only possible under the
   // serve_while_retired bug switch). Captured with the reply, not at
@@ -165,7 +165,7 @@ class SimClient {
   // `epochs` (optional) switches the client into epoch mode: the default
   // acquire/read/write overloads resolve family and membership from the
   // client's own — possibly stale — view epoch instead of `family`.
-  SimClient(Simulator* sim, Network* net, std::vector<SimServer>* servers,
+  SimClient(Simulator* sim, Network* net, std::vector<Replica>* servers,
             int id, const QuorumFamily* family, const ClientConfig& config,
             Rng rng, const EpochState* epochs = nullptr);
 
@@ -203,7 +203,7 @@ class SimClient {
   void issue_next_probe(std::shared_ptr<Acquisition> acq);
   void finish_probe(std::shared_ptr<Acquisition> acq, std::uint64_t seq,
                     int server, int target,
-                    std::optional<std::pair<Timestamp, std::uint64_t>> reply,
+                    ReplySlot reply,
                     bool served_retired);
   void finish_probe_fenced(std::shared_ptr<Acquisition> acq,
                            std::uint64_t seq, int server, int target);
@@ -215,7 +215,7 @@ class SimClient {
 
   Simulator* sim_;
   Network* net_;
-  std::vector<SimServer>* servers_;
+  std::vector<Replica>* servers_;
   int id_;
   const QuorumFamily* family_;
   ClientConfig config_;

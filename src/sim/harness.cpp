@@ -1,11 +1,8 @@
 #include "sim/harness.h"
 
-#include <cmath>
 #include <cstdio>
 #include <memory>
-#include <set>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -17,10 +14,7 @@ namespace sqs {
 
 namespace {
 
-// Simulated seconds -> integer microseconds, the flight recorder's unit.
-std::uint64_t sim_us(double t) {
-  return static_cast<std::uint64_t>(std::llround(t * 1e6));
-}
+using obs::to_us;
 
 // Acquisition latency per client, in simulated microseconds. Registered
 // lazily (first instrumented experiment) so a disabled run never touches the
@@ -37,7 +31,7 @@ struct Experiment {
   RegisterExperimentConfig config;
   Simulator sim;
   std::unique_ptr<Network> net;
-  std::vector<SimServer> servers;
+  std::vector<Replica> servers;
   std::vector<SimClient> clients;
   Rng rng;
   // Epoch mode: the mutable cursor all clients compare their view against.
@@ -55,7 +49,7 @@ struct Experiment {
   // Ok reads are audited against this set at end-of-run — after the grace
   // period every write completion callback has fired, so a read that raced
   // its writer's completion is not a false alarm.
-  std::set<std::tuple<std::uint64_t, int, std::uint64_t>> genuine_writes;
+  WriteSet genuine_writes;
   struct ReadObservation {
     obs::OpId op = obs::kNoOp;
     Timestamp ts;
@@ -70,58 +64,7 @@ struct Experiment {
     obs::instant("sim", kind, "client", static_cast<std::uint64_t>(client_idx));
     if (ok)
       latency_hists[static_cast<std::size_t>(client_idx)].record(
-          static_cast<std::uint64_t>(latency * 1e6));
-  }
-
-  // Crosses the boundary into epoch `e_idx`: state transfer first (so no
-  // window exists in which the new view lacks the old view's writes), then
-  // membership flips. Everything here is deterministic — adopt_state and the
-  // membership setters draw no randomness — so a churn schedule never shifts
-  // the load's rng streams.
-  void apply_epoch_transition(int e_idx) {
-    const EpochedFamily& sched = *config.epochs;
-    const MembershipView& prev = sched.entry(e_idx - 1).view;
-    const MembershipView& next = sched.entry(e_idx).view;
-    // Drain-on-leave: every departing server's register is adopted by every
-    // member of the new view. A write acked only by a leaver must survive
-    // its retirement (no-lost-acked-write across epoch boundaries).
-    for (int id : prev.members) {
-      if (next.contains(id)) continue;
-      const SimServer& leaver = servers[static_cast<std::size_t>(id)];
-      const Timestamp ts = leaver.timestamp(0);
-      if (!(Timestamp{} < ts)) continue;
-      const std::uint64_t value = leaver.value(0);
-      for (int dst : next.members)
-        servers[static_cast<std::size_t>(dst)].adopt_state(ts, value, 0);
-    }
-    // Join-sync: joiners adopt the newest state held anywhere in the old
-    // view, so a fresh server never serves the unwritten register while the
-    // rest of its epoch has history.
-    Timestamp best;
-    std::uint64_t best_value = 0;
-    for (int id : prev.members) {
-      const Timestamp ts = servers[static_cast<std::size_t>(id)].timestamp(0);
-      if (best < ts) {
-        best = ts;
-        best_value = servers[static_cast<std::size_t>(id)].value(0);
-      }
-    }
-    for (int id : next.members) {
-      if (prev.contains(id)) continue;
-      if (Timestamp{} < best)
-        servers[static_cast<std::size_t>(id)].adopt_state(best, best_value, 0);
-    }
-    // Flip membership and stamp every server with the new epoch; stale
-    // clients now see either fences (retired servers) or newer epoch stamps
-    // in replies — both observable triggers for a view refresh.
-    for (std::size_t i = 0; i < servers.size(); ++i) {
-      servers[i].set_member(next.contains(static_cast<int>(i)));
-      servers[i].set_epoch(e_idx);
-    }
-    epoch_state.current = e_idx;
-    ++result.epoch_transitions;
-    obs::flight(obs::FlightKind::kEpochTransition, obs::kNoOp,
-                sim_us(sim.now()), -1, static_cast<std::uint64_t>(e_idx));
+          to_us(latency));
   }
 
   void schedule_next_op(int client_idx) {
@@ -150,20 +93,20 @@ struct Experiment {
               if (r.timestamp < frontier) {
                 ++result.stale_reads;
                 obs::flight(obs::FlightKind::kStaleRead, r.op,
-                            sim_us(sim.now()));
+                            to_us(sim.now()));
               }
               Timestamp& last = last_read_ts[static_cast<std::size_t>(client_idx)];
               if (r.timestamp < last) {
                 ++result.read_ts_regressions;
                 obs::flight(obs::FlightKind::kReadRegression, r.op,
-                            sim_us(sim.now()));
+                            to_us(sim.now()));
               } else {
                 last = r.timestamp;
               }
               read_observations.push_back({r.op, r.timestamp, r.value});
             }
-            obs::flight(obs::FlightKind::kOpDone, r.op, sim_us(sim.now()), -1,
-                        sim_us(r.latency));
+            obs::flight(obs::FlightKind::kOpDone, r.op, to_us(sim.now()), -1,
+                        to_us(r.latency));
             note_op(client_idx, "read", r.ok, r.latency);
             schedule_next_op(client_idx);
           });
@@ -177,8 +120,7 @@ struct Experiment {
             if (w.deadline_exceeded) ++result.deadline_failures;
             if (w.filtered) ++result.ops_filtered;
             if (w.ok) {
-              genuine_writes.insert(
-                  {w.timestamp.counter, w.timestamp.writer, value});
+              genuine_writes.insert(w.timestamp, value);
               ++result.writes_ok;
               result.latency_ok.add(w.latency);
               result.latencies_ok.push_back(w.latency);
@@ -187,8 +129,8 @@ struct Experiment {
               if (w.acks > 0 && max_acked_write_ts < w.timestamp)
                 max_acked_write_ts = w.timestamp;
             }
-            obs::flight(obs::FlightKind::kOpDone, w.op, sim_us(sim.now()), -1,
-                        sim_us(w.latency));
+            obs::flight(obs::FlightKind::kOpDone, w.op, to_us(sim.now()), -1,
+                        to_us(w.latency));
             note_op(client_idx, "write", w.ok, w.latency);
             schedule_next_op(client_idx);
           });
@@ -246,7 +188,7 @@ RegisterExperimentResult run_register_experiment(
                                     config.network, e.rng.split("network"));
   e.servers.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
-    e.servers.emplace_back(&e.sim, i, config.server,
+    e.servers.emplace_back(i, config.server,
                            e.rng.split(1000 + static_cast<std::uint64_t>(i)));
   if (epoch_mode) {
     e.epoch_state.schedule = config.epochs.get();
@@ -275,7 +217,13 @@ RegisterExperimentResult run_register_experiment(
   if (epoch_mode) {
     for (int ei = 1; ei < config.epochs->num_epochs(); ++ei) {
       const double at = config.epochs->entry(ei).at;
-      e.sim.schedule(at, [&e, ei] { e.apply_epoch_transition(ei); });
+      e.sim.schedule(at, [&e, ei] {
+        apply_epoch_transition(*e.config.epochs, ei, e.servers);
+        e.epoch_state.current = ei;
+        ++e.result.epoch_transitions;
+        obs::flight(obs::FlightKind::kEpochTransition, obs::kNoOp,
+                    to_us(e.sim.now()), -1, static_cast<std::uint64_t>(ei));
+      });
     }
   }
 
@@ -289,8 +237,9 @@ RegisterExperimentResult run_register_experiment(
       const int victim =
           static_cast<int>(part_rng.next_below(static_cast<std::uint64_t>(
               config.num_clients)));
-      e.net->partition_client_partial(victim, config.partition_fraction,
-                                      config.partition_duration);
+      e.net->transport().partition_client_partial(
+          victim, config.partition_fraction, e.sim.now(),
+          config.partition_duration);
       e.sim.schedule(part_rng.exponential(config.partition_rate), inject);
     };
     e.sim.schedule(part_rng.exponential(config.partition_rate), inject);
@@ -313,7 +262,7 @@ RegisterExperimentResult run_register_experiment(
       epoch_mode ? &config.epochs->entry(config.epochs->final_epoch()).view
                  : nullptr;
   Timestamp best_server_ts;
-  for (const SimServer& s : e.servers) {
+  for (const Replica& s : e.servers) {
     e.result.server_ts_regressions +=
         static_cast<long>(s.ts_regressions());
     e.result.server_dropped_requests += s.dropped_requests();
@@ -324,7 +273,7 @@ RegisterExperimentResult run_register_experiment(
   if (Timestamp{} < e.max_acked_write_ts &&
       best_server_ts < e.max_acked_write_ts) {
     e.result.lost_writes = 1;
-    obs::flight(obs::FlightKind::kLostWrite, obs::kNoOp, sim_us(e.sim.now()),
+    obs::flight(obs::FlightKind::kLostWrite, obs::kNoOp, to_us(e.sim.now()),
                 -1, static_cast<std::uint64_t>(e.max_acked_write_ts.counter));
   }
   // Fabricated-read audit: every ok read must have returned either the
@@ -333,10 +282,9 @@ RegisterExperimentResult run_register_experiment(
   // server smuggled past the client — the durability invariant chaos gates.
   for (const Experiment::ReadObservation& seen : e.read_observations) {
     if (!(Timestamp{} < seen.ts)) continue;  // unwritten register is genuine
-    if (e.genuine_writes.count({seen.ts.counter, seen.ts.writer, seen.value}) ==
-        0) {
+    if (!e.genuine_writes.contains(seen.ts, seen.value)) {
       ++e.result.fabricated_reads;
-      obs::flight(obs::FlightKind::kFabricatedRead, seen.op, sim_us(e.sim.now()),
+      obs::flight(obs::FlightKind::kFabricatedRead, seen.op, to_us(e.sim.now()),
                   -1, seen.value);
     }
   }

@@ -45,7 +45,7 @@ struct RegisterExperimentConfig {
   // draw from the experiment's rng (fault plans are pre-expanded), so
   // installing a plan never perturbs the load's random streams and the
   // same plan + seed reproduces a bit-identical run.
-  std::function<void(Simulator&, Network&, std::vector<SimServer>&)> fault_hook;
+  std::function<void(Simulator&, Network&, std::vector<Replica>&)> fault_hook;
   // Epoch-based reconfiguration (nullptr = classic fixed universe). The
   // fleet is sized to epochs->num_logical; servers outside epoch 0's view
   // start retired. At each entry's `at` the harness performs the membership

@@ -39,31 +39,6 @@ void Network::send(int client, int server, Direction /*direction*/,
   sim_->schedule(d.latency, std::move(on_delivery));
 }
 
-void Network::partition_client(int client, double duration) {
-  transport_.partition_client(client, sim_->now(), duration);
-}
-
-void Network::partition_client_partial(int client, double fraction,
-                                       double duration) {
-  transport_.partition_client_partial(client, fraction, sim_->now(), duration);
-}
-
-void Network::block_link(int client, int server, double duration) {
-  transport_.block_link(client, server, sim_->now(), duration);
-}
-
-void Network::force_partition(int server, double duration) {
-  transport_.force_partition(server, sim_->now(), duration);
-}
-
-void Network::inject_latency_burst(double factor, double duration) {
-  transport_.inject_latency_burst(factor, sim_->now(), duration);
-}
-
-void Network::inject_loss_burst(double drop_prob, double duration) {
-  transport_.inject_loss_burst(drop_prob, sim_->now(), duration);
-}
-
 bool Network::client_partition_active(int client) const {
   return transport_.client_partition_active(client, sim_->now());
 }

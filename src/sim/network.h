@@ -13,12 +13,10 @@
 //
 // All of that state lives in the Transport; Network's own job is just to
 // stamp Simulator::now() onto every query and turn a delivered attempt into
-// a scheduled event. Fault-injection hooks (driven by src/faults fault
-// plans, usable directly too): `force_partition` cuts a server off from
-// every client, `inject_latency_burst` multiplies delivery latency, and
-// `inject_loss_burst` adds an extra drop probability — each for a bounded
-// window. Every send outcome is counted (`sim.net.delivered` /
-// `sim.net.dropped`) so injected trouble is visible in metric snapshots.
+// a scheduled event. Fault injection (partitions, link blocks, latency and
+// loss bursts) goes to the Transport directly, with an explicit `now`.
+// Every send outcome is counted (`sim.net.delivered` / `sim.net.dropped`)
+// so injected trouble is visible in metric snapshots.
 
 #pragma once
 
@@ -45,44 +43,15 @@ class Network {
   // True if the (client, server) link is currently up.
   bool link_up(int client, int server);
 
-  // Forces all of `client`'s links down for `duration` seconds (a client
-  // partition / lost connection).
-  void partition_client(int client, double duration);
-
-  // Partially partitions `client`: a uniformly random `fraction` of its
-  // server links go down together for `duration` seconds. This is the
-  // correlated-mismatch case the paper's filtering step ([17]) guards
-  // against: the client still reaches some servers, so it could acquire a
-  // quorum built mostly from (wrong) negative evidence.
-  void partition_client_partial(int client, double fraction, double duration);
-
-  // Blocks the single (client, server) link for `duration` seconds — the
-  // asynchronous-scheduler adversary of Sect. 2.2 (indefinite message delay
-  // on one link is indistinguishable from loss to a timeout-based client).
-  void block_link(int client, int server, double duration);
-
-  // Forces every client's link to `server` down for `duration` seconds (a
-  // server-side partition: the server stays up but is cut off from the
-  // world). Extends, never shortens, an active forced window, and composes
-  // with in-flight natural down-periods: the link resumes whichever state
-  // its flap process prescribes once both windows have passed.
-  void force_partition(int server, double duration);
-
-  // Latency-spike burst: until it expires, every delivered message's
-  // latency is multiplied by `factor` (>= 1). A new burst replaces the
-  // current one.
-  void inject_latency_burst(double factor, double duration);
-
-  // Message-loss burst: until it expires, every send that would be
-  // delivered is instead dropped with probability `drop_prob`.
-  void inject_loss_burst(double drop_prob, double duration);
-
   // True while any (full or partial) partition of `client` is active.
   bool client_partition_active(int client) const;
   // The active partition's fraction (1.0 for a full partition, 0.0 if none).
   double client_partition_fraction(int client) const;
 
   const NetworkConfig& config() const { return transport_.config(); }
+  // The link-state machine itself, for fault injection at an explicit
+  // `now` (faults/fault_plan.h apply_fault, tests).
+  Transport& transport() { return transport_; }
 
   // Lifetime totals of the send path (mirrors the sim.net.{delivered,
   // dropped} counters, but always on so harness invariants need no

@@ -26,7 +26,7 @@ struct StoreExperiment {
   StoreExperimentConfig config;
   Simulator sim;
   std::unique_ptr<Network> net;
-  std::vector<SimServer> servers;
+  std::vector<Replica> servers;
   std::vector<SimClient> clients;
   std::vector<OptDFamily> families;  // one per object
   Rng rng;
@@ -105,7 +105,7 @@ StoreExperimentResult run_store_experiment(const StoreExperimentConfig& config) 
                                     config.network, e.rng.split("network"));
   e.servers.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
-    e.servers.emplace_back(&e.sim, i, config.server,
+    e.servers.emplace_back(i, config.server,
                            e.rng.split(1000 + static_cast<std::uint64_t>(i)));
   e.clients.reserve(static_cast<std::size_t>(config.num_clients));
   for (int c = 0; c < config.num_clients; ++c)

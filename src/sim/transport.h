@@ -61,13 +61,28 @@ class Transport {
   bool link_up(int client, int server, double now);
 
   // --- fault hooks (windows measured from the supplied `now`) -------------
+  // All of `client`'s links down (a client partition / lost connection).
   void partition_client(int client, double now, double duration);
+  // A uniformly random `fraction` of `client`'s links down together: the
+  // correlated-mismatch case the paper's filtering step ([17]) guards
+  // against, since the client could still acquire a quorum built mostly
+  // from (wrong) negative evidence.
   void partition_client_partial(int client, double fraction, double now,
                                 double duration);
+  // The single (client, server) link down — the asynchronous-scheduler
+  // adversary of Sect. 2.2 (indefinite delay on one link is loss to a
+  // timeout-based client).
   void block_link(int client, int server, double now, double duration);
-  // Extends, never shortens, an active server-partition window.
+  // Every client's link to `server` down: the server stays up but is cut
+  // off. Extends, never shortens, an active window, and composes with
+  // natural down-periods (the link resumes its flap process's state once
+  // both have passed).
   void force_partition(int server, double now, double duration);
+  // Every delivered message's latency x `factor` (>= 1); a new burst
+  // replaces the current one.
   void inject_latency_burst(double factor, double now, double duration);
+  // Every send that would be delivered is dropped with probability
+  // `drop_prob` instead.
   void inject_loss_burst(double drop_prob, double now, double duration);
 
   bool client_partition_active(int client, double now) const;

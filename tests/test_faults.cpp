@@ -32,14 +32,15 @@ NetworkConfig reliable_network() {
 
 TEST(Faults, ForceCrashPinsServerDownThenResumes) {
   Simulator sim;
-  SimServer server(&sim, 0, reliable_server(), Rng(3));
-  EXPECT_TRUE(server.up());
-  server.force_crash(5.0);
-  EXPECT_FALSE(server.up());
-  EXPECT_FALSE(server.handle_read().has_value());
+  Replica server(0, reliable_server(), Rng(3));
+  EXPECT_TRUE(server.up(sim.now()));
+  server.force_crash(sim.now(), 5.0);
+  EXPECT_FALSE(server.up(sim.now()));
+  EXPECT_FALSE(server.handle_read(sim.now()).has_value());
   EXPECT_GT(server.dropped_requests(), 0u);
   sim.run_until(6.0);
-  EXPECT_TRUE(server.up());  // natural (reliable) process resumes control
+  // The natural (reliable) process resumes control.
+  EXPECT_TRUE(server.up(sim.now()));
 }
 
 TEST(Faults, ForceUpOverridesNaturalDownAndCrashBeatsPin) {
@@ -47,39 +48,41 @@ TEST(Faults, ForceUpOverridesNaturalDownAndCrashBeatsPin) {
   ServerConfig config;
   config.mean_up = 1e-9;  // stationary down with probability ~1
   config.mean_down = 1e9;
-  SimServer server(&sim, 0, config, Rng(7));
-  EXPECT_FALSE(server.up());
-  server.force_up(5.0);
-  EXPECT_TRUE(server.up());
-  server.force_crash(2.0);  // crash wins while both overrides are active
-  EXPECT_FALSE(server.up());
+  Replica server(0, config, Rng(7));
+  EXPECT_FALSE(server.up(sim.now()));
+  server.force_up(sim.now(), 5.0);
+  EXPECT_TRUE(server.up(sim.now()));
+  // Crash wins while both overrides are active.
+  server.force_crash(sim.now(), 2.0);
+  EXPECT_FALSE(server.up(sim.now()));
   sim.run_until(3.0);
-  EXPECT_TRUE(server.up());  // crash lapsed, pin still holds
+  EXPECT_TRUE(server.up(sim.now()));  // crash lapsed, pin still holds
   sim.run_until(6.0);
-  EXPECT_FALSE(server.up());  // both lapsed: natural (down) state again
+  // Both lapsed: the natural (down) state again.
+  EXPECT_FALSE(server.up(sim.now()));
 }
 
 TEST(Faults, GrayWindowInflatesServiceTimeThenExpires) {
   Simulator sim;
-  SimServer server(&sim, 0, reliable_server(), Rng(11));
-  EXPECT_DOUBLE_EQ(server.service_time(), 0.001);
-  server.set_gray(100.0, 5.0);
-  EXPECT_TRUE(server.gray_active());
-  EXPECT_DOUBLE_EQ(server.service_time(), 0.1);
-  EXPECT_TRUE(server.up());  // gray, not down: still answers
+  Replica server(0, reliable_server(), Rng(11));
+  EXPECT_DOUBLE_EQ(server.service_time(sim.now()), 0.001);
+  server.set_gray(100.0, sim.now(), 5.0);
+  EXPECT_TRUE(server.gray_active(sim.now()));
+  EXPECT_DOUBLE_EQ(server.service_time(sim.now()), 0.1);
+  EXPECT_TRUE(server.up(sim.now()));  // gray, not down: still answers
   sim.run_until(6.0);
-  EXPECT_FALSE(server.gray_active());
-  EXPECT_DOUBLE_EQ(server.service_time(), 0.001);
+  EXPECT_FALSE(server.gray_active(sim.now()));
+  EXPECT_DOUBLE_EQ(server.service_time(sim.now()), 0.001);
 }
 
 TEST(Faults, ServerTracksMaxTimestampAcrossAmnesia) {
   Simulator sim;
   ServerConfig config = reliable_server();
-  SimServer server(&sim, 0, config, Rng(13));
-  EXPECT_TRUE(server.handle_write(Timestamp{5, 1}, 50));
+  Replica server(0, config, Rng(13));
+  EXPECT_TRUE(server.handle_write(sim.now(), Timestamp{5, 1}, 50));
   EXPECT_EQ(server.max_timestamp_seen(), (Timestamp{5, 1}));
   // Reads at the high-water mark are not regressions.
-  ASSERT_TRUE(server.handle_read().has_value());
+  ASSERT_TRUE(server.handle_read(sim.now()).has_value());
   EXPECT_EQ(server.ts_regressions(), 0u);
 }
 
@@ -88,13 +91,14 @@ TEST(Faults, ServerTracksMaxTimestampAcrossAmnesia) {
 TEST(Faults, ForcePartitionBlocksServerWideAndExtends) {
   Simulator sim;
   Network net(&sim, 3, 4, reliable_network(), Rng(17));
-  net.force_partition(1, 5.0);
+  net.transport().force_partition(1, sim.now(), 5.0);
   for (int c = 0; c < 3; ++c) {
     EXPECT_FALSE(net.link_up(c, 1));
     EXPECT_TRUE(net.link_up(c, 0));  // other servers unaffected
   }
   sim.run_until(3.0);
-  net.force_partition(1, 1.0);  // shorter window must not shorten the first
+  // A shorter window must not shorten the first.
+  net.transport().force_partition(1, sim.now(), 1.0);
   sim.run_until(4.5);
   EXPECT_FALSE(net.link_up(0, 1));
   sim.run_until(6.0);
@@ -110,14 +114,14 @@ TEST(Faults, ForcePartitionOverlapsInFlightDownPeriod) {
   always_down.link_mean_up = 1e-9;
   always_down.link_mean_down = 1e9;  // in a ~forever down-period
   Network dead(&sim, 1, 2, always_down, Rng(19));
-  dead.force_partition(0, 5.0);
+  dead.transport().force_partition(0, sim.now(), 5.0);
   EXPECT_FALSE(dead.link_up(0, 0));
   sim.run_until(6.0);
   EXPECT_FALSE(dead.link_up(0, 0));  // forced window over, natural down holds
 
   Simulator sim2;
   Network healthy(&sim2, 1, 2, reliable_network(), Rng(19));
-  healthy.force_partition(0, 5.0);
+  healthy.transport().force_partition(0, sim2.now(), 5.0);
   EXPECT_FALSE(healthy.link_up(0, 0));
   sim2.run_until(6.0);
   EXPECT_TRUE(healthy.link_up(0, 0));  // natural up state resumes
@@ -129,7 +133,7 @@ TEST(Faults, LatencyBurstMultipliesDeliveryLatency) {
   config.base_latency = 0.05;
   config.jitter_mean = 1e-9;
   Network net(&sim, 1, 1, config, Rng(23));
-  net.inject_latency_burst(10.0, 5.0);
+  net.transport().inject_latency_burst(10.0, sim.now(), 5.0);
   double first = -1.0;
   net.send(0, 0, Network::Direction::kToServer, [&] { first = sim.now(); });
   sim.run();
@@ -144,7 +148,7 @@ TEST(Faults, LatencyBurstMultipliesDeliveryLatency) {
 TEST(Faults, LossBurstDropsDeliverableMessages) {
   Simulator sim;
   Network net(&sim, 1, 1, reliable_network(), Rng(29));
-  net.inject_loss_burst(1.0, 5.0);
+  net.transport().inject_loss_burst(1.0, sim.now(), 5.0);
   bool delivered = false;
   net.send(0, 0, Network::Direction::kToServer, [&] { delivered = true; });
   sim.run();
@@ -204,27 +208,27 @@ TEST(Faults, PlanValidateRejectsBadEvents) {
 TEST(Faults, InstallPlanFiresAtAbsoluteTimes) {
   Simulator sim;
   Network net(&sim, 1, 2, reliable_network(), Rng(31));
-  std::vector<SimServer> servers;
-  servers.emplace_back(&sim, 0, reliable_server(), Rng(32));
-  servers.emplace_back(&sim, 1, reliable_server(), Rng(33));
+  std::vector<Replica> servers;
+  servers.emplace_back(0, reliable_server(), Rng(32));
+  servers.emplace_back(1, reliable_server(), Rng(33));
   FaultPlan plan;
   plan.crash(10.0, 0, 5.0);
   install_fault_plan(plan, &sim, &net, &servers);
   sim.run_until(11.0);
-  EXPECT_FALSE(servers[0].up());
-  EXPECT_TRUE(servers[1].up());
+  EXPECT_FALSE(servers[0].up(sim.now()));
+  EXPECT_TRUE(servers[1].up(sim.now()));
   sim.run_until(16.0);
-  EXPECT_TRUE(servers[0].up());
+  EXPECT_TRUE(servers[0].up(sim.now()));
 }
 
 // ---- Byzantine lie windows ----
 
 TEST(Faults, LieWindowCorruptsRepliesNotState) {
   Simulator sim;
-  SimServer server(&sim, /*id=*/2, reliable_server(), Rng(41));
-  ASSERT_TRUE(server.handle_write(Timestamp{3, 0}, 77));
-  server.set_lie(LieMode::kWrongValue, 5.0);
-  const auto lied = server.handle_read(0, /*client=*/0);
+  Replica server(/*id=*/2, reliable_server(), Rng(41));
+  ASSERT_TRUE(server.handle_write(sim.now(), Timestamp{3, 0}, 77));
+  server.set_lie(LieMode::kWrongValue, sim.now(), 5.0);
+  const auto lied = server.handle_read(sim.now(), 0, /*client=*/0);
   ASSERT_TRUE(lied.has_value());
   EXPECT_TRUE(lied->first == fabricated_timestamp(2, Timestamp{3, 0}));
   EXPECT_EQ(lied->second, fabricated_value(2, Timestamp{3, 0}, 77));
@@ -233,17 +237,17 @@ TEST(Faults, LieWindowCorruptsRepliesNotState) {
   // The stored cell is untouched, and the window expires cleanly.
   EXPECT_TRUE(server.timestamp() == (Timestamp{3, 0}));
   sim.run_until(6.0);
-  const auto honest = server.handle_read(0, 0);
+  const auto honest = server.handle_read(sim.now(), 0, 0);
   ASSERT_TRUE(honest.has_value());
   EXPECT_EQ(honest->second, 77u);
 }
 
 TEST(Faults, StaleTsLiePretendsUnwritten) {
   Simulator sim;
-  SimServer server(&sim, 0, reliable_server(), Rng(42));
-  ASSERT_TRUE(server.handle_write(Timestamp{9, 1}, 5));
-  server.set_lie(LieMode::kStaleTs, 5.0);
-  const auto r = server.handle_read(0, 0);
+  Replica server(0, reliable_server(), Rng(42));
+  ASSERT_TRUE(server.handle_write(sim.now(), Timestamp{9, 1}, 5));
+  server.set_lie(LieMode::kStaleTs, sim.now(), 5.0);
+  const auto r = server.handle_read(sim.now(), 0, 0);
   ASSERT_TRUE(r.has_value());
   EXPECT_TRUE(r->first == Timestamp{});
   EXPECT_EQ(r->second, 0u);
@@ -261,9 +265,9 @@ TEST(Faults, EquivocationLiesOnlyToOddClients) {
 
 TEST(Faults, FabricateAckDropsTheWriteOnTheFloor) {
   Simulator sim;
-  SimServer server(&sim, 0, reliable_server(), Rng(43));
-  server.set_lie(LieMode::kFabricateAck, 5.0);
-  EXPECT_TRUE(server.handle_write(Timestamp{4, 0}, 11));  // acked...
+  Replica server(0, reliable_server(), Rng(43));
+  server.set_lie(LieMode::kFabricateAck, sim.now(), 5.0);
+  EXPECT_TRUE(server.handle_write(sim.now(), Timestamp{4, 0}, 11));  // acked...
   EXPECT_TRUE(server.timestamp() == Timestamp{});         // ...not applied
   EXPECT_GT(server.lies_told(), 0u);
 }
@@ -353,11 +357,11 @@ TEST(Faults, OpDeadlineBoundsLatencyAndReportsFailure) {
   // deadline must cut the operation off and mark it.
   Simulator sim;
   Network net(&sim, 1, 12, reliable_network(), Rng(41));
-  std::vector<SimServer> servers;
+  std::vector<Replica> servers;
   for (int i = 0; i < 12; ++i) {
-    servers.emplace_back(&sim, i, reliable_server(),
+    servers.emplace_back(i, reliable_server(),
                          Rng(100 + static_cast<std::uint64_t>(i)));
-    servers.back().force_crash(1e6);
+    servers.back().force_crash(sim.now(), 1e6);
   }
   const OptDFamily family(12, 2);
   ClientConfig config;
@@ -385,9 +389,9 @@ TEST(Faults, AdaptiveTimeoutLearnsFromReplies) {
   net_config.base_latency = 0.02;
   net_config.jitter_mean = 0.005;
   Network net(&sim, 1, 8, net_config, Rng(47));
-  std::vector<SimServer> servers;
+  std::vector<Replica> servers;
   for (int i = 0; i < 8; ++i)
-    servers.emplace_back(&sim, i, reliable_server(),
+    servers.emplace_back(i, reliable_server(),
                          Rng(200 + static_cast<std::uint64_t>(i)));
   const OptDFamily family(8, 2);
   ClientConfig config;

@@ -13,7 +13,7 @@ TEST(PartialPartition, BlocksTheChosenFractionOfLinks) {
   config.link_mean_down = 1e-9;
   config.link_mean_up = 1e9;
   Network net(&sim, 1, 400, config, Rng(3));
-  net.partition_client_partial(0, 0.5, 10.0);
+  net.transport().partition_client_partial(0, 0.5, sim.now(), 10.0);
   EXPECT_TRUE(net.client_partition_active(0));
   EXPECT_DOUBLE_EQ(net.client_partition_fraction(0), 0.5);
   int blocked = 0;
@@ -32,7 +32,7 @@ TEST(PartialPartition, FractionZeroBlocksNoLinks) {
   config.link_mean_down = 1e-9;
   config.link_mean_up = 1e9;
   Network net(&sim, 1, 400, config, Rng(7));
-  net.partition_client_partial(0, 0.0, 10.0);
+  net.transport().partition_client_partial(0, 0.0, sim.now(), 10.0);
   // The partition window is active (the filter can still see it) but the
   // degenerate fraction leaves every link up.
   EXPECT_TRUE(net.client_partition_active(0));
@@ -46,7 +46,7 @@ TEST(PartialPartition, FractionOneBlocksEveryLink) {
   config.link_mean_down = 1e-9;
   config.link_mean_up = 1e9;
   Network net(&sim, 1, 400, config, Rng(9));
-  net.partition_client_partial(0, 1.0, 10.0);
+  net.transport().partition_client_partial(0, 1.0, sim.now(), 10.0);
   EXPECT_TRUE(net.client_partition_active(0));
   EXPECT_DOUBLE_EQ(net.client_partition_fraction(0), 1.0);
   for (int s = 0; s < 400; ++s) EXPECT_FALSE(net.link_up(0, s));
@@ -57,7 +57,7 @@ TEST(PartialPartition, FractionOneBlocksEveryLink) {
 TEST(PartialPartition, FullPartitionReportsFractionOne) {
   Simulator sim;
   Network net(&sim, 2, 4, NetworkConfig{}, Rng(5));
-  net.partition_client(1, 5.0);
+  net.transport().partition_client(1, sim.now(), 5.0);
   EXPECT_TRUE(net.client_partition_active(1));
   EXPECT_DOUBLE_EQ(net.client_partition_fraction(1), 1.0);
   EXPECT_FALSE(net.client_partition_active(0));

@@ -60,14 +60,14 @@ TEST(ReadRepair, PropagatesValuesToStaleReplicas) {
   ServerConfig server_config;
   server_config.mean_down = 1e-9;
   server_config.mean_up = 1e9;
-  std::vector<SimServer> servers;
+  std::vector<Replica> servers;
   for (int i = 0; i < 3; ++i)
-    servers.emplace_back(&sim, i, server_config, Rng(10 + i));
+    servers.emplace_back(i, server_config, Rng(10 + i));
 
   // Seed divergent replica states.
-  servers[0].handle_write(Timestamp{5, 0}, 50);
-  servers[1].handle_write(Timestamp{3, 0}, 30);
-  servers[2].handle_write(Timestamp{1, 0}, 10);
+  servers[0].handle_write(sim.now(), Timestamp{5, 0}, 50);
+  servers[1].handle_write(sim.now(), Timestamp{3, 0}, 30);
+  servers[2].handle_write(sim.now(), Timestamp{1, 0}, 10);
 
   const OptAFamily fam(3, 1);  // probes everything
   ClientConfig client_config;

@@ -271,6 +271,31 @@ TEST(Recorder, OpIdPropagatesThroughAllStagesUnderPartition) {
   EXPECT_GT(faults, 0u);  // the partition start/stop events
 }
 
+TEST(Recorder, ServedProbeMissRecordsTheTimeSpent) {
+  // Replica 0 — OPT_d's first probe — lies, so its replies arrive in time
+  // but fail cert verification. Such a miss costs the op its round trip,
+  // not the probe timeout, and the kProbeMiss payload says so; no miss can
+  // take longer than the timeout.
+  const OptDFamily family(12, 2);
+  RecorderScope scope;
+  ServiceConfig config = tiny_service();
+  config.plan = make_byzantine_plan(12, 1, 0.5, 1.0);
+  ServiceRunner runner(family, config);
+  const ServiceResult result = runner.serve(generate_load(tiny_load()));
+  ASSERT_GT(result.cert_rejects, 0u);
+
+  const std::uint64_t timeout_us = obs::to_us(config.probe_timeout);
+  std::uint64_t misses = 0, short_misses = 0;
+  for (const obs::FlightEvent& e : obs::collect_flight_events()) {
+    if (e.kind != obs::FlightKind::kProbeMiss) continue;
+    ++misses;
+    EXPECT_LE(e.payload, timeout_us);
+    if (e.payload < timeout_us) ++short_misses;
+  }
+  EXPECT_GT(misses, 0u);
+  EXPECT_GT(short_misses, 0u);
+}
+
 // --- the chaos black box ----------------------------------------------------
 
 TEST(Recorder, ChaosViolationWritesBlackBox) {

@@ -15,8 +15,8 @@
 #include "faults/fault_plan.h"
 #include "service/load_gen.h"
 #include "service/message.h"
-#include "service/replica.h"
 #include "service/runner.h"
+#include "sim/replica.h"
 #include "uqs/majority.h"
 #include "util/rng.h"
 
@@ -403,7 +403,7 @@ ServerConfig reliable_server() {
 }
 
 TEST(ServiceReplicaTest, ServesAndQueuesOnTheArrivalClock) {
-  ServiceReplica r(0, reliable_server(), Rng(1));
+  Replica r(0, reliable_server(), Rng(1));
   // First op: no backlog, completion = delivery + service_time.
   const auto w1 = r.serve_write(Timestamp{1, 0}, 11, 0, 0.10, 0.10);
   ASSERT_TRUE(w1.has_value());
@@ -424,7 +424,7 @@ TEST(ServiceReplicaTest, ServesAndQueuesOnTheArrivalClock) {
 }
 
 TEST(ServiceReplicaTest, ForcedCrashDropsRequests) {
-  ServiceReplica r(0, reliable_server(), Rng(2));
+  Replica r(0, reliable_server(), Rng(2));
   r.force_crash(1.0, 5.0);
   EXPECT_FALSE(r.up(3.0));
   EXPECT_FALSE(r.serve_read(0, 3.0, 3.0).has_value());
@@ -445,7 +445,7 @@ TEST(ServiceReplicaTest, CachedCertMatchesFreshHashAcrossStateChanges) {
   config.service_time = 0.0001;
   config.amnesia_on_recovery = true;
   const int id = 3;
-  ServiceReplica r(id, config, Rng(11));
+  Replica r(id, config, Rng(11));
   Rng rng(12);
   double now = 0.0;
   std::uint64_t counter = 0;
@@ -487,7 +487,7 @@ TEST(ServiceReplicaTest, CachedCertMatchesFreshHashAcrossStateChanges) {
 }
 
 TEST(ServiceReplicaTest, GraySlowdownInflatesServiceTime) {
-  ServiceReplica r(0, reliable_server(), Rng(3));
+  Replica r(0, reliable_server(), Rng(3));
   r.set_gray(10.0, 0.0, 2.0);
   EXPECT_DOUBLE_EQ(r.service_time(1.0), 0.010);
   EXPECT_DOUBLE_EQ(r.service_time(3.0), 0.001);  // window over

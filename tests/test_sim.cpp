@@ -7,7 +7,8 @@
 #include "core/constructions.h"
 #include "sim/harness.h"
 #include "sim/network.h"
-#include "sim/server.h"
+#include "sim/register_core.h"
+#include "sim/replica.h"
 #include "sim/simulator.h"
 #include "uqs/majority.h"
 
@@ -110,7 +111,7 @@ TEST(Network, PartitionedClientLosesAllLinks) {
   config.link_mean_down = 1e-9;
   config.link_mean_up = 1e9;
   Network net(&sim, 2, 4, config, Rng(7));
-  net.partition_client(0, 10.0);
+  net.transport().partition_client(0, sim.now(), 10.0);
   for (int s = 0; s < 4; ++s) {
     EXPECT_FALSE(net.link_up(0, s));
     EXPECT_TRUE(net.link_up(1, s));
@@ -127,7 +128,7 @@ TEST(Network, BlockLinkIsPerPairAndExpires) {
   config.link_mean_down = 1e-9;
   config.link_mean_up = 1e9;
   Network net(&sim, 2, 3, config, Rng(9));
-  net.block_link(0, 1, 5.0);
+  net.transport().block_link(0, 1, sim.now(), 5.0);
   EXPECT_TRUE(net.link_up(0, 0));
   EXPECT_FALSE(net.link_up(0, 1));
   EXPECT_TRUE(net.link_up(0, 2));
@@ -138,19 +139,19 @@ TEST(Network, BlockLinkIsPerPairAndExpires) {
 
 // ---- servers ----
 
-TEST(SimServer, StationaryFailureRate) {
+TEST(Replica, StationaryFailureRate) {
   Simulator sim;
   ServerConfig config;
   config.mean_up = 8.0;
   config.mean_down = 2.0;  // stationary p = 0.2
   int down = 0, samples = 0;
-  std::vector<SimServer> servers;
+  std::vector<Replica> servers;
   Rng rng(11);
-  for (int i = 0; i < 100; ++i) servers.emplace_back(&sim, i, config, rng.split(i));
+  for (int i = 0; i < 100; ++i) servers.emplace_back(i, config, rng.split(i));
   for (int step = 0; step < 40; ++step) {
     sim.run_until(sim.now() + 3.0);
     for (auto& s : servers) {
-      if (!s.up()) ++down;
+      if (!s.up(sim.now())) ++down;
       ++samples;
     }
   }
@@ -171,23 +172,160 @@ TEST(Timestamp, LexicographicOrdering) {
   EXPECT_LT(Timestamp{}, (Timestamp{1, -1}));
 }
 
-TEST(SimServer, WriteAdvancesTimestampMonotonically) {
+TEST(Replica, WriteAdvancesTimestampMonotonically) {
   Simulator sim;
   ServerConfig config;
   config.mean_down = 1e-9;
   config.mean_up = 1e9;
-  SimServer server(&sim, 0, config, Rng(13));
-  EXPECT_TRUE(server.handle_write(Timestamp{3, 1}, 30));
+  Replica server(0, config, Rng(13));
+  EXPECT_TRUE(server.handle_write(sim.now(), Timestamp{3, 1}, 30));
   EXPECT_EQ(server.value(), 30u);
   // Older write is acked but not applied.
-  EXPECT_TRUE(server.handle_write(Timestamp{2, 9}, 20));
+  EXPECT_TRUE(server.handle_write(sim.now(), Timestamp{2, 9}, 20));
   EXPECT_EQ(server.value(), 30u);
   // Equal counter, higher writer id wins the lexicographic order.
-  EXPECT_TRUE(server.handle_write(Timestamp{3, 2}, 32));
+  EXPECT_TRUE(server.handle_write(sim.now(), Timestamp{3, 2}, 32));
   EXPECT_EQ(server.value(), 32u);
-  const auto read = server.handle_read();
+  const auto read = server.handle_read(sim.now());
   ASSERT_TRUE(read.has_value());
   EXPECT_EQ(read->second, 32u);
+}
+
+ServerConfig never_failing_server() {
+  ServerConfig config;
+  config.mean_down = 1e-9;
+  config.mean_up = 1e9;
+  return config;
+}
+
+TEST(Replica, FencedRequestIsNotADropButADownReplicaDrops) {
+  Replica r(0, never_failing_server(), Rng(5));
+  r.set_member(false);
+  ASSERT_TRUE(r.fences_requests());
+  EXPECT_FALSE(r.handle_read(1.0).has_value());
+  EXPECT_FALSE(r.handle_write(1.0, Timestamp{1, 0}, 10));
+  EXPECT_FALSE(r.serve_read(0, 1.0, 1.0).has_value());
+  EXPECT_FALSE(r.serve_write(Timestamp{1, 0}, 10, 0, 1.0, 1.0).has_value());
+  EXPECT_TRUE(r.serve_fence(1.0, 1.0).has_value());  // a fence is an answer
+  EXPECT_EQ(r.dropped_requests(), 0u);
+  EXPECT_TRUE(r.timestamp() == Timestamp{});  // no fenced write applied
+  r.force_crash(2.0, 5.0);
+  EXPECT_FALSE(r.handle_read(3.0).has_value());
+  EXPECT_FALSE(r.serve_fence(3.0, 3.0).has_value());
+  EXPECT_EQ(r.dropped_requests(), 2u);
+}
+
+TEST(Replica, MaxTimestampSurvivesAmnesiaAndCountsRegressions) {
+  ServerConfig config;
+  config.mean_up = 1.0;
+  config.mean_down = 1.0;
+  config.amnesia_on_recovery = true;
+  Replica r(0, config, Rng(21));
+  double t = 0.0;
+  while (!r.up(t)) t += 0.01;
+  ASSERT_TRUE(r.handle_write(t, Timestamp{7, 1}, 70));
+  EXPECT_EQ(r.ts_regressions(), 0u);
+  while (r.up(t)) t += 0.01;   // crash...
+  while (!r.up(t)) t += 0.01;  // ...and recover with the state wiped
+  EXPECT_TRUE(r.timestamp() == Timestamp{});
+  EXPECT_TRUE(r.max_timestamp_seen() == (Timestamp{7, 1}));
+  const auto read = r.handle_read(t);
+  ASSERT_TRUE(read.has_value());
+  EXPECT_TRUE(read->first == Timestamp{});
+  EXPECT_EQ(r.ts_regressions(), 1u);
+  ASSERT_TRUE(r.serve_read(0, t, t).has_value());  // served reads count too
+  EXPECT_EQ(r.ts_regressions(), 2u);
+  // State transfer back to the high-water mark ends the regression.
+  r.adopt_state(Timestamp{7, 1}, 70);
+  ASSERT_TRUE(r.handle_read(t).has_value());
+  EXPECT_EQ(r.ts_regressions(), 2u);
+}
+
+TEST(Replica, KeepsOneCellPerObject) {
+  // run_store_experiment addresses objects 0..k-1 in any order.
+  const int k = 6;
+  const auto ts_of = [](int object) {
+    return Timestamp{static_cast<std::uint64_t>(object) + 1, 2};
+  };
+  const auto value_of = [](int object) {
+    return 100 + static_cast<std::uint64_t>(object);
+  };
+  Replica r(0, never_failing_server(), Rng(9));
+  for (int object = k - 1; object >= 0; --object)
+    ASSERT_TRUE(r.handle_write(0.0, ts_of(object), value_of(object), object));
+  for (int object = 0; object < k; ++object) {
+    EXPECT_TRUE(r.timestamp(object) == ts_of(object));
+    EXPECT_TRUE(r.max_timestamp_seen(object) == ts_of(object));
+    const auto read = r.handle_read(0.0, object);
+    ASSERT_TRUE(read.has_value());
+    EXPECT_EQ(read->second, value_of(object));
+    const auto served = r.serve_read(object, 0.0, 0.0);
+    ASSERT_TRUE(served.has_value());
+    EXPECT_EQ(served->cert, replica_cert(0, ts_of(object), value_of(object)));
+  }
+  EXPECT_TRUE(r.timestamp(k) == Timestamp{});  // never written
+  EXPECT_EQ(r.value(k), 0u);
+}
+
+TEST(ReplyFold, EqualTimestampsAdoptTheFirstReplyInOrder) {
+  std::vector<ReplySlot> replies(4);
+  replies[1] = std::make_pair(Timestamp{3, 1}, std::uint64_t{10});
+  replies[2] = std::make_pair(Timestamp{3, 1}, std::uint64_t{20});
+  replies[3] = std::make_pair(Timestamp{2, 0}, std::uint64_t{30});
+  const FoldResult forward =
+      fold_replies(replies, std::vector<int>{1, 2, 3}, /*lie_tolerance=*/0);
+  EXPECT_TRUE(forward.ok);
+  EXPECT_TRUE(forward.ts == (Timestamp{3, 1}));
+  EXPECT_EQ(forward.value, 10u);
+  EXPECT_EQ(forward.index, 1);
+  const FoldResult backward =
+      fold_replies(replies, std::vector<int>{3, 2, 1}, 0);
+  EXPECT_EQ(backward.value, 20u);
+  EXPECT_EQ(backward.index, 2);
+  // No written reply reached: the unwritten register, adopted from nobody.
+  std::vector<ReplySlot> unwritten(2);
+  unwritten[0] = std::make_pair(Timestamp{}, std::uint64_t{0});
+  const FoldResult none = fold_replies(unwritten, std::vector<int>{0, 1}, 0);
+  EXPECT_TRUE(none.ok);
+  EXPECT_TRUE(none.ts == Timestamp{});
+  EXPECT_EQ(none.index, -1);
+}
+
+TEST(ReplyFold, VoteNeedsBPlusOneIdenticalPairs) {
+  std::vector<ReplySlot> replies(6);
+  replies[0] = std::make_pair(Timestamp{9, 0}, std::uint64_t{99});  // a liar
+  replies[1] = std::make_pair(Timestamp{3, 1}, std::uint64_t{10});
+  replies[2] = std::make_pair(Timestamp{3, 1}, std::uint64_t{20});
+  replies[3] = std::make_pair(Timestamp{3, 1}, std::uint64_t{10});
+  replies[4] = std::make_pair(Timestamp{3, 1}, std::uint64_t{20});
+  replies[5] = std::make_pair(Timestamp{2, 0}, std::uint64_t{7});
+  const std::vector<int> order{0, 1, 2, 3, 4, 5};
+  // b = 0 is the plain max fold: the lone liar wins.
+  EXPECT_EQ(fold_replies(replies, order, 0).index, 0);
+  // b = 1: two distinct pairs clear the vote at one timestamp; the first
+  // voted reply in order wins.
+  const FoldResult voted = fold_replies(replies, order, 1);
+  EXPECT_TRUE(voted.ok);
+  EXPECT_EQ(voted.value, 10u);
+  EXPECT_EQ(voted.index, 1);
+  EXPECT_EQ(fold_replies(replies, std::vector<int>{5, 4, 3, 2, 1, 0}, 1).value,
+            20u);
+  // b = 2 needs three identical pairs: none, so the op fails.
+  EXPECT_FALSE(fold_replies(replies, order, 2).ok);
+}
+
+TEST(WriteSet, HoldsExactlyTheInsertedBindingsAcrossGrowth) {
+  WriteSet set;
+  EXPECT_FALSE(set.contains(Timestamp{1, 0}, 1));
+  for (std::uint64_t i = 1; i <= 1000; ++i)
+    set.insert(Timestamp{i, static_cast<int>(i % 7)}, i * 3);
+  set.insert(Timestamp{5, 5}, 15);  // a duplicate is a no-op
+  for (std::uint64_t i = 1; i <= 1000; ++i) {
+    EXPECT_TRUE(set.contains(Timestamp{i, static_cast<int>(i % 7)}, i * 3));
+    const int writer = static_cast<int>(i % 7);
+    EXPECT_FALSE(set.contains(Timestamp{i, writer}, i * 3 + 1));
+    EXPECT_FALSE(set.contains(Timestamp{i, writer + 7}, i * 3));
+  }
 }
 
 // ---- end-to-end register experiments ----

@@ -38,10 +38,10 @@ TwoClientSimResult run_two_client_sim(int n, int alpha, double link_down,
   ServerConfig server_config;
   server_config.mean_down = 1e-9;  // isolate link-induced mismatches
   server_config.mean_up = 1e9;
-  std::vector<SimServer> servers;
+  std::vector<Replica> servers;
   servers.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
-    servers.emplace_back(&sim, i, server_config, rng.split(100 + i));
+    servers.emplace_back(i, server_config, rng.split(100 + i));
 
   const OptDFamily family(n, alpha);
   ClientConfig client_config;
