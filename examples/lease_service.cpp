@@ -100,7 +100,7 @@ LeaseStats run_lease_experiment(const QuorumFamily& family, double duration,
       if (sim.now() >= duration) return;
       ++stats.attempts;
       const double started_at = sim.now();
-      clients[static_cast<std::size_t>(c)].read([&, c, started_at](ReadResult r) {
+      clients[static_cast<std::size_t>(c)].read([&, c, started_at](OpResult r) {
         stats.probes.add(r.num_probes);
         const bool free = !r.ok || unpack_expiry(r.value) <= sim.now();
         if (!r.ok || !free) {
@@ -110,7 +110,7 @@ LeaseStats run_lease_experiment(const QuorumFamily& family, double duration,
         const double until = sim.now() + lease_duration;
         const std::uint64_t my_value = pack(until, c);
         clients[static_cast<std::size_t>(c)].write(
-            my_value, [&, c, until, my_value, started_at](WriteResult w) {
+            my_value, [&, c, until, my_value, started_at](OpResult w) {
               stats.probes.add(w.num_probes);
               if (!w.ok) {
                 schedule_attempt(c);
@@ -122,7 +122,7 @@ LeaseStats run_lease_experiment(const QuorumFamily& family, double duration,
               // now requires quorum non-intersection — the event the SQS
               // epsilon bound prices.
               clients[static_cast<std::size_t>(c)].read(
-                  [&, c, until, my_value, started_at](ReadResult confirm) {
+                  [&, c, until, my_value, started_at](OpResult confirm) {
                     stats.probes.add(confirm.num_probes);
                     if (confirm.ok && confirm.value == my_value)
                       record_grant(c, until, started_at);

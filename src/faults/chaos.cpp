@@ -65,7 +65,7 @@ ChaosScenario byzantine_chaos_scenario(const QuorumFamily& family, int b) {
   // Clients vote per the family's masking budget: a masking family filters
   // every lie (zero fabricated reads); a plain family (masking_b() == 0)
   // folds max-timestamp and adopts the liars' boosted fabrications.
-  s.config.client.lie_tolerance = family.masking_b();
+  s.config.client.policy.lie_tolerance = family.masking_b();
   s.plan = make_byzantine_plan(n, b, /*start=*/0.1 * kDuration,
                                /*duration=*/0.8 * kDuration);
   // Floor: liars answer probes but their replies carry no vote, so they are
@@ -321,7 +321,7 @@ ChaosScenario stale_view_chaos_scenario(const FamilySpec& spec) {
   // The two bugs this scenario plants: views are never refreshed, and the
   // fence on retired servers is disabled — so stale clients silently read
   // from (and strand acked writes on) servers the current epoch retired.
-  s.config.client.refresh_views = false;
+  s.config.client.policy.refresh_views = false;
   s.config.server.serve_while_retired = true;
   s.churn = make_replace_churn(/*start=*/0.2 * kDuration,
                                /*period=*/0.2 * kDuration, /*waves=*/3);

@@ -189,7 +189,7 @@ void write_config(JsonWriter& json, const RegisterExperimentConfig& c) {
   json.kv("probe_timeout", c.client.probe_timeout);
   json.kv("use_partition_filter", c.client.use_partition_filter);
   json.kv("read_repair", c.client.read_repair);
-  json.kv("lie_tolerance", c.client.lie_tolerance);
+  json.kv("lie_tolerance", c.client.policy.lie_tolerance);
   json.kv("max_attempts", c.client.max_attempts);
   json.kv("backoff_base", c.client.backoff_base);
   json.kv("backoff_jitter", c.client.backoff_jitter);
@@ -199,9 +199,9 @@ void write_config(JsonWriter& json, const RegisterExperimentConfig& c) {
   json.kv("min_probe_timeout", c.client.min_probe_timeout);
   json.kv("max_probe_timeout", c.client.max_probe_timeout);
   json.kv("op_deadline", c.client.op_deadline);
-  json.kv("refresh_views", c.client.refresh_views);
-  json.kv("view_fetch_delay", c.client.view_fetch_delay);
-  json.kv("max_view_fetches", c.client.max_view_fetches);
+  json.kv("refresh_views", c.client.policy.refresh_views);
+  json.kv("view_fetch_delay", c.client.policy.view_fetch_delay);
+  json.kv("max_view_fetches", c.client.policy.max_view_fetches);
   json.end_object();
   json.end_object();
 }
@@ -326,7 +326,7 @@ bool parse_config(const JsonValue& v, RegisterExperimentConfig* out,
          get_bool(*cli, "use_partition_filter", &c.use_partition_filter,
                   error) &&
          get_bool(*cli, "read_repair", &c.read_repair, error) &&
-         get_int(*cli, "lie_tolerance", &c.lie_tolerance, error) &&
+         get_int(*cli, "lie_tolerance", &c.policy.lie_tolerance, error) &&
          get_int(*cli, "max_attempts", &c.max_attempts, error) &&
          get_double(*cli, "backoff_base", &c.backoff_base, error) &&
          get_double(*cli, "backoff_jitter", &c.backoff_jitter, error) &&
@@ -337,9 +337,11 @@ bool parse_config(const JsonValue& v, RegisterExperimentConfig* out,
          get_double(*cli, "min_probe_timeout", &c.min_probe_timeout, error) &&
          get_double(*cli, "max_probe_timeout", &c.max_probe_timeout, error) &&
          get_double(*cli, "op_deadline", &c.op_deadline, error) &&
-         get_bool(*cli, "refresh_views", &c.refresh_views, error) &&
-         get_double(*cli, "view_fetch_delay", &c.view_fetch_delay, error) &&
-         get_int(*cli, "max_view_fetches", &c.max_view_fetches, error);
+         get_bool(*cli, "refresh_views", &c.policy.refresh_views, error) &&
+         get_double(*cli, "view_fetch_delay", &c.policy.view_fetch_delay,
+                    error) &&
+         get_int(*cli, "max_view_fetches", &c.policy.max_view_fetches,
+                 error);
 }
 
 bool parse_faults(const JsonValue& v, FaultPlan* out, std::string* error) {
@@ -548,22 +550,7 @@ bool scenario_equal(const ChaosScenario& a, const ChaosScenario& b) {
       x.server.amnesia_on_recovery != y.server.amnesia_on_recovery ||
       x.server.serve_while_retired != y.server.serve_while_retired)
     return false;
-  const ClientConfig& p = x.client;
-  const ClientConfig& q = y.client;
-  if (p.probe_timeout != q.probe_timeout ||
-      p.use_partition_filter != q.use_partition_filter ||
-      p.read_repair != q.read_repair || p.lie_tolerance != q.lie_tolerance ||
-      p.max_attempts != q.max_attempts || p.backoff_base != q.backoff_base ||
-      p.backoff_jitter != q.backoff_jitter ||
-      p.adaptive_timeout != q.adaptive_timeout ||
-      p.ewma_gain != q.ewma_gain ||
-      p.timeout_multiplier != q.timeout_multiplier ||
-      p.min_probe_timeout != q.min_probe_timeout ||
-      p.max_probe_timeout != q.max_probe_timeout ||
-      p.op_deadline != q.op_deadline || p.refresh_views != q.refresh_views ||
-      p.view_fetch_delay != q.view_fetch_delay ||
-      p.max_view_fetches != q.max_view_fetches)
-    return false;
+  if (!(x.client == y.client)) return false;
   if (a.plan.events.size() != b.plan.events.size()) return false;
   for (std::size_t i = 0; i < a.plan.events.size(); ++i) {
     const FaultEvent& e = a.plan.events[i];

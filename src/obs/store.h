@@ -24,14 +24,6 @@ namespace sqs {
 namespace obs {
 namespace detail {
 
-struct HistTotals {
-  std::vector<std::uint64_t> counts;  // bounds.size() + 1, overflow last
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t min = ~0ull;
-  std::uint64_t max = 0;
-};
-
 struct Store {
   std::mutex mu;
 
@@ -43,7 +35,7 @@ struct Store {
   std::unordered_map<std::string, std::uint32_t> hist_ids;
   std::vector<std::string> hist_names;
   std::deque<std::vector<std::uint64_t>> hist_bounds;
-  std::vector<HistTotals> hist_totals;
+  std::vector<HistAccum> hist_totals;
 
   // Flushed trace events (guarded by mu).
   std::vector<TraceEvent> events;
@@ -64,17 +56,9 @@ struct Store {
 // into it during program teardown.
 Store& store();
 
-struct ShardHist {
-  std::vector<std::uint64_t> counts;  // sized lazily from the handle's bounds
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t min = ~0ull;
-  std::uint64_t max = 0;
-};
-
 struct Shard {
   std::vector<std::uint64_t> counters;  // by counter id
-  std::vector<ShardHist> hists;         // by histogram id
+  std::vector<HistAccum> hists;         // by histogram id, sized lazily
   std::vector<TraceEvent> events;
   std::uint32_t tid = 0;  // assigned from Store::next_tid on first event
   bool dirty = false;

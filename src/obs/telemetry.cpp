@@ -35,17 +35,8 @@ void Shard::flush() {
   std::lock_guard<std::mutex> lock(st.mu);
   for (std::size_t i = 0; i < counters.size(); ++i)
     st.counter_totals[i] += counters[i];
-  for (std::size_t i = 0; i < hists.size(); ++i) {
-    ShardHist& h = hists[i];
-    if (h.count == 0) continue;
-    HistTotals& t = st.hist_totals[i];
-    if (t.counts.size() < h.counts.size()) t.counts.resize(h.counts.size(), 0);
-    for (std::size_t b = 0; b < h.counts.size(); ++b) t.counts[b] += h.counts[b];
-    t.count += h.count;
-    t.sum += h.sum;
-    t.min = std::min(t.min, h.min);
-    t.max = std::max(t.max, h.max);
-  }
+  for (std::size_t i = 0; i < hists.size(); ++i)
+    st.hist_totals[i].merge(hists[i]);
   counters.clear();
   hists.clear();
   dirty = false;
@@ -85,17 +76,32 @@ void Counter::add_slow(std::uint64_t delta) const {
 void Histogram::record_slow(std::uint64_t value) const {
   detail::Shard& s = detail::shard();
   if (s.hists.size() <= id_) s.hists.resize(id_ + 1);
-  detail::ShardHist& h = s.hists[id_];
-  const std::vector<std::uint64_t>& bounds = *bounds_;
-  if (h.counts.empty()) h.counts.resize(bounds.size() + 1, 0);
-  const std::size_t bucket = static_cast<std::size_t>(
-      std::lower_bound(bounds.begin(), bounds.end(), value) - bounds.begin());
-  ++h.counts[bucket];
-  ++h.count;
-  h.sum += value;
-  h.min = std::min(h.min, value);
-  h.max = std::max(h.max, value);
+  s.hists[id_].record(*bounds_, value);
   s.dirty = true;
+}
+
+void HistAccum::merge(const HistAccum& other) {
+  if (other.count == 0) return;
+  if (counts.size() < other.counts.size())
+    counts.resize(other.counts.size(), 0);
+  for (std::size_t b = 0; b < other.counts.size(); ++b)
+    counts[b] += other.counts[b];
+  count += other.count;
+  sum += other.sum;
+  min = std::min(min, other.min);
+  max = std::max(max, other.max);
+}
+
+void HistAccum::reset() {
+  std::fill(counts.begin(), counts.end(), 0);
+  count = sum = max = 0;
+  min = ~0ull;
+}
+
+HistogramSnapshot HistAccum::snapshot(
+    std::string name, const std::vector<std::uint64_t>& bounds) const {
+  return HistogramSnapshot{std::move(name), bounds, counts, count,
+                           sum, count > 0 ? min : 0, max};
 }
 
 std::vector<std::uint64_t> pow2_bounds(int lo_exp, int hi_exp) {
@@ -139,9 +145,7 @@ Histogram Registry::histogram(std::string_view name,
   if (inserted) {
     st.hist_names.emplace_back(name);
     st.hist_bounds.push_back(std::move(bounds));
-    detail::HistTotals totals;
-    totals.counts.resize(st.hist_bounds.back().size() + 1, 0);
-    st.hist_totals.push_back(std::move(totals));
+    st.hist_totals.emplace_back(st.hist_bounds.back().size());
   }
   return Histogram(it->second, &st.hist_bounds[it->second]);
 }
@@ -158,17 +162,9 @@ MetricsSnapshot Registry::snapshot() {
     for (std::size_t i = 0; i < st.counter_names.size(); ++i)
       out.counters.emplace_back(st.counter_names[i], st.counter_totals[i]);
     out.histograms.reserve(st.hist_names.size());
-    for (std::size_t i = 0; i < st.hist_names.size(); ++i) {
-      HistogramSnapshot h;
-      h.name = st.hist_names[i];
-      h.bounds = st.hist_bounds[i];
-      h.counts = st.hist_totals[i].counts;
-      h.count = st.hist_totals[i].count;
-      h.sum = st.hist_totals[i].sum;
-      h.min = h.count > 0 ? st.hist_totals[i].min : 0;
-      h.max = st.hist_totals[i].max;
-      out.histograms.push_back(std::move(h));
-    }
+    for (std::size_t i = 0; i < st.hist_names.size(); ++i)
+      out.histograms.push_back(
+          st.hist_totals[i].snapshot(st.hist_names[i], st.hist_bounds[i]));
   }
   const std::uint64_t dropped =
       st.events_dropped.load(std::memory_order_relaxed);
@@ -197,13 +193,7 @@ void Registry::reset() {
   detail::Store& st = detail::store();
   std::lock_guard<std::mutex> lock(st.mu);
   std::fill(st.counter_totals.begin(), st.counter_totals.end(), 0);
-  for (detail::HistTotals& t : st.hist_totals) {
-    std::fill(t.counts.begin(), t.counts.end(), 0);
-    t.count = 0;
-    t.sum = 0;
-    t.min = ~0ull;
-    t.max = 0;
-  }
+  for (HistAccum& t : st.hist_totals) t.reset();
 }
 
 double HistogramSnapshot::quantile(double q) const {

@@ -19,6 +19,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -130,6 +131,36 @@ struct HistogramSnapshot {
   double p50() const { return quantile(0.50); }
   double p99() const { return quantile(0.99); }
   double p999() const { return quantile(0.999); }
+};
+
+// A histogram's running totals over caller-held bucket bounds, behind the
+// Registry, the timeline windows and the served runner. counts has
+// bounds.size() + 1 entries (overflow last), sized at construction or on
+// the first record.
+struct HistAccum {
+  std::vector<std::uint64_t> counts;
+  std::uint64_t count = 0;
+  std::uint64_t sum = 0;
+  std::uint64_t min = ~0ull;  // ~0 while empty
+  std::uint64_t max = 0;
+
+  HistAccum() = default;
+  explicit HistAccum(std::size_t num_bounds) : counts(num_bounds + 1, 0) {}
+
+  void record(const std::vector<std::uint64_t>& bounds, std::uint64_t value) {
+    if (counts.empty()) counts.resize(bounds.size() + 1, 0);
+    ++counts[static_cast<std::size_t>(
+        std::lower_bound(bounds.begin(), bounds.end(), value) -
+        bounds.begin())];
+    ++count;
+    sum += value;
+    min = std::min(min, value);
+    max = std::max(max, value);
+  }
+  void merge(const HistAccum& other);
+  void reset();  // empty again, keeping the bucket storage
+  HistogramSnapshot snapshot(std::string name,
+                             const std::vector<std::uint64_t>& bounds) const;
 };
 
 struct MetricsSnapshot {

@@ -18,7 +18,6 @@ TimelineWindow& Timeline::window_for(std::uint64_t arrival_us) {
   while (windows_.size() <= index) {
     TimelineWindow w;
     w.start_us = static_cast<std::uint64_t>(windows_.size()) * window_us_;
-    w.lat_counts.assign(bounds_.size() + 1, 0);
     windows_.push_back(std::move(w));
   }
   return windows_[index];
@@ -35,24 +34,11 @@ void Timeline::record_op(std::uint64_t arrival_us, bool ok, bool is_read,
   w.probes += probes;
   w.replica_drops += replica_drops;
   w.queue_max_us = std::max(w.queue_max_us, queue_us);
-  const std::size_t bucket = static_cast<std::size_t>(
-      std::lower_bound(bounds_.begin(), bounds_.end(), latency_us) -
-      bounds_.begin());
-  ++w.lat_counts[bucket];
-  w.lat_sum += latency_us;
-  w.lat_min = std::min(w.lat_min, latency_us);
-  w.lat_max = std::max(w.lat_max, latency_us);
+  w.latency.record(bounds_, latency_us);
 }
 
 double Timeline::window_quantile(const TimelineWindow& w, double q) const {
-  HistogramSnapshot snap;
-  snap.bounds = bounds_;
-  snap.counts = w.lat_counts;
-  snap.count = w.ops;
-  snap.sum = w.lat_sum;
-  snap.min = w.ops > 0 ? w.lat_min : 0;
-  snap.max = w.lat_max;
-  return snap.quantile(q);
+  return w.latency.snapshot({}, bounds_).quantile(q);
 }
 
 void Timeline::append_jsonl(std::string& out, const char* label_key,
@@ -72,7 +58,7 @@ void Timeline::append_jsonl(std::string& out, const char* label_key,
             window_s > 0.0 ? static_cast<double>(w.ops) / window_s : 0.0);
     json.kv("p50_us", window_quantile(w, 0.50));
     json.kv("p99_us", window_quantile(w, 0.99));
-    json.kv("max_us", w.lat_max);
+    json.kv("max_us", w.latency.max);
     json.kv("queue_max_us", w.queue_max_us);
     json.kv("probes", w.probes);
     json.kv("replica_drops", w.replica_drops);

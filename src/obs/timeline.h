@@ -32,8 +32,7 @@ struct TimelineWindow {
   std::uint64_t ops = 0, ok = 0, reads = 0, writes = 0;
   std::uint64_t probes = 0, replica_drops = 0;
   std::uint64_t queue_max_us = 0;  // max replica backlog at an arrival
-  std::uint64_t lat_sum = 0, lat_min = ~0ull, lat_max = 0;
-  std::vector<std::uint64_t> lat_counts;  // bounds.size() + 1, overflow last
+  HistAccum latency;               // over the timeline's latency bounds
 };
 
 class Timeline {

@@ -83,9 +83,7 @@ bool ServiceConfig::validate(int num_servers) const {
   if (!(probe_timeout > 0.0)) reject("probe_timeout", probe_timeout);
   if (batch < 1) reject("batch", batch);
   if (threads < 0) reject("threads", threads);
-  if (lie_tolerance < 0) reject("lie_tolerance", lie_tolerance);
-  if (view_fetch_delay < 0.0) reject("view_fetch_delay", view_fetch_delay);
-  if (max_view_fetches < 0) reject("max_view_fetches", max_view_fetches);
+  if (!policy.validate("ServiceConfig")) ok = false;
   if (epochs != nullptr) {
     if (!epochs->validate()) {
       ok = false;
@@ -108,10 +106,10 @@ ServiceRunner::ServiceRunner(const QuorumFamily& family,
                  config.epochs != nullptr ? config.epochs->num_logical
                                           : family.universe_size(),
                  config.network, Rng(config.seed).split("network")),
-      strategy_(family.make_probe_strategy()),
       op_rng_base_(Rng(config.seed).split("ops")),
       fault_timeline_(config.plan.events),
-      lat_bounds_(service_latency_bounds()) {
+      lat_bounds_(service_latency_bounds()),
+      latency_(lat_bounds_.size()) {
   // In epoch mode the fleet spans every logical id the schedule ever uses,
   // and the ctor family must be epoch 0's family (same universe size).
   const int world = config.epochs != nullptr ? config.epochs->num_logical
@@ -122,23 +120,22 @@ ServiceRunner::ServiceRunner(const QuorumFamily& family,
   for (int i = 0; i < world; ++i)
     replicas_.emplace_back(i, config.server, server_base.split(
                                                  static_cast<std::uint64_t>(i)));
+  attempt_ = QuorumAttempt(world);
   if (config_.epochs != nullptr) {
     const EpochedFamily& sched = *config_.epochs;
     assert(sched.entry(0).family->universe_size() == family.universe_size());
-    epoch_strategies_.reserve(sched.epochs.size());
     for (const EpochEntry& e : sched.epochs)
-      epoch_strategies_.push_back(e.family->make_probe_strategy());
+      strategies_.push_back(e.family->make_probe_strategy());
     for (std::size_t i = 0; i < replicas_.size(); ++i)
       replicas_[i].set_member(sched.entry(0).view.contains(static_cast<int>(i)));
+  } else {
+    strategies_.push_back(family.make_probe_strategy());
   }
   std::stable_sort(fault_timeline_.begin(), fault_timeline_.end(),
                    [](const FaultEvent& a, const FaultEvent& b) {
                      return a.at < b.at;
                    });
-  replies_.resize(replicas_.size());
-  reply_retired_.assign(replicas_.size(), 0);
   cert_memo_.resize(replicas_.size());
-  lat_counts_.assign(lat_bounds_.size() + 1, 0);
   if (config.timeline_window_us > 0)
     timeline_ = obs::Timeline(config.timeline_window_us,
                               service_latency_bounds());
@@ -160,14 +157,11 @@ void ServiceRunner::apply_faults_until(double now) {
 void ServiceRunner::apply_epochs_until(double now) {
   if (config_.epochs == nullptr) return;
   const EpochedFamily& sched = *config_.epochs;
-  while (next_epoch_ < sched.num_epochs() && sched.entry(next_epoch_).at <= now) {
-    // Applied in arrival order from the solo stage, like the fault cursor.
-    const int e = next_epoch_++;
-    apply_epoch_transition(sched, e, replicas_);
-    current_epoch_ = e;
+  // Applied in arrival order from the solo stage, like the fault cursor.
+  while (current_epoch_ + 1 < sched.num_epochs() &&
+         sched.entry(current_epoch_ + 1).at <= now) {
+    apply_epoch_transition(sched, ++current_epoch_, replicas_);
     ++totals_.epoch_transitions;
-    obs::flight(obs::FlightKind::kEpochTransition, obs::kNoOp,
-                to_us(sched.entry(e).at), -1, static_cast<std::uint64_t>(e));
   }
 }
 
@@ -185,18 +179,6 @@ std::uint32_t ServiceRunner::expected_replica_cert(int replica,
   if (!memo.valid || !(memo.ts == ts) || memo.value != value)
     memo = CertMemo{ts, value, replica_cert(replica, ts, value), true};
   return memo.cert;
-}
-
-void ServiceRunner::record_latency(std::uint64_t us) {
-  const std::size_t bucket = static_cast<std::size_t>(
-      std::lower_bound(lat_bounds_.begin(), lat_bounds_.end(), us) -
-      lat_bounds_.begin());
-  ++lat_counts_[bucket];
-  ++lat_count_;
-  lat_sum_ += us;
-  lat_min_ = std::min(lat_min_, us);
-  lat_max_ = std::max(lat_max_, us);
-  ServiceMetrics::get().op_latency_us.record(us);
 }
 
 Reply ServiceRunner::execute_op(const Request& req) {
@@ -223,147 +205,111 @@ Reply ServiceRunner::execute_op(const Request& req) {
   rep.seq = req.seq;
   rep.kind = req.kind;
 
-  // Acquisition: sequential timeout probing in virtual time, the SimClient
-  // loop evaluated synchronously. A probe's round trip is to-server leg +
-  // replica queueing/service + to-client leg; replies later than
+  // Acquisition: the register protocol's QuorumAttempt driven by a
+  // synchronous loop in virtual time. A probe's round trip is to-server leg
+  // + replica queueing/service + to-client leg; replies later than
   // probe_timeout count as failures (the server still did the work). In
   // epoch mode the runner probes under its own (possibly stale) adopted
-  // view: family indices map to logical replicas through the view, retired
-  // replicas fence probes with an observable epoch rejection, and a failed
-  // acquisition with epoch evidence re-probes under a freshly fetched view
-  // (bounded, fixed-cost, rng-free — bit-identity holds at any thread
-  // count because all of this is solo-stage arrival-ordered state).
+  // view, retired replicas fence probes with an observable epoch
+  // rejection, and a failed acquisition with epoch evidence re-probes under
+  // a freshly fetched view (bounded, fixed-cost, rng-free — bit-identity
+  // holds at any thread count because all of this is solo-stage
+  // arrival-ordered state).
   const double timeout = config_.probe_timeout;
-  const bool epoch_mode = config_.epochs != nullptr;
+  const int client = static_cast<int>(req.client);
+  // True, with the round trip in *rtt, when `dst`'s reply to a request
+  // sent at `sent` and served by `done` arrives within the timeout.
+  const auto timely = [&](int dst, double sent, double done, double* rtt) {
+    const Transport::Delivery back = transport_.attempt(client, dst, done);
+    if (!back.delivered || done + back.latency - sent > timeout) return false;
+    *rtt = done + back.latency - sent;
+    return true;
+  };
+  QuorumAttempt& attempt = attempt_;
   Rng op_rng = op_rng_base_.split(req.seq);
   double t = arrival;
   std::uint32_t probes = 0;
-  bool acquired = false;
-  bool saw_newer_epoch = false;
   int view_fetches = 0;
-  ProbeStrategy* strategy = strategy_.get();
-  const MembershipView* view = nullptr;
+  const auto refresh_view = [&] {
+    ++totals_.view_refreshes;
+    view_epoch_ = current_epoch_;
+    obs::flight(obs::FlightKind::kViewRefresh, op, to_us(t), -1,
+                static_cast<std::uint64_t>(view_epoch_));
+  };
   for (;;) {
-    if (epoch_mode) {
-      strategy =
-          epoch_strategies_[static_cast<std::size_t>(view_epoch_)].get();
-      view = &config_.epochs->entry(view_epoch_).view;
-      saw_newer_epoch = false;
-    }
-    strategy->reset(&op_rng);
-    for (int s : touched_) {
-      replies_[static_cast<std::size_t>(s)].reset();
-      reply_retired_[static_cast<std::size_t>(s)] = 0;
-    }
-    touched_.clear();
-    while (strategy->status() == ProbeStatus::kInProgress) {
-      const int s = strategy->next_server();
-      const int dst =
-          view != nullptr ? view->members[static_cast<std::size_t>(s)] : s;
+    attempt.begin(strategies_[static_cast<std::size_t>(view_epoch_)].get(),
+                  &op_rng,
+                  config_.epochs != nullptr
+                      ? &config_.epochs->entry(view_epoch_).view
+                      : nullptr);
+    while (attempt.in_progress()) {
+      const int s = attempt.next_server();
+      const int dst = attempt.wire(s);
+      Replica& replica = replicas_[static_cast<std::size_t>(dst)];
       ++probes;
       const double t0 = t;
+      double rtt = timeout;  // no timely reply: the probe costs the timeout
       bool reached = false;
-      bool answered = false;  // timely reply (data, fence, or bad cert)
-      const Transport::Delivery to =
-          transport_.attempt(static_cast<int>(req.client), dst, t);
-      if (to.delivered) {
-        Replica& replica = replicas_[static_cast<std::size_t>(dst)];
-        if (replica.fences_requests()) {
-          // Epoch fence: the retired replica answers — at normal queueing
-          // cost — with a rejection carrying its epoch. Negative evidence
-          // for this view's quorum, positive evidence of staleness.
-          if (auto done = replica.serve_fence(t + to.latency, arrival)) {
-            const Transport::Delivery back = transport_.attempt(
-                static_cast<int>(req.client), dst, *done);
-            if (back.delivered) {
-              const double rtt = *done + back.latency - t;
-              if (rtt <= timeout) {
-                answered = true;
-                saw_newer_epoch = true;
-                ++totals_.epoch_rejects;
-                obs::flight(obs::FlightKind::kEpochFenced, op, to_us(t0), dst,
-                            static_cast<std::uint64_t>(replica.epoch()));
-                t += rtt;
-              }
-            }
-          } else {
-            ++op_drops;
-          }
-        } else if (auto served = replica.serve_read(
-                       0, t + to.latency, arrival,
-                       static_cast<int>(req.client))) {
-          const Transport::Delivery back = transport_.attempt(
-              static_cast<int>(req.client), dst, served->done);
-          if (back.delivered) {
-            const double rtt = served->done + back.latency - t;
-            if (rtt <= timeout) {
-              // The reply arrived in time; it joins the quorum only if its
-              // certificate matches what it reports. A lying replica signs
-              // its true state, so its fabrication fails here and the probe
-              // counts as a miss (the client spent the rtt, not the
-              // timeout).
-              answered = true;
-              if (!config_.verify_replica_certs ||
-                  served->cert == expected_replica_cert(dst, served->ts,
-                                                        served->value)) {
-                reached = true;
-                replies_[static_cast<std::size_t>(s)] = {served->ts,
-                                                         served->value};
-                reply_retired_[static_cast<std::size_t>(s)] =
-                    replica.retired() ? 1 : 0;
-                touched_.push_back(s);
-                if (epoch_mode && replica.epoch() > view_epoch_)
-                  saw_newer_epoch = true;
-              } else {
-                ++totals_.cert_rejects;
-              }
-              t += rtt;
-            }
-          }
+      const Transport::Delivery to = transport_.attempt(client, dst, t);
+      if (!to.delivered) {
+        attempt.missed(s);
+      } else if (replica.fences_requests()) {
+        // Epoch fence: the retired replica answers — at normal queueing
+        // cost — with a rejection carrying its epoch.
+        const auto done = replica.serve_fence(t + to.latency, arrival);
+        if (!done) ++op_drops;
+        if (done && timely(dst, t, *done, &rtt)) {
+          ++totals_.epoch_rejects;
+          obs::flight(obs::FlightKind::kEpochFenced, op, to_us(t0), dst,
+                      static_cast<std::uint64_t>(replica.epoch()));
+          attempt.fenced(s);
         } else {
-          ++op_drops;
+          attempt.missed(s);
+        }
+      } else {
+        const auto served =
+            replica.serve_read(0, t + to.latency, arrival, client);
+        if (!served) ++op_drops;
+        // A timely reply joins the quorum only if its certificate matches
+        // what it reports. A lying replica signs its true state, so its
+        // fabrication fails here and the probe counts as a miss (the
+        // client spent the rtt, not the timeout).
+        if (served && timely(dst, t, served->done, &rtt)) {
+          reached = !config_.verify_replica_certs ||
+                    served->cert == expected_replica_cert(dst, served->ts,
+                                                          served->value);
+          if (!reached) ++totals_.cert_rejects;
+        }
+        if (reached) {
+          attempt.reached(s, served->ts, served->value, replica.retired(),
+                          replica.epoch());
+        } else {
+          attempt.missed(s);
         }
       }
-      if (!answered) t += timeout;
+      t += rtt;
       // Hot-path flight calls check the gate first, so an off recorder
       // converts no times (see obs::flight).
-      if (obs::recorder_enabled()) {
-        if (reached) {
-          obs::flight(obs::FlightKind::kProbe, op, to_us(t0), dst,
-                      to_us(t - t0));
-        } else {
-          obs::flight(obs::FlightKind::kProbeMiss, op, to_us(t0), dst,
-                      to_us(t - t0));
-        }
-      }
-      strategy->observe(s, reached);
+      if (obs::recorder_enabled())
+        obs::flight(reached ? obs::FlightKind::kProbe
+                            : obs::FlightKind::kProbeMiss,
+                    op, to_us(t0), dst, to_us(t - t0));
     }
-    acquired = strategy->status() == ProbeStatus::kAcquired;
-    if (acquired || !epoch_mode || !saw_newer_epoch ||
-        !config_.refresh_views || current_epoch_ <= view_epoch_ ||
-        view_fetches >= config_.max_view_fetches)
+    if (!attempt.refetch_view(config_.policy, view_fetches, current_epoch_,
+                              view_epoch_))
       break;
-    // Stale-view recovery: a failed acquisition with epoch evidence fetches
-    // the current view (fixed delay, no rng draw) and re-probes under it.
+    // Stale-view recovery: fetch the current view (fixed delay, no rng
+    // draw) and re-probe under it.
     ++view_fetches;
-    ++totals_.view_refreshes;
-    t += config_.view_fetch_delay;
-    view_epoch_ = current_epoch_;
-    obs::flight(obs::FlightKind::kViewRefresh, op, to_us(t), -1,
-                static_cast<std::uint64_t>(view_epoch_));
+    t += config_.policy.view_fetch_delay;
+    refresh_view();
   }
-  // A completed op (either outcome) that saw epoch evidence refreshes the
-  // runner's view for subsequent ops — the asynchronous learn path.
-  if (epoch_mode && saw_newer_epoch && config_.refresh_views &&
-      current_epoch_ > view_epoch_) {
-    ++totals_.view_refreshes;
-    view_epoch_ = current_epoch_;
-    obs::flight(obs::FlightKind::kViewRefresh, op, to_us(t), -1,
-                static_cast<std::uint64_t>(view_epoch_));
-  }
+  // Learn the current view for subsequent ops.
+  if (attempt.learn_view(config_.policy, current_epoch_, view_epoch_))
+    refresh_view();
   if (obs::recorder_enabled())
-    obs::flight(acquired ? obs::FlightKind::kQuorumAcquired
-                         : obs::FlightKind::kQuorumFailed,
+    obs::flight(attempt.acquired() ? obs::FlightKind::kQuorumAcquired
+                                   : obs::FlightKind::kQuorumFailed,
                 op, to_us(t), -1, probes);
   totals_.probes += probes;
   rep.probes = probes;
@@ -371,89 +317,53 @@ Reply ServiceRunner::execute_op(const Request& req) {
 
   // What the acquired quorum's replies say; !ok fails the op. The masking
   // vote breaks ties in family-index order, the max fold in probe order.
-  FoldResult adopted;
-  adopted.ok = acquired;
-  if (acquired) {
-    if (config_.lie_tolerance > 0) std::sort(touched_.begin(), touched_.end());
-    adopted = fold_replies(replies_, touched_, config_.lie_tolerance);
-  }
+  const int b = config_.policy.lie_tolerance;
+  const FoldResult adopted =
+      attempt.fold(b, b > 0 ? FoldOrder::kFamilyIndex : FoldOrder::kProbe);
+  rep.ok = adopted.ok;
   if (req.kind == OpKind::kRead) {
     ++totals_.reads;
-    const Timestamp best = adopted.ts;
-    const std::uint64_t value = adopted.value;
     if (adopted.ok) {
       ++totals_.reads_ok;
-      rep.ok = true;
-      rep.ts = best;
-      rep.value = value;
-      if (best < frontier_ts_) {
+      rep.ts = adopted.ts;
+      rep.value = adopted.value;
+      if (adopted.ts < frontier_ts_) {
         ++totals_.stale_reads;
         obs::flight(obs::FlightKind::kStaleRead, op, to_us(t));
       }
       // No-fabricated-write check, exact because the solo stage runs in
       // arrival order: a non-zero binding must have been produced by some
       // earlier ok write of this runner.
-      if (Timestamp{} < best && !genuine_writes_.contains(best, value)) {
+      if (Timestamp{} < adopted.ts &&
+          !genuine_writes_.contains(adopted.ts, adopted.value)) {
         ++totals_.fabricated_reads;
-        obs::flight(obs::FlightKind::kFabricatedRead, op, to_us(t), -1, value);
+        obs::flight(obs::FlightKind::kFabricatedRead, op, to_us(t), -1,
+                    adopted.value);
       }
-      // No-read-from-retired-server accounting: adopting state served by a
-      // retired replica means the fence failed — only the
-      // serve_while_retired bug switch can get here.
-      if (epoch_mode) {
-        bool from_retired = false;
-        for (int s : touched_) {
-          const auto& r = replies_[static_cast<std::size_t>(s)];
-          if (r->first == best && r->second == value &&
-              reply_retired_[static_cast<std::size_t>(s)] != 0)
-            from_retired = true;
-        }
-        if (from_retired) {
-          ++totals_.retired_reads;
-          obs::flight(obs::FlightKind::kRetiredRead, op, to_us(t), -1,
-                      static_cast<std::uint64_t>(best.counter));
-        }
-      }
+      if (attempt.audit_retired_read(adopted, op, to_us(t)))
+        ++totals_.retired_reads;
     }
   } else {
     ++totals_.writes;
     if (adopted.ok) {
       ++totals_.writes_ok;
-      const Timestamp new_ts{adopted.ts.counter + 1,
-                             static_cast<int>(req.client)};
-      // Push to every reached probed server in ascending family-index order
-      // (the order install paths use everywhere else; indices map to the
-      // wire through the op's view); each push resolves at its ack round
-      // trip or at the timeout, and the write completes when the last
-      // target resolves. touched_ is sorted in place: nothing reads its
-      // probe order after the timestamp fold above.
-      std::sort(touched_.begin(), touched_.end());
+      const Timestamp new_ts = QuorumAttempt::write_timestamp(adopted, client);
+      // Each push resolves at its ack round trip or at the timeout, and the
+      // write completes when the last target resolves.
       int acks = 0;
       double end = t;
-      for (int s : touched_) {
-        const int dst =
-            view != nullptr ? view->members[static_cast<std::size_t>(s)] : s;
-        const Transport::Delivery to =
-            transport_.attempt(static_cast<int>(req.client), dst, t);
+      for (const int s : attempt.push_targets()) {
+        const int dst = attempt.wire(s);
         double resolve = timeout;
         bool acked = false;
+        const Transport::Delivery to = transport_.attempt(client, dst, t);
         if (to.delivered) {
-          if (auto done = replicas_[static_cast<std::size_t>(dst)].serve_write(
-                  new_ts, req.value, 0, t + to.latency, arrival)) {
-            const Transport::Delivery back = transport_.attempt(
-                static_cast<int>(req.client), dst, *done);
-            if (back.delivered) {
-              const double rtt = *done + back.latency - t;
-              if (rtt <= timeout) {
-                ++acks;
-                acked = true;
-                resolve = rtt;
-              }
-            }
-          } else {
-            ++op_drops;
-          }
+          const auto done = replicas_[static_cast<std::size_t>(dst)].serve_write(
+              new_ts, req.value, 0, t + to.latency, arrival);
+          if (!done) ++op_drops;
+          acked = done && timely(dst, t, *done, &resolve);
         }
+        if (acked) ++acks;
         if (obs::recorder_enabled())
           obs::flight(acked ? obs::FlightKind::kWriteAck
                             : obs::FlightKind::kWriteNack,
@@ -461,14 +371,10 @@ Reply ServiceRunner::execute_op(const Request& req) {
         end = std::max(end, t + resolve);
       }
       totals_.write_acks += static_cast<std::uint64_t>(acks);
-      rep.ok = true;
       rep.ts = new_ts;
       rep.value = req.value;
       genuine_writes_.insert(new_ts, req.value);
-      if (acks > 0) {
-        any_acked_write_ = true;
-        max_acked_ts_ = std::max(max_acked_ts_, new_ts);
-      }
+      if (acks > 0) max_acked_ts_ = std::max(max_acked_ts_, new_ts);
       pending_writes_.push(PendingWrite{end, new_ts});
       finish = end;
     }
@@ -476,7 +382,8 @@ Reply ServiceRunner::execute_op(const Request& req) {
 
   const std::uint64_t latency_us = to_us(finish - arrival);
   rep.latency_us = latency_us;
-  record_latency(latency_us);
+  latency_.record(lat_bounds_, latency_us);
+  ServiceMetrics::get().op_latency_us.record(latency_us);
   if (obs::recorder_enabled())
     obs::flight(obs::FlightKind::kOpDone, op, to_us(finish), -1, latency_us);
   // Op-tagged wall-clock instant so --trace-jsonl reconstructs a served
@@ -506,7 +413,7 @@ ServiceResult ServiceRunner::serve(const std::vector<std::uint8_t>& requests,
     std::lock_guard<std::mutex> lk(turn_mu_);
     solo_turn_ = 0;
   }
-  const Totals before = totals_;  // obs counters get this call's deltas
+  const ServiceResult before = totals_;  // obs counters get this call's deltas
 
   // Size the audit set for this call's write requests here, on the calling
   // thread. Grown inside the solo stage instead, each doubling would be
@@ -612,26 +519,14 @@ ServiceResult ServiceRunner::serve(const std::vector<std::uint8_t>& requests,
     totals_.cert_rejects += cert_fail[b];
   }
 
-  ServiceResult result;
-  result.requests = totals_.requests;
+  ServiceResult result = totals_;
   result.call_requests = n;
-  result.decode_failures = totals_.decode_failures;
-  result.reads = totals_.reads;
-  result.reads_ok = totals_.reads_ok;
-  result.writes = totals_.writes;
-  result.writes_ok = totals_.writes_ok;
-  result.stale_reads = totals_.stale_reads;
-  result.probes = totals_.probes;
-  result.write_acks = totals_.write_acks;
-  result.cert_rejects = totals_.cert_rejects;
-  result.fabricated_reads = totals_.fabricated_reads;
-  result.epoch_transitions = totals_.epoch_transitions;
-  result.view_refreshes = totals_.view_refreshes;
-  result.epoch_rejects = totals_.epoch_rejects;
-  result.retired_reads = totals_.retired_reads;
   result.current_epoch = current_epoch_;
   result.view_epoch = view_epoch_;
-  if (totals_.fabricated_reads > 0 || totals_.retired_reads > 0)
+  // This call's violations only: a clean call after a violating one marks
+  // nothing.
+  if (totals_.fabricated_reads > before.fabricated_reads ||
+      totals_.retired_reads > before.retired_reads)
     obs::flight(obs::FlightKind::kViolation, obs::kNoOp, to_us(last_arrival_));
   for (const Replica& r : replicas_) {
     result.replica_dropped += r.dropped_requests();
@@ -640,33 +535,18 @@ ServiceResult ServiceRunner::serve(const std::vector<std::uint8_t>& requests,
   result.net_delivered = transport_.messages_delivered();
   result.net_dropped = transport_.messages_dropped();
 
-  // No-lost-acked-write: the highest acked write timestamp must still be
-  // readable on some replica (crashes preserve state; only amnesia can
-  // break this). In epoch mode only current members count — state stranded
-  // on a retired replica is invisible to every future quorum, so
-  // drain-on-leave must have moved it.
-  if (any_acked_write_) {
-    bool visible = false;
-    for (const Replica& r : replicas_) {
-      if (config_.epochs != nullptr && r.retired()) continue;
-      if (!(r.timestamp(0) < max_acked_ts_)) visible = true;
-    }
-    result.lost_acked_writes = visible ? 0 : 1;
-    if (!visible) {
-      obs::flight(obs::FlightKind::kLostWrite, obs::kNoOp, to_us(last_arrival_),
-                  -1, static_cast<std::uint64_t>(max_acked_ts_.counter));
-      obs::flight(obs::FlightKind::kViolation, obs::kNoOp,
-                  to_us(last_arrival_));
-    }
+  // No-lost-acked-write, over the members of the epoch in force.
+  if (!acked_write_visible(replicas_, max_acked_ts_,
+                           config_.epochs != nullptr
+                               ? &config_.epochs->entry(current_epoch_).view
+                               : nullptr)) {
+    result.lost_acked_writes = 1;
+    obs::flight(obs::FlightKind::kLostWrite, obs::kNoOp, to_us(last_arrival_),
+                -1, static_cast<std::uint64_t>(max_acked_ts_.counter));
+    obs::flight(obs::FlightKind::kViolation, obs::kNoOp, to_us(last_arrival_));
   }
 
-  result.latency_us.name = "service.op_latency_us";
-  result.latency_us.bounds = lat_bounds_;
-  result.latency_us.counts = lat_counts_;
-  result.latency_us.count = lat_count_;
-  result.latency_us.sum = lat_sum_;
-  result.latency_us.min = lat_count_ > 0 ? lat_min_ : 0;
-  result.latency_us.max = lat_max_;
+  result.latency_us = latency_.snapshot("service.op_latency_us", lat_bounds_);
 
   result.reply_fingerprint = fnv1a64(encoded.data(), encoded.size());
   result.virtual_duration = last_arrival_;

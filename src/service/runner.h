@@ -73,11 +73,9 @@ struct ServiceConfig {
   // liars it strips fabrications off the quorum path. Request certificates
   // are always verified in the prologue.
   bool verify_replica_certs = true;
-  // Masking vote (see sim/client.h): when > 0 a read adopts only the
-  // highest-timestamped reply vouched for by >= lie_tolerance+1 replicas,
-  // and a write derives its timestamp from voted replies; no voted pair
-  // fails the op. 0 keeps the classic max-timestamp fold.
-  int lie_tolerance = 0;
+  // The masking vote and the stale-view refresh (sim/register_core.h), the
+  // same knobs the simulator's clients take.
+  RegisterPolicy policy;
 
   // --- Epoch reconfiguration (src/core/epoch.h) ---------------------------
   // Non-null turns on epoch mode: the fleet is sized to epochs->num_logical,
@@ -86,17 +84,10 @@ struct ServiceConfig {
   // crosses each entry's time (deterministic — no rng stream moves). The
   // runner itself is the stale-view client: it keeps probing under its last
   // adopted view until an op observes epoch evidence (a fenced probe or a
-  // reply stamped with a newer epoch) and refreshes via the bounded
-  // view-fetch path below.
+  // reply stamped with a newer epoch) and refreshes through policy's
+  // bounded view fetch; refresh_views = false pins it to its stale view
+  // forever — the designed-to-fail switch.
   std::shared_ptr<const EpochedFamily> epochs;
-  // Stale-view recovery knobs (mirror sim/client.h): a failed acquisition
-  // with epoch evidence re-probes under the fetched view after a fixed
-  // (rng-free) delay, at most max_view_fetches times per op; a successful op
-  // with evidence refreshes asynchronously. refresh_views = false pins the
-  // runner to its stale view forever — the designed-to-fail switch.
-  bool refresh_views = true;
-  double view_fetch_delay = 0.05;
-  int max_view_fetches = 4;
 
   // True iff every knob is usable for a fleet of `num_servers`; complaints
   // go to stderr, one line per bad field.
@@ -173,8 +164,8 @@ std::vector<std::uint64_t> service_latency_bounds();
 class ServiceRunner {
  public:
   // The family fixes the server universe; config.validate(universe) must
-  // hold (asserted). The runner owns transport, replicas, and one probe
-  // strategy instance (solo-only, reset per op).
+  // hold (asserted). The runner owns transport, replicas, and its probe
+  // strategies.
   ServiceRunner(const QuorumFamily& family, const ServiceConfig& config);
   ~ServiceRunner();
 
@@ -202,7 +193,6 @@ class ServiceRunner {
   const obs::Timeline& timeline() const { return timeline_; }
 
  private:
-  struct OpStats;
   void apply_faults_until(double now);
   void apply_epochs_until(double now);
   void pop_completed_writes(double now);
@@ -214,18 +204,18 @@ class ServiceRunner {
   ServiceConfig config_;
   Transport transport_;
   std::vector<Replica> replicas_;
-  std::unique_ptr<ProbeStrategy> strategy_;
+  // One probe strategy per epoch's family (one outside epoch mode),
+  // solo-only, reset per attempt.
+  std::vector<std::unique_ptr<ProbeStrategy>> strategies_;
   Rng op_rng_base_;
 
   // Fault timeline, sorted by time; cursor advances with the arrivals.
   std::vector<FaultEvent> fault_timeline_;
   std::size_t next_fault_ = 0;
 
-  // Epoch mode (config_.epochs != nullptr): one probe strategy per epoch's
-  // family, an arrival-driven cursor like next_fault_, and the runner's own
-  // (possibly stale) adopted view. All solo-owned.
-  std::vector<std::unique_ptr<ProbeStrategy>> epoch_strategies_;
-  int next_epoch_ = 1;
+  // Epoch mode (config_.epochs != nullptr): the epoch in force, an
+  // arrival-driven cursor like next_fault_, and the runner's own (possibly
+  // stale) adopted view. All solo-owned.
   int current_epoch_ = 0;
   int view_epoch_ = 0;
 
@@ -243,24 +233,13 @@ class ServiceRunner {
                       std::greater<PendingWrite>>
       pending_writes_;
   Timestamp frontier_ts_;
-  Timestamp max_acked_ts_;
-  bool any_acked_write_ = false;
+  Timestamp max_acked_ts_;  // zero until some write is acked
   double last_arrival_ = 0.0;
 
-  // Solo-owned per-op scratch and lifetime totals. replies_ / touched_ are
-  // indexed in FAMILY-INDEX space (== logical ids outside epoch mode); the
-  // current view maps indices to logical replicas at every wire site.
-  std::vector<ReplySlot> replies_;
-  std::vector<char> reply_retired_;  // reply came from a retired replica
-  std::vector<int> touched_;
-  struct Totals {
-    std::uint64_t requests = 0, decode_failures = 0;
-    std::uint64_t reads = 0, reads_ok = 0, writes = 0, writes_ok = 0;
-    std::uint64_t stale_reads = 0, probes = 0, write_acks = 0;
-    std::uint64_t cert_rejects = 0, fabricated_reads = 0;
-    std::uint64_t epoch_transitions = 0, view_refreshes = 0;
-    std::uint64_t epoch_rejects = 0, retired_reads = 0;
-  } totals_;
+  // Solo-owned per-op scratch, sized for the whole fleet in the ctor so no
+  // op allocates, and lifetime totals.
+  QuorumAttempt attempt_;
+  ServiceResult totals_;  // the lifetime counters serve() reports
   // (counter, writer, value) bindings of every ok write, solo-owned. The
   // solo stage runs in arrival order, so a read can only observe a binding
   // after its write registered it — the fabricated-read check is exact and
@@ -286,10 +265,7 @@ class ServiceRunner {
   // Always-on local latency histogram (service_latency_bounds buckets), so
   // quantiles need no telemetry; snapshotted into ServiceResult.
   std::vector<std::uint64_t> lat_bounds_;
-  std::vector<std::uint64_t> lat_counts_;
-  std::uint64_t lat_count_ = 0, lat_sum_ = 0;
-  std::uint64_t lat_min_ = ~0ull, lat_max_ = 0;
-  void record_latency(std::uint64_t us);
+  obs::HistAccum latency_;
 
   // Ticket state for the solo stage.
   std::mutex turn_mu_;

@@ -7,8 +7,11 @@
 // link, or latency spike), not injected — this is the mechanistic
 // counterpart of the abstract model in src/mismatch.
 //
-// On top of acquisition the client offers ABD-style register operations:
-//   read  — acquire, return the max-timestamp value among reached servers;
+// SimClient drives the register protocol (sim/register_core.h) from event
+// callbacks: it owns sends, timeouts, retries, the partition filter and the
+// deadline; a QuorumAttempt makes every protocol decision:
+//   read  — acquire, return the max-timestamp value among reached servers
+//           (or the masking vote under RegisterPolicy::lie_tolerance);
 //   write — acquire (learning the max timestamp), then push
 //           (max+1, client_id) to every reached probed server, per the
 //           paper's requirement that clients coordinate with all of S+.
@@ -52,15 +55,9 @@ struct ClientConfig {
   // back to every reached server holding an older one. Shrinks the window
   // in which a later non-intersecting quorum could miss the value.
   bool read_repair = false;
-  // Masking vote (Malkhi–Reiter–Wool): when > 0, up to this many servers
-  // may lie, so a read only adopts the highest-timestamped (ts, value)
-  // pair reported identically by >= lie_tolerance+1 reached servers, and a
-  // write derives its new timestamp from voted pairs only. An acquisition
-  // whose replies contain no such pair fails the operation instead of
-  // returning a possible fabrication. 0 (default) keeps the classic
-  // max-timestamp fold — correct under the paper's fail-stop model, and
-  // exactly what a Byzantine plan exploits against a non-masking family.
-  int lie_tolerance = 0;
+  // The masking vote and the stale-view refresh (epoch mode only), shared
+  // with the served runner.
+  RegisterPolicy policy;
 
   // --- graceful degradation (defaults preserve the classic behaviour) ---
   // Acquisition attempts per operation. A failed attempt (no quorum, or
@@ -84,25 +81,10 @@ struct ClientConfig {
   // and the result carries deadline_exceeded.
   double op_deadline = 0.0;
 
-  // --- stale views under reconfiguration (epoch mode only) --------------
-  // A client holds the membership view of some epoch and learns it is
-  // stale observably: retired servers fence its probes with an epoch
-  // rejection, and replies from live servers carry the current epoch
-  // stamp. When a *failed* attempt saw such evidence the client fetches
-  // the current view (a fixed view_fetch_delay round trip — no rng draw,
-  // so churn stays stream-neutral) and re-probes under the new family;
-  // the fetch does not consume an acquisition attempt but is bounded by
-  // max_view_fetches per operation. A *successful* attempt with stale
-  // evidence refreshes asynchronously after the op completes. Turning
-  // refresh_views off makes the client stale forever — the designed-to-
-  // fail chaos scenario.
-  bool refresh_views = true;
-  double view_fetch_delay = 0.05;
-  int max_view_fetches = 4;
-
   // True iff timeouts/attempt counts/fractions are usable; complaints go
   // to stderr, one line per bad field.
   bool validate() const;
+  bool operator==(const ClientConfig&) const = default;
 };
 
 struct AcquisitionResult {
@@ -112,52 +94,20 @@ struct AcquisitionResult {
   bool acquired = false;
   bool filtered = false;  // final attempt aborted by the partition filter
   SignedSet probed;  // +i reached, -i timed out (final attempt's evidence)
-  SignedSet quorum;
   int num_probes = 0;      // across all attempts
   int attempts = 1;
   bool deadline_exceeded = false;
   double latency = 0.0;  // whole operation, first attempt start to done
-  // Reply snapshot per server (only reached servers have values). In epoch
-  // mode the index space is the *family's* (map to logical ids via `view`).
-  std::vector<ReplySlot> replies;
-  // Parallel to `replies`: nonzero when the reply was served by a replica
-  // that was already retired AT SERVE TIME (only possible under the
-  // serve_while_retired bug switch). Captured with the reply, not at
-  // adoption time — a server legitimately serving just before its epoch
-  // boundary is not a retired read.
-  std::vector<char> reply_retired;
-  // Epoch mode: the membership view the final attempt probed under (owned
-  // by the run's EpochedFamily, which outlives every operation); nullptr
-  // for classic fixed-universe acquisitions.
-  const MembershipView* view = nullptr;
-  int view_fetches = 0;   // bounded view-refresh round trips this op took
-  int epoch_rejects = 0;  // probes fenced by retired servers
+  int view_fetches = 0;  // bounded view-refresh round trips this op took
 };
 
-struct ReadResult {
-  obs::OpId op = obs::kNoOp;
+// A read's or a write's outcome: its acquisition plus the register's
+// verdict (a write's latency runs until its last push resolved).
+struct OpResult : AcquisitionResult {
   bool ok = false;
-  bool filtered = false;
-  std::uint64_t value = 0;
-  Timestamp timestamp;
-  int num_probes = 0;
-  int attempts = 1;
-  bool deadline_exceeded = false;
-  double latency = 0.0;
-  SignedSet probed;  // servers probed during acquisition (+reached/-not)
-};
-
-struct WriteResult {
-  obs::OpId op = obs::kNoOp;
-  bool ok = false;
-  bool filtered = false;
-  Timestamp timestamp;
-  int num_probes = 0;
-  int attempts = 1;
-  bool deadline_exceeded = false;
-  int acks = 0;
-  double latency = 0.0;
-  SignedSet probed;  // servers probed during acquisition (+reached/-not)
+  std::uint64_t value = 0;  // read: the adopted value; write: the written
+  Timestamp timestamp;      // read: adopted; write: the one pushed
+  int acks = 0;             // writes: push targets that acked
 };
 
 class SimClient {
@@ -185,12 +135,12 @@ class SimClient {
   void acquire(const QuorumFamily& family, int object,
                std::function<void(AcquisitionResult)> done);
 
-  void read(std::function<void(ReadResult)> done);
+  void read(std::function<void(OpResult)> done);
   void read(const QuorumFamily& family, int object,
-            std::function<void(ReadResult)> done);
-  void write(std::uint64_t value, std::function<void(WriteResult)> done);
+            std::function<void(OpResult)> done);
+  void write(std::uint64_t value, std::function<void(OpResult)> done);
   void write(const QuorumFamily& family, int object, std::uint64_t value,
-             std::function<void(WriteResult)> done);
+             std::function<void(OpResult)> done);
 
   // The probe timeout the next probe would use (adaptive or fixed).
   double current_probe_timeout() const;
@@ -198,26 +148,26 @@ class SimClient {
  private:
   struct Acquisition;
   void start_op(const QuorumFamily* family, int object,
-                std::function<void(AcquisitionResult)> done);
+                std::function<void(Acquisition&)> done);
   void start_attempt(std::shared_ptr<Acquisition> acq);
   void issue_next_probe(std::shared_ptr<Acquisition> acq);
+  // A probe's outcome: a reply, a retired server's fence, or neither.
   void finish_probe(std::shared_ptr<Acquisition> acq, std::uint64_t seq,
-                    int server, int target,
-                    ReplySlot reply,
-                    bool served_retired);
-  void finish_probe_fenced(std::shared_ptr<Acquisition> acq,
-                           std::uint64_t seq, int server, int target);
-  void finish_attempt(std::shared_ptr<Acquisition> acq, bool acquired);
-  void finish_read(int object, AcquisitionResult acq,
-                   const std::function<void(ReadResult)>& done);
-  void finish_write(int object, std::uint64_t value, AcquisitionResult acq,
-                    const std::function<void(WriteResult)>& done);
+                    int server, int target, ReplySlot reply,
+                    bool served_retired, bool fenced = false);
+  void finish_attempt(std::shared_ptr<Acquisition> acq);
+  // A read (no `write` value) or a write of `write`.
+  void register_op(const QuorumFamily* family, int object,
+                   std::optional<std::uint64_t> write,
+                   std::function<void(OpResult)> done);
+  void finish_op(Acquisition& acq, std::optional<std::uint64_t> write,
+                 const std::function<void(OpResult)>& done);
 
   Simulator* sim_;
   Network* net_;
   std::vector<Replica>* servers_;
   int id_;
-  const QuorumFamily* family_;
+  const QuorumFamily* family_;  // nullptr in epoch mode (see start_op)
   ClientConfig config_;
   Rng rng_;
   const EpochState* epochs_ = nullptr;  // non-null in epoch mode

@@ -27,7 +27,6 @@ obs::Histogram client_latency_histogram(int client_idx) {
 }
 
 struct Experiment {
-  const QuorumFamily* family;
   RegisterExperimentConfig config;
   Simulator sim;
   std::unique_ptr<Network> net;
@@ -59,81 +58,75 @@ struct Experiment {
   // Empty unless telemetry was enabled when the experiment started.
   std::vector<obs::Histogram> latency_hists;
 
-  void note_op(int client_idx, const char* kind, bool ok, double latency) {
-    if (latency_hists.empty()) return;
-    obs::instant("sim", kind, "client", static_cast<std::uint64_t>(client_idx));
-    if (ok)
-      latency_hists[static_cast<std::size_t>(client_idx)].record(
-          to_us(latency));
-  }
-
   void schedule_next_op(int client_idx) {
     if (sim.now() >= config.duration) return;
     const double delay = rng.exponential(1.0 / config.think_time);
     sim.schedule(delay, [this, client_idx] { start_op(client_idx); });
   }
 
+  // The accounting every completed op shares, after its read or write
+  // audits.
+  void finish_op(int client_idx, const char* kind, const OpResult& r) {
+    result.probes_per_op.add(r.num_probes);
+    result.client_retries += r.attempts - 1;
+    if (r.deadline_exceeded) ++result.deadline_failures;
+    if (r.filtered) ++result.ops_filtered;
+    if (r.ok) {
+      result.latency_ok.add(r.latency);
+      result.latencies_ok.push_back(r.latency);
+    }
+    obs::flight(obs::FlightKind::kOpDone, r.op, to_us(sim.now()), -1,
+                to_us(r.latency));
+    if (!latency_hists.empty()) {
+      obs::instant("sim", kind, "client",
+                   static_cast<std::uint64_t>(client_idx));
+      if (r.ok)
+        latency_hists[static_cast<std::size_t>(client_idx)].record(
+            to_us(r.latency));
+    }
+    schedule_next_op(client_idx);
+  }
+
   void start_op(int client_idx) {
     if (sim.now() >= config.duration) return;
+    SimClient& client = clients[static_cast<std::size_t>(client_idx)];
     if (rng.bernoulli(config.read_fraction)) {
       ++result.reads_attempted;
       // Snapshot the frontier of completed writes; a successful read must
       // not return anything older.
       const Timestamp frontier = max_completed_write_ts;
-      clients[static_cast<std::size_t>(client_idx)].read(
-          [this, client_idx, frontier](ReadResult r) {
-            result.probes_per_op.add(r.num_probes);
-            result.client_retries += r.attempts - 1;
-            if (r.deadline_exceeded) ++result.deadline_failures;
-            if (r.filtered) ++result.ops_filtered;
-            if (r.ok) {
-              ++result.reads_ok;
-              result.latency_ok.add(r.latency);
-              result.latencies_ok.push_back(r.latency);
-              if (r.timestamp < frontier) {
-                ++result.stale_reads;
-                obs::flight(obs::FlightKind::kStaleRead, r.op,
-                            to_us(sim.now()));
-              }
-              Timestamp& last = last_read_ts[static_cast<std::size_t>(client_idx)];
-              if (r.timestamp < last) {
-                ++result.read_ts_regressions;
-                obs::flight(obs::FlightKind::kReadRegression, r.op,
-                            to_us(sim.now()));
-              } else {
-                last = r.timestamp;
-              }
-              read_observations.push_back({r.op, r.timestamp, r.value});
-            }
-            obs::flight(obs::FlightKind::kOpDone, r.op, to_us(sim.now()), -1,
-                        to_us(r.latency));
-            note_op(client_idx, "read", r.ok, r.latency);
-            schedule_next_op(client_idx);
-          });
+      client.read([this, client_idx, frontier](OpResult r) {
+        if (r.ok) {
+          ++result.reads_ok;
+          if (r.timestamp < frontier) {
+            ++result.stale_reads;
+            obs::flight(obs::FlightKind::kStaleRead, r.op, to_us(sim.now()));
+          }
+          Timestamp& last = last_read_ts[static_cast<std::size_t>(client_idx)];
+          if (r.timestamp < last) {
+            ++result.read_ts_regressions;
+            obs::flight(obs::FlightKind::kReadRegression, r.op,
+                        to_us(sim.now()));
+          } else {
+            last = r.timestamp;
+          }
+          read_observations.push_back({r.op, r.timestamp, r.value});
+        }
+        finish_op(client_idx, "read", r);
+      });
     } else {
       ++result.writes_attempted;
-      const std::uint64_t value = next_value++;
-      clients[static_cast<std::size_t>(client_idx)].write(
-          value, [this, client_idx, value](WriteResult w) {
-            result.probes_per_op.add(w.num_probes);
-            result.client_retries += w.attempts - 1;
-            if (w.deadline_exceeded) ++result.deadline_failures;
-            if (w.filtered) ++result.ops_filtered;
-            if (w.ok) {
-              genuine_writes.insert(w.timestamp, value);
-              ++result.writes_ok;
-              result.latency_ok.add(w.latency);
-              result.latencies_ok.push_back(w.latency);
-              if (max_completed_write_ts < w.timestamp)
-                max_completed_write_ts = w.timestamp;
-              if (w.acks > 0 && max_acked_write_ts < w.timestamp)
-                max_acked_write_ts = w.timestamp;
-            }
-            obs::flight(obs::FlightKind::kOpDone, w.op, to_us(sim.now()), -1,
-                        to_us(w.latency));
-            note_op(client_idx, "write", w.ok, w.latency);
-            schedule_next_op(client_idx);
-          });
+      client.write(next_value++, [this, client_idx](OpResult w) {
+        if (w.ok) {
+          genuine_writes.insert(w.timestamp, w.value);
+          ++result.writes_ok;
+          if (max_completed_write_ts < w.timestamp)
+            max_completed_write_ts = w.timestamp;
+          if (w.acks > 0 && max_acked_write_ts < w.timestamp)
+            max_acked_write_ts = w.timestamp;
+        }
+        finish_op(client_idx, "write", w);
+      });
     }
   }
 };
@@ -170,7 +163,6 @@ RegisterExperimentResult run_register_experiment(
   obs::Span span("sim", "register_experiment");
   span.arg("clients", static_cast<std::uint64_t>(config.num_clients));
   Experiment e;
-  e.family = &family;
   e.config = config;
   e.rng = Rng(config.seed);
   if (obs::telemetry_enabled()) {
@@ -192,7 +184,6 @@ RegisterExperimentResult run_register_experiment(
                            e.rng.split(1000 + static_cast<std::uint64_t>(i)));
   if (epoch_mode) {
     e.epoch_state.schedule = config.epochs.get();
-    e.epoch_state.current = 0;
     // Servers that only join in a later epoch start retired.
     const MembershipView& initial = config.epochs->entry(0).view;
     for (int i = 0; i < n; ++i)
@@ -221,8 +212,6 @@ RegisterExperimentResult run_register_experiment(
         apply_epoch_transition(*e.config.epochs, ei, e.servers);
         e.epoch_state.current = ei;
         ++e.result.epoch_transitions;
-        obs::flight(obs::FlightKind::kEpochTransition, obs::kNoOp,
-                    to_us(e.sim.now()), -1, static_cast<std::uint64_t>(ei));
       });
     }
   }
@@ -252,26 +241,17 @@ RegisterExperimentResult run_register_experiment(
   e.result.events_executed = e.sim.executed_events();
   e.result.peak_event_queue = e.sim.peak_pending_events();
 
-  // End-of-run invariant evidence. A write acked by >= 1 server must still
-  // be visible in some server's register: crash failures preserve state,
-  // so only an assumption-breaking scenario (amnesia) can lose it. Under
-  // churn the bar is higher: the frontier must be visible among the *final
-  // epoch's members* — state stranded on a retired server is lost to every
-  // future quorum, which is exactly what drain-on-leave must prevent.
-  const MembershipView* final_view =
-      epoch_mode ? &config.epochs->entry(config.epochs->final_epoch()).view
-                 : nullptr;
-  Timestamp best_server_ts;
+  // End-of-run invariant evidence. Under churn the newest acked write must
+  // be visible among the *final epoch's members*.
   for (const Replica& s : e.servers) {
     e.result.server_ts_regressions +=
         static_cast<long>(s.ts_regressions());
     e.result.server_dropped_requests += s.dropped_requests();
-    if (final_view != nullptr && !final_view->contains(s.id())) continue;
-    const Timestamp ts = s.timestamp(0);
-    if (best_server_ts < ts) best_server_ts = ts;
   }
-  if (Timestamp{} < e.max_acked_write_ts &&
-      best_server_ts < e.max_acked_write_ts) {
+  if (!acked_write_visible(
+          e.servers, e.max_acked_write_ts,
+          epoch_mode ? &config.epochs->entry(config.epochs->final_epoch()).view
+                     : nullptr)) {
     e.result.lost_writes = 1;
     obs::flight(obs::FlightKind::kLostWrite, obs::kNoOp, to_us(e.sim.now()),
                 -1, static_cast<std::uint64_t>(e.max_acked_write_ts.counter));

@@ -1,10 +1,52 @@
 #include "sim/register_core.h"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "sim/keyed_hash.h"
 
 namespace sqs {
+
+bool RegisterPolicy::validate(const char* owner) const {
+  bool ok = true;
+  const auto reject = [&ok, owner](const char* what, double value) {
+    std::fprintf(stderr, "%s: invalid %s %g\n", owner, what, value);
+    ok = false;
+  };
+  if (lie_tolerance < 0) reject("lie_tolerance", lie_tolerance);
+  if (!(view_fetch_delay >= 0.0)) reject("view_fetch_delay", view_fetch_delay);
+  if (max_view_fetches < 0) reject("max_view_fetches", max_view_fetches);
+  return ok;
+}
+
+SignedSet QuorumAttempt::probed() const {
+  SignedSet out(universe_);
+  for (const int s : touched_) out.add_positive(s);
+  for (const int s : missed_) out.add_negative(s);
+  return out;
+}
+
+bool QuorumAttempt::audit_retired_read(const FoldResult& adopted,
+                                       obs::OpId op,
+                                       std::uint64_t at_us) const {
+  if (!adopted.ok || adopted.index < 0 ||
+      served_retired_[static_cast<std::size_t>(adopted.index)] == 0)
+    return false;
+  obs::flight(obs::FlightKind::kRetiredRead, op, at_us, wire(adopted.index),
+              adopted.ts.counter);
+  return true;
+}
+
+bool acked_write_visible(const std::vector<Replica>& replicas,
+                         const Timestamp& newest_acked,
+                         const MembershipView* members) {
+  if (!(Timestamp{} < newest_acked)) return true;
+  for (const Replica& r : replicas) {
+    if (members != nullptr && !members->contains(r.id())) continue;
+    if (!(r.timestamp(0) < newest_acked)) return true;
+  }
+  return false;
+}
 
 std::size_t WriteSet::find(const Timestamp& ts, std::uint64_t value) const {
   const std::size_t mask = slots_.size() - 1;
@@ -74,6 +116,8 @@ void apply_epoch_transition(const EpochedFamily& sched, int e,
     replicas[i].set_member(next.contains(static_cast<int>(i)));
     replicas[i].set_epoch(e);
   }
+  obs::flight(obs::FlightKind::kEpochTransition, obs::kNoOp,
+              obs::to_us(sched.entry(e).at), -1, static_cast<std::uint64_t>(e));
 }
 
 }  // namespace sqs

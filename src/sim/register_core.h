@@ -1,26 +1,56 @@
-// The fleet-level pieces of the Sect. 4 register protocol shared by the
-// simulator's SimClient/harness and the served runner.
-//
-//   fold_replies — what an acquired quorum's replies say: the max-timestamp
-//     fold, or the Malkhi–Reiter–Wool masking vote when up to b replicas
-//     may lie. Allocation-free.
-//   WriteSet — the (ts, value) bindings genuine writes produced, against
-//     which the fabricated-read audits check what reads returned.
-//   apply_epoch_transition — the rng-free membership change at an epoch
-//     boundary.
+// The Sect. 4 register protocol shared by the simulator (SimClient, the
+// harness) and the served runner. Each driver owns its clock and
+// transport; the protocol decisions live here: RegisterPolicy (the knobs),
+// QuorumAttempt (one attempt's evidence and verdicts), fold_replies (max
+// fold or masking vote), WriteSet (genuine write bindings), and the
+// end-of-run and epoch-boundary steps acked_write_visible and
+// apply_epoch_transition.
 
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "core/epoch.h"
+#include "core/probe_strategy.h"
+#include "core/signed_set.h"
+#include "obs/recorder.h"
 #include "sim/replica.h"
+#include "util/rng.h"
 
 namespace sqs {
+
+struct RegisterPolicy {
+  // Masking vote (Malkhi–Reiter–Wool): when > 0, up to this many replicas
+  // may lie, so a read only adopts the highest-timestamped (ts, value)
+  // pair reported identically by >= lie_tolerance+1 reached replicas, and a
+  // write derives its new timestamp from voted pairs only; no such pair
+  // fails the op instead of returning a possible fabrication. 0 keeps the
+  // classic max-timestamp fold — correct under the paper's fail-stop
+  // model, and exactly what a Byzantine plan exploits.
+  int lie_tolerance = 0;
+  // Stale views (epoch mode): a client learns its view is stale from a
+  // retired replica's fence or a newer epoch stamp on a reply. A *failed*
+  // attempt with such evidence fetches the current view (a fixed,
+  // rng-free view_fetch_delay round trip, so churn stays stream-neutral)
+  // and re-probes, at most max_view_fetches times per op without using up
+  // an attempt; a *successful* one refreshes after the op. refresh_views
+  // off makes the client stale forever — the designed-to-fail scenario.
+  bool refresh_views = true;
+  double view_fetch_delay = 0.05;
+  int max_view_fetches = 4;
+
+  // True iff every knob is usable; one stderr line per bad field,
+  // prefixed with `owner`.
+  bool validate(const char* owner) const;
+  bool operator==(const RegisterPolicy&) const = default;
+};
 
 // One replica's reply to a probe; nullopt when the probe did not reach it.
 using ReplySlot = std::optional<std::pair<Timestamp, std::uint64_t>>;
@@ -69,6 +99,141 @@ FoldResult fold_replies(const std::vector<ReplySlot>& replies,
   return out;
 }
 
+// Which reached reply a fold visits first, so which one wins a tie.
+enum class FoldOrder { kFamilyIndex, kProbe };
+
+// One acquisition attempt: the driver asks for the next family index,
+// resolves the probe on its own clock and transport, and reports the
+// outcome; the attempt feeds the strategy and keeps the evidence the
+// verdicts read. Evidence is indexed by family index; in epoch mode the
+// view maps an index to the replica on the wire.
+class QuorumAttempt {
+ public:
+  // Evidence for families of up to `capacity` indices allocates nothing.
+  explicit QuorumAttempt(int capacity = 0) { reset(capacity, nullptr); }
+
+  // Resets `strategy` (caller-owned) from `rng` and drops the previous
+  // attempt's evidence in O(touched). `view` is nullptr outside epoch mode.
+  void begin(ProbeStrategy* strategy, Rng* rng, const MembershipView* view) {
+    strategy_ = strategy;
+    strategy_->reset(rng);
+    reset(strategy_->universe_size(), view);
+  }
+  // An attempt aborted before its first probe (the partition filter).
+  void begin_aborted(int universe, const MembershipView* view) {
+    strategy_ = nullptr;
+    reset(universe, view);
+  }
+
+  bool in_progress() const { return status() == ProbeStatus::kInProgress; }
+  bool acquired() const { return status() == ProbeStatus::kAcquired; }
+  int next_server() const { return strategy_->next_server(); }
+  int wire(int s) const {  // family index -> replica id
+    return view_ != nullptr ? view_->members[static_cast<std::size_t>(s)] : s;
+  }
+
+  // Probe outcomes for family index `s`. A reply's `served_retired` is
+  // sampled AT SERVE TIME (a member serving just before its epoch boundary
+  // is not a retired read); a `reply_epoch` newer than the view, like a
+  // fence, is staleness evidence. A fence is also a miss.
+  void reached(int s, const Timestamp& ts, std::uint64_t value,
+               bool served_retired, int reply_epoch) {
+    if (view_ != nullptr && reply_epoch > view_->epoch)
+      saw_newer_epoch_ = true;
+    replies_[static_cast<std::size_t>(s)] = std::make_pair(ts, value);
+    served_retired_[static_cast<std::size_t>(s)] = served_retired ? 1 : 0;
+    touched_.push_back(s);
+    sorted_ = false;
+    strategy_->observe(s, true);
+  }
+  void missed(int s) {
+    missed_.push_back(s);
+    strategy_->observe(s, false);
+  }
+  void fenced(int s) {
+    saw_newer_epoch_ = true;
+    missed(s);
+  }
+
+  SignedSet probed() const;  // +reached, -missed or fenced
+  const ReplySlot& reply(int s) const {
+    return replies_[static_cast<std::size_t>(s)];
+  }
+
+  // --- verdicts ------------------------------------------------------------
+  // fold_replies over the reached replies; !ok also when not acquired. A
+  // kProbe fold must precede every index-ordered verdict.
+  FoldResult fold(int lie_tolerance, FoldOrder order) {
+    if (!acquired()) return FoldResult{false, {}, 0, -1};
+    if (order == FoldOrder::kFamilyIndex) sort_touched();
+    assert(order == FoldOrder::kFamilyIndex || !sorted_);
+    return fold_replies(replies_, touched_, lie_tolerance);
+  }
+  static Timestamp write_timestamp(const FoldResult& adopted, int writer) {
+    return Timestamp{adopted.ts.counter + 1, writer};
+  }
+  // S+ — every reached probed replica — in ascending family-index order.
+  std::span<const int> push_targets() {
+    sort_touched();
+    return touched_;
+  }
+  // No-read-from-retired-server: true, with a kRetiredRead flight event
+  // naming the replica, when the adopted reply was served retired (only
+  // the serve_while_retired bug switch gets past the fence).
+  bool audit_retired_read(const FoldResult& adopted, obs::OpId op,
+                          std::uint64_t at_us) const;
+  // After the op, either outcome: learn the view for the next op.
+  bool learn_view(const RegisterPolicy& policy, int current_epoch,
+                  int view_epoch) const {
+    return view_ != nullptr && saw_newer_epoch_ && policy.refresh_views &&
+           current_epoch > view_epoch;
+  }
+  // Re-fetch the view after this attempt failed with staleness evidence.
+  bool refetch_view(const RegisterPolicy& policy, int view_fetches,
+                    int current_epoch, int view_epoch) const {
+    return !acquired() && view_fetches < policy.max_view_fetches &&
+           learn_view(policy, current_epoch, view_epoch);
+  }
+
+ private:
+  ProbeStatus status() const {
+    return strategy_ != nullptr ? strategy_->status() : ProbeStatus::kNoQuorum;
+  }
+  void reset(int universe, const MembershipView* view) {
+    const std::size_t n = static_cast<std::size_t>(universe);
+    if (replies_.size() < n) {
+      replies_.resize(n);
+      served_retired_.resize(n, 0);
+      touched_.reserve(n);
+      missed_.reserve(n);
+    }
+    for (const int s : touched_) {
+      replies_[static_cast<std::size_t>(s)].reset();
+      served_retired_[static_cast<std::size_t>(s)] = 0;
+    }
+    touched_.clear();
+    missed_.clear();
+    universe_ = universe;
+    view_ = view;
+    sorted_ = false;
+    saw_newer_epoch_ = false;
+  }
+  void sort_touched() {
+    if (!sorted_) std::sort(touched_.begin(), touched_.end());
+    sorted_ = true;
+  }
+
+  ProbeStrategy* strategy_ = nullptr;
+  const MembershipView* view_ = nullptr;
+  std::vector<ReplySlot> replies_;
+  std::vector<char> served_retired_;
+  std::vector<int> touched_;  // reached indices, probe order until sorted
+  std::vector<int> missed_;   // missed or fenced indices
+  int universe_ = 0;
+  bool sorted_ = false;
+  bool saw_newer_epoch_ = false;
+};
+
 // A grow-only set of (ts, value) bindings: an open-addressing table
 // (linear probing, power-of-two size, at most 3/4 full), so a binding costs
 // no node allocation.
@@ -93,6 +258,14 @@ class WriteSet {
   std::size_t size_ = 0;
 };
 
+// No-lost-acked-write: false iff a write was acked (`newest_acked` > 0)
+// and no replica in `members` (all when null) holds a timestamp >= it.
+// Crashes keep state, so only amnesia — or, under churn, state stranded
+// off the membership — can lose it.
+bool acked_write_visible(const std::vector<Replica>& replicas,
+                         const Timestamp& newest_acked,
+                         const MembershipView* members);
+
 // Crosses `replicas` (indexed by logical id) into epoch `e` of `sched`:
 // state transfer first, so no window exists in which the new view lacks
 // the old view's writes, then membership flips. Drain-on-leave: every
@@ -104,7 +277,7 @@ class WriteSet {
 // is stamped with epoch `e`; stale clients then see either fences (retired
 // replicas) or newer epoch stamps in replies — both observable triggers
 // for a view refresh. Draws no randomness, so churn never shifts an rng
-// stream.
+// stream. Records a kEpochTransition flight event at the entry's time.
 void apply_epoch_transition(const EpochedFamily& sched, int e,
                             std::vector<Replica>& replicas);
 

@@ -35,9 +35,13 @@ struct StoreExperiment {
   std::vector<Timestamp> frontier;  // per object: max completed write ts
   std::uint64_t next_value = 1;
 
-  void account(const SignedSet& probed) {
-    probed.positive().for_each([&](std::size_t i) { ++probe_counts[i]; });
-    probed.negative().for_each([&](std::size_t i) { ++probe_counts[i]; });
+  // The accounting every completed op shares, after its own.
+  void finish_op(int client_idx, const OpResult& r) {
+    result.probes_per_op.add(r.num_probes);
+    r.probed.positive().for_each([&](std::size_t i) { ++probe_counts[i]; });
+    r.probed.negative().for_each([&](std::size_t i) { ++probe_counts[i]; });
+    if (r.ok) ++result.ops_ok;
+    schedule_next_op(client_idx);
   }
 
   void schedule_next_op(int client_idx) {
@@ -55,27 +59,19 @@ struct StoreExperiment {
     SimClient& client = clients[static_cast<std::size_t>(client_idx)];
     if (rng.bernoulli(config.read_fraction)) {
       const Timestamp snapshot = frontier[static_cast<std::size_t>(object)];
-      client.read(family, object, [this, client_idx, snapshot](ReadResult r) {
-        result.probes_per_op.add(r.num_probes);
-        account(r.probed);
+      client.read(family, object, [this, client_idx, snapshot](OpResult r) {
         if (r.ok) {
-          ++result.ops_ok;
           ++result.reads_ok;
           if (r.timestamp < snapshot) ++result.stale_reads;
         }
-        schedule_next_op(client_idx);
+        finish_op(client_idx, r);
       });
     } else {
       client.write(family, object, next_value++,
-                   [this, client_idx, object](WriteResult w) {
-                     result.probes_per_op.add(w.num_probes);
-                     account(w.probed);
-                     if (w.ok) {
-                       ++result.ops_ok;
-                       Timestamp& f = frontier[static_cast<std::size_t>(object)];
-                       if (f < w.timestamp) f = w.timestamp;
-                     }
-                     schedule_next_op(client_idx);
+                   [this, client_idx, object](OpResult w) {
+                     Timestamp& f = frontier[static_cast<std::size_t>(object)];
+                     if (w.ok && f < w.timestamp) f = w.timestamp;
+                     finish_op(client_idx, w);
                    });
     }
   }

@@ -256,10 +256,10 @@ TEST(Churn, ServiceConfigValidatesEpochSurface) {
   config.epochs = epochs;
   EXPECT_TRUE(config.validate(epochs->num_logical));
   ServiceConfig bad = config;
-  bad.view_fetch_delay = -1.0;
+  bad.policy.view_fetch_delay = -1.0;
   EXPECT_FALSE(bad.validate(epochs->num_logical));
   bad = config;
-  bad.max_view_fetches = -1;
+  bad.policy.max_view_fetches = -1;
   EXPECT_FALSE(bad.validate(epochs->num_logical));
   // The fleet must be sized to the schedule's logical universe.
   EXPECT_FALSE(config.validate(12));

@@ -73,8 +73,8 @@ TEST(ReadRepair, PropagatesValuesToStaleReplicas) {
   ClientConfig client_config;
   client_config.read_repair = true;
   SimClient client(&sim, &net, &servers, 0, &fam, client_config, Rng(99));
-  ReadResult result;
-  client.read([&](ReadResult r) { result = r; });
+  OpResult result;
+  client.read([&](OpResult r) { result = r; });
   sim.run();
   EXPECT_TRUE(result.ok);
   EXPECT_EQ(result.value, 50u);

@@ -15,6 +15,9 @@
 
 #include "core/constructions.h"
 #include "faults/chaos.h"
+#include "faults/churn.h"
+#include "faults/family_spec.h"
+#include "faults/scenario_io.h"
 #include "obs/recorder.h"
 #include "obs/telemetry.h"
 #include "obs/timeline.h"
@@ -296,6 +299,90 @@ TEST(Recorder, ServedProbeMissRecordsTheTimeSpent) {
   EXPECT_GT(short_misses, 0u);
 }
 
+TEST(Recorder, ServedStaleViewForeverNamesTheRetiredReplica) {
+  // The served twin of the chaos designed-to-fail cell: the runner never
+  // refreshes its view and replaced replicas keep serving, so reads adopt
+  // state from retired replicas. Each such read must be counted and its
+  // kRetiredRead event must name the retired replica it adopted.
+  ChaosScenario scenario;
+  std::string error;
+  ASSERT_TRUE(load_chaos_scenario(
+      std::string(SQS_SOURCE_DIR) + "/scenarios/stale_view_forever.json",
+      &scenario, &error))
+      << error;
+  const auto family = scenario.family.make();
+  ASSERT_NE(family, nullptr);
+  ServiceConfig config;
+  config.network = scenario.config.network;
+  config.server = scenario.config.server;
+  config.policy = scenario.config.client.policy;
+  config.plan = scenario.plan;
+  config.epochs = build_epoch_schedule(
+      scenario.churn, family_factory(scenario.family), family->universe_size());
+  ASSERT_NE(config.epochs, nullptr);
+  config.num_clients = scenario.config.num_clients;
+  config.probe_timeout = scenario.config.client.probe_timeout;
+  config.seed = scenario.config.seed;
+  LoadGenConfig load;
+  load.rate = 50.0;
+  load.duration = scenario.config.duration;
+  load.read_fraction = scenario.config.read_fraction;
+  load.num_clients = scenario.config.num_clients;
+  load.seed = scenario.config.seed;
+
+  RecorderScope scope;
+  ServiceRunner runner(*family, config);
+  const ServiceResult r = runner.serve(generate_load(load));
+  EXPECT_GT(r.retired_reads, 0u);
+  EXPECT_EQ(r.view_refreshes, 0u);
+  std::uint64_t named = 0;
+  for (const obs::FlightEvent& e : obs::collect_flight_events()) {
+    if (e.kind != obs::FlightKind::kRetiredRead) continue;
+    ++named;
+    ASSERT_GE(e.replica, 0);
+    ASSERT_LT(e.replica, runner.num_servers());
+    EXPECT_TRUE(runner.replica(e.replica).retired()) << e.replica;
+  }
+  EXPECT_GT(named, 0u);
+}
+
+TEST(Recorder, ServedViolationMarkedOnlyByTheViolatingCall) {
+  // Replica 0 (OPT_d's first probe) lies over [0.5, 1.0) and certificates
+  // go unchecked, so the first call's reads adopt fabrications. The second
+  // call arrives after the window: it adds no violation, so it must not
+  // mark one again.
+  const OptDFamily family(12, 2);
+  ServiceConfig config = tiny_service();
+  config.verify_replica_certs = false;
+  config.plan.lie(0.5, 0, LieMode::kWrongValue, 0.5);
+  LoadGenConfig load = tiny_load();
+  load.duration = 4.0;
+  const std::vector<std::uint8_t> requests = generate_load(load);
+  std::size_t split = 0;  // first record arriving at or after 2 s
+  while (split * kRequestWireSize < requests.size() &&
+         decode_request(requests.data() + split * kRequestWireSize)
+                 .arrival_us < 2000000)
+    ++split;
+  const auto cut = requests.begin() +
+                   static_cast<std::ptrdiff_t>(split * kRequestWireSize);
+  const std::vector<std::uint8_t> first(requests.begin(), cut);
+  const std::vector<std::uint8_t> second(cut, requests.end());
+  ASSERT_FALSE(first.empty());
+  ASSERT_FALSE(second.empty());
+
+  RecorderScope scope;
+  ServiceRunner runner(family, config);
+  const ServiceResult once = runner.serve(first);
+  const ServiceResult twice = runner.serve(second);
+  ASSERT_GT(once.fabricated_reads, 0u);
+  EXPECT_EQ(twice.fabricated_reads, once.fabricated_reads);
+  EXPECT_EQ(twice.lost_acked_writes, 0u);
+  std::uint64_t violations = 0;
+  for (const obs::FlightEvent& e : obs::collect_flight_events())
+    if (e.kind == obs::FlightKind::kViolation) ++violations;
+  EXPECT_EQ(violations, 1u);
+}
+
 // --- the chaos black box ----------------------------------------------------
 
 TEST(Recorder, ChaosViolationWritesBlackBox) {
@@ -366,8 +453,8 @@ TEST(Timeline, AggregatesWindowsAndMaterializesGaps) {
   EXPECT_EQ(windows[0].probes, 6u);
   EXPECT_EQ(windows[0].replica_drops, 1u);
   EXPECT_EQ(windows[0].queue_max_us, 7u);
-  EXPECT_EQ(windows[0].lat_min, 50u);
-  EXPECT_EQ(windows[0].lat_max, 500u);
+  EXPECT_EQ(windows[0].latency.min, 50u);
+  EXPECT_EQ(windows[0].latency.max, 500u);
   // Gap windows exist and are empty, so the series has no holes.
   EXPECT_EQ(windows[1].ops, 0u);
   EXPECT_EQ(windows[2].ops, 0u);

@@ -639,7 +639,7 @@ TEST(Service, ForgedRequestCertRejectedInPrologue) {
 ServiceConfig byzantine_config(int n, int liars, int lie_tolerance) {
   ServiceConfig config = service_config();
   config.plan = make_byzantine_plan(n, liars, 0.5, 3.0);
-  config.lie_tolerance = lie_tolerance;
+  config.policy.lie_tolerance = lie_tolerance;
   return config;
 }
 

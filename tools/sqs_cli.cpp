@@ -751,10 +751,7 @@ int cmd_serve(const Args& args) {
   if (have_file) {
     config.network = from_file.config.network;
     config.server = from_file.config.server;
-    config.lie_tolerance = from_file.config.client.lie_tolerance;
-    config.refresh_views = from_file.config.client.refresh_views;
-    config.view_fetch_delay = from_file.config.client.view_fetch_delay;
-    config.max_view_fetches = from_file.config.client.max_view_fetches;
+    config.policy = from_file.config.client.policy;
     config.plan = from_file.plan;
     if (!from_file.churn.empty()) {
       config.epochs =
@@ -795,7 +792,7 @@ int cmd_serve(const Args& args) {
     // the invariant tripping. --no-verify-certs drops the signature check.
     const int b = args.geti("b", std::max(1, family->masking_b()));
     config.plan = make_byzantine_plan(n, b, 0.1 * d, 0.8 * d);
-    config.lie_tolerance = family->masking_b();
+    config.policy.lie_tolerance = family->masking_b();
   } else if (scenario != "none") {
     std::fprintf(
         stderr,
