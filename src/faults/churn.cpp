@@ -7,12 +7,8 @@
 namespace sqs {
 
 const char* churn_kind_name(ChurnEvent::Kind kind) {
-  switch (kind) {
-    case ChurnEvent::Kind::kJoin: return "join";
-    case ChurnEvent::Kind::kLeave: return "leave";
-    case ChurnEvent::Kind::kReplace: return "replace";
-    case ChurnEvent::Kind::kResize: return "resize";
-  }
+  for (const auto& [k, name] : kChurnKindNames)
+    if (k == kind) return name;
   return "?";
 }
 

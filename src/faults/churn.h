@@ -13,6 +13,7 @@
 #pragma once
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/epoch.h"
@@ -32,6 +33,14 @@ struct ChurnEvent {
   double at = 0.0;
   int server = -1;  // logical id (kLeave / kReplace)
   int count = 1;    // joins added (kJoin) or target size (kResize)
+};
+
+// The one spelling of each kind (scenario files, complaints).
+inline constexpr std::pair<ChurnEvent::Kind, const char*> kChurnKindNames[] = {
+    {ChurnEvent::Kind::kJoin, "join"},
+    {ChurnEvent::Kind::kLeave, "leave"},
+    {ChurnEvent::Kind::kReplace, "replace"},
+    {ChurnEvent::Kind::kResize, "resize"},
 };
 
 const char* churn_kind_name(ChurnEvent::Kind kind);

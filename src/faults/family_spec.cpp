@@ -87,13 +87,6 @@ std::string FamilySpec::label() const {
   return buf;
 }
 
-bool FamilySpec::operator==(const FamilySpec& other) const {
-  return kind == other.kind && n == other.n && alpha == other.alpha &&
-         b == other.b && k == other.k && l == other.l &&
-         pqs_l == other.pqs_l && depth == other.depth && q == other.q &&
-         w == other.w && side == other.side;
-}
-
 FamilyFactory family_factory(const FamilySpec& spec) {
   return [spec](int un) { return spec.make(un); };
 }

@@ -45,8 +45,7 @@ struct FamilySpec {
   // Short human-readable tag for tables, e.g. "optd(n=12,a=2)".
   std::string label() const;
 
-  bool operator==(const FamilySpec& other) const;
-  bool operator!=(const FamilySpec& other) const { return !(*this == other); }
+  bool operator==(const FamilySpec&) const = default;
 };
 
 // Factory closure used by build_epoch_schedule to size each epoch's family.

@@ -65,20 +65,8 @@ LieMode lie_mode_for(FaultEvent::Kind kind) {
 }  // namespace
 
 const char* fault_kind_name(FaultEvent::Kind kind) {
-  switch (kind) {
-    case FaultEvent::Kind::kServerCrash: return "server_crash";
-    case FaultEvent::Kind::kServerPin: return "server_pin";
-    case FaultEvent::Kind::kGrayServer: return "gray_server";
-    case FaultEvent::Kind::kLinkDown: return "link_down";
-    case FaultEvent::Kind::kClientPartition: return "client_partition";
-    case FaultEvent::Kind::kServerPartition: return "server_partition";
-    case FaultEvent::Kind::kLatencyBurst: return "latency_burst";
-    case FaultEvent::Kind::kLossBurst: return "loss_burst";
-    case FaultEvent::Kind::kLieWrongValue: return "lie_wrong_value";
-    case FaultEvent::Kind::kLieStaleTs: return "lie_stale_ts";
-    case FaultEvent::Kind::kLieEquivocate: return "lie_equivocate";
-    case FaultEvent::Kind::kLieFabricateAck: return "lie_fabricate_ack";
-  }
+  for (const auto& [k, name] : kFaultKindNames)
+    if (k == kind) return name;
   return "unknown";
 }
 

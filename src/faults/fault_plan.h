@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "sim/network.h"
@@ -56,6 +57,23 @@ struct FaultEvent {
   int server = -1;
   int client = -1;
   double magnitude = 1.0;
+};
+
+// The one spelling of each kind: scenario files, trace instants and the
+// validate() complaints all name a kind through this table.
+inline constexpr std::pair<FaultEvent::Kind, const char*> kFaultKindNames[] = {
+    {FaultEvent::Kind::kServerCrash, "server_crash"},
+    {FaultEvent::Kind::kServerPin, "server_pin"},
+    {FaultEvent::Kind::kGrayServer, "gray_server"},
+    {FaultEvent::Kind::kLinkDown, "link_down"},
+    {FaultEvent::Kind::kClientPartition, "client_partition"},
+    {FaultEvent::Kind::kServerPartition, "server_partition"},
+    {FaultEvent::Kind::kLatencyBurst, "latency_burst"},
+    {FaultEvent::Kind::kLossBurst, "loss_burst"},
+    {FaultEvent::Kind::kLieWrongValue, "lie_wrong_value"},
+    {FaultEvent::Kind::kLieStaleTs, "lie_stale_ts"},
+    {FaultEvent::Kind::kLieEquivocate, "lie_equivocate"},
+    {FaultEvent::Kind::kLieFabricateAck, "lie_fabricate_ack"},
 };
 
 const char* fault_kind_name(FaultEvent::Kind kind);

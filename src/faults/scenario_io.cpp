@@ -1,8 +1,10 @@
 #include "faults/scenario_io.h"
 
+#include <algorithm>
+#include <concepts>
 #include <cstdio>
-#include <initializer_list>
 #include <string>
+#include <type_traits>
 
 #include "obs/recorder.h"
 #include "util/json.h"
@@ -11,25 +13,159 @@ namespace sqs {
 
 namespace {
 
+constexpr const char* kSchemaKey = "schema";
 constexpr const char* kSchema = "sqs-chaos-scenario-v1";
 
-constexpr FaultEvent::Kind kFaultKinds[] = {
-    FaultEvent::Kind::kServerCrash,    FaultEvent::Kind::kServerPin,
-    FaultEvent::Kind::kGrayServer,     FaultEvent::Kind::kLinkDown,
-    FaultEvent::Kind::kClientPartition, FaultEvent::Kind::kServerPartition,
-    FaultEvent::Kind::kLatencyBurst,   FaultEvent::Kind::kLossBurst,
-    FaultEvent::Kind::kLieWrongValue,  FaultEvent::Kind::kLieStaleTs,
-    FaultEvent::Kind::kLieEquivocate,  FaultEvent::Kind::kLieFabricateAck,
+// --- field tables -----------------------------------------------------------
+// One table per serialized struct, each line pairing a key with a member.
+// The line order is the key order of the written file: this order IS the
+// byte contract. The writer, the reader, the unknown-key check and
+// scenario_equal all walk these tables. `f(key, s.member...)` receives that
+// member of every object passed (one to write or read, two to compare) and
+// returns false to stop the walk.
+
+template <class S, class T>
+concept Of = std::same_as<std::remove_const_t<S>, T>;
+
+template <class F, Of<FamilySpec>... S>
+bool for_each_field(F&& f, S&... s) {
+  return f("kind", s.kind...) && f("n", s.n...) && f("alpha", s.alpha...) &&
+         f("b", s.b...) && f("k", s.k...) && f("l", s.l...) &&
+         f("pqs_l", s.pqs_l...) && f("depth", s.depth...) &&
+         f("q", s.q...) && f("w", s.w...) && f("side", s.side...);
+}
+
+template <class F, Of<NetworkConfig>... S>
+bool for_each_field(F&& f, S&... s) {
+  return f("base_latency", s.base_latency...) &&
+         f("jitter_mean", s.jitter_mean...) &&
+         f("link_mean_up", s.link_mean_up...) &&
+         f("link_mean_down", s.link_mean_down...);
+}
+
+template <class F, Of<ServerConfig>... S>
+bool for_each_field(F&& f, S&... s) {
+  return f("mean_up", s.mean_up...) && f("mean_down", s.mean_down...) &&
+         f("service_time", s.service_time...) &&
+         f("amnesia_on_recovery", s.amnesia_on_recovery...) &&
+         f("serve_while_retired", s.serve_while_retired...);
+}
+
+// The RegisterPolicy knobs sit flat among the client's own keys.
+template <class F, Of<ClientConfig>... S>
+bool for_each_field(F&& f, S&... s) {
+  return f("probe_timeout", s.probe_timeout...) &&
+         f("use_partition_filter", s.use_partition_filter...) &&
+         f("read_repair", s.read_repair...) &&
+         f("lie_tolerance", s.policy.lie_tolerance...) &&
+         f("max_attempts", s.max_attempts...) &&
+         f("backoff_base", s.backoff_base...) &&
+         f("backoff_jitter", s.backoff_jitter...) &&
+         f("adaptive_timeout", s.adaptive_timeout...) &&
+         f("ewma_gain", s.ewma_gain...) &&
+         f("timeout_multiplier", s.timeout_multiplier...) &&
+         f("min_probe_timeout", s.min_probe_timeout...) &&
+         f("max_probe_timeout", s.max_probe_timeout...) &&
+         f("op_deadline", s.op_deadline...) &&
+         f("refresh_views", s.policy.refresh_views...) &&
+         f("view_fetch_delay", s.policy.view_fetch_delay...) &&
+         f("max_view_fetches", s.policy.max_view_fetches...);
+}
+
+// Not serialized: fault_hook (programmatic) and epochs (derived from the
+// churn plan at run time).
+template <class F, Of<RegisterExperimentConfig>... S>
+bool for_each_field(F&& f, S&... s) {
+  return f("num_clients", s.num_clients...) && f("duration", s.duration...) &&
+         f("think_time", s.think_time...) &&
+         f("read_fraction", s.read_fraction...) &&
+         f("partition_rate", s.partition_rate...) &&
+         f("partition_fraction", s.partition_fraction...) &&
+         f("partition_duration", s.partition_duration...) &&
+         f("seed", s.seed...) && f("network", s.network...) &&
+         f("server", s.server...) && f("client", s.client...);
+}
+
+template <class F, Of<FaultEvent>... S>
+bool for_each_field(F&& f, S&... s) {
+  return f("kind", s.kind...) && f("at", s.at...) &&
+         f("duration", s.duration...) && f("server", s.server...) &&
+         f("client", s.client...) && f("magnitude", s.magnitude...);
+}
+
+template <class F, Of<ChurnEvent>... S>
+bool for_each_field(F&& f, S&... s) {
+  return f("kind", s.kind...) && f("at", s.at...) && f("server", s.server...) &&
+         f("count", s.count...);
+}
+
+template <class F, Of<ChaosInvariants>... S>
+bool for_each_field(F&& f, S&... s) {
+  return f("availability_floor", s.availability_floor...) &&
+         f("stale_envelope", s.stale_envelope...) &&
+         f("expect_ts_regressions", s.expect_ts_regressions...) &&
+         f("allow_lost_writes", s.allow_lost_writes...) &&
+         f("require_view_convergence", s.require_view_convergence...) &&
+         f("check_cross_epoch", s.check_cross_epoch...) &&
+         f("max_cross_epoch_nonintersection",
+           s.max_cross_epoch_nonintersection...);
+}
+
+// The document root, after its schema tag.
+template <class F, Of<ChaosScenario>... S>
+bool for_each_field(F&& f, S&... s) {
+  return f("name", s.name...) && f("description", s.description...) &&
+         f("family", s.family...) && f("config", s.config...) &&
+         f("faults", s.plan.events...) && f("churn", s.churn.events...) &&
+         f("invariants", s.invariants...);
+}
+
+template <class T>
+concept HasFields = requires(T& t) {
+  for_each_field([](const char*, auto&) { return true; }, t);
 };
 
-constexpr ChurnEvent::Kind kChurnKinds[] = {
-    ChurnEvent::Kind::kJoin,
-    ChurnEvent::Kind::kLeave,
-    ChurnEvent::Kind::kReplace,
-    ChurnEvent::Kind::kResize,
-};
+template <class T>
+constexpr bool kIsVector = false;
+template <class T>
+constexpr bool kIsVector<std::vector<T>> = true;
 
-// --- error plumbing: every failure points at a line:col ---------------------
+// --- serialization ----------------------------------------------------------
+
+template <class T>
+void write_value(JsonWriter& json, const T& v);
+
+template <class T>
+void write_fields(JsonWriter& json, const T& obj) {
+  for_each_field(
+      [&](const char* key, const auto& field) {
+        json.key(key);
+        write_value(json, field);
+        return true;
+      },
+      obj);
+}
+
+template <class T>
+void write_value(JsonWriter& json, const T& v) {
+  if constexpr (HasFields<T>) {
+    json.begin_object();
+    write_fields(json, v);
+    json.end_object();
+  } else if constexpr (kIsVector<T>) {
+    json.begin_array();
+    for (const auto& item : v) write_value(json, item);
+    json.end_array();
+  } else if constexpr (std::is_same_v<T, FaultEvent::Kind>) {
+    json.value(fault_kind_name(v));
+  } else if constexpr (std::is_same_v<T, ChurnEvent::Kind>) {
+    json.value(churn_kind_name(v));
+  } else {
+    json.value(v);
+  }
+}
+
+// --- parsing: every failure points at a line:col ----------------------------
 
 bool fail(const JsonValue& v, const std::string& msg, std::string* error) {
   char pos[32];
@@ -38,415 +174,193 @@ bool fail(const JsonValue& v, const std::string& msg, std::string* error) {
   return false;
 }
 
-// Rejects members outside the schema, so a typo'd key is an error rather
-// than a silently ignored knob.
-bool check_keys(const JsonValue& obj,
-                std::initializer_list<const char*> keys, std::string* error) {
-  for (const auto& member : obj.members) {
-    bool known = false;
-    for (const char* k : keys)
-      if (member.first == k) {
-        known = true;
-        break;
-      }
-    if (!known)
-      return fail(member.second, "unknown key \"" + member.first + "\"",
-                  error);
+// `got` names what the value was instead: its JSON kind, or the lexeme of a
+// number that is not the integer a field wants.
+bool type_error(const JsonValue& v, const char* key, const char* want,
+                const std::string& got, std::string* error) {
+  return fail(v, std::string("key \"") + key + "\" must be " + want +
+                     ", got " + got,
+              error);
+}
+
+// Rejects members outside the table (and `extra`), so a typo'd key is an
+// error rather than a silently ignored knob.
+template <class T>
+bool check_keys(const JsonValue& obj, const T& table_of, std::string* error,
+                const char* extra = nullptr) {
+  for (const auto& [name, value] : obj.members) {
+    bool known = extra != nullptr && name == extra;
+    for_each_field(
+        [&](const char* key, const auto&) {
+          known = known || name == key;
+          return !known;
+        },
+        table_of);
+    if (!known) return fail(value, "unknown key \"" + name + "\"", error);
   }
   return true;
 }
 
-bool get_field(const JsonValue& obj, const char* key, const JsonValue** out,
-               std::string* error) {
+template <class T>
+bool read_fields(const JsonValue& obj, T* out, std::string* error);
+
+// One read_value overload per member type, chosen by the table's member.
+bool read_value(const JsonValue& v, const char* key, std::string* out,
+                std::string* error) {
+  if (!v.is_string())
+    return type_error(v, key, "a string", v.kind_name(), error);
+  *out = v.string;
+  return true;
+}
+
+bool read_value(const JsonValue& v, const char* key, double* out,
+                std::string* error) {
+  if (!v.is_number())
+    return type_error(v, key, "a number", v.kind_name(), error);
+  *out = v.number;
+  return true;
+}
+
+bool read_value(const JsonValue& v, const char* key, int* out,
+                std::string* error) {
+  if (!v.is_number() || !v.as_int(out))
+    return type_error(v, key, "an integer",
+                      v.is_number() ? v.number_raw : v.kind_name(), error);
+  return true;
+}
+
+bool read_value(const JsonValue& v, const char* key, std::uint64_t* out,
+                std::string* error) {
+  if (!v.is_number() || !v.as_u64(out))
+    return type_error(v, key, "an unsigned integer",
+                      v.is_number() ? v.number_raw : v.kind_name(), error);
+  return true;
+}
+
+bool read_value(const JsonValue& v, const char* key, bool* out,
+                std::string* error) {
+  if (!v.is_bool())
+    return type_error(v, key, "a boolean", v.kind_name(), error);
+  *out = v.boolean;
+  return true;
+}
+
+// An enum member, spelled through its {kind, name} table.
+template <class Kind, std::size_t N>
+bool read_kind(const JsonValue& v, const char* key,
+               const std::pair<Kind, const char*> (&names)[N],
+               const char* noun, Kind* out, std::string* error) {
+  std::string name;
+  if (!read_value(v, key, &name, error)) return false;
+  for (const auto& [kind, spelled] : names)
+    if (name == spelled) {
+      *out = kind;
+      return true;
+    }
+  return fail(v, std::string("unknown ") + noun + " kind \"" + name + "\"",
+              error);
+}
+
+bool read_value(const JsonValue& v, const char* key, FaultEvent::Kind* out,
+                std::string* error) {
+  return read_kind(v, key, kFaultKindNames, "fault", out, error);
+}
+
+bool read_value(const JsonValue& v, const char* key, ChurnEvent::Kind* out,
+                std::string* error) {
+  return read_kind(v, key, kChurnKindNames, "churn", out, error);
+}
+
+template <HasFields T>
+bool read_value(const JsonValue& v, const char* key, T* out,
+                std::string* error) {
+  if (!v.is_object())
+    return type_error(v, key, "an object", v.kind_name(), error);
+  return check_keys(v, *out, error) && read_fields(v, out, error);
+}
+
+// Event arrays: each item is read through its table, then held to the
+// range checks its types cannot express (they guard outside input).
+const char* noun(const FaultEvent&) { return "fault"; }
+const char* noun(const ChurnEvent&) { return "churn"; }
+
+bool check_event(const JsonValue& item, const FaultEvent& ev,
+                 std::string* error) {
+  if (!(ev.at >= 0.0))
+    return fail(*item.find("at"), "fault time must be >= 0", error);
+  if (!(ev.duration >= 0.0))
+    return fail(*item.find("duration"), "fault duration must be >= 0", error);
+  return true;
+}
+
+bool check_event(const JsonValue& item, const ChurnEvent& ev,
+                 std::string* error) {
+  // Epoch 0 starts at t=0; a boundary at or before it cannot exist.
+  if (!(ev.at > 0.0))
+    return fail(*item.find("at"), "churn event time must be > 0", error);
+  if (ev.count < 1)
+    return fail(*item.find("count"), "churn event count must be >= 1", error);
+  if ((ev.kind == ChurnEvent::Kind::kLeave ||
+       ev.kind == ChurnEvent::Kind::kReplace) &&
+      ev.server < 0)
+    return fail(*item.find("server"),
+                "leave/replace needs a logical server id >= 0", error);
+  return true;
+}
+
+template <class Event>
+bool read_value(const JsonValue& v, const char* key, std::vector<Event>* out,
+                std::string* error) {
+  if (!v.is_array())
+    return type_error(v, key, "an array", v.kind_name(), error);
+  out->clear();
+  for (const JsonValue& item : v.items) {
+    Event ev{};
+    if (!item.is_object())
+      return fail(item,
+                  std::string(noun(ev)) + " event must be an object, got " +
+                      item.kind_name(),
+                  error);
+    if (!check_keys(item, ev, error) || !read_fields(item, &ev, error) ||
+        !check_event(item, ev, error))
+      return false;
+    out->push_back(ev);
+  }
+  return true;
+}
+
+template <class T>
+bool read_field(const JsonValue& obj, const char* key, T* out,
+                std::string* error) {
   const JsonValue* v = obj.find(key);
   if (v == nullptr)
     return fail(obj, std::string("missing key \"") + key + "\"", error);
-  *out = v;
-  return true;
+  return read_value(*v, key, out, error);
 }
 
-bool get_object(const JsonValue& obj, const char* key, const JsonValue** out,
-                std::string* error) {
-  if (!get_field(obj, key, out, error)) return false;
-  if (!(*out)->is_object())
-    return fail(**out, std::string("key \"") + key + "\" must be an object, got " +
-                           (*out)->kind_name(),
-                error);
-  return true;
+template <class T>
+bool read_fields(const JsonValue& obj, T* out, std::string* error) {
+  return for_each_field(
+      [&](const char* key, auto& field) {
+        return read_field(obj, key, &field, error);
+      },
+      *out);
 }
 
-bool get_array(const JsonValue& obj, const char* key, const JsonValue** out,
-               std::string* error) {
-  if (!get_field(obj, key, out, error)) return false;
-  if (!(*out)->is_array())
-    return fail(**out, std::string("key \"") + key + "\" must be an array, got " +
-                           (*out)->kind_name(),
-                error);
-  return true;
-}
+// --- equality ---------------------------------------------------------------
 
-bool get_string(const JsonValue& obj, const char* key, std::string* out,
-                std::string* error) {
-  const JsonValue* v;
-  if (!get_field(obj, key, &v, error)) return false;
-  if (!v->is_string())
-    return fail(*v, std::string("key \"") + key + "\" must be a string, got " +
-                        v->kind_name(),
-                error);
-  *out = v->string;
-  return true;
-}
-
-bool get_double(const JsonValue& obj, const char* key, double* out,
-                std::string* error) {
-  const JsonValue* v;
-  if (!get_field(obj, key, &v, error)) return false;
-  if (!v->is_number())
-    return fail(*v, std::string("key \"") + key + "\" must be a number, got " +
-                        v->kind_name(),
-                error);
-  *out = v->number;
-  return true;
-}
-
-bool get_int(const JsonValue& obj, const char* key, int* out,
-             std::string* error) {
-  const JsonValue* v;
-  if (!get_field(obj, key, &v, error)) return false;
-  if (!v->is_number() || !v->as_int(out))
-    return fail(*v, std::string("key \"") + key + "\" must be an integer, got " +
-                        (v->is_number() ? v->number_raw : v->kind_name()),
-                error);
-  return true;
-}
-
-bool get_u64(const JsonValue& obj, const char* key, std::uint64_t* out,
-             std::string* error) {
-  const JsonValue* v;
-  if (!get_field(obj, key, &v, error)) return false;
-  if (!v->is_number() || !v->as_u64(out))
-    return fail(*v, std::string("key \"") + key +
-                        "\" must be an unsigned integer, got " +
-                        (v->is_number() ? v->number_raw : v->kind_name()),
-                error);
-  return true;
-}
-
-bool get_bool(const JsonValue& obj, const char* key, bool* out,
-              std::string* error) {
-  const JsonValue* v;
-  if (!get_field(obj, key, &v, error)) return false;
-  if (!v->is_bool())
-    return fail(*v, std::string("key \"") + key + "\" must be a boolean, got " +
-                        v->kind_name(),
-                error);
-  *out = v->boolean;
-  return true;
-}
-
-// --- serialization (fixed key order: this order IS the byte contract) -------
-
-void write_family(JsonWriter& json, const FamilySpec& f) {
-  json.key("family").begin_object();
-  json.kv("kind", f.kind);
-  json.kv("n", f.n);
-  json.kv("alpha", f.alpha);
-  json.kv("b", f.b);
-  json.kv("k", f.k);
-  json.kv("l", f.l);
-  json.kv("pqs_l", f.pqs_l);
-  json.kv("depth", f.depth);
-  json.kv("q", f.q);
-  json.kv("w", f.w);
-  json.kv("side", f.side);
-  json.end_object();
-}
-
-void write_config(JsonWriter& json, const RegisterExperimentConfig& c) {
-  json.key("config").begin_object();
-  json.kv("num_clients", c.num_clients);
-  json.kv("duration", c.duration);
-  json.kv("think_time", c.think_time);
-  json.kv("read_fraction", c.read_fraction);
-  json.kv("partition_rate", c.partition_rate);
-  json.kv("partition_fraction", c.partition_fraction);
-  json.kv("partition_duration", c.partition_duration);
-  json.kv("seed", c.seed);
-  json.key("network").begin_object();
-  json.kv("base_latency", c.network.base_latency);
-  json.kv("jitter_mean", c.network.jitter_mean);
-  json.kv("link_mean_up", c.network.link_mean_up);
-  json.kv("link_mean_down", c.network.link_mean_down);
-  json.end_object();
-  json.key("server").begin_object();
-  json.kv("mean_up", c.server.mean_up);
-  json.kv("mean_down", c.server.mean_down);
-  json.kv("service_time", c.server.service_time);
-  json.kv("amnesia_on_recovery", c.server.amnesia_on_recovery);
-  json.kv("serve_while_retired", c.server.serve_while_retired);
-  json.end_object();
-  json.key("client").begin_object();
-  json.kv("probe_timeout", c.client.probe_timeout);
-  json.kv("use_partition_filter", c.client.use_partition_filter);
-  json.kv("read_repair", c.client.read_repair);
-  json.kv("lie_tolerance", c.client.policy.lie_tolerance);
-  json.kv("max_attempts", c.client.max_attempts);
-  json.kv("backoff_base", c.client.backoff_base);
-  json.kv("backoff_jitter", c.client.backoff_jitter);
-  json.kv("adaptive_timeout", c.client.adaptive_timeout);
-  json.kv("ewma_gain", c.client.ewma_gain);
-  json.kv("timeout_multiplier", c.client.timeout_multiplier);
-  json.kv("min_probe_timeout", c.client.min_probe_timeout);
-  json.kv("max_probe_timeout", c.client.max_probe_timeout);
-  json.kv("op_deadline", c.client.op_deadline);
-  json.kv("refresh_views", c.client.policy.refresh_views);
-  json.kv("view_fetch_delay", c.client.policy.view_fetch_delay);
-  json.kv("max_view_fetches", c.client.policy.max_view_fetches);
-  json.end_object();
-  json.end_object();
-}
-
-void write_faults(JsonWriter& json, const FaultPlan& plan) {
-  json.key("faults").begin_array();
-  for (const FaultEvent& ev : plan.events) {
-    json.begin_object();
-    json.kv("kind", fault_kind_name(ev.kind));
-    json.kv("at", ev.at);
-    json.kv("duration", ev.duration);
-    json.kv("server", ev.server);
-    json.kv("client", ev.client);
-    json.kv("magnitude", ev.magnitude);
-    json.end_object();
+template <class T>
+bool same(const T& a, const T& b) {
+  if constexpr (HasFields<T>) {
+    return for_each_field(
+        [](const char*, const auto& x, const auto& y) { return same(x, y); },
+        a, b);
+  } else if constexpr (kIsVector<T>) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const auto& x, const auto& y) { return same(x, y); });
+  } else {
+    return a == b;
   }
-  json.end_array();
-}
-
-void write_churn(JsonWriter& json, const ChurnPlan& plan) {
-  json.key("churn").begin_array();
-  for (const ChurnEvent& ev : plan.events) {
-    json.begin_object();
-    json.kv("kind", churn_kind_name(ev.kind));
-    json.kv("at", ev.at);
-    json.kv("server", ev.server);
-    json.kv("count", ev.count);
-    json.end_object();
-  }
-  json.end_array();
-}
-
-void write_invariants(JsonWriter& json, const ChaosInvariants& inv) {
-  json.key("invariants").begin_object();
-  json.kv("availability_floor", inv.availability_floor);
-  json.kv("stale_envelope", inv.stale_envelope);
-  json.kv("expect_ts_regressions", inv.expect_ts_regressions);
-  json.kv("allow_lost_writes", inv.allow_lost_writes);
-  json.kv("require_view_convergence", inv.require_view_convergence);
-  json.kv("check_cross_epoch", inv.check_cross_epoch);
-  json.kv("max_cross_epoch_nonintersection",
-          inv.max_cross_epoch_nonintersection);
-  json.end_object();
-}
-
-// --- parsing ----------------------------------------------------------------
-
-bool parse_family(const JsonValue& v, FamilySpec* out, std::string* error) {
-  if (!check_keys(v, {"kind", "n", "alpha", "b", "k", "l", "pqs_l", "depth",
-                      "q", "w", "side"},
-                  error))
-    return false;
-  return get_string(v, "kind", &out->kind, error) &&
-         get_int(v, "n", &out->n, error) &&
-         get_int(v, "alpha", &out->alpha, error) &&
-         get_int(v, "b", &out->b, error) && get_int(v, "k", &out->k, error) &&
-         get_int(v, "l", &out->l, error) &&
-         get_double(v, "pqs_l", &out->pqs_l, error) &&
-         get_int(v, "depth", &out->depth, error) &&
-         get_int(v, "q", &out->q, error) && get_int(v, "w", &out->w, error) &&
-         get_int(v, "side", &out->side, error);
-}
-
-bool parse_config(const JsonValue& v, RegisterExperimentConfig* out,
-                  std::string* error) {
-  if (!check_keys(v, {"num_clients", "duration", "think_time", "read_fraction",
-                      "partition_rate", "partition_fraction",
-                      "partition_duration", "seed", "network", "server",
-                      "client"},
-                  error))
-    return false;
-  if (!(get_int(v, "num_clients", &out->num_clients, error) &&
-        get_double(v, "duration", &out->duration, error) &&
-        get_double(v, "think_time", &out->think_time, error) &&
-        get_double(v, "read_fraction", &out->read_fraction, error) &&
-        get_double(v, "partition_rate", &out->partition_rate, error) &&
-        get_double(v, "partition_fraction", &out->partition_fraction, error) &&
-        get_double(v, "partition_duration", &out->partition_duration, error) &&
-        get_u64(v, "seed", &out->seed, error)))
-    return false;
-  const JsonValue* net;
-  if (!get_object(v, "network", &net, error)) return false;
-  if (!check_keys(*net,
-                  {"base_latency", "jitter_mean", "link_mean_up",
-                   "link_mean_down"},
-                  error))
-    return false;
-  if (!(get_double(*net, "base_latency", &out->network.base_latency, error) &&
-        get_double(*net, "jitter_mean", &out->network.jitter_mean, error) &&
-        get_double(*net, "link_mean_up", &out->network.link_mean_up, error) &&
-        get_double(*net, "link_mean_down", &out->network.link_mean_down,
-                   error)))
-    return false;
-  const JsonValue* srv;
-  if (!get_object(v, "server", &srv, error)) return false;
-  if (!check_keys(*srv,
-                  {"mean_up", "mean_down", "service_time",
-                   "amnesia_on_recovery", "serve_while_retired"},
-                  error))
-    return false;
-  if (!(get_double(*srv, "mean_up", &out->server.mean_up, error) &&
-        get_double(*srv, "mean_down", &out->server.mean_down, error) &&
-        get_double(*srv, "service_time", &out->server.service_time, error) &&
-        get_bool(*srv, "amnesia_on_recovery", &out->server.amnesia_on_recovery,
-                 error) &&
-        get_bool(*srv, "serve_while_retired", &out->server.serve_while_retired,
-                 error)))
-    return false;
-  const JsonValue* cli;
-  if (!get_object(v, "client", &cli, error)) return false;
-  if (!check_keys(*cli,
-                  {"probe_timeout", "use_partition_filter", "read_repair",
-                   "lie_tolerance", "max_attempts", "backoff_base",
-                   "backoff_jitter", "adaptive_timeout", "ewma_gain",
-                   "timeout_multiplier", "min_probe_timeout",
-                   "max_probe_timeout", "op_deadline", "refresh_views",
-                   "view_fetch_delay", "max_view_fetches"},
-                  error))
-    return false;
-  ClientConfig& c = out->client;
-  return get_double(*cli, "probe_timeout", &c.probe_timeout, error) &&
-         get_bool(*cli, "use_partition_filter", &c.use_partition_filter,
-                  error) &&
-         get_bool(*cli, "read_repair", &c.read_repair, error) &&
-         get_int(*cli, "lie_tolerance", &c.policy.lie_tolerance, error) &&
-         get_int(*cli, "max_attempts", &c.max_attempts, error) &&
-         get_double(*cli, "backoff_base", &c.backoff_base, error) &&
-         get_double(*cli, "backoff_jitter", &c.backoff_jitter, error) &&
-         get_bool(*cli, "adaptive_timeout", &c.adaptive_timeout, error) &&
-         get_double(*cli, "ewma_gain", &c.ewma_gain, error) &&
-         get_double(*cli, "timeout_multiplier", &c.timeout_multiplier,
-                    error) &&
-         get_double(*cli, "min_probe_timeout", &c.min_probe_timeout, error) &&
-         get_double(*cli, "max_probe_timeout", &c.max_probe_timeout, error) &&
-         get_double(*cli, "op_deadline", &c.op_deadline, error) &&
-         get_bool(*cli, "refresh_views", &c.policy.refresh_views, error) &&
-         get_double(*cli, "view_fetch_delay", &c.policy.view_fetch_delay,
-                    error) &&
-         get_int(*cli, "max_view_fetches", &c.policy.max_view_fetches,
-                 error);
-}
-
-bool parse_faults(const JsonValue& v, FaultPlan* out, std::string* error) {
-  out->events.clear();
-  for (const JsonValue& item : v.items) {
-    if (!item.is_object())
-      return fail(item, std::string("fault event must be an object, got ") +
-                            item.kind_name(),
-                  error);
-    if (!check_keys(item,
-                    {"kind", "at", "duration", "server", "client",
-                     "magnitude"},
-                    error))
-      return false;
-    FaultEvent ev;
-    std::string kind;
-    if (!(get_string(item, "kind", &kind, error) &&
-          get_double(item, "at", &ev.at, error) &&
-          get_double(item, "duration", &ev.duration, error) &&
-          get_int(item, "server", &ev.server, error) &&
-          get_int(item, "client", &ev.client, error) &&
-          get_double(item, "magnitude", &ev.magnitude, error)))
-      return false;
-    bool known = false;
-    for (FaultEvent::Kind k : kFaultKinds)
-      if (kind == fault_kind_name(k)) {
-        ev.kind = k;
-        known = true;
-        break;
-      }
-    if (!known)
-      return fail(*item.find("kind"), "unknown fault kind \"" + kind + "\"",
-                  error);
-    if (!(ev.at >= 0.0))
-      return fail(*item.find("at"), "fault time must be >= 0", error);
-    if (!(ev.duration >= 0.0))
-      return fail(*item.find("duration"), "fault duration must be >= 0",
-                  error);
-    out->events.push_back(ev);
-  }
-  return true;
-}
-
-bool parse_churn(const JsonValue& v, ChurnPlan* out, std::string* error) {
-  out->events.clear();
-  for (const JsonValue& item : v.items) {
-    if (!item.is_object())
-      return fail(item, std::string("churn event must be an object, got ") +
-                            item.kind_name(),
-                  error);
-    if (!check_keys(item, {"kind", "at", "server", "count"}, error))
-      return false;
-    ChurnEvent ev;
-    std::string kind;
-    if (!(get_string(item, "kind", &kind, error) &&
-          get_double(item, "at", &ev.at, error) &&
-          get_int(item, "server", &ev.server, error) &&
-          get_int(item, "count", &ev.count, error)))
-      return false;
-    bool known = false;
-    for (ChurnEvent::Kind k : kChurnKinds)
-      if (kind == churn_kind_name(k)) {
-        ev.kind = k;
-        known = true;
-        break;
-      }
-    if (!known)
-      return fail(*item.find("kind"), "unknown churn kind \"" + kind + "\"",
-                  error);
-    // Epoch 0 starts at t=0; a boundary at or before it cannot exist.
-    if (!(ev.at > 0.0))
-      return fail(*item.find("at"), "churn event time must be > 0", error);
-    if (ev.count < 1)
-      return fail(*item.find("count"), "churn event count must be >= 1",
-                  error);
-    if ((ev.kind == ChurnEvent::Kind::kLeave ||
-         ev.kind == ChurnEvent::Kind::kReplace) &&
-        ev.server < 0)
-      return fail(*item.find("server"),
-                  "leave/replace needs a logical server id >= 0", error);
-    out->events.push_back(ev);
-  }
-  return true;
-}
-
-bool parse_invariants(const JsonValue& v, ChaosInvariants* out,
-                      std::string* error) {
-  if (!check_keys(v,
-                  {"availability_floor", "stale_envelope",
-                   "expect_ts_regressions", "allow_lost_writes",
-                   "require_view_convergence", "check_cross_epoch",
-                   "max_cross_epoch_nonintersection"},
-                  error))
-    return false;
-  return get_double(v, "availability_floor", &out->availability_floor,
-                    error) &&
-         get_double(v, "stale_envelope", &out->stale_envelope, error) &&
-         get_bool(v, "expect_ts_regressions", &out->expect_ts_regressions,
-                  error) &&
-         get_bool(v, "allow_lost_writes", &out->allow_lost_writes, error) &&
-         get_bool(v, "require_view_convergence",
-                  &out->require_view_convergence, error) &&
-         get_bool(v, "check_cross_epoch", &out->check_cross_epoch, error) &&
-         get_double(v, "max_cross_epoch_nonintersection",
-                    &out->max_cross_epoch_nonintersection, error);
 }
 
 }  // namespace
@@ -454,14 +368,8 @@ bool parse_invariants(const JsonValue& v, ChaosInvariants* out,
 std::string serialize_chaos_scenario(const ChaosScenario& scenario) {
   JsonWriter json;
   json.begin_object();
-  json.kv("schema", kSchema);
-  json.kv("name", scenario.name);
-  json.kv("description", scenario.description);
-  write_family(json, scenario.family);
-  write_config(json, scenario.config);
-  write_faults(json, scenario.plan);
-  write_churn(json, scenario.churn);
-  write_invariants(json, scenario.invariants);
+  json.kv(kSchemaKey, kSchema);
+  write_fields(json, scenario);
   json.end_object();
   return json.str() + "\n";
 }
@@ -472,38 +380,16 @@ bool parse_chaos_scenario(const JsonValue& root, ChaosScenario* out,
     return fail(root, std::string("scenario must be an object, got ") +
                           root.kind_name(),
                 error);
-  if (!check_keys(root,
-                  {"schema", "name", "description", "family", "config",
-                   "faults", "churn", "invariants"},
-                  error))
-    return false;
+  *out = ChaosScenario{};
+  if (!check_keys(root, *out, error, kSchemaKey)) return false;
   std::string schema;
-  if (!get_string(root, "schema", &schema, error)) return false;
+  if (!read_field(root, kSchemaKey, &schema, error)) return false;
   if (schema != kSchema)
-    return fail(*root.find("schema"),
+    return fail(*root.find(kSchemaKey),
                 "unsupported schema \"" + schema + "\" (want \"" + kSchema +
                     "\")",
                 error);
-  *out = ChaosScenario{};
-  if (!(get_string(root, "name", &out->name, error) &&
-        get_string(root, "description", &out->description, error)))
-    return false;
-  const JsonValue* v;
-  if (!get_object(root, "family", &v, error) ||
-      !parse_family(*v, &out->family, error))
-    return false;
-  if (!get_object(root, "config", &v, error) ||
-      !parse_config(*v, &out->config, error))
-    return false;
-  if (!get_array(root, "faults", &v, error) ||
-      !parse_faults(*v, &out->plan, error))
-    return false;
-  if (!get_array(root, "churn", &v, error) ||
-      !parse_churn(*v, &out->churn, error))
-    return false;
-  if (!get_object(root, "invariants", &v, error) ||
-      !parse_invariants(*v, &out->invariants, error))
-    return false;
+  if (!read_fields(root, out, error)) return false;
   // Churn needs a family it can re-instantiate at each epoch's size.
   if (!out->churn.empty() && out->family.empty())
     return fail(root, "churn plan requires a non-empty family spec", error);
@@ -529,55 +415,7 @@ bool write_chaos_scenario(const ChaosScenario& scenario,
 }
 
 bool scenario_equal(const ChaosScenario& a, const ChaosScenario& b) {
-  if (a.name != b.name || a.description != b.description) return false;
-  if (a.family != b.family) return false;
-  const RegisterExperimentConfig& x = a.config;
-  const RegisterExperimentConfig& y = b.config;
-  if (x.num_clients != y.num_clients || x.duration != y.duration ||
-      x.think_time != y.think_time || x.read_fraction != y.read_fraction ||
-      x.partition_rate != y.partition_rate ||
-      x.partition_fraction != y.partition_fraction ||
-      x.partition_duration != y.partition_duration || x.seed != y.seed)
-    return false;
-  if (x.network.base_latency != y.network.base_latency ||
-      x.network.jitter_mean != y.network.jitter_mean ||
-      x.network.link_mean_up != y.network.link_mean_up ||
-      x.network.link_mean_down != y.network.link_mean_down)
-    return false;
-  if (x.server.mean_up != y.server.mean_up ||
-      x.server.mean_down != y.server.mean_down ||
-      x.server.service_time != y.server.service_time ||
-      x.server.amnesia_on_recovery != y.server.amnesia_on_recovery ||
-      x.server.serve_while_retired != y.server.serve_while_retired)
-    return false;
-  if (!(x.client == y.client)) return false;
-  if (a.plan.events.size() != b.plan.events.size()) return false;
-  for (std::size_t i = 0; i < a.plan.events.size(); ++i) {
-    const FaultEvent& e = a.plan.events[i];
-    const FaultEvent& f = b.plan.events[i];
-    if (e.kind != f.kind || e.at != f.at || e.duration != f.duration ||
-        e.server != f.server || e.client != f.client ||
-        e.magnitude != f.magnitude)
-      return false;
-  }
-  if (a.churn.events.size() != b.churn.events.size()) return false;
-  for (std::size_t i = 0; i < a.churn.events.size(); ++i) {
-    const ChurnEvent& e = a.churn.events[i];
-    const ChurnEvent& f = b.churn.events[i];
-    if (e.kind != f.kind || e.at != f.at || e.server != f.server ||
-        e.count != f.count)
-      return false;
-  }
-  const ChaosInvariants& m = a.invariants;
-  const ChaosInvariants& n = b.invariants;
-  return m.availability_floor == n.availability_floor &&
-         m.stale_envelope == n.stale_envelope &&
-         m.expect_ts_regressions == n.expect_ts_regressions &&
-         m.allow_lost_writes == n.allow_lost_writes &&
-         m.require_view_convergence == n.require_view_convergence &&
-         m.check_cross_epoch == n.check_cross_epoch &&
-         m.max_cross_epoch_nonintersection ==
-             n.max_cross_epoch_nonintersection;
+  return same(a, b);
 }
 
 }  // namespace sqs

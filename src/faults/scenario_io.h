@@ -9,9 +9,11 @@
 // writes, and tests/test_scenario_io.cpp holds the builtin grid to a
 // byte-for-byte round trip.
 //
-// Deliberately NOT serialized: config.fault_hook (programmatic) and
-// config.epochs (derived — run_chaos expands the churn plan at execution
-// time). scenario_equal compares only the data fields.
+// Each serialized struct has one field table in scenario_io.cpp; the key
+// order, the reader, the unknown-key check and scenario_equal all come
+// from it. Deliberately NOT serialized: config.fault_hook (programmatic)
+// and config.epochs (derived — run_chaos expands the churn plan at
+// execution time). scenario_equal compares only the serialized fields.
 
 #pragma once
 

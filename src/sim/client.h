@@ -84,7 +84,6 @@ struct ClientConfig {
   // True iff timeouts/attempt counts/fractions are usable; complaints go
   // to stderr, one line per bad field.
   bool validate() const;
-  bool operator==(const ClientConfig&) const = default;
 };
 
 struct AcquisitionResult {

@@ -49,7 +49,6 @@ struct RegisterPolicy {
   // True iff every knob is usable; one stderr line per bad field,
   // prefixed with `owner`.
   bool validate(const char* owner) const;
-  bool operator==(const RegisterPolicy&) const = default;
 };
 
 // One replica's reply to a probe; nullopt when the probe did not reach it.

@@ -53,6 +53,10 @@
 // masking-opta / masking-comp (--b liars tolerated, default 1; any two
 // quorums intersect in >= 2b+1 servers so reads can outvote the liars).
 //
+// Numeric flags parse whole: a malformed or out-of-range value (`--n abc`,
+// `--p 0.1x`) exits 2 with "bad value '<v>' for --<flag>"; `--seed` is an
+// unsigned 64-bit integer.
+//
 // Every Monte Carlo subcommand runs on the shared parallel trial runtime.
 // `--threads N` (or the SQS_THREADS environment variable) picks the thread
 // count; results are bit-identical whatever value is used.
@@ -71,8 +75,9 @@
 // written to `--blackbox FILE` (defaults chaos_blackbox.jsonl /
 // serve_blackbox.jsonl). Reconstruct one op with scripts/op_timeline.py.
 
-#include <cmath>
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -80,14 +85,11 @@
 #include <string>
 #include <vector>
 
-#include "core/composition.h"
 #include "core/constructions.h"
-#include "core/masking.h"
 #include "analysis/profile.h"
 #include "faults/chaos.h"
 #include "faults/scenario_io.h"
 #include "core/explicit_sqs.h"
-#include "core/witness.h"
 #include "mismatch/exact.h"
 #include "mismatch/trace_gen.h"
 #include "obs/recorder.h"
@@ -100,12 +102,6 @@
 #include "service/runner.h"
 #include "sweep/search.h"
 #include "sweep/sweep.h"
-#include "uqs/grid.h"
-#include "uqs/majority.h"
-#include "uqs/paths.h"
-#include "uqs/pqs.h"
-#include "uqs/projective_plane.h"
-#include "uqs/tree.h"
 #include "util/table.h"
 
 namespace sqs {
@@ -116,16 +112,36 @@ struct Args {
   std::vector<std::string> positional;
 
   int geti(const std::string& key, int fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::stoi(it->second);
+    return number(key, fallback);
   }
   double getd(const std::string& key, double fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::stod(it->second);
+    return number(key, fallback);
+  }
+  std::uint64_t getu(const std::string& key, std::uint64_t fallback) const {
+    return number(key, fallback);
   }
   std::string gets(const std::string& key, const std::string& fallback) const {
     auto it = flags.find(key);
     return it == flags.end() ? fallback : it->second;
+  }
+
+ private:
+  // The whole operand must parse as a T in range: a malformed numeric flag
+  // exits 2 with a complaint instead of being truncated or aborting.
+  template <typename T>
+  T number(const std::string& key, T fallback) const {
+    auto it = flags.find(key);
+    if (it == flags.end()) return fallback;
+    const std::string& text = it->second;
+    const char* end = text.data() + text.size();
+    T value{};
+    const auto [stop, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || stop != end) {
+      std::fprintf(stderr, "bad value '%s' for --%s\n", text.c_str(),
+                   key.c_str());
+      std::exit(2);
+    }
+    return value;
   }
 };
 
@@ -156,44 +172,9 @@ Args parse(int argc, char** argv, int start) {
   return args;
 }
 
-std::shared_ptr<QuorumFamily> make_family(const std::string& spec, const Args& args) {
-  const int n = args.geti("n", 50);
-  const int alpha = args.geti("alpha", 2);
-  if (spec.rfind("comp:", 0) == 0) {
-    Args inner_args = args;
-    inner_args.flags["n"] = std::to_string(args.geti("k", 9));
-    auto inner = make_family(spec.substr(5), inner_args);
-    return std::make_shared<CompositionFamily>(inner, n, alpha);
-  }
-  if (spec == "opta") return std::make_shared<OptAFamily>(n, alpha);
-  if (spec == "optd") return std::make_shared<OptDFamily>(n, alpha);
-  if (spec == "majority") return std::make_shared<MajorityFamily>(n);
-  if (spec == "grid") {
-    const int side = args.geti("side", static_cast<int>(std::round(std::sqrt(n))));
-    return std::make_shared<GridFamily>(side, side);
-  }
-  if (spec == "paths") return std::make_shared<PathsFamily>(args.geti("l", 4));
-  if (spec == "tree") return std::make_shared<TreeFamily>(args.geti("depth", 5));
-  if (spec == "pqs") return std::make_shared<PqsFamily>(n, args.getd("l", 1.0));
-  if (spec == "plane") return std::make_shared<ProjectivePlaneFamily>(args.geti("q", 5));
-  if (spec == "witness")
-    return std::make_shared<WitnessFamily>(n, args.geti("w", 8), alpha);
-  // Masking variants (--b liars tolerated, default 1): any two quorums
-  // intersect in >= 2b+1 servers, so b+1 correct replies outvote the liars.
-  if (spec == "masking-majority")
-    return std::make_shared<MaskingThresholdFamily>(n, args.geti("b", 1));
-  if (spec == "masking-opta")
-    return std::make_shared<MaskingOptAFamily>(n, alpha, args.geti("b", 1));
-  if (spec == "masking-comp")
-    return std::make_shared<MaskingCompositionFamily>(args.geti("k", 9), n,
-                                                      alpha, args.geti("b", 1));
-  std::fprintf(stderr, "unknown family '%s'\n", spec.c_str());
-  std::exit(2);
-}
-
-// The data form of the --family flags (src/faults/family_spec.h): the same
-// parameters make_family reads, captured by value so chaos scenarios can
-// name their family, re-instantiate it at churned sizes, and serialize it.
+// The data form of the --family flags (src/faults/family_spec.h), captured
+// by value so chaos scenarios can name their family, re-instantiate it at
+// churned sizes, and serialize it. Every command builds through its make().
 FamilySpec spec_from_args(const std::string& kind, const Args& args) {
   FamilySpec spec;
   spec.kind = kind;
@@ -201,8 +182,11 @@ FamilySpec spec_from_args(const std::string& kind, const Args& args) {
   spec.alpha = args.geti("alpha", 2);
   spec.b = args.geti("b", 1);
   spec.k = args.geti("k", 9);
-  spec.l = args.geti("l", 4);
-  spec.pqs_l = args.getd("l", 1.0);
+  // --l is the paths parameter, or the quorum-size multiplier for pqs.
+  if (kind == "pqs" || kind == "comp:pqs")
+    spec.pqs_l = args.getd("l", 1.0);
+  else
+    spec.l = args.geti("l", 4);
   spec.depth = args.geti("depth", 5);
   spec.q = args.geti("q", 5);
   spec.w = args.geti("w", 8);
@@ -211,7 +195,8 @@ FamilySpec spec_from_args(const std::string& kind, const Args& args) {
 }
 
 int cmd_avail(const Args& args) {
-  auto family = make_family(args.gets("family", "optd"), args);
+  const auto family = spec_from_args(args.gets("family", "optd"), args).make();
+  if (family == nullptr) return 2;
   Table table({"p", "availability", "1-availability"});
   std::vector<double> ps;
   if (args.flags.count("p")) {
@@ -229,10 +214,12 @@ int cmd_avail(const Args& args) {
 }
 
 int cmd_probes(const Args& args) {
-  auto family = make_family(args.gets("family", "optd"), args);
+  const auto family = spec_from_args(args.gets("family", "optd"), args).make();
+  if (family == nullptr) return 2;
   const double p = args.getd("p", 0.3);
   const int trials = args.geti("trials", 20000);
-  const ProbeMeasurement m = measure_probes(*family, p, trials, Rng(args.geti("seed", 1)));
+  const ProbeMeasurement m =
+      measure_probes(*family, p, trials, Rng(args.getu("seed", 1)));
   Table table({"metric", "value"});
   table.add_row({"E[probes] measured", Table::fmt(m.probes_overall.mean(), 3)});
   table.add_row({"E[probes | acquired]", Table::fmt(m.probes_acquired.mean(), 3)});
@@ -310,10 +297,11 @@ int cmd_verify(const Args& args) {
 }
 
 int cmd_profile(const Args& args) {
-  auto family = make_family(args.gets("family", "optd"), args);
+  const auto family = spec_from_args(args.gets("family", "optd"), args).make();
+  if (family == nullptr) return 2;
   const int samples = args.geti("samples", 5000);
   const AcceptanceProfile profile =
-      acceptance_profile(*family, samples, Rng(args.geti("seed", 1)));
+      acceptance_profile(*family, samples, Rng(args.getu("seed", 1)));
   Table table({"k live servers", "P[quorum exists | k]"});
   for (std::size_t k = 0; k < profile.probability.size(); ++k)
     table.add_row({std::to_string(k), Table::fmt(profile.probability[k], 4)});
@@ -346,8 +334,7 @@ std::vector<int> split_ints(const std::string& csv) {
 
 int cmd_sweep(const Args& args) {
   const std::string kind = args.gets("kind", "avail");
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.geti("seed", 1));
+  const std::uint64_t seed = args.getu("seed", 1);
   // --batch scalar|batched|differential selects the chunk-kernel policy
   // (see DESIGN.md §3.12); all three publish identical bits, differential
   // additionally replays the scalar oracle per trial and aborts on any
@@ -366,13 +353,13 @@ int cmd_sweep(const Args& args) {
         split_list(args.gets("families", "optd,opta"));
     const std::vector<double> ps =
         split_doubles(args.gets("ps", "0.1,0.2,0.3,0.4"));
-    const std::uint64_t samples = static_cast<std::uint64_t>(
-        args.geti("samples", static_cast<int>(kAvailabilityMcSamples)));
+    const std::uint64_t samples = args.getu("samples", kAvailabilityMcSamples);
     std::vector<AvailabilityCell> cells;
-    std::vector<std::shared_ptr<QuorumFamily>> families;
-    for (const std::string& spec : specs) families.push_back(make_family(spec, args));
-    for (const auto& family : families)
+    for (const std::string& spec : specs) {
+      const auto family = spec_from_args(spec, args).make();
+      if (family == nullptr) return 2;
       for (double p : ps) cells.push_back({family, p, samples, seed});
+    }
     const auto estimates = sweep_availability(cells, opts);
     Table table({"family", "p", "avail (MC)", "avail (closed form)"});
     for (std::size_t i = 0; i < cells.size(); ++i)
@@ -388,12 +375,11 @@ int cmd_sweep(const Args& args) {
     const std::vector<std::string> specs =
         split_list(args.gets("families", "optd,opta"));
     const std::vector<double> ps = split_doubles(args.gets("ps", "0.1,0.2,0.3"));
-    const std::uint64_t trials =
-        static_cast<std::uint64_t>(args.geti("trials", 20000));
+    const std::uint64_t trials = args.getu("trials", 20000);
     std::vector<ProbeCell> cells;
-    std::vector<std::shared_ptr<QuorumFamily>> families;
-    for (const std::string& spec : specs) families.push_back(make_family(spec, args));
-    for (const auto& family : families)
+    for (const std::string& spec : specs) {
+      const auto family = spec_from_args(spec, args).make();
+      if (family == nullptr) return 2;
       for (double p : ps) {
         ProbeCell cell;
         cell.family = family;
@@ -402,6 +388,7 @@ int cmd_sweep(const Args& args) {
         cell.base = Rng(seed).split(cells.size());
         cells.push_back(std::move(cell));
       }
+    }
     const auto measured = sweep_probes(cells, opts);
     Table table({"family", "p", "E[probes]", "acquire rate", "load"});
     for (std::size_t i = 0; i < cells.size(); ++i)
@@ -419,8 +406,7 @@ int cmd_sweep(const Args& args) {
     const std::vector<int> alphas = split_ints(args.gets("alphas", "1,2,3"));
     const std::vector<double> misses =
         split_doubles(args.gets("misses", "0.1,0.2,0.3"));
-    const std::uint64_t trials =
-        static_cast<std::uint64_t>(args.geti("trials", 100000));
+    const std::uint64_t trials = args.getu("trials", 100000);
     std::vector<NonintersectionCell> cells;
     for (int alpha : alphas)
       for (double miss : misses) {
@@ -456,8 +442,8 @@ int cmd_search(const Args& args) {
   spec.link_miss = args.getd("miss", 0.2);
   spec.max_alpha = args.geti("max-alpha", 0);
   spec.exact = !args.flags.count("mc");
-  spec.trials = static_cast<std::uint64_t>(args.geti("trials", 100000));
-  spec.seed = static_cast<std::uint64_t>(args.geti("seed", 0x5ea4c4));
+  spec.trials = args.getu("trials", 100000);
+  spec.seed = args.getu("seed", 0x5ea4c4);
 
   SearchTargets targets;
   targets.max_nonintersection = args.getd("target-nonint", 1e-3);
@@ -490,9 +476,9 @@ int cmd_search(const Args& args) {
   comp.alpha = result.alpha;
   comp.n = args.geti("compose-n", std::max(spec.n, 16 * result.alpha));
   comp.p = args.getd("compose-p", spec.p);
-  comp.base_trials = static_cast<std::uint64_t>(args.geti("base-trials", 2000));
+  comp.base_trials = args.getu("base-trials", 2000);
   comp.rounds = args.geti("rounds", 3);
-  comp.seed = static_cast<std::uint64_t>(args.geti("seed", 0xc0317));
+  comp.seed = args.getu("seed", 0xc0317);
   const CompositionSearchResult race = find_best_composition(comp, targets);
   if (!race.feasible) {
     std::printf("composition race skipped (no candidate pool or availability "
@@ -526,7 +512,7 @@ int cmd_trace(const Args& args) {
   config.model.link_miss = args.getd("miss", 0.02);
   config.model.partition_rate = args.getd("partition-rate", 0.0);
   config.model.partition_fraction = args.getd("partition-fraction", 0.5);
-  const MismatchHistogram hist = run_trace(config, Rng(args.geti("seed", 1)));
+  const MismatchHistogram hist = run_trace(config, Rng(args.getu("seed", 1)));
   const auto predicted = independent_prediction(config, 8);
   Table table({"k", "P(k) measured", "P(k) iid prediction"});
   for (std::size_t k = 0; k <= 8; ++k)
@@ -554,10 +540,10 @@ int cmd_chaos(const Args& args) {
       std::fprintf(stderr, "%s\n", error.c_str());
       return 2;
     }
-    family = loaded.family.empty()
-                 ? std::shared_ptr<const QuorumFamily>(
-                       make_family(args.gets("family", "optd"), args))
-                 : loaded.family.make();
+    family = (loaded.family.empty()
+                  ? spec_from_args(args.gets("family", "optd"), args)
+                  : loaded.family)
+                 .make();
     if (family == nullptr) return 2;
     scenarios.push_back(std::move(loaded));
   } else {
@@ -713,11 +699,11 @@ int cmd_serve(const Args& args) {
       return 2;
     }
   }
-  std::shared_ptr<const QuorumFamily> family =
-      have_file && !from_file.family.empty()
-          ? from_file.family.make()
-          : std::shared_ptr<const QuorumFamily>(
-                make_family(args.gets("family", "optd"), args));
+  const std::shared_ptr<const QuorumFamily> family =
+      (have_file && !from_file.family.empty()
+           ? from_file.family
+           : spec_from_args(args.gets("family", "optd"), args))
+          .make();
   if (family == nullptr) return 2;
 
   // --rate / --duration go through the validating parser: a malformed value
@@ -744,8 +730,7 @@ int cmd_serve(const Args& args) {
       args.getd("read-fraction", have_file ? from_file.config.read_fraction : 0.8);
   load.num_clients =
       args.geti("clients", have_file ? from_file.config.num_clients : 64);
-  load.seed = static_cast<std::uint64_t>(args.geti(
-      "seed", have_file ? static_cast<int>(from_file.config.seed) : 1));
+  load.seed = args.getu("seed", have_file ? from_file.config.seed : 1);
 
   ServiceConfig config;
   if (have_file) {
