@@ -53,11 +53,13 @@ class MaskingThresholdStrategy : public ProbeStrategy {
   MaskingThresholdStrategy(int n, int threshold)
       : n_(n), threshold_(threshold) {
     order_.resize(static_cast<std::size_t>(n_));
-    std::iota(order_.begin(), order_.end(), 0);
     reset(nullptr);
   }
 
   void reset(Rng* rng) override {
+    // From the identity order every time, so a reused strategy draws the
+    // same order from `rng` as a fresh one.
+    std::iota(order_.begin(), order_.end(), 0);
     if (rng != nullptr) std::shuffle(order_.begin(), order_.end(), *rng);
     quorum_.reshape(n_);
     step_ = 0;

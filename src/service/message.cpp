@@ -173,6 +173,9 @@ bool decode_reply(const std::uint8_t* in, Reply* out) {
     return false;
   const std::uint8_t kind = get<std::uint8_t>(in, 48);
   if (kind > static_cast<std::uint8_t>(OpKind::kWrite)) return false;
+  const std::uint8_t ok = get<std::uint8_t>(in, 49);
+  if (ok > 1) return false;  // encode writes 0 or 1; anything else is
+                             // not a canonical record
   if (!zero_range(in, 50, 52)) return false;
   if (get<std::uint32_t>(in, 52) != hmac32(kServiceKey, in + 8, 44))
     return false;
@@ -184,7 +187,7 @@ bool decode_reply(const std::uint8_t* in, Reply* out) {
   out->probes = get<std::uint32_t>(in, 44);
   out->kind = static_cast<OpKind>(kind);
   out->cert = get<std::uint32_t>(in, 52);
-  out->ok = get<std::uint8_t>(in, 49) != 0;
+  out->ok = ok != 0;
   return true;
 }
 

@@ -92,7 +92,9 @@ void encode_request(const Request& req, std::uint8_t* out);
 void encode_reply(const Reply& rep, std::uint8_t* out);
 
 // Decoders verify magic + checksum + kind range + zero reserved bytes; the
-// reply decoder additionally verifies the service certificate. On failure
+// reply decoder additionally verifies a 0/1 ok byte and the service
+// certificate. An accepted reply, or a decoded request whose carried cert
+// equals `expected_cert`, re-encodes to exactly its wire bytes. On failure
 // the result's `valid` flag (request) or the return value (reply) says so
 // and other fields are unspecified. Request certs are intentionally NOT
 // verified here (see Request::valid), but decode_request computes the

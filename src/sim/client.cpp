@@ -49,23 +49,6 @@ bool ClientConfig::validate() const {
   return policy.validate("ClientConfig") && ok;
 }
 
-struct SimClient::Acquisition {
-  const QuorumFamily* family = nullptr;
-  bool epoch_mode = false;
-  std::unique_ptr<ProbeStrategy> strategy;
-  Rng strategy_rng;
-  // The current attempt's evidence; sized on the first attempt and reused
-  // by retries.
-  QuorumAttempt attempt;
-  AcquisitionResult result;
-  double op_start = 0.0;
-  double probe_sent_at = 0.0;
-  std::uint64_t pending_seq = 0;  // id of the in-flight probe; 0 = none
-  int object = 0;
-  // Fires once with the final attempt's evidence.
-  std::function<void(Acquisition&)> done;
-};
-
 SimClient::SimClient(Simulator* sim, Network* net,
                      std::vector<Replica>* servers, int id,
                      const QuorumFamily* family, const ClientConfig& config,
@@ -85,99 +68,139 @@ double SimClient::current_probe_timeout() const {
                     config_.min_probe_timeout, config_.max_probe_timeout);
 }
 
-void SimClient::acquire(std::function<void(AcquisitionResult)> done) {
-  start_op(family_, /*object=*/0,
-           [done = std::move(done)](Acquisition& acq) { done(acq.result); });
+void SimClient::acquire(OpCallback done) {
+  start_op(family_, /*object=*/0, OpKind::kAcquire, 0, std::move(done));
 }
 
 void SimClient::acquire(const QuorumFamily& family, int object,
-                        std::function<void(AcquisitionResult)> done) {
-  start_op(&family, object,
-           [done = std::move(done)](Acquisition& acq) { done(acq.result); });
+                        OpCallback done) {
+  start_op(&family, object, OpKind::kAcquire, 0, std::move(done));
 }
 
-void SimClient::start_op(const QuorumFamily* family, int object,
-                         std::function<void(Acquisition&)> done) {
-  auto acq = std::make_shared<Acquisition>();
-  acq->family = family;
+void SimClient::read(OpCallback done) {
+  start_op(family_, /*object=*/0, OpKind::kRead, 0, std::move(done));
+}
+
+void SimClient::read(const QuorumFamily& family, int object,
+                     OpCallback done) {
+  start_op(&family, object, OpKind::kRead, 0, std::move(done));
+}
+
+void SimClient::write(std::uint64_t value, OpCallback done) {
+  start_op(family_, /*object=*/0, OpKind::kWrite, value, std::move(done));
+}
+
+void SimClient::write(const QuorumFamily& family, int object,
+                      std::uint64_t value, OpCallback done) {
+  start_op(&family, object, OpKind::kWrite, value, std::move(done));
+}
+
+void SimClient::start_op(const QuorumFamily* family, int object, OpKind kind,
+                         std::uint64_t value, OpCallback done) {
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(std::make_unique<Acquisition>());
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Acquisition& acq = *slots_[slot];
+  acq.family = family;
   // No family: each attempt resolves family + membership from the
   // client's own (possibly stale) view epoch.
-  acq->epoch_mode = family == nullptr;
-  acq->op_start = sim_->now();
-  acq->object = object;
-  acq->done = std::move(done);
-  acq->result.op = obs::make_op_id(1 + static_cast<std::uint32_t>(id_),
-                                   next_op_++);
-  obs::flight(obs::FlightKind::kArrival, acq->result.op, to_us(acq->op_start),
+  acq.epoch_mode = family == nullptr;
+  acq.kind = kind;
+  acq.object = object;
+  acq.op_start = sim_->now();
+  acq.done = std::move(done);
+  // A fresh result that keeps the probed set's storage.
+  SignedSet probed = std::move(acq.result.probed);
+  acq.result = OpResult{};
+  acq.result.probed = std::move(probed);
+  if (kind == OpKind::kWrite) acq.result.value = value;
+  acq.result.op = obs::make_op_id(1 + static_cast<std::uint32_t>(id_),
+                                  next_op_++);
+  obs::flight(obs::FlightKind::kArrival, acq.result.op, to_us(acq.op_start),
               -1, static_cast<std::uint64_t>(id_));
-  start_attempt(std::move(acq));
+  start_attempt(slot);
 }
 
-void SimClient::start_attempt(std::shared_ptr<Acquisition> acq) {
+ProbeStrategy* SimClient::strategy_for(Acquisition& acq,
+                                       const QuorumFamily& family) {
+  for (auto& [f, strategy] : acq.strategies)
+    if (f == &family) return strategy.get();
+  acq.strategies.emplace_back(&family, family.make_probe_strategy());
+  return acq.strategies.back().second.get();
+}
+
+void SimClient::start_attempt(std::uint32_t slot) {
+  Acquisition& acq = *slots_[slot];
   const MembershipView* view = nullptr;
-  if (acq->epoch_mode) {
+  if (acq.epoch_mode) {
     const EpochEntry& entry = epochs_->schedule->entry(view_epoch_);
-    acq->family = entry.family.get();
+    acq.family = entry.family.get();
     view = &entry.view;
   }
-  const QuorumFamily& family = *acq->family;
+  const QuorumFamily& family = *acq.family;
   if (config_.use_partition_filter && net_->client_partition_active(id_)) {
     // Beacon check: the beacon is an arbitrary node outside the client's
     // domain, so during a partition it is unreachable with probability
     // equal to the partitioned fraction.
     const double fraction = net_->client_partition_fraction(id_);
     if (rng_.bernoulli(fraction)) {
-      acq->result.filtered = true;
-      acq->strategy.reset();
-      acq->attempt.begin_aborted(family.universe_size(), view);
+      acq.result.filtered = true;
+      acq.attempt.begin_aborted(family.universe_size(), view);
       // The failed beacon check costs one timeout before the attempt
       // resolves (and can then be retried like any other failure).
       sim_->schedule(current_probe_timeout(),
-                     [this, acq] { finish_attempt(acq); });
+                     [this, slot] { finish_attempt(slot); });
       return;
     }
   }
-  acq->result.filtered = false;
-  acq->strategy = family.make_probe_strategy();
-  acq->strategy_rng = rng_.split(next_seq_ * 2 + 1);
+  acq.result.filtered = false;
+  acq.strategy_rng = rng_.split(probes_issued_ * 2 + 1);
   // Each attempt gathers fresh evidence; only num_probes/attempts carry
   // over, so the result reflects the final attempt's world view.
-  acq->attempt.begin(acq->strategy.get(), &acq->strategy_rng, view);
-  issue_next_probe(std::move(acq));
+  acq.attempt.begin(strategy_for(acq, family), &acq.strategy_rng, view);
+  issue_next_probe(slot);
 }
 
-void SimClient::issue_next_probe(std::shared_ptr<Acquisition> acq) {
-  if (!acq->attempt.in_progress()) {
-    finish_attempt(std::move(acq));
+void SimClient::issue_next_probe(std::uint32_t slot) {
+  Acquisition& acq = *slots_[slot];
+  if (!acq.attempt.in_progress()) {
+    finish_attempt(slot);
     return;
   }
   if (config_.op_deadline > 0.0 &&
-      sim_->now() - acq->op_start >= config_.op_deadline) {
-    acq->result.deadline_exceeded = true;
-    finish_attempt(std::move(acq));
+      sim_->now() - acq.op_start >= config_.op_deadline) {
+    acq.result.deadline_exceeded = true;
+    finish_attempt(slot);
     return;
   }
 
   // `server` is the family index the strategy probes; `target` is the
   // logical server actually on the wire (identical in classic mode).
-  const int server = acq->attempt.next_server();
-  const int target = acq->attempt.wire(server);
-  const std::uint64_t seq = ++next_seq_;
-  acq->pending_seq = seq;
-  acq->probe_sent_at = sim_->now();
-  ++acq->result.num_probes;
+  const int server = acq.attempt.next_server();
+  const int target = acq.attempt.wire(server);
+  const std::uint32_t generation = acq.generation;
+  ++probes_issued_;
+  acq.probe_sent_at = sim_->now();
+  ++acq.result.num_probes;
 
-  // Request leg.
+  // Request leg. It runs at the server even if the probe has since gone
+  // stale, so it carries the op's object and mode rather than reading a
+  // slot a later op may own.
   net_->send(id_, target, Network::Direction::kToServer,
-             [this, acq, seq, server, target] {
+             [this, slot, generation, server, target, object = acq.object,
+              epoch_mode = acq.epoch_mode] {
     Replica& s = (*servers_)[static_cast<std::size_t>(target)];
     // Epoch fence: a retired server answers — at normal cost — with a
     // rejection carrying the current epoch instead of register state.
-    const bool fenced =
-        acq->epoch_mode && s.fences_requests() && s.up(sim_->now());
+    const bool fenced = epoch_mode && s.fences_requests() && s.up(sim_->now());
     ReplySlot reply;
     if (!fenced) {
-      reply = s.handle_read(sim_->now(), acq->object, id_);
+      reply = s.handle_read(sim_->now(), object, id_);
       if (!reply.has_value()) return;  // server crashed: no reply
     }
     // Retirement is sampled AT SERVE TIME and carried with the reply: the
@@ -186,172 +209,151 @@ void SimClient::issue_next_probe(std::shared_ptr<Acquisition> acq) {
     // retired read.
     const bool was_retired = s.retired();
     // Service delay, then the reply leg.
-    sim_->schedule(s.service_time(sim_->now()), [this, acq, seq, server,
-                                                 target, reply, was_retired,
-                                                 fenced] {
+    sim_->schedule(s.service_time(sim_->now()), [this, slot, generation,
+                                                 server, target, reply,
+                                                 was_retired, fenced] {
       net_->send(id_, target, Network::Direction::kToClient,
-                 [this, acq, seq, server, target, reply, was_retired, fenced] {
-                   finish_probe(acq, seq, server, target, reply, was_retired,
-                                fenced);
+                 [this, slot, generation, server, target, reply, was_retired,
+                  fenced] {
+                   finish_probe(slot, generation, server, target, reply,
+                                was_retired, fenced);
                  });
     });
   });
 
   // Timeout leg.
-  sim_->schedule(current_probe_timeout(), [this, acq, seq, server, target] {
-    finish_probe(acq, seq, server, target, std::nullopt, false);
-  });
+  sim_->schedule(current_probe_timeout(),
+                 [this, slot, generation, server, target] {
+                   finish_probe(slot, generation, server, target,
+                                std::nullopt, false, false);
+                 });
 }
 
-void SimClient::finish_probe(std::shared_ptr<Acquisition> acq,
-                             std::uint64_t seq, int server, int target,
-                             ReplySlot reply, bool served_retired,
-                             bool fenced) {
-  if (acq->pending_seq != seq) return;  // stale: already resolved
-  acq->pending_seq = 0;
+void SimClient::finish_probe(std::uint32_t slot, std::uint32_t generation,
+                             int server, int target, const ReplySlot& reply,
+                             bool served_retired, bool fenced) {
+  Acquisition& acq = *slots_[slot];
+  if (acq.generation != generation) return;  // stale: already resolved
+  ++acq.generation;
   if (fenced) {
     ++epoch_rejects_;
-    obs::flight(obs::FlightKind::kEpochFenced, acq->result.op,
-                to_us(acq->probe_sent_at), target,
+    obs::flight(obs::FlightKind::kEpochFenced, acq.result.op,
+                to_us(acq.probe_sent_at), target,
                 static_cast<std::uint64_t>(
                     (*servers_)[static_cast<std::size_t>(target)].epoch()));
-    acq->attempt.fenced(server);
-    issue_next_probe(std::move(acq));
+    acq.attempt.fenced(server);
+    issue_next_probe(slot);
     return;
   }
   obs::flight(reply.has_value() ? obs::FlightKind::kProbe
                                 : obs::FlightKind::kProbeMiss,
-              acq->result.op, to_us(acq->probe_sent_at), target,
-              to_us(sim_->now() - acq->probe_sent_at));
+              acq.result.op, to_us(acq.probe_sent_at), target,
+              to_us(sim_->now() - acq.probe_sent_at));
   if (reply.has_value()) {
     if (config_.adaptive_timeout) {
-      const double rtt = sim_->now() - acq->probe_sent_at;
+      const double rtt = sim_->now() - acq.probe_sent_at;
       ewma_rtt_ = have_rtt_
                       ? (1.0 - config_.ewma_gain) * ewma_rtt_ +
                             config_.ewma_gain * rtt
                       : rtt;
       have_rtt_ = true;
     }
-    acq->attempt.reached(server, reply->first, reply->second, served_retired,
-                         (*servers_)[static_cast<std::size_t>(target)].epoch());
+    acq.attempt.reached(server, reply->first, reply->second, served_retired,
+                        (*servers_)[static_cast<std::size_t>(target)].epoch());
   } else {
-    acq->attempt.missed(server);
+    acq.attempt.missed(server);
   }
-  issue_next_probe(std::move(acq));
+  issue_next_probe(slot);
 }
 
-void SimClient::finish_attempt(std::shared_ptr<Acquisition> acq) {
-  const QuorumAttempt& attempt = acq->attempt;
+void SimClient::adopt_current_view() {
+  if (epochs_->current > view_epoch_) {
+    view_epoch_ = epochs_->current;
+    ++view_refreshes_;
+  }
+}
+
+void SimClient::finish_attempt(std::uint32_t slot) {
+  Acquisition& acq = *slots_[slot];
+  const QuorumAttempt& attempt = acq.attempt;
   const bool acquired = attempt.acquired();
-  acq->result.acquired = acquired;
-  const int current_epoch = acq->epoch_mode ? epochs_->current : 0;
-  const auto adopt_current_view = [this] {
-    if (epochs_->current > view_epoch_) {
-      view_epoch_ = epochs_->current;
-      ++view_refreshes_;
-    }
-  };
-  if (acq->result.filtered)
-    obs::flight(obs::FlightKind::kFiltered, acq->result.op, to_us(sim_->now()),
+  acq.result.acquired = acquired;
+  const int current_epoch = acq.epoch_mode ? epochs_->current : 0;
+  if (acq.result.filtered)
+    obs::flight(obs::FlightKind::kFiltered, acq.result.op, to_us(sim_->now()),
                 -1, static_cast<std::uint64_t>(id_));
   // Stale-view recovery: a failed attempt that saw epoch evidence fetches
   // the current view and re-probes under the new family. The fetch is a
   // fixed-delay round trip (no rng draw), bounded per operation, and does
   // not consume an acquisition attempt.
-  if (!acq->result.deadline_exceeded &&
-      attempt.refetch_view(config_.policy, acq->result.view_fetches,
+  if (!acq.result.deadline_exceeded &&
+      attempt.refetch_view(config_.policy, acq.result.view_fetches,
                            current_epoch, view_epoch_)) {
     const double delay = config_.policy.view_fetch_delay;
     if (config_.op_deadline <= 0.0 ||
-        (sim_->now() - acq->op_start) + delay < config_.op_deadline) {
-      ++acq->result.view_fetches;
-      obs::flight(obs::FlightKind::kViewRefresh, acq->result.op,
+        (sim_->now() - acq.op_start) + delay < config_.op_deadline) {
+      ++acq.result.view_fetches;
+      obs::flight(obs::FlightKind::kViewRefresh, acq.result.op,
                   to_us(sim_->now()), -1,
                   static_cast<std::uint64_t>(current_epoch));
-      sim_->schedule(delay, [this, acq, adopt_current_view] {
+      sim_->schedule(delay, [this, slot] {
         adopt_current_view();
-        start_attempt(acq);
+        start_attempt(slot);
       });
       return;
     }
   }
-  if (!acquired && !acq->result.deadline_exceeded &&
-      acq->result.attempts < config_.max_attempts) {
+  if (!acquired && !acq.result.deadline_exceeded &&
+      acq.result.attempts < config_.max_attempts) {
     double backoff =
-        config_.backoff_base * std::ldexp(1.0, acq->result.attempts - 1);
+        config_.backoff_base * std::ldexp(1.0, acq.result.attempts - 1);
     if (config_.backoff_jitter > 0.0)
       backoff *= 1.0 + config_.backoff_jitter * rng_.next_double();
     // Retry only if the attempt could still start inside the deadline.
     if (config_.op_deadline <= 0.0 ||
-        (sim_->now() - acq->op_start) + backoff < config_.op_deadline) {
-      ++acq->result.attempts;
+        (sim_->now() - acq.op_start) + backoff < config_.op_deadline) {
+      ++acq.result.attempts;
       ClientMetrics::get().retries.add(1);
-      obs::instant_op("sim", "client_retry", acq->result.op, "client",
+      obs::instant_op("sim", "client_retry", acq.result.op, "client",
                       static_cast<std::uint64_t>(id_));
-      obs::flight(obs::FlightKind::kRetry, acq->result.op, to_us(sim_->now()),
-                  -1, static_cast<std::uint64_t>(acq->result.attempts));
-      sim_->schedule(backoff, [this, acq] { start_attempt(acq); });
+      obs::flight(obs::FlightKind::kRetry, acq.result.op, to_us(sim_->now()),
+                  -1, static_cast<std::uint64_t>(acq.result.attempts));
+      sim_->schedule(backoff, [this, slot] { start_attempt(slot); });
       return;
     }
   }
-  if (acq->result.deadline_exceeded) {
+  if (acq.result.deadline_exceeded) {
     ClientMetrics::get().deadline_exceeded.add(1);
-    obs::instant_op("sim", "client_deadline_exceeded", acq->result.op, "client",
-                    static_cast<std::uint64_t>(id_));
-    obs::flight(obs::FlightKind::kDeadline, acq->result.op, to_us(sim_->now()));
+    obs::instant_op("sim", "client_deadline_exceeded", acq.result.op,
+                    "client", static_cast<std::uint64_t>(id_));
+    obs::flight(obs::FlightKind::kDeadline, acq.result.op, to_us(sim_->now()));
   }
   // A completed op (either outcome) that saw epoch evidence refreshes the
   // view asynchronously so the *next* op probes the current membership.
   if (attempt.learn_view(config_.policy, current_epoch, view_epoch_)) {
-    obs::flight(obs::FlightKind::kViewRefresh, acq->result.op,
+    obs::flight(obs::FlightKind::kViewRefresh, acq.result.op,
                 to_us(sim_->now()), -1,
                 static_cast<std::uint64_t>(current_epoch));
-    sim_->schedule(config_.policy.view_fetch_delay, adopt_current_view);
+    sim_->schedule(config_.policy.view_fetch_delay,
+                   [this] { adopt_current_view(); });
   }
-  acq->result.latency = sim_->now() - acq->op_start;
-  acq->result.probed = attempt.probed();
+  acq.result.latency = sim_->now() - acq.op_start;
+  attempt.probed(acq.result.probed);
   obs::flight(acquired ? obs::FlightKind::kQuorumAcquired
                        : obs::FlightKind::kQuorumFailed,
-              acq->result.op, to_us(sim_->now()), -1,
-              static_cast<std::uint64_t>(acq->result.num_probes));
-  acq->done(*acq);
+              acq.result.op, to_us(sim_->now()), -1,
+              static_cast<std::uint64_t>(acq.result.num_probes));
+  if (acq.kind == OpKind::kAcquire) {
+    complete(slot);
+  } else {
+    finish_op(slot);
+  }
 }
 
-void SimClient::read(std::function<void(OpResult)> done) {
-  register_op(family_, /*object=*/0, std::nullopt, std::move(done));
-}
-
-void SimClient::read(const QuorumFamily& family, int object,
-                     std::function<void(OpResult)> done) {
-  register_op(&family, object, std::nullopt, std::move(done));
-}
-
-void SimClient::write(std::uint64_t value,
-                      std::function<void(OpResult)> done) {
-  register_op(family_, /*object=*/0, value, std::move(done));
-}
-
-void SimClient::write(const QuorumFamily& family, int object,
-                      std::uint64_t value,
-                      std::function<void(OpResult)> done) {
-  register_op(&family, object, value, std::move(done));
-}
-
-void SimClient::register_op(const QuorumFamily* family, int object,
-                            std::optional<std::uint64_t> write,
-                            std::function<void(OpResult)> done) {
-  start_op(family, object,
-           [this, write, done = std::move(done)](Acquisition& acq) {
-             finish_op(acq, write, done);
-           });
-}
-
-void SimClient::finish_op(Acquisition& acq,
-                          std::optional<std::uint64_t> write,
-                          const std::function<void(OpResult)>& done) {
+void SimClient::finish_op(std::uint32_t slot) {
+  Acquisition& acq = *slots_[slot];
   QuorumAttempt& attempt = acq.attempt;
-  OpResult result;
-  static_cast<AcquisitionResult&>(result) = std::move(acq.result);
+  OpResult& result = acq.result;
   // Max-timestamp over every reached probed server (S+), per the Sect. 4
   // client requirement — or, under a masking lie_tolerance, only a pair
   // vouched for by more servers than can lie, so a read never returns and
@@ -359,7 +361,7 @@ void SimClient::finish_op(Acquisition& acq,
   const FoldResult adopted =
       attempt.fold(config_.policy.lie_tolerance, FoldOrder::kFamilyIndex);
   result.ok = adopted.ok;
-  if (!write.has_value()) {
+  if (acq.kind == OpKind::kRead) {
     result.timestamp = adopted.ts;
     result.value = adopted.value;
     if (attempt.audit_retired_read(adopted, result.op, to_us(sim_->now())))
@@ -377,13 +379,11 @@ void SimClient::finish_op(Acquisition& acq,
                    });
       }
     }
-    done(result);
+    complete(slot);
     return;
   }
-  const std::uint64_t value = *write;
-  result.value = value;
   if (!result.ok) {
-    done(result);
+    complete(slot);
     return;
   }
   result.timestamp = QuorumAttempt::write_timestamp(adopted, id_);
@@ -392,51 +392,58 @@ void SimClient::finish_op(Acquisition& acq,
   // acks arrive or time out.
   const std::span<const int> targets = attempt.push_targets();
   assert(!targets.empty() && "an acquired quorum has a reached server");
-  auto state = std::make_shared<std::pair<int, OpResult>>(
-      static_cast<int>(targets.size()), result);
-  const double start = sim_->now() - result.latency;
-  auto finish_one = [this, state, done, start](bool acked) {
-    if (acked) ++state->second.acks;
-    if (--state->first == 0) {
-      state->second.latency = sim_->now() - start;
-      done(state->second);
-    }
-  };
-  const int object = acq.object;
-  for (const int idx : targets) {
-    const int server = attempt.wire(idx);
-    auto resolved = std::make_shared<bool>(false);
-    const double push_start = sim_->now();
-    const obs::OpId op = result.op;
+  acq.pushes_pending = static_cast<int>(targets.size());
+  acq.push_resolved.assign(targets.size(), 0);
+  acq.push_start = sim_->now();
+  const std::uint32_t generation = acq.generation;
+  for (int k = 0; k < static_cast<int>(targets.size()); ++k) {
+    const int server = attempt.wire(targets[static_cast<std::size_t>(k)]);
     net_->send(id_, server, Network::Direction::kToServer,
-               [this, server, object, ts = result.timestamp, value, resolved,
-                finish_one, push_start, op] {
+               [this, slot, generation, k, server, object = acq.object,
+                ts = result.timestamp, value = result.value] {
                  Replica& s = (*servers_)[static_cast<std::size_t>(server)];
                  if (!s.handle_write(sim_->now(), ts, value, object)) return;
                  sim_->schedule(s.service_time(sim_->now()),
-                                [this, server, resolved, finish_one,
-                                 push_start, op] {
+                                [this, slot, generation, k, server] {
                    net_->send(id_, server, Network::Direction::kToClient,
-                              [this, server, resolved, finish_one, push_start,
-                               op] {
-                                if (*resolved) return;
-                                *resolved = true;
-                                obs::flight(obs::FlightKind::kWriteAck, op,
-                                            to_us(push_start), server,
-                                            to_us(sim_->now() - push_start));
-                                finish_one(true);
+                              [this, slot, generation, k, server] {
+                                finish_push(slot, generation, k, server, true);
                               });
                  });
                });
-    sim_->schedule(current_probe_timeout(), [this, server, resolved,
-                                             finish_one, push_start, op] {
-      if (*resolved) return;
-      *resolved = true;
-      obs::flight(obs::FlightKind::kWriteNack, op, to_us(push_start), server,
-                  to_us(sim_->now() - push_start));
-      finish_one(false);
-    });
+    sim_->schedule(current_probe_timeout(),
+                   [this, slot, generation, k, server] {
+                     finish_push(slot, generation, k, server, false);
+                   });
   }
+}
+
+void SimClient::finish_push(std::uint32_t slot, std::uint32_t generation,
+                            int k, int server, bool acked) {
+  Acquisition& acq = *slots_[slot];
+  if (acq.generation != generation ||
+      acq.push_resolved[static_cast<std::size_t>(k)] != 0)
+    return;  // stale: this target resolved, or the write completed
+  acq.push_resolved[static_cast<std::size_t>(k)] = 1;
+  obs::flight(acked ? obs::FlightKind::kWriteAck : obs::FlightKind::kWriteNack,
+              acq.result.op, to_us(acq.push_start), server,
+              to_us(sim_->now() - acq.push_start));
+  if (acked) ++acq.result.acks;
+  if (--acq.pushes_pending > 0) return;
+  // The write's latency runs from its first attempt to its last push.
+  acq.result.latency =
+      sim_->now() - (acq.push_start - acq.result.latency);
+  complete(slot);
+}
+
+void SimClient::complete(std::uint32_t slot) {
+  Acquisition& acq = *slots_[slot];
+  ++acq.generation;  // whatever this op still has in flight is stale now
+  // The slot is freed only after `done` returns, so an op the callback
+  // starts takes another slot and cannot overwrite this result mid-call.
+  acq.done(std::move(acq.result));
+  acq.done = OpCallback{};
+  free_slots_.push_back(slot);
 }
 
 }  // namespace sqs

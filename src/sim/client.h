@@ -18,6 +18,15 @@
 // All operations are asynchronous (completion callbacks), driven by the
 // event loop.
 //
+// Nothing is allocated per operation once the client has warmed up. Each
+// in-flight operation lives in a slot of a per-client pool (reused after
+// the op completes), together with its probe strategies (one per family,
+// reset every attempt) and its evidence buffers. Event closures carry
+// {client, slot, generation}, never the state itself; the slot's generation
+// advances each time a probe or the op itself resolves, so a late reply,
+// timeout or push ack whose generation no longer matches is dropped —
+// including one that arrives after the slot was taken by a later op.
+//
 // Graceful degradation (all off by default, so the classic single-shot
 // behaviour — and its rng stream — is unchanged): a failed acquisition can
 // be retried up to max_attempts times with exponential backoff and
@@ -29,14 +38,15 @@
 
 #pragma once
 
-#include <functional>
+#include <cstdint>
 #include <memory>
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/epoch.h"
 #include "core/quorum_family.h"
 #include "obs/recorder.h"
+#include "sim/inline_function.h"
 #include "sim/network.h"
 #include "sim/register_core.h"
 #include "sim/simulator.h"
@@ -109,6 +119,12 @@ struct OpResult : AcquisitionResult {
   int acks = 0;             // writes: push targets that acked
 };
 
+// An operation's completion. It receives the result as an rvalue: take it
+// by value to keep it, by const reference to borrow it. acquire() passes an
+// OpResult too (its register fields stay at their defaults), so a callback
+// taking AcquisitionResult works for all three.
+using OpCallback = InlineFunction<void(OpResult&&)>;
+
 class SimClient {
  public:
   // `epochs` (optional) switches the client into epoch mode: the default
@@ -129,38 +145,70 @@ class SimClient {
   // Runs the probe strategy to completion; `done` fires exactly once.
   // The default overloads use the client's configured family and object 0;
   // the explicit ones support multi-object stores where each object has its
-  // own (e.g. rotated) family.
-  void acquire(std::function<void(AcquisitionResult)> done);
-  void acquire(const QuorumFamily& family, int object,
-               std::function<void(AcquisitionResult)> done);
+  // own (e.g. rotated) family. A family passed explicitly must outlive the
+  // client, which keeps a probe strategy for it.
+  void acquire(OpCallback done);
+  void acquire(const QuorumFamily& family, int object, OpCallback done);
 
-  void read(std::function<void(OpResult)> done);
-  void read(const QuorumFamily& family, int object,
-            std::function<void(OpResult)> done);
-  void write(std::uint64_t value, std::function<void(OpResult)> done);
+  void read(OpCallback done);
+  void read(const QuorumFamily& family, int object, OpCallback done);
+  void write(std::uint64_t value, OpCallback done);
   void write(const QuorumFamily& family, int object, std::uint64_t value,
-             std::function<void(OpResult)> done);
+             OpCallback done);
 
   // The probe timeout the next probe would use (adaptive or fixed).
   double current_probe_timeout() const;
 
  private:
-  struct Acquisition;
-  void start_op(const QuorumFamily* family, int object,
-                std::function<void(Acquisition&)> done);
-  void start_attempt(std::shared_ptr<Acquisition> acq);
-  void issue_next_probe(std::shared_ptr<Acquisition> acq);
+  enum class OpKind : std::uint8_t { kAcquire, kRead, kWrite };
+
+  // One in-flight operation: its acquisition, then (reads and writes) the
+  // register verdict and a write's push phase.
+  struct Acquisition {
+    const QuorumFamily* family = nullptr;
+    bool epoch_mode = false;
+    OpKind kind = OpKind::kAcquire;
+    int object = 0;
+    // Advances whenever a probe or the op resolves; an event carrying an
+    // older value is stale.
+    std::uint32_t generation = 0;
+    // The probe strategy of every family this slot has run, reset by each
+    // attempt instead of rebuilt.
+    std::vector<std::pair<const QuorumFamily*, std::unique_ptr<ProbeStrategy>>>
+        strategies;
+    Rng strategy_rng;
+    // The current attempt's evidence; sized on first use and reused.
+    QuorumAttempt attempt;
+    OpResult result;  // a write's value is set at start
+    double op_start = 0.0;
+    double probe_sent_at = 0.0;
+    // A write's push phase: targets not yet acked or timed out, by index
+    // into the attempt's push targets.
+    int pushes_pending = 0;
+    std::vector<char> push_resolved;
+    double push_start = 0.0;
+    OpCallback done;
+  };
+
+  void start_op(const QuorumFamily* family, int object, OpKind kind,
+                std::uint64_t value, OpCallback done);
+  void start_attempt(std::uint32_t slot);
+  ProbeStrategy* strategy_for(Acquisition& acq, const QuorumFamily& family);
+  void issue_next_probe(std::uint32_t slot);
   // A probe's outcome: a reply, a retired server's fence, or neither.
-  void finish_probe(std::shared_ptr<Acquisition> acq, std::uint64_t seq,
-                    int server, int target, ReplySlot reply,
-                    bool served_retired, bool fenced = false);
-  void finish_attempt(std::shared_ptr<Acquisition> acq);
-  // A read (no `write` value) or a write of `write`.
-  void register_op(const QuorumFamily* family, int object,
-                   std::optional<std::uint64_t> write,
-                   std::function<void(OpResult)> done);
-  void finish_op(Acquisition& acq, std::optional<std::uint64_t> write,
-                 const std::function<void(OpResult)>& done);
+  void finish_probe(std::uint32_t slot, std::uint32_t generation, int server,
+                    int target, const ReplySlot& reply, bool served_retired,
+                    bool fenced);
+  void finish_attempt(std::uint32_t slot);
+  // The register verdict of a read or write whose acquisition finished.
+  void finish_op(std::uint32_t slot);
+  // Push target `k` (replica `server`) acked or timed out.
+  void finish_push(std::uint32_t slot, std::uint32_t generation, int k,
+                   int server, bool acked);
+  // Hands the result to the op's callback, then frees the slot.
+  void complete(std::uint32_t slot);
+  // Epoch mode: adopt the current epoch as this client's view.
+  void adopt_current_view();
 
   Simulator* sim_;
   Network* net_;
@@ -174,10 +222,14 @@ class SimClient {
   std::uint64_t view_refreshes_ = 0;
   std::uint64_t epoch_rejects_ = 0;
   std::uint64_t retired_reads_ = 0;
-  std::uint64_t next_seq_ = 0;
+  std::uint64_t probes_issued_ = 0;  // seeds each attempt's strategy rng
   std::uint64_t next_op_ = 0;  // per-client op sequence (OpId low bits)
   double ewma_rtt_ = 0.0;
   bool have_rtt_ = false;
+  // The operation pool. Slots are boxed so one stays put while its
+  // callback starts another op that grows the pool.
+  std::vector<std::unique_ptr<Acquisition>> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace sqs

@@ -95,7 +95,7 @@ struct Experiment {
       // Snapshot the frontier of completed writes; a successful read must
       // not return anything older.
       const Timestamp frontier = max_completed_write_ts;
-      client.read([this, client_idx, frontier](OpResult r) {
+      client.read([this, client_idx, frontier](const OpResult& r) {
         if (r.ok) {
           ++result.reads_ok;
           if (r.timestamp < frontier) {
@@ -116,7 +116,7 @@ struct Experiment {
       });
     } else {
       ++result.writes_attempted;
-      client.write(next_value++, [this, client_idx](OpResult w) {
+      client.write(next_value++, [this, client_idx](const OpResult& w) {
         if (w.ok) {
           genuine_writes.insert(w.timestamp, w.value);
           ++result.writes_ok;
@@ -229,9 +229,11 @@ RegisterExperimentResult run_register_experiment(
       e.net->transport().partition_client_partial(
           victim, config.partition_fraction, e.sim.now(),
           config.partition_duration);
-      e.sim.schedule(part_rng.exponential(config.partition_rate), inject);
+      e.sim.schedule(part_rng.exponential(config.partition_rate),
+                     [&inject] { inject(); });
     };
-    e.sim.schedule(part_rng.exponential(config.partition_rate), inject);
+    e.sim.schedule(part_rng.exponential(config.partition_rate),
+                   [&inject] { inject(); });
     // Allow in-flight operations a grace period to finish.
     e.sim.run_until(config.duration + 60.0);
   } else {

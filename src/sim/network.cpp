@@ -29,7 +29,7 @@ bool Network::link_up(int client, int server) {
 }
 
 void Network::send(int client, int server, Direction /*direction*/,
-                   std::function<void()> on_delivery) {
+                   SimCallback on_delivery) {
   const Transport::Delivery d = transport_.attempt(client, server, sim_->now());
   if (!d.delivered) {
     NetMetrics::get().dropped.add(1);

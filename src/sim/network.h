@@ -20,8 +20,6 @@
 
 #pragma once
 
-#include <functional>
-
 #include "sim/simulator.h"
 #include "sim/transport.h"
 #include "util/rng.h"
@@ -38,7 +36,7 @@ class Network {
   // destination if the link is up at send time, and never runs otherwise.
   enum class Direction { kToServer, kToClient };
   void send(int client, int server, Direction direction,
-            std::function<void()> on_delivery);
+            SimCallback on_delivery);
 
   // True if the (client, server) link is currently up.
   bool link_up(int client, int server);

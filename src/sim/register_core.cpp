@@ -19,11 +19,10 @@ bool RegisterPolicy::validate(const char* owner) const {
   return ok;
 }
 
-SignedSet QuorumAttempt::probed() const {
-  SignedSet out(universe_);
+void QuorumAttempt::probed(SignedSet& out) const {
+  out.reshape(universe_);
   for (const int s : touched_) out.add_positive(s);
   for (const int s : missed_) out.add_negative(s);
-  return out;
 }
 
 bool QuorumAttempt::audit_retired_read(const FoldResult& adopted,

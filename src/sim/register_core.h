@@ -154,7 +154,8 @@ class QuorumAttempt {
     missed(s);
   }
 
-  SignedSet probed() const;  // +reached, -missed or fenced
+  // Refills `out` with +reached, -missed or fenced, reusing its storage.
+  void probed(SignedSet& out) const;
   const ReplySlot& reply(int s) const {
     return replies_[static_cast<std::size_t>(s)];
   }

@@ -32,15 +32,24 @@ struct SimMetrics {
 
 }  // namespace
 
-void Simulator::schedule(double delay, std::function<void()> fn) {
+void Simulator::schedule(double delay, SimCallback fn) {
   assert(delay >= 0.0);
-  heap_.push_back(Event{now_ + delay, now_, next_seq_++, std::move(fn)});
+  std::uint32_t slot;
+  if (free_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(std::move(fn));
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+    slots_[slot] = std::move(fn);
+  }
+  heap_.push_back(Key{now_ + delay, now_, next_seq_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   peak_pending_ = std::max(peak_pending_, heap_.size());
   if (obs::metrics_enabled()) SimMetrics::get().scheduled.add();
 }
 
-Simulator::Event Simulator::pop_next() {
+void Simulator::run_next() {
   if (obs::metrics_enabled()) {
     const SimMetrics& metrics = SimMetrics::get();
     metrics.executed.add();
@@ -50,20 +59,22 @@ Simulator::Event Simulator::pop_next() {
         wait_us > 0.0 ? static_cast<std::uint64_t>(wait_us) : 0);
   }
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Event event = std::move(heap_.back());
+  const Key key = heap_.back();
   heap_.pop_back();
-  now_ = event.time;
+  now_ = key.time;
   ++executed_events_;
-  return event;
+  SimCallback fn = std::move(slots_[key.slot]);
+  free_.push_back(key.slot);
+  fn();
 }
 
 void Simulator::run_until(double deadline) {
-  while (!heap_.empty() && heap_.front().time <= deadline) pop_next().fn();
+  while (!heap_.empty() && heap_.front().time <= deadline) run_next();
   if (now_ < deadline) now_ = deadline;
 }
 
 void Simulator::run() {
-  while (!heap_.empty()) pop_next().fn();
+  while (!heap_.empty()) run_next();
 }
 
 }  // namespace sqs

@@ -4,23 +4,37 @@
 // the seq tiebreak makes execution deterministic for equal timestamps. The
 // wide-area harness (network, servers, clients) runs entirely on top of
 // this loop, so every simulated experiment is reproducible from its seed.
+//
+// The loop allocates nothing per event once it has reached its peak queue
+// depth: the heap orders trivially copyable keys, and each key names a slot
+// in a pool of inline closures (sim/inline_function.h) recycled through a
+// free list. Slot numbers never affect order — (time, seq) alone does — so
+// reuse in any order keeps equal-time events FIFO.
 
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
+
+#include "sim/inline_function.h"
 
 namespace sqs {
 
+// An event's action; captures must fit InlineFunction::kCapacity.
+using SimCallback = InlineFunction<void()>;
+
 class Simulator {
  public:
-  Simulator() { heap_.reserve(kInitialCapacity); }
+  Simulator() {
+    heap_.reserve(kInitialCapacity);
+    slots_.reserve(kInitialCapacity);
+    free_.reserve(kInitialCapacity);
+  }
 
   double now() const { return now_; }
 
   // Schedules fn to run `delay` seconds from now (delay >= 0).
-  void schedule(double delay, std::function<void()> fn);
+  void schedule(double delay, SimCallback fn);
 
   // Runs events until the queue drains or `deadline` passes (events at
   // exactly `deadline` still run).
@@ -38,20 +52,17 @@ class Simulator {
   std::size_t peak_pending_events() const { return peak_pending_; }
 
  private:
-  // The queue is a binary heap over a plain vector (std::push_heap /
-  // std::pop_heap) rather than std::priority_queue: priority_queue::top()
-  // is const, forcing a copy of the event's std::function before pop() —
-  // one heap allocation per event in the hot loop. The vector heap lets
-  // both schedule() and the pop path move the closure.
-  struct Event {
+  // A heap entry: what orders the event, and the pool slot holding its
+  // closure. Sift steps copy these 32 bytes, never the closure.
+  struct Key {
     double time;
     double sched_at;  // clock value when schedule() was called
     std::uint64_t seq;
-    std::function<void()> fn;
+    std::uint32_t slot;
   };
   // Orders the heap so the earliest (time, seq) event is at the front.
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
@@ -59,14 +70,18 @@ class Simulator {
 
   static constexpr std::size_t kInitialCapacity = 1024;
 
-  // Removes and returns the earliest event, advancing the clock.
-  Event pop_next();
+  // Removes the earliest event, advances the clock, frees its slot and
+  // runs its closure (moved out first, so the closure may schedule into the
+  // slot it vacated).
+  void run_next();
 
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_events_ = 0;
   std::size_t peak_pending_ = 0;
-  std::vector<Event> heap_;
+  std::vector<Key> heap_;
+  std::vector<SimCallback> slots_;
+  std::vector<std::uint32_t> free_;  // vacant indices into slots_
 };
 
 }  // namespace sqs

@@ -59,16 +59,17 @@ struct StoreExperiment {
     SimClient& client = clients[static_cast<std::size_t>(client_idx)];
     if (rng.bernoulli(config.read_fraction)) {
       const Timestamp snapshot = frontier[static_cast<std::size_t>(object)];
-      client.read(family, object, [this, client_idx, snapshot](OpResult r) {
-        if (r.ok) {
-          ++result.reads_ok;
-          if (r.timestamp < snapshot) ++result.stale_reads;
-        }
-        finish_op(client_idx, r);
-      });
+      client.read(family, object,
+                  [this, client_idx, snapshot](const OpResult& r) {
+                    if (r.ok) {
+                      ++result.reads_ok;
+                      if (r.timestamp < snapshot) ++result.stale_reads;
+                    }
+                    finish_op(client_idx, r);
+                  });
     } else {
       client.write(family, object, next_value++,
-                   [this, client_idx, object](OpResult w) {
+                   [this, client_idx, object](const OpResult& w) {
                      Timestamp& f = frontier[static_cast<std::size_t>(object)];
                      if (w.ok && f < w.timestamp) f = w.timestamp;
                      finish_op(client_idx, w);

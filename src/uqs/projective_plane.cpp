@@ -68,11 +68,13 @@ class PlaneStrategy : public ProbeStrategy {
  public:
   explicit PlaneStrategy(const ProjectivePlaneFamily* family) : family_(family) {
     line_order_.resize(static_cast<std::size_t>(family_->num_lines()));
-    std::iota(line_order_.begin(), line_order_.end(), 0);
     reset(nullptr);
   }
 
   void reset(Rng* rng) override {
+    // From the identity order every time, so a reused strategy draws the
+    // same order from `rng` as a fresh one.
+    std::iota(line_order_.begin(), line_order_.end(), 0);
     if (rng != nullptr) std::shuffle(line_order_.begin(), line_order_.end(), *rng);
     known_.assign(static_cast<std::size_t>(family_->universe_size()), std::nullopt);
     line_idx_ = 0;

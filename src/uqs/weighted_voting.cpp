@@ -52,11 +52,13 @@ class WeightedVotingStrategy : public ProbeStrategy {
         total_votes_(total),
         n_(static_cast<int>(weights_.size())) {
     order_.resize(static_cast<std::size_t>(n_));
-    std::iota(order_.begin(), order_.end(), 0);
     reset(nullptr);
   }
 
   void reset(Rng* rng) override {
+    // From the identity order every time, so a reused strategy draws the
+    // same order from `rng` as a fresh one.
+    std::iota(order_.begin(), order_.end(), 0);
     if (rng != nullptr) {
       // Shuffle, then stable-sort by weight descending: heavy servers come
       // first (fewer probes), equal weights stay uniformly ordered (load

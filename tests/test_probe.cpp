@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <tuple>
+#include <vector>
 
 #include "core/constructions.h"
+#include "core/masking.h"
 #include "probe/measurements.h"
+#include "uqs/grid.h"
+#include "uqs/majority.h"
+#include "uqs/projective_plane.h"
+#include "uqs/weighted_voting.h"
 
 namespace sqs {
 namespace {
@@ -177,6 +184,53 @@ TEST(Measurements, MaxProbesNeverExceedsUniverse) {
   const OptDFamily fam(9, 2);
   const ProbeMeasurement m = measure_probes(fam, 0.5, 2000, Rng(3));
   EXPECT_LE(m.max_probes_seen, 9);
+}
+
+// ---- reset() draws from the rng alone ----
+
+// Runs one acquisition where every third server is down; returns the probe
+// order.
+std::vector<int> probe_order(ProbeStrategy& strategy) {
+  std::vector<int> order;
+  while (strategy.status() == ProbeStatus::kInProgress) {
+    const int s = strategy.next_server();
+    order.push_back(s);
+    strategy.observe(s, s % 3 != 0);
+  }
+  return order;
+}
+
+TEST(ProbeStrategyReset, ReusedStrategyMatchesAFreshOne) {
+  // Drivers that keep one strategy per family (the simulator's client
+  // slots, the served runner, the Monte Carlo loops) rely on reset(rng)
+  // starting a run whose choices depend on `rng` only, not on the runs
+  // before it.
+  std::vector<std::unique_ptr<QuorumFamily>> families;
+  families.push_back(std::make_unique<MajorityFamily>(9));
+  families.push_back(std::make_unique<MaskingThresholdFamily>(9, 1));
+  families.push_back(std::make_unique<ProjectivePlaneFamily>(2));
+  families.push_back(std::make_unique<WeightedVotingFamily>(
+      std::vector<int>{3, 1, 1, 2, 1, 1, 2}, 6));
+  families.push_back(std::make_unique<GridFamily>(3, 3));
+  families.push_back(std::make_unique<OptDFamily>(9, 2));
+  for (const auto& family : families) {
+    const std::unique_ptr<ProbeStrategy> used = family->make_probe_strategy();
+    Rng history(5);
+    for (int run = 0; run < 3; ++run) {
+      used->reset(&history);
+      probe_order(*used);
+    }
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      const std::unique_ptr<ProbeStrategy> fresh =
+          family->make_probe_strategy();
+      Rng a(seed);
+      Rng b(seed);
+      used->reset(&a);
+      fresh->reset(&b);
+      ASSERT_EQ(probe_order(*used), probe_order(*fresh))
+          << family->name() << " seed " << seed;
+    }
+  }
 }
 
 }  // namespace

@@ -19,6 +19,12 @@
 namespace sqs {
 namespace {
 
+SignedSet probed_of(const QuorumAttempt& attempt) {
+  SignedSet out;
+  attempt.probed(out);
+  return out;
+}
+
 // Probes `order` front to back and acquires once `need` probes reached.
 class ScriptedStrategy : public ProbeStrategy {
  public:
@@ -76,8 +82,8 @@ TEST(QuorumAttempt, BeginDropsAPartialAttemptsEvidence) {
 
   attempt.begin(&strategy, nullptr, nullptr);
   EXPECT_TRUE(attempt.in_progress());
-  EXPECT_TRUE(attempt.probed().empty());
-  EXPECT_EQ(attempt.probed().universe_size(), 4);
+  EXPECT_TRUE(probed_of(attempt).empty());
+  EXPECT_EQ(probed_of(attempt).universe_size(), 4);
   EXPECT_FALSE(attempt.reply(2).has_value());
   EXPECT_TRUE(attempt.push_targets().empty());
   // The old attempt's retired reply is gone with it.
@@ -94,7 +100,7 @@ TEST(QuorumAttempt, BeginDropsAPartialAttemptsEvidence) {
   attempt.begin_aborted(4, nullptr);
   EXPECT_FALSE(attempt.in_progress());
   EXPECT_FALSE(attempt.acquired());
-  EXPECT_TRUE(attempt.probed().empty());
+  EXPECT_TRUE(probed_of(attempt).empty());
   EXPECT_FALSE(attempt.fold(0, FoldOrder::kFamilyIndex).ok);
 }
 
@@ -105,7 +111,7 @@ TEST(QuorumAttempt, FenceIsNegativeEvidenceAndStaleness) {
   attempt.begin(&strategy, nullptr, &view);
   EXPECT_EQ(attempt.wire(1), 5);
   attempt.fenced(1);
-  EXPECT_TRUE(attempt.probed().has_negative(1));
+  EXPECT_TRUE(probed_of(attempt).has_negative(1));
   ASSERT_EQ(strategy.observed().size(), 1u);
   EXPECT_EQ(strategy.observed()[0], std::make_pair(1, false));
   attempt.missed(0);
@@ -201,7 +207,7 @@ TEST(QuorumAttempt, PushTargetsAscendAfterAProbeOrderFold) {
   const std::span<const int> targets = attempt.push_targets();
   EXPECT_EQ(std::vector<int>(targets.begin(), targets.end()),
             (std::vector<int>{2, 3, 4}));
-  EXPECT_TRUE(attempt.probed().has_negative(0));
+  EXPECT_TRUE(probed_of(attempt).has_negative(0));
   EXPECT_EQ(attempt.fold(0, FoldOrder::kFamilyIndex).index, 3);
 
   // With b = 1 the vote needs two identical pairs, which no timestamp has.
@@ -217,7 +223,7 @@ TEST(QuorumAttempt, SizedOnceThenReusedAcrossFamilies) {
   attempt.begin(&small, nullptr, nullptr);
   attempt.reached(1, Timestamp{1, 0}, 1, false, 0);
   attempt.begin(&large, nullptr, nullptr);
-  EXPECT_EQ(attempt.probed().universe_size(), 6);
+  EXPECT_EQ(probed_of(attempt).universe_size(), 6);
   EXPECT_FALSE(attempt.reply(1).has_value());
   attempt.reached(5, Timestamp{2, 0}, 2, false, 0);
   EXPECT_EQ(attempt.fold(0, FoldOrder::kFamilyIndex).index, 5);

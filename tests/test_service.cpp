@@ -309,6 +309,104 @@ TEST(ServiceWire, ReplicaCertBindsReplicaAndState) {
   EXPECT_EQ(replica_cert(1, ts, 99), cert);        // deterministic
 }
 
+// One random edit of a wire record: replace a byte, truncate to a
+// zero-padded buffer, or flip a bit.
+void mutate_record(std::uint8_t* rec, std::size_t size, Rng& rng) {
+  switch (rng.next_below(3)) {
+    case 0:
+      rec[rng.next_below(size)] = static_cast<std::uint8_t>(rng.next_u64());
+      break;
+    case 1: {
+      const std::size_t keep = rng.next_below(size);
+      std::memset(rec + keep, 0, size - keep);
+      break;
+    }
+    default:
+      rec[rng.next_below(size)] ^=
+          static_cast<std::uint8_t>(1u << rng.next_below(8));
+      break;
+  }
+}
+
+TEST(ServiceWire, FuzzedRecordsAreRejectedOrRoundTrip) {
+  // 20k mutants of valid records. After the edit a mutant keeps its stale
+  // checksum, gets a recomputed one, or is fully re-signed (checksum and
+  // certificate, as a key holder could) — so the magic, kind, reserved-
+  // byte, certificate and canonical-form checks are all reached, not just
+  // the checksum. A mutant must be rejected, or decode to a record that
+  // re-encodes to the mutant's exact bytes. A request counts as accepted
+  // only if its carried certificate is the one decode computes, the check
+  // the runner's prologue makes.
+  Rng rng(0xf022c0de);
+  int rejected = 0;
+  int accepted = 0;
+  int changed_and_accepted = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const int resign = static_cast<int>(rng.next_below(3));
+    const int edits = 1 + static_cast<int>(rng.next_below(3));
+    if (rng.bernoulli(0.5)) {
+      Request req;
+      req.seq = rng.next_u64();
+      req.arrival_us = rng.next_u64();
+      req.value = rng.next_u64();
+      req.client = static_cast<std::uint32_t>(rng.next_below(64));
+      req.kind = rng.bernoulli(0.5) ? OpKind::kRead : OpKind::kWrite;
+      std::uint8_t original[kRequestWireSize];
+      encode_request(req, original);
+      std::uint8_t rec[kRequestWireSize];
+      std::memcpy(rec, original, sizeof rec);
+      for (int e = 0; e < edits; ++e) mutate_record(rec, sizeof rec, rng);
+      if (resign >= 1) fix_request_checksum(rec);
+      std::uint32_t expected = 0;
+      if (resign == 2 && decode_request(rec, &expected).valid) {
+        poke_u32(rec, 40, expected);
+        fix_request_checksum(rec);
+      }
+      const Request got = decode_request(rec, &expected);
+      if (!got.valid || got.cert != expected) {
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      if (std::memcmp(rec, original, sizeof rec) != 0) ++changed_and_accepted;
+      std::uint8_t again[kRequestWireSize];
+      encode_request(got, again);
+      ASSERT_EQ(std::memcmp(again, rec, sizeof rec), 0) << "mutant " << i;
+    } else {
+      Reply rep;
+      rep.seq = rng.next_u64();
+      rep.latency_us = rng.next_u64();
+      rep.value = rng.next_u64();
+      rep.ts = Timestamp{rng.next_u64(), static_cast<int>(rng.next_below(64))};
+      rep.probes = static_cast<std::uint32_t>(rng.next_below(100));
+      rep.kind = rng.bernoulli(0.5) ? OpKind::kRead : OpKind::kWrite;
+      rep.ok = rng.bernoulli(0.5);
+      std::uint8_t original[kReplyWireSize];
+      encode_reply(rep, original);
+      std::uint8_t rec[kReplyWireSize];
+      std::memcpy(rec, original, sizeof rec);
+      for (int e = 0; e < edits; ++e) mutate_record(rec, sizeof rec, rng);
+      if (resign == 1) poke_u32(rec, 4, forge_checksum(rec, kReplyWireSize));
+      if (resign == 2) resign_reply(rec);
+      Reply got;
+      if (!decode_reply(rec, &got)) {
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      if (std::memcmp(rec, original, sizeof rec) != 0) ++changed_and_accepted;
+      std::uint8_t again[kReplyWireSize];
+      encode_reply(got, again);
+      ASSERT_EQ(std::memcmp(again, rec, sizeof rec), 0) << "mutant " << i;
+    }
+  }
+  // A mutator that never reaches an outcome tests too little: re-signed
+  // edits of semantic fields must decode and round-trip.
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(changed_and_accepted, 0);
+  EXPECT_GE(accepted, changed_and_accepted);
+}
+
 // --- flag parsing -----------------------------------------------------------
 
 TEST(ServiceFlags, ParsePositiveDoubleAccepts) {

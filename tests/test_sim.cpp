@@ -5,6 +5,7 @@
 
 #include "core/composition.h"
 #include "core/constructions.h"
+#include "sim/client.h"
 #include "sim/harness.h"
 #include "sim/network.h"
 #include "sim/register_core.h"
@@ -65,6 +66,151 @@ TEST(Simulator, NestedSchedulingAndDeadline) {
   EXPECT_EQ(fired, 2);
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);
   EXPECT_EQ(sim.pending_events(), 1u);
+}
+
+TEST(Simulator, EqualTimestampsRunFifoWhenSlotsAreRecycledOutOfOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  // Occupy slots 0..3, then free 1 and 3 (t=1, t=2) while 0 and 2 stay
+  // queued: the next events reuse slot 3, then slot 1, then fresh ones.
+  sim.schedule(9.0, [&] { order.push_back(-1); });
+  sim.schedule(1.0, [] {});
+  sim.schedule(9.0, [&] { order.push_back(-2); });
+  sim.schedule(2.0, [] {});
+  sim.run_until(2.5);
+  ASSERT_EQ(sim.pending_events(), 2u);
+  for (int i = 0; i < 6; ++i)
+    sim.schedule(1.0, [&order, i] { order.push_back(i); });
+  // Events scheduled from inside an equal-time event queue behind it.
+  sim.schedule(1.0, [&] {
+    order.push_back(6);
+    sim.schedule(0.0, [&] { order.push_back(8); });
+  });
+  sim.schedule(1.0, [&] { order.push_back(7); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, -1, -2}));
+}
+
+TEST(Simulator, ClosuresWithOwningCapturesAreMovedAndDestroyed) {
+  auto token = std::make_shared<int>(7);
+  int seen = 0;
+  {
+    Simulator sim;
+    sim.schedule(1.0, [token, &seen] { seen = *token; });
+    sim.schedule(5.0, [token, &seen] { seen = -*token; });
+    // Grow the pool past its reserve so the queued closures are relocated.
+    for (int i = 0; i < 2000; ++i) sim.schedule(2.0, [] {});
+    EXPECT_EQ(token.use_count(), 3);
+    sim.run_until(3.0);
+    EXPECT_EQ(seen, 7);
+    EXPECT_EQ(token.use_count(), 2);  // the run closure was destroyed
+  }
+  EXPECT_EQ(token.use_count(), 1);  // so was the never-run one
+}
+
+// ---- client operation slots ----
+
+// A network with no link failures and (almost) no jitter, so message
+// timings below are exact to well under a millisecond: 20 ms per hop, 1 ms
+// of service.
+NetworkConfig steady_network() {
+  NetworkConfig config;
+  config.link_mean_up = 1e9;
+  config.link_mean_down = 1e-9;
+  config.base_latency = 0.02;
+  config.jitter_mean = 1e-9;
+  return config;
+}
+
+std::vector<Replica> steady_servers(int n) {
+  ServerConfig config;
+  config.mean_up = 1e9;
+  config.mean_down = 1e-9;
+  std::vector<Replica> servers;
+  for (int i = 0; i < n; ++i)
+    servers.emplace_back(i, config, Rng(100 + static_cast<std::uint64_t>(i)));
+  return servers;
+}
+
+TEST(SimClient, StaleProbeReplyIsDroppedAfterItsSlotIsReused) {
+  // OPT_a(4, 2) probes servers 0..3 in order and gives up after three
+  // misses. Servers 0..2 are slow until t = 0.6, so op 1 misses all three
+  // (timeouts at 0.25, 0.5, 0.75) and fails; op 2 starts at 0.75 in the
+  // freed slot. Server 0 crashes at 0.6, so op 2's own probe of it times
+  // out at 1.0 — but op 1's replies from servers 1 and 0, served before the
+  // crash, land at 0.79 and 0.85 while that probe is pending. Both must be
+  // dropped.
+  Simulator sim;
+  Network net(&sim, 1, 4, steady_network(), Rng(1));
+  std::vector<Replica> servers = steady_servers(4);
+  servers[0].set_gray(810.0, sim.now(), 0.6);
+  servers[1].set_gray(500.0, sim.now(), 0.6);
+  servers[2].set_gray(500.0, sim.now(), 0.6);
+  sim.schedule(0.6, [&] { servers[0].force_crash(sim.now(), 100.0); });
+  const OptAFamily family(4, 2);
+  SimClient client(&sim, &net, &servers, 0, &family, ClientConfig{}, Rng(2));
+
+  std::vector<OpResult> results;
+  client.acquire([&](OpResult&& first) {
+    results.push_back(std::move(first));
+    sim.schedule(0.0, [&] {
+      client.acquire(
+          [&](OpResult&& second) { results.push_back(std::move(second)); });
+    });
+  });
+  sim.run();
+
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_FALSE(results[0].acquired);
+  EXPECT_EQ(results[0].probed.negative_count(), 3u);
+  const OpResult& second = results[1];
+  EXPECT_TRUE(second.acquired);
+  EXPECT_EQ(second.num_probes, 4);
+  EXPECT_FALSE(second.probed.has_positive(0));  // the stale reply
+  EXPECT_TRUE(second.probed.has_negative(0));   // its own timeout
+  for (int s = 1; s < 4; ++s) EXPECT_TRUE(second.probed.has_positive(s));
+  EXPECT_NEAR(second.latency, 0.25 + 3 * 0.041, 1e-3);
+}
+
+TEST(SimClient, LateWriteAckIsIgnoredAfterPushTimeout) {
+  // Write 1 acquires servers 0..3 by t = 0.164 and pushes to all four.
+  // Server 3 turns slow at 0.17, so its ack (service 0.5 s) lands at 0.704,
+  // after the push timeout (0.414) completed write 1 with three acks.
+  // Write 2 starts at 0.414 in the freed slot, acquires all four again
+  // (server 3 is fast from 0.52) and pushes at 0.578; server 3 crashes at
+  // 0.58, so write 2's own push to it must time out. Write 1's late ack
+  // arrives mid-push and must not count for write 2.
+  Simulator sim;
+  Network net(&sim, 1, 4, steady_network(), Rng(3));
+  std::vector<Replica> servers = steady_servers(4);
+  sim.schedule(0.17, [&] { servers[3].set_gray(500.0, sim.now(), 0.35); });
+  sim.schedule(0.58, [&] { servers[3].force_crash(sim.now(), 100.0); });
+  const OptAFamily family(4, 2);
+  SimClient client(&sim, &net, &servers, 0, &family, ClientConfig{}, Rng(4));
+
+  std::vector<OpResult> results;
+  client.write(11, [&](OpResult&& first) {
+    results.push_back(std::move(first));
+    sim.schedule(0.0, [&] {
+      client.write(
+          22, [&](OpResult&& second) { results.push_back(std::move(second)); });
+    });
+  });
+  sim.run();
+
+  ASSERT_EQ(results.size(), 2u);  // each write completed exactly once
+  for (const OpResult& w : results) {
+    EXPECT_TRUE(w.ok);
+    EXPECT_EQ(w.num_probes, 4);
+    EXPECT_EQ(w.acks, 3);
+  }
+  EXPECT_EQ(results[0].value, 11u);
+  EXPECT_EQ(results[1].value, 22u);
+  // Write 1 resolved at its push timeout, 0.25 s after the push.
+  EXPECT_NEAR(results[0].latency, 4 * 0.041 + 0.25, 1e-3);
+  // Server 3 applied write 1 (only its ack was late) but not write 2.
+  EXPECT_EQ(servers[3].timestamp(0).counter, results[0].timestamp.counter);
+  EXPECT_EQ(servers[0].timestamp(0).counter, results[1].timestamp.counter);
 }
 
 // ---- network ----

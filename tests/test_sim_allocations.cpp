@@ -1,0 +1,85 @@
+// Allocation regression test for the simulator's event loop and client.
+//
+// Replaces the global operator new/delete with counting versions, so it is
+// its own executable and is not built under sanitizers (which interpose the
+// allocator themselves). After a warm-up run, one single-threaded register
+// experiment over each builtin OPT_d(12,2) chaos scenario must average at
+// most kMaxAllocsPerOp heap allocations per simulated op: the event queue,
+// the closures and the per-client operation slots reach their peak sizes
+// early and are reused from then on.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+
+#include "core/constructions.h"
+#include "faults/chaos.h"
+#include "faults/fault_plan.h"
+#include "sim/harness.h"
+
+namespace {
+
+std::atomic<long> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = counted_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) {
+  if (void* p = counted_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace sqs {
+namespace {
+
+constexpr double kMaxAllocsPerOp = 4.0;
+
+TEST(SimAllocations, ChaosScenarioAveragesAtMostFourPerOp) {
+  const OptDFamily family(12, 2);
+  for (const ChaosScenario& scenario : builtin_chaos_scenarios(family)) {
+    // The scenarios over the family passed in; the ones that bring their
+    // own family or a membership timeline need run_chaos to expand them.
+    if (!scenario.family.empty() || !scenario.churn.empty()) continue;
+    RegisterExperimentConfig config = scenario.config;
+    if (!scenario.plan.events.empty())
+      config.fault_hook = fault_hook(scenario.plan);
+    run_register_experiment(family, config);  // warm-up
+
+    const long before = g_allocations.load(std::memory_order_relaxed);
+    const RegisterExperimentResult r = run_register_experiment(family, config);
+    const long allocations =
+        g_allocations.load(std::memory_order_relaxed) - before;
+
+    const long ops = r.reads_attempted + r.writes_attempted;
+    ASSERT_GT(ops, 1000) << scenario.name;
+    const double per_op =
+        static_cast<double>(allocations) / static_cast<double>(ops);
+    std::printf("  %-16s %7ld ops  %8ld allocations  %.3f per op\n",
+                scenario.name.c_str(), ops, allocations, per_op);
+    EXPECT_LE(per_op, kMaxAllocsPerOp) << scenario.name;
+  }
+}
+
+}  // namespace
+}  // namespace sqs

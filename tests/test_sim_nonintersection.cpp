@@ -70,11 +70,11 @@ TwoClientSimResult run_two_client_sim(int n, int alpha, double link_down,
         if (r1 || r2) result.per_server_mismatch.add(r1 != r2);
       }
     };
-    a.acquire([ra, finish](AcquisitionResult r) {
+    a.acquire([ra, &finish](AcquisitionResult r) {
       *ra = r;
       finish();
     });
-    b.acquire([rb, finish](AcquisitionResult r) {
+    b.acquire([rb, &finish](AcquisitionResult r) {
       *rb = r;
       finish();
     });

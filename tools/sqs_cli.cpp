@@ -107,6 +107,22 @@
 namespace sqs {
 namespace {
 
+// `text` must parse whole as a T in range: anything else (`abc`, `0.1x`, an
+// empty string, a value past the type's range) exits 2 naming the value and
+// `what` it was given for, instead of being truncated or aborting.
+template <typename T>
+T parse_whole(const std::string& text, const std::string& what) {
+  const char* end = text.data() + text.size();
+  T value{};
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end) {
+    std::fprintf(stderr, "bad value '%s' for %s\n", text.c_str(),
+                 what.c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
 struct Args {
   std::map<std::string, std::string> flags;
   std::vector<std::string> positional;
@@ -126,22 +142,11 @@ struct Args {
   }
 
  private:
-  // The whole operand must parse as a T in range: a malformed numeric flag
-  // exits 2 with a complaint instead of being truncated or aborting.
   template <typename T>
   T number(const std::string& key, T fallback) const {
     auto it = flags.find(key);
     if (it == flags.end()) return fallback;
-    const std::string& text = it->second;
-    const char* end = text.data() + text.size();
-    T value{};
-    const auto [stop, ec] = std::from_chars(text.data(), end, value);
-    if (ec != std::errc() || stop != end) {
-      std::fprintf(stderr, "bad value '%s' for --%s\n", text.c_str(),
-                   key.c_str());
-      std::exit(2);
-    }
-    return value;
+    return parse_whole<T>(it->second, "--" + key);
   }
 };
 
@@ -271,7 +276,15 @@ int cmd_verify(const Args& args) {
     std::vector<int> literals;
     std::stringstream stream(spec);
     std::string item;
-    while (std::getline(stream, item, ',')) literals.push_back(std::stoi(item));
+    while (std::getline(stream, item, ',')) {
+      const int literal = parse_whole<int>(item, "quorum '" + spec + "'");
+      if (literal == 0 || literal < -n || literal > n) {
+        std::fprintf(stderr, "bad value '%s' for quorum '%s': not in +-1..%d\n",
+                     item.c_str(), spec.c_str(), n);
+        return 2;
+      }
+      literals.push_back(literal);
+    }
     system.add_quorum(SignedSet::from_literals(n, literals));
   }
   const auto violation = system.verify();
@@ -320,15 +333,14 @@ std::vector<std::string> split_list(const std::string& csv) {
   return items;
 }
 
-std::vector<double> split_doubles(const std::string& csv) {
-  std::vector<double> values;
-  for (const std::string& item : split_list(csv)) values.push_back(std::stod(item));
-  return values;
-}
-
-std::vector<int> split_ints(const std::string& csv) {
-  std::vector<int> values;
-  for (const std::string& item : split_list(csv)) values.push_back(std::stoi(item));
+// The comma-separated numbers of flag `key` (or of `fallback`), each
+// parsed whole.
+template <typename T>
+std::vector<T> split_numbers(const Args& args, const std::string& key,
+                             const std::string& fallback) {
+  std::vector<T> values;
+  for (const std::string& item : split_list(args.gets(key, fallback)))
+    values.push_back(parse_whole<T>(item, "--" + key));
   return values;
 }
 
@@ -352,7 +364,7 @@ int cmd_sweep(const Args& args) {
     const std::vector<std::string> specs =
         split_list(args.gets("families", "optd,opta"));
     const std::vector<double> ps =
-        split_doubles(args.gets("ps", "0.1,0.2,0.3,0.4"));
+        split_numbers<double>(args, "ps", "0.1,0.2,0.3,0.4");
     const std::uint64_t samples = args.getu("samples", kAvailabilityMcSamples);
     std::vector<AvailabilityCell> cells;
     for (const std::string& spec : specs) {
@@ -374,7 +386,8 @@ int cmd_sweep(const Args& args) {
   if (kind == "probes") {
     const std::vector<std::string> specs =
         split_list(args.gets("families", "optd,opta"));
-    const std::vector<double> ps = split_doubles(args.gets("ps", "0.1,0.2,0.3"));
+    const std::vector<double> ps =
+        split_numbers<double>(args, "ps", "0.1,0.2,0.3");
     const std::uint64_t trials = args.getu("trials", 20000);
     std::vector<ProbeCell> cells;
     for (const std::string& spec : specs) {
@@ -403,9 +416,9 @@ int cmd_sweep(const Args& args) {
 
   if (kind == "nonintersect") {
     const int n = args.geti("n", 24);
-    const std::vector<int> alphas = split_ints(args.gets("alphas", "1,2,3"));
+    const std::vector<int> alphas = split_numbers<int>(args, "alphas", "1,2,3");
     const std::vector<double> misses =
-        split_doubles(args.gets("misses", "0.1,0.2,0.3"));
+        split_numbers<double>(args, "misses", "0.1,0.2,0.3");
     const std::uint64_t trials = args.getu("trials", 100000);
     std::vector<NonintersectionCell> cells;
     for (int alpha : alphas)
