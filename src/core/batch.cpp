@@ -44,22 +44,25 @@ void sample_worlds_into(int n, double p, std::uint64_t num_trials, Rng& rng,
   Borrowed<std::vector<std::uint64_t>> staging =
       scratch.borrow<std::vector<std::uint64_t>>();
   std::vector<std::uint64_t>& rows = *staging;
+  // Every word of a live row is written below; load_rows ignores the rest.
+  rows.resize(kBatchLaneBits * row_words);
+  // The scalar draw order, verbatim (up iff the failure draw missed), on a
+  // local rng so its state stays in registers; written back at exit.
+  Rng local = rng;
+  const std::uint64_t threshold = bernoulli_threshold(p);
   std::uint64_t t = 0;
   for (std::size_t w = 0; t < num_trials; ++w) {
     const std::uint64_t block =
         std::min<std::uint64_t>(kBatchLaneBits, num_trials - t);
-    rows.assign(kBatchLaneBits * row_words, 0);
     for (std::uint64_t r = 0; r < block; ++r) {
       std::uint64_t* row = rows.data() + r * row_words;
-      // The scalar draw order, verbatim: up iff the failure draw missed.
-      for (int s = 0; s < n; ++s)
-        if (!rng.bernoulli(p))
-          row[static_cast<std::size_t>(s) / kBatchLaneBits] |=
-              1ull << (static_cast<std::size_t>(s) % kBatchLaneBits);
+      for (std::size_t rw = 0; rw < row_words; ++rw)
+        row[rw] = local.miss_word(threshold, row_word_bits(n, rw));
     }
     out.load_rows(w, rows.data(), static_cast<std::size_t>(block));
     t += block;
   }
+  rng = local;
 }
 
 void batch_count_at_least(const WorldBatch& worlds, int k, Bitset& out) {

@@ -5,7 +5,7 @@
 // column-major bit-sliced form: trial t's up/down (or reachability) bit for
 // server s lives in bit (t mod 64) of lane word (t/64, s). One pass over a
 // lane word therefore evaluates 64 trials at once — population-count
-// ladders for threshold-style acceptance, frontier BFS for Paths.
+// ladders for threshold-style acceptance, lane-word reachability for Paths.
 //
 // The batch kernels are bit-identity replacements for the scalar loops, not
 // approximations. The contract that makes that hold:
@@ -21,6 +21,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -41,6 +42,12 @@ inline constexpr std::uint64_t kBatchLaneBits = 64;
 // Row words needed to hold one trial's n server bits.
 inline std::size_t batch_row_words(int n) {
   return (static_cast<std::size_t>(n) + kBatchLaneBits - 1) / kBatchLaneBits;
+}
+
+// Servers held by row word rw of an n-server row: 64, or fewer in the last.
+inline int row_word_bits(int n, std::size_t rw) {
+  return std::min(n - static_cast<int>(rw * kBatchLaneBits),
+                  static_cast<int>(kBatchLaneBits));
 }
 
 // T trials x n servers of one bit each, stored lane-word-major: the n

@@ -24,38 +24,47 @@ void sample_two_client_worlds_into(int n, const MismatchModel& model,
       scratch.borrow<std::vector<std::uint64_t>>();
   std::vector<std::uint64_t>& rows1 = *staging1;
   std::vector<std::uint64_t>& rows2 = *staging2;
+  // Every word of a live row is written below; load_rows ignores the rest.
+  rows1.resize(kBatchLaneBits * row_words);
+  rows2.resize(kBatchLaneBits * row_words);
+  // sample_world_into's draw order, verbatim: crash draw, then both link
+  // draws (skipped when the server is down), then the optional
+  // correlated-partition redraw pass over reach2. The draws run on a local
+  // rng (state in registers), written back at exit.
+  Rng local = rng;
+  const std::uint64_t crash = bernoulli_threshold(model.p);
+  const std::uint64_t link_miss = bernoulli_threshold(model.link_miss);
+  const std::uint64_t partition = bernoulli_threshold(model.partition_rate);
+  const std::uint64_t cut = bernoulli_threshold(model.partition_fraction);
   std::uint64_t t = 0;
   for (std::size_t w = 0; t < num_trials; ++w) {
     const std::uint64_t block =
         std::min<std::uint64_t>(kBatchLaneBits, num_trials - t);
-    rows1.assign(kBatchLaneBits * row_words, 0);
-    rows2.assign(kBatchLaneBits * row_words, 0);
     for (std::uint64_t r = 0; r < block; ++r) {
       std::uint64_t* row1 = rows1.data() + r * row_words;
       std::uint64_t* row2 = rows2.data() + r * row_words;
-      // sample_world_into's draw order, verbatim: crash draw, then both
-      // link draws (skipped when the server is down), then the optional
-      // correlated-partition redraw pass over reach2.
-      for (int s = 0; s < n; ++s) {
-        if (rng.bernoulli(model.p)) continue;  // server down: (-,-)
-        const std::size_t rw = static_cast<std::size_t>(s) / kBatchLaneBits;
-        const std::uint64_t bit = 1ull
-                                  << (static_cast<std::size_t>(s) %
-                                      kBatchLaneBits);
-        if (!rng.bernoulli(model.link_miss)) row1[rw] |= bit;
-        if (!rng.bernoulli(model.link_miss)) row2[rw] |= bit;
+      for (std::size_t rw = 0; rw < row_words; ++rw) {
+        const int bits = row_word_bits(n, rw);
+        std::uint64_t reach1 = 0;
+        std::uint64_t reach2 = 0;
+        for (int i = 0; i < bits; ++i) {
+          if (local.bernoulli_below(crash)) continue;  // server down: (-,-)
+          reach1 |= local.miss_word(link_miss, 1) << i;
+          reach2 |= local.miss_word(link_miss, 1) << i;
+        }
+        row1[rw] = reach1;
+        row2[rw] = reach2;
       }
-      if (model.partition_rate > 0.0 && rng.bernoulli(model.partition_rate)) {
-        for (int s = 0; s < n; ++s)
-          if (rng.bernoulli(model.partition_fraction))
-            row2[static_cast<std::size_t>(s) / kBatchLaneBits] &=
-                ~(1ull << (static_cast<std::size_t>(s) % kBatchLaneBits));
+      if (model.partition_rate > 0.0 && local.bernoulli_below(partition)) {
+        for (std::size_t rw = 0; rw < row_words; ++rw)
+          row2[rw] &= local.miss_word(cut, row_word_bits(n, rw));
       }
     }
     out.reach1.load_rows(w, rows1.data(), static_cast<std::size_t>(block));
     out.reach2.load_rows(w, rows2.data(), static_cast<std::size_t>(block));
     t += block;
   }
+  rng = local;
 }
 
 bool nonintersection_chunk_batched(const QuorumFamily& family,

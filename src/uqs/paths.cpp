@@ -184,33 +184,50 @@ bool PathsFamily::accepts(const Configuration& config) const {
 
 namespace {
 
+// One graph's move lists laid out flat (CSR): node v's moves are
+// moves[offsets[v] .. offsets[v + 1]).
+struct FlatMoves {
+  std::vector<int> offsets;
+  std::vector<Move> moves;
+
+  template <typename MovesFn>
+  void build(int num_nodes, const MovesFn& moves_of, std::vector<Move>& buf) {
+    offsets.assign(1, 0);
+    moves.clear();
+    for (int v = 0; v < num_nodes; ++v) {
+      moves_of(v, buf);
+      moves.insert(moves.end(), buf.begin(), buf.end());
+      offsets.push_back(static_cast<int>(moves.size()));
+    }
+  }
+
+  int num_nodes() const { return static_cast<int>(offsets.size()) - 1; }
+};
+
 // Lane-word reachability to fixpoint over one 64-trial word: visited[node]
 // holds the lanes that reached the node, and every relaxation advances all
-// 64 trials at once (frontier bit = seed & edge-up lanes). The scalar BFS
-// above is the per-trial oracle this must agree with — same graph, same
-// edge-liveness predicate, order-independent because reachability is a
-// monotone fixpoint.
-template <typename MovesFn>
-void batch_reach(int num_nodes, const MovesFn& moves_of,
-                 const std::uint64_t* up, std::uint64_t seed_mask,
-                 std::vector<std::uint64_t>& visited,
-                 std::vector<Move>& moves_buf) {
+// 64 trials at once (node v gains the lanes of a neighbour across an up
+// edge). Both move graphs are symmetric (every move has its reverse), so v
+// pulls from its own move list. Sweeps alternate forward and backward so a
+// path running against one direction still spreads in the next pass. The
+// scalar BFS above is the per-trial oracle this must agree with — same
+// graph, same edge-liveness predicate, order-independent because
+// reachability is a monotone fixpoint.
+void batch_reach(const FlatMoves& graph, const std::uint64_t* up,
+                 std::uint64_t* visited) {
+  const int num_nodes = graph.num_nodes();
+  const int* offsets = graph.offsets.data();
+  const Move* moves = graph.moves.data();
   bool changed = true;
-  while (changed) {
+  for (bool forward = true; changed; forward = !forward) {
     changed = false;
-    for (int v = 0; v < num_nodes; ++v) {
-      const std::uint64_t from = visited[static_cast<std::size_t>(v)];
-      if (from == 0) continue;
-      moves_of(v, moves_buf);
-      for (const Move& m : moves_buf) {
-        const std::uint64_t add =
-            from & up[m.edge] & ~visited[static_cast<std::size_t>(m.to)] &
-            seed_mask;
-        if (add != 0) {
-          visited[static_cast<std::size_t>(m.to)] |= add;
-          changed = true;
-        }
-      }
+    for (int i = 0; i < num_nodes; ++i) {
+      const int v = forward ? i : num_nodes - 1 - i;
+      std::uint64_t reach = visited[v];
+      for (int k = offsets[v]; k < offsets[v + 1]; ++k)
+        reach |= visited[moves[k].to] & up[moves[k].edge];
+      changed |= reach != visited[v];
+      visited[v] = reach;
     }
   }
 }
@@ -224,13 +241,17 @@ void PathsFamily::accepts_batch(const WorldBatch& worlds, Bitset& out) const {
   WorkerScratch& scratch = WorkerScratch::for_thread();
   Borrowed<std::vector<std::uint64_t>> visited =
       scratch.borrow<std::vector<std::uint64_t>>();
-  Borrowed<std::vector<Move>> moves = scratch.borrow<std::vector<Move>>();
-  const auto primal_of = [&](int v, std::vector<Move>& mv) {
-    primal_moves(*this, v / (l + 1), v % (l + 1), false, mv);
-  };
-  const auto dual_of = [&](int v, std::vector<Move>& mv) {
-    dual_moves(*this, v, false, mv);
-  };
+  Borrowed<FlatMoves> primal = scratch.borrow<FlatMoves>();
+  Borrowed<FlatMoves> dual = scratch.borrow<FlatMoves>();
+  {
+    Borrowed<std::vector<Move>> buf = scratch.borrow<std::vector<Move>>();
+    primal->build((l + 1) * (l + 1), [&](int v, std::vector<Move>& mv) {
+      primal_moves(*this, v / (l + 1), v % (l + 1), false, mv);
+    }, *buf);
+    dual->build(l * l + 2, [&](int v, std::vector<Move>& mv) {
+      dual_moves(*this, v, false, mv);
+    }, *buf);
+  }
   for (std::size_t w = 0; w < worlds.num_lane_words(); ++w) {
     const std::uint64_t mask = worlds.lane_mask(w);
     const std::uint64_t* up = worlds.lanes(w);
@@ -238,15 +259,19 @@ void PathsFamily::accepts_batch(const WorldBatch& worlds, Bitset& out) const {
     visited->assign(static_cast<std::size_t>((l + 1) * (l + 1)), 0);
     for (int r = 0; r <= l; ++r)
       (*visited)[static_cast<std::size_t>(vertex_id(l, r, 0))] = mask;
-    batch_reach((l + 1) * (l + 1), primal_of, up, mask, *visited, *moves);
+    batch_reach(*primal, up, visited->data());
     std::uint64_t lr = 0;
     for (int r = 0; r <= l; ++r)
       lr |= (*visited)[static_cast<std::size_t>(vertex_id(l, r, l))];
-    // Top-bottom in the dual grid: seed TOP, read BOTTOM.
-    visited->assign(static_cast<std::size_t>(l * l + 2), 0);
-    (*visited)[static_cast<std::size_t>(top_id(l))] = mask;
-    batch_reach(l * l + 2, dual_of, up, mask, *visited, *moves);
-    const std::uint64_t tb = (*visited)[static_cast<std::size_t>(bottom_id(l))];
+    // Top-bottom in the dual grid: seed TOP, read BOTTOM. Lanes without an
+    // LR path reject whatever the dual says.
+    std::uint64_t tb = 0;
+    if (lr != 0) {
+      visited->assign(static_cast<std::size_t>(l * l + 2), 0);
+      (*visited)[static_cast<std::size_t>(top_id(l))] = mask;
+      batch_reach(*dual, up, visited->data());
+      tb = (*visited)[static_cast<std::size_t>(bottom_id(l))];
+    }
     out.set_word(w, lr & tb);
   }
 }

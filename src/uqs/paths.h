@@ -42,9 +42,11 @@ class PathsFamily : public QuorumFamily {
   // Live quorum exists iff a live LR path exists in the primal grid AND a
   // live TB path exists in the dual grid (both BFS over up servers).
   bool accepts(const Configuration& config) const override;
-  // Frontier BFS over 64-trial lane words: visited[node] is a lane word and
-  // every edge relaxation advances all trials of the word at once, iterated
-  // to fixpoint; accepts = LR-reachability AND TB-dual-reachability lanes.
+  // Reachability over 64-trial lane words: visited[node] is a lane word and
+  // every edge relaxation advances all trials of the word at once. The
+  // primal and dual move lists are laid out flat once per call and relaxed
+  // to fixpoint in alternating forward/backward sweeps; accepts =
+  // LR-reachability AND TB-dual-reachability lanes.
   void accepts_batch(const WorldBatch& worlds, Bitset& out) const override;
   // The straight-line quorum: l horizontal edges (an LR row) + l+1 horizontal
   // edges crossed by a TB dual path, sharing one server.

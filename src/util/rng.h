@@ -7,10 +7,22 @@
 
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string_view>
 
 namespace sqs {
+
+// The integer form of Rng::bernoulli(prob): for every 53-bit draw
+// x = next_u64() >> 11, x < bernoulli_threshold(prob) iff x * 2^-53 < prob.
+// Proof: prob * 2^53 is exact (a power-of-two scaling), and an integer x is
+// below a real y iff it is below ceil(y). p <= 0 (and NaN) never fires,
+// p >= 1 always does.
+inline std::uint64_t bernoulli_threshold(double prob) {
+  if (!(prob > 0.0)) return 0;
+  if (prob >= 1.0) return 1ull << 53;
+  return static_cast<std::uint64_t>(std::ceil(std::ldexp(prob, 53)));
+}
 
 inline std::uint64_t splitmix64(std::uint64_t& state) {
   std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
@@ -61,6 +73,23 @@ class Rng {
   }
 
   bool bernoulli(double prob) { return next_double() < prob; }
+
+  // bernoulli(prob) for threshold = bernoulli_threshold(prob): the same
+  // draw and the same outcome, without the int-to-double conversion.
+  bool bernoulli_below(std::uint64_t threshold) {
+    return (next_u64() >> 11) < threshold;
+  }
+
+  // `count` (<= 64) successive bernoulli_below(threshold) draws packed into
+  // one word, branch-free: bit i is set iff draw i MISSED (the scalar
+  // samplers' `up iff !bernoulli(p)`). Hot loops call it on a local copy of
+  // their Rng, written back at exit, so the state stays in registers.
+  std::uint64_t miss_word(std::uint64_t threshold, int count) {
+    std::uint64_t word = 0;
+    for (int i = 0; i < count; ++i)
+      word |= static_cast<std::uint64_t>(!bernoulli_below(threshold)) << i;
+    return word;
+  }
 
   // Uniform in [0, bound).
   std::uint64_t next_below(std::uint64_t bound) {

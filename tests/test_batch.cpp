@@ -18,6 +18,7 @@
 #include "core/constructions.h"
 #include "core/explicit_sqs.h"
 #include "core/quorum_family.h"
+#include "mismatch/batch.h"
 #include "mismatch/model.h"
 #include "probe/measurements.h"
 #include "runtime/run_trials.h"
@@ -90,7 +91,9 @@ std::vector<std::shared_ptr<QuorumFamily>> full_family_grid() {
   std::vector<std::shared_ptr<QuorumFamily>> families;
   for (const auto& [n, alpha] : {std::pair{5, 1}, {8, 2}, {11, 3}})
     for (auto& f : family_grid_cell(n, alpha)) families.push_back(std::move(f));
-  for (const int l : {1, 2, 3})
+  // l = 6 and 8 (n = 84, 144) span several row words: the multi-word
+  // transpose and the Paths kernel at the sizes the MC benchmark runs.
+  for (const int l : {1, 2, 3, 6, 8})
     families.push_back(std::make_shared<PathsFamily>(l));
   return families;
 }
@@ -162,6 +165,55 @@ TEST(Batch, WorldBatchRoundTripAtWordBoundaryWidths) {
               << "n=" << n << " trial " << t << " server " << s;
           ASSERT_EQ(config.is_up(s), expected);
         }
+      }
+    }
+  }
+}
+
+TEST(Batch, SamplersMatchScalarDrawsAndLeaveRngInScalarState) {
+  // The samplers draw on a local copy of the caller's rng and write it back:
+  // every world must equal the scalar per-trial draws, and the caller's rng
+  // must end in the scalar loop's state.
+  WorkerScratch& scratch = WorkerScratch::for_thread();
+  for (const int n : {1, 63, 64, 65, 144, 220}) {
+    for (const std::uint64_t trials : kRaggedTails) {
+      const std::uint64_t seed = static_cast<std::uint64_t>(n) * 1000 + trials;
+      Rng batched(seed), scalar(seed);
+      WorldBatch worlds;
+      sample_worlds_into(n, 0.3, trials, batched, scratch, worlds);
+      for (std::uint64_t t = 0; t < trials; ++t)
+        for (int s = 0; s < n; ++s)
+          ASSERT_EQ(worlds.test(t, s), !scalar.bernoulli(0.3))
+              << "n=" << n << " trial " << t << " server " << s;
+      ASSERT_EQ(batched.next_u64(), scalar.next_u64())
+          << "n=" << n << " trials " << trials;
+
+      for (const double partition_rate : {0.0, 0.3}) {
+        MismatchModel model;
+        model.p = 0.1;
+        model.link_miss = 0.2;
+        model.partition_rate = partition_rate;
+        model.partition_fraction = 0.5;
+        Rng pair_batched(seed), pair_scalar(seed);
+        TwoClientWorldBatch pair;
+        sample_two_client_worlds_into(n, model, trials, pair_batched, scratch,
+                                      pair);
+        TwoClientWorld world;
+        for (std::uint64_t t = 0; t < trials; ++t) {
+          sample_world_into(n, model, pair_scalar, world);
+          for (int s = 0; s < n; ++s) {
+            const auto i = static_cast<std::size_t>(s);
+            ASSERT_EQ(pair.reach1.test(t, s), world.reach1.test(i))
+                << "n=" << n << " partition " << partition_rate << " trial "
+                << t << " server " << s;
+            ASSERT_EQ(pair.reach2.test(t, s), world.reach2.test(i))
+                << "n=" << n << " partition " << partition_rate << " trial "
+                << t << " server " << s;
+          }
+        }
+        ASSERT_EQ(pair_batched.next_u64(), pair_scalar.next_u64())
+            << "n=" << n << " trials " << trials << " partition "
+            << partition_rate;
       }
     }
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <set>
 
 namespace sqs {
@@ -98,6 +100,60 @@ TEST(Rng, NextBelowIsDeterministic) {
   for (int i = 0; i < 1000; ++i)
     ASSERT_EQ(a.next_below(~0ull - 7), b.next_below(~0ull - 7));
   for (int i = 0; i < 1000; ++i) ASSERT_EQ(a.next_below(17), b.next_below(17));
+}
+
+TEST(Rng, BernoulliThresholdMatchesDoubleComparison) {
+  // x < T  <=>  x * 2^-53 < p  for every 53-bit draw x; checked at the
+  // boundary T-1, T, T+1 (where those are 53-bit values).
+  const std::int64_t kLimit = std::int64_t{1} << 53;
+  const double ps[] = {0.0,  1e-300, 0x1p-54, 0x1p-53, 1e-9,
+                       0.1,  0.25,   0.3,     0.5,     std::nextafter(1.0, 0.0),
+                       1.0,  1.5,    -0.1};
+  for (const double p : ps) {
+    const std::uint64_t threshold = bernoulli_threshold(p);
+    ASSERT_LE(threshold, static_cast<std::uint64_t>(kLimit)) << "p=" << p;
+    for (const std::int64_t d : {-1, 0, 1}) {
+      const std::int64_t x = static_cast<std::int64_t>(threshold) + d;
+      if (x < 0 || x >= kLimit) continue;
+      EXPECT_EQ(static_cast<std::uint64_t>(x) < threshold,
+                static_cast<double>(x) * 0x1p-53 < p)
+          << "p=" << p << " x=" << x;
+    }
+  }
+  EXPECT_EQ(bernoulli_threshold(0.0), 0u);
+  EXPECT_EQ(bernoulli_threshold(-0.1), 0u);
+  EXPECT_EQ(bernoulli_threshold(1e-300), 1u);
+  EXPECT_EQ(bernoulli_threshold(0x1p-53), 1u);
+  EXPECT_EQ(bernoulli_threshold(std::nextafter(1.0, 0.0)),
+            static_cast<std::uint64_t>(kLimit) - 1);
+  EXPECT_EQ(bernoulli_threshold(1.0), static_cast<std::uint64_t>(kLimit));
+  EXPECT_EQ(bernoulli_threshold(1.5), static_cast<std::uint64_t>(kLimit));
+}
+
+TEST(Rng, ThresholdDrawsReproduceBernoulli) {
+  // The integer draws must consume the stream and decide exactly like
+  // bernoulli(p), one draw at a time and packed into miss words.
+  const int kDraws = 100000;
+  for (const double p : {0.0, 1e-9, 0.1, 0.3, 0.5, 1.0}) {
+    const std::uint64_t threshold = bernoulli_threshold(p);
+    Rng single(2024), reference(2024);
+    for (int i = 0; i < kDraws; ++i)
+      ASSERT_EQ(single.bernoulli_below(threshold), reference.bernoulli(p))
+          << "p=" << p << " draw " << i;
+    ASSERT_EQ(single.next_u64(), reference.next_u64());
+
+    Rng packed(2024), scalar(2024);
+    for (int done = 0, count = 1; done < kDraws; done += count) {
+      count = 1 + done % 64;
+      const std::uint64_t word = packed.miss_word(threshold, count);
+      for (int i = 0; i < 64; ++i) {
+        const bool bit = (word >> i) & 1u;
+        ASSERT_EQ(bit, i < count && !scalar.bernoulli(p))
+            << "p=" << p << " word of " << count << " bit " << i;
+      }
+    }
+    ASSERT_EQ(packed.next_u64(), scalar.next_u64()) << "p=" << p;
+  }
 }
 
 }  // namespace
