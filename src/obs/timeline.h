@@ -9,7 +9,8 @@
 // 1, 2, or N threads (tests/test_recorder.cpp, Timeline suite).
 //
 // The object is single-owner (no atomics, no locking): exactly one thread
-// at a time may call record_op, which the solo ticket already guarantees.
+// at a time may call record_op, which the served solo stage's single
+// sequencer thread already guarantees.
 //
 // JSONL schema, one window per line (DESIGN.md section 3.11):
 //   {"t_us": window start, "window_us": width, "ops", "ok", "reads",

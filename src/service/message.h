@@ -91,6 +91,20 @@ std::uint32_t request_cert(const Request& req);
 void encode_request(const Request& req, std::uint8_t* out);
 void encode_reply(const Reply& rep, std::uint8_t* out);
 
+// The reply-stream fingerprint (ServiceResult::reply_fingerprint): FNV-1a
+// 64 over the encoded reply bytes in stream order, starting from
+// kFingerprintBasis. fold_fingerprint advances `h` over `size` bytes.
+inline constexpr std::uint64_t kFingerprintBasis = 14695981039346656037ull;
+std::uint64_t fold_fingerprint(std::uint64_t h, const std::uint8_t* data,
+                               std::size_t size);
+
+// encode_reply for `count` replies into consecutive records at `out`,
+// several records per pass so their hash chains overlap (encode_reply is
+// the one-record case of the same code). A non-null `fingerprint` is
+// advanced over the encoded bytes, in order, within the same pass.
+void encode_replies(const Reply* reps, std::size_t count, std::uint8_t* out,
+                    std::uint64_t* fingerprint = nullptr);
+
 // Decoders verify magic + checksum + kind range + zero reserved bytes; the
 // reply decoder additionally verifies a 0/1 ok byte and the service
 // certificate. An accepted reply, or a decoded request whose carried cert
@@ -104,6 +118,12 @@ void encode_reply(const Reply& rep, std::uint8_t* out);
 Request decode_request(const std::uint8_t* in,
                        std::uint32_t* expected_cert = nullptr);
 bool decode_reply(const std::uint8_t* in, Reply* out);
+
+// decode_request for `count` consecutive records at `in` into out[0..count)
+// and expected_certs[0..count) (may be null), several records per pass;
+// decode_request is the one-record case of the same code.
+void decode_requests(const std::uint8_t* in, std::size_t count, Request* out,
+                     std::uint32_t* expected_certs);
 
 // Number of the `n` request records at `in` whose kind byte says write,
 // read without decoding: a sizing hint, never a validated count.

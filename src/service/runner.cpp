@@ -1,9 +1,12 @@
 #include "service/runner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <mutex>
 #include <utility>
 
 #include "obs/trace.h"
@@ -43,24 +46,197 @@ struct ServiceMetrics {
   }
 };
 
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 using obs::to_us;
 
-// One batch's decoded requests and replies. The thread that owns a batch
-// borrows these from its WorkerScratch for all three stages, so the stage
-// buffers are batch-sized and their capacity is reused across batches and
-// serve() calls.
-struct BatchBuffers {
+// Times one stage call when telemetry is on (checked once per call).
+struct StageTimer {
+  bool on = obs::telemetry_enabled();
+  std::uint64_t start_ns = on ? obs::trace_now_ns() : 0;
+  std::uint64_t elapsed() const { return obs::trace_now_ns() - start_ns; }
+};
+
+// One in-flight batch: its decoded requests, replies and, when the caller
+// asked for no reply stream, its encoded replies. The batch's stages hand
+// the slot from thread to thread through the pipeline's mutex.
+struct BatchSlot {
+  std::uint64_t batch = 0;
+  bool decoded = false;
+  bool encoded = false;
+  std::uint64_t decode_failures = 0, cert_rejects = 0;
+  std::uint64_t epilogue_ns = 0;  // encode time, until the fold records it
   std::vector<Request> requests;
+  std::vector<std::uint32_t> expected_certs;
   std::vector<Reply> replies;
+  std::vector<std::uint8_t> encoded_bytes;
+};
+
+// The ring of in-flight batches, borrowed from the serving thread's
+// WorkerScratch so the slot buffers keep their capacity across calls.
+struct BatchRing {
+  std::vector<BatchSlot> slots;
+};
+
+// The served path's batch pipeline over a ring of slots (batch b in slot
+// b % size). Every participating thread calls run(); the first one becomes
+// the sequencer, the only thread that runs the solo stage, batch after
+// batch. The others decode ahead of it (claimed in order, at most one ring
+// ahead of the oldest unfolded batch) and encode behind it (claimed in
+// order). The fold into the fingerprint is in order too: whoever finishes
+// encoding the lowest unfolded batch takes the fold turn and folds every
+// encoded batch from there on; an encoder that starts on the lowest
+// unfolded batch folds it inside its encode pass.
+//
+// Deadlock freedom: a claimed decode or encode (fold turn included) runs
+// to its end without waiting on anything, so only the sequencer and idle
+// helpers ever wait, and each waits only for work some running thread has
+// claimed. The sequencer never waits for unclaimed work: it decodes the
+// next batch itself when no one has claimed it, and when the ring is full
+// it encodes the oldest unclaimed solved batch itself. So one participant
+// alone finishes the stream, and more participants only take work off it.
+//
+// Stages provides decode, solo, encode(slot, fold_in_pass) and fold over a
+// BatchSlot; the pipeline calls each once per batch.
+template <typename Stages>
+class BatchPipeline {
+ public:
+  BatchPipeline(std::uint64_t num_batches, std::vector<BatchSlot>& slots,
+                Stages& stages)
+      : num_batches_(num_batches), slots_(slots), stages_(stages) {}
+
+  void run() {
+    Lock lk(mu_);
+    if (!sequencer_taken_) {
+      sequencer_taken_ = true;
+      sequence(lk);
+    }
+    help(lk);
+  }
+
+  bool finished() const { return folded_ == num_batches_; }
+
+ private:
+  using Lock = std::unique_lock<std::mutex>;
+  // Spins of the sequencer's wait before it blocks: a few microseconds.
+  static constexpr int kSpins = 256;
+
+  BatchSlot& slot(std::uint64_t b) { return slots_[b % slots_.size()]; }
+  bool ring_has_room(std::uint64_t b) const {
+    return b < folded_ + slots_.size();
+  }
+
+  void sequence(Lock& lk) {
+    for (std::uint64_t b = 0; b < num_batches_; ++b) {
+      BatchSlot& s = slot(b);
+      while (!(decode_next_ > b && s.decoded)) {
+        if (decode_next_ == b && ring_has_room(b)) {
+          decode(lk);
+        } else if (decode_next_ == b && encode_next_ < solved_) {
+          encode(lk);
+        } else {
+          wait_sequencer(lk);
+        }
+      }
+      lk.unlock();
+      stages_.solo(s);
+      lk.lock();
+      ++solved_;
+      helper_cv_.notify_one();
+    }
+  }
+
+  void help(Lock& lk) {
+    for (;;) {
+      if (encode_next_ < solved_) {
+        encode(lk);
+      } else if (decode_next_ < num_batches_ && ring_has_room(decode_next_)) {
+        decode(lk);
+      } else if (encode_next_ == num_batches_) {
+        return;
+      } else {
+        helper_cv_.wait(lk);
+      }
+    }
+  }
+
+  void decode(Lock& lk) {
+    BatchSlot& s = slot(decode_next_);
+    s.batch = decode_next_++;
+    s.decoded = false;
+    s.encoded = false;
+    lk.unlock();
+    stages_.decode(s);
+    lk.lock();
+    s.decoded = true;
+    changed();
+    sequencer_cv_.notify_one();
+  }
+
+  void encode(Lock& lk) {
+    const std::uint64_t b = encode_next_++;
+    BatchSlot& s = slot(b);
+    const bool fold_in_pass = b == folded_ && !folding_;
+    if (fold_in_pass) folding_ = true;
+    if (encode_next_ == num_batches_) helper_cv_.notify_all();  // idle helpers leave
+    lk.unlock();
+    stages_.encode(s, fold_in_pass);
+    lk.lock();
+    s.encoded = true;
+    if (fold_in_pass) {
+      release_oldest();
+    } else if (folding_) {
+      return;  // the fold turn's holder reaches this batch in order
+    } else {
+      folding_ = true;
+    }
+    // This thread holds the fold turn: fold every encoded batch in order.
+    while (folded_ < encode_next_ && slot(folded_).encoded) {
+      BatchSlot& next = slot(folded_);
+      lk.unlock();
+      stages_.fold(next);
+      lk.lock();
+      release_oldest();
+    }
+    folding_ = false;
+  }
+
+  // The oldest batch is folded: its slot takes a new batch.
+  void release_oldest() {
+    ++folded_;
+    changed();
+    sequencer_cv_.notify_one();
+    helper_cv_.notify_one();
+  }
+
+  void changed() { changes_.fetch_add(1, std::memory_order_relaxed); }
+
+  // Waits for the next state change: a short spin, then the condvar.
+  void wait_sequencer(Lock& lk) {
+    const std::uint64_t seen = changes_.load(std::memory_order_relaxed);
+    lk.unlock();
+    for (int i = 0;
+         i < kSpins && changes_.load(std::memory_order_relaxed) == seen; ++i)
+      spin_pause();
+    lk.lock();
+    if (changes_.load(std::memory_order_relaxed) == seen)
+      sequencer_cv_.wait(lk);
+  }
+
+  static void spin_pause() {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  }
+
+  const std::uint64_t num_batches_;
+  std::vector<BatchSlot>& slots_;
+  Stages& stages_;
+  std::mutex mu_;
+  std::condition_variable sequencer_cv_, helper_cv_;
+  std::atomic<std::uint64_t> changes_{0};  // written under mu_
+  // Batches claimed for decode, solved, claimed for encode, folded.
+  std::uint64_t decode_next_ = 0, solved_ = 0, encode_next_ = 0, folded_ = 0;
+  bool sequencer_taken_ = false;
+  bool folding_ = false;  // some thread holds the fold turn
 };
 
 }  // namespace
@@ -136,6 +312,8 @@ ServiceRunner::ServiceRunner(const QuorumFamily& family,
                      return a.at < b.at;
                    });
   cert_memo_.resize(replicas_.size());
+  for (std::size_t i = 0; i < cert_memo_.size(); ++i)
+    cert_memo_[i].key = replica_signing_key(static_cast<int>(i));
   if (config.timeline_window_us > 0)
     timeline_ = obs::Timeline(config.timeline_window_us,
                               service_latency_bounds());
@@ -177,7 +355,8 @@ std::uint32_t ServiceRunner::expected_replica_cert(int replica,
                                                   std::uint64_t value) {
   CertMemo& memo = cert_memo_[static_cast<std::size_t>(replica)];
   if (!memo.valid || !(memo.ts == ts) || memo.value != value)
-    memo = CertMemo{ts, value, replica_cert(replica, ts, value), true};
+    memo = CertMemo{memo.key, ts, value, replica_cert(memo.key, ts, value),
+                    true};
   return memo.cert;
 }
 
@@ -348,6 +527,9 @@ Reply ServiceRunner::execute_op(const Request& req) {
     if (adopted.ok) {
       ++totals_.writes_ok;
       const Timestamp new_ts = QuorumAttempt::write_timestamp(adopted, client);
+      // The audit-set insert below lands at a random index slot; its load
+      // overlaps the pushes.
+      genuine_writes_.prefetch(new_ts, req.value);
       // Each push resolves at its ack round trip or at the timeout, and the
       // write completes when the last target resolves.
       int acks = 0;
@@ -403,110 +585,151 @@ ServiceResult ServiceRunner::serve(const std::vector<std::uint8_t>& requests,
   const std::uint64_t n = requests.size() / kRequestWireSize;
   const std::uint64_t batch = static_cast<std::uint64_t>(config_.batch);
   const std::uint64_t num_batches = (n + batch - 1) / batch;
-  const std::uint8_t* in = requests.data();
-
-  std::vector<std::uint8_t> encoded(n * kReplyWireSize);
-  std::vector<std::uint64_t> decode_fail(num_batches, 0);
-  std::vector<std::uint64_t> cert_fail(num_batches, 0);
-
-  {
-    std::lock_guard<std::mutex> lk(turn_mu_);
-    solo_turn_ = 0;
-  }
   const ServiceResult before = totals_;  // obs counters get this call's deltas
 
   // Size the audit set for this call's write requests here, on the calling
   // thread. Grown inside the solo stage instead, each doubling would be
-  // allocated by whichever pool thread owns the batch, and the freed
+  // allocated by whichever pool thread runs the sequencer, and the freed
   // tables would pile up in every thread's malloc arena across runners.
   genuine_writes_.reserve(
-      static_cast<std::size_t>(count_write_requests(in, n)));
+      static_cast<std::size_t>(count_write_requests(requests.data(), n)));
+  if (replies_out != nullptr) replies_out->resize(n * kReplyWireSize);
+
+  // The three stages of one batch. A local class, so the solo stage reaches
+  // the runner's private state.
+  struct Stages {
+    ServiceRunner& runner;
+    const std::uint8_t* in;
+    std::uint8_t* stream;  // the caller's reply stream, or null
+    std::uint64_t n, batch;
+    std::uint64_t fingerprint = kFingerprintBasis;
+
+    std::uint64_t begin(const BatchSlot& s) const { return s.batch * batch; }
+    std::uint64_t size(const BatchSlot& s) const {
+      return std::min(n, begin(s) + batch) - begin(s);
+    }
+    std::uint8_t* records(BatchSlot& s) const {
+      return stream != nullptr ? stream + begin(s) * kReplyWireSize
+                               : s.encoded_bytes.data();
+    }
+
+    // Prologue: decode + verify the batch's records. The client-certificate
+    // check lives here too — the signature verification a WAN deployment
+    // hoists into the stateless stage — so an impersonated request never
+    // reaches the solo stage. The decoder computes the expected cert in
+    // the same pass as the checksum.
+    void decode(BatchSlot& s) const {
+      const StageTimer timer;
+      const std::size_t count = size(s);
+      s.requests.resize(count);
+      s.expected_certs.resize(count);
+      decode_requests(in + begin(s) * kRequestWireSize, count,
+                      s.requests.data(), s.expected_certs.data());
+      s.decode_failures = 0;
+      s.cert_rejects = 0;
+      for (std::size_t i = 0; i < count; ++i) {
+        Request& req = s.requests[i];
+        if (!req.valid) {
+          ++s.decode_failures;
+        } else if (req.cert != s.expected_certs[i]) {
+          req.valid = false;
+          ++s.cert_rejects;
+        }
+        if (req.valid) {
+          obs::flight(obs::FlightKind::kDecoded,
+                      obs::make_op_id(obs::kServiceStream, req.seq),
+                      req.arrival_us, -1, 1);
+        }
+      }
+      if (timer.on) ServiceMetrics::get().prologue_ns.record(timer.elapsed());
+    }
+
+    // Solo: the batch's ops in arrival order.
+    void solo(BatchSlot& s) const {
+      const StageTimer timer;
+      runner.totals_.decode_failures += s.decode_failures;
+      runner.totals_.cert_rejects += s.cert_rejects;
+      const std::size_t count = size(s);
+      s.replies.resize(count);
+      for (std::size_t i = 0; i < count; ++i) {
+        const Request& req = s.requests[i];
+        Reply& rep = s.replies[i];
+        if (req.valid) {
+          rep = runner.execute_op(req);
+        } else {
+          rep = Reply{};
+          rep.seq = begin(s) + i;
+        }
+      }
+      if (timer.on) ServiceMetrics::get().solo_ns.record(timer.elapsed());
+    }
+
+    // Epilogue: encode + checksum the batch's replies, folding them into
+    // the fingerprint in the same pass when this batch holds the fold turn.
+    void encode(BatchSlot& s, bool fold_in_pass) {
+      const StageTimer timer;
+      const std::size_t count = size(s);
+      if (stream == nullptr) s.encoded_bytes.resize(count * kReplyWireSize);
+      encode_replies(s.replies.data(), count, records(s),
+                     fold_in_pass ? &fingerprint : nullptr);
+      for (std::size_t i = 0; i < count; ++i) {
+        const Request& req = s.requests[i];
+        const Reply& rep = s.replies[i];
+        if (req.valid) {
+          obs::flight(obs::FlightKind::kEncoded,
+                      obs::make_op_id(obs::kServiceStream, req.seq),
+                      req.arrival_us + rep.latency_us, -1, rep.ok ? 1 : 0);
+        }
+      }
+      s.epilogue_ns = timer.on ? timer.elapsed() : 0;
+      if (fold_in_pass && timer.on)
+        ServiceMetrics::get().epilogue_ns.record(s.epilogue_ns);
+    }
+
+    // The batch's encoded replies into the fingerprint, after the batch
+    // before it; the epilogue time covers its encode and this fold.
+    void fold(BatchSlot& s) {
+      const StageTimer timer;
+      fingerprint =
+          fold_fingerprint(fingerprint, records(s), size(s) * kReplyWireSize);
+      if (timer.on)
+        ServiceMetrics::get().epilogue_ns.record(s.epilogue_ns +
+                                                 timer.elapsed());
+    }
+  };
+  Stages stages{*this, requests.data(),
+                replies_out != nullptr ? replies_out->data() : nullptr, n,
+                batch};
+
+  // The ring's buffers are sized here, on the calling thread, so no stage
+  // allocates on whichever thread first runs it.
+  const int threads = config_.threads > 0 ? config_.threads : default_threads();
+  const bool pipelined =
+      threads > 1 && num_batches > 1 && !ThreadPool::inside_worker();
+  Borrowed<BatchRing> ring = WorkerScratch::for_thread().borrow<BatchRing>();
+  ring->slots.resize(pipelined ? 2 * static_cast<std::size_t>(threads) : 1);
+  for (BatchSlot& s : ring->slots) {
+    s.requests.reserve(batch);
+    s.expected_certs.reserve(batch);
+    s.replies.reserve(batch);
+    if (replies_out == nullptr) s.encoded_bytes.reserve(batch * kReplyWireSize);
+  }
 
   const auto wall_start = std::chrono::steady_clock::now();
-  auto process = [&](std::uint64_t b) {
-    const std::uint64_t begin = b * batch;
-    const std::uint64_t end = std::min(n, begin + batch);
-    const bool timed = obs::telemetry_enabled();
-    const ServiceMetrics& metrics = ServiceMetrics::get();
-    Borrowed<BatchBuffers> buffers =
-        WorkerScratch::for_thread().borrow<BatchBuffers>();
-    std::vector<Request>& parsed = buffers->requests;
-    std::vector<Reply>& decoded = buffers->replies;
-    parsed.resize(end - begin);
-    decoded.resize(end - begin);
-
-    // Prologue: decode + verify this batch's records (private slice). The
-    // client-certificate check lives here too — the signature verification
-    // a WAN deployment hoists into the stateless stage — so an impersonated
-    // request never reaches the solo stage. The decoder computes the
-    // expected cert in the same pass as the checksum.
-    std::uint64_t stage_start = timed ? obs::trace_now_ns() : 0;
-    std::uint64_t bad = 0, bad_cert = 0;
-    for (std::uint64_t i = begin; i < end; ++i) {
-      Request& req = parsed[i - begin];
-      std::uint32_t expected_cert = 0;
-      req = decode_request(in + i * kRequestWireSize, &expected_cert);
-      if (!req.valid) {
-        ++bad;
-      } else if (req.cert != expected_cert) {
-        req.valid = false;
-        ++bad_cert;
-      }
-      if (req.valid) {
-        obs::flight(obs::FlightKind::kDecoded,
-                    obs::make_op_id(obs::kServiceStream, req.seq),
-                    req.arrival_us, -1, 1);
-      }
-    }
-    decode_fail[b] = bad;
-    cert_fail[b] = bad_cert;
-    if (timed) metrics.prologue_ns.record(obs::trace_now_ns() - stage_start);
-
-    // Solo: wait for this batch's ticket, run its ops in arrival order,
-    // hand the ticket on.
-    {
-      std::unique_lock<std::mutex> lk(turn_mu_);
-      turn_cv_.wait(lk, [&] { return solo_turn_ == b; });
-    }
-    stage_start = timed ? obs::trace_now_ns() : 0;
-    for (std::uint64_t i = begin; i < end; ++i) {
-      const Request& req = parsed[i - begin];
-      Reply& rep = decoded[i - begin];
-      if (req.valid) {
-        rep = execute_op(req);
-      } else {
-        rep = Reply{};
-        rep.seq = i;
-      }
-    }
-    if (timed) metrics.solo_ns.record(obs::trace_now_ns() - stage_start);
-    {
-      std::lock_guard<std::mutex> lk(turn_mu_);
-      ++solo_turn_;
-    }
-    turn_cv_.notify_all();
-
-    // Epilogue: encode + checksum this batch's replies (private slice).
-    stage_start = timed ? obs::trace_now_ns() : 0;
-    for (std::uint64_t i = begin; i < end; ++i) {
-      const Request& req = parsed[i - begin];
-      const Reply& rep = decoded[i - begin];
-      encode_reply(rep, encoded.data() + i * kReplyWireSize);
-      if (req.valid) {
-        obs::flight(obs::FlightKind::kEncoded,
-                    obs::make_op_id(obs::kServiceStream, req.seq),
-                    req.arrival_us + rep.latency_us, -1, rep.ok ? 1 : 0);
-      }
-    }
-    if (timed) metrics.epilogue_ns.record(obs::trace_now_ns() - stage_start);
-  };
-
-  const int threads = config_.threads > 0 ? config_.threads : default_threads();
-  if (threads > 1 && num_batches > 1 && !ThreadPool::inside_worker()) {
+  if (pipelined) {
+    BatchPipeline<Stages> pipeline(num_batches, ring->slots, stages);
     ThreadPool::global(threads - 1).for_each_chunk(
-        num_batches, threads, process);
+        static_cast<std::uint64_t>(threads), threads,
+        [&pipeline](std::uint64_t) { pipeline.run(); });
+    assert(pipeline.finished());
   } else {
-    for (std::uint64_t b = 0; b < num_batches; ++b) process(b);
+    BatchSlot& s = ring->slots.front();
+    for (std::uint64_t b = 0; b < num_batches; ++b) {
+      s.batch = b;
+      stages.decode(s);
+      stages.solo(s);
+      stages.encode(s, true);
+    }
   }
   const double wall_ms =
       std::chrono::duration<double, std::milli>(
@@ -514,10 +737,6 @@ ServiceResult ServiceRunner::serve(const std::vector<std::uint8_t>& requests,
           .count();
 
   totals_.requests += n;
-  for (std::uint64_t b = 0; b < num_batches; ++b) {
-    totals_.decode_failures += decode_fail[b];
-    totals_.cert_rejects += cert_fail[b];
-  }
 
   ServiceResult result = totals_;
   result.call_requests = n;
@@ -548,7 +767,7 @@ ServiceResult ServiceRunner::serve(const std::vector<std::uint8_t>& requests,
 
   result.latency_us = latency_.snapshot("service.op_latency_us", lat_bounds_);
 
-  result.reply_fingerprint = fnv1a64(encoded.data(), encoded.size());
+  result.reply_fingerprint = stages.fingerprint;
   result.virtual_duration = last_arrival_;
   result.wall_ms = wall_ms;
 
@@ -561,8 +780,6 @@ ServiceResult ServiceRunner::serve(const std::vector<std::uint8_t>& requests,
   metrics.cert_rejects.add(totals_.cert_rejects - before.cert_rejects);
   metrics.fabricated_reads.add(totals_.fabricated_reads -
                                before.fabricated_reads);
-
-  if (replies_out != nullptr) *replies_out = std::move(encoded);
   return result;
 }
 

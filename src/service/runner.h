@@ -3,25 +3,28 @@
 // ServiceRunner executes an encoded, arrival-ordered request stream in three
 // stages, the classic staged-replica split (dsnet's Runner):
 //
-//   prologue  — stateless decode + checksum verification, fanned out over
-//               the shared ThreadPool in batches;
+//   prologue  — stateless decode + checksum and client-cert verification,
+//               a batch at a time;
 //   solo      — every stateful step (probe strategy over the Transport,
 //               replica reads/writes, fault-plan application, latency
-//               accounting), executed strictly in arrival order under a
-//               sequence-number ticket: batch b's owner blocks until
-//               solo_turn == b, runs its batch's operations, hands the
-//               ticket to b+1;
-//   epilogue  — stateless reply encoding + checksumming, fanned out again.
+//               accounting), executed strictly in arrival order by one
+//               sequencer thread that runs batch after batch;
+//   epilogue  — stateless reply encoding + checksumming, with an in-order
+//               fold of each batch into the reply fingerprint.
 //
-// The ticket discipline is deadlock-free on the pool because for_each_chunk
-// hands out batch indices through a monotone atomic ticket: claimed batches
-// are a contiguous prefix, so the owner of the lowest unfinished batch is
-// never waiting on a higher turn. And it makes the determinism contract of
-// run_trials hold for served traffic: the solo stage observes the identical
-// operation order at any thread count, per-op randomness comes from
-// seed-split streams keyed by sequence number, and the stateless stages
-// touch only their own batch's records — results are bit-identical for 1,
-// 2, or N threads (tests/test_service.cpp asserts it).
+// The other participating threads decode batches ahead of the sequencer
+// and encode them behind it; in-flight batches live in a bounded ring of
+// 2 x threads slots. Progress never depends on a second thread: when the
+// next batch is undecoded and unclaimed, or the ring is full, the sequencer
+// does that work itself, and every claimed decode or encode finishes
+// without waiting (DESIGN.md §3.10 has the deadlock-freedom argument). And
+// it makes the determinism contract of run_trials hold for served traffic:
+// the solo stage observes the identical operation order at any thread
+// count, per-op randomness comes from seed-split streams keyed by sequence
+// number, the stateless stages touch only their own batch's records, and
+// the fingerprint folds batches in stream order — results are
+// bit-identical for 1, 2, or N threads (tests/test_service.cpp asserts
+// it).
 //
 // Time is virtual. Operation semantics and latencies are computed on the
 // load schedule's deterministic timeline (probe RTTs from the Transport,
@@ -34,10 +37,8 @@
 
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <vector>
 
@@ -58,7 +59,7 @@ struct ServiceConfig {
   ServerConfig server;
   int num_clients = 64;
   double probe_timeout = 0.25;  // seconds a probe waits for its reply
-  int batch = 256;              // requests per solo ticket
+  int batch = 256;              // requests per pipeline batch
   int threads = 0;              // total participating threads; 0 = default
   std::uint64_t seed = 1;
   FaultPlan plan;               // applied on the virtual timeline
@@ -138,8 +139,9 @@ struct ServiceResult {
   // decoded op, failures included; quantiles via latency_us.p50() etc.
   obs::HistogramSnapshot latency_us;
 
-  // FNV-1a over the encoded reply stream — the bit-identity probe: equal
-  // fingerprints mean byte-equal replies.
+  // FNV-1a 64 over the encoded reply stream (fold_fingerprint in
+  // service/message.h) — the bit-identity probe: equal fingerprints mean
+  // byte-equal replies.
   std::uint64_t reply_fingerprint = 0;
 
   double virtual_duration = 0.0;  // last arrival, virtual seconds
@@ -176,11 +178,11 @@ class ServiceRunner {
   // bytes, arrival-sorted — generate_load's output shape). Repeated calls
   // continue on the same world state, and the returned stats are lifetime
   // totals (call_requests, wall_ms and reply_fingerprint cover the current
-  // call). Besides the reply stream, memory is batch-sized: the thread
-  // that owns a batch keeps its decoded requests and replies in pooled
-  // scratch (runtime/scratch.h) through all three stages. If
-  // `replies_out` is non-null it receives the encoded reply stream
-  // (kReplyWireSize bytes per request).
+  // call). If `replies_out` is non-null it receives the encoded reply
+  // stream (kReplyWireSize bytes per request), encoded in place. Otherwise
+  // no reply stream exists: each batch is encoded into its ring slot and
+  // folded into the fingerprint there. Besides that stream and the
+  // genuine-write audit set, memory is batch-sized.
   ServiceResult serve(const std::vector<std::uint8_t>& requests,
                       std::vector<std::uint8_t>* replies_out = nullptr);
 
@@ -246,12 +248,13 @@ class ServiceRunner {
   // synchronous (no end-of-run pass like the sim harness needs).
   WriteSet genuine_writes_;
 
-  // Verification memo, one entry per logical replica: the last reported
-  // (ts, value) that was checked and replica_cert over it. It caches a pure
-  // function exactly — a fabricated report misses and is hashed fresh, so
-  // it is rejected as before — while repeated honest reports of an
-  // unchanged register cost no hash.
+  // Verification memo, one entry per logical replica: the replica's
+  // signing key and the last reported (ts, value) that was checked, with
+  // replica_cert over it. It caches a pure function exactly — a fabricated
+  // report misses and is hashed fresh, so it is rejected as before — while
+  // repeated honest reports of an unchanged register cost no hash.
   struct CertMemo {
+    SigningKey key;
     Timestamp ts;
     std::uint64_t value = 0;
     std::uint32_t cert = 0;
@@ -266,11 +269,6 @@ class ServiceRunner {
   // quantiles need no telemetry; snapshotted into ServiceResult.
   std::vector<std::uint64_t> lat_bounds_;
   obs::HistAccum latency_;
-
-  // Ticket state for the solo stage.
-  std::mutex turn_mu_;
-  std::condition_variable turn_cv_;
-  std::uint64_t solo_turn_ = 0;
 };
 
 }  // namespace sqs

@@ -30,16 +30,6 @@ constexpr std::uint32_t absorb_key(std::uint32_t h, std::uint64_t key) {
   return h;
 }
 
-// Keyed-FNV "HMAC" stand-in: absorbs the key, the data, then the key again
-// (the sandwich shape of the real construction). Unforgeable in-model
-// because lying code paths never call it with another principal's key.
-inline std::uint32_t hmac32(std::uint64_t key, const std::uint8_t* data,
-                            std::size_t n) {
-  std::uint32_t h = absorb_key(kFnvBasis, key);
-  for (std::size_t i = 0; i < n; ++i) h = fnv_step(h, data[i]);
-  return absorb_key(h, key);
-}
-
 // MurmurHash3's 64-bit finalizer: a bijective avalanche mix.
 constexpr std::uint64_t fmix64(std::uint64_t x) {
   x ^= x >> 33;
@@ -54,6 +44,42 @@ constexpr std::uint64_t fmix64(std::uint64_t x) {
 // — the model's stand-in for a key distribution scheme).
 constexpr std::uint64_t cert_key(std::uint64_t principal) {
   return fmix64(principal ^ 0xC2B2AE3D27D4EB4Full);
+}
+
+// A signing key with its key schedule precomputed: the chain state after
+// hmac32's leading key absorb, which is the same for every message the key
+// signs (the inner-state precomputation of RFC 2104 §4). A principal that
+// signs repeatedly keeps one and skips cert_key and the leading absorb.
+struct SigningKey {
+  std::uint64_t key = 0;
+  std::uint32_t start = absorb_key(kFnvBasis, 0);
+
+  constexpr SigningKey() = default;
+  constexpr explicit SigningKey(std::uint64_t k)
+      : key(k), start(absorb_key(kFnvBasis, k)) {}
+  // Completes a chain begun at `start`: hmac32's trailing key absorb.
+  constexpr std::uint32_t finish(std::uint32_t h) const {
+    return absorb_key(h, key);
+  }
+};
+
+constexpr SigningKey signing_key(std::uint64_t principal) {
+  return SigningKey(cert_key(principal));
+}
+
+// Keyed-FNV "HMAC" stand-in: absorbs the key, the data, then the key again
+// (the sandwich shape of the real construction). Unforgeable in-model
+// because lying code paths never call it with another principal's key.
+inline std::uint32_t hmac32(const SigningKey& key, const std::uint8_t* data,
+                            std::size_t n) {
+  std::uint32_t h = key.start;
+  for (std::size_t i = 0; i < n; ++i) h = fnv_step(h, data[i]);
+  return key.finish(h);
+}
+
+inline std::uint32_t hmac32(std::uint64_t key, const std::uint8_t* data,
+                            std::size_t n) {
+  return hmac32(SigningKey(key), data, n);
 }
 
 }  // namespace sqs

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "sim/keyed_hash.h"
-
 namespace sqs {
 
 bool RegisterPolicy::validate(const char* owner) const {
@@ -48,42 +46,44 @@ bool acked_write_visible(const std::vector<Replica>& replicas,
 }
 
 std::size_t WriteSet::find(const Timestamp& ts, std::uint64_t value) const {
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(fmix64(
-      ts.counter ^ fmix64(value ^ static_cast<std::uint32_t>(ts.writer))));
-  for (i &= mask;; i = (i + 1) & mask) {
-    const Slot& slot = slots_[i];
-    if (!slot.used || (slot.counter == ts.counter &&
-                       slot.writer == ts.writer && slot.value == value))
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = home(ts, value) & mask;; i = (i + 1) & mask) {
+    const std::uint32_t entry = index_[i];
+    if (entry == kEmpty) return i;
+    const Binding& b = log_[entry - 1];
+    if (b.counter == ts.counter && b.writer == ts.writer && b.value == value)
       return i;
   }
 }
 
 bool WriteSet::contains(const Timestamp& ts, std::uint64_t value) const {
-  return !slots_.empty() && slots_[find(ts, value)].used;
+  return !index_.empty() && index_[find(ts, value)] != kEmpty;
 }
 
 void WriteSet::rehash(std::size_t num_slots) {
-  std::vector<Slot> old(num_slots);
-  old.swap(slots_);
-  for (const Slot& slot : old)
-    if (slot.used)
-      slots_[find(Timestamp{slot.counter, slot.writer}, slot.value)] = slot;
+  index_.assign(num_slots, kEmpty);
+  for (std::size_t pos = 0; pos < log_.size(); ++pos) {
+    const Binding& b = log_[pos];
+    index_[find(Timestamp{b.counter, b.writer}, b.value)] =
+        static_cast<std::uint32_t>(pos + 1);
+  }
 }
 
 void WriteSet::reserve(std::size_t more) {
-  std::size_t num_slots = std::max<std::size_t>(64, slots_.size());
-  while ((size_ + more) * 4 > num_slots * 3) num_slots *= 2;
-  if (num_slots != slots_.size()) rehash(num_slots);
+  std::size_t num_slots = std::max<std::size_t>(64, index_.size());
+  while ((size() + more) * 4 > num_slots * 3) num_slots *= 2;
+  if (num_slots != index_.size()) rehash(num_slots);
+  log_.reserve(size() + more);
 }
 
 void WriteSet::insert(const Timestamp& ts, std::uint64_t value) {
-  if ((size_ + 1) * 4 > slots_.size() * 3)
-    rehash(std::max<std::size_t>(64, 2 * slots_.size()));
-  Slot& slot = slots_[find(ts, value)];
-  if (slot.used) return;
-  slot = Slot{ts.counter, value, ts.writer, true};
-  ++size_;
+  if ((size() + 1) * 4 > index_.size() * 3)
+    rehash(std::max<std::size_t>(64, 2 * index_.size()));
+  std::uint32_t& entry = index_[find(ts, value)];
+  if (entry != kEmpty) return;
+  assert(log_.size() < UINT32_MAX);
+  log_.push_back(Binding{ts.counter, value, ts.writer});
+  entry = static_cast<std::uint32_t>(log_.size());
 }
 
 void apply_epoch_transition(const EpochedFamily& sched, int e,

@@ -234,28 +234,43 @@ class QuorumAttempt {
   bool saw_newer_epoch_ = false;
 };
 
-// A grow-only set of (ts, value) bindings: an open-addressing table
-// (linear probing, power-of-two size, at most 3/4 full), so a binding costs
-// no node allocation.
+// A grow-only set of (ts, value) bindings in the compact-dict layout: the
+// bindings sit in an append-only log in insertion order, and an
+// open-addressed index (linear probing, power-of-two size, at most 3/4
+// full) of 4-byte log positions finds them. A binding costs no node
+// allocation, the index is a sixth of a table of whole bindings, and a
+// lookup of a recent binding touches recent log memory.
 class WriteSet {
  public:
   bool contains(const Timestamp& ts, std::uint64_t value) const;
   void insert(const Timestamp& ts, std::uint64_t value);
   // Makes room for `more` inserts beyond the current size without growth.
   void reserve(std::size_t more);
+  std::size_t size() const { return log_.size(); }
+  // Starts loading the index slot a lookup or insert of the binding probes
+  // first, so a caller that knows the binding early hides the cache miss.
+  void prefetch(const Timestamp& ts, std::uint64_t value) const {
+    if (!index_.empty())
+      __builtin_prefetch(&index_[home(ts, value) & (index_.size() - 1)]);
+  }
 
  private:
-  void rehash(std::size_t num_slots);
-  struct Slot {
+  struct Binding {
     std::uint64_t counter = 0;
     std::uint64_t value = 0;
     int writer = 0;
-    bool used = false;
   };
-  // Index of the binding's slot, or of the empty slot where it belongs.
+  static constexpr std::uint32_t kEmpty = 0;  // index entries are position+1
+  // The binding's hash; its first probed slot is the hash masked to size.
+  static std::size_t home(const Timestamp& ts, std::uint64_t value) {
+    return static_cast<std::size_t>(fmix64(
+        ts.counter ^ fmix64(value ^ static_cast<std::uint32_t>(ts.writer))));
+  }
+  void rehash(std::size_t num_slots);
+  // Index slot holding the binding, or the empty slot where it belongs.
   std::size_t find(const Timestamp& ts, std::uint64_t value) const;
-  std::vector<Slot> slots_;
-  std::size_t size_ = 0;
+  std::vector<std::uint32_t> index_;
+  std::vector<Binding> log_;
 };
 
 // No-lost-acked-write: false iff a write was acked (`newest_acked` > 0)

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "obs/telemetry.h"
-#include "sim/keyed_hash.h"
 
 namespace sqs {
 
@@ -30,22 +29,6 @@ struct Replica::Metrics {
     return m;
   }
 };
-
-std::uint32_t replica_cert(int replica, const Timestamp& ts,
-                           std::uint64_t value) {
-  // counter (u64), writer (u32), value (u64), little-endian.
-  std::uint8_t buf[20];
-  const auto put = [&buf](int offset, std::uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i)
-      buf[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
-  };
-  put(0, ts.counter, 8);
-  put(8, static_cast<std::uint32_t>(ts.writer), 4);
-  put(12, value, 8);
-  return hmac32(
-      cert_key(kReplicaPrincipalBase + static_cast<std::uint64_t>(replica)),
-      buf, sizeof buf);
-}
 
 const char* lie_mode_name(LieMode mode) {
   switch (mode) {
@@ -71,7 +54,10 @@ bool ServerConfig::validate() const {
 }
 
 Replica::Replica(int id, const ServerConfig& config, Rng rng)
-    : id_(id), config_(config), rng_(std::move(rng)) {
+    : id_(id),
+      key_(replica_signing_key(id)),
+      config_(config),
+      rng_(std::move(rng)) {
   up_ = !rng_.bernoulli(config_.stationary_down());
   next_toggle_ =
       rng_.exponential(1.0 / (up_ ? config_.mean_up : config_.mean_down));
@@ -172,7 +158,7 @@ std::optional<Replica::ReadServed> Replica::serve_read(int object, double now,
   Cell& c = cell(object);
   const auto [ts, value] = read_cell(c, now, client, metrics);
   if (!c.cert_fresh) {
-    c.cert = replica_cert(id_, c.ts, c.value);
+    c.cert = replica_cert(key_, c.ts, c.value);
     c.cert_fresh = true;
   }
   return ReadServed{done, ts, value, c.cert};

@@ -47,6 +47,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/keyed_hash.h"
 #include "util/rng.h"
 
 namespace sqs {
@@ -69,12 +70,35 @@ struct Timestamp {
 // service principal).
 inline constexpr std::uint64_t kReplicaPrincipalBase = 0x100000000ull;
 
+inline SigningKey replica_signing_key(int replica) {
+  return signing_key(kReplicaPrincipalBase +
+                     static_cast<std::uint64_t>(replica));
+}
+
 // The certificate a replica attaches to a served probe reply: signs (ts,
 // value) under the replica's key (sim/keyed_hash.h). The replica computes
 // it over its TRUE stored state even while lying — a Byzantine replica can
-// corrupt what it reports but cannot sign the fabrication.
-std::uint32_t replica_cert(int replica, const Timestamp& ts,
-                           std::uint64_t value);
+// corrupt what it reports but cannot sign the fabrication. The signed
+// bytes are counter (u64), writer (u32), value (u64), little-endian; the
+// keyed form takes replica_signing_key(replica), which a signer or
+// verifier of many certificates keeps instead of rederiving it per call.
+inline std::uint32_t replica_cert(const SigningKey& key, const Timestamp& ts,
+                                  std::uint64_t value) {
+  std::uint32_t h = key.start;
+  for (int i = 0; i < 8; ++i)
+    h = fnv_step(h, static_cast<std::uint8_t>(ts.counter >> (8 * i)));
+  const std::uint32_t writer = static_cast<std::uint32_t>(ts.writer);
+  for (int i = 0; i < 4; ++i)
+    h = fnv_step(h, static_cast<std::uint8_t>(writer >> (8 * i)));
+  for (int i = 0; i < 8; ++i)
+    h = fnv_step(h, static_cast<std::uint8_t>(value >> (8 * i)));
+  return key.finish(h);
+}
+
+inline std::uint32_t replica_cert(int replica, const Timestamp& ts,
+                                  std::uint64_t value) {
+  return replica_cert(replica_signing_key(replica), ts, value);
+}
 
 // --- Byzantine lie model (fault injection) ---------------------------------
 //
@@ -267,7 +291,7 @@ class Replica {
     Timestamp ts;
     std::uint64_t value = 0;
     Timestamp max_seen;      // high-water mark; survives amnesia wipes
-    std::uint32_t cert = 0;  // replica_cert(id, ts, value) while cert_fresh
+    std::uint32_t cert = 0;  // replica_cert(key_, ts, value) while cert_fresh
     bool cert_fresh = false;
   };
   struct Metrics;
@@ -294,6 +318,7 @@ class Replica {
   void advance_cell(int object, const Timestamp& ts, std::uint64_t value);
 
   int id_;
+  SigningKey key_;  // replica_signing_key(id_)
   ServerConfig config_;
   mutable Rng rng_;
   mutable bool up_ = true;

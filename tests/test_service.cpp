@@ -8,11 +8,14 @@
 
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "core/constructions.h"
 #include "core/masking.h"
 #include "faults/fault_plan.h"
+#include "runtime/thread_pool.h"
 #include "service/load_gen.h"
 #include "service/message.h"
 #include "service/runner.h"
@@ -307,6 +310,182 @@ TEST(ServiceWire, ReplicaCertBindsReplicaAndState) {
   EXPECT_NE(replica_cert(1, ts, 100), cert);       // different value
   EXPECT_NE(replica_cert(1, Timestamp{6, 2}, 99), cert);  // different ts
   EXPECT_EQ(replica_cert(1, ts, 99), cert);        // deterministic
+}
+
+void poke_le(std::uint8_t* buf, std::size_t offset, std::uint64_t v,
+             std::size_t bytes) {
+  for (std::size_t i = 0; i < bytes; ++i)
+    buf[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+// The certificates as they were signed before the key schedule existed:
+// hmac32 under cert_key(principal), over each record type's signing
+// buffer.
+std::uint32_t unscheduled_replica_cert(int replica, const Timestamp& ts,
+                                       std::uint64_t value) {
+  std::uint8_t buf[20];
+  poke_le(buf, 0, ts.counter, 8);
+  poke_le(buf, 8, static_cast<std::uint32_t>(ts.writer), 4);
+  poke_le(buf, 12, value, 8);
+  return hmac32(cert_key(kReplicaPrincipalBase +
+                         static_cast<std::uint64_t>(replica)),
+                buf, sizeof buf);
+}
+
+std::uint32_t unscheduled_request_cert(const Request& req) {
+  std::uint8_t buf[29];
+  poke_le(buf, 0, req.seq, 8);
+  poke_le(buf, 8, req.arrival_us, 8);
+  poke_le(buf, 16, req.client, 4);
+  poke_le(buf, 20, static_cast<std::uint8_t>(req.kind), 1);
+  poke_le(buf, 21, req.value, 8);
+  return hmac32(cert_key(req.client), buf, sizeof buf);
+}
+
+TEST(ServiceWire, KeyScheduleMatchesTheUnscheduledHmac) {
+  // 10^5 seeded (principal, ts, value) triples: the keyed certificate
+  // forms equal hmac32(cert_key(p), buf) over the signing buffers they
+  // replaced, at the edges too (writer -1, counter 0 and 2^64-1, replica
+  // and client ids far outside any precomputed table).
+  Rng rng(2024);
+  const std::uint64_t edge_counters[] = {0, 1, ~0ull};
+  int mismatches = 0;
+  for (int i = 0; i < 100000 && mismatches < 5; ++i) {
+    int replica = 0;
+    std::uint32_t client = 0;
+    switch (i % 4) {
+      case 0:
+        replica = static_cast<int>(rng.next_below(64));
+        client = static_cast<std::uint32_t>(rng.next_below(64));
+        break;
+      case 1:
+        replica = 256 + static_cast<int>(rng.next_below(1u << 20));
+        client = 256 + static_cast<std::uint32_t>(rng.next_below(1u << 20));
+        break;
+      case 2:
+        replica = 0x7FFFFFFF - static_cast<int>(rng.next_below(16));
+        client = 0xFFFFFFFFu - static_cast<std::uint32_t>(rng.next_below(16));
+        break;
+      default:
+        replica = static_cast<int>(rng.next_below(1u << 31));
+        client = static_cast<std::uint32_t>(rng.next_u64());
+    }
+    const Timestamp ts{i % 7 < 3 ? edge_counters[i % 7] : rng.next_u64(),
+                       i % 5 == 0 ? -1
+                                  : static_cast<int>(rng.next_below(1u << 31))};
+    const std::uint64_t value = rng.next_u64();
+    const std::uint32_t expected = unscheduled_replica_cert(replica, ts, value);
+    if (replica_cert(replica_signing_key(replica), ts, value) != expected ||
+        replica_cert(replica, ts, value) != expected) {
+      ADD_FAILURE() << "replica cert differs: replica " << replica << " ts ("
+                    << ts.counter << ", " << ts.writer << ") value " << value;
+      ++mismatches;
+    }
+
+    Request req;
+    req.seq = rng.next_u64();
+    req.arrival_us = i % 3 == 0 ? ~0ull : rng.next_u64();
+    req.client = client;
+    req.kind = i % 2 == 0 ? OpKind::kRead : OpKind::kWrite;
+    req.value = value;
+    std::uint8_t rec[kRequestWireSize];
+    encode_request(req, rec);
+    std::uint32_t decoded_expected = 0;
+    const Request back = decode_request(rec, &decoded_expected);
+    const std::uint32_t want = unscheduled_request_cert(req);
+    if (request_cert(req) != want || peek_u32(rec, 40) != want ||
+        !back.valid || decoded_expected != want) {
+      ADD_FAILURE() << "request cert differs: client " << client;
+      ++mismatches;
+    }
+
+    Reply rep;
+    rep.seq = req.seq;
+    rep.latency_us = rng.next_u64();
+    rep.value = value;
+    rep.ts = ts;
+    rep.probes = static_cast<std::uint32_t>(rng.next_u64());
+    rep.kind = req.kind;
+    rep.ok = i % 3 != 0;
+    std::uint8_t out[kReplyWireSize];
+    encode_reply(rep, out);
+    if (peek_u32(out, 52) != hmac32(cert_key(kServicePrincipal), out + 8, 44) ||
+        peek_u32(out, 4) != forge_checksum(out, kReplyWireSize)) {
+      ADD_FAILURE() << "reply cert or checksum differs at " << i;
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(ServiceWire, BatchCodecMatchesTheOneRecordCodec) {
+  // decode_requests / encode_replies run several records per pass; the
+  // result must be record-for-record the one-record codec's, for counts
+  // around the group size, with corrupt records mixed in, and the folded
+  // fingerprint must be FNV-1a 64 over the encoded bytes.
+  Rng rng(77);
+  for (const std::size_t count :
+       {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{4},
+        std::size_t{5}, std::size_t{8}, std::size_t{13}, std::size_t{257}}) {
+    std::vector<std::uint8_t> wire(count * kRequestWireSize);
+    std::vector<Reply> replies(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      Request req;
+      req.seq = i;
+      req.arrival_us = rng.next_u64();
+      req.client = static_cast<std::uint32_t>(rng.next_below(300));
+      req.kind = rng.bernoulli(0.5) ? OpKind::kRead : OpKind::kWrite;
+      req.value = rng.next_u64();
+      std::uint8_t* rec = wire.data() + i * kRequestWireSize;
+      encode_request(req, rec);
+      if (i % 5 == 2) rec[rng.next_below(kRequestWireSize)] ^= 0x10;
+      if (i % 7 == 3) {  // a forged cert behind a valid checksum
+        rec[40] ^= 0xFF;
+        fix_request_checksum(rec);
+      }
+      Reply& rep = replies[i];
+      rep.seq = i;
+      rep.latency_us = rng.next_u64();
+      rep.value = rng.next_u64();
+      rep.ts = Timestamp{rng.next_u64(), static_cast<int>(rng.next_below(64)) - 1};
+      rep.probes = static_cast<std::uint32_t>(rng.next_below(100));
+      rep.kind = req.kind;
+      rep.ok = rng.bernoulli(0.7);
+    }
+
+    std::vector<Request> batch(count);
+    std::vector<std::uint32_t> certs(count, 0);
+    decode_requests(wire.data(), count, batch.data(), certs.data());
+    for (std::size_t i = 0; i < count; ++i) {
+      std::uint32_t cert = 0;
+      const Request one = decode_request(wire.data() + i * kRequestWireSize, &cert);
+      ASSERT_EQ(batch[i].valid, one.valid) << "count " << count << " i " << i;
+      if (!one.valid) continue;
+      EXPECT_EQ(batch[i].seq, one.seq);
+      EXPECT_EQ(batch[i].arrival_us, one.arrival_us);
+      EXPECT_EQ(batch[i].client, one.client);
+      EXPECT_EQ(batch[i].kind, one.kind);
+      EXPECT_EQ(batch[i].value, one.value);
+      EXPECT_EQ(batch[i].cert, one.cert);
+      EXPECT_EQ(certs[i], cert);
+      EXPECT_EQ(cert, request_cert(one));
+    }
+
+    std::vector<std::uint8_t> single(count * kReplyWireSize);
+    for (std::size_t i = 0; i < count; ++i)
+      encode_reply(replies[i], single.data() + i * kReplyWireSize);
+    std::vector<std::uint8_t> grouped(count * kReplyWireSize, 0xAB);
+    encode_replies(replies.data(), count, grouped.data());
+    EXPECT_EQ(grouped, single) << "count " << count;
+    std::vector<std::uint8_t> folded(count * kReplyWireSize, 0xCD);
+    std::uint64_t fingerprint = 12345;
+    encode_replies(replies.data(), count, folded.data(), &fingerprint);
+    EXPECT_EQ(folded, single) << "count " << count;
+    std::uint64_t h = 12345;
+    for (const std::uint8_t byte : single) h = (h ^ byte) * 1099511628211ull;
+    EXPECT_EQ(fingerprint, h) << "count " << count;
+    EXPECT_EQ(fold_fingerprint(12345, single.data(), single.size()), h);
+  }
 }
 
 // One random edit of a wire record: replace a byte, truncate to a
@@ -618,38 +797,149 @@ TEST(Service, ConfigValidation) {
 }
 
 TEST(Service, BitIdenticalAcrossThreadCounts) {
+  // Every thread count and batch size serves the same op order, so the
+  // whole result is one deterministic function of (requests, config minus
+  // threads and batch): reply bytes, fingerprint, every counter, the
+  // latency histogram. Corrupt and forged records sit on both sides of
+  // the batch boundaries (batch 1 makes every record a boundary).
   const OptDFamily family(12, 2);
-  const std::vector<std::uint8_t> requests = generate_load(small_load());
+  std::vector<std::uint8_t> requests = generate_load(small_load());
+  const std::size_t n = requests.size() / kRequestWireSize;
+  const std::size_t corrupt[] = {0, 6, 7, 255, 256, n - 1};
+  const std::size_t forged[] = {13, 14, 511, 512, n - 2};
+  for (const std::size_t i : corrupt)
+    requests[i * kRequestWireSize + 32] ^= 0xFF;  // payload; checksum fails
+  for (const std::size_t i : forged) {
+    std::uint8_t* rec = requests.data() + i * kRequestWireSize;
+    rec[40] ^= 0xFF;  // cert field
+    fix_request_checksum(rec);
+  }
   ServiceResult first;
   std::vector<std::uint8_t> first_replies;
   bool have_first = false;
-  for (const int threads : {1, 2, 8}) {
+  for (const int batch : {1, 7, 256}) {
+    for (const int threads : {1, 2, 3, 4, 8}) {
+      ServiceConfig config = service_config();
+      config.batch = batch;
+      config.threads = threads;
+      ServiceRunner runner(family, config);
+      std::vector<std::uint8_t> replies;
+      const ServiceResult r = runner.serve(requests, &replies);
+      EXPECT_EQ(r.requests, small_load().total_ops());
+      EXPECT_EQ(r.decode_failures, std::size(corrupt));
+      EXPECT_EQ(r.cert_rejects, std::size(forged));
+      EXPECT_EQ(r.reads + r.writes + r.decode_failures + r.cert_rejects,
+                r.requests);
+      EXPECT_EQ(r.reply_fingerprint,
+                fold_fingerprint(kFingerprintBasis, replies.data(),
+                                 replies.size()));
+      if (!have_first) {
+        first = r;
+        first_replies = std::move(replies);
+        have_first = true;
+        continue;
+      }
+      SCOPED_TRACE("batch=" + std::to_string(batch) +
+                   " threads=" + std::to_string(threads));
+      EXPECT_EQ(replies, first_replies);
+      EXPECT_EQ(r.reply_fingerprint, first.reply_fingerprint);
+      EXPECT_EQ(r.reads_ok, first.reads_ok);
+      EXPECT_EQ(r.writes_ok, first.writes_ok);
+      EXPECT_EQ(r.stale_reads, first.stale_reads);
+      EXPECT_EQ(r.probes, first.probes);
+      EXPECT_EQ(r.write_acks, first.write_acks);
+      EXPECT_EQ(r.net_delivered, first.net_delivered);
+      EXPECT_EQ(r.net_dropped, first.net_dropped);
+      EXPECT_EQ(r.latency_us.counts, first.latency_us.counts);
+      EXPECT_EQ(r.latency_us.sum, first.latency_us.sum);
+    }
+  }
+  for (const std::size_t i : corrupt) {
+    Reply rep;
+    ASSERT_TRUE(decode_reply(first_replies.data() + i * kReplyWireSize, &rep));
+    EXPECT_EQ(rep.seq, i);
+    EXPECT_FALSE(rep.ok);
+  }
+}
+
+TEST(Service, FingerprintAndCountersIndependentOfTheReplyStream) {
+  // With no reply stream requested, batches are encoded in ring slots and
+  // folded there: the fingerprint and every counter match a run that
+  // materializes the stream.
+  const OptDFamily family(12, 2);
+  const std::vector<std::uint8_t> requests = generate_load(small_load());
+  for (const int threads : {1, 4}) {
+    ServiceConfig config = service_config();
+    config.threads = threads;
+    ServiceRunner with_stream(family, config);
+    ServiceRunner without(family, config);
+    std::vector<std::uint8_t> replies;
+    const ServiceResult a = with_stream.serve(requests, &replies);
+    const ServiceResult b = without.serve(requests);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_EQ(replies.size(), requests.size() / kRequestWireSize * kReplyWireSize);
+    EXPECT_EQ(a.reply_fingerprint, b.reply_fingerprint);
+    EXPECT_EQ(a.reads_ok, b.reads_ok);
+    EXPECT_EQ(a.writes_ok, b.writes_ok);
+    EXPECT_EQ(a.stale_reads, b.stale_reads);
+    EXPECT_EQ(a.probes, b.probes);
+    EXPECT_EQ(a.write_acks, b.write_acks);
+    EXPECT_EQ(a.latency_us.counts, b.latency_us.counts);
+  }
+}
+
+TEST(Service, SuccessiveServeCallsContinueTheStream) {
+  // Two serve() calls on one runner (ring reused, audit set reserved
+  // twice) answer exactly what one call over the whole stream answers, at
+  // any thread count.
+  const OptDFamily family(12, 2);
+  const std::vector<std::uint8_t> requests = generate_load(small_load());
+  const std::size_t split = 777 * kRequestWireSize;
+  const std::vector<std::uint8_t> head(requests.begin(),
+                                       requests.begin() + split);
+  const std::vector<std::uint8_t> tail(requests.begin() + split,
+                                       requests.end());
+  ServiceRunner whole_runner(family, service_config());
+  std::vector<std::uint8_t> whole;
+  const ServiceResult once = whole_runner.serve(requests, &whole);
+  for (const int threads : {1, 3, 4}) {
     ServiceConfig config = service_config();
     config.threads = threads;
     ServiceRunner runner(family, config);
-    std::vector<std::uint8_t> replies;
-    const ServiceResult r = runner.serve(requests, &replies);
-    EXPECT_EQ(r.requests, small_load().total_ops());
-    EXPECT_EQ(r.decode_failures, 0u);
-    EXPECT_EQ(r.reads + r.writes, r.requests);
-    if (!have_first) {
-      first = r;
-      first_replies = std::move(replies);
-      have_first = true;
-      continue;
-    }
-    // The whole result is a deterministic function of (requests, config):
-    // reply bytes, fingerprint, every counter, the latency histogram.
-    EXPECT_EQ(replies, first_replies) << "threads=" << threads;
-    EXPECT_EQ(r.reply_fingerprint, first.reply_fingerprint);
-    EXPECT_EQ(r.reads_ok, first.reads_ok);
-    EXPECT_EQ(r.writes_ok, first.writes_ok);
-    EXPECT_EQ(r.stale_reads, first.stale_reads);
-    EXPECT_EQ(r.probes, first.probes);
-    EXPECT_EQ(r.net_delivered, first.net_delivered);
-    EXPECT_EQ(r.net_dropped, first.net_dropped);
-    EXPECT_EQ(r.latency_us.counts, first.latency_us.counts);
-    EXPECT_EQ(r.latency_us.sum, first.latency_us.sum);
+    std::vector<std::uint8_t> first, second;
+    runner.serve(head, &first);
+    const ServiceResult r = runner.serve(tail, &second);
+    first.insert(first.end(), second.begin(), second.end());
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_EQ(first, whole);
+    EXPECT_EQ(r.requests, once.requests);
+    EXPECT_EQ(r.call_requests, tail.size() / kRequestWireSize);
+    EXPECT_EQ(r.reply_fingerprint,
+              fold_fingerprint(kFingerprintBasis, second.data(), second.size()));
+    EXPECT_EQ(r.reads_ok, once.reads_ok);
+    EXPECT_EQ(r.writes_ok, once.writes_ok);
+    EXPECT_EQ(r.latency_us.counts, once.latency_us.counts);
+  }
+}
+
+TEST(Service, ServeInsideAPoolWorkerRunsInline) {
+  // A serve() on a pool thread must not wait on the pool it runs on: it
+  // runs its stages inline and answers what a top-level call answers.
+  const OptDFamily family(12, 2);
+  const std::vector<std::uint8_t> requests = generate_load(small_load());
+  ServiceConfig config = service_config();
+  config.threads = 4;
+  ServiceRunner top(family, config);
+  const ServiceResult expected = top.serve(requests);
+  ServiceResult nested[2];
+  ThreadPool::global(1).for_each_chunk(2, 2, [&](std::uint64_t c) {
+    ServiceRunner runner(family, config);
+    nested[c] = runner.serve(requests);
+  });
+  for (const ServiceResult& r : nested) {
+    EXPECT_EQ(r.requests, expected.requests);
+    EXPECT_EQ(r.reply_fingerprint, expected.reply_fingerprint);
+    EXPECT_EQ(r.latency_us.counts, expected.latency_us.counts);
   }
 }
 

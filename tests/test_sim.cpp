@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "core/composition.h"
@@ -12,6 +14,7 @@
 #include "sim/replica.h"
 #include "sim/simulator.h"
 #include "uqs/majority.h"
+#include "util/rng.h"
 
 namespace sqs {
 namespace {
@@ -471,6 +474,53 @@ TEST(WriteSet, HoldsExactlyTheInsertedBindingsAcrossGrowth) {
     const int writer = static_cast<int>(i % 7);
     EXPECT_FALSE(set.contains(Timestamp{i, writer}, i * 3 + 1));
     EXPECT_FALSE(set.contains(Timestamp{i, writer + 7}, i * 3));
+  }
+}
+
+TEST(WriteSet, MatchesAStdSetReferenceAcrossGrowthAndReserve) {
+  // Differential check against std::set over seeded inserts: fresh
+  // bindings, duplicates, the same timestamp with another value, and
+  // lookups of bindings never inserted, across many index growths and
+  // reserve calls (larger and smaller than the current size).
+  using Binding = std::tuple<std::uint64_t, int, std::uint64_t>;
+  const auto contains = [](const WriteSet& set, const Binding& b) {
+    return set.contains(Timestamp{std::get<0>(b), std::get<1>(b)},
+                        std::get<2>(b));
+  };
+  Rng rng(4242);
+  for (int round = 0; round < 4; ++round) {
+    WriteSet set;
+    std::set<Binding> reference;
+    std::vector<Binding> inserted;
+    for (int step = 0; step < 20000; ++step) {
+      if (step % 4000 == round) set.reserve(rng.next_below(6000));
+      Binding b{rng.next_below(5000), static_cast<int>(rng.next_below(9)) - 1,
+                rng.next_below(4)};
+      if (!inserted.empty()) {
+        const Binding& old = inserted[rng.next_below(inserted.size())];
+        switch (rng.next_below(4)) {
+          case 0:  // duplicate
+            b = old;
+            break;
+          case 1:  // same timestamp, another value
+            b = Binding{std::get<0>(old), std::get<1>(old),
+                        std::get<2>(old) + 1 + rng.next_below(3)};
+            break;
+          default:
+            break;
+        }
+      }
+      set.insert(Timestamp{std::get<0>(b), std::get<1>(b)}, std::get<2>(b));
+      reference.insert(b);
+      inserted.push_back(b);
+      const Binding probe{rng.next_below(6000),
+                          static_cast<int>(rng.next_below(10)) - 1,
+                          rng.next_below(6)};
+      ASSERT_EQ(contains(set, probe), reference.count(probe) == 1)
+          << "round " << round << " step " << step;
+      ASSERT_EQ(set.size(), reference.size());
+    }
+    for (const Binding& b : reference) ASSERT_TRUE(contains(set, b));
   }
 }
 
