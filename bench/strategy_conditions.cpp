@@ -15,10 +15,8 @@
 //       within 2 eps^2a)
 //   S5  witness model, shared deterministic order        (Thm 9: holds)
 
-#include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <numeric>
 
 #include "core/composition.h"
 #include "core/constructions.h"
@@ -42,55 +40,11 @@ class ShuffledFamily : public OptDFamily {
       : OptDFamily(n, alpha), early_(early_acquire) {}
 
   std::unique_ptr<ProbeStrategy> make_probe_strategy() const override {
-    class Strategy : public ProbeStrategy {
-     public:
-      Strategy(int n, int alpha, bool early) : n_(n), alpha_(alpha), early_(early) {
-        order_.resize(static_cast<std::size_t>(n));
-        std::iota(order_.begin(), order_.end(), 0);
-        reset(nullptr);
-      }
-      void reset(Rng* rng) override {
-        if (rng != nullptr) std::shuffle(order_.begin(), order_.end(), *rng);
-        observed_ = SignedSet(n_);
-        step_ = pos_ = 0;
-        status_ = ProbeStatus::kInProgress;
-      }
-      int universe_size() const override { return n_; }
-      ProbeStatus status() const override { return status_; }
-      int next_server() const override {
-        return order_[static_cast<std::size_t>(step_)];
-      }
-      void observe(int server, bool reached) override {
-        if (reached) {
-          observed_.add_positive(server);
-          ++pos_;
-        } else {
-          observed_.add_negative(server);
-        }
-        ++step_;
-        const int neg = step_ - pos_;
-        if (early_ && (pos_ >= 2 * alpha_ || pos_ >= n_ + alpha_ - step_)) {
-          status_ = ProbeStatus::kAcquired;
-        } else if (neg >= n_ + 1 - alpha_) {
-          status_ = ProbeStatus::kNoQuorum;
-        } else if (step_ == n_) {
-          status_ = pos_ >= alpha_ ? ProbeStatus::kAcquired
-                                   : ProbeStatus::kNoQuorum;
-        }
-      }
-      SignedSet acquired_quorum() const override { return observed_; }
-      bool is_adaptive() const override { return false; }
-      bool is_randomized() const override { return true; }
-
-     private:
-      int n_, alpha_;
-      bool early_;
-      std::vector<int> order_;
-      SignedSet observed_{0};
-      int step_ = 0, pos_ = 0;
-      ProbeStatus status_ = ProbeStatus::kInProgress;
-    };
-    return std::make_unique<Strategy>(universe_size(), alpha(), early_);
+    return std::make_unique<CountingStrategy>(
+        universe_size(), identity_order(universe_size()), alpha(),
+        early_ ? CountingStrategy::Acquire::kServerProbe
+               : CountingStrategy::Acquire::kAfterAll,
+        /*shuffled=*/true);
   }
 
  private:

@@ -1,7 +1,6 @@
 #include "core/constructions.h"
 
 #include <cassert>
-#include <numeric>
 
 #include "core/batch.h"
 
@@ -143,70 +142,20 @@ double OptAFamily::availability(double p) const {
   return binom_tail_geq(n_, alpha_, 1.0 - p);
 }
 
-namespace {
-
-// OPT_a quorums are whole configurations, so acquisition must probe all n
+// OPT_a quorums are whole configurations, so acquisition probes all n
 // servers; the only early exit is failure once fewer than alpha servers can
 // still be live.
-class OptAStrategy : public ProbeStrategy {
- public:
-  OptAStrategy(int n, int alpha) : n_(n), alpha_(alpha) { reset(nullptr); }
-
-  void reset(Rng* /*rng*/) override {
-    observed_.reshape(n_);
-    step_ = 0;
-    pos_ = 0;
-    status_ = ProbeStatus::kInProgress;
-  }
-
-  int universe_size() const override { return n_; }
-  ProbeStatus status() const override { return status_; }
-  int next_server() const override { return step_; }
-
-  void observe(int server, bool reached) override {
-    assert(server == step_);
-    (void)server;
-    if (reached) {
-      observed_.add_positive(step_);
-      ++pos_;
-    } else {
-      observed_.add_negative(step_);
-    }
-    ++step_;
-    const int neg = step_ - pos_;
-    if (neg >= n_ + 1 - alpha_) {
-      status_ = ProbeStatus::kNoQuorum;
-    } else if (step_ == n_) {
-      status_ = pos_ >= alpha_ ? ProbeStatus::kAcquired : ProbeStatus::kNoQuorum;
-    }
-  }
-
-  SignedSet acquired_quorum() const override { return observed_; }
-  void acquired_quorum_into(SignedSet& out) const override { out = observed_; }
-  bool is_adaptive() const override { return false; }
-  bool is_randomized() const override { return false; }
-
- private:
-  int n_;
-  int alpha_;
-  SignedSet observed_;
-  int step_ = 0;
-  int pos_ = 0;
-  ProbeStatus status_ = ProbeStatus::kInProgress;
-};
-
-}  // namespace
-
 std::unique_ptr<ProbeStrategy> OptAFamily::make_probe_strategy() const {
-  return std::make_unique<OptAStrategy>(n_, alpha_);
+  return std::make_unique<CountingStrategy>(
+      n_, identity_order(n_), alpha_, CountingStrategy::Acquire::kAfterAll,
+      /*shuffled=*/false);
 }
 
 // --- OptDFamily ---
 
 OptDFamily::OptDFamily(int n, int alpha) : n_(n), alpha_(alpha) {
   assert(n >= 3 * alpha - 1 && alpha >= 1);
-  order_.resize(static_cast<std::size_t>(n));
-  std::iota(order_.begin(), order_.end(), 0);
+  order_ = identity_order(n);
 }
 
 std::string OptDFamily::name() const {
@@ -232,42 +181,9 @@ void OptDFamily::set_probe_order(std::vector<int> order) {
 }
 
 std::unique_ptr<ProbeStrategy> OptDFamily::make_probe_strategy() const {
-  return std::make_unique<OptDSequentialStrategy>(n_, alpha_, order_);
-}
-
-OptDSequentialStrategy::OptDSequentialStrategy(int n, int alpha,
-                                               std::vector<int> order)
-    : n_(n), alpha_(alpha), order_(std::move(order)), observed_(n) {
-  assert(static_cast<int>(order_.size()) == n_);
-  reset(nullptr);
-}
-
-void OptDSequentialStrategy::reset(Rng* /*rng*/) {
-  observed_.reshape(n_);
-  step_ = 0;
-  pos_ = 0;
-  neg_ = 0;
-  status_ = ProbeStatus::kInProgress;
-}
-
-void OptDSequentialStrategy::observe(int server, bool reached) {
-  assert(status_ == ProbeStatus::kInProgress);
-  assert(server == order_[static_cast<std::size_t>(step_)]);
-  if (reached) {
-    observed_.add_positive(server);
-    ++pos_;
-  } else {
-    observed_.add_negative(server);
-    ++neg_;
-  }
-  ++step_;
-  // ServerProbe stop rules (Definition 26). The first two merge into
-  // pos >= min(2 alpha, n + alpha - i).
-  if (pos_ >= 2 * alpha_ || pos_ >= n_ + alpha_ - step_) {
-    status_ = ProbeStatus::kAcquired;
-  } else if (neg_ >= n_ + 1 - alpha_) {
-    status_ = ProbeStatus::kNoQuorum;
-  }
+  return std::make_unique<CountingStrategy>(
+      n_, order_, alpha_, CountingStrategy::Acquire::kServerProbe,
+      /*shuffled=*/false);
 }
 
 }  // namespace sqs

@@ -95,31 +95,4 @@ class OptDFamily : public QuorumFamily {
   std::vector<int> order_;
 };
 
-// The sequential OPT_d probe strategy, exposed directly so probe-complexity
-// analyses can instantiate it with explicit parameters.
-class OptDSequentialStrategy : public ProbeStrategy {
- public:
-  OptDSequentialStrategy(int n, int alpha, std::vector<int> order);
-
-  void reset(Rng* rng) override;
-  int universe_size() const override { return n_; }
-  ProbeStatus status() const override { return status_; }
-  int next_server() const override { return order_[static_cast<std::size_t>(step_)]; }
-  void observe(int server, bool reached) override;
-  SignedSet acquired_quorum() const override { return observed_; }
-  void acquired_quorum_into(SignedSet& out) const override { out = observed_; }
-  bool is_adaptive() const override { return false; }
-  bool is_randomized() const override { return false; }
-
- private:
-  int n_;
-  int alpha_;
-  std::vector<int> order_;
-  SignedSet observed_;
-  int step_ = 0;
-  int pos_ = 0;
-  int neg_ = 0;
-  ProbeStatus status_ = ProbeStatus::kInProgress;
-};
-
 }  // namespace sqs

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 #include <utility>
 
 #include "core/batch.h"
@@ -70,8 +69,7 @@ std::optional<std::vector<int>> ExplicitSqs::dominating_permutation(
     const ExplicitSqs& other) const {
   assert(n_ == other.n_);
   assert(n_ <= 8 && "dominating_permutation enumerates all n! permutations");
-  std::vector<int> perm(static_cast<std::size_t>(n_));
-  std::iota(perm.begin(), perm.end(), 0);
+  std::vector<int> perm = identity_order(n_);
   do {
     if (dominates(other.permuted(perm))) return perm;
   } while (std::next_permutation(perm.begin(), perm.end()));

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
-#include <optional>
 #include <vector>
 
 #include "core/batch.h"
@@ -43,70 +41,13 @@ double MaskingThresholdFamily::availability(double p) const {
   return binom_tail_geq(n_, threshold_, 1.0 - p);
 }
 
-namespace {
-
-// Shuffled-order threshold acquisition (the same shape as uqs/majority's
-// strategy): the reached servers form the quorum; failed probes are wasted
-// probes that still count toward load.
-class MaskingThresholdStrategy : public ProbeStrategy {
- public:
-  MaskingThresholdStrategy(int n, int threshold)
-      : n_(n), threshold_(threshold) {
-    order_.resize(static_cast<std::size_t>(n_));
-    reset(nullptr);
-  }
-
-  void reset(Rng* rng) override {
-    // From the identity order every time, so a reused strategy draws the
-    // same order from `rng` as a fresh one.
-    std::iota(order_.begin(), order_.end(), 0);
-    if (rng != nullptr) std::shuffle(order_.begin(), order_.end(), *rng);
-    quorum_.reshape(n_);
-    step_ = 0;
-    pos_ = 0;
-    status_ = ProbeStatus::kInProgress;
-  }
-
-  int universe_size() const override { return n_; }
-  ProbeStatus status() const override { return status_; }
-  int next_server() const override {
-    return order_[static_cast<std::size_t>(step_)];
-  }
-
-  void observe(int server, bool reached) override {
-    assert(status_ == ProbeStatus::kInProgress);
-    if (reached) {
-      quorum_.add_positive(server);
-      ++pos_;
-    }
-    ++step_;
-    if (pos_ >= threshold_) {
-      status_ = ProbeStatus::kAcquired;
-    } else if (pos_ + (n_ - step_) < threshold_) {
-      status_ = ProbeStatus::kNoQuorum;
-    }
-  }
-
-  SignedSet acquired_quorum() const override { return quorum_; }
-  void acquired_quorum_into(SignedSet& out) const override { out = quorum_; }
-  bool is_adaptive() const override { return false; }
-  bool is_randomized() const override { return true; }
-
- private:
-  int n_;
-  int threshold_;
-  std::vector<int> order_;
-  SignedSet quorum_{0};
-  int step_ = 0;
-  int pos_ = 0;
-  ProbeStatus status_ = ProbeStatus::kInProgress;
-};
-
-}  // namespace
-
+// The threshold walk at the masking vote count: the reached servers form
+// the quorum.
 std::unique_ptr<ProbeStrategy> MaskingThresholdFamily::make_probe_strategy()
     const {
-  return std::make_unique<MaskingThresholdStrategy>(n_, threshold_);
+  return std::make_unique<CountingStrategy>(
+      n_, identity_order(n_), threshold_, CountingStrategy::Acquire::kAtNeed,
+      /*shuffled=*/true);
 }
 
 // --- MaskingOptAFamily ---
@@ -139,65 +80,12 @@ double MaskingOptAFamily::availability(double p) const {
   return binom_tail_geq(n_, alpha_m_, 1.0 - p);
 }
 
-namespace {
-
-// OPT_a-style acquisition at threshold `accept`: probe all n servers in
-// index order, acquire the full observed configuration iff it holds at
-// least `accept` positives; fail as soon as that is impossible.
-class MaskingOptAStrategy : public ProbeStrategy {
- public:
-  MaskingOptAStrategy(int n, int accept) : n_(n), accept_(accept) {
-    reset(nullptr);
-  }
-
-  void reset(Rng* /*rng*/) override {
-    observed_.reshape(n_);
-    step_ = 0;
-    pos_ = 0;
-    status_ = ProbeStatus::kInProgress;
-  }
-
-  int universe_size() const override { return n_; }
-  ProbeStatus status() const override { return status_; }
-  int next_server() const override { return step_; }
-
-  void observe(int server, bool reached) override {
-    assert(server == step_);
-    (void)server;
-    if (reached) {
-      observed_.add_positive(step_);
-      ++pos_;
-    } else {
-      observed_.add_negative(step_);
-    }
-    ++step_;
-    const int neg = step_ - pos_;
-    if (neg > n_ - accept_) {
-      status_ = ProbeStatus::kNoQuorum;
-    } else if (step_ == n_) {
-      status_ =
-          pos_ >= accept_ ? ProbeStatus::kAcquired : ProbeStatus::kNoQuorum;
-    }
-  }
-
-  SignedSet acquired_quorum() const override { return observed_; }
-  void acquired_quorum_into(SignedSet& out) const override { out = observed_; }
-  bool is_adaptive() const override { return false; }
-  bool is_randomized() const override { return false; }
-
- private:
-  int n_;
-  int accept_;
-  SignedSet observed_{0};
-  int step_ = 0;
-  int pos_ = 0;
-  ProbeStatus status_ = ProbeStatus::kInProgress;
-};
-
-}  // namespace
-
+// The OPT_a walk at alpha_m: probe all n servers in index order and
+// acquire the full observed configuration.
 std::unique_ptr<ProbeStrategy> MaskingOptAFamily::make_probe_strategy() const {
-  return std::make_unique<MaskingOptAStrategy>(n_, alpha_m_);
+  return std::make_unique<CountingStrategy>(
+      n_, identity_order(n_), alpha_m_, CountingStrategy::Acquire::kAfterAll,
+      /*shuffled=*/false);
 }
 
 // --- MaskingCompositionFamily ---

@@ -41,10 +41,10 @@ namespace sqs {
 int masking_threshold(int n, int b);
 
 // Threshold family sized for b liars: all subsets of masking_threshold(n,b)
-// servers are quorums. Self-contained rather than derived from
-// uqs/ThresholdFamily so the masking layer stays inside sqs_core (uqs links
-// against core, not the other way around); behaviorally it is a threshold
-// system whose strict-majority special case is b = 0.
+// servers are quorums. Not derived from uqs/ThresholdFamily, so the masking
+// layer stays inside sqs_core (uqs links against core); its probe strategy
+// is the same CountingStrategy threshold walk. Behaviorally it is a
+// threshold system whose strict-majority special case is b = 0.
 class MaskingThresholdFamily : public QuorumFamily {
  public:
   MaskingThresholdFamily(int n, int b);
@@ -74,7 +74,7 @@ class MaskingThresholdFamily : public QuorumFamily {
 
 // OPT_a with the acceptance threshold raised to alpha_m =
 // max(alpha, masking_threshold(n, b)). Quorums are full configurations
-// (the strategy probes all n servers, OPT_a style), so two accepted
+// (OPT_a's walk at need alpha_m probes all n servers), so two accepted
 // configurations share >= 2 alpha_m - n >= 2b+1 positives. alpha() reports
 // the effective alpha_m.
 class MaskingOptAFamily : public QuorumFamily {

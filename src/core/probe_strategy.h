@@ -14,6 +14,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "core/signed_set.h"
 #include "util/rng.h"
@@ -64,6 +65,70 @@ class ProbeStrategy {
   // True if reset(rng) draws randomness (a distribution over deterministic
   // strategies, mu in the paper's notation).
   virtual bool is_randomized() const = 0;
+};
+
+// {0, 1, ..., n-1}: the probe order of every family without its own.
+std::vector<int> identity_order(int n);
+
+// The sequential counting walk of OPT_a, OPT_d, the witness model and the
+// threshold, masking and weighted-voting families: probe the servers of an
+// order one at a time, add up the votes of the reached ones (`pos`), and
+// stop on a rule. A family is nothing but its parameters:
+//   * `order`, the base probe order (identity, the witness list, OPT_d's
+//     possibly rotated order). A `shuffled` walk is randomized: each
+//     reset(rng) shuffles the base order afresh (no shuffle when rng is
+//     null), then, with `weights`, stable-sorts it heaviest first.
+//   * `weights`, per-server votes indexed by server; empty means one vote
+//     each. `remaining` is the vote total of the servers not yet probed.
+//   * `need`, the votes to collect, and the Acquire rule below.
+// Every walk fails as soon as pos + remaining < need.
+class CountingStrategy final : public ProbeStrategy {
+ public:
+  enum class Acquire {
+    // pos >= need; the quorum is the reached servers only (threshold,
+    // majority, PQS, masking threshold, weighted voting).
+    kAtNeed,
+    // pos >= min(2 need, need + remaining): Definition 26's ServerProbe
+    // rules. The quorum is the whole signed observation (OPT_d).
+    kServerProbe,
+    // remaining == 0: every server of the order is probed. The quorum is
+    // the whole signed observation (OPT_a, masking OPT_a, witness).
+    kAfterAll,
+  };
+
+  CountingStrategy(int n, std::vector<int> order, int need, Acquire acquire,
+                   bool shuffled, std::vector<int> weights = {});
+
+  void reset(Rng* rng) override;
+  int universe_size() const override { return n_; }
+  ProbeStatus status() const override { return status_; }
+  int next_server() const override {
+    return order_[static_cast<std::size_t>(step_)];
+  }
+  void observe(int server, bool reached) override;
+  SignedSet acquired_quorum() const override { return quorum_; }
+  void acquired_quorum_into(SignedSet& out) const override { out = quorum_; }
+  bool is_adaptive() const override { return false; }
+  bool is_randomized() const override { return shuffled_; }
+
+ private:
+  int votes(int server) const {
+    return weights_.empty() ? 1 : weights_[static_cast<std::size_t>(server)];
+  }
+
+  int n_;
+  std::vector<int> base_;
+  std::vector<int> order_;
+  int need_;
+  Acquire acquire_;
+  bool shuffled_;
+  std::vector<int> weights_;
+  int total_ = 0;
+  SignedSet quorum_{0};
+  int step_ = 0;
+  int pos_ = 0;
+  int remaining_ = 0;
+  ProbeStatus status_ = ProbeStatus::kInProgress;
 };
 
 }  // namespace sqs

@@ -1,7 +1,6 @@
 #include "core/witness.h"
 
 #include <cassert>
-#include <numeric>
 #include <set>
 
 #include "util/binomial.h"
@@ -20,13 +19,7 @@ WitnessFamily::WitnessFamily(int n, std::vector<int> witnesses, int alpha)
 }
 
 WitnessFamily::WitnessFamily(int n, int w, int alpha)
-    : WitnessFamily(n,
-                    [w] {
-                      std::vector<int> ids(static_cast<std::size_t>(w));
-                      std::iota(ids.begin(), ids.end(), 0);
-                      return ids;
-                    }(),
-                    alpha) {}
+    : WitnessFamily(n, identity_order(w), alpha) {}
 
 std::string WitnessFamily::name() const {
   return "Witness(n=" + std::to_string(n_) + ",w=" +
@@ -44,65 +37,11 @@ double WitnessFamily::availability(double p) const {
   return binom_tail_geq(num_witnesses(), alpha_, 1.0 - p);
 }
 
-namespace {
-
-class WitnessStrategy : public ProbeStrategy {
- public:
-  WitnessStrategy(int n, std::vector<int> witnesses, int alpha)
-      : n_(n), witnesses_(std::move(witnesses)), alpha_(alpha) {
-    reset(nullptr);
-  }
-
-  void reset(Rng* /*rng*/) override {
-    observed_ = SignedSet(n_);
-    step_ = 0;
-    pos_ = 0;
-    status_ = ProbeStatus::kInProgress;
-  }
-
-  int universe_size() const override { return n_; }
-  ProbeStatus status() const override { return status_; }
-  int next_server() const override {
-    return witnesses_[static_cast<std::size_t>(step_)];
-  }
-
-  void observe(int server, bool reached) override {
-    assert(server == witnesses_[static_cast<std::size_t>(step_)]);
-    if (reached) {
-      observed_.add_positive(server);
-      ++pos_;
-    } else {
-      observed_.add_negative(server);
-    }
-    ++step_;
-    const int w = static_cast<int>(witnesses_.size());
-    const int remaining = w - step_;
-    if (pos_ + remaining < alpha_) {
-      status_ = ProbeStatus::kNoQuorum;  // alpha positives now impossible
-    } else if (step_ == w) {
-      status_ = pos_ >= alpha_ ? ProbeStatus::kAcquired : ProbeStatus::kNoQuorum;
-    }
-  }
-
-  // The quorum is the full signed observation of the witness set.
-  SignedSet acquired_quorum() const override { return observed_; }
-  bool is_adaptive() const override { return false; }
-  bool is_randomized() const override { return false; }
-
- private:
-  int n_;
-  std::vector<int> witnesses_;
-  int alpha_;
-  SignedSet observed_{0};
-  int step_ = 0;
-  int pos_ = 0;
-  ProbeStatus status_ = ProbeStatus::kInProgress;
-};
-
-}  // namespace
-
+// The quorum is the full signed observation of the witness set.
 std::unique_ptr<ProbeStrategy> WitnessFamily::make_probe_strategy() const {
-  return std::make_unique<WitnessStrategy>(n_, witnesses_, alpha_);
+  return std::make_unique<CountingStrategy>(
+      n_, witnesses_, alpha_, CountingStrategy::Acquire::kAfterAll,
+      /*shuffled=*/false);
 }
 
 }  // namespace sqs

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <utility>
 
 #include "mismatch/exact.h"
@@ -355,19 +356,28 @@ std::vector<ChaosCellResult> run_chaos(
   // Expand each scenario's data into a runnable configuration: build its
   // family from the spec (falling back to `family` for empty specs),
   // compose the fault plan with any programmatic hook, and expand the
-  // churn plan into the epoch schedule every replicate shares.
+  // churn plan into the epoch schedule every replicate shares. A scenario
+  // whose family or churn plan fails to build runs no replicates and
+  // reports the failure as a violation.
   struct PreparedScenario {
     std::shared_ptr<const QuorumFamily> spec_family;  // null = caller's family
     const QuorumFamily* run_family = nullptr;
     RegisterExperimentConfig config;
-    bool churn_failed = false;
+    std::optional<ChaosViolation> setup_failure;
   };
   std::vector<PreparedScenario> prepared(scenarios.size());
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     const ChaosScenario& s = scenarios[i];
     PreparedScenario& p = prepared[i];
     p.config = s.config;
-    if (!s.family.empty()) p.spec_family = s.family.make();
+    if (!s.family.empty()) {
+      p.spec_family = s.family.make();
+      if (p.spec_family == nullptr) {
+        p.setup_failure = ChaosViolation{
+            "family-spec", "family " + s.family.label() + " failed to build"};
+        continue;
+      }
+    }
     p.run_family = p.spec_family != nullptr ? p.spec_family.get() : &family;
     if (!s.plan.events.empty()) {
       // The data plan runs first; a hook a caller installed programmatically
@@ -384,7 +394,8 @@ std::vector<ChaosCellResult> run_chaos(
       p.config.epochs = build_epoch_schedule(s.churn, family_factory(s.family),
                                              p.run_family->universe_size());
       if (p.config.epochs == nullptr)
-        p.churn_failed = true;  // reported as a violation below
+        p.setup_failure = ChaosViolation{
+            "churn-plan", "churn plan failed to expand into an epoch schedule"};
       else
         p.run_family = p.config.epochs->entry(0).family.get();
     }
@@ -398,8 +409,8 @@ std::vector<ChaosCellResult> run_chaos(
   cells.reserve(scenarios.size());
   for (std::size_t i = 0; i < scenarios.size(); ++i)
     cells.push_back(
-        {prepared[i].churn_failed ? 0u
-                                  : static_cast<std::uint64_t>(replicates),
+        {prepared[i].setup_failure ? 0u
+                                   : static_cast<std::uint64_t>(replicates),
          Rng(scenarios[i].config.seed)});
   TrialOptions per_replicate = opts;
   per_replicate.chunk_size = 1;
@@ -521,10 +532,8 @@ std::vector<ChaosCellResult> run_chaos(
                     cell.retired_reads);
       cell.violations.push_back({"retired-read", buf});
     }
-    if (prepared[i].churn_failed)
-      cell.violations.push_back(
-          {"churn-plan",
-           "churn plan failed to expand into an epoch schedule"});
+    if (prepared[i].setup_failure)
+      cell.violations.push_back(*prepared[i].setup_failure);
     // Cross-epoch intersection: a stale client's quorum against the next
     // epoch's write quorums, per adjacent pair of the expanded schedule.
     if (inv.check_cross_epoch && prepared[i].config.epochs != nullptr) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <numeric>
 
 namespace sqs {
 
@@ -98,8 +97,7 @@ std::shared_ptr<const EpochedFamily> build_epoch_schedule(
   if (!plan.validate()) return nullptr;
 
   auto sched = std::make_shared<EpochedFamily>();
-  std::vector<int> members(static_cast<std::size_t>(initial_n));
-  std::iota(members.begin(), members.end(), 0);
+  std::vector<int> members = identity_order(initial_n);
   int next_logical = initial_n;
 
   const auto push_epoch = [&](double at) {

@@ -38,8 +38,9 @@ struct FamilySpec {
   bool resizable() const;
 
   // Builds the family; n_override >= 0 replaces n (resizable kinds only).
-  // Complains on stderr and returns nullptr for unknown kinds or an
-  // override of a non-resizable construction.
+  // Complains on stderr (one line naming the field) and returns nullptr for
+  // unknown kinds, an override of a non-resizable construction, or a
+  // parameter outside the domain its constructor asserts.
   std::shared_ptr<const QuorumFamily> make(int n_override = -1) const;
 
   // Short human-readable tag for tables, e.g. "optd(n=12,a=2)".

@@ -1,6 +1,6 @@
 // Bit-sliced OPT_d sequential probing: 64 trials per word pass.
 //
-// OptDSequentialStrategy is deterministic (fixed probe order, rng ignored)
+// OPT_d's CountingStrategy is deterministic (fixed probe order, rng ignored)
 // and its stop rules are pure threshold tests on the positive/negative
 // counts, so a whole lane word of trials can run the walk simultaneously:
 // per-lane pos/neg counters live in bit planes (core/batch.h), a step
@@ -21,7 +21,7 @@
 
 namespace sqs {
 
-// The lane-word replica of OptDSequentialStrategy: one instance walks 64
+// The lane-word replica of OPT_d's CountingStrategy: one instance walks 64
 // trials of one probe sequence. Callers feed column words in probe order;
 // `active()` before an observe() is exactly "this lane's scalar strategy is
 // still kInProgress", so probed-set bookkeeping (probe counts, positive
@@ -41,7 +41,7 @@ class OptDLaneWalk {
   std::uint64_t active() const { return active_; }
   std::uint64_t acquired() const { return acquired_; }
 
-  // The batched OptDSequentialStrategy::observe: reached = the probed
+  // The batched CountingStrategy::observe: reached = the probed
   // server's column word. Inactive lanes are masked throughout, so calling
   // past a lane's stop step cannot change its outcome.
   void observe(std::uint64_t reached) {

@@ -7,14 +7,14 @@
 
 namespace sqs {
 
-namespace {
-
 bool is_prime(int q) {
   if (q < 2) return false;
   for (int d = 2; d * d <= q; ++d)
     if (q % d == 0) return false;
   return true;
 }
+
+namespace {
 
 // Normalized homogeneous coordinates over GF(q): the canonical
 // representative of each 1-dim subspace has its first nonzero entry == 1.

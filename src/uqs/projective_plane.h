@@ -24,6 +24,9 @@
 
 namespace sqs {
 
+// The orders this construction accepts: PG(2, q) is built for prime q only.
+bool is_prime(int q);
+
 class ProjectivePlaneFamily : public QuorumFamily {
  public:
   // q must be a prime (asserted); the universe has q^2 + q + 1 servers.

@@ -42,86 +42,10 @@ int WeightedVotingFamily::min_quorum_size() const {
   return count;
 }
 
-namespace {
-
-class WeightedVotingStrategy : public ProbeStrategy {
- public:
-  WeightedVotingStrategy(std::vector<int> weights, int quorum_votes, int total)
-      : weights_(std::move(weights)),
-        quorum_votes_(quorum_votes),
-        total_votes_(total),
-        n_(static_cast<int>(weights_.size())) {
-    order_.resize(static_cast<std::size_t>(n_));
-    reset(nullptr);
-  }
-
-  void reset(Rng* rng) override {
-    // From the identity order every time, so a reused strategy draws the
-    // same order from `rng` as a fresh one.
-    std::iota(order_.begin(), order_.end(), 0);
-    if (rng != nullptr) {
-      // Shuffle, then stable-sort by weight descending: heavy servers come
-      // first (fewer probes), equal weights stay uniformly ordered (load
-      // spreads over them).
-      std::shuffle(order_.begin(), order_.end(), *rng);
-      std::stable_sort(order_.begin(), order_.end(), [&](int a, int b) {
-        return weights_[static_cast<std::size_t>(a)] >
-               weights_[static_cast<std::size_t>(b)];
-      });
-    }
-    observed_ = SignedSet(n_);
-    quorum_ = SignedSet(n_);
-    step_ = 0;
-    votes_ = 0;
-    remaining_ = total_votes_;
-    status_ = ProbeStatus::kInProgress;
-  }
-
-  int universe_size() const override { return n_; }
-  ProbeStatus status() const override { return status_; }
-  int next_server() const override { return order_[static_cast<std::size_t>(step_)]; }
-
-  void observe(int server, bool reached) override {
-    assert(status_ == ProbeStatus::kInProgress);
-    remaining_ -= weights_[static_cast<std::size_t>(server)];
-    if (reached) {
-      observed_.add_positive(server);
-      quorum_.add_positive(server);
-      votes_ += weights_[static_cast<std::size_t>(server)];
-    } else {
-      observed_.add_negative(server);
-    }
-    ++step_;
-    if (votes_ >= quorum_votes_) {
-      status_ = ProbeStatus::kAcquired;
-    } else if (votes_ + remaining_ < quorum_votes_) {
-      status_ = ProbeStatus::kNoQuorum;
-    }
-  }
-
-  SignedSet acquired_quorum() const override { return quorum_; }
-  bool is_adaptive() const override { return false; }
-  bool is_randomized() const override { return true; }
-
- private:
-  std::vector<int> weights_;
-  int quorum_votes_;
-  int total_votes_;
-  int n_;
-  std::vector<int> order_;
-  SignedSet observed_{0};
-  SignedSet quorum_{0};
-  int step_ = 0;
-  int votes_ = 0;
-  int remaining_ = 0;
-  ProbeStatus status_ = ProbeStatus::kInProgress;
-};
-
-}  // namespace
-
 std::unique_ptr<ProbeStrategy> WeightedVotingFamily::make_probe_strategy() const {
-  return std::make_unique<WeightedVotingStrategy>(weights_, quorum_votes_,
-                                                  total_votes_);
+  return std::make_unique<CountingStrategy>(
+      universe_size(), identity_order(universe_size()), quorum_votes_,
+      CountingStrategy::Acquire::kAtNeed, /*shuffled=*/true, weights_);
 }
 
 }  // namespace sqs

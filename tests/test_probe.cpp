@@ -2,15 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <numeric>
 #include <tuple>
 #include <vector>
 
 #include "core/constructions.h"
 #include "core/masking.h"
+#include "core/witness.h"
 #include "probe/measurements.h"
 #include "uqs/grid.h"
 #include "uqs/majority.h"
+#include "uqs/pqs.h"
 #include "uqs/projective_plane.h"
 #include "uqs/weighted_voting.h"
 
@@ -186,6 +191,95 @@ TEST(Measurements, MaxProbesNeverExceedsUniverse) {
   EXPECT_LE(m.max_probes_seen, 9);
 }
 
+// ---- golden walks of the counting families ----
+
+void fnv_fold(std::uint64_t& h, std::uint64_t v) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (v >> (8 * byte)) & 0xFFu;
+    h *= 0x100000001B3ull;
+  }
+}
+
+// Drives one reused strategy over every configuration of its universe,
+// each with no rng and with seeds 1-4, and folds every probe, the final
+// status and the acquired quorum's positive and negative words into one
+// FNV-1a value. Any change to an order, a stop rule or a quorum moves the
+// pinned constants below.
+std::uint64_t walk_fingerprint(const QuorumFamily& family) {
+  const int n = family.universe_size();
+  const std::unique_ptr<ProbeStrategy> strategy = family.make_probe_strategy();
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (std::uint64_t mask = 0; mask < (1ull << n); ++mask) {
+    const Configuration config(n, mask);
+    for (std::uint64_t seed = 0; seed <= 4; ++seed) {
+      Rng rng(seed);
+      strategy->reset(seed == 0 ? nullptr : &rng);
+      while (strategy->status() == ProbeStatus::kInProgress) {
+        const int s = strategy->next_server();
+        fnv_fold(h, static_cast<std::uint64_t>(s));
+        strategy->observe(s, config.is_up(s));
+      }
+      fnv_fold(h, static_cast<std::uint64_t>(strategy->status()));
+      if (strategy->status() != ProbeStatus::kAcquired) continue;
+      const SignedSet quorum = strategy->acquired_quorum();
+      for (std::size_t w = 0; w < quorum.positive().num_words(); ++w) {
+        fnv_fold(h, quorum.positive().word(w));
+        fnv_fold(h, quorum.negative().word(w));
+      }
+    }
+  }
+  return h;
+}
+
+TEST(ProbeWalkGolden, CountingFamiliesWalkAsPinned) {
+  OptDFamily rotated(10, 2);
+  std::vector<int> order(10);
+  std::iota(order.begin(), order.end(), 0);
+  std::rotate(order.begin(), order.begin() + 3, order.end());
+  rotated.set_probe_order(order);
+  struct Case {
+    const char* label;
+    std::unique_ptr<QuorumFamily> family;
+    std::uint64_t expected;
+  };
+  std::vector<Case> cases;
+  cases.push_back(
+      {"majority", std::make_unique<MajorityFamily>(9), 0xE7D9853D26FFCE01ull});
+  cases.push_back({"threshold", std::make_unique<ThresholdFamily>(10, 4),
+                   0xA2BC0FA0A5434971ull});
+  cases.push_back(
+      {"pqs", std::make_unique<PqsFamily>(10, 1.0), 0xA2BC0FA0A5434971ull});
+  cases.push_back({"masking threshold",
+                   std::make_unique<MaskingThresholdFamily>(9, 1),
+                   0xF4B866AAE2138401ull});
+  cases.push_back({"skewed weights",
+                   std::make_unique<WeightedVotingFamily>(
+                       std::vector<int>{3, 1, 1, 2, 1, 1, 2}, 6),
+                   0x7730BFD8A5262D7Eull});
+  cases.push_back(
+      {"equal weights",
+       std::make_unique<WeightedVotingFamily>(std::vector<int>(7, 2), 8),
+       0x97F26D9A5BC43D25ull});
+  cases.push_back(
+      {"opt_a", std::make_unique<OptAFamily>(10, 2), 0xAB3457D340DF2C94ull});
+  cases.push_back({"masking opt_a",
+                   std::make_unique<MaskingOptAFamily>(10, 2, 1),
+                   0x5649C6F6DC9E6D91ull});
+  cases.push_back({"default witnesses",
+                   std::make_unique<WitnessFamily>(10, 4, 2),
+                   0xC30D510AA2C70325ull});
+  cases.push_back({"custom witnesses",
+                   std::make_unique<WitnessFamily>(
+                       10, std::vector<int>{7, 2, 9, 4, 0}, 2),
+                   0x3B8B1E7B36F868A5ull});
+  cases.push_back(
+      {"opt_d", std::make_unique<OptDFamily>(10, 2), 0x896F7C17F3206F68ull});
+  cases.push_back({"rotated opt_d", std::make_unique<OptDFamily>(rotated),
+                   0x2DE05F0BE9ED17B0ull});
+  for (const Case& c : cases)
+    EXPECT_EQ(walk_fingerprint(*c.family), c.expected) << c.label;
+}
+
 // ---- reset() draws from the rng alone ----
 
 // Runs one acquisition where every third server is down; returns the probe
@@ -207,12 +301,17 @@ TEST(ProbeStrategyReset, ReusedStrategyMatchesAFreshOne) {
   // before it.
   std::vector<std::unique_ptr<QuorumFamily>> families;
   families.push_back(std::make_unique<MajorityFamily>(9));
+  families.push_back(std::make_unique<PqsFamily>(10, 1.0));
   families.push_back(std::make_unique<MaskingThresholdFamily>(9, 1));
   families.push_back(std::make_unique<ProjectivePlaneFamily>(2));
   families.push_back(std::make_unique<WeightedVotingFamily>(
       std::vector<int>{3, 1, 1, 2, 1, 1, 2}, 6));
   families.push_back(std::make_unique<GridFamily>(3, 3));
   families.push_back(std::make_unique<OptDFamily>(9, 2));
+  families.push_back(std::make_unique<OptAFamily>(9, 2));
+  families.push_back(std::make_unique<MaskingOptAFamily>(9, 2, 1));
+  families.push_back(
+      std::make_unique<WitnessFamily>(9, std::vector<int>{6, 1, 3, 8}, 2));
   for (const auto& family : families) {
     const std::unique_ptr<ProbeStrategy> used = family->make_probe_strategy();
     Rng history(5);

@@ -18,9 +18,9 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <numeric>
+#include <memory>
 #include <tuple>
+#include <vector>
 
 #include "core/constructions.h"
 #include "mismatch/model.h"
@@ -43,64 +43,11 @@ class ShuffledFamily : public OptDFamily {
   }
 
   std::unique_ptr<ProbeStrategy> make_probe_strategy() const override {
-    class Strategy : public ProbeStrategy {
-     public:
-      Strategy(int n, int alpha, bool early_acquire)
-          : n_(n), alpha_(alpha), early_acquire_(early_acquire) {
-        order_.resize(static_cast<std::size_t>(n));
-        std::iota(order_.begin(), order_.end(), 0);
-        reset(nullptr);
-      }
-
-      void reset(Rng* rng) override {
-        if (rng != nullptr) std::shuffle(order_.begin(), order_.end(), *rng);
-        observed_ = SignedSet(n_);
-        step_ = 0;
-        pos_ = 0;
-        status_ = ProbeStatus::kInProgress;
-      }
-
-      int universe_size() const override { return n_; }
-      ProbeStatus status() const override { return status_; }
-      int next_server() const override {
-        return order_[static_cast<std::size_t>(step_)];
-      }
-
-      void observe(int server, bool reached) override {
-        if (reached) {
-          observed_.add_positive(server);
-          ++pos_;
-        } else {
-          observed_.add_negative(server);
-        }
-        ++step_;
-        const int neg = step_ - pos_;
-        if (early_acquire_ &&
-            (pos_ >= 2 * alpha_ || pos_ >= n_ + alpha_ - step_)) {
-          status_ = ProbeStatus::kAcquired;
-        } else if (neg >= n_ + 1 - alpha_) {
-          status_ = ProbeStatus::kNoQuorum;
-        } else if (step_ == n_) {
-          status_ = pos_ >= alpha_ ? ProbeStatus::kAcquired
-                                   : ProbeStatus::kNoQuorum;
-        }
-      }
-
-      SignedSet acquired_quorum() const override { return observed_; }
-      bool is_adaptive() const override { return false; }
-      bool is_randomized() const override { return true; }
-
-     private:
-      int n_;
-      int alpha_;
-      bool early_acquire_;
-      std::vector<int> order_;
-      SignedSet observed_{0};
-      int step_ = 0;
-      int pos_ = 0;
-      ProbeStatus status_ = ProbeStatus::kInProgress;
-    };
-    return std::make_unique<Strategy>(universe_size(), alpha(), early_acquire_);
+    return std::make_unique<CountingStrategy>(
+        universe_size(), identity_order(universe_size()), alpha(),
+        early_acquire_ ? CountingStrategy::Acquire::kServerProbe
+                       : CountingStrategy::Acquire::kAfterAll,
+        /*shuffled=*/true);
   }
 
  private:
@@ -169,6 +116,35 @@ TEST(Theorem12, ShuffledStrategiesAreConclusive) {
       Rng srng = rng.split(mask);
       const ProbeRecord record = run_probe(*strategy, oracle, &srng);
       ASSERT_EQ(record.acquired, c.num_up() >= 2) << mask;
+    }
+  }
+}
+
+TEST(Theorem12, ReusedShuffledStrategyMatchesAFreshOne) {
+  // reset(rng) must draw the order from `rng` alone: a strategy reused
+  // across acquisitions (as measure_nonintersection reuses it) walks the
+  // same order as a fresh one given the same rng.
+  const auto walk = [](ProbeStrategy& strategy, Rng& rng) {
+    strategy.reset(&rng);
+    std::vector<int> order;
+    while (strategy.status() == ProbeStatus::kInProgress) {
+      const int s = strategy.next_server();
+      order.push_back(s);
+      strategy.observe(s, s % 3 != 0);
+    }
+    return order;
+  };
+  for (const bool early : {false, true}) {
+    const ShuffledFamily fam(10, 2, early);
+    const std::unique_ptr<ProbeStrategy> used = fam.make_probe_strategy();
+    Rng history(5);
+    for (int run = 0; run < 3; ++run) walk(*used, history);
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      const std::unique_ptr<ProbeStrategy> fresh = fam.make_probe_strategy();
+      Rng a(seed);
+      Rng b(seed);
+      ASSERT_EQ(walk(*used, a), walk(*fresh, b))
+          << fam.name() << " seed " << seed;
     }
   }
 }
