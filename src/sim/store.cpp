@@ -1,6 +1,7 @@
 #include "sim/store.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 
 namespace sqs {
@@ -18,6 +19,28 @@ double StoreExperimentResult::min_server_load() const {
   double lo = 1.0;
   for (double f : server_probe_fraction) lo = std::min(lo, f);
   return lo;
+}
+
+bool StoreExperimentConfig::validate() const {
+  bool ok = true;
+  const auto reject = [&ok](const char* what, double value) {
+    std::fprintf(stderr, "StoreExperimentConfig: invalid %s %g\n", what,
+                 value);
+    ok = false;
+  };
+  if (alpha < 1) reject("alpha", alpha);
+  if (num_servers < 1 || num_servers < 3L * alpha - 1)
+    reject("num_servers", num_servers);
+  if (num_objects < 1) reject("num_objects", num_objects);
+  if (num_clients < 1) reject("num_clients", num_clients);
+  if (!(duration > 0.0)) reject("duration", duration);
+  if (!(think_time > 0.0)) reject("think_time", think_time);
+  if (!(read_fraction >= 0.0 && read_fraction <= 1.0))
+    reject("read_fraction", read_fraction);
+  if (!network.validate()) ok = false;
+  if (!server.validate()) ok = false;
+  if (!client.validate()) ok = false;
+  return ok;
 }
 
 namespace {
@@ -81,6 +104,7 @@ struct StoreExperiment {
 }  // namespace
 
 StoreExperimentResult run_store_experiment(const StoreExperimentConfig& config) {
+  if (!config.validate()) return {};  // rejected; details already on stderr
   StoreExperiment e;
   e.config = config;
   e.rng = Rng(config.seed);

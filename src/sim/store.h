@@ -33,6 +33,13 @@ struct StoreExperimentConfig {
   ServerConfig server;
   ClientConfig client;
   std::uint64_t seed = 1;
+
+  // True if every field is in range: at least one server, object and
+  // client, alpha >= 1 with num_servers >= 3 alpha - 1 (OPT_d's domain),
+  // positive duration and think time, a read fraction in [0, 1], and valid
+  // network, server and client sub-configs. Prints one stderr line per
+  // rejected field.
+  bool validate() const;
 };
 
 struct StoreExperimentResult {
@@ -53,6 +60,7 @@ struct StoreExperimentResult {
   double min_server_load() const;
 };
 
+// An invalid config (see validate()) yields an empty result.
 StoreExperimentResult run_store_experiment(const StoreExperimentConfig& config);
 
 }  // namespace sqs

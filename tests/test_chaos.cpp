@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -222,6 +224,109 @@ TEST(Byzantine, ChaosCellBitIdenticalAt1_2_8Threads) {
                 first[0].replicates[r].events_executed)
           << threads;
   }
+}
+
+// --- the event stream of the benchmark grid --------------------------------
+
+void fnv_fold(std::uint64_t& h, std::uint64_t v) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (v >> (8 * byte)) & 0xFFu;
+    h *= 0x100000001B3ull;
+  }
+}
+
+std::uint64_t double_bits(double d) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof bits);
+  return bits;
+}
+
+std::uint64_t histogram_digest(const obs::MetricsSnapshot& snap,
+                               const char* name) {
+  const obs::HistogramSnapshot* h = snap.histogram(name);
+  if (h == nullptr) return 0;
+  std::uint64_t digest = 0xCBF29CE484222325ull;
+  for (const std::uint64_t c : h->counts) fnv_fold(digest, c);
+  for (const std::uint64_t v : {h->count, h->sum, h->min, h->max})
+    fnv_fold(digest, v);
+  return digest;
+}
+
+// The chaos_grid_4t grid of bench/e2e at seed 1 and one replicate: the
+// builtin OPT_d(12,2) cells, byzantine on MaskingThreshold(12,1) and
+// churn_replace on majority(12). Each cell's counters, event count and peak
+// queue depth, plus the event loop's queue-depth and event-wait histograms,
+// are pinned: any change to the order in which the simulator runs events
+// moves at least one of them. The constants come from a queue that kept
+// every event in one std::push_heap/pop_heap heap: the reference order.
+TEST(Chaos, BenchmarkGridEventStreamIsPinned) {
+  const OptDFamily optd(12, 2);
+  std::vector<ChaosScenario> scenarios = builtin_chaos_scenarios(optd);
+  const MaskingThresholdFamily masking(12, 1);
+  ChaosScenario byzantine = byzantine_chaos_scenario(masking, 1);
+  byzantine.family.kind = "masking-majority";
+  byzantine.family.n = 12;
+  byzantine.family.b = 1;
+  scenarios.push_back(std::move(byzantine));
+  FamilySpec churn;
+  churn.kind = "majority";
+  churn.n = 12;
+  churn.alpha = 2;
+  scenarios.push_back(churn_replace_chaos_scenario(churn));
+
+  const obs::TelemetryConfig saved = obs::current_config();
+  obs::Registry::instance().reset();
+  obs::TelemetryConfig metrics_on;
+  metrics_on.metrics = true;
+  obs::configure(metrics_on);
+  const std::vector<ChaosCellResult> cells =
+      run_chaos(optd, scenarios, /*replicates=*/1);
+  const obs::MetricsSnapshot snap = obs::Registry::instance().snapshot();
+  obs::configure(saved);
+  obs::Registry::instance().reset();
+
+  struct Pinned {
+    const char* scenario;
+    std::uint64_t counters;
+    std::uint64_t events_executed;
+    std::size_t peak_event_queue;
+  };
+  const std::vector<Pinned> expected = {
+      {"baseline", 0x986F5B42F059A1BAull, 68853, 53},
+      {"crash_wave", 0xFA63AAD523F51303ull, 48733, 52},
+      {"churn", 0x293D3CDCCD357FDDull, 68546, 76},
+      {"gray_servers", 0x8BB1AF738B6EF627ull, 55201, 46},
+      {"partition_storm", 0x9654CFE59700B83Dull, 70180, 62},
+      {"lossy_bursts", 0x114F26B0E6115A05ull, 55108, 77},
+      {"amnesia_churn", 0xE496CDD923E0C03Eull, 67294, 46},
+      {"byzantine", 0x7E5DA79C72BB3248ull, 104825, 70},
+      {"churn_replace", 0x698DB27DDE77FC76ull, 101253, 73},
+  };
+  ASSERT_EQ(cells.size(), expected.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const ChaosCellResult& c = cells[i];
+    std::uint64_t h = 0xCBF29CE484222325ull;
+    fnv_fold(h, double_bits(c.availability));
+    fnv_fold(h, double_bits(c.stale_fraction));
+    for (const long v :
+         {c.ops_attempted, c.reads_ok, c.stale_reads, c.retries,
+          c.deadline_failures, c.server_ts_regressions, c.read_ts_regressions,
+          c.lost_writes, c.fabricated_reads, c.epoch_transitions,
+          c.view_refreshes, c.epoch_rejects, c.retired_reads,
+          c.stale_views_at_end})
+      fnv_fold(h, static_cast<std::uint64_t>(v));
+    fnv_fold(h, c.violations.size());
+    ASSERT_EQ(c.replicates.size(), 1u) << c.scenario;
+    const RegisterExperimentResult& r = c.replicates.front();
+    EXPECT_EQ(c.scenario, expected[i].scenario);
+    EXPECT_EQ(h, expected[i].counters) << c.scenario;
+    EXPECT_EQ(r.events_executed, expected[i].events_executed) << c.scenario;
+    EXPECT_EQ(r.peak_event_queue, expected[i].peak_event_queue) << c.scenario;
+  }
+  const std::uint64_t depth = histogram_digest(snap, "sim.queue_depth");
+  const std::uint64_t wait = histogram_digest(snap, "sim.event_wait_us");
+  EXPECT_EQ(depth, 0x708FC7D6D6024F33ull);
+  EXPECT_EQ(wait, 0x69225F21F9465A07ull);
 }
 
 }  // namespace

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <iterator>
 #include <memory>
+#include <queue>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/composition.h"
@@ -109,6 +114,162 @@ TEST(Simulator, ClosuresWithOwningCapturesAreMovedAndDestroyed) {
     EXPECT_EQ(token.use_count(), 2);  // the run closure was destroyed
   }
   EXPECT_EQ(token.use_count(), 1);  // so was the never-run one
+}
+
+// ---- differential queue test ----
+
+// The order the simulator must reproduce: one std::priority_queue over
+// every pending event, earliest (time, seq) first.
+class ReferenceQueue {
+ public:
+  double now() const { return now_; }
+  template <typename F>
+  void schedule(double delay, F&& fn) {
+    queue_.push(Entry{now_ + delay, next_seq_++, fns_.size()});
+    fns_.emplace_back(std::forward<F>(fn));
+    peak_ = std::max(peak_, queue_.size());
+  }
+  void run_until(double deadline) {
+    while (!queue_.empty() && queue_.top().time <= deadline) run_next();
+    if (now_ < deadline) now_ = deadline;
+  }
+  void run() {
+    while (!queue_.empty()) run_next();
+  }
+  std::size_t pending_events() const { return queue_.size(); }
+  std::uint64_t scheduled_events() const { return next_seq_; }
+  std::uint64_t executed_events() const { return executed_; }
+  std::size_t peak_pending_events() const { return peak_; }
+
+ private:
+  struct Entry {
+    double time;
+    std::uint64_t seq;
+    std::size_t fn;
+    bool operator<(const Entry& other) const {  // "runs later than"
+      return std::tie(time, seq) > std::tie(other.time, other.seq);
+    }
+  };
+  void run_next() {
+    const Entry e = queue_.top();
+    queue_.pop();
+    now_ = e.time;
+    ++executed_;
+    std::function<void()> fn = std::move(fns_[e.fn]);
+    fn();
+  }
+  double now_ = 0.0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t executed_ = 0;
+  std::size_t peak_ = 0;
+  std::priority_queue<Entry> queue_;
+  std::vector<std::function<void()>> fns_;
+};
+
+// What a queue observably did: each event's id, clock and queue depth as it
+// ran, and the loop's counters after each run_until.
+struct QueueTrace {
+  std::vector<std::tuple<int, double, std::size_t>> events;
+  std::vector<std::tuple<double, std::size_t, std::size_t, std::uint64_t,
+                         std::uint64_t>>
+      checkpoints;  // now, pending, peak, scheduled, executed
+};
+
+// A seeded random program: events that schedule children from inside, with
+// delays drawn from six repeated values (more than there are lanes, so
+// lanes are rebound), zero, a 1/64 grid (equal times across delays and
+// against the repeated values on the same grid) and a continuous range.
+// The outer loop adds top-level events between run_until calls, and half of
+// its deadlines land exactly on a queued event's time.
+template <typename Queue>
+QueueTrace run_queue_program(std::uint64_t seed, std::size_t target) {
+  static constexpr double kRepeated[] = {0.25, 0.001, 0.5, 0.1, 0.0625, 0.75};
+  struct Program {
+    Queue queue;
+    Rng rng;
+    std::size_t target = 0;
+    bool draining = false;
+    int next_id = 0;
+    QueueTrace trace;
+
+    double pick_delay() {
+      switch (rng.next_below(6)) {
+        case 0:
+        case 1:
+        case 2:
+          return kRepeated[rng.next_below(std::size(kRepeated))];
+        case 3:
+          return 0.0;
+        case 4:
+          return static_cast<double>(rng.next_below(64)) / 64.0;
+        default:
+          return rng.next_double() * 0.5;
+      }
+    }
+    void spawn(double delay) {
+      const int id = next_id++;
+      queue.schedule(delay, [this, id] { fire(id); });
+    }
+    void fire(int id) {
+      trace.events.emplace_back(id, queue.now(), queue.pending_events());
+      if (draining) return;
+      const std::uint64_t children =
+          rng.next_below(queue.pending_events() < target ? 4 : 2);
+      for (std::uint64_t c = 0; c < children; ++c) spawn(pick_delay());
+    }
+    void checkpoint() {
+      trace.checkpoints.emplace_back(
+          queue.now(), queue.pending_events(), queue.peak_pending_events(),
+          queue.scheduled_events(), queue.executed_events());
+    }
+  };
+  Program p;
+  p.rng = Rng(seed);
+  p.target = target;
+  for (int round = 0; round < 60; ++round) {
+    const std::uint64_t top_level = 1 + p.rng.next_below(8);
+    for (std::uint64_t i = 0; i < top_level; ++i) p.spawn(p.pick_delay());
+    double deadline;
+    if (p.rng.bernoulli(0.5)) {
+      // A marker event on the grid; the deadline is exactly its time.
+      const double delay = static_cast<double>(1 + p.rng.next_below(32)) / 64.0;
+      p.spawn(delay);
+      deadline = p.queue.now() + delay;
+    } else {
+      deadline = p.queue.now() + p.rng.next_double() * 0.4;
+    }
+    p.queue.run_until(deadline);
+    p.checkpoint();
+  }
+  p.draining = true;
+  p.queue.run();
+  p.checkpoint();
+  return std::move(p.trace);
+}
+
+TEST(Simulator, MatchesAReferencePriorityQueueOnRandomPrograms) {
+  for (const std::size_t target : {4u, 64u, 700u}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      const QueueTrace want = run_queue_program<ReferenceQueue>(seed, target);
+      const QueueTrace got = run_queue_program<Simulator>(seed, target);
+      ASSERT_GT(want.events.size(), 100u);
+      const std::size_t common = std::min(want.events.size(), got.events.size());
+      std::size_t first_diff = common;
+      for (std::size_t i = 0; i < common; ++i) {
+        if (want.events[i] != got.events[i]) {
+          first_diff = i;
+          break;
+        }
+      }
+      ASSERT_EQ(first_diff, common)
+          << "seed " << seed << " target " << target << ": event "
+          << first_diff << " is id " << std::get<0>(got.events[first_diff])
+          << ", want id " << std::get<0>(want.events[first_diff]);
+      EXPECT_EQ(got.events.size(), want.events.size()) << seed;
+      EXPECT_EQ(got.checkpoints, want.checkpoints)
+          << "seed " << seed << " target " << target;
+    }
+  }
 }
 
 // ---- client operation slots ----

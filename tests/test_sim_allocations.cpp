@@ -6,11 +6,14 @@
 // experiment over each builtin OPT_d(12,2) chaos scenario must average at
 // most kMaxAllocsPerOp heap allocations per simulated op: the event queue,
 // the closures and the per-client operation slots reach their peak sizes
-// early and are reused from then on.
+// early and are reused from then on. A bare event loop whose fixed-delay
+// lane never empties must allocate nothing at all once warm: the lane is a
+// ring that wraps, not a buffer that only grows.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -19,6 +22,8 @@
 #include "faults/chaos.h"
 #include "faults/fault_plan.h"
 #include "sim/harness.h"
+#include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -79,6 +84,40 @@ TEST(SimAllocations, ChaosScenarioAveragesAtMostFourPerOp) {
                 scenario.name.c_str(), ops, allocations, per_op);
     EXPECT_LE(per_op, kMaxAllocsPerOp) << scenario.name;
   }
+}
+
+TEST(SimAllocations, NeverEmptyFixedDelayLaneAllocatesNothingOnceWarm) {
+  // 100 tickers, each rescheduling itself 0.25 s ahead, so the lane bound to
+  // 0.25 always holds ~100 keys; a counter stops them after 10^6 events
+  // past the warm-up. Every tenth tick also queues a random-delay event in
+  // the heap, so both queues cycle.
+  constexpr long kWarmUp = 10'000;
+  constexpr long kEvents = 1'000'000;
+  Simulator sim;
+  Rng rng(7);
+  long remaining = kWarmUp + kEvents;
+  struct Tick {
+    Simulator* sim;
+    Rng* rng;
+    long* remaining;
+    void operator()() const {
+      if (--*remaining <= 0) return;
+      sim->schedule(0.25, *this);
+      if (*remaining % 10 == 0) sim->schedule(rng->next_double() * 0.25, [] {});
+    }
+  };
+  for (int i = 0; i < 100; ++i)
+    sim.schedule(0.25, Tick{&sim, &rng, &remaining});
+  while (remaining > kEvents) sim.run_until(sim.now() + 0.25);
+
+  const long before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t executed_before = sim.executed_events();
+  sim.run();
+  const long allocations =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_GE(sim.executed_events() - executed_before,
+            static_cast<std::uint64_t>(kEvents));
+  EXPECT_EQ(allocations, 0);
 }
 
 }  // namespace

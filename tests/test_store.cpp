@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 namespace sqs {
 namespace {
 
@@ -88,6 +91,92 @@ TEST(Store, LoadAccessorsOnEmptyAndSingleEntryVectors) {
   one.server_probe_fraction = {0.4};
   EXPECT_DOUBLE_EQ(one.min_server_load(), 0.4);
   EXPECT_DOUBLE_EQ(one.max_server_load(), 0.4);
+}
+
+// Each rejected field on its own: validate() names it on stderr and the run
+// returns an empty result instead of reaching an empty family list (zero
+// objects) or an OPT_d constructor assert.
+void expect_rejected(const StoreExperimentConfig& config, const char* field) {
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(config.validate()) << field;
+  const StoreExperimentResult result = run_store_experiment(config);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find(field), std::string::npos) << field << ": " << err;
+  EXPECT_EQ(result.ops_attempted, 0) << field;
+  EXPECT_TRUE(result.server_probe_fraction.empty()) << field;
+}
+
+TEST(Store, DefaultAndTestConfigsValidate) {
+  EXPECT_TRUE(StoreExperimentConfig{}.validate());
+  EXPECT_TRUE(reliable_store().validate());
+}
+
+TEST(Store, ZeroServersIsRejected) {
+  StoreExperimentConfig config = reliable_store();
+  config.num_servers = 0;
+  expect_rejected(config, "num_servers");
+}
+
+TEST(Store, TooFewServersForAlphaIsRejected) {
+  StoreExperimentConfig config = reliable_store();
+  config.num_servers = 4;  // OPT_d needs n >= 3 alpha - 1 = 5
+  expect_rejected(config, "num_servers");
+}
+
+TEST(Store, ZeroObjectsIsRejected) {
+  StoreExperimentConfig config = reliable_store();
+  config.num_objects = 0;
+  expect_rejected(config, "num_objects");
+}
+
+TEST(Store, ZeroClientsIsRejected) {
+  StoreExperimentConfig config = reliable_store();
+  config.num_clients = 0;
+  expect_rejected(config, "num_clients");
+}
+
+TEST(Store, NonPositiveAlphaIsRejected) {
+  StoreExperimentConfig config = reliable_store();
+  config.alpha = 0;
+  expect_rejected(config, "alpha");
+}
+
+TEST(Store, NonPositiveDurationIsRejected) {
+  StoreExperimentConfig config = reliable_store();
+  config.duration = 0.0;
+  expect_rejected(config, "duration");
+}
+
+TEST(Store, NonPositiveThinkTimeIsRejected) {
+  StoreExperimentConfig config = reliable_store();
+  config.think_time = -1.0;
+  expect_rejected(config, "think_time");
+}
+
+TEST(Store, ReadFractionOutsideUnitIntervalIsRejected) {
+  StoreExperimentConfig config = reliable_store();
+  config.read_fraction = 1.5;
+  expect_rejected(config, "read_fraction");
+  config.read_fraction = std::nan("");
+  expect_rejected(config, "read_fraction");
+}
+
+TEST(Store, BadNetworkConfigIsRejected) {
+  StoreExperimentConfig config = reliable_store();
+  config.network.jitter_mean = 0.0;
+  expect_rejected(config, "jitter_mean");
+}
+
+TEST(Store, BadServerConfigIsRejected) {
+  StoreExperimentConfig config = reliable_store();
+  config.server.service_time = -1.0;
+  expect_rejected(config, "service_time");
+}
+
+TEST(Store, BadClientConfigIsRejected) {
+  StoreExperimentConfig config = reliable_store();
+  config.client.max_attempts = 0;
+  expect_rejected(config, "max_attempts");
 }
 
 }  // namespace
