@@ -47,13 +47,10 @@ void optd_rule_ablation() {
     };
     const Variant variants[] = {
         {"full OPT_d", opt_d_stop_rule(n, alpha)},
+        // Acquires at 2a successes; still fails early once they are
+        // unreachable.
         {"A1: no LADB tail rule",
-         [n, alpha](int i, int pos) {
-           if (pos >= 2 * alpha) return StepDecision::kAcquire;
-           // Can still fail early once 2a successes are unreachable.
-           if (pos + (n - i) < 2 * alpha) return StepDecision::kFail;
-           return StepDecision::kContinue;
-         }},
+         CountingRule{n, 2 * alpha, CountingRule::Acquire::kAtNeed}},
         {"A2: no early failure",
          [n, alpha](int i, int pos) {
            if (pos >= 2 * alpha || pos >= n + alpha - i)

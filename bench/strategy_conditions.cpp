@@ -39,12 +39,11 @@ class ShuffledFamily : public OptDFamily {
   ShuffledFamily(int n, int alpha, bool early_acquire)
       : OptDFamily(n, alpha), early_(early_acquire) {}
 
-  std::unique_ptr<ProbeStrategy> make_probe_strategy() const override {
-    return std::make_unique<CountingStrategy>(
-        universe_size(), identity_order(universe_size()), alpha(),
-        early_ ? CountingStrategy::Acquire::kServerProbe
-               : CountingStrategy::Acquire::kAfterAll,
-        /*shuffled=*/true);
+  std::optional<CountingWalk> counting_walk() const override {
+    return CountingWalk(identity_order(universe_size()), alpha(),
+                        early_ ? CountingRule::Acquire::kServerProbe
+                               : CountingRule::Acquire::kAfterAll,
+                        /*shuffled=*/true);
   }
 
  private:

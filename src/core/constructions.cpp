@@ -145,10 +145,9 @@ double OptAFamily::availability(double p) const {
 // OPT_a quorums are whole configurations, so acquisition probes all n
 // servers; the only early exit is failure once fewer than alpha servers can
 // still be live.
-std::unique_ptr<ProbeStrategy> OptAFamily::make_probe_strategy() const {
-  return std::make_unique<CountingStrategy>(
-      n_, identity_order(n_), alpha_, CountingStrategy::Acquire::kAfterAll,
-      /*shuffled=*/false);
+std::optional<CountingWalk> OptAFamily::counting_walk() const {
+  return CountingWalk(identity_order(n_), alpha_,
+                      CountingRule::Acquire::kAfterAll);
 }
 
 // --- OptDFamily ---
@@ -180,10 +179,8 @@ void OptDFamily::set_probe_order(std::vector<int> order) {
   order_ = std::move(order);
 }
 
-std::unique_ptr<ProbeStrategy> OptDFamily::make_probe_strategy() const {
-  return std::make_unique<CountingStrategy>(
-      n_, order_, alpha_, CountingStrategy::Acquire::kServerProbe,
-      /*shuffled=*/false);
+std::optional<CountingWalk> OptDFamily::counting_walk() const {
+  return CountingWalk(order_, alpha_, CountingRule::Acquire::kServerProbe);
 }
 
 }  // namespace sqs

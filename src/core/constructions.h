@@ -55,7 +55,7 @@ class OptAFamily : public QuorumFamily {
   int min_quorum_size() const override { return n_; }
   // Closed form: P[Bin(n, 1-p) >= alpha].
   double availability(double p) const override;
-  std::unique_ptr<ProbeStrategy> make_probe_strategy() const override;
+  std::optional<CountingWalk> counting_walk() const override;
 
  private:
   int n_;
@@ -81,13 +81,12 @@ class OptDFamily : public QuorumFamily {
   void accepts_batch(const WorldBatch& worlds, Bitset& out) const override;
   int min_quorum_size() const override { return 2 * alpha_; }
   double availability(double p) const override;
-  std::unique_ptr<ProbeStrategy> make_probe_strategy() const override;
+  std::optional<CountingWalk> counting_walk() const override;
 
   // The probe order is a parameter (Sect. 6.3's rotation trick for
   // per-object load balancing): order[j] is the j-th server probed. All
   // clients of one object must share the order for Theorem 9 to apply.
   void set_probe_order(std::vector<int> order);
-  const std::vector<int>& probe_order() const { return order_; }
 
  private:
   int n_;

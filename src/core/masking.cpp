@@ -43,11 +43,9 @@ double MaskingThresholdFamily::availability(double p) const {
 
 // The threshold walk at the masking vote count: the reached servers form
 // the quorum.
-std::unique_ptr<ProbeStrategy> MaskingThresholdFamily::make_probe_strategy()
-    const {
-  return std::make_unique<CountingStrategy>(
-      n_, identity_order(n_), threshold_, CountingStrategy::Acquire::kAtNeed,
-      /*shuffled=*/true);
+std::optional<CountingWalk> MaskingThresholdFamily::counting_walk() const {
+  return CountingWalk(identity_order(n_), threshold_,
+                      CountingRule::Acquire::kAtNeed, /*shuffled=*/true);
 }
 
 // --- MaskingOptAFamily ---
@@ -82,10 +80,9 @@ double MaskingOptAFamily::availability(double p) const {
 
 // The OPT_a walk at alpha_m: probe all n servers in index order and
 // acquire the full observed configuration.
-std::unique_ptr<ProbeStrategy> MaskingOptAFamily::make_probe_strategy() const {
-  return std::make_unique<CountingStrategy>(
-      n_, identity_order(n_), alpha_m_, CountingStrategy::Acquire::kAfterAll,
-      /*shuffled=*/false);
+std::optional<CountingWalk> MaskingOptAFamily::counting_walk() const {
+  return CountingWalk(identity_order(n_), alpha_m_,
+                      CountingRule::Acquire::kAfterAll);
 }
 
 // --- MaskingCompositionFamily ---

@@ -63,7 +63,7 @@ class MaskingThresholdFamily : public QuorumFamily {
   double availability(double p) const override;
   // Randomized non-adaptive: probes a uniformly shuffled order, acquiring
   // at `threshold` successes (the reached servers form the quorum).
-  std::unique_ptr<ProbeStrategy> make_probe_strategy() const override;
+  std::optional<CountingWalk> counting_walk() const override;
   int masking_b() const override { return b_; }
 
  private:
@@ -90,7 +90,7 @@ class MaskingOptAFamily : public QuorumFamily {
   int min_quorum_size() const override { return n_; }
   // Closed form: P[Bin(n, 1-p) >= alpha_m].
   double availability(double p) const override;
-  std::unique_ptr<ProbeStrategy> make_probe_strategy() const override;
+  std::optional<CountingWalk> counting_walk() const override;
   int masking_b() const override { return b_; }
 
  private:

@@ -13,6 +13,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -70,20 +71,21 @@ class ProbeStrategy {
 // {0, 1, ..., n-1}: the probe order of every family without its own.
 std::vector<int> identity_order(int n);
 
-// The sequential counting walk of OPT_a, OPT_d, the witness model and the
-// threshold, masking and weighted-voting families: probe the servers of an
-// order one at a time, add up the votes of the reached ones (`pos`), and
-// stop on a rule. A family is nothing but its parameters:
-//   * `order`, the base probe order (identity, the witness list, OPT_d's
-//     possibly rotated order). A `shuffled` walk is randomized: each
-//     reset(rng) shuffles the base order afresh (no shuffle when rng is
-//     null), then, with `weights`, stable-sorts it heaviest first.
-//   * `weights`, per-server votes indexed by server; empty means one vote
-//     each. `remaining` is the vote total of the servers not yet probed.
-//   * `need`, the votes to collect, and the Acquire rule below.
-// Every walk fails as soon as pos + remaining < need.
-class CountingStrategy final : public ProbeStrategy {
- public:
+// What a sequential walk does after a probe. Also the input of the exact
+// DPs (probe/sequential_analysis.h, mismatch/exact.h).
+enum class StepDecision {
+  kContinue,
+  kAcquire,
+  kFail,
+};
+
+// The stop rule of every counting walk: `pos` votes reached so far,
+// `remaining` votes of servers not yet probed, `need` votes to collect.
+// The walk fails as soon as pos + remaining < need; otherwise it acquires
+// on the Acquire rule. One value serves all four evaluators: the scalar
+// CountingStrategy, the bit-sliced CountingLaneWalk (probe/batch.h), and,
+// through operator(), analyze_sequential and exact_nonintersection.
+struct CountingRule {
   enum class Acquire {
     // pos >= need; the quorum is the reached servers only (threshold,
     // majority, PQS, masking threshold, weighted voting).
@@ -96,8 +98,61 @@ class CountingStrategy final : public ProbeStrategy {
     kAfterAll,
   };
 
-  CountingStrategy(int n, std::vector<int> order, int need, Acquire acquire,
-                   bool shuffled, std::vector<int> weights = {});
+  int total;  // the votes of the whole order
+  int need;
+  Acquire acquire;
+
+  StepDecision decide(int pos, int remaining) const {
+    if (pos + remaining < need) return StepDecision::kFail;
+    return pos >= acquire_pos(remaining) ? StepDecision::kAcquire
+                                         : StepDecision::kContinue;
+  }
+
+  // Unit votes, after `step` probes with `pos` reached: the StopRule form.
+  StepDecision operator()(int step, int pos) const {
+    return decide(pos, total - step);
+  }
+
+  // Unit votes, the lane walk's two thresholds. After `step` probes a walk
+  // fails iff its negatives reach fail_neg(), and otherwise acquires iff
+  // its positives reach acquire_pos(total - step). The two never hold
+  // together: every acquire threshold is at least `need`.
+  int fail_neg() const { return total - need + 1; }
+  int acquire_pos(int remaining) const {
+    if (acquire == Acquire::kAtNeed) return need;
+    if (acquire == Acquire::kServerProbe)
+      return std::min(2 * need, need + remaining);
+    return remaining == 0 ? need : total + 1;  // total + 1: out of reach
+  }
+};
+
+// A counting walk, as a family states it (QuorumFamily::counting_walk()):
+// probe the servers of `order` one at a time, add up the votes of the
+// reached ones, stop on `rule`. A `shuffled` walk is randomized: each
+// reset(rng) shuffles the order afresh (no shuffle when rng is null), then,
+// with `weights`, stable-sorts it heaviest first. `weights` holds per-server
+// votes indexed by server; empty means one vote each.
+struct CountingWalk {
+  // rule.total is the vote total of `order`.
+  CountingWalk(std::vector<int> order, int need, CountingRule::Acquire acquire,
+               bool shuffled = false, std::vector<int> weights = {});
+
+  int votes(int server) const {
+    return weights.empty() ? 1 : weights[static_cast<std::size_t>(server)];
+  }
+
+  std::vector<int> order;
+  CountingRule rule;
+  bool shuffled;
+  std::vector<int> weights;
+};
+
+// The sequential counting walk of OPT_a, OPT_d, the witness model and the
+// threshold, masking and weighted-voting families: a CountingWalk run one
+// probe at a time.
+class CountingStrategy final : public ProbeStrategy {
+ public:
+  CountingStrategy(int n, CountingWalk walk);
 
   void reset(Rng* rng) override;
   int universe_size() const override { return n_; }
@@ -109,21 +164,12 @@ class CountingStrategy final : public ProbeStrategy {
   SignedSet acquired_quorum() const override { return quorum_; }
   void acquired_quorum_into(SignedSet& out) const override { out = quorum_; }
   bool is_adaptive() const override { return false; }
-  bool is_randomized() const override { return shuffled_; }
+  bool is_randomized() const override { return walk_.shuffled; }
 
  private:
-  int votes(int server) const {
-    return weights_.empty() ? 1 : weights_[static_cast<std::size_t>(server)];
-  }
-
   int n_;
-  std::vector<int> base_;
+  CountingWalk walk_;
   std::vector<int> order_;
-  int need_;
-  Acquire acquire_;
-  bool shuffled_;
-  std::vector<int> weights_;
-  int total_ = 0;
   SignedSet quorum_{0};
   int step_ = 0;
   int pos_ = 0;

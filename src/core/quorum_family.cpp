@@ -10,6 +10,11 @@ double QuorumFamily::availability(double p) const {
   return availability_monte_carlo(p);
 }
 
+std::unique_ptr<ProbeStrategy> QuorumFamily::make_probe_strategy() const {
+  return std::make_unique<CountingStrategy>(universe_size(),
+                                            counting_walk().value());
+}
+
 double QuorumFamily::availability_exact_enumeration(double p) const {
   const int n = universe_size();
   double total = 0.0;

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/probe_strategy.h"
@@ -75,8 +76,18 @@ class QuorumFamily {
   // universe is small.
   virtual double availability(double p) const;
 
-  // A fresh probe strategy for acquiring a quorum of this family.
-  virtual std::unique_ptr<ProbeStrategy> make_probe_strategy() const = 0;
+  // The family's counting walk (core/probe_strategy.h) when its probe
+  // strategy is a CountingStrategy; nullopt (the default) when it is not.
+  // The batch kernels (probe/batch.h, mismatch/batch.h) run an unshuffled,
+  // unit-vote walk 64 trials per word. A family with a walk keeps the
+  // default make_probe_strategy(); one that overrides it reports none.
+  virtual std::optional<CountingWalk> counting_walk() const {
+    return std::nullopt;
+  }
+
+  // A fresh probe strategy for acquiring a quorum of this family. The
+  // default is the CountingStrategy of counting_walk(), which must exist.
+  virtual std::unique_ptr<ProbeStrategy> make_probe_strategy() const;
 
   // Monte Carlo availability over `samples` sampled configurations. Runs
   // on the shared trial runtime (parallel across SQS_THREADS); the chunked

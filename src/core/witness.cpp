@@ -38,10 +38,8 @@ double WitnessFamily::availability(double p) const {
 }
 
 // The quorum is the full signed observation of the witness set.
-std::unique_ptr<ProbeStrategy> WitnessFamily::make_probe_strategy() const {
-  return std::make_unique<CountingStrategy>(
-      n_, witnesses_, alpha_, CountingStrategy::Acquire::kAfterAll,
-      /*shuffled=*/false);
+std::optional<CountingWalk> WitnessFamily::counting_walk() const {
+  return CountingWalk(witnesses_, alpha_, CountingRule::Acquire::kAfterAll);
 }
 
 }  // namespace sqs

@@ -34,7 +34,6 @@ class WitnessFamily : public QuorumFamily {
   // Convenience: witnesses = the first w servers.
   WitnessFamily(int n, int w, int alpha);
 
-  const std::vector<int>& witnesses() const { return witnesses_; }
   int num_witnesses() const { return static_cast<int>(witnesses_.size()); }
 
   std::string name() const override;
@@ -48,7 +47,7 @@ class WitnessFamily : public QuorumFamily {
   double availability(double p) const override;
   // Probes every witness (deterministic, non-adaptive — Theorem 9 applies),
   // failing early once alpha positives are impossible.
-  std::unique_ptr<ProbeStrategy> make_probe_strategy() const override;
+  std::optional<CountingWalk> counting_walk() const override;
 
  private:
   int n_;

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/constructions.h"
 #include "probe/batch.h"
 #include "probe/engine.h"
 #include "runtime/scratch.h"
@@ -71,11 +70,11 @@ bool nonintersection_chunk_batched(const QuorumFamily& family,
                                    const MismatchModel& model,
                                    const TrialContext& ctx, Rng& rng,
                                    NonintersectionCounts& acc) {
-  const auto* optd = dynamic_cast<const OptDFamily*>(&family);
-  if (optd == nullptr) return false;
+  const std::optional<CountingWalk> walk = lane_counting_walk(family);
+  if (!walk) return false;
   const int n = family.universe_size();
-  const int alpha = optd->alpha();
-  const std::vector<int>& order = optd->probe_order();
+  const std::vector<int>& order = walk->order;
+  const int steps = static_cast<int>(order.size());
   WorkerScratch& scratch = ctx.scratch();
   const std::uint64_t trials = ctx.chunk.end - ctx.chunk.begin;
 
@@ -97,22 +96,23 @@ bool nonintersection_chunk_batched(const QuorumFamily& family,
     const std::uint64_t mask = worlds->reach1.lane_mask(w);
     const std::uint64_t* up1 = worlds->reach1.lanes(w);
     const std::uint64_t* up2 = worlds->reach2.lanes(w);
-    OptDLaneWalk walk1(n, alpha, mask);
-    OptDLaneWalk walk2(n, alpha, mask);
+    CountingLaneWalk walk1(walk->rule, mask);
+    CountingLaneWalk walk2(walk->rule, mask);
     // Lanes where the clients' probed-positive sets meet (Definition 8).
     // Both clients probe the same order prefix, so server order[i] is in
     // client c's probed-positive set iff lane c was still active at step i
     // and reached it.
     std::uint64_t meet = 0;
-    for (int i = 0; i < n && (walk1.active() | walk2.active()) != 0; ++i) {
-      const std::uint64_t reach1 = up1[order[static_cast<std::size_t>(i)]];
-      const std::uint64_t reach2 = up2[order[static_cast<std::size_t>(i)]];
+    for (int i = 0; i < steps && (walk1.active() | walk2.active()) != 0; ++i) {
+      const int server = order[static_cast<std::size_t>(i)];
+      const std::uint64_t reach1 = up1[server];
+      const std::uint64_t reach2 = up2[server];
       meet |= (walk1.active() & reach1) & (walk2.active() & reach2);
       walk1.observe(reach1);
       walk2.observe(reach2);
     }
     assert(walk1.active() == 0 && walk2.active() == 0 &&
-           "OPT_d walks must resolve within n probes");
+           "a counting walk resolves within its order");
 
     const std::uint64_t both = walk1.acquired() & walk2.acquired();
     const std::uint64_t miss = both & ~meet;
@@ -141,7 +141,7 @@ bool nonintersection_chunk_batched(const QuorumFamily& family,
         if (scalar_both != (((both >> b) & 1u) != 0) ||
             scalar_miss != (((miss >> b) & 1u) != 0))
           throw std::runtime_error(
-              "BatchPolicy::differential: batched two-client OPT_d kernel "
+              "BatchPolicy::differential: batched two-client counting walk "
               "disagrees with run_probe for " + family.name() + " at trial " +
               std::to_string(ctx.chunk.begin + t) + " (scalar both=" +
               std::to_string(scalar_both) + " nonintersect=" +

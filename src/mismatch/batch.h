@@ -6,6 +6,8 @@
 // trial t. Sampling consumes the chunk rng in exactly sample_world_into's
 // order (per server: crash draw, then both link draws; then the optional
 // partition redraw pass), so scalar and batched estimates share one stream.
+// The kernel runs each client's counting_walk() as a CountingLaneWalk on
+// its CountingRule, for every family that probe/batch.h's lane walk covers.
 
 #pragma once
 
@@ -29,8 +31,8 @@ void sample_two_client_worlds_into(int n, const MismatchModel& model,
                                    WorkerScratch& scratch,
                                    TwoClientWorldBatch& out);
 
-// Batched body of nonintersection_chunk for families whose probe strategy
-// has a bit-sliced walk (OPT_d, any probe order): both clients' walks and
+// Batched body of nonintersection_chunk for families with a
+// lane_counting_walk() (probe/batch.h): both clients' CountingLaneWalks and
 // the Definition 8 probed-positive intersection advance 64 trials per word.
 // Returns false — rng and acc untouched — when the family has none, so the
 // caller falls back to the scalar two-client loop. Under

@@ -1,5 +1,6 @@
 #include "mismatch/exact.h"
 
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <vector>
@@ -10,12 +11,18 @@ namespace sqs {
 
 namespace {
 
-enum class End { kAcquired, kFailed };
-
 struct Sink {
   double acq_acq = 0.0;   // both acquired (within the tracked event class)
   double other = 0.0;     // at least one failed
 };
+
+using Plane = std::vector<std::vector<double>>;
+
+// Index of solo[]: only client `c` (0 or 1) still probing; the other ended
+// acquired or not; `cross` as for joint[].
+std::size_t solo_index(int cross, int c, bool other_acquired) {
+  return static_cast<std::size_t>(4 * cross + 2 * c + (other_acquired ? 0 : 1));
+}
 
 }  // namespace
 
@@ -30,41 +37,32 @@ ExactNonintersection exact_nonintersection(int n, int alpha, double p,
   // Marginal success once only one client is probing.
   const double q = (1 - p) * (1 - m);
 
-  // B[p1][p2]: both probing, no (+,+) seen yet.
-  // Bx[p1][p2]: both probing, some (+,+) already seen (tracked only to
-  // compute both_acquire exactly).
-  // A1[p1]: only client 1 probing, client 2 acquired / failed (two copies).
+  // Every state class is split by `cross`: 0 while the clients have seen
+  // no (+,+), 1 once they have (tracked only to compute both_acquire
+  // exactly).
+  //   joint[cross][p1][p2]: both probing, with p1 and p2 successes.
+  //   solo[solo_index(cross, c, other_acquired)][pos]: only client c
+  //   probing, with `pos` successes.
   // Sizes: pos counts never exceed n.
   const std::size_t dim = static_cast<std::size_t>(n) + 2;
-  std::vector<std::vector<double>> B(dim, std::vector<double>(dim, 0.0));
-  std::vector<std::vector<double>> Bx(dim, std::vector<double>(dim, 0.0));
-  // a<i>_other_<end>[pos]: only client i still probing with `pos`
-  // successes; the other client ended with <end>.
-  std::vector<double> a1_other_acq(dim, 0.0), a1_other_fail(dim, 0.0);
-  std::vector<double> a2_other_acq(dim, 0.0), a2_other_fail(dim, 0.0);
-  // Same split for the already-intersected universe.
-  std::vector<double> x1_other_acq(dim, 0.0), x1_other_fail(dim, 0.0);
-  std::vector<double> x2_other_acq(dim, 0.0), x2_other_fail(dim, 0.0);
-
-  B[0][0] = 1.0;
-  Sink clean;   // paths with no (+,+) while both probed
-  Sink crossed; // paths where a shared (+,+) occurred
-
-  auto decide = [&](int i, int pos) { return rule(i, pos); };
+  const Plane zero_plane(dim, std::vector<double>(dim, 0.0));
+  const std::vector<double> zero_row(dim, 0.0);
+  std::array<Plane, 2> joint{zero_plane, zero_plane};
+  std::array<std::vector<double>, 8> solo;
+  solo.fill(zero_row);
+  joint[0][0][0] = 1.0;
+  std::array<Sink, 2> sink;  // by cross
 
   for (int i = 1; i <= n; ++i) {
-    std::vector<std::vector<double>> nB(dim, std::vector<double>(dim, 0.0));
-    std::vector<std::vector<double>> nBx(dim, std::vector<double>(dim, 0.0));
-    std::vector<double> n1a(dim, 0.0), n1f(dim, 0.0), n2a(dim, 0.0),
-        n2f(dim, 0.0);
-    std::vector<double> nx1a(dim, 0.0), nx1f(dim, 0.0), nx2a(dim, 0.0),
-        nx2f(dim, 0.0);
+    std::array<Plane, 2> next_joint{zero_plane, zero_plane};
+    std::array<std::vector<double>, 8> next_solo;
+    next_solo.fill(zero_row);
 
     // Both-probing transitions.
-    auto step_joint = [&](std::vector<std::vector<double>>& src, bool crossed_class) {
+    for (int from = 0; from < 2; ++from) {
       for (std::size_t p1 = 0; p1 < dim; ++p1) {
         for (std::size_t p2 = 0; p2 < dim; ++p2) {
-          const double mass = src[p1][p2];
+          const double mass = joint[static_cast<std::size_t>(from)][p1][p2];
           if (mass == 0.0) continue;
           struct Case {
             double prob;
@@ -80,86 +78,63 @@ ExactNonintersection exact_nonintersection(int n, int alpha, double p,
             const double w = mass * c.prob;
             const int q1 = static_cast<int>(p1) + c.d1;
             const int q2 = static_cast<int>(p2) + c.d2;
-            const bool cross = crossed_class || c.makes_cross;
-            const StepDecision d1 = decide(i, q1);
-            const StepDecision d2 = decide(i, q2);
+            const int cross = from == 1 || c.makes_cross ? 1 : 0;
+            const StepDecision d1 = rule(i, q1);
+            const StepDecision d2 = rule(i, q2);
             const bool stop1 = d1 != StepDecision::kContinue;
             const bool stop2 = d2 != StepDecision::kContinue;
             if (stop1 && stop2) {
-              Sink& sink = cross ? crossed : clean;
+              Sink& to = sink[static_cast<std::size_t>(cross)];
               if (d1 == StepDecision::kAcquire && d2 == StepDecision::kAcquire) {
-                sink.acq_acq += w;
+                to.acq_acq += w;
               } else {
-                sink.other += w;
+                to.other += w;
               }
             } else if (stop1) {
-              auto& dst = d1 == StepDecision::kAcquire
-                              ? (cross ? nx2a : n2a)
-                              : (cross ? nx2f : n2f);
-              dst[static_cast<std::size_t>(q2)] += w;
+              next_solo[solo_index(cross, 1, d1 == StepDecision::kAcquire)]
+                       [static_cast<std::size_t>(q2)] += w;
             } else if (stop2) {
-              auto& dst = d2 == StepDecision::kAcquire
-                              ? (cross ? nx1a : n1a)
-                              : (cross ? nx1f : n1f);
-              dst[static_cast<std::size_t>(q1)] += w;
+              next_solo[solo_index(cross, 0, d2 == StepDecision::kAcquire)]
+                       [static_cast<std::size_t>(q1)] += w;
             } else {
-              (cross ? nBx : nB)[static_cast<std::size_t>(q1)]
-                               [static_cast<std::size_t>(q2)] += w;
+              next_joint[static_cast<std::size_t>(cross)]
+                        [static_cast<std::size_t>(q1)]
+                        [static_cast<std::size_t>(q2)] += w;
             }
           }
         }
       }
-    };
-    step_joint(B, /*crossed_class=*/false);
-    step_joint(Bx, /*crossed_class=*/true);
+    }
 
     // Solo transitions (the other client already ended).
-    auto step_solo = [&](std::vector<double>& src, std::vector<double>& dst,
-                         bool other_acquired, bool crossed_class) {
+    for (std::size_t k = 0; k < solo.size(); ++k) {
+      const bool other_acquired = k % 2 == 0;
+      Sink& to = sink[k / 4];
       for (std::size_t pos = 0; pos < dim; ++pos) {
-        const double mass = src[pos];
+        const double mass = solo[k][pos];
         if (mass == 0.0) continue;
         for (int success = 0; success <= 1; ++success) {
           const double w = mass * (success ? q : 1 - q);
           const int np = static_cast<int>(pos) + success;
-          const StepDecision d = decide(i, np);
+          const StepDecision d = rule(i, np);
           if (d == StepDecision::kContinue) {
-            dst[static_cast<std::size_t>(np)] += w;
+            next_solo[k][static_cast<std::size_t>(np)] += w;
+          } else if (d == StepDecision::kAcquire && other_acquired) {
+            to.acq_acq += w;
           } else {
-            Sink& sink = crossed_class ? crossed : clean;
-            if (d == StepDecision::kAcquire && other_acquired) {
-              sink.acq_acq += w;
-            } else {
-              sink.other += w;
-            }
+            to.other += w;
           }
         }
       }
-    };
-    step_solo(a1_other_acq, n1a, true, false);
-    step_solo(a1_other_fail, n1f, false, false);
-    step_solo(a2_other_acq, n2a, true, false);
-    step_solo(a2_other_fail, n2f, false, false);
-    step_solo(x1_other_acq, nx1a, true, true);
-    step_solo(x1_other_fail, nx1f, false, true);
-    step_solo(x2_other_acq, nx2a, true, true);
-    step_solo(x2_other_fail, nx2f, false, true);
+    }
 
-    B = std::move(nB);
-    Bx = std::move(nBx);
-    a1_other_acq = std::move(n1a);
-    a1_other_fail = std::move(n1f);
-    a2_other_acq = std::move(n2a);
-    a2_other_fail = std::move(n2f);
-    x1_other_acq = std::move(nx1a);
-    x1_other_fail = std::move(nx1f);
-    x2_other_acq = std::move(nx2a);
-    x2_other_fail = std::move(nx2f);
+    joint = std::move(next_joint);
+    solo = std::move(next_solo);
   }
 
   ExactNonintersection out;
-  out.nonintersection = clean.acq_acq;
-  out.both_acquire = clean.acq_acq + crossed.acq_acq;
+  out.nonintersection = sink[0].acq_acq;
+  out.both_acquire = sink[0].acq_acq + sink[1].acq_acq;
   out.epsilon = 2.0 * m / (1.0 + m);
   out.bound = std::pow(out.epsilon, 2.0 * alpha);
   return out;

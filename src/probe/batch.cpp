@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/constructions.h"
 #include "probe/engine.h"
 #include "runtime/scratch.h"
 
@@ -21,14 +20,20 @@ int lane_value(const std::uint64_t* planes, int num_planes, int lane) {
 
 }  // namespace
 
+std::optional<CountingWalk> lane_counting_walk(const QuorumFamily& family) {
+  std::optional<CountingWalk> walk = family.counting_walk();
+  if (walk && (walk->shuffled || !walk->weights.empty())) return std::nullopt;
+  return walk;
+}
+
 bool probe_measurement_chunk_batched(const QuorumFamily& family, double p,
                                      const TrialContext& ctx, Rng& rng,
                                      ProbeAccumulator& acc) {
-  const auto* optd = dynamic_cast<const OptDFamily*>(&family);
-  if (optd == nullptr) return false;
+  const std::optional<CountingWalk> walk = lane_counting_walk(family);
+  if (!walk) return false;
   const int n = family.universe_size();
-  const int alpha = optd->alpha();
-  const std::vector<int>& order = optd->probe_order();
+  const std::vector<int>& order = walk->order;
+  const int steps = static_cast<int>(order.size());
   WorkerScratch& scratch = ctx.scratch();
   const std::uint64_t trials = ctx.chunk.end - ctx.chunk.begin;
 
@@ -36,7 +41,8 @@ bool probe_measurement_chunk_batched(const QuorumFamily& family, double p,
   Borrowed<WorldBatch> worlds = scratch.borrow<WorldBatch>();
   // Same chunk-rng draw order as the scalar loop (trial-major, server-
   // minor); the per-trial strategy_rng splits are const on the chunk rng
-  // and OPT_d ignores its rng, so skipping them changes no stream.
+  // and an unshuffled walk ignores its rng, so skipping them changes no
+  // stream.
   sample_worlds_into(n, p, trials, rng, scratch, *worlds);
 
   const bool differential = ctx.batch == BatchPolicy::kDifferential;
@@ -45,26 +51,27 @@ bool probe_measurement_chunk_batched(const QuorumFamily& family, double p,
   Borrowed<ProbeRecord> record = scratch.borrow<ProbeRecord>();
   if (differential) oracle_strategy = family.make_probe_strategy();
 
-  const int planes_n = lane_counter_planes(n);
-  std::uint64_t probes_planes[OptDLaneWalk::kMaxPlanes];
+  const int planes_n = lane_counter_planes(steps);
+  std::uint64_t probes_planes[CountingLaneWalk::kMaxPlanes];
   for (std::size_t w = 0; w < worlds->num_lane_words(); ++w) {
     const std::uint64_t mask = worlds->lane_mask(w);
     const std::uint64_t* up = worlds->lanes(w);
-    OptDLaneWalk walk(n, alpha, mask);
+    CountingLaneWalk lanes(walk->rule, mask);
     std::fill(probes_planes, probes_planes + planes_n, 0);
-    for (int i = 0; i < n && walk.active() != 0; ++i) {
-      const std::uint64_t probing = walk.active();
+    for (int i = 0; i < steps && lanes.active() != 0; ++i) {
+      const int server = order[static_cast<std::size_t>(i)];
+      const std::uint64_t probing = lanes.active();
       lane_counter_add(probes_planes, planes_n, probing);
-      acc.probe_counts[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])] +=
+      acc.probe_counts[static_cast<std::size_t>(server)] +=
           __builtin_popcountll(probing);
-      walk.observe(up[order[static_cast<std::size_t>(i)]]);
+      lanes.observe(up[server]);
     }
-    assert(walk.active() == 0 && "OPT_d walk must resolve within n probes");
+    assert(lanes.active() == 0 && "a counting walk resolves within its order");
 
     const int live = __builtin_popcountll(mask);
     for (int b = 0; b < live; ++b) {
       const int probes = lane_value(probes_planes, planes_n, b);
-      const bool acquired = (walk.acquired() >> b) & 1u;
+      const bool acquired = (lanes.acquired() >> b) & 1u;
       if (differential) {
         const std::uint64_t t =
             static_cast<std::uint64_t>(w) * kBatchLaneBits +
@@ -74,7 +81,7 @@ bool probe_measurement_chunk_batched(const QuorumFamily& family, double p,
         run_probe_into(*oracle_strategy, oracle, nullptr, *record);
         if (record->acquired != acquired || record->num_probes != probes)
           throw std::runtime_error(
-              "BatchPolicy::differential: batched OPT_d probe walk disagrees "
+              "BatchPolicy::differential: batched counting walk disagrees "
               "with run_probe for " + family.name() + " at trial " +
               std::to_string(ctx.chunk.begin + t) + " (scalar acquired=" +
               std::to_string(record->acquired) + " probes=" +

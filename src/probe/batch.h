@@ -1,19 +1,21 @@
-// Bit-sliced OPT_d sequential probing: 64 trials per word pass.
+// Bit-sliced counting walks: 64 trials per word pass.
 //
-// OPT_d's CountingStrategy is deterministic (fixed probe order, rng ignored)
-// and its stop rules are pure threshold tests on the positive/negative
-// counts, so a whole lane word of trials can run the walk simultaneously:
-// per-lane pos/neg counters live in bit planes (core/batch.h), a step
-// observes the probed server's column word, and the acquire/fail rules of
-// Definition 26 become bit-sliced threshold compares. The scalar
-// run_probe_into loop is the bit-identity oracle; BatchPolicy::kDifferential
-// replays it per trial and throws on the first disagreement.
+// An unshuffled, unit-vote counting walk (QuorumFamily::counting_walk():
+// OPT_d in any probe order, OPT_a, masking OPT_a, the witness model) is
+// deterministic, and its CountingRule is a pair of threshold tests on the
+// positive and negative counts. So a whole lane word of trials can run the
+// walk at once: per-lane pos/neg counters live in bit planes
+// (core/batch.h), a step observes the probed server's column word, and the
+// rule's thresholds become bit-sliced compares. The scalar run_probe_into
+// loop is the bit-identity oracle; BatchPolicy::kDifferential replays it
+// per trial and throws on the first disagreement.
 
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <optional>
 
 #include "core/batch.h"
 #include "probe/measurements.h"
@@ -21,17 +23,17 @@
 
 namespace sqs {
 
-// The lane-word replica of OPT_d's CountingStrategy: one instance walks 64
-// trials of one probe sequence. Callers feed column words in probe order;
-// `active()` before an observe() is exactly "this lane's scalar strategy is
-// still kInProgress", so probed-set bookkeeping (probe counts, positive
-// intersections) masks with it.
-class OptDLaneWalk {
+// The lane-word replica of CountingStrategy for a unit-vote rule: one
+// instance walks 64 trials of one probe sequence. Callers feed column
+// words in probe order; `active()` before an observe() is exactly "this
+// lane's scalar strategy is still kInProgress", so probed-set bookkeeping
+// (probe counts, positive intersections) masks with it.
+class CountingLaneWalk {
  public:
   static constexpr int kMaxPlanes = 32;
 
-  OptDLaneWalk(int n, int alpha, std::uint64_t live_mask)
-      : n_(n), alpha_(alpha), planes_(lane_counter_planes(n)),
+  CountingLaneWalk(const CountingRule& rule, std::uint64_t live_mask)
+      : rule_(rule), planes_(lane_counter_planes(rule.total)),
         active_(live_mask) {
     assert(planes_ <= kMaxPlanes);
     std::fill(pos_, pos_ + planes_, 0);
@@ -48,23 +50,21 @@ class OptDLaneWalk {
     lane_counter_add(pos_, planes_, active_ & reached);
     lane_counter_add(neg_, planes_, active_ & ~reached);
     ++step_;
-    // acquired when pos >= 2 alpha (LADA) or pos >= n + alpha - step (LADB);
-    // the scalar OR of the two thresholds is a single >= min(...) test.
-    const int acq_at = std::min(2 * alpha_, n_ + alpha_ - step_);
+    // Active lanes whose count reaches c; a count never exceeds the step.
+    auto reach = [&](const std::uint64_t* count, int c) -> std::uint64_t {
+      if (c > step_) return 0;
+      return active_ & lane_counter_at_least(count, planes_,
+                                             static_cast<std::uint64_t>(c));
+    };
+    const std::uint64_t fail_now = reach(neg_, rule_.fail_neg());
     const std::uint64_t acq_now =
-        active_ & lane_counter_at_least(
-                      pos_, planes_, static_cast<std::uint64_t>(acq_at));
-    const std::uint64_t fail_now =
-        active_ & ~acq_now &
-        lane_counter_at_least(neg_, planes_,
-                              static_cast<std::uint64_t>(n_ + 1 - alpha_));
+        reach(pos_, rule_.acquire_pos(rule_.total - step_));
     acquired_ |= acq_now;
     active_ &= ~(acq_now | fail_now);
   }
 
  private:
-  int n_;
-  int alpha_;
+  CountingRule rule_;
   int planes_;
   int step_ = 0;
   std::uint64_t active_;
@@ -73,8 +73,12 @@ class OptDLaneWalk {
   std::uint64_t neg_[kMaxPlanes];
 };
 
-// Batched body of probe_measurement_chunk for families with a bit-sliced
-// walk (OPT_d, any probe order). Returns false — rng and acc untouched —
+// The family's counting walk when CountingLaneWalk can run it: unshuffled,
+// with unit votes. nullopt otherwise.
+std::optional<CountingWalk> lane_counting_walk(const QuorumFamily& family);
+
+// Batched body of probe_measurement_chunk for families with a
+// lane_counting_walk(). Returns false — rng and acc untouched —
 // when the family has none, so the caller falls back to the scalar loop.
 // Per-trial statistics are extracted in trial order, which keeps the
 // Welford aggregates bit-identical to the scalar kernel's.

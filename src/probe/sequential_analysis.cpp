@@ -67,28 +67,12 @@ SequentialAnalysis analyze_sequential(int n, double up_prob,
   return out;
 }
 
-StopRule opt_d_stop_rule(int n, int alpha) {
-  return [n, alpha](int i, int pos) {
-    if (pos >= 2 * alpha || pos >= n + alpha - i) return StepDecision::kAcquire;
-    if (i - pos >= n + 1 - alpha) return StepDecision::kFail;
-    return StepDecision::kContinue;
-  };
+CountingRule opt_d_stop_rule(int n, int alpha) {
+  return {n, alpha, CountingRule::Acquire::kServerProbe};
 }
 
-StopRule opt_a_stop_rule(int n, int alpha) {
-  return [n, alpha](int i, int pos) {
-    if (i - pos >= n + 1 - alpha) return StepDecision::kFail;
-    if (i == n) return pos >= alpha ? StepDecision::kAcquire : StepDecision::kFail;
-    return StepDecision::kContinue;
-  };
-}
-
-StopRule threshold_stop_rule(int n, int needed) {
-  return [n, needed](int i, int pos) {
-    if (pos >= needed) return StepDecision::kAcquire;
-    if (pos + (n - i) < needed) return StepDecision::kFail;
-    return StepDecision::kContinue;
-  };
+CountingRule opt_a_stop_rule(int n, int alpha) {
+  return {n, alpha, CountingRule::Acquire::kAfterAll};
 }
 
 }  // namespace sqs

@@ -14,17 +14,14 @@
 #include <functional>
 #include <vector>
 
-namespace sqs {
+#include "core/probe_strategy.h"
 
-enum class StepDecision {
-  kContinue,
-  kAcquire,
-  kFail,
-};
+namespace sqs {
 
 // Evaluated after each probe with (probes_done, successes); decides whether
 // the strategy stops. Must be consistent: once it stops it is never asked
-// again.
+// again. Every unit-vote CountingRule is one; a rule that is not a
+// counting rule is written as a lambda.
 using StopRule = std::function<StepDecision(int probes_done, int successes)>;
 
 struct SequentialAnalysis {
@@ -49,11 +46,9 @@ struct SequentialAnalysis {
 // independently with probability `up_prob`.
 SequentialAnalysis analyze_sequential(int n, double up_prob, const StopRule& rule);
 
-// Stop rules for the paper's strategies.
-StopRule opt_d_stop_rule(int n, int alpha);
-StopRule opt_a_stop_rule(int n, int alpha);
-// Majority / threshold UQS: acquire at `needed` successes, fail when
-// impossible.
-StopRule threshold_stop_rule(int n, int needed);
+// The counting rules of the paper's strategies over n servers: OPT_d's
+// ServerProbe rules and OPT_a's probe-everything rule, both at need alpha.
+CountingRule opt_d_stop_rule(int n, int alpha);
+CountingRule opt_a_stop_rule(int n, int alpha);
 
 }  // namespace sqs

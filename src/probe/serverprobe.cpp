@@ -1,8 +1,8 @@
 #include "probe/serverprobe.h"
 
 #include <cassert>
-#include <vector>
 
+#include "probe/sequential_analysis.h"
 #include "util/binomial.h"
 
 namespace sqs {
@@ -41,36 +41,8 @@ double serverprobe_complexity(int n, int alpha, double p) {
 }
 
 double serverprobe_complexity_dp(int n, int alpha, double p) {
-  // state[pos] = probability of still probing with `pos` successes so far;
-  // advance one probe at a time applying Definition 26's stop rules.
-  const double q = 1.0 - p;
-  std::vector<double> state(static_cast<std::size_t>(n) + 1, 0.0);
-  state[0] = 1.0;
-  double expected = 0.0;
-  for (int i = 1; i <= n; ++i) {
-    std::vector<double> next(static_cast<std::size_t>(n) + 1, 0.0);
-    double continuing_mass = 0.0;
-    for (int pos = 0; pos < i; ++pos) {
-      const double mass = state[static_cast<std::size_t>(pos)];
-      if (mass == 0.0) continue;
-      continuing_mass += mass;
-      next[static_cast<std::size_t>(pos + 1)] += mass * q;
-      next[static_cast<std::size_t>(pos)] += mass * p;
-    }
-    // Every continuing client pays probe i.
-    expected += continuing_mass;
-    // Apply stop rules to the post-probe states.
-    for (int pos = 0; pos <= i; ++pos) {
-      double& mass = next[static_cast<std::size_t>(pos)];
-      if (mass == 0.0) continue;
-      const int neg = i - pos;
-      const bool stop = pos >= 2 * alpha || pos >= n + alpha - i ||
-                        neg >= n + 1 - alpha;
-      if (stop) mass = 0.0;  // exits the "still probing" population
-    }
-    state = std::move(next);
-  }
-  return expected;
+  return analyze_sequential(n, 1.0 - p, opt_d_stop_rule(n, alpha))
+      .expected_probes;
 }
 
 double serverprobe_upper_bound(int alpha, double p) {

@@ -3,9 +3,9 @@
 // g(n) lower-bounds the expected probe complexity of every SQS with optimal
 // availability (Lemma 28), and OPT_d's sequential strategy matches it
 // (Theorem 35). The paper gives closed-form expressions for
-// f(i) = P[total probes <= i]; we implement those exactly, plus an
-// independent dynamic-programming evaluation of the stop rules used by the
-// tests as a cross-check.
+// f(i) = P[total probes <= i]; we implement those exactly, plus the
+// dynamic-programming evaluation of the stop rules that the tests use as a
+// cross-check.
 
 #pragma once
 
@@ -23,8 +23,9 @@ double serverprobe_cdf(int n, int alpha, double p, int i);
 // n >= 3 alpha - 1 (as in the paper's derivation).
 double serverprobe_complexity(int n, int alpha, double p);
 
-// The same expectation computed by direct DP over (probes, successes)
-// states with the three stop rules of Definition 26 — no closed forms.
+// The same expectation by the exact DP over (probes, successes) states
+// (probe/sequential_analysis.h) with OPT_d's CountingRule, the three stop
+// rules of Definition 26 — no closed forms.
 double serverprobe_complexity_dp(int n, int alpha, double p);
 
 // The paper's O(1) upper bound: g(n) < 2 alpha / (1 - p) for every n.

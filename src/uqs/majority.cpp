@@ -31,10 +31,9 @@ double ThresholdFamily::availability(double p) const {
   return binom_tail_geq(n_, threshold_, 1.0 - p);
 }
 
-std::unique_ptr<ProbeStrategy> ThresholdFamily::make_probe_strategy() const {
-  return std::make_unique<CountingStrategy>(
-      n_, identity_order(n_), threshold_, CountingStrategy::Acquire::kAtNeed,
-      /*shuffled=*/true);
+std::optional<CountingWalk> ThresholdFamily::counting_walk() const {
+  return CountingWalk(identity_order(n_), threshold_,
+                      CountingRule::Acquire::kAtNeed, /*shuffled=*/true);
 }
 
 MajorityFamily::MajorityFamily(int n)

@@ -34,7 +34,7 @@ class ThresholdFamily : public QuorumFamily {
   // Randomized non-adaptive: probes a uniformly shuffled order, acquiring at
   // `threshold` successes (the reached servers form the quorum), failing as
   // soon as threshold successes are unreachable.
-  std::unique_ptr<ProbeStrategy> make_probe_strategy() const override;
+  std::optional<CountingWalk> counting_walk() const override;
 
  private:
   int n_;

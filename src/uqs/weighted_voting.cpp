@@ -42,10 +42,10 @@ int WeightedVotingFamily::min_quorum_size() const {
   return count;
 }
 
-std::unique_ptr<ProbeStrategy> WeightedVotingFamily::make_probe_strategy() const {
-  return std::make_unique<CountingStrategy>(
-      universe_size(), identity_order(universe_size()), quorum_votes_,
-      CountingStrategy::Acquire::kAtNeed, /*shuffled=*/true, weights_);
+std::optional<CountingWalk> WeightedVotingFamily::counting_walk() const {
+  return CountingWalk(identity_order(universe_size()), quorum_votes_,
+                      CountingRule::Acquire::kAtNeed, /*shuffled=*/true,
+                      weights_);
 }
 
 }  // namespace sqs

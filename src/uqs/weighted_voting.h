@@ -35,7 +35,7 @@ class WeightedVotingFamily : public QuorumFamily {
   // Randomized strategy: probes a shuffled order, weighted toward heavy
   // servers, accumulating votes; acquires at the threshold, fails once the
   // unprobed weight cannot close the gap.
-  std::unique_ptr<ProbeStrategy> make_probe_strategy() const override;
+  std::optional<CountingWalk> counting_walk() const override;
 
  private:
   std::vector<int> weights_;

@@ -17,14 +17,19 @@
 #include "core/composition.h"
 #include "core/constructions.h"
 #include "core/explicit_sqs.h"
+#include "core/masking.h"
 #include "core/quorum_family.h"
+#include "core/witness.h"
 #include "mismatch/batch.h"
 #include "mismatch/model.h"
+#include "probe/batch.h"
 #include "probe/measurements.h"
 #include "runtime/run_trials.h"
 #include "sweep/sweep.h"
 #include "uqs/majority.h"
 #include "uqs/paths.h"
+#include "uqs/pqs.h"
+#include "uqs/weighted_voting.h"
 #include "util/bitset.h"
 #include "util/rng.h"
 
@@ -305,27 +310,52 @@ TEST(Batch, AvailabilityBitIdenticalAcrossThreadCountsAndChunkSizes) {
           << threads << " threads, chunk " << chunk;
 }
 
+// Every family whose counting walk the lane walk runs: OPT_d (identity
+// and rotated), OPT_a, masking OPT_a and the witness model (a prefix and
+// a scattered list).
+std::vector<std::shared_ptr<QuorumFamily>> lane_walk_families(int n) {
+  std::vector<std::shared_ptr<QuorumFamily>> families;
+  families.push_back(std::make_shared<OptDFamily>(n, 2));
+  auto rotated = std::make_shared<OptDFamily>(n, 2);
+  std::vector<int> order(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i)
+    order[static_cast<std::size_t>(i)] = (i + 5) % n;
+  rotated->set_probe_order(order);
+  families.push_back(rotated);
+  families.push_back(std::make_shared<OptAFamily>(n, 2));
+  families.push_back(std::make_shared<MaskingOptAFamily>(n, 2, 1));
+  families.push_back(std::make_shared<WitnessFamily>(n, 8, 2));
+  families.push_back(std::make_shared<WitnessFamily>(
+      n, std::vector<int>{7, 2, 9, 4, 0}, 2));
+  return families;
+}
+
 TEST(Batch, ProbeKernelMatchesScalarBitForBit) {
-  const OptDFamily family(48, 2);
-  TrialOptions scalar_opts;
-  const ProbeMeasurement scalar =
-      measure_probes(family, 0.25, 10000, Rng(91), scalar_opts);
-  for (const BatchPolicy policy :
-       {BatchPolicy::kBatched, BatchPolicy::kDifferential}) {
-    TrialOptions opts;
-    opts.batch = policy;
-    const ProbeMeasurement batched =
-        measure_probes(family, 0.25, 10000, Rng(91), opts);
-    // Bit-identical including the order-sensitive Welford aggregates.
-    EXPECT_EQ(batched.acquired.successes, scalar.acquired.successes);
-    EXPECT_EQ(batched.acquired.trials, scalar.acquired.trials);
-    EXPECT_EQ(batched.probes_overall.mean(), scalar.probes_overall.mean());
-    EXPECT_EQ(batched.probes_overall.variance(),
-              scalar.probes_overall.variance());
-    EXPECT_EQ(batched.probes_acquired.mean(), scalar.probes_acquired.mean());
-    EXPECT_EQ(batched.probes_failed.mean(), scalar.probes_failed.mean());
-    EXPECT_EQ(batched.max_probes_seen, scalar.max_probes_seen);
-    EXPECT_EQ(batched.server_probe_frequency, scalar.server_probe_frequency);
+  std::vector<std::shared_ptr<QuorumFamily>> families = lane_walk_families(24);
+  families.insert(families.begin(), std::make_shared<OptDFamily>(48, 2));
+  for (const auto& family : families) {
+    ASSERT_TRUE(lane_counting_walk(*family).has_value()) << family->name();
+    TrialOptions scalar_opts;
+    const ProbeMeasurement scalar =
+        measure_probes(*family, 0.25, 10000, Rng(91), scalar_opts);
+    for (const BatchPolicy policy :
+         {BatchPolicy::kBatched, BatchPolicy::kDifferential}) {
+      TrialOptions opts;
+      opts.batch = policy;
+      const ProbeMeasurement batched =
+          measure_probes(*family, 0.25, 10000, Rng(91), opts);
+      // Bit-identical including the order-sensitive Welford aggregates.
+      EXPECT_EQ(batched.acquired.successes, scalar.acquired.successes)
+          << family->name();
+      EXPECT_EQ(batched.acquired.trials, scalar.acquired.trials);
+      EXPECT_EQ(batched.probes_overall.mean(), scalar.probes_overall.mean());
+      EXPECT_EQ(batched.probes_overall.variance(),
+                scalar.probes_overall.variance());
+      EXPECT_EQ(batched.probes_acquired.mean(), scalar.probes_acquired.mean());
+      EXPECT_EQ(batched.probes_failed.mean(), scalar.probes_failed.mean());
+      EXPECT_EQ(batched.max_probes_seen, scalar.max_probes_seen);
+      EXPECT_EQ(batched.server_probe_frequency, scalar.server_probe_frequency);
+    }
   }
 }
 
@@ -346,38 +376,50 @@ TEST(Batch, ProbeKernelRespectsRotatedProbeOrders) {
 }
 
 TEST(Batch, ProbeKernelFallsBackForRandomizedStrategies) {
-  // Threshold probing shuffles its order: no bit-sliced kernel exists, so
-  // kBatched must quietly take the scalar path and change nothing.
-  const MajorityFamily family(15);
-  TrialOptions opts;
-  opts.batch = BatchPolicy::kBatched;
-  const ProbeMeasurement batched =
-      measure_probes(family, 0.2, 5000, Rng(8), opts);
-  const ProbeMeasurement scalar = measure_probes(family, 0.2, 5000, Rng(8));
-  EXPECT_EQ(batched.acquired.successes, scalar.acquired.successes);
-  EXPECT_EQ(batched.probes_overall.mean(), scalar.probes_overall.mean());
-  EXPECT_EQ(batched.server_probe_frequency, scalar.server_probe_frequency);
+  // Threshold, PQS and weighted-voting probing shuffle their order (and
+  // weighted voting counts votes, not probes): no bit-sliced kernel
+  // exists, so kBatched must quietly take the scalar path and change
+  // nothing.
+  std::vector<std::shared_ptr<QuorumFamily>> families;
+  families.push_back(std::make_shared<MajorityFamily>(15));
+  families.push_back(std::make_shared<PqsFamily>(16, 1.0));
+  families.push_back(std::make_shared<WeightedVotingFamily>(
+      std::vector<int>{3, 1, 1, 2, 1, 1, 2}, 6));
+  for (const auto& family : families) {
+    EXPECT_FALSE(lane_counting_walk(*family).has_value()) << family->name();
+    TrialOptions opts;
+    opts.batch = BatchPolicy::kBatched;
+    const ProbeMeasurement batched =
+        measure_probes(*family, 0.2, 5000, Rng(8), opts);
+    const ProbeMeasurement scalar = measure_probes(*family, 0.2, 5000, Rng(8));
+    EXPECT_EQ(batched.acquired.successes, scalar.acquired.successes)
+        << family->name();
+    EXPECT_EQ(batched.probes_overall.mean(), scalar.probes_overall.mean());
+    EXPECT_EQ(batched.server_probe_frequency, scalar.server_probe_frequency);
+  }
 }
 
 TEST(Batch, NonintersectionKernelMatchesScalarBitForBit) {
-  for (const int alpha : {1, 2}) {
-    const OptDFamily family(20, alpha);
+  std::vector<std::shared_ptr<QuorumFamily>> families = lane_walk_families(20);
+  families.insert(families.begin(), std::make_shared<OptDFamily>(20, 1));
+  for (const auto& family : families) {
     MismatchModel model;
     model.p = 0.1;
     model.link_miss = 0.25;
     const NonintersectionStats scalar =
-        measure_nonintersection(family, model, 20000, Rng(500));
+        measure_nonintersection(*family, model, 20000, Rng(500));
     for (const BatchPolicy policy :
          {BatchPolicy::kBatched, BatchPolicy::kDifferential}) {
       TrialOptions opts;
       opts.batch = policy;
       const NonintersectionStats batched =
-          measure_nonintersection(family, model, 20000, Rng(500), 1.0, opts);
+          measure_nonintersection(*family, model, 20000, Rng(500), 1.0, opts);
       EXPECT_EQ(batched.both_acquired.successes, scalar.both_acquired.successes)
-          << "alpha " << alpha;
+          << family->name();
       EXPECT_EQ(batched.both_acquired.trials, scalar.both_acquired.trials);
       EXPECT_EQ(batched.nonintersection.successes,
-                scalar.nonintersection.successes);
+                scalar.nonintersection.successes)
+          << family->name();
       EXPECT_EQ(batched.nonintersection.trials, scalar.nonintersection.trials);
     }
   }

@@ -215,7 +215,7 @@ TEST(Constructions, OptDProbeOrderRotation) {
   std::iota(order.begin(), order.end(), 0);
   std::rotate(order.begin(), order.begin() + 3, order.end());
   fam.set_probe_order(order);
-  EXPECT_EQ(fam.probe_order()[0], 3);
+  EXPECT_EQ(fam.counting_walk()->order[0], 3);
   auto strategy = fam.make_probe_strategy();
   strategy->reset(nullptr);
   EXPECT_EQ(strategy->next_server(), 3);

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <memory>
+#include <optional>
 #include <tuple>
+#include <vector>
 
 #include "core/constructions.h"
+#include "core/witness.h"
 #include "mismatch/model.h"
 #include "util/binomial.h"
 
@@ -63,6 +69,41 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(12, 2, 0.2, 0.2),
                       std::make_tuple(16, 2, 0.1, 0.25),
                       std::make_tuple(20, 3, 0.15, 0.3)));
+
+// The two-client DP over a family's counting walk against Monte Carlo:
+// P[non-intersection] and P[both acquire] each within 6 standard
+// deviations. The witness walks run over the witnesses only, so the DP's
+// universe is the order's length.
+TEST(ExactNonintersection, MatchesMonteCarloForOptAAndWitness) {
+  std::vector<std::unique_ptr<QuorumFamily>> families;
+  families.push_back(std::make_unique<OptAFamily>(10, 2));
+  families.push_back(std::make_unique<WitnessFamily>(24, 8, 2));
+  families.push_back(
+      std::make_unique<WitnessFamily>(10, std::vector<int>{7, 2, 9, 4, 0}, 2));
+  MismatchModel model;
+  model.p = 0.1;
+  model.link_miss = 0.3;
+  const int trials = 200000;
+  for (const auto& family : families) {
+    const std::optional<CountingWalk> walk = family->counting_walk();
+    ASSERT_TRUE(walk.has_value());
+    const auto exact = exact_nonintersection(
+        static_cast<int>(walk->order.size()), family->alpha(), model.p,
+        model.link_miss, walk->rule);
+    const NonintersectionStats mc =
+        measure_nonintersection(*family, model, trials, Rng(4242));
+    auto six_sigma = [&](double q) {
+      return 6.0 * std::sqrt(std::max(0.0, q * (1 - q)) / trials) + 1e-9;
+    };
+    EXPECT_GT(mc.nonintersection.successes, 0u) << family->name();
+    EXPECT_NEAR(mc.nonintersection.estimate(), exact.nonintersection,
+                six_sigma(exact.nonintersection))
+        << family->name();
+    EXPECT_NEAR(mc.both_acquired.estimate(), exact.both_acquire,
+                six_sigma(exact.both_acquire))
+        << family->name();
+  }
+}
 
 TEST(ExactNonintersection, DecreasesExponentiallyInAlpha) {
   const int n = 30;

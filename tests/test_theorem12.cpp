@@ -42,12 +42,11 @@ class ShuffledFamily : public OptDFamily {
            ",a=" + std::to_string(alpha()) + ")";
   }
 
-  std::unique_ptr<ProbeStrategy> make_probe_strategy() const override {
-    return std::make_unique<CountingStrategy>(
-        universe_size(), identity_order(universe_size()), alpha(),
-        early_acquire_ ? CountingStrategy::Acquire::kServerProbe
-                       : CountingStrategy::Acquire::kAfterAll,
-        /*shuffled=*/true);
+  std::optional<CountingWalk> counting_walk() const override {
+    return CountingWalk(identity_order(universe_size()), alpha(),
+                        early_acquire_ ? CountingRule::Acquire::kServerProbe
+                                       : CountingRule::Acquire::kAfterAll,
+                        /*shuffled=*/true);
   }
 
  private:

@@ -54,8 +54,10 @@
 // quorums intersect in >= 2b+1 servers so reads can outvote the liars).
 //
 // Numeric flags parse whole: a malformed or out-of-range value (`--n abc`,
-// `--p 0.1x`) exits 2 with "bad value '<v>' for --<flag>"; `--seed` is an
-// unsigned 64-bit integer.
+// `--p 0.1x`, `--p 1.5`: every probability flag lies in [0, 1]) exits 2
+// with "bad value '<v>' for --<flag>"; `--seed` is an unsigned 64-bit
+// integer. A flag the command never reads (`--alpah`, `--family` where the
+// sweep reads `--families`) exits 2 with "unknown flag --<flag>".
 //
 // Every Monte Carlo subcommand runs on the shared parallel trial runtime.
 // `--threads N` (or the SQS_THREADS environment variable) picks the thread
@@ -81,6 +83,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -123,31 +126,68 @@ T parse_whole(const std::string& text, const std::string& what) {
   return value;
 }
 
+// A probability: `text` parses whole and lies in [0, 1], or the command
+// exits 2 naming the value and `what` it was given for.
+double parse_probability(const std::string& text, const std::string& what) {
+  const double value = parse_whole<double>(text, what);
+  if (!(value >= 0.0 && value <= 1.0)) {
+    std::fprintf(stderr,
+                 "bad value '%s' for %s (need a probability in [0, 1])\n",
+                 text.c_str(), what.c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
+// The command's flags. Every lookup records the key as read, so main()
+// can reject a flag that the command never asked for (a misspelling).
 struct Args {
   std::map<std::string, std::string> flags;
   std::vector<std::string> positional;
 
+  bool has(const std::string& key) const { return find(key) != flags.end(); }
   int geti(const std::string& key, int fallback) const {
     return number(key, fallback);
   }
   double getd(const std::string& key, double fallback) const {
     return number(key, fallback);
   }
+  // Every probability flag reads through here.
+  double getp(const std::string& key, double fallback) const {
+    auto it = find(key);
+    return it == flags.end() ? fallback
+                             : parse_probability(it->second, "--" + key);
+  }
   std::uint64_t getu(const std::string& key, std::uint64_t fallback) const {
     return number(key, fallback);
   }
   std::string gets(const std::string& key, const std::string& fallback) const {
-    auto it = flags.find(key);
+    auto it = find(key);
     return it == flags.end() ? fallback : it->second;
   }
 
+  // The first flag no lookup asked for, or "" when there is none.
+  std::string first_unread() const {
+    for (const auto& entry : flags)
+      if (read_.count(entry.first) == 0) return entry.first;
+    return "";
+  }
+
  private:
+  std::map<std::string, std::string>::const_iterator find(
+      const std::string& key) const {
+    read_.insert(key);
+    return flags.find(key);
+  }
+
   template <typename T>
   T number(const std::string& key, T fallback) const {
-    auto it = flags.find(key);
+    auto it = find(key);
     if (it == flags.end()) return fallback;
     return parse_whole<T>(it->second, "--" + key);
   }
+
+  mutable std::set<std::string> read_;
 };
 
 Args parse(int argc, char** argv, int start) {
@@ -163,6 +203,7 @@ Args parse(int argc, char** argv, int start) {
       args.positional.push_back(std::move(token));
       continue;
     }
+    if (token.rfind("--threads=", 0) == 0) continue;  // init_threads_from_args
     if (token.rfind("--", 0) == 0) {
       const std::string key = token.substr(2);
       if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
@@ -204,8 +245,8 @@ int cmd_avail(const Args& args) {
   if (family == nullptr) return 2;
   Table table({"p", "availability", "1-availability"});
   std::vector<double> ps;
-  if (args.flags.count("p")) {
-    ps.push_back(args.getd("p", 0.3));
+  if (args.has("p")) {
+    ps.push_back(args.getp("p", 0.3));
   } else {
     ps = {0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9};
   }
@@ -221,7 +262,7 @@ int cmd_avail(const Args& args) {
 int cmd_probes(const Args& args) {
   const auto family = spec_from_args(args.gets("family", "optd"), args).make();
   if (family == nullptr) return 2;
-  const double p = args.getd("p", 0.3);
+  const double p = args.getp("p", 0.3);
   const int trials = args.geti("trials", 20000);
   const ProbeMeasurement m =
       measure_probes(*family, p, trials, Rng(args.getu("seed", 1)));
@@ -243,13 +284,25 @@ int cmd_probes(const Args& args) {
   return 0;
 }
 
+// OPT_d(n, alpha) through FamilySpec::make, which rejects parameters
+// outside the constructor's domain on stderr (nullptr).
+std::shared_ptr<const QuorumFamily> make_opt_d(int n, int alpha) {
+  FamilySpec spec;
+  spec.kind = "optd";
+  spec.n = n;
+  spec.alpha = alpha;
+  return spec.make();
+}
+
 int cmd_nonintersect(const Args& args) {
   const int n = args.geti("n", 24);
   const int alpha = args.geti("alpha", 2);
-  const double p = args.getd("p", 0.1);
-  const double miss = args.getd("miss", 0.2);
-  const auto exact =
-      exact_nonintersection(n, alpha, p, miss, opt_d_stop_rule(n, alpha));
+  const auto family = make_opt_d(n, alpha);
+  if (family == nullptr) return 2;
+  const double p = args.getp("p", 0.1);
+  const double miss = args.getp("miss", 0.2);
+  const auto exact = exact_nonintersection(n, alpha, p, miss,
+                                           family->counting_walk()->rule);
   Table table({"quantity", "value"});
   table.add_row({"epsilon = 2m/(1+m)", Table::fmt(exact.epsilon, 5)});
   table.add_row({"P[non-intersection] (exact, OPT_d)",
@@ -344,6 +397,16 @@ std::vector<T> split_numbers(const Args& args, const std::string& key,
   return values;
 }
 
+// The same for a list of probabilities, each in [0, 1].
+std::vector<double> split_probabilities(const Args& args,
+                                        const std::string& key,
+                                        const std::string& fallback) {
+  std::vector<double> values;
+  for (const std::string& item : split_list(args.gets(key, fallback)))
+    values.push_back(parse_probability(item, "--" + key));
+  return values;
+}
+
 int cmd_sweep(const Args& args) {
   const std::string kind = args.gets("kind", "avail");
   const std::uint64_t seed = args.getu("seed", 1);
@@ -364,7 +427,7 @@ int cmd_sweep(const Args& args) {
     const std::vector<std::string> specs =
         split_list(args.gets("families", "optd,opta"));
     const std::vector<double> ps =
-        split_numbers<double>(args, "ps", "0.1,0.2,0.3,0.4");
+        split_probabilities(args, "ps", "0.1,0.2,0.3,0.4");
     const std::uint64_t samples = args.getu("samples", kAvailabilityMcSamples);
     std::vector<AvailabilityCell> cells;
     for (const std::string& spec : specs) {
@@ -387,7 +450,7 @@ int cmd_sweep(const Args& args) {
     const std::vector<std::string> specs =
         split_list(args.gets("families", "optd,opta"));
     const std::vector<double> ps =
-        split_numbers<double>(args, "ps", "0.1,0.2,0.3");
+        split_probabilities(args, "ps", "0.1,0.2,0.3");
     const std::uint64_t trials = args.getu("trials", 20000);
     std::vector<ProbeCell> cells;
     for (const std::string& spec : specs) {
@@ -418,19 +481,23 @@ int cmd_sweep(const Args& args) {
     const int n = args.geti("n", 24);
     const std::vector<int> alphas = split_numbers<int>(args, "alphas", "1,2,3");
     const std::vector<double> misses =
-        split_numbers<double>(args, "misses", "0.1,0.2,0.3");
+        split_probabilities(args, "misses", "0.1,0.2,0.3");
+    const double p = args.getp("p", 0.1);
     const std::uint64_t trials = args.getu("trials", 100000);
     std::vector<NonintersectionCell> cells;
-    for (int alpha : alphas)
+    for (int alpha : alphas) {
+      const auto family = make_opt_d(n, alpha);
+      if (family == nullptr) return 2;
       for (double miss : misses) {
         NonintersectionCell cell;
-        cell.family = std::make_shared<OptDFamily>(n, alpha);
-        cell.model.p = args.getd("p", 0.1);
+        cell.family = family;
+        cell.model.p = p;
         cell.model.link_miss = miss;
         cell.trials = trials;
         cell.base = Rng(seed).split(cells.size());
         cells.push_back(std::move(cell));
       }
+    }
     const auto stats = sweep_nonintersection(cells, opts);
     Table table({"alpha", "miss", "P[nonint] (MC)", "eps^2a bound"});
     for (std::size_t i = 0; i < cells.size(); ++i)
@@ -451,18 +518,26 @@ int cmd_sweep(const Args& args) {
 int cmd_search(const Args& args) {
   AlphaSearchSpec spec;
   spec.n = args.geti("n", 24);
-  spec.p = args.getd("p", 0.1);
-  spec.link_miss = args.getd("miss", 0.2);
+  spec.p = args.getp("p", 0.1);
+  spec.link_miss = args.getp("miss", 0.2);
   spec.max_alpha = args.geti("max-alpha", 0);
-  spec.exact = !args.flags.count("mc");
+  spec.exact = !args.has("mc");
   spec.trials = args.getu("trials", 100000);
   spec.seed = args.getu("seed", 0x5ea4c4);
 
   SearchTargets targets;
-  targets.max_nonintersection = args.getd("target-nonint", 1e-3);
-  targets.min_availability = args.getd("target-avail", 0.0);
+  targets.max_nonintersection = args.getp("target-nonint", 1e-3);
+  targets.min_availability = args.getp("target-avail", 0.0);
 
   const AlphaSearchResult result = find_min_alpha(spec, targets);
+  // The composition race's flags, read before the INFEASIBLE exit.
+  CompositionSearchSpec comp;
+  comp.alpha = result.alpha;
+  comp.n = args.geti("compose-n", std::max(spec.n, 16 * result.alpha));
+  comp.p = args.getp("compose-p", spec.p);
+  comp.base_trials = args.getu("base-trials", 2000);
+  comp.rounds = args.geti("rounds", 3);
+  comp.seed = args.getu("seed", 0xc0317);
   Table ladder({"alpha", "P[nonint]", "availability", "meets targets"});
   for (const AlphaCandidate& candidate : result.evaluated)
     ladder.add_row({std::to_string(candidate.alpha),
@@ -485,13 +560,6 @@ int cmd_search(const Args& args) {
               result.availability);
 
   // Race the UQ + OPT_a compositions at the winning alpha.
-  CompositionSearchSpec comp;
-  comp.alpha = result.alpha;
-  comp.n = args.geti("compose-n", std::max(spec.n, 16 * result.alpha));
-  comp.p = args.getd("compose-p", spec.p);
-  comp.base_trials = args.getu("base-trials", 2000);
-  comp.rounds = args.geti("rounds", 3);
-  comp.seed = args.getu("seed", 0xc0317);
   const CompositionSearchResult race = find_best_composition(comp, targets);
   if (!race.feasible) {
     std::printf("composition race skipped (no candidate pool or availability "
@@ -521,10 +589,10 @@ int cmd_trace(const Args& args) {
   TraceConfig config;
   config.num_servers = args.geti("servers", 30);
   config.num_observations = args.geti("obs", 200000);
-  config.model.p = args.getd("p", 0.05);
-  config.model.link_miss = args.getd("miss", 0.02);
-  config.model.partition_rate = args.getd("partition-rate", 0.0);
-  config.model.partition_fraction = args.getd("partition-fraction", 0.5);
+  config.model.p = args.getp("p", 0.05);
+  config.model.link_miss = args.getp("miss", 0.02);
+  config.model.partition_rate = args.getp("partition-rate", 0.0);
+  config.model.partition_fraction = args.getp("partition-fraction", 0.5);
   const MismatchHistogram hist = run_trace(config, Rng(args.getu("seed", 1)));
   const auto predicted = independent_prediction(config, 8);
   Table table({"k", "P(k) measured", "P(k) iid prediction"});
@@ -542,6 +610,11 @@ int cmd_chaos(const Args& args) {
   std::vector<ChaosScenario> scenarios;
   const std::string pick = args.gets("scenario", "all");
   const std::string file = args.gets("scenario-file", "");
+  const bool list = args.has("list");
+  const bool list_scenarios = args.has("list-scenarios");
+  const bool dump_scenarios = args.has("dump-scenarios");
+  const int replicates = args.geti("replicates", 4);
+  const std::string blackbox = args.gets("blackbox", "chaos_blackbox.jsonl");
 
   if (!file.empty()) {
     // Data-driven replay: the scenario comes from a JSON file written by
@@ -571,21 +644,20 @@ int cmd_chaos(const Args& args) {
     // demonstrates the fabricated-write invariant tripping and dumping a
     // black box.
     if (family->masking_b() == 0 &&
-        (pick == "byzantine" || args.flags.count("list") ||
-         args.flags.count("list-scenarios"))) {
+        (pick == "byzantine" || list || list_scenarios)) {
       scenarios.push_back(byzantine_chaos_scenario(*family, args.geti("b", 1)));
       scenarios.back().family = spec;
     }
     // The stale-view detector check is explicit-only (it is designed to
     // fail): build it when named or when dumping the scenario set.
     if (spec.resizable() &&
-        (pick == "stale_view_forever" || args.flags.count("dump-scenarios")))
+        (pick == "stale_view_forever" || dump_scenarios))
       scenarios.push_back(stale_view_chaos_scenario(spec));
   }
 
   // --list-scenarios: the machine-facing inventory (name, family,
   // invariant budget, plan sizes) of everything buildable here.
-  if (args.flags.count("list-scenarios")) {
+  if (list_scenarios) {
     Table table({"scenario", "family", "floor", "envelope", "faults", "churn",
                  "invariants"});
     for (const ChaosScenario& s : scenarios) {
@@ -609,7 +681,7 @@ int cmd_chaos(const Args& args) {
   // --dump-scenarios DIR: write every buildable scenario as a JSON file
   // (byte-deterministic; reload with --scenario-file). The directory must
   // exist.
-  if (args.flags.count("dump-scenarios")) {
+  if (dump_scenarios) {
     const std::string dir = args.gets("dump-scenarios", "");
     if (dir.empty() || dir == "1") {
       std::fprintf(stderr, "--dump-scenarios needs a directory operand\n");
@@ -628,9 +700,9 @@ int cmd_chaos(const Args& args) {
 
   // CI smoke hook: an impossible availability floor trips every scenario,
   // proving the violation path (exit 1 + black-box dump) end to end.
-  if (args.flags.count("force-violation"))
+  if (args.has("force-violation"))
     for (ChaosScenario& s : scenarios) s.invariants.availability_floor = 1.01;
-  if (args.flags.count("list")) {
+  if (list) {
     for (const ChaosScenario& s : scenarios)
       std::printf("%-16s %s\n", s.name.c_str(), s.description.c_str());
     return 0;
@@ -647,8 +719,6 @@ int cmd_chaos(const Args& args) {
     scenarios = std::move(chosen);
   }
 
-  const int replicates = args.geti("replicates", 4);
-
   // The flight recorder is always on for chaos runs: when an invariant
   // trips, run_chaos writes the merged black box automatically.
   obs::TelemetryConfig tc = obs::current_config();
@@ -657,8 +727,7 @@ int cmd_chaos(const Args& args) {
   obs::reset_flight_recorder();
 
   const std::vector<ChaosCellResult> results =
-      run_chaos(*family, scenarios, replicates, {},
-                args.gets("blackbox", "chaos_blackbox.jsonl"));
+      run_chaos(*family, scenarios, replicates, {}, blackbox);
 
   Table table({"scenario", "avail", "floor", "stale", "envelope", "retries",
                "deadline", "ts-regr", "lost", "fabricated", "verdict"});
@@ -707,7 +776,7 @@ int cmd_serve(const Args& args) {
       std::fprintf(stderr, "%s\n", error.c_str());
       return 2;
     }
-    if (args.flags.count("scenario")) {
+    if (args.has("scenario")) {
       std::fprintf(stderr, "--scenario and --scenario-file are exclusive\n");
       return 2;
     }
@@ -726,13 +795,13 @@ int cmd_serve(const Args& args) {
   // file supplies the duration/clients/seed defaults so the replayed fault
   // and churn timelines land where the scenario placed them.
   LoadGenConfig load;
-  if (args.flags.count("rate")) {
+  if (args.has("rate")) {
     load.rate = parse_positive_double("--rate", args.gets("rate", "").c_str());
     if (load.rate == 0.0) return 2;
   } else {
     load.rate = 2000.0;
   }
-  if (args.flags.count("duration")) {
+  if (args.has("duration")) {
     load.duration =
         parse_positive_double("--duration", args.gets("duration", "").c_str());
     if (load.duration == 0.0) return 2;
@@ -740,7 +809,8 @@ int cmd_serve(const Args& args) {
     load.duration = have_file ? from_file.config.duration : 5.0;
   }
   load.read_fraction =
-      args.getd("read-fraction", have_file ? from_file.config.read_fraction : 0.8);
+      args.getp("read-fraction",
+                have_file ? from_file.config.read_fraction : 0.8);
   load.num_clients =
       args.geti("clients", have_file ? from_file.config.num_clients : 64);
   load.seed = args.getu("seed", have_file ? from_file.config.seed : 1);
@@ -798,7 +868,7 @@ int cmd_serve(const Args& args) {
         scenario.c_str());
     return 2;
   }
-  if (args.flags.count("no-verify-certs")) config.verify_replica_certs = false;
+  if (args.has("no-verify-certs")) config.verify_replica_certs = false;
 
   const int world =
       config.epochs != nullptr ? config.epochs->num_logical : n;
@@ -910,6 +980,11 @@ int main(int argc, char** argv) {
   if (!sqs::obs::init_telemetry_from_args(argc, argv).ok) return 2;
   const std::string command = argv[1];
   const sqs::Args args = sqs::parse(argc, argv, 2);
+  // Consumed above, by init_threads_from_args and init_telemetry_from_args.
+  for (const char* key : {"threads", "metrics", "trace", "trace-jsonl",
+                          "timeline", "timeline-window-ms",
+                          "flight-recorder-events"})
+    args.has(key);
   int rc = 2;
   if (command == "avail") rc = sqs::cmd_avail(args);
   else if (command == "probes") rc = sqs::cmd_probes(args);
@@ -922,6 +997,14 @@ int main(int argc, char** argv) {
   else if (command == "chaos") rc = sqs::cmd_chaos(args);
   else if (command == "serve") rc = sqs::cmd_serve(args);
   else return sqs::usage();
+  // A flag the command never read is misspelled or meant for another
+  // command; the run above ignored it, so it must not look green.
+  if (const std::string unread = args.first_unread();
+      !unread.empty() && rc != 2) {
+    std::fprintf(stderr, "unknown flag --%s for '%s'\n", unread.c_str(),
+                 command.c_str());
+    rc = 2;
+  }
   // A failed telemetry export is a real failure: the requested evidence is
   // missing, so the run must not look green.
   if (!sqs::obs::export_telemetry_files() && rc == 0) rc = 1;
