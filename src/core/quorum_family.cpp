@@ -1,5 +1,11 @@
 #include "core/quorum_family.h"
 
+#include <algorithm>
+#include <bit>
+#include <cassert>
+#include <cmath>
+#include <vector>
+
 #include "core/batch.h"
 #include "runtime/run_trials.h"
 
@@ -16,11 +22,33 @@ std::unique_ptr<ProbeStrategy> QuorumFamily::make_probe_strategy() const {
 }
 
 double QuorumFamily::availability_exact_enumeration(double p) const {
+  // 64 consecutive up-masks per accepts_batch call. Each accepted mask adds
+  // Configuration::probability's expression for its up count, summed in
+  // mask order: the sum of the one-mask-at-a-time loop, bit for bit.
   const int n = universe_size();
+  assert(n <= 24);
+  std::vector<double> weight(static_cast<std::size_t>(n) + 1);
+  for (int up = 0; up <= n; ++up)
+    weight[static_cast<std::size_t>(up)] =
+        std::pow(1.0 - p, static_cast<double>(up)) *
+        std::pow(p, static_cast<double>(n - up));
+  const std::uint64_t masks = 1ull << n;
+  WorldBatch worlds;
+  worlds.reshape(n, std::min(masks, kBatchLaneBits));
+  Bitset accepted;
+  std::uint64_t rows[kBatchLaneBits];
   double total = 0.0;
-  for (std::uint64_t mask = 0; mask < (1ull << n); ++mask) {
-    Configuration config(n, mask);
-    if (accepts(config)) total += config.probability(p);
+  for (std::uint64_t first = 0; first < masks; first += kBatchLaneBits) {
+    const std::size_t count =
+        static_cast<std::size_t>(std::min(masks - first, kBatchLaneBits));
+    for (std::size_t r = 0; r < count; ++r) rows[r] = first + r;
+    worlds.load_rows(0, rows, count);
+    accepts_batch(worlds, accepted);
+    for (std::uint64_t hits = accepted.word(0); hits != 0; hits &= hits - 1) {
+      const std::uint64_t mask = first + static_cast<std::uint64_t>(
+                                             std::countr_zero(hits));
+      total += weight[static_cast<std::size_t>(std::popcount(mask))];
+    }
   }
   return total;
 }

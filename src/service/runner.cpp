@@ -38,6 +38,8 @@ struct ServiceMetrics {
       "service.prologue_batch_ns", obs::pow2_bounds(10, 34));
   obs::Histogram solo_ns = obs::Registry::instance().histogram(
       "service.solo_batch_ns", obs::pow2_bounds(10, 34));
+  obs::Histogram audit_ns = obs::Registry::instance().histogram(
+      "service.audit_batch_ns", obs::pow2_bounds(10, 34));
   obs::Histogram epilogue_ns = obs::Registry::instance().histogram(
       "service.epilogue_batch_ns", obs::pow2_bounds(10, 34));
   static const ServiceMetrics& get() {
@@ -55,9 +57,10 @@ struct StageTimer {
   std::uint64_t elapsed() const { return obs::trace_now_ns() - start_ns; }
 };
 
-// One in-flight batch: its decoded requests, replies and, when the caller
-// asked for no reply stream, its encoded replies. The batch's stages hand
-// the slot from thread to thread through the pipeline's mutex.
+// One in-flight batch: its decoded requests, replies, each op's exact
+// virtual finish time (for the audit) and, when the caller asked for no
+// reply stream, its encoded replies. The batch's stages hand the slot from
+// thread to thread through the pipeline's mutex.
 struct BatchSlot {
   std::uint64_t batch = 0;
   bool decoded = false;
@@ -67,6 +70,7 @@ struct BatchSlot {
   std::vector<Request> requests;
   std::vector<std::uint32_t> expected_certs;
   std::vector<Reply> replies;
+  std::vector<double> finish;
   std::vector<std::uint8_t> encoded_bytes;
 };
 
@@ -80,22 +84,28 @@ struct BatchRing {
 // b % size). Every participating thread calls run(); the first one becomes
 // the sequencer, the only thread that runs the solo stage, batch after
 // batch. The others decode ahead of it (claimed in order, at most one ring
-// ahead of the oldest unfolded batch) and encode behind it (claimed in
-// order). The fold into the fingerprint is in order too: whoever finishes
-// encoding the lowest unfolded batch takes the fold turn and folds every
-// encoded batch from there on; an encoder that starts on the lowest
-// unfolded batch folds it inside its encode pass.
+// ahead of the oldest unreleased batch), and audit and encode behind it.
+// Encodes are claimed in order. The fold into the fingerprint is in order
+// too: whoever finishes encoding the lowest unfolded batch takes the fold
+// turn and folds every encoded batch from there on; an encoder that starts
+// on the lowest unfolded batch folds it inside its encode pass. The audit
+// is a turn as well: a thread that takes it audits solved batches in order
+// until none is left, so the audit state stays on one core while the
+// sequencer keeps ahead. A slot is released once its batch is both folded
+// and audited.
 //
-// Deadlock freedom: a claimed decode or encode (fold turn included) runs
-// to its end without waiting on anything, so only the sequencer and idle
-// helpers ever wait, and each waits only for work some running thread has
-// claimed. The sequencer never waits for unclaimed work: it decodes the
+// Deadlock freedom: a claimed decode, audit or encode (fold turn included)
+// runs to its end without waiting on anything, so only the sequencer and
+// idle helpers ever wait, and each waits only for work some running thread
+// has claimed. The sequencer never waits for unclaimed work: it decodes the
 // next batch itself when no one has claimed it, and when the ring is full
-// it encodes the oldest unclaimed solved batch itself. So one participant
-// alone finishes the stream, and more participants only take work off it.
+// it takes the free audit turn or encodes the oldest unclaimed solved batch
+// itself. So one participant alone finishes the stream, and more
+// participants only take work off it; no sleeping helper is ever needed for
+// progress, which lets the sequencer wake one only when all of them sleep.
 //
-// Stages provides decode, solo, encode(slot, fold_in_pass) and fold over a
-// BatchSlot; the pipeline calls each once per batch.
+// Stages provides decode, solo, audit, encode(slot, fold_in_pass) and fold
+// over a BatchSlot; the pipeline calls each once per batch.
 template <typename Stages>
 class BatchPipeline {
  public:
@@ -105,6 +115,7 @@ class BatchPipeline {
 
   void run() {
     Lock lk(mu_);
+    ++participants_;
     if (!sequencer_taken_) {
       sequencer_taken_ = true;
       sequence(lk);
@@ -112,7 +123,9 @@ class BatchPipeline {
     help(lk);
   }
 
-  bool finished() const { return folded_ == num_batches_; }
+  bool finished() const {
+    return folded_ == num_batches_ && audited_ == num_batches_;
+  }
 
  private:
   using Lock = std::unique_lock<std::mutex>;
@@ -121,15 +134,24 @@ class BatchPipeline {
 
   BatchSlot& slot(std::uint64_t b) { return slots_[b % slots_.size()]; }
   bool ring_has_room(std::uint64_t b) const {
-    return b < folded_ + slots_.size();
+    return b < std::min(folded_, audited_) + slots_.size();
+  }
+  bool audit_open() const { return !auditing_ && audited_ < solved_; }
+  // Every remaining encode and audit is claimed, so idle helpers may leave.
+  bool all_claimed() const {
+    return encode_next_ == num_batches_ &&
+           (auditing_ || audited_ == num_batches_);
   }
 
   void sequence(Lock& lk) {
+    bool wake = false;
     for (std::uint64_t b = 0; b < num_batches_; ++b) {
       BatchSlot& s = slot(b);
       while (!(decode_next_ > b && s.decoded)) {
         if (decode_next_ == b && ring_has_room(b)) {
           decode(lk);
+        } else if (decode_next_ == b && audit_open()) {
+          audit(lk);
         } else if (decode_next_ == b && encode_next_ < solved_) {
           encode(lk);
         } else {
@@ -137,23 +159,32 @@ class BatchPipeline {
         }
       }
       lk.unlock();
+      if (wake) helper_cv_.notify_one();
       stages_.solo(s);
       lk.lock();
       ++solved_;
-      helper_cv_.notify_one();
+      // A helper is woken only when every helper sleeps: an awake one finds
+      // the solved batch by itself, and a wake-up can cost the sequencer a
+      // context switch (the woken thread may be placed on its CPU).
+      wake = sleeping_ > 0 && sleeping_ + 1 == participants_;
     }
+    if (wake) helper_cv_.notify_one();
   }
 
   void help(Lock& lk) {
     for (;;) {
-      if (encode_next_ < solved_) {
+      if (audit_open()) {
+        audit(lk);
+      } else if (encode_next_ < solved_) {
         encode(lk);
       } else if (decode_next_ < num_batches_ && ring_has_room(decode_next_)) {
         decode(lk);
-      } else if (encode_next_ == num_batches_) {
+      } else if (all_claimed()) {
         return;
       } else {
+        ++sleeping_;
         helper_cv_.wait(lk);
+        --sleeping_;
       }
     }
   }
@@ -176,13 +207,14 @@ class BatchPipeline {
     BatchSlot& s = slot(b);
     const bool fold_in_pass = b == folded_ && !folding_;
     if (fold_in_pass) folding_ = true;
-    if (encode_next_ == num_batches_) helper_cv_.notify_all();  // idle helpers leave
+    if (all_claimed()) helper_cv_.notify_all();  // idle helpers leave
     lk.unlock();
     stages_.encode(s, fold_in_pass);
     lk.lock();
     s.encoded = true;
     if (fold_in_pass) {
-      release_oldest();
+      ++folded_;
+      advanced();
     } else if (folding_) {
       return;  // the fold turn's holder reaches this batch in order
     } else {
@@ -194,17 +226,33 @@ class BatchPipeline {
       lk.unlock();
       stages_.fold(next);
       lk.lock();
-      release_oldest();
+      ++folded_;
+      advanced();
     }
     folding_ = false;
   }
 
-  // The oldest batch is folded: its slot takes a new batch.
-  void release_oldest() {
-    ++folded_;
+  // Takes the audit turn and audits solved batches in order until none is
+  // left.
+  void audit(Lock& lk) {
+    auditing_ = true;
+    if (all_claimed()) helper_cv_.notify_all();  // idle helpers leave
+    while (audited_ < solved_) {
+      BatchSlot& s = slot(audited_);
+      lk.unlock();
+      stages_.audit(s);
+      lk.lock();
+      ++audited_;
+      advanced();
+    }
+    auditing_ = false;
+  }
+
+  // A batch was folded or audited: its slot may take a new batch. Only the
+  // sequencer is told; the thread that advanced goes on helping.
+  void advanced() {
     changed();
     sequencer_cv_.notify_one();
-    helper_cv_.notify_one();
   }
 
   void changed() { changes_.fetch_add(1, std::memory_order_relaxed); }
@@ -233,10 +281,14 @@ class BatchPipeline {
   std::mutex mu_;
   std::condition_variable sequencer_cv_, helper_cv_;
   std::atomic<std::uint64_t> changes_{0};  // written under mu_
-  // Batches claimed for decode, solved, claimed for encode, folded.
-  std::uint64_t decode_next_ = 0, solved_ = 0, encode_next_ = 0, folded_ = 0;
+  // Batches claimed for decode, solved, claimed for encode, folded, audited.
+  std::uint64_t decode_next_ = 0, solved_ = 0, encode_next_ = 0, folded_ = 0,
+                audited_ = 0;
+  int participants_ = 0;  // threads that called run()
+  int sleeping_ = 0;      // helpers blocked on helper_cv_
   bool sequencer_taken_ = false;
-  bool folding_ = false;  // some thread holds the fold turn
+  bool folding_ = false;   // some thread holds the fold turn
+  bool auditing_ = false;  // some thread holds the audit turn
 };
 
 }  // namespace
@@ -311,6 +363,10 @@ ServiceRunner::ServiceRunner(const QuorumFamily& family,
                    [](const FaultEvent& a, const FaultEvent& b) {
                      return a.at < b.at;
                    });
+  // The frontier keeps tens of writes in the benchmark's runs; sized here,
+  // on the constructing thread, like the audit set in serve(), so the
+  // audit does not grow it on a pool thread.
+  frontier_.reserve(1024);
   cert_memo_.resize(replicas_.size());
   for (std::size_t i = 0; i < cert_memo_.size(); ++i)
     cert_memo_[i].key = replica_signing_key(static_cast<int>(i));
@@ -343,13 +399,6 @@ void ServiceRunner::apply_epochs_until(double now) {
   }
 }
 
-void ServiceRunner::pop_completed_writes(double now) {
-  while (!pending_writes_.empty() && pending_writes_.top().finish <= now) {
-    frontier_ts_ = std::max(frontier_ts_, pending_writes_.top().ts);
-    pending_writes_.pop();
-  }
-}
-
 std::uint32_t ServiceRunner::expected_replica_cert(int replica,
                                                   const Timestamp& ts,
                                                   std::uint64_t value) {
@@ -360,12 +409,11 @@ std::uint32_t ServiceRunner::expected_replica_cert(int replica,
   return memo.cert;
 }
 
-Reply ServiceRunner::execute_op(const Request& req) {
+Reply ServiceRunner::execute_op(const Request& req, double* finish_out) {
   const double arrival = req.arrival();
   last_arrival_ = std::max(last_arrival_, arrival);
   apply_faults_until(arrival);
   apply_epochs_until(arrival);
-  pop_completed_writes(arrival);
 
   const obs::OpId op = obs::make_op_id(obs::kServiceStream, req.seq);
   obs::flight(obs::FlightKind::kArrival, op, req.arrival_us, -1, req.client);
@@ -506,19 +554,6 @@ Reply ServiceRunner::execute_op(const Request& req) {
       ++totals_.reads_ok;
       rep.ts = adopted.ts;
       rep.value = adopted.value;
-      if (adopted.ts < frontier_ts_) {
-        ++totals_.stale_reads;
-        obs::flight(obs::FlightKind::kStaleRead, op, to_us(t));
-      }
-      // No-fabricated-write check, exact because the solo stage runs in
-      // arrival order: a non-zero binding must have been produced by some
-      // earlier ok write of this runner.
-      if (Timestamp{} < adopted.ts &&
-          !genuine_writes_.contains(adopted.ts, adopted.value)) {
-        ++totals_.fabricated_reads;
-        obs::flight(obs::FlightKind::kFabricatedRead, op, to_us(t), -1,
-                    adopted.value);
-      }
       if (attempt.audit_retired_read(adopted, op, to_us(t)))
         ++totals_.retired_reads;
     }
@@ -527,9 +562,6 @@ Reply ServiceRunner::execute_op(const Request& req) {
     if (adopted.ok) {
       ++totals_.writes_ok;
       const Timestamp new_ts = QuorumAttempt::write_timestamp(adopted, client);
-      // The audit-set insert below lands at a random index slot; its load
-      // overlaps the pushes.
-      genuine_writes_.prefetch(new_ts, req.value);
       // Each push resolves at its ack round trip or at the timeout, and the
       // write completes when the last target resolves.
       int acks = 0;
@@ -555,19 +587,14 @@ Reply ServiceRunner::execute_op(const Request& req) {
       totals_.write_acks += static_cast<std::uint64_t>(acks);
       rep.ts = new_ts;
       rep.value = req.value;
-      genuine_writes_.insert(new_ts, req.value);
       if (acks > 0) max_acked_ts_ = std::max(max_acked_ts_, new_ts);
-      pending_writes_.push(PendingWrite{end, new_ts});
       finish = end;
     }
   }
 
   const std::uint64_t latency_us = to_us(finish - arrival);
   rep.latency_us = latency_us;
-  latency_.record(lat_bounds_, latency_us);
-  ServiceMetrics::get().op_latency_us.record(latency_us);
-  if (obs::recorder_enabled())
-    obs::flight(obs::FlightKind::kOpDone, op, to_us(finish), -1, latency_us);
+  *finish_out = finish;
   // Op-tagged wall-clock instant so --trace-jsonl reconstructs a served
   // op's journey (scripts/op_timeline.py) alongside the flight recorder's
   // virtual-time view.
@@ -579,6 +606,34 @@ Reply ServiceRunner::execute_op(const Request& req) {
   return rep;
 }
 
+void ServiceRunner::audit_op(const Request& req, const Reply& rep,
+                             double finish) {
+  const Timestamp& frontier = frontier_.advance(req.arrival());
+  const obs::OpId op = obs::make_op_id(obs::kServiceStream, req.seq);
+  if (rep.ok && req.kind == OpKind::kRead) {
+    if (rep.ts < frontier) {
+      ++totals_.stale_reads;
+      obs::flight(obs::FlightKind::kStaleRead, op, to_us(finish));
+    }
+    // No-fabricated-write check, exact because the audit runs in arrival
+    // order: a non-zero binding must have been produced by some earlier ok
+    // write of this runner.
+    if (Timestamp{} < rep.ts && !genuine_writes_.contains(rep.ts, rep.value)) {
+      ++totals_.fabricated_reads;
+      obs::flight(obs::FlightKind::kFabricatedRead, op, to_us(finish), -1,
+                  rep.value);
+    }
+  } else if (rep.ok) {
+    genuine_writes_.insert(rep.ts, rep.value);
+    frontier_.add(finish, rep.ts);
+  }
+  latency_.record(lat_bounds_, rep.latency_us);
+  ServiceMetrics::get().op_latency_us.record(rep.latency_us);
+  if (obs::recorder_enabled())
+    obs::flight(obs::FlightKind::kOpDone, op, to_us(finish), -1,
+                rep.latency_us);
+}
+
 ServiceResult ServiceRunner::serve(const std::vector<std::uint8_t>& requests,
                                    std::vector<std::uint8_t>* replies_out) {
   assert(requests.size() % kRequestWireSize == 0);
@@ -588,15 +643,15 @@ ServiceResult ServiceRunner::serve(const std::vector<std::uint8_t>& requests,
   const ServiceResult before = totals_;  // obs counters get this call's deltas
 
   // Size the audit set for this call's write requests here, on the calling
-  // thread. Grown inside the solo stage instead, each doubling would be
-  // allocated by whichever pool thread runs the sequencer, and the freed
+  // thread. Grown inside the audit instead, each doubling would be
+  // allocated by whichever pool thread holds the audit turn, and the freed
   // tables would pile up in every thread's malloc arena across runners.
   genuine_writes_.reserve(
       static_cast<std::size_t>(count_write_requests(requests.data(), n)));
   if (replies_out != nullptr) replies_out->resize(n * kReplyWireSize);
 
-  // The three stages of one batch. A local class, so the solo stage reaches
-  // the runner's private state.
+  // The four stages of one batch. A local class, so the solo stage and the
+  // audit reach the runner's private state.
   struct Stages {
     ServiceRunner& runner;
     const std::uint8_t* in;
@@ -651,17 +706,29 @@ ServiceResult ServiceRunner::serve(const std::vector<std::uint8_t>& requests,
       runner.totals_.cert_rejects += s.cert_rejects;
       const std::size_t count = size(s);
       s.replies.resize(count);
+      s.finish.resize(count);
       for (std::size_t i = 0; i < count; ++i) {
         const Request& req = s.requests[i];
         Reply& rep = s.replies[i];
         if (req.valid) {
-          rep = runner.execute_op(req);
+          rep = runner.execute_op(req, &s.finish[i]);
         } else {
           rep = Reply{};
           rep.seq = begin(s) + i;
         }
       }
       if (timer.on) ServiceMetrics::get().solo_ns.record(timer.elapsed());
+    }
+
+    // Audit: the solved batch's ops in arrival order, after every earlier
+    // batch's audit.
+    void audit(const BatchSlot& s) const {
+      const StageTimer timer;
+      const std::size_t count = size(s);
+      for (std::size_t i = 0; i < count; ++i)
+        if (s.requests[i].valid)
+          runner.audit_op(s.requests[i], s.replies[i], s.finish[i]);
+      if (timer.on) ServiceMetrics::get().audit_ns.record(timer.elapsed());
     }
 
     // Epilogue: encode + checksum the batch's replies, folding them into
@@ -712,6 +779,7 @@ ServiceResult ServiceRunner::serve(const std::vector<std::uint8_t>& requests,
     s.requests.reserve(batch);
     s.expected_certs.reserve(batch);
     s.replies.reserve(batch);
+    s.finish.reserve(batch);
     if (replies_out == nullptr) s.encoded_bytes.reserve(batch * kReplyWireSize);
   }
 
@@ -728,6 +796,7 @@ ServiceResult ServiceRunner::serve(const std::vector<std::uint8_t>& requests,
       s.batch = b;
       stages.decode(s);
       stages.solo(s);
+      stages.audit(s);
       stages.encode(s, true);
     }
   }

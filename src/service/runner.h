@@ -5,26 +5,31 @@
 //
 //   prologue  — stateless decode + checksum and client-cert verification,
 //               a batch at a time;
-//   solo      — every stateful step (probe strategy over the Transport,
-//               replica reads/writes, fault-plan application, latency
-//               accounting), executed strictly in arrival order by one
-//               sequencer thread that runs batch after batch;
+//   solo      — every step a reply depends on (probe strategy over the
+//               Transport, replica reads/writes, fault-plan application),
+//               executed strictly in arrival order by one sequencer thread
+//               that runs batch after batch;
+//   audit     — the invariant bookkeeping no reply reads (completed-write
+//               frontier, stale- and fabricated-read checks, the genuine-
+//               write audit set, latency accounting), in arrival order over
+//               each solved batch, by whichever thread holds the audit
+//               turn;
 //   epilogue  — stateless reply encoding + checksumming, with an in-order
 //               fold of each batch into the reply fingerprint.
 //
-// The other participating threads decode batches ahead of the sequencer
-// and encode them behind it; in-flight batches live in a bounded ring of
-// 2 x threads slots. Progress never depends on a second thread: when the
+// The other participating threads decode batches ahead of the sequencer,
+// audit and encode them behind it; in-flight batches live in a bounded ring
+// of 2 x threads slots. Progress never depends on a second thread: when the
 // next batch is undecoded and unclaimed, or the ring is full, the sequencer
-// does that work itself, and every claimed decode or encode finishes
+// does that work itself, and every claimed decode, audit or encode finishes
 // without waiting (DESIGN.md §3.10 has the deadlock-freedom argument). And
 // it makes the determinism contract of run_trials hold for served traffic:
-// the solo stage observes the identical operation order at any thread
-// count, per-op randomness comes from seed-split streams keyed by sequence
-// number, the stateless stages touch only their own batch's records, and
-// the fingerprint folds batches in stream order — results are
-// bit-identical for 1, 2, or N threads (tests/test_service.cpp asserts
-// it).
+// the solo stage and the audit each observe the identical operation order
+// at any thread count, per-op randomness comes from seed-split streams
+// keyed by sequence number, the stateless stages touch only their own
+// batch's records, and the fingerprint folds batches in stream order —
+// results are bit-identical for 1, 2, or N threads (tests/test_service.cpp
+// asserts it).
 //
 // Time is virtual. Operation semantics and latencies are computed on the
 // load schedule's deterministic timeline (probe RTTs from the Transport,
@@ -39,7 +44,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "core/epoch.h"
@@ -197,8 +201,11 @@ class ServiceRunner {
  private:
   void apply_faults_until(double now);
   void apply_epochs_until(double now);
-  void pop_completed_writes(double now);
-  Reply execute_op(const Request& req);
+  // Acquisition (solo stage): the op's reply, and in *finish_out the virtual
+  // time it completes (when its last write push resolves, for an ok write).
+  Reply execute_op(const Request& req, double* finish_out);
+  // The audit of one executed op, in arrival order after the solo stage.
+  void audit_op(const Request& req, const Reply& rep, double finish);
   // replica_cert(replica, ts, value) through the per-replica memo.
   std::uint32_t expected_replica_cert(int replica, const Timestamp& ts,
                                       std::uint64_t value);
@@ -221,32 +228,14 @@ class ServiceRunner {
   int current_epoch_ = 0;
   int view_epoch_ = 0;
 
-  // Register frontier: ok writes complete at a virtual finish time; a read
-  // is judged stale against the max timestamp among writes completed before
-  // its arrival.
-  struct PendingWrite {
-    double finish;
-    Timestamp ts;
-    bool operator>(const PendingWrite& other) const {
-      return finish > other.finish;
-    }
-  };
-  std::priority_queue<PendingWrite, std::vector<PendingWrite>,
-                      std::greater<PendingWrite>>
-      pending_writes_;
-  Timestamp frontier_ts_;
   Timestamp max_acked_ts_;  // zero until some write is acked
   double last_arrival_ = 0.0;
 
   // Solo-owned per-op scratch, sized for the whole fleet in the ctor so no
-  // op allocates, and lifetime totals.
+  // op allocates, and lifetime totals. The audit owns stale_reads and
+  // fabricated_reads; every other counter is solo-owned.
   QuorumAttempt attempt_;
   ServiceResult totals_;  // the lifetime counters serve() reports
-  // (counter, writer, value) bindings of every ok write, solo-owned. The
-  // solo stage runs in arrival order, so a read can only observe a binding
-  // after its write registered it — the fabricated-read check is exact and
-  // synchronous (no end-of-run pass like the sim harness needs).
-  WriteSet genuine_writes_;
 
   // Verification memo, one entry per logical replica: the replica's
   // signing key and the last reported (ts, value) that was checked, with
@@ -265,6 +254,24 @@ class ServiceRunner {
   // Solo-owned windowed series; disabled (window 0) unless configured.
   obs::Timeline timeline_;
 
+  // --- Audit-owned state ---------------------------------------------------
+  // Written only by audit_op, which runs in arrival order on whichever
+  // thread holds the pipeline's audit turn, concurrently with the solo
+  // stage of later batches. No reply depends on it. The padding keeps it
+  // off the cache lines of the solo-owned members above, so the audit's
+  // writes do not evict what the sequencer reads. (Padding, not alignas:
+  // an over-aligned runner takes the aligned allocator, which raised the
+  // serve_write_4t peak RSS by the size of an audit-set log.)
+  char audit_padding_[64];
+  // Register frontier: ok writes complete at a virtual finish time; a read
+  // is judged stale against the max timestamp among writes completed before
+  // its arrival.
+  WriteFrontier frontier_;
+  // (counter, writer, value) bindings of every ok write. The audit runs in
+  // arrival order, so a read can only observe a binding after its write
+  // registered it — the fabricated-read check is exact and synchronous (no
+  // end-of-run pass like the sim harness needs).
+  WriteSet genuine_writes_;
   // Always-on local latency histogram (service_latency_bounds buckets), so
   // quantiles need no telemetry; snapshotted into ServiceResult.
   std::vector<std::uint64_t> lat_bounds_;

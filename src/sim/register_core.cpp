@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 
 namespace sqs {
 
@@ -84,6 +85,40 @@ void WriteSet::insert(const Timestamp& ts, std::uint64_t value) {
   assert(log_.size() < UINT32_MAX);
   log_.push_back(Binding{ts.counter, value, ts.writer});
   entry = static_cast<std::uint32_t>(log_.size());
+}
+
+void WriteFrontier::add(double finish, const Timestamp& ts) {
+  if (!(frontier_ < ts)) return;  // cannot raise the frontier
+  const auto first = pending_.begin() + static_cast<std::ptrdiff_t>(head_);
+  // The first kept write that finishes no earlier than this one.
+  auto at = std::lower_bound(
+      first, pending_.end(), finish,
+      [](const Pending& p, double f) { return p.finish < f; });
+  // Dominated by an earlier-finishing write with a timestamp no lower.
+  if (at != first && !(std::prev(at)->ts < ts)) return;
+  // It dominates the writes from `at` on whose timestamps it reaches.
+  auto end = at;
+  while (end != pending_.end() && !(ts < end->ts)) ++end;
+  if (end == at) {
+    pending_.insert(at, Pending{finish, ts});
+  } else {
+    *at = Pending{finish, ts};
+    pending_.erase(at + 1, end);
+  }
+}
+
+const Timestamp& WriteFrontier::advance(double now) {
+  while (head_ < pending_.size() && pending_[head_].finish <= now)
+    frontier_ = std::max(frontier_, pending_[head_++].ts);
+  if (head_ == pending_.size()) {
+    pending_.clear();
+    head_ = 0;
+  } else if (head_ >= 64 && 2 * head_ >= pending_.size()) {
+    pending_.erase(pending_.begin(),
+                   pending_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  return frontier_;
 }
 
 void apply_epoch_transition(const EpochedFamily& sched, int e,

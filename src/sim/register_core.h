@@ -142,6 +142,7 @@ class QuorumAttempt {
     replies_[static_cast<std::size_t>(s)] = std::make_pair(ts, value);
     served_retired_[static_cast<std::size_t>(s)] = served_retired ? 1 : 0;
     touched_.push_back(s);
+    if (max_.ts < ts) max_ = FoldResult{true, ts, value, s};
     sorted_ = false;
     strategy_->observe(s, true);
   }
@@ -162,9 +163,13 @@ class QuorumAttempt {
 
   // --- verdicts ------------------------------------------------------------
   // fold_replies over the reached replies; !ok also when not acquired. A
-  // kProbe fold must precede every index-ordered verdict.
+  // kProbe fold must precede every index-ordered verdict. The max fold in
+  // probe order is the running max kept as replies arrive: a later reply
+  // replaces it only with a strictly higher timestamp, the tie rule of
+  // fold_replies.
   FoldResult fold(int lie_tolerance, FoldOrder order) {
     if (!acquired()) return FoldResult{false, {}, 0, -1};
+    if (lie_tolerance <= 0 && order == FoldOrder::kProbe) return max_;
     if (order == FoldOrder::kFamilyIndex) sort_touched();
     assert(order == FoldOrder::kFamilyIndex || !sorted_);
     return fold_replies(replies_, touched_, lie_tolerance);
@@ -213,6 +218,7 @@ class QuorumAttempt {
     }
     touched_.clear();
     missed_.clear();
+    max_ = FoldResult{};
     universe_ = universe;
     view_ = view;
     sorted_ = false;
@@ -229,6 +235,7 @@ class QuorumAttempt {
   std::vector<char> served_retired_;
   std::vector<int> touched_;  // reached indices, probe order until sorted
   std::vector<int> missed_;   // missed or fenced indices
+  FoldResult max_;            // the max fold of the replies so far
   int universe_ = 0;
   bool sorted_ = false;
   bool saw_newer_epoch_ = false;
@@ -247,12 +254,6 @@ class WriteSet {
   // Makes room for `more` inserts beyond the current size without growth.
   void reserve(std::size_t more);
   std::size_t size() const { return log_.size(); }
-  // Starts loading the index slot a lookup or insert of the binding probes
-  // first, so a caller that knows the binding early hides the cache miss.
-  void prefetch(const Timestamp& ts, std::uint64_t value) const {
-    if (!index_.empty())
-      __builtin_prefetch(&index_[home(ts, value) & (index_.size() - 1)]);
-  }
 
  private:
   struct Binding {
@@ -271,6 +272,36 @@ class WriteSet {
   std::size_t find(const Timestamp& ts, std::uint64_t value) const;
   std::vector<std::uint32_t> index_;
   std::vector<Binding> log_;
+};
+
+// The completed-write frontier: the highest timestamp among writes whose
+// virtual finish time has passed, which a read is judged stale against.
+// Writes are added in any finish order. Only the writes no other pending
+// write dominates are kept — none finishes no later with a timestamp no
+// lower — so the kept ones ascend in finish time and timestamp at once.
+// A write carrying the highest timestamp yet, the common case, lands at
+// the back, and completed writes leave from the front, so both calls cost
+// amortized O(1). The frontier equals the max over every added write that
+// has finished: a dropped write is dominated by one that finished no
+// later.
+class WriteFrontier {
+ public:
+  // A write with timestamp `ts` completes at virtual time `finish`.
+  void add(double finish, const Timestamp& ts);
+  // Completes every write that finishes at or before `now` (calls come in
+  // non-decreasing `now`) and returns the frontier.
+  const Timestamp& advance(double now);
+  const Timestamp& frontier() const { return frontier_; }
+  void reserve(std::size_t n) { pending_.reserve(n); }
+
+ private:
+  struct Pending {
+    double finish;
+    Timestamp ts;
+  };
+  std::vector<Pending> pending_;  // [head_, end): finish and ts ascending
+  std::size_t head_ = 0;
+  Timestamp frontier_;
 };
 
 // No-lost-acked-write: false iff a write was acked (`newest_acked` > 0)

@@ -2,9 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "core/composition.h"
 #include "core/constructions.h"
+#include "core/masking.h"
+#include "core/witness.h"
 #include "uqs/grid.h"
+#include "uqs/majority.h"
 #include "uqs/paths.h"
+#include "uqs/projective_plane.h"
+#include "uqs/tree.h"
 
 namespace sqs {
 namespace {
@@ -20,6 +29,49 @@ TEST(QuorumFamily, DefaultAvailabilityIsExactForSmallUniverses) {
       if (grid.accepts(c)) expect += c.probability(p);
     }
     EXPECT_NEAR(grid.availability(p), expect, 1e-10) << p;
+  }
+}
+
+// Reaches the protected QuorumFamily default (exact enumeration at these
+// sizes) through a family that overrides availability() with a formula.
+template <typename Family>
+class DefaultAvailability : public Family {
+ public:
+  using Family::Family;
+  double availability(double p) const override {
+    return QuorumFamily::availability(p);
+  }
+};
+
+TEST(QuorumFamily, ExactEnumerationEqualsTheOneMaskLoop) {
+  // The enumeration evaluates 64 masks per accepts_batch call and weighs
+  // them by popcount; its sum must equal the one-configuration-at-a-time
+  // loop exactly, not just closely, for every representation.
+  const std::vector<std::shared_ptr<const QuorumFamily>> families = {
+      std::make_shared<DefaultAvailability<GridFamily>>(4, 4),
+      std::make_shared<PathsFamily>(2),
+      std::make_shared<ProjectivePlaneFamily>(3),
+      std::make_shared<DefaultAvailability<OptDFamily>>(12, 2),
+      std::make_shared<DefaultAvailability<OptAFamily>>(5, 2),
+      std::make_shared<DefaultAvailability<MajorityFamily>>(9),
+      std::make_shared<DefaultAvailability<TreeFamily>>(2),
+      std::make_shared<DefaultAvailability<WitnessFamily>>(14, 6, 2),
+      std::make_shared<DefaultAvailability<MaskingThresholdFamily>>(9, 1),
+      std::make_shared<DefaultAvailability<CompositionFamily>>(
+          std::make_shared<MajorityFamily>(5), 10, 1),
+  };
+  for (const auto& family : families) {
+    const int n = family->universe_size();
+    ASSERT_LE(n, 16) << family->name();
+    for (const double p : {0.05, 0.2, 0.5, 0.77}) {
+      double expect = 0.0;
+      for (std::uint64_t mask = 0; mask < (1ull << n); ++mask) {
+        const Configuration c(n, mask);
+        if (family->accepts(c)) expect += c.probability(p);
+      }
+      EXPECT_EQ(family->availability(p), expect)
+          << family->name() << " p=" << p;
+    }
   }
 }
 

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <limits>
+#include <queue>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,6 +19,7 @@
 #include "obs/telemetry.h"
 #include "service/runner.h"
 #include "sim/client.h"
+#include "util/rng.h"
 
 namespace sqs {
 namespace {
@@ -212,6 +217,83 @@ TEST(QuorumAttempt, PushTargetsAscendAfterAProbeOrderFold) {
 
   // With b = 1 the vote needs two identical pairs, which no timestamp has.
   EXPECT_FALSE(attempt.fold(1, FoldOrder::kFamilyIndex).ok);
+}
+
+TEST(QuorumAttempt, RunningMaxMatchesTheProbeOrderFold) {
+  // The probe-order max fold is kept as replies arrive; it must adopt
+  // exactly what fold_replies over the reached replies in probe order
+  // adopts. Timestamps come from a tiny range, so most sets hold ties
+  // (with distinct values, as only liars produce) and unwritten replies.
+  Rng rng(2024);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const int n = 1 + static_cast<int>(rng.next_below(12));
+    std::vector<int> order(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) order[static_cast<std::size_t>(i)] = i;
+    std::shuffle(order.begin(), order.end(), rng);
+    ScriptedStrategy strategy(n, order, 1);
+    QuorumAttempt attempt(n);
+    attempt.begin(&strategy, nullptr, nullptr);
+    std::vector<ReplySlot> replies(static_cast<std::size_t>(n));
+    std::vector<int> reached;
+    for (const int s : order) {
+      if (rng.bernoulli(0.3)) {
+        attempt.missed(s);
+        continue;
+      }
+      const Timestamp ts{rng.next_below(3),
+                         static_cast<int>(rng.next_below(2))};
+      const std::uint64_t value = rng.next_below(4);
+      attempt.reached(s, ts, value, false, 0);
+      replies[static_cast<std::size_t>(s)] = std::make_pair(ts, value);
+      reached.push_back(s);
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const FoldResult expected = fold_replies(replies, reached, 0);
+    const FoldResult got = attempt.fold(0, FoldOrder::kProbe);
+    ASSERT_EQ(got.ok, attempt.acquired() && expected.ok);
+    if (!attempt.acquired()) continue;
+    EXPECT_EQ(got.index, expected.index);
+    EXPECT_TRUE(got.ts == expected.ts);
+    EXPECT_EQ(got.value, expected.value);
+  }
+}
+
+TEST(WriteFrontier, MatchesAHeapOfEveryPendingWrite) {
+  // The reference keeps every write in a min-heap by finish time and folds
+  // each completed one into the max. Finish times and timestamps come from
+  // small ranges, so ties in either are common; some streams run their
+  // timestamps mostly upward (the served case), some at random.
+  struct Pending {
+    double finish;
+    Timestamp ts;
+    bool operator>(const Pending& o) const { return finish > o.finish; }
+  };
+  Rng rng(77);
+  for (int stream = 0; stream < 200; ++stream) {
+    const bool rising = stream % 2 == 0;
+    std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>>
+        heap;
+    Timestamp expect;
+    WriteFrontier frontier;
+    double now = 0.0;
+    std::uint64_t counter = 0;
+    for (int op = 0; op < 500; ++op) {
+      now += static_cast<double>(rng.next_below(3));
+      while (!heap.empty() && heap.top().finish <= now) {
+        expect = std::max(expect, heap.top().ts);
+        heap.pop();
+      }
+      ASSERT_TRUE(frontier.advance(now) == expect)
+          << "stream " << stream << " op " << op;
+      if (rng.bernoulli(0.3)) continue;  // a read
+      counter = rising ? counter + (rng.bernoulli(0.8) ? 1 : 0)
+                       : rng.next_below(40);
+      const Timestamp ts{counter, static_cast<int>(rng.next_below(3))};
+      const double finish = now + static_cast<double>(rng.next_below(12));
+      heap.push(Pending{finish, ts});
+      frontier.add(finish, ts);
+    }
+  }
 }
 
 TEST(QuorumAttempt, SizedOnceThenReusedAcrossFamilies) {

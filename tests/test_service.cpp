@@ -9,12 +9,15 @@
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/constructions.h"
 #include "core/masking.h"
 #include "faults/fault_plan.h"
+#include "obs/recorder.h"
 #include "runtime/thread_pool.h"
 #include "service/load_gen.h"
 #include "service/message.h"
@@ -1127,6 +1130,121 @@ TEST(ServiceByzantine, BitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(r.reads_ok, first.reads_ok);
     EXPECT_EQ(r.writes_ok, first.writes_ok);
     EXPECT_EQ(r.latency_us.counts, first.latency_us.counts);
+  }
+}
+
+// --- The audit turn ----------------------------------------------------------
+
+// Enables the flight recorder with rings large enough that no run here
+// wraps, and restores the previous telemetry config on exit.
+class FlightRecorderOn {
+ public:
+  FlightRecorderOn() : saved_(obs::current_config()) {
+    obs::TelemetryConfig tc = saved_;
+    tc.recorder = true;
+    tc.flight_events = 1u << 17;
+    obs::configure(tc);
+    obs::reset_flight_recorder();
+  }
+  ~FlightRecorderOn() {
+    obs::configure(saved_);
+    obs::reset_flight_recorder();
+  }
+
+ private:
+  obs::TelemetryConfig saved_;
+};
+
+using FlightKey = std::tuple<std::uint32_t, std::uint64_t, std::uint64_t, int,
+                             std::int32_t, std::uint64_t>;
+
+std::vector<FlightKey> flight_keys() {
+  std::vector<FlightKey> keys;
+  for (const obs::FlightEvent& e : obs::collect_flight_events())
+    keys.emplace_back(e.run, e.time_us, e.op, static_cast<int>(e.kind),
+                      e.replica, e.payload);
+  return keys;
+}
+
+std::uint64_t count_kind(const std::vector<FlightKey>& keys,
+                         obs::FlightKind kind) {
+  std::uint64_t n = 0;
+  for (const FlightKey& k : keys)
+    if (std::get<3>(k) == static_cast<int>(kind)) ++n;
+  return n;
+}
+
+TEST(ServiceAudit, ViolationsIdenticalAcrossThreadCountsAndBatches) {
+  // The audit (completed-write frontier, stale- and fabricated-read checks,
+  // audit set, latency histogram, their flight events) runs behind the
+  // sequencer on whichever thread holds the audit turn. Runs that trip both
+  // checks must report the same counters, histogram and black box at every
+  // thread count and batch size. The pinned counts are the single-pass
+  // runner's, before the audit left the solo stage.
+  struct Case {
+    const char* name;
+    std::shared_ptr<const QuorumFamily> family;
+    ServiceConfig config;
+    std::uint64_t stale_reads, fabricated_reads;
+  };
+  // Stale reads: writes during a partition of OPT_d's first four probe
+  // targets land on the rest of the fleet; after it heals, reads acquire
+  // among the four and return below the completed-write frontier.
+  ServiceConfig partition = service_config();
+  for (int s = 0; s < 4; ++s) partition.plan.server_partition(1.0, s, 1.0);
+  // Fabricated reads: the unverified, unvoted Byzantine control.
+  ServiceConfig liars = byzantine_config(9, 1, 0);
+  liars.verify_replica_certs = false;
+  const Case cases[] = {
+      {"partition", std::make_shared<OptDFamily>(12, 2), partition, 97, 0},
+      {"liars", std::make_shared<MajorityFamily>(9), liars, 0, 306},
+  };
+  const std::vector<std::uint8_t> requests = generate_load(small_load());
+  const FlightRecorderOn recorder;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ServiceResult first;
+    std::vector<FlightKey> first_events;
+    bool have_first = false;
+    for (const int batch : {1, 7, 256}) {
+      for (const int threads : {1, 2, 3, 4, 8}) {
+        SCOPED_TRACE("batch=" + std::to_string(batch) +
+                     " threads=" + std::to_string(threads));
+        ServiceConfig config = c.config;
+        config.batch = batch;
+        config.threads = threads;
+        obs::reset_flight_recorder();
+        ServiceRunner runner(*c.family, config);
+        const ServiceResult r = runner.serve(requests);
+        const std::vector<FlightKey> events = flight_keys();
+        ASSERT_EQ(obs::flight_recorder_stats().overwritten, 0u);
+        EXPECT_EQ(count_kind(events, obs::FlightKind::kStaleRead),
+                  r.stale_reads);
+        EXPECT_EQ(count_kind(events, obs::FlightKind::kFabricatedRead),
+                  r.fabricated_reads);
+        EXPECT_EQ(count_kind(events, obs::FlightKind::kOpDone),
+                  r.reads + r.writes);
+        if (!have_first) {
+          EXPECT_EQ(r.stale_reads, c.stale_reads);
+          EXPECT_EQ(r.fabricated_reads, c.fabricated_reads);
+          first = r;
+          first_events = events;
+          have_first = true;
+          continue;
+        }
+        EXPECT_EQ(r.reply_fingerprint, first.reply_fingerprint);
+        EXPECT_EQ(r.stale_reads, first.stale_reads);
+        EXPECT_EQ(r.fabricated_reads, first.fabricated_reads);
+        EXPECT_EQ(r.reads_ok, first.reads_ok);
+        EXPECT_EQ(r.writes_ok, first.writes_ok);
+        EXPECT_EQ(r.lost_acked_writes, first.lost_acked_writes);
+        EXPECT_EQ(r.latency_us.counts, first.latency_us.counts);
+        EXPECT_EQ(r.latency_us.sum, first.latency_us.sum);
+        EXPECT_EQ(r.latency_us.min, first.latency_us.min);
+        EXPECT_EQ(r.latency_us.max, first.latency_us.max);
+        EXPECT_TRUE(events == first_events);
+      }
+    }
   }
 }
 

@@ -884,6 +884,8 @@ int cmd_serve(const Args& args) {
   tc.recorder = true;
   obs::configure(tc);
   obs::reset_flight_recorder();
+  // Read before the run, so a clean run does not reject --blackbox unread.
+  const std::string blackbox = args.gets("blackbox", "serve_blackbox.jsonl");
 
   const std::vector<std::uint8_t> requests = generate_load(load);
   ServiceRunner runner(*family, config);
@@ -930,7 +932,6 @@ int cmd_serve(const Args& args) {
   }
   if (r.lost_acked_writes > 0 || r.fabricated_reads > 0 ||
       r.retired_reads > 0) {
-    const std::string blackbox = args.gets("blackbox", "serve_blackbox.jsonl");
     const char* why = r.lost_acked_writes > 0 ? "serve: lost acked write"
                      : r.fabricated_reads > 0 ? "serve: fabricated read"
                                               : "serve: read from retired replica";
