@@ -35,7 +35,7 @@ RegisterExperimentConfig base_config(double server_down_fraction) {
   return config;
 }
 
-void run_sweep() {
+void run_family_sweep() {
   const int n = 15;
   Table table({"p (server down)", "family", "op availability",
                "probes/op", "median-ish latency (mean, ms)", "stale reads",
@@ -92,7 +92,7 @@ void run_filter_demo() {
 
 int main() {
   std::printf("Wide-area replicated register: majority vs SQS.\n");
-  sqs::run_sweep();
+  sqs::run_family_sweep();
   sqs::run_filter_demo();
   std::printf(
       "\nWhat to look for:\n"

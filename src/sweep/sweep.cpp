@@ -12,10 +12,8 @@ std::vector<AvailabilityEstimate> sweep_availability(
     grid[i] = {cells[i].samples, Rng(cells[i].seed)};
   const std::vector<std::int64_t> live = run_sweep(
       grid, std::int64_t{0},
-      [&](std::size_t cell, std::int64_t& acc, const TrialContext& ctx,
-          Rng& rng) {
-        availability_mc_chunk(*cells[cell].family, cells[cell].p, ctx, rng,
-                              acc);
+      [&](std::size_t cell, std::int64_t* acc, TrialGroup& group) {
+        availability_mc_group(*cells[cell].family, cells[cell].p, group, acc);
       },
       [](std::int64_t& total, std::int64_t part) { total += part; }, opts);
 
@@ -32,9 +30,8 @@ std::vector<NonintersectionStats> sweep_nonintersection(
     grid[i] = {cells[i].trials, cells[i].base};
   const std::vector<NonintersectionCounts> counts = run_sweep(
       grid, NonintersectionCounts{},
-      [&](std::size_t cell, NonintersectionCounts& acc,
-          const TrialContext& ctx, Rng& rng) {
-        nonintersection_chunk(*cells[cell].family, cells[cell].model, ctx, rng,
+      [&](std::size_t cell, NonintersectionCounts* acc, TrialGroup& group) {
+        nonintersection_group(*cells[cell].family, cells[cell].model, group,
                               acc);
       },
       [](NonintersectionCounts& total, NonintersectionCounts&& part) {
@@ -60,9 +57,8 @@ std::vector<ProbeMeasurement> sweep_probes(const std::vector<ProbeCell>& cells,
     grid[i] = {cells[i].trials, cells[i].base};
   std::vector<ProbeAccumulator> accs = run_sweep(
       grid, ProbeAccumulator{},
-      [&](std::size_t cell, ProbeAccumulator& acc, const TrialContext& ctx,
-          Rng& rng) {
-        probe_measurement_chunk(*cells[cell].family, cells[cell].p, ctx, rng,
+      [&](std::size_t cell, ProbeAccumulator* acc, TrialGroup& group) {
+        probe_measurement_group(*cells[cell].family, cells[cell].p, group,
                                 acc);
       },
       [](ProbeAccumulator& total, ProbeAccumulator&& part) {

@@ -1,167 +1,42 @@
 // Sharded parameter sweeps.
 //
-// run_sweep flattens a whole grid of Monte Carlo workloads — cells ×
-// trial-chunks — into ONE submission on the shared thread pool, so a bench
-// driver or a parameter search saturates the machine across cells instead
-// of only within one estimate (the top open item of ROADMAP.md unlocked by
-// the parallel trial runtime).
+// run_sweep (runtime/run_trials.h) flattens a whole grid of Monte Carlo
+// workloads — cells × trial-chunks — into ONE submission on the shared
+// thread pool, so a bench program or a parameter search saturates the
+// machine across cells instead of only within one estimate.
 //
-// Determinism contract, inherited from run_trial_chunks and enforced by
-// tests/test_sweep.cpp at 1/2/8 threads:
+// Determinism contract, enforced by tests/test_sweep.cpp at 1/2/8 threads:
 //
 //   * cell i's chunk c covers the cell's trials
 //     [c*chunk_size, min(n_trials_i, (c+1)*chunk_size)) and draws all of
 //     its randomness from cells[i].base.split(c) — exactly what a
-//     standalone run_trial_chunks call over cell i would do;
+//     standalone run_trial_chunks call over cell i would do (that call is
+//     a one-cell run_sweep);
 //   * per-chunk accumulators merge strictly in (cell, ascending chunk)
-//     order after every chunk of the sweep completed.
+//     order after every chunk of the sweep completed;
+//   * under a batched policy one task may run several consecutive chunks of
+//     a cell side by side (TrialGroup), each still on its own stream and
+//     accumulator.
 //
 // Hence each cell's result is bit-identical to the pre-existing per-cell
 // loop, at any thread count: the flattening is purely a scheduling change.
 // The typed sweeps below (availability, non-intersection, probe
-// measurements) share their per-chunk kernels with the single-cell
-// estimators they replace, so the equivalence is structural, not incidental.
+// measurements) share their chunk kernels with the single-cell estimators
+// they replace, so the equivalence is structural, not incidental.
 
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <type_traits>
 #include <vector>
 
 #include "core/quorum_family.h"
 #include "mismatch/model.h"
-#include "obs/telemetry.h"
-#include "obs/trace.h"
 #include "probe/measurements.h"
 #include "runtime/run_trials.h"
-#include "runtime/thread_pool.h"
 #include "util/rng.h"
 
 namespace sqs {
-
-// One grid cell's trial workload: `n_trials` trials, all randomness derived
-// from `base` by per-chunk splitting.
-struct SweepCell {
-  std::uint64_t n_trials = 0;
-  Rng base;
-};
-
-namespace sweep_detail {
-// Telemetry handles shared by every run_sweep instantiation; resolved once.
-struct SweepMetrics {
-  obs::Counter sweeps = obs::Registry::instance().counter("sweep.runs");
-  obs::Counter cells = obs::Registry::instance().counter("sweep.cells");
-  obs::Counter chunks =
-      obs::Registry::instance().counter("sweep.chunks_executed");
-  obs::Histogram wall_ns = obs::Registry::instance().histogram(
-      "sweep.chunk_wall_ns", obs::pow2_bounds(10, 34));
-
-  static const SweepMetrics& get() {
-    static const SweepMetrics metrics;
-    return metrics;
-  }
-};
-
-// Sweep chunk callbacks come in two shapes, like run_trial_chunks':
-// fn(cell, Acc&, const TrialContext&, Rng&) or the legacy
-// fn(cell, Acc&, const TrialChunk&, Rng&).
-template <typename Acc, typename ChunkFn>
-inline void invoke_sweep_chunk(ChunkFn& fn, std::size_t cell, Acc& acc,
-                               const TrialContext& ctx, Rng& rng) {
-  if constexpr (std::is_invocable_v<ChunkFn&, std::size_t, Acc&,
-                                    const TrialContext&, Rng&>) {
-    fn(cell, acc, ctx, rng);
-  } else {
-    fn(cell, acc, ctx.chunk, rng);
-  }
-}
-}  // namespace sweep_detail
-
-// Runs every cell's chunks in one flattened pool submission.
-// chunk_fn(cell_index, Acc&, const TrialChunk&, Rng&) processes one chunk of
-// one cell against a fresh accumulator copied from `zero`; merge(Acc&,
-// Acc&&) folds chunk accumulators into the cell result in chunk order.
-// Returns one accumulator per cell, index-aligned with `cells`.
-template <typename Acc, typename ChunkFn, typename MergeFn>
-std::vector<Acc> run_sweep(const std::vector<SweepCell>& cells, const Acc& zero,
-                           ChunkFn&& chunk_fn, MergeFn&& merge,
-                           const TrialOptions& opts = {}) {
-  const std::uint64_t chunk_size =
-      opts.chunk_size > 0 ? opts.chunk_size : kDefaultTrialChunk;
-  // first_chunk[i] = flat index of cell i's chunk 0 (prefix sums). The
-  // index vector is borrowed from the caller's scratch so repeated sweeps
-  // reuse its capacity.
-  Borrowed<std::vector<std::uint64_t>> first_chunk_loan =
-      WorkerScratch::for_thread().borrow<std::vector<std::uint64_t>>();
-  std::vector<std::uint64_t>& first_chunk = *first_chunk_loan;
-  first_chunk.assign(cells.size() + 1, 0);
-  for (std::size_t i = 0; i < cells.size(); ++i)
-    first_chunk[i + 1] = first_chunk[i] +
-                         (cells[i].n_trials + chunk_size - 1) / chunk_size;
-  const std::uint64_t total_chunks = first_chunk.back();
-
-  std::vector<Acc> results(cells.size(), zero);
-  if (total_chunks == 0) return results;
-
-  if (obs::telemetry_enabled()) {
-    const sweep_detail::SweepMetrics& metrics =
-        sweep_detail::SweepMetrics::get();
-    metrics.sweeps.add();
-    metrics.cells.add(cells.size());
-  }
-
-  // Chunk accumulators live in the caller's bump arena (released LIFO on
-  // return), so repeated sweeps stop allocating once the arena warmed up.
-  ArenaArray<Acc> parts(WorkerScratch::for_thread(),
-                        static_cast<std::size_t>(total_chunks), zero);
-  auto process = [&](std::uint64_t g) {
-    // Map the flat chunk index back to (cell, local chunk).
-    const std::size_t cell = static_cast<std::size_t>(
-        std::upper_bound(first_chunk.begin(), first_chunk.end(), g) -
-        first_chunk.begin() - 1);
-    TrialContext ctx;
-    ctx.chunk.index = g - first_chunk[cell];
-    ctx.chunk.begin = ctx.chunk.index * chunk_size;
-    ctx.chunk.end = std::min(cells[cell].n_trials, ctx.chunk.begin + chunk_size);
-    ctx.arena = &WorkerScratch::for_thread();
-    ctx.batch = opts.batch;
-    Rng rng = cells[cell].base.split(ctx.chunk.index);
-    if (obs::telemetry_enabled()) {
-      const sweep_detail::SweepMetrics& metrics =
-          sweep_detail::SweepMetrics::get();
-      obs::Span span("sweep", "chunk");
-      span.arg("cell", cell);
-      span.arg("chunk", ctx.chunk.index);
-      const std::uint64_t start_ns = obs::trace_now_ns();
-      sweep_detail::invoke_sweep_chunk(chunk_fn, cell,
-                                       parts[static_cast<std::size_t>(g)], ctx,
-                                       rng);
-      metrics.wall_ns.record(obs::trace_now_ns() - start_ns);
-      metrics.chunks.add();
-    } else {
-      sweep_detail::invoke_sweep_chunk(chunk_fn, cell,
-                                       parts[static_cast<std::size_t>(g)], ctx,
-                                       rng);
-    }
-  };
-
-  const int threads = opts.threads > 0 ? opts.threads : default_threads();
-  if (threads > 1 && total_chunks > 1 && !ThreadPool::inside_worker()) {
-    ThreadPool::global(threads - 1).for_each_chunk(total_chunks, threads,
-                                                   process);
-  } else {
-    // Sequential / nested fallback: same chunking, same merge order below,
-    // hence the same bits.
-    for (std::uint64_t g = 0; g < total_chunks; ++g) process(g);
-  }
-
-  for (std::size_t i = 0; i < cells.size(); ++i)
-    for (std::uint64_t g = first_chunk[i]; g < first_chunk[i + 1]; ++g)
-      merge(results[i], std::move(parts[static_cast<std::size_t>(g)]));
-  return results;
-}
 
 // ---------------------------------------------------------------------------
 // Typed sweeps over (family, parameter) grids. Each reuses the per-chunk

@@ -10,8 +10,6 @@
 
 namespace sqs {
 
-PathsFamily::PathsFamily(int l) : l_(l) { assert(l >= 1); }
-
 int PathsFamily::horizontal_edge(int r, int c) const {
   assert(r >= 0 && r <= l_ && c >= 0 && c < l_);
   return r * l_ + c;
@@ -234,24 +232,32 @@ void batch_reach(const FlatMoves& graph, const std::uint64_t* up,
 
 }  // namespace
 
+struct PathsFamily::BatchGraphs {
+  FlatMoves primal;
+  FlatMoves dual;
+};
+
+PathsFamily::PathsFamily(int l) : l_(l) {
+  assert(l >= 1);
+  auto graphs = std::make_shared<BatchGraphs>();
+  std::vector<Move> buf;
+  graphs->primal.build((l + 1) * (l + 1), [&](int v, std::vector<Move>& mv) {
+    primal_moves(*this, v / (l + 1), v % (l + 1), false, mv);
+  }, buf);
+  graphs->dual.build(l * l + 2, [&](int v, std::vector<Move>& mv) {
+    dual_moves(*this, v, false, mv);
+  }, buf);
+  graphs_ = std::move(graphs);
+}
+
 void PathsFamily::accepts_batch(const WorldBatch& worlds, Bitset& out) const {
   assert(worlds.universe_size() == universe_size());
   const int l = l_;
   out.reshape(static_cast<std::size_t>(worlds.num_trials()));
-  WorkerScratch& scratch = WorkerScratch::for_thread();
   Borrowed<std::vector<std::uint64_t>> visited =
-      scratch.borrow<std::vector<std::uint64_t>>();
-  Borrowed<FlatMoves> primal = scratch.borrow<FlatMoves>();
-  Borrowed<FlatMoves> dual = scratch.borrow<FlatMoves>();
-  {
-    Borrowed<std::vector<Move>> buf = scratch.borrow<std::vector<Move>>();
-    primal->build((l + 1) * (l + 1), [&](int v, std::vector<Move>& mv) {
-      primal_moves(*this, v / (l + 1), v % (l + 1), false, mv);
-    }, *buf);
-    dual->build(l * l + 2, [&](int v, std::vector<Move>& mv) {
-      dual_moves(*this, v, false, mv);
-    }, *buf);
-  }
+      WorkerScratch::for_thread().borrow<std::vector<std::uint64_t>>();
+  const FlatMoves& primal = graphs_->primal;
+  const FlatMoves& dual = graphs_->dual;
   for (std::size_t w = 0; w < worlds.num_lane_words(); ++w) {
     const std::uint64_t mask = worlds.lane_mask(w);
     const std::uint64_t* up = worlds.lanes(w);
@@ -259,7 +265,7 @@ void PathsFamily::accepts_batch(const WorldBatch& worlds, Bitset& out) const {
     visited->assign(static_cast<std::size_t>((l + 1) * (l + 1)), 0);
     for (int r = 0; r <= l; ++r)
       (*visited)[static_cast<std::size_t>(vertex_id(l, r, 0))] = mask;
-    batch_reach(*primal, up, visited->data());
+    batch_reach(primal, up, visited->data());
     std::uint64_t lr = 0;
     for (int r = 0; r <= l; ++r)
       lr |= (*visited)[static_cast<std::size_t>(vertex_id(l, r, l))];
@@ -269,7 +275,7 @@ void PathsFamily::accepts_batch(const WorldBatch& worlds, Bitset& out) const {
     if (lr != 0) {
       visited->assign(static_cast<std::size_t>(l * l + 2), 0);
       (*visited)[static_cast<std::size_t>(top_id(l))] = mask;
-      batch_reach(*dual, up, visited->data());
+      batch_reach(dual, up, visited->data());
       tb = (*visited)[static_cast<std::size_t>(bottom_id(l))];
     }
     out.set_word(w, lr & tb);

@@ -44,8 +44,9 @@ class PathsFamily : public QuorumFamily {
   bool accepts(const Configuration& config) const override;
   // Reachability over 64-trial lane words: visited[node] is a lane word and
   // every edge relaxation advances all trials of the word at once. The
-  // primal and dual move lists are laid out flat once per call and relaxed
-  // to fixpoint in alternating forward/backward sweeps; accepts =
+  // primal and dual move lists are laid out flat once per family (the
+  // lane samplers call this once per 64-trial block) and relaxed to
+  // fixpoint in alternating forward/backward sweeps; accepts =
   // LR-reachability AND TB-dual-reachability lanes.
   void accepts_batch(const WorldBatch& worlds, Bitset& out) const override;
   // The straight-line quorum: l horizontal edges (an LR row) + l+1 horizontal
@@ -60,7 +61,12 @@ class PathsFamily : public QuorumFamily {
   bool has_tb_dual_path(const Configuration& config) const;
 
  private:
+  struct BatchGraphs;
+
   int l_;
+  // accepts_batch's flat primal and dual move lists, built by the
+  // constructor; immutable, so copies share them.
+  std::shared_ptr<const BatchGraphs> graphs_;
 };
 
 }  // namespace sqs

@@ -31,6 +31,8 @@ inline std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+struct LaneStates;
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x5eed5eed5eedull) { reseed(seed); }
@@ -80,17 +82,6 @@ class Rng {
     return (next_u64() >> 11) < threshold;
   }
 
-  // `count` (<= 64) successive bernoulli_below(threshold) draws packed into
-  // one word, branch-free: bit i is set iff draw i MISSED (the scalar
-  // samplers' `up iff !bernoulli(p)`). Hot loops call it on a local copy of
-  // their Rng, written back at exit, so the state stays in registers.
-  std::uint64_t miss_word(std::uint64_t threshold, int count) {
-    std::uint64_t word = 0;
-    for (int i = 0; i < count; ++i)
-      word |= static_cast<std::uint64_t>(!bernoulli_below(threshold)) << i;
-    return word;
-  }
-
   // Uniform in [0, bound).
   std::uint64_t next_below(std::uint64_t bound) {
     // Lemire's nearly-divisionless bounded sampling.
@@ -120,6 +111,9 @@ class Rng {
   result_type operator()() { return next_u64(); }
 
  private:
+  // Loads and stores the raw state for the lane-parallel draws.
+  friend struct LaneStates;
+
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }

@@ -296,6 +296,27 @@ TEST(ObsTelemetry, MergeDeterminismUnderSweepLoad) {
   EXPECT_TRUE(per_thread_count[0] == per_thread_count[2]) << "1 vs 8 threads";
 }
 
+TEST(ObsTelemetry, GroupedSweepRecordsOneWallSamplePerChunk) {
+  // A task that samples several chunks side by side records its wall time
+  // split evenly, once per chunk: sweep.chunk_wall_ns keeps one sample per
+  // chunk and its sum stays the busy time (runtime.busy_frac).
+  TelemetryGuard guard;
+  obs::configure(enabled_config(true, false));
+  const std::uint64_t chunks = 10;
+  std::vector<AvailabilityCell> cells = {
+      {std::make_shared<OptDFamily>(24, 2), 0.2,
+       (chunks - 1) * kDefaultTrialChunk + 300, 5}};
+  TrialOptions opts;
+  opts.threads = 2;
+  opts.batch = BatchPolicy::kBatched;
+  sweep_availability(cells, opts);
+  const obs::MetricsSnapshot snap = obs::Registry::instance().snapshot();
+  EXPECT_EQ(snap.counter("sweep.chunks_executed"), chunks);
+  const obs::HistogramSnapshot* wall = snap.histogram("sweep.chunk_wall_ns");
+  ASSERT_NE(wall, nullptr);
+  EXPECT_EQ(wall->count, chunks);
+}
+
 // Regression: telemetry enabled *mid-batch* must still flush every worker's
 // shard. run_chunks used to capture the enabled flag at batch start and skip
 // the exit flush when it was false, stranding whatever the workers recorded

@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "core/batch.h"
 #include "probe/engine.h"
 #include "probe/measurements.h"
 
@@ -89,6 +90,38 @@ TEST_P(PathsExhaustiveSweep, StrategyAgreesWithAcceptsOnAllConfigurations) {
 }
 
 INSTANTIATE_TEST_SUITE_P(SmallGrids, PathsExhaustiveSweep, ::testing::Values(1, 2));
+
+TEST(Paths, AcceptsBatchOnBuiltOnceMovesMatchesAPerCallBuild) {
+  // accepts_batch relaxes move lists the constructor built once; one
+  // long-lived family evaluating many 64-trial blocks must give the bits
+  // of a family built for that one call, and of the scalar BFS.
+  WorkerScratch& scratch = WorkerScratch::for_thread();
+  for (int l = 1; l <= 10; ++l) {
+    const PathsFamily shared(l);
+    const int n = shared.universe_size();
+    Rng rng(static_cast<std::uint64_t>(l));
+    for (const double p : {0.2, 0.45}) {
+      for (int block = 0; block < 8; ++block) {
+        WorldBatch worlds;
+        sample_worlds_into(n, p, 64, rng, scratch, worlds);
+        Bitset reused;
+        Bitset fresh;
+        shared.accepts_batch(worlds, reused);
+        PathsFamily(l).accepts_batch(worlds, fresh);
+        ASSERT_TRUE(reused.word(0) == fresh.word(0))
+            << "l=" << l << " p=" << p << " block " << block;
+        Configuration config;
+        for (std::uint64_t t = 0; t < 64; ++t) {
+          worlds.extract_trial(t, config);
+          ASSERT_EQ(reused.test(static_cast<std::size_t>(t)),
+                    shared.accepts(config))
+              << "l=" << l << " p=" << p << " block " << block << " trial "
+              << t;
+        }
+      }
+    }
+  }
+}
 
 TEST(Paths, AcquiredQuorumsPairwiseIntersect) {
   // The planar crossing argument: every LR path crosses every TB dual path.

@@ -1,4 +1,5 @@
 #include "util/rng.h"
+#include "util/rng_lanes.h"
 
 #include <gtest/gtest.h>
 
@@ -132,7 +133,8 @@ TEST(Rng, BernoulliThresholdMatchesDoubleComparison) {
 
 TEST(Rng, ThresholdDrawsReproduceBernoulli) {
   // The integer draws must consume the stream and decide exactly like
-  // bernoulli(p), one draw at a time and packed into miss words.
+  // bernoulli(p), on an Rng and on the one-lane RngLanes the lane
+  // samplers use where no vector unit is available.
   const int kDraws = 100000;
   for (const double p : {0.0, 1e-9, 0.1, 0.3, 0.5, 1.0}) {
     const std::uint64_t threshold = bernoulli_threshold(p);
@@ -142,17 +144,21 @@ TEST(Rng, ThresholdDrawsReproduceBernoulli) {
           << "p=" << p << " draw " << i;
     ASSERT_EQ(single.next_u64(), reference.next_u64());
 
-    Rng packed(2024), scalar(2024);
-    for (int done = 0, count = 1; done < kDraws; done += count) {
-      count = 1 + done % 64;
-      const std::uint64_t word = packed.miss_word(threshold, count);
-      for (int i = 0; i < 64; ++i) {
-        const bool bit = (word >> i) & 1u;
-        ASSERT_EQ(bit, i < count && !scalar.bernoulli(p))
-            << "p=" << p << " word of " << count << " bit " << i;
-      }
+    LaneStates states;
+    states.set(0, Rng(2024));
+    RngLanes<1> lane;
+    lane.load(states);
+    Rng scalar(2024);
+    for (int i = 0; i < kDraws; ++i) {
+      std::uint64_t hit = 0;
+      lane.next_below(threshold, hit);
+      ASSERT_EQ(hit, scalar.bernoulli(p) ? ~0ull : 0ull)
+          << "p=" << p << " lane draw " << i;
     }
-    ASSERT_EQ(packed.next_u64(), scalar.next_u64()) << "p=" << p;
+    lane.store(states);
+    Rng end;
+    states.get(0, end);
+    ASSERT_EQ(end.next_u64(), scalar.next_u64()) << "p=" << p;
   }
 }
 

@@ -8,6 +8,7 @@
 //   sqs_cli profile --family optd --n 16 --alpha 2
 //   sqs_cli sweep   --kind avail --families optd,opta --ps 0.1,0.2,0.3
 //   sqs_cli sweep   --kind nonintersect --n 24 --alphas 1,2,3 --misses 0.1,0.2
+//                   [--partition-rate 0.2 --partition-fraction 0.5]
 //   sqs_cli search  --target-nonint 1e-3 --target-avail 0.999 --n 24 --p 0.1
 //   sqs_cli chaos   --scenario churn --n 12 --alpha 2 --replicates 4
 //   sqs_cli serve   --family optd --n 12 --alpha 2 --rate 2000 --duration 5
@@ -483,6 +484,9 @@ int cmd_sweep(const Args& args) {
     const std::vector<double> misses =
         split_probabilities(args, "misses", "0.1,0.2,0.3");
     const double p = args.getp("p", 0.1);
+    // The correlated-partition model of `trace`, applied to every cell.
+    const double partition_rate = args.getp("partition-rate", 0.0);
+    const double partition_fraction = args.getp("partition-fraction", 0.5);
     const std::uint64_t trials = args.getu("trials", 100000);
     std::vector<NonintersectionCell> cells;
     for (int alpha : alphas) {
@@ -493,6 +497,8 @@ int cmd_sweep(const Args& args) {
         cell.family = family;
         cell.model.p = p;
         cell.model.link_miss = miss;
+        cell.model.partition_rate = partition_rate;
+        cell.model.partition_fraction = partition_fraction;
         cell.trials = trials;
         cell.base = Rng(seed).split(cells.size());
         cells.push_back(std::move(cell));
