@@ -134,10 +134,10 @@ void optimality_audit() {
                          grid[i].first * 100 + grid[i].second))};
   const std::vector<double> best_random = run_sweep(
       cells, 0.0,
-      [&](std::size_t cell, double& best, const TrialChunk& tc,
+      [&](std::size_t cell, double& best, const TrialContext& ctx,
           Rng& trial_rng) {
         const auto [n, alpha] = grid[cell];
-        for (std::uint64_t t = tc.begin; t < tc.end; ++t) {
+        for (std::uint64_t t = ctx.chunk.begin; t < ctx.chunk.end; ++t) {
           ExplicitSqs q(n, alpha);
           for (int attempt = 0; attempt < 60; ++attempt) {
             SignedSet s(n);

@@ -29,7 +29,9 @@ void fig2_opt_a() {
   for (const auto& [n, alpha] :
        {std::pair<int, int>{5, 1}, {6, 2}, {8, 2}, {9, 3}}) {
     const ExplicitSqs a = opt_a_explicit(n, alpha);
-    table.add_row({"(" + std::to_string(n) + "," + std::to_string(alpha) + ")",
+    char label[32];
+    std::snprintf(label, sizeof label, "(%d,%d)", n, alpha);
+    table.add_row({label,
                    std::to_string(a.num_quorums()),
                    a.is_valid_sqs() ? "yes" : "NO",
                    theorem20_violation(a).has_value() ? "VIOLATED" : "holds",

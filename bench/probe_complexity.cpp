@@ -80,9 +80,9 @@ void worst_case() {
   const OptDFamily fam(n, alpha);
   const RunningStat probes = run_trial_chunks(
       20000, Rng(5), RunningStat{},
-      [&](RunningStat& acc, const TrialChunk& tc, Rng& rng) {
+      [&](RunningStat& acc, const TrialContext& ctx, Rng& rng) {
         auto strategy = fam.make_probe_strategy();
-        for (std::uint64_t t = tc.begin; t < tc.end; ++t) {
+        for (std::uint64_t t = ctx.chunk.begin; t < ctx.chunk.end; ++t) {
           // Uniform configuration with exactly alpha-1 = 1 server up.
           Configuration c(Bitset(static_cast<std::size_t>(n)));
           c.set_up(

@@ -257,7 +257,8 @@ void draw_world_rows(int width, int n, std::uint64_t threshold,
 
 // Fills `out` with num_trials configurations where each server is up with
 // probability 1-p, drawing `rng` in exactly the scalar order of
-// availability_mc_chunk (per trial, per server: up iff !rng.bernoulli(p)).
+// availability_mc_group's scalar loop (per trial, per server: up iff
+// !rng.bernoulli(p)).
 void sample_worlds_into(int n, double p, std::uint64_t num_trials, Rng& rng,
                         WorkerScratch& scratch, WorldBatch& out);
 

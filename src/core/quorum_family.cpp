@@ -72,14 +72,6 @@ void availability_mc_chunk_scalar(const QuorumFamily& family, double p,
 
 }  // namespace
 
-void availability_mc_chunk(const QuorumFamily& family, double p,
-                           const TrialContext& ctx, Rng& rng,
-                           std::int64_t& live) {
-  TrialGroup group = TrialGroup::single(ctx, rng);
-  availability_mc_group(family, p, group, &live);
-  rng = group.rng[0];
-}
-
 void availability_mc_group(const QuorumFamily& family, double p,
                            TrialGroup& group, std::int64_t* live) {
   if (group.ctx[0].batch != BatchPolicy::kScalar) {

@@ -103,21 +103,14 @@ class QuorumFamily {
   double availability_exact_enumeration(double p) const;
 };
 
-// Per-chunk kernel of availability_monte_carlo: samples one configuration
-// per trial in [ctx.chunk.begin, ctx.chunk.end) from `rng` and counts
-// accepting ones into `live`. Scratch comes from the chunk's arena (zero
-// steady-state allocations). It is availability_mc_group on the group of
-// one chunk.
-void availability_mc_chunk(const QuorumFamily& family, double p,
-                           const TrialContext& ctx, Rng& rng,
-                           std::int64_t& live);
-
-// The group-aware form (run_sweep's TrialGroup), shared by
-// availability_monte_carlo and the sweep engine (src/sweep) so a flattened
-// grid cell reproduces the per-cell estimate bit for bit: chunk i of the
-// group adds to live[i]. Batched policies sample the group's streams side
-// by side (availability_mc_chunk_batched); kScalar runs the one-trial-at-
-// a-time loop per chunk.
+// The Monte Carlo kernel of availability_monte_carlo over a run_sweep
+// TrialGroup, shared with the sweep engine (src/sweep) so a flattened grid
+// cell reproduces the per-cell estimate bit for bit: chunk i of the group
+// samples one configuration per trial in [ctx[i].chunk.begin,
+// ctx[i].chunk.end) from rng[i] and adds the accepting ones to live[i].
+// Batched policies sample the group's streams side by side
+// (availability_mc_chunk_batched); kScalar runs the one-trial-at-a-time
+// loop per chunk with scratch from the chunk's arena.
 void availability_mc_group(const QuorumFamily& family, double p,
                            TrialGroup& group, std::int64_t* live);
 

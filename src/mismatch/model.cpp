@@ -41,7 +41,7 @@ void nonintersection_chunk_scalar(const QuorumFamily& family,
   const int n = family.universe_size();
   // Probe strategies are stateful between run_probe resets, so each shard
   // instantiates its own pair (fresh, not pooled — see
-  // probe_measurement_chunk for why pooling them would change bits).
+  // probe_measurement_chunk_scalar for why pooling them would change bits).
   auto strategy1 = family.make_probe_strategy();
   auto strategy2 = family.make_probe_strategy();
   WorkerScratch& scratch = ctx.scratch();
@@ -69,14 +69,6 @@ void nonintersection_chunk_scalar(const QuorumFamily& family,
 }
 
 }  // namespace
-
-void nonintersection_chunk(const QuorumFamily& family,
-                           const MismatchModel& model, const TrialContext& ctx,
-                           Rng& rng, NonintersectionCounts& acc) {
-  TrialGroup group = TrialGroup::single(ctx, rng);
-  nonintersection_group(family, model, group, &acc);
-  rng = group.rng[0];
-}
 
 void nonintersection_group(const QuorumFamily& family,
                            const MismatchModel& model, TrialGroup& group,

@@ -88,21 +88,14 @@ struct NonintersectionCounts {
   }
 };
 
-// Per-chunk kernel of measure_nonintersection: runs the two-client
-// trials [ctx.chunk.begin, ctx.chunk.end) against `family` with the chunk's
-// rng; the sampled world and both probe records are borrowed from the
-// chunk's scratch arena. It is nonintersection_group on the group of one
-// chunk.
-void nonintersection_chunk(const QuorumFamily& family,
-                           const MismatchModel& model, const TrialContext& ctx,
-                           Rng& rng, NonintersectionCounts& acc);
-
-// The group-aware form (run_sweep's TrialGroup), shared by
-// measure_nonintersection and the sweep engine (src/sweep) so a flattened
-// grid cell reduces to exactly the same bits as the per-cell estimate:
-// chunk i of the group counts into acc[i]. Batched policies run
-// nonintersection_chunk_batched where the family has a lane walk;
-// otherwise each chunk runs the scalar two-client loop.
+// The Monte Carlo kernel of measure_nonintersection over a run_sweep
+// TrialGroup, shared with the sweep engine (src/sweep) so a flattened grid
+// cell reduces to exactly the same bits as the per-cell estimate: chunk i
+// of the group runs the two-client trials [ctx[i].chunk.begin,
+// ctx[i].chunk.end) with rng[i] and counts into acc[i]. Batched policies
+// run nonintersection_chunk_batched where the family has a lane walk;
+// otherwise each chunk runs the scalar two-client loop, with the sampled
+// world and both probe records borrowed from the chunk's scratch arena.
 void nonintersection_group(const QuorumFamily& family,
                            const MismatchModel& model, TrialGroup& group,
                            NonintersectionCounts* acc);

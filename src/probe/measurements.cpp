@@ -79,14 +79,6 @@ void probe_measurement_chunk_scalar(const QuorumFamily& family, double p,
 
 }  // namespace
 
-void probe_measurement_chunk(const QuorumFamily& family, double p,
-                             const TrialContext& ctx, Rng& rng,
-                             ProbeAccumulator& acc) {
-  TrialGroup group = TrialGroup::single(ctx, rng);
-  probe_measurement_group(family, p, group, &acc);
-  rng = group.rng[0];
-}
-
 void probe_measurement_group(const QuorumFamily& family, double p,
                              TrialGroup& group, ProbeAccumulator* acc) {
   if (group.ctx[0].batch != BatchPolicy::kScalar &&

@@ -40,25 +40,19 @@ struct ProbeAccumulator {
 
   // Folds `other` in and returns its count buffer to the calling thread's
   // scratch arena (the buffer was taken from a worker's arena by
-  // probe_measurement_chunk; the two-level counts pool routes it back).
+  // probe_measurement_group; the two-level counts pool routes it back).
   void merge(ProbeAccumulator&& other);
 };
 
-// Per-chunk kernel of measure_probes: runs acquisitions
-// [ctx.chunk.begin, ctx.chunk.end) with the chunk's rng; the sampled
-// configuration, probe record, and count buffer are borrowed from the
-// chunk's scratch arena. It is probe_measurement_group on the group of one
-// chunk.
-void probe_measurement_chunk(const QuorumFamily& family, double p,
-                             const TrialContext& ctx, Rng& rng,
-                             ProbeAccumulator& acc);
-
-// The group-aware form (run_sweep's TrialGroup), shared by measure_probes
-// and the sweep engine (src/sweep) so a flattened grid cell reduces to
-// exactly the same bits as the per-cell measurement: chunk i of the group
-// accumulates into acc[i]. Batched policies run
+// The Monte Carlo kernel of measure_probes over a run_sweep TrialGroup,
+// shared with the sweep engine (src/sweep) so a flattened grid cell reduces
+// to exactly the same bits as the per-cell measurement: chunk i of the
+// group runs acquisitions [ctx[i].chunk.begin, ctx[i].chunk.end) with
+// rng[i] and accumulates into acc[i]. Batched policies run
 // probe_measurement_chunk_batched where the family has a lane walk;
-// otherwise each chunk runs the scalar run_probe loop.
+// otherwise each chunk runs the scalar run_probe loop, with the sampled
+// configuration, probe record and count buffer borrowed from the chunk's
+// scratch arena.
 void probe_measurement_group(const QuorumFamily& family, double p,
                              TrialGroup& group, ProbeAccumulator* acc);
 

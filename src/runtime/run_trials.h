@@ -146,24 +146,12 @@ struct SweepMetrics {
   }
 };
 
-// Chunk callbacks come in three shapes: the group-aware
+// Chunk callbacks come in two shapes: the group-aware
 // fn(cell, Acc* accs, TrialGroup&), which takes a task's whole run of
-// chunks, and the one-chunk fn(cell, Acc&, const TrialContext&, Rng&) or
-// legacy fn(cell, Acc&, const TrialChunk&, Rng&).
+// chunks, and the one-chunk fn(cell, Acc&, const TrialContext&, Rng&).
 template <typename Acc, typename ChunkFn>
 inline constexpr bool kGroupAware =
     std::is_invocable_v<ChunkFn&, std::size_t, Acc*, TrialGroup&>;
-
-template <typename Acc, typename ChunkFn>
-inline void invoke_chunk(ChunkFn& fn, std::size_t cell, Acc& acc,
-                         const TrialContext& ctx, Rng& rng) {
-  if constexpr (std::is_invocable_v<ChunkFn&, std::size_t, Acc&,
-                                    const TrialContext&, Rng&>) {
-    fn(cell, acc, ctx, rng);
-  } else {
-    fn(cell, acc, ctx.chunk, rng);
-  }
-}
 
 // The one claim loop behind run_sweep and run_trial_chunks: runs every
 // chunk of `num_cells` cells and merges cell i's chunk accumulators into
@@ -246,7 +234,7 @@ void run_cells(const SweepCell* cells, std::size_t num_cells, const Acc& zero,
       } else {
         const TrialContext ctx = context(first);
         Rng rng = cells[cell].base.split(first);
-        invoke_chunk(chunk_fn, cell, accs[0], ctx, rng);
+        chunk_fn(cell, accs[0], ctx, rng);
       }
     };
     if (obs::telemetry_enabled()) {
@@ -283,9 +271,8 @@ void run_cells(const SweepCell* cells, std::size_t num_cells, const Acc& zero,
 
 // Runs every cell's chunks in one flattened pool submission. chunk_fn
 // processes one chunk of one cell — fn(cell, Acc&, const TrialContext&,
-// Rng&) or the legacy fn(cell, Acc&, const TrialChunk&, Rng&) — or, if
-// group-aware, fn(cell, Acc* accs, TrialGroup&) a run of chunks, each
-// against a fresh accumulator copied from `zero`. merge(Acc&, Acc&&) folds
+// Rng&) — or, if group-aware, fn(cell, Acc* accs, TrialGroup&) a run of
+// chunks, each against a fresh accumulator copied from `zero`. merge(Acc&, Acc&&) folds
 // chunk accumulators into the cell result in chunk order. Returns one
 // accumulator per cell, index-aligned with `cells`.
 template <typename Acc, typename ChunkFn, typename MergeFn>
@@ -308,9 +295,8 @@ std::vector<Acc> run_sweep(const std::vector<SweepCell>& cells, const Acc& zero,
 // Chunk-level entry point for consumers that amortize per-shard setup
 // (probe-strategy instances, scratch buffers) across a whole chunk: a
 // one-cell run_sweep. chunk_fn(Acc&, const TrialContext&, Rng&) — or the
-// legacy (Acc&, const TrialChunk&, Rng&) shape, or the group-aware
-// (Acc* accs, TrialGroup&) — runs the chunk's trials against a fresh
-// accumulator copied from `zero` and the chunk's private rng.
+// group-aware (Acc* accs, TrialGroup&) — runs the chunk's trials against a
+// fresh accumulator copied from `zero` and the chunk's private rng.
 template <typename Acc, typename ChunkFn, typename MergeFn>
 Acc run_trial_chunks(std::uint64_t n_trials, const Rng& base, const Acc& zero,
                      ChunkFn&& chunk_fn, MergeFn&& merge,
@@ -325,12 +311,7 @@ Acc run_trial_chunks(std::uint64_t n_trials, const Rng& base, const Acc& zero,
                               runtime_detail::ChunkMetrics::runtime(), &total);
   } else {
     auto fn = [&](std::size_t, Acc& acc, const TrialContext& ctx, Rng& rng) {
-      if constexpr (std::is_invocable_v<ChunkFn&, Acc&, const TrialContext&,
-                                        Rng&>) {
-        chunk_fn(acc, ctx, rng);
-      } else {
-        chunk_fn(acc, ctx.chunk, rng);
-      }
+      chunk_fn(acc, ctx, rng);
     };
     runtime_detail::run_cells(&cell, 1, zero, fn, merge, opts,
                               runtime_detail::ChunkMetrics::runtime(), &total);

@@ -46,8 +46,8 @@ std::vector<std::uint8_t> generate_load(const LoadGenConfig& config,
   // u_i in [0, 1) is strictly increasing in i.
   run_trial_chunks(
       n, Rng(config.seed).split("loadgen"), 0,
-      [&](int&, const TrialChunk& chunk, Rng& rng) {
-        for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
+      [&](int&, const TrialContext& ctx, Rng& rng) {
+        for (std::uint64_t i = ctx.chunk.begin; i < ctx.chunk.end; ++i) {
           const double u = rng.next_double();
           const std::uint32_t client = static_cast<std::uint32_t>(
               rng.next_below(static_cast<std::uint64_t>(config.num_clients)));

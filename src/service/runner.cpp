@@ -336,6 +336,9 @@ ServiceRunner::ServiceRunner(const QuorumFamily& family,
                  config.network, Rng(config.seed).split("network")),
       op_rng_base_(Rng(config.seed).split("ops")),
       fault_timeline_(config.plan.events),
+      machine_(kServedRules, config.policy,
+               config.epochs != nullptr ? config.epochs->num_logical
+                                        : family.universe_size()),
       lat_bounds_(service_latency_bounds()),
       latency_(lat_bounds_.size()) {
   // In epoch mode the fleet spans every logical id the schedule ever uses,
@@ -348,7 +351,6 @@ ServiceRunner::ServiceRunner(const QuorumFamily& family,
   for (int i = 0; i < world; ++i)
     replicas_.emplace_back(i, config.server, server_base.split(
                                                  static_cast<std::uint64_t>(i)));
-  attempt_ = QuorumAttempt(world);
   if (config_.epochs != nullptr) {
     const EpochedFamily& sched = *config_.epochs;
     assert(sched.entry(0).family->universe_size() == family.universe_size());
@@ -432,16 +434,12 @@ Reply ServiceRunner::execute_op(const Request& req, double* finish_out) {
   rep.seq = req.seq;
   rep.kind = req.kind;
 
-  // Acquisition: the register protocol's QuorumAttempt driven by a
-  // synchronous loop in virtual time. A probe's round trip is to-server leg
-  // + replica queueing/service + to-client leg; replies later than
-  // probe_timeout count as failures (the server still did the work). In
-  // epoch mode the runner probes under its own (possibly stale) adopted
-  // view, retired replicas fence probes with an observable epoch
-  // rejection, and a failed acquisition with epoch evidence re-probes under
-  // a freshly fetched view (bounded, fixed-cost, rng-free — bit-identity
-  // holds at any thread count because all of this is solo-stage
-  // arrival-ordered state).
+  // The machine, driven inline in virtual time. A probe's round trip is
+  // to-server leg + replica queueing/service + to-client leg; a reply later
+  // than probe_timeout is a timeout (the server still did the work), and so
+  // is one whose certificate does not match what it reports (the client
+  // spent the rtt, not the timeout). In epoch mode the runner probes under
+  // its own (possibly stale) adopted view.
   const double timeout = config_.probe_timeout;
   const int client = static_cast<int>(req.client);
   // True, with the round trip in *rtt, when `dst`'s reply to a request
@@ -452,143 +450,97 @@ Reply ServiceRunner::execute_op(const Request& req, double* finish_out) {
     *rtt = done + back.latency - sent;
     return true;
   };
-  QuorumAttempt& attempt = attempt_;
+  AcquisitionMachine& machine = machine_;
+  machine.start(op);
   Rng op_rng = op_rng_base_.split(req.seq);
   double t = arrival;
-  std::uint32_t probes = 0;
-  int view_fetches = 0;
-  const auto refresh_view = [&] {
+  const auto adopt_view = [&] {
     ++totals_.view_refreshes;
     view_epoch_ = current_epoch_;
-    obs::flight(obs::FlightKind::kViewRefresh, op, to_us(t), -1,
-                static_cast<std::uint64_t>(view_epoch_));
   };
   for (;;) {
-    attempt.begin(strategies_[static_cast<std::size_t>(view_epoch_)].get(),
+    machine.begin(strategies_[static_cast<std::size_t>(view_epoch_)].get(),
                   &op_rng,
                   config_.epochs != nullptr
                       ? &config_.epochs->entry(view_epoch_).view
                       : nullptr);
-    while (attempt.in_progress()) {
-      const int s = attempt.next_server();
-      const int dst = attempt.wire(s);
+    for (int dst = machine.next_probe(t); dst >= 0;) {
       Replica& replica = replicas_[static_cast<std::size_t>(dst)];
-      ++probes;
-      const double t0 = t;
       double rtt = timeout;  // no timely reply: the probe costs the timeout
-      bool reached = false;
       const Transport::Delivery to = transport_.attempt(client, dst, t);
-      if (!to.delivered) {
-        attempt.missed(s);
-      } else if (replica.fences_requests()) {
+      if (to.delivered && replica.fences_requests()) {
         // Epoch fence: the retired replica answers — at normal queueing
         // cost — with a rejection carrying its epoch.
         const auto done = replica.serve_fence(t + to.latency, arrival);
         if (!done) ++op_drops;
         if (done && timely(dst, t, *done, &rtt)) {
           ++totals_.epoch_rejects;
-          obs::flight(obs::FlightKind::kEpochFenced, op, to_us(t0), dst,
-                      static_cast<std::uint64_t>(replica.epoch()));
-          attempt.fenced(s);
-        } else {
-          attempt.missed(s);
+          dst = machine.on_fence(t += rtt, replica.epoch());
+          continue;
         }
-      } else {
+      } else if (to.delivered) {
         const auto served =
             replica.serve_read(0, t + to.latency, arrival, client);
         if (!served) ++op_drops;
-        // A timely reply joins the quorum only if its certificate matches
-        // what it reports. A lying replica signs its true state, so its
-        // fabrication fails here and the probe counts as a miss (the
-        // client spent the rtt, not the timeout).
         if (served && timely(dst, t, served->done, &rtt)) {
-          reached = !config_.verify_replica_certs ||
-                    served->cert == expected_replica_cert(dst, served->ts,
-                                                          served->value);
-          if (!reached) ++totals_.cert_rejects;
-        }
-        if (reached) {
-          attempt.reached(s, served->ts, served->value, replica.retired(),
-                          replica.epoch());
-        } else {
-          attempt.missed(s);
+          if (!config_.verify_replica_certs ||
+              served->cert ==
+                  expected_replica_cert(dst, served->ts, served->value)) {
+            dst = machine.on_reply(t += rtt, served->ts, served->value,
+                                   replica.retired(), replica.epoch());
+            continue;
+          }
+          ++totals_.cert_rejects;
         }
       }
-      t += rtt;
-      // Hot-path flight calls check the gate first, so an off recorder
-      // converts no times (see obs::flight).
-      if (obs::recorder_enabled())
-        obs::flight(reached ? obs::FlightKind::kProbe
-                            : obs::FlightKind::kProbeMiss,
-                    op, to_us(t0), dst, to_us(t - t0));
+      dst = machine.on_timeout(t += rtt);
     }
-    if (!attempt.refetch_view(config_.policy, view_fetches, current_epoch_,
-                              view_epoch_))
-      break;
-    // Stale-view recovery: fetch the current view (fixed delay, no rng
-    // draw) and re-probe under it.
-    ++view_fetches;
-    t += config_.policy.view_fetch_delay;
-    refresh_view();
+    const double fetched = t + config_.policy.view_fetch_delay;
+    if (!machine.refetch_view(current_epoch_, view_epoch_, fetched)) break;
+    t = fetched;
+    adopt_view();
   }
-  // Learn the current view for subsequent ops.
-  if (attempt.learn_view(config_.policy, current_epoch_, view_epoch_))
-    refresh_view();
-  if (obs::recorder_enabled())
-    obs::flight(attempt.acquired() ? obs::FlightKind::kQuorumAcquired
-                                   : obs::FlightKind::kQuorumFailed,
-                op, to_us(t), -1, probes);
+  if (machine.finish_acquisition(current_epoch_, view_epoch_, t)) adopt_view();
+  const std::uint32_t probes = static_cast<std::uint32_t>(machine.probes());
   totals_.probes += probes;
   rep.probes = probes;
   double finish = t;
 
-  // What the acquired quorum's replies say; !ok fails the op. The masking
-  // vote breaks ties in family-index order, the max fold in probe order.
-  const int b = config_.policy.lie_tolerance;
-  const FoldResult adopted =
-      attempt.fold(b, b > 0 ? FoldOrder::kFamilyIndex : FoldOrder::kProbe);
-  rep.ok = adopted.ok;
   if (req.kind == OpKind::kRead) {
+    const Verdict verdict = machine.read_verdict(t);
     ++totals_.reads;
-    if (adopted.ok) {
-      ++totals_.reads_ok;
-      rep.ts = adopted.ts;
-      rep.value = adopted.value;
-      if (attempt.audit_retired_read(adopted, op, to_us(t)))
-        ++totals_.retired_reads;
-    }
+    totals_.reads_ok += verdict.ok ? 1 : 0;
+    totals_.retired_reads += verdict.retired_read ? 1 : 0;
+    rep.ok = verdict.ok;
+    rep.ts = verdict.ts;  // the unwritten register ({}, 0) when !ok
+    rep.value = verdict.value;
   } else {
+    const Verdict verdict = machine.write_verdict(client, t);
     ++totals_.writes;
-    if (adopted.ok) {
+    rep.ok = verdict.ok;
+    if (verdict.ok) {
       ++totals_.writes_ok;
-      const Timestamp new_ts = QuorumAttempt::write_timestamp(adopted, client);
       // Each push resolves at its ack round trip or at the timeout, and the
       // write completes when the last target resolves.
-      int acks = 0;
-      double end = t;
-      for (const int s : attempt.push_targets()) {
-        const int dst = attempt.wire(s);
+      for (int k = 0; k < machine.push_count(); ++k) {
+        const int dst = machine.push_replica(k);
         double resolve = timeout;
         bool acked = false;
         const Transport::Delivery to = transport_.attempt(client, dst, t);
         if (to.delivered) {
           const auto done = replicas_[static_cast<std::size_t>(dst)].serve_write(
-              new_ts, req.value, 0, t + to.latency, arrival);
+              verdict.ts, req.value, 0, t + to.latency, arrival);
           if (!done) ++op_drops;
           acked = done && timely(dst, t, *done, &resolve);
         }
-        if (acked) ++acks;
-        if (obs::recorder_enabled())
-          obs::flight(acked ? obs::FlightKind::kWriteAck
-                            : obs::FlightKind::kWriteNack,
-                      op, to_us(t), dst, to_us(resolve));
-        end = std::max(end, t + resolve);
+        machine.on_push(k, acked, resolve);
       }
-      totals_.write_acks += static_cast<std::uint64_t>(acks);
-      rep.ts = new_ts;
+      totals_.write_acks += static_cast<std::uint64_t>(machine.acks());
+      if (machine.acks() > 0)
+        max_acked_ts_ = std::max(max_acked_ts_, verdict.ts);
+      rep.ts = verdict.ts;
       rep.value = req.value;
-      if (acks > 0) max_acked_ts_ = std::max(max_acked_ts_, new_ts);
-      finish = end;
+      finish = machine.push_done();
     }
   }
 

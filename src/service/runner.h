@@ -1,14 +1,15 @@
 // The staged request runner: SQS experiments as served traffic.
 //
-// ServiceRunner executes an encoded, arrival-ordered request stream in three
+// ServiceRunner executes an encoded, arrival-ordered request stream in four
 // stages, the classic staged-replica split (dsnet's Runner):
 //
 //   prologue  — stateless decode + checksum and client-cert verification,
 //               a batch at a time;
-//   solo      — every step a reply depends on (probe strategy over the
-//               Transport, replica reads/writes, fault-plan application),
-//               executed strictly in arrival order by one sequencer thread
-//               that runs batch after batch;
+//   solo      — every step a reply depends on (the register protocol's
+//               AcquisitionMachine, sim/register_core.h, driven inline over
+//               the Transport; replica reads/writes; fault-plan
+//               application), executed strictly in arrival order by one
+//               sequencer thread that runs batch after batch;
 //   audit     — the invariant bookkeeping no reply reads (completed-write
 //               frontier, stale- and fabricated-read checks, the genuine-
 //               write audit set, latency accounting), in arrival order over
@@ -201,8 +202,10 @@ class ServiceRunner {
  private:
   void apply_faults_until(double now);
   void apply_epochs_until(double now);
-  // Acquisition (solo stage): the op's reply, and in *finish_out the virtual
-  // time it completes (when its last write push resolves, for an ok write).
+  // One op (solo stage): drives machine_ on the op's virtual timeline and
+  // keeps what is the runner's own (cert verification, op drops, the
+  // timeline). Returns the reply, and in *finish_out the virtual time the
+  // op completes (when its last write push resolves, for an ok write).
   Reply execute_op(const Request& req, double* finish_out);
   // The audit of one executed op, in arrival order after the solo stage.
   void audit_op(const Request& req, const Reply& rep, double finish);
@@ -231,10 +234,10 @@ class ServiceRunner {
   Timestamp max_acked_ts_;  // zero until some write is acked
   double last_arrival_ = 0.0;
 
-  // Solo-owned per-op scratch, sized for the whole fleet in the ctor so no
-  // op allocates, and lifetime totals. The audit owns stale_reads and
+  // The solo stage's register op, sized for the whole fleet in the ctor so
+  // no op allocates, and lifetime totals. The audit owns stale_reads and
   // fabricated_reads; every other counter is solo-owned.
-  QuorumAttempt attempt_;
+  AcquisitionMachine machine_;
   ServiceResult totals_;  // the lifetime counters serve() reports
 
   // Verification memo, one entry per logical replica: the replica's

@@ -100,7 +100,7 @@ void SimClient::start_op(const QuorumFamily* family, int object, OpKind kind,
   std::uint32_t slot;
   if (free_slots_.empty()) {
     slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.push_back(std::make_unique<Acquisition>());
+    slots_.push_back(std::make_unique<Acquisition>(config_.policy));
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
@@ -123,6 +123,7 @@ void SimClient::start_op(const QuorumFamily* family, int object, OpKind kind,
                                   next_op_++);
   obs::flight(obs::FlightKind::kArrival, acq.result.op, to_us(acq.op_start),
               -1, static_cast<std::uint64_t>(id_));
+  acq.machine.start(acq.result.op);
   start_attempt(slot);
 }
 
@@ -150,7 +151,7 @@ void SimClient::start_attempt(std::uint32_t slot) {
     const double fraction = net_->client_partition_fraction(id_);
     if (rng_.bernoulli(fraction)) {
       acq.result.filtered = true;
-      acq.attempt.begin_aborted(family.universe_size(), view);
+      acq.machine.begin_aborted(family.universe_size(), view);
       // The failed beacon check costs one timeout before the attempt
       // resolves (and can then be retried like any other failure).
       sim_->schedule(current_probe_timeout(),
@@ -162,13 +163,13 @@ void SimClient::start_attempt(std::uint32_t slot) {
   acq.strategy_rng = rng_.split(probes_issued_ * 2 + 1);
   // Each attempt gathers fresh evidence; only num_probes/attempts carry
   // over, so the result reflects the final attempt's world view.
-  acq.attempt.begin(strategy_for(acq, family), &acq.strategy_rng, view);
-  issue_next_probe(slot);
+  acq.machine.begin(strategy_for(acq, family), &acq.strategy_rng, view);
+  issue_probe(slot, acq.machine.next_probe(sim_->now()));
 }
 
-void SimClient::issue_next_probe(std::uint32_t slot) {
+void SimClient::issue_probe(std::uint32_t slot, int target) {
   Acquisition& acq = *slots_[slot];
-  if (!acq.attempt.in_progress()) {
+  if (target < 0) {
     finish_attempt(slot);
     return;
   }
@@ -179,20 +180,14 @@ void SimClient::issue_next_probe(std::uint32_t slot) {
     return;
   }
 
-  // `server` is the family index the strategy probes; `target` is the
-  // logical server actually on the wire (identical in classic mode).
-  const int server = acq.attempt.next_server();
-  const int target = acq.attempt.wire(server);
   const std::uint32_t generation = acq.generation;
   ++probes_issued_;
-  acq.probe_sent_at = sim_->now();
-  ++acq.result.num_probes;
 
   // Request leg. It runs at the server even if the probe has since gone
   // stale, so it carries the op's object and mode rather than reading a
   // slot a later op may own.
   net_->send(id_, target, Network::Direction::kToServer,
-             [this, slot, generation, server, target, object = acq.object,
+             [this, slot, generation, target, object = acq.object,
               epoch_mode = acq.epoch_mode] {
     Replica& s = (*servers_)[static_cast<std::size_t>(target)];
     // Epoch fence: a retired server answers — at normal cost — with a
@@ -210,60 +205,48 @@ void SimClient::issue_next_probe(std::uint32_t slot) {
     const bool was_retired = s.retired();
     // Service delay, then the reply leg.
     sim_->schedule(s.service_time(sim_->now()), [this, slot, generation,
-                                                 server, target, reply,
-                                                 was_retired, fenced] {
+                                                 target, reply, was_retired,
+                                                 fenced] {
       net_->send(id_, target, Network::Direction::kToClient,
-                 [this, slot, generation, server, target, reply, was_retired,
-                  fenced] {
-                   finish_probe(slot, generation, server, target, reply,
-                                was_retired, fenced);
+                 [this, slot, generation, target, reply, was_retired, fenced] {
+                   finish_probe(slot, generation, target, reply, was_retired,
+                                fenced);
                  });
     });
   });
 
   // Timeout leg.
-  sim_->schedule(current_probe_timeout(),
-                 [this, slot, generation, server, target] {
-                   finish_probe(slot, generation, server, target,
-                                std::nullopt, false, false);
-                 });
+  sim_->schedule(current_probe_timeout(), [this, slot, generation, target] {
+    finish_probe(slot, generation, target, std::nullopt, false, false);
+  });
 }
 
 void SimClient::finish_probe(std::uint32_t slot, std::uint32_t generation,
-                             int server, int target, const ReplySlot& reply,
+                             int target, const ReplySlot& reply,
                              bool served_retired, bool fenced) {
   Acquisition& acq = *slots_[slot];
   if (acq.generation != generation) return;  // stale: already resolved
   ++acq.generation;
+  const double now = sim_->now();
+  const int epoch = (*servers_)[static_cast<std::size_t>(target)].epoch();
   if (fenced) {
     ++epoch_rejects_;
-    obs::flight(obs::FlightKind::kEpochFenced, acq.result.op,
-                to_us(acq.probe_sent_at), target,
-                static_cast<std::uint64_t>(
-                    (*servers_)[static_cast<std::size_t>(target)].epoch()));
-    acq.attempt.fenced(server);
-    issue_next_probe(slot);
+    issue_probe(slot, acq.machine.on_fence(now, epoch));
     return;
   }
-  obs::flight(reply.has_value() ? obs::FlightKind::kProbe
-                                : obs::FlightKind::kProbeMiss,
-              acq.result.op, to_us(acq.probe_sent_at), target,
-              to_us(sim_->now() - acq.probe_sent_at));
-  if (reply.has_value()) {
-    if (config_.adaptive_timeout) {
-      const double rtt = sim_->now() - acq.probe_sent_at;
-      ewma_rtt_ = have_rtt_
-                      ? (1.0 - config_.ewma_gain) * ewma_rtt_ +
-                            config_.ewma_gain * rtt
-                      : rtt;
-      have_rtt_ = true;
-    }
-    acq.attempt.reached(server, reply->first, reply->second, served_retired,
-                        (*servers_)[static_cast<std::size_t>(target)].epoch());
-  } else {
-    acq.attempt.missed(server);
+  if (!reply.has_value()) {
+    issue_probe(slot, acq.machine.on_timeout(now));
+    return;
   }
-  issue_next_probe(slot);
+  if (config_.adaptive_timeout) {
+    const double rtt = now - acq.machine.probe_sent_at();
+    ewma_rtt_ = have_rtt_ ? (1.0 - config_.ewma_gain) * ewma_rtt_ +
+                                config_.ewma_gain * rtt
+                          : rtt;
+    have_rtt_ = true;
+  }
+  issue_probe(slot, acq.machine.on_reply(now, reply->first, reply->second,
+                                         served_retired, epoch));
 }
 
 void SimClient::adopt_current_view() {
@@ -275,33 +258,25 @@ void SimClient::adopt_current_view() {
 
 void SimClient::finish_attempt(std::uint32_t slot) {
   Acquisition& acq = *slots_[slot];
-  const QuorumAttempt& attempt = acq.attempt;
-  const bool acquired = attempt.acquired();
+  AcquisitionMachine& machine = acq.machine;
+  const bool acquired = machine.acquired();
   acq.result.acquired = acquired;
   const int current_epoch = acq.epoch_mode ? epochs_->current : 0;
   if (acq.result.filtered)
     obs::flight(obs::FlightKind::kFiltered, acq.result.op, to_us(sim_->now()),
                 -1, static_cast<std::uint64_t>(id_));
-  // Stale-view recovery: a failed attempt that saw epoch evidence fetches
-  // the current view and re-probes under the new family. The fetch is a
-  // fixed-delay round trip (no rng draw), bounded per operation, and does
-  // not consume an acquisition attempt.
+  // Stale-view recovery, when the machine asks for it and the fetch's
+  // fixed delay still fits the deadline; it does not use up an attempt.
+  const double delay = config_.policy.view_fetch_delay;
   if (!acq.result.deadline_exceeded &&
-      attempt.refetch_view(config_.policy, acq.result.view_fetches,
-                           current_epoch, view_epoch_)) {
-    const double delay = config_.policy.view_fetch_delay;
-    if (config_.op_deadline <= 0.0 ||
-        (sim_->now() - acq.op_start) + delay < config_.op_deadline) {
-      ++acq.result.view_fetches;
-      obs::flight(obs::FlightKind::kViewRefresh, acq.result.op,
-                  to_us(sim_->now()), -1,
-                  static_cast<std::uint64_t>(current_epoch));
-      sim_->schedule(delay, [this, slot] {
-        adopt_current_view();
-        start_attempt(slot);
-      });
-      return;
-    }
+      (config_.op_deadline <= 0.0 ||
+       (sim_->now() - acq.op_start) + delay < config_.op_deadline) &&
+      machine.refetch_view(current_epoch, view_epoch_, sim_->now())) {
+    sim_->schedule(delay, [this, slot] {
+      adopt_current_view();
+      start_attempt(slot);
+    });
+    return;
   }
   if (!acquired && !acq.result.deadline_exceeded &&
       acq.result.attempts < config_.max_attempts) {
@@ -328,21 +303,14 @@ void SimClient::finish_attempt(std::uint32_t slot) {
                     "client", static_cast<std::uint64_t>(id_));
     obs::flight(obs::FlightKind::kDeadline, acq.result.op, to_us(sim_->now()));
   }
-  // A completed op (either outcome) that saw epoch evidence refreshes the
-  // view asynchronously so the *next* op probes the current membership.
-  if (attempt.learn_view(config_.policy, current_epoch, view_epoch_)) {
-    obs::flight(obs::FlightKind::kViewRefresh, acq.result.op,
-                to_us(sim_->now()), -1,
-                static_cast<std::uint64_t>(current_epoch));
-    sim_->schedule(config_.policy.view_fetch_delay,
-                   [this] { adopt_current_view(); });
-  }
+  // A finished op that saw epoch evidence refreshes the view
+  // asynchronously, so the *next* op probes the current membership.
+  if (machine.finish_acquisition(current_epoch, view_epoch_, sim_->now()))
+    sim_->schedule(delay, [this] { adopt_current_view(); });
+  acq.result.num_probes = machine.probes();
+  acq.result.view_fetches = machine.view_fetches();
   acq.result.latency = sim_->now() - acq.op_start;
-  attempt.probed(acq.result.probed);
-  obs::flight(acquired ? obs::FlightKind::kQuorumAcquired
-                       : obs::FlightKind::kQuorumFailed,
-              acq.result.op, to_us(sim_->now()), -1,
-              static_cast<std::uint64_t>(acq.result.num_probes));
+  machine.attempt().probed(acq.result.probed);
   if (acq.kind == OpKind::kAcquire) {
     complete(slot);
   } else {
@@ -352,22 +320,17 @@ void SimClient::finish_attempt(std::uint32_t slot) {
 
 void SimClient::finish_op(std::uint32_t slot) {
   Acquisition& acq = *slots_[slot];
-  QuorumAttempt& attempt = acq.attempt;
+  AcquisitionMachine& machine = acq.machine;
   OpResult& result = acq.result;
-  // Max-timestamp over every reached probed server (S+), per the Sect. 4
-  // client requirement — or, under a masking lie_tolerance, only a pair
-  // vouched for by more servers than can lie, so a read never returns and
-  // a write never builds its timestamp on a possible fabrication.
-  const FoldResult adopted =
-      attempt.fold(config_.policy.lie_tolerance, FoldOrder::kFamilyIndex);
-  result.ok = adopted.ok;
   if (acq.kind == OpKind::kRead) {
-    result.timestamp = adopted.ts;
-    result.value = adopted.value;
-    if (attempt.audit_retired_read(adopted, result.op, to_us(sim_->now())))
-      ++retired_reads_;
+    const Verdict verdict = machine.read_verdict(sim_->now());
+    result.ok = verdict.ok;
+    result.timestamp = verdict.ts;
+    result.value = verdict.value;
+    if (verdict.retired_read) ++retired_reads_;
     if (config_.read_repair && result.ok) {
       // Fire-and-forget write-back to stale reached servers.
+      QuorumAttempt& attempt = machine.attempt();
       for (const int s : attempt.push_targets()) {
         if (!(attempt.reply(s)->first < result.timestamp)) continue;
         const int server = attempt.wire(s);
@@ -382,22 +345,19 @@ void SimClient::finish_op(std::uint32_t slot) {
     complete(slot);
     return;
   }
+  const Verdict verdict = machine.write_verdict(id_, sim_->now());
+  result.ok = verdict.ok;
   if (!result.ok) {
     complete(slot);
     return;
   }
-  result.timestamp = QuorumAttempt::write_timestamp(adopted, id_);
+  result.timestamp = verdict.ts;
 
   // Push the new value to every reached probed server; complete when all
   // acks arrive or time out.
-  const std::span<const int> targets = attempt.push_targets();
-  assert(!targets.empty() && "an acquired quorum has a reached server");
-  acq.pushes_pending = static_cast<int>(targets.size());
-  acq.push_resolved.assign(targets.size(), 0);
-  acq.push_start = sim_->now();
   const std::uint32_t generation = acq.generation;
-  for (int k = 0; k < static_cast<int>(targets.size()); ++k) {
-    const int server = attempt.wire(targets[static_cast<std::size_t>(k)]);
+  for (int k = 0; k < machine.push_count(); ++k) {
+    const int server = machine.push_replica(k);
     net_->send(id_, server, Network::Direction::kToServer,
                [this, slot, generation, k, server, object = acq.object,
                 ts = result.timestamp, value = result.value] {
@@ -406,33 +366,27 @@ void SimClient::finish_op(std::uint32_t slot) {
                  sim_->schedule(s.service_time(sim_->now()),
                                 [this, slot, generation, k, server] {
                    net_->send(id_, server, Network::Direction::kToClient,
-                              [this, slot, generation, k, server] {
-                                finish_push(slot, generation, k, server, true);
+                              [this, slot, generation, k] {
+                                finish_push(slot, generation, k, true);
                               });
                  });
                });
-    sim_->schedule(current_probe_timeout(),
-                   [this, slot, generation, k, server] {
-                     finish_push(slot, generation, k, server, false);
-                   });
+    sim_->schedule(current_probe_timeout(), [this, slot, generation, k] {
+      finish_push(slot, generation, k, false);
+    });
   }
 }
 
 void SimClient::finish_push(std::uint32_t slot, std::uint32_t generation,
-                            int k, int server, bool acked) {
+                            int k, bool acked) {
   Acquisition& acq = *slots_[slot];
-  if (acq.generation != generation ||
-      acq.push_resolved[static_cast<std::size_t>(k)] != 0)
-    return;  // stale: this target resolved, or the write completed
-  acq.push_resolved[static_cast<std::size_t>(k)] = 1;
-  obs::flight(acked ? obs::FlightKind::kWriteAck : obs::FlightKind::kWriteNack,
-              acq.result.op, to_us(acq.push_start), server,
-              to_us(sim_->now() - acq.push_start));
-  if (acked) ++acq.result.acks;
-  if (--acq.pushes_pending > 0) return;
+  if (acq.generation != generation) return;  // the write completed
+  AcquisitionMachine& machine = acq.machine;
+  const double push_start = machine.push_start();
+  if (!machine.on_push(k, acked, sim_->now() - push_start)) return;
   // The write's latency runs from its first attempt to its last push.
-  acq.result.latency =
-      sim_->now() - (acq.push_start - acq.result.latency);
+  acq.result.acks = machine.acks();
+  acq.result.latency = sim_->now() - (push_start - acq.result.latency);
   complete(slot);
 }
 

@@ -7,34 +7,20 @@
 // link, or latency spike), not injected — this is the mechanistic
 // counterpart of the abstract model in src/mismatch.
 //
-// SimClient drives the register protocol (sim/register_core.h) from event
-// callbacks: it owns sends, timeouts, retries, the partition filter and the
-// deadline; a QuorumAttempt makes every protocol decision:
-//   read  — acquire, return the max-timestamp value among reached servers
-//           (or the masking vote under RegisterPolicy::lie_tolerance);
-//   write — acquire (learning the max timestamp), then push
-//           (max+1, client_id) to every reached probed server, per the
-//           paper's requirement that clients coordinate with all of S+.
-// All operations are asynchronous (completion callbacks), driven by the
-// event loop.
+// SimClient drives the register protocol's AcquisitionMachine
+// (sim/register_core.h), one per in-flight op, from event callbacks: the
+// machine decides every probe, view fetch, verdict and write push; the
+// client owns sends and timeouts, retries with backoff, the deadline, the
+// partition filter, the adaptive timeout and read repair (ClientConfig).
 //
 // Nothing is allocated per operation once the client has warmed up. Each
 // in-flight operation lives in a slot of a per-client pool (reused after
-// the op completes), together with its probe strategies (one per family,
-// reset every attempt) and its evidence buffers. Event closures carry
-// {client, slot, generation}, never the state itself; the slot's generation
-// advances each time a probe or the op itself resolves, so a late reply,
-// timeout or push ack whose generation no longer matches is dropped —
-// including one that arrives after the slot was taken by a later op.
-//
-// Graceful degradation (all off by default, so the classic single-shot
-// behaviour — and its rng stream — is unchanged): a failed acquisition can
-// be retried up to max_attempts times with exponential backoff and
-// deterministic jitter drawn from the client's own rng; the probe timeout
-// can adapt to an EWMA of observed reply round-trips (so a gray fleet is
-// failed over quickly and a slow-but-healthy one is not); and a
-// per-operation deadline bounds the total time an operation may spend
-// before reporting failure instead of wedging.
+// the op completes) with its machine and its probe strategies (one per
+// family, reset every attempt). Event closures carry {client, slot,
+// generation}, never the state itself; the slot's generation advances each
+// time a probe or the op itself resolves, so a late reply, timeout or push
+// ack whose generation no longer matches is dropped — including one that
+// arrives after the slot was taken by a later op.
 
 #pragma once
 
@@ -163,8 +149,11 @@ class SimClient {
   enum class OpKind : std::uint8_t { kAcquire, kRead, kWrite };
 
   // One in-flight operation: its acquisition, then (reads and writes) the
-  // register verdict and a write's push phase.
+  // register verdict and a write's push phase, all decided by `machine`.
   struct Acquisition {
+    explicit Acquisition(const RegisterPolicy& policy)
+        : machine(kSimRules, policy) {}
+
     const QuorumFamily* family = nullptr;
     bool epoch_mode = false;
     OpKind kind = OpKind::kAcquire;
@@ -177,16 +166,10 @@ class SimClient {
     std::vector<std::pair<const QuorumFamily*, std::unique_ptr<ProbeStrategy>>>
         strategies;
     Rng strategy_rng;
-    // The current attempt's evidence; sized on first use and reused.
-    QuorumAttempt attempt;
+    // The protocol state; its evidence is sized on first use and reused.
+    AcquisitionMachine machine;
     OpResult result;  // a write's value is set at start
     double op_start = 0.0;
-    double probe_sent_at = 0.0;
-    // A write's push phase: targets not yet acked or timed out, by index
-    // into the attempt's push targets.
-    int pushes_pending = 0;
-    std::vector<char> push_resolved;
-    double push_start = 0.0;
     OpCallback done;
   };
 
@@ -194,17 +177,19 @@ class SimClient {
                 std::uint64_t value, OpCallback done);
   void start_attempt(std::uint32_t slot);
   ProbeStrategy* strategy_for(Acquisition& acq, const QuorumFamily& family);
-  void issue_next_probe(std::uint32_t slot);
-  // A probe's outcome: a reply, a retired server's fence, or neither.
-  void finish_probe(std::uint32_t slot, std::uint32_t generation, int server,
-                    int target, const ReplySlot& reply, bool served_retired,
-                    bool fenced);
+  // Probes replica `target` (the machine's next probe), or ends the attempt
+  // when there is none (-1) or the deadline has passed.
+  void issue_probe(std::uint32_t slot, int target);
+  // A probe's outcome from replica `target`: a reply, a retired server's
+  // fence, or neither.
+  void finish_probe(std::uint32_t slot, std::uint32_t generation, int target,
+                    const ReplySlot& reply, bool served_retired, bool fenced);
   void finish_attempt(std::uint32_t slot);
   // The register verdict of a read or write whose acquisition finished.
   void finish_op(std::uint32_t slot);
-  // Push target `k` (replica `server`) acked or timed out.
+  // Push target `k` acked or timed out.
   void finish_push(std::uint32_t slot, std::uint32_t generation, int k,
-                   int server, bool acked);
+                   bool acked);
   // Hands the result to the op's callback, then frees the slot.
   void complete(std::uint32_t slot);
   // Epoch mode: adopt the current epoch as this client's view.

@@ -35,6 +35,18 @@ bool QuorumAttempt::audit_retired_read(const FoldResult& adopted,
   return true;
 }
 
+int AcquisitionMachine::on_fence(double now, int replica_epoch) {
+  if (rules_.fence_is_probe_miss) {
+    resolve_probe(obs::FlightKind::kProbeMiss, now);
+  } else {
+    ++probes_;
+  }
+  obs::flight(obs::FlightKind::kEpochFenced, op_, obs::to_us(sent_at_),
+              attempt_.wire(index_), static_cast<std::uint64_t>(replica_epoch));
+  attempt_.fenced(index_);
+  return next_probe(now);
+}
+
 bool acked_write_visible(const std::vector<Replica>& replicas,
                          const Timestamp& newest_acked,
                          const MembershipView* members) {

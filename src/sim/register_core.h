@@ -1,10 +1,11 @@
 // The Sect. 4 register protocol shared by the simulator (SimClient, the
-// harness) and the served runner. Each driver owns its clock and
-// transport; the protocol decisions live here: RegisterPolicy (the knobs),
-// QuorumAttempt (one attempt's evidence and verdicts), fold_replies (max
-// fold or masking vote), WriteSet (genuine write bindings), and the
-// end-of-run and epoch-boundary steps acked_write_visible and
-// apply_epoch_transition.
+// harness) and the served runner. Each caller owns its clock, transport,
+// timeouts and rng streams; the protocol decisions live here:
+// RegisterPolicy (the knobs), AcquisitionMachine (one op, probe by probe,
+// to its verdict and write pushes), QuorumAttempt (one attempt's evidence
+// and verdicts), fold_replies (max fold or masking vote), WriteSet
+// (genuine write bindings), and the end-of-run and epoch-boundary steps
+// acked_write_visible and apply_epoch_transition.
 
 #pragma once
 
@@ -239,6 +240,189 @@ class QuorumAttempt {
   int universe_ = 0;
   bool sorted_ = false;
   bool saw_newer_epoch_ = false;
+};
+
+// What the two callers do differently, fixed per caller (never a config
+// field): the order a max fold (lie_tolerance 0) visits replies in, so
+// which wins a timestamp tie, and whether a fenced probe is also recorded
+// as a kProbeMiss.
+struct AcquisitionRules {
+  FoldOrder max_fold;
+  bool fence_is_probe_miss;
+};
+inline constexpr AcquisitionRules kSimRules{FoldOrder::kFamilyIndex, false};
+inline constexpr AcquisitionRules kServedRules{FoldOrder::kProbe, true};
+
+// A read's or a write's verdict; !ok when the acquisition failed or a
+// masking vote found no pair it could trust.
+struct Verdict {
+  bool ok = false;
+  Timestamp ts;  // read: the adopted one; write: the one to push
+  std::uint64_t value = 0;    // read: the adopted value
+  bool retired_read = false;  // read: adopted a reply served while retired
+};
+
+// One register operation of the Sect. 4 protocol as a sans-I/O machine: a
+// read acquires a signed quorum and adopts the max-timestamp (ts, value)
+// over S+, the reached probed replicas (or the masking vote); a write
+// acquires, then pushes (max+1, writer) to every replica of S+. The
+// machine owns the op's QuorumAttempt and makes every protocol decision;
+// its caller owns the clock (each `now`, in seconds), the transport,
+// timeouts and rng streams. The calls, in order: start once per op; begin
+// (or begin_aborted) per attempt; next_probe, then on_reply / on_fence /
+// on_timeout per probe, each naming the replica to probe next (-1 once the
+// attempt is over); refetch_view after each attempt; finish_acquisition
+// once; then read_verdict, or write_verdict and one on_push per target
+// k < push_count(). It records every protocol flight event, hot ones
+// behind obs::recorder_enabled(), and allocates nothing once sized for the
+// largest family it runs.
+class AcquisitionMachine {
+ public:
+  AcquisitionMachine(const AcquisitionRules& rules,
+                     const RegisterPolicy& policy, int capacity = 0)
+      : rules_(rules), policy_(policy), attempt_(capacity) {
+    push_resolved_.reserve(static_cast<std::size_t>(capacity));
+  }
+
+  void start(obs::OpId op) {
+    op_ = op;
+    probes_ = 0;
+    view_fetches_ = 0;
+    pushes_ = 0;
+  }
+  // The op's probe and view-fetch counts carry across its attempts.
+  void begin(ProbeStrategy* strategy, Rng* rng, const MembershipView* view) {
+    attempt_.begin(strategy, rng, view);
+  }
+  void begin_aborted(int universe, const MembershipView* view) {
+    attempt_.begin_aborted(universe, view);
+  }
+
+  // The replica to probe at `now`, then the outcome of the one in flight:
+  // a reply (served_retired sampled when served), a retired replica's
+  // fence, or no usable reply by `now`.
+  int next_probe(double now) {
+    if (!attempt_.in_progress()) return -1;
+    sent_at_ = now;
+    index_ = attempt_.next_server();
+    return attempt_.wire(index_);
+  }
+  int on_reply(double now, const Timestamp& ts, std::uint64_t value,
+               bool served_retired, int reply_epoch) {
+    resolve_probe(obs::FlightKind::kProbe, now);
+    attempt_.reached(index_, ts, value, served_retired, reply_epoch);
+    return next_probe(now);
+  }
+  int on_fence(double now, int replica_epoch);
+  int on_timeout(double now) {
+    resolve_probe(obs::FlightKind::kProbeMiss, now);
+    attempt_.missed(index_);
+    return next_probe(now);
+  }
+  double probe_sent_at() const { return sent_at_; }
+
+  // After an attempt: true when it failed with staleness evidence and the
+  // op has fetches left. It counts the fetch and records kViewRefresh at
+  // `at`; the caller then waits view_fetch_delay, adopts the current view
+  // and begins again.
+  bool refetch_view(int current_epoch, int view_epoch, double at) {
+    if (!attempt_.refetch_view(policy_, view_fetches_, current_epoch,
+                               view_epoch))
+      return false;
+    ++view_fetches_;
+    obs::flight(obs::FlightKind::kViewRefresh, op_, obs::to_us(at), -1,
+                static_cast<std::uint64_t>(current_epoch));
+    return true;
+  }
+  // The op is done acquiring: records the quorum event at `now`; true, with
+  // a kViewRefresh, when the caller should learn the current view.
+  bool finish_acquisition(int current_epoch, int view_epoch, double now) {
+    const bool learn = attempt_.learn_view(policy_, current_epoch, view_epoch);
+    if (learn)
+      obs::flight(obs::FlightKind::kViewRefresh, op_, obs::to_us(now), -1,
+                  static_cast<std::uint64_t>(current_epoch));
+    if (obs::recorder_enabled())
+      obs::flight(acquired() ? obs::FlightKind::kQuorumAcquired
+                             : obs::FlightKind::kQuorumFailed,
+                  op_, obs::to_us(now), -1, static_cast<std::uint64_t>(probes_));
+    return learn;
+  }
+
+  // The fold (or masking vote) over S+; a read also runs the retired-read
+  // audit, an ok write starts its pushes to S+ at `now`.
+  Verdict read_verdict(double now) {
+    const FoldResult adopted = fold();
+    return Verdict{adopted.ok, adopted.ts, adopted.value,
+                   attempt_.audit_retired_read(adopted, op_, obs::to_us(now))};
+  }
+  Verdict write_verdict(int writer, double now) {
+    const FoldResult adopted = fold();
+    if (!adopted.ok) return Verdict{};
+    pushes_ = static_cast<int>(attempt_.push_targets().size());
+    assert(pushes_ > 0 && "an acquired quorum has a reached server");
+    push_resolved_.assign(static_cast<std::size_t>(pushes_), 0);
+    pushes_pending_ = pushes_;
+    acks_ = 0;
+    push_start_ = now;
+    push_elapsed_ = 0.0;
+    return Verdict{true, QuorumAttempt::write_timestamp(adopted, writer)};
+  }
+  int push_count() const { return pushes_; }
+  int push_replica(int k) {
+    return attempt_.wire(attempt_.push_targets()[static_cast<std::size_t>(k)]);
+  }
+  double push_start() const { return push_start_; }
+  // Push k acked or timed out `elapsed` seconds after push_start(); true
+  // when it was the last to resolve. A push resolves once: a late ack
+  // after its timeout changes nothing.
+  bool on_push(int k, bool acked, double elapsed) {
+    char& resolved = push_resolved_[static_cast<std::size_t>(k)];
+    if (resolved != 0) return false;
+    resolved = 1;
+    if (obs::recorder_enabled())
+      obs::flight(
+          acked ? obs::FlightKind::kWriteAck : obs::FlightKind::kWriteNack,
+          op_, obs::to_us(push_start_), push_replica(k), obs::to_us(elapsed));
+    if (acked) ++acks_;
+    push_elapsed_ = std::max(push_elapsed_, elapsed);
+    return --pushes_pending_ == 0;
+  }
+  int acks() const { return acks_; }
+  // When the latest resolved push resolved.
+  double push_done() const { return push_start_ + push_elapsed_; }
+
+  bool acquired() const { return attempt_.acquired(); }
+  int probes() const { return probes_; }
+  int view_fetches() const { return view_fetches_; }
+  QuorumAttempt& attempt() { return attempt_; }
+
+ private:
+  // Counts the probe in flight as resolved at `now`, recording `kind`.
+  void resolve_probe(obs::FlightKind kind, double now) {
+    ++probes_;
+    if (obs::recorder_enabled())
+      obs::flight(kind, op_, obs::to_us(sent_at_), attempt_.wire(index_),
+                  obs::to_us(now - sent_at_));
+  }
+  FoldResult fold() {
+    const int b = policy_.lie_tolerance;
+    return attempt_.fold(b, b > 0 ? FoldOrder::kFamilyIndex : rules_.max_fold);
+  }
+
+  AcquisitionRules rules_;
+  RegisterPolicy policy_;
+  QuorumAttempt attempt_;
+  obs::OpId op_ = obs::kNoOp;
+  int probes_ = 0;  // resolved, across the op's attempts
+  int view_fetches_ = 0;
+  int index_ = -1;  // family index of the probe in flight
+  double sent_at_ = 0.0;
+  int pushes_ = 0;  // |S+| of an ok write
+  std::vector<char> push_resolved_;
+  int pushes_pending_ = 0;
+  int acks_ = 0;
+  double push_start_ = 0.0;
+  double push_elapsed_ = 0.0;
 };
 
 // A grow-only set of (ts, value) bindings in the compact-dict layout: the

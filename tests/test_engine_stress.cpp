@@ -96,8 +96,12 @@ TEST(EngineStress, ContractHoldsUnderChaosStrategies) {
     ASSERT_EQ(record.probed.size(), static_cast<std::size_t>(record.num_probes));
     // Probed signs mirror the oracle.
     for (int i = 0; i < n; ++i) {
-      if (record.probed.has_positive(i)) ASSERT_TRUE(c.is_up(i));
-      if (record.probed.has_negative(i)) ASSERT_FALSE(c.is_up(i));
+      if (record.probed.has_positive(i)) {
+        ASSERT_TRUE(c.is_up(i));
+      }
+      if (record.probed.has_negative(i)) {
+        ASSERT_FALSE(c.is_up(i));
+      }
     }
     if (record.acquired) {
       ASSERT_TRUE(record.quorum.is_subset_of(record.probed));

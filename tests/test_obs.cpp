@@ -270,8 +270,8 @@ TEST(ObsTelemetry, MergeDeterminismUnderSweepLoad) {
     opts.chunk_size = 32;
     run_sweep(
         cells, 0,
-        [&](std::size_t, int&, const TrialChunk& tc, Rng&) {
-          for (std::uint64_t t = tc.begin; t < tc.end; ++t) {
+        [&](std::size_t, int&, const TrialContext& ctx, Rng&) {
+          for (std::uint64_t t = ctx.chunk.begin; t < ctx.chunk.end; ++t) {
             c.add();
             h.record(t % 53);
           }
@@ -339,9 +339,9 @@ TEST(ObsTelemetry, MidBatchEnableFlushesWorkerShards) {
   opts.chunk_size = 1;
   run_trial_chunks(
       kTrials, Rng(5), 0,
-      [&](int&, const TrialChunk& tc, Rng&) {
+      [&](int&, const TrialContext& ctx, Rng&) {
         obs::configure(enabled_config(true, false));  // mid-batch toggle
-        c.add(tc.end - tc.begin);
+        c.add(ctx.chunk.end - ctx.chunk.begin);
         if (std::this_thread::get_id() != caller) {
           worker_chunks.fetch_add(1, std::memory_order_relaxed);
           worker_ran.store(true, std::memory_order_release);

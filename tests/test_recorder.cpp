@@ -8,12 +8,15 @@
 
 #include <cstdint>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/constructions.h"
+#include "core/masking.h"
 #include "faults/chaos.h"
 #include "faults/churn.h"
 #include "faults/family_spec.h"
@@ -409,6 +412,165 @@ TEST(Recorder, ChaosViolationWritesBlackBox) {
   EXPECT_NE(text.find("\"kind\":\"arrival\""), std::string::npos);
   EXPECT_NE(text.find("\"kind\":\"op_done\""), std::string::npos);
   EXPECT_EQ(obs::flight_recorder_stats().dumps, 1u);
+}
+
+// --- the pinned flight streams ----------------------------------------------
+//
+// FNV-1a over every collected flight event's (kind, op, time, replica,
+// payload), in the merged dump's order. The simulated client and the served
+// runner record every probe, fence, view refresh, verdict and push they
+// make, so a digest that holds proves both callers still make the same
+// protocol decisions at the same virtual times. The constants were taken
+// before the two callers shared one acquisition machine.
+
+struct FlightDigest {
+  std::uint64_t digest = 0xCBF29CE484222325ull;
+  std::uint64_t events = 0;
+  std::map<obs::FlightKind, std::uint64_t> kinds;
+};
+
+FlightDigest digest_flight_events() {
+  FlightDigest out;
+  const auto fold = [&out](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      out.digest ^= (v >> (8 * byte)) & 0xFFu;
+      out.digest *= 0x100000001B3ull;
+    }
+  };
+  for (const obs::FlightEvent& e : obs::collect_flight_events()) {
+    fold(static_cast<std::uint64_t>(e.kind));
+    fold(e.op);
+    fold(e.time_us);
+    fold(static_cast<std::uint64_t>(static_cast<std::int64_t>(e.replica)));
+    fold(e.payload);
+    ++out.events;
+    ++out.kinds[e.kind];
+  }
+  EXPECT_EQ(obs::flight_recorder_stats().overwritten, 0u);
+  return out;
+}
+
+TEST(Recorder, ServedFlightStreamIsPinned) {
+  // Masking majority(12, b = 1) under a rolling replacement (the runner's
+  // view goes stale at each boundary and refreshes on a fence or a newer
+  // epoch stamp), a partition of four servers that fails some quorums and
+  // a lying replica, served with and without certificate checks so the
+  // masking vote sees the lies.
+  FamilySpec spec;
+  spec.kind = "masking-majority";
+  spec.n = 12;
+  spec.b = 1;
+  const auto family = spec.make();
+  ASSERT_NE(family, nullptr);
+  ServiceConfig config = tiny_service();
+  config.policy.lie_tolerance = 1;
+  config.epochs = build_epoch_schedule(make_replace_churn(0.5, 0.5, 2),
+                                       family_factory(spec), spec.n);
+  ASSERT_NE(config.epochs, nullptr);
+  for (int server = 6; server < 10; ++server)
+    config.plan.server_partition(0.4, server, 0.8);
+  config.plan.lie(0.2, 5, LieMode::kWrongValue, 1.5);
+  const std::vector<std::uint8_t> requests = generate_load(tiny_load());
+
+  RecorderScope scope;
+  const struct {
+    bool verify;
+    std::uint64_t digest;
+    std::uint64_t events;
+  } runs[] = {{true, 0xBC835E0DF62CD357ull, 16706},
+              {false, 0x8C47389D62B76439ull, 16265}};
+  for (const auto& run : runs) {
+    obs::reset_flight_recorder();
+    config.verify_replica_certs = run.verify;
+    ServiceRunner runner(*family, config);
+    const ServiceResult r = runner.serve(requests);
+    EXPECT_GT(r.view_refreshes, 0u);
+    EXPECT_GT(r.epoch_rejects, 0u);
+    EXPECT_EQ(r.fabricated_reads, 0u);  // the vote or the certs caught it
+    const FlightDigest d = digest_flight_events();
+    for (const obs::FlightKind kind :
+         {obs::FlightKind::kProbe, obs::FlightKind::kProbeMiss,
+          obs::FlightKind::kEpochFenced, obs::FlightKind::kViewRefresh,
+          obs::FlightKind::kWriteAck, obs::FlightKind::kWriteNack})
+      EXPECT_GT(d.kinds.count(kind), 0u) << obs::flight_kind_name(kind);
+    if (run.verify) {
+      // The liar's rejected replies cost the partitioned fleet its quorum.
+      EXPECT_GT(r.cert_rejects, 0u);
+      EXPECT_GT(d.kinds.count(obs::FlightKind::kQuorumFailed), 0u);
+    }
+    EXPECT_EQ(d.digest, run.digest) << "verify=" << run.verify;
+    EXPECT_EQ(d.events, run.events) << "verify=" << run.verify;
+  }
+}
+
+TEST(Recorder, ChaosFlightStreamIsPinned) {
+  // The chaos cells that reach every branch the simulated client keeps for
+  // itself: retries and backoff (lossy_bursts), a deadline that fires
+  // (lossy_bursts with a 0.6 s budget), the partition filter
+  // (partition_storm), the adaptive timeout (gray_servers), read repair
+  // (baseline with repair on), plus the masking vote (byzantine) and stale
+  // views (churn_replace). One replicate on one thread, one cell at a time.
+  const OptDFamily optd(12, 2);
+  std::vector<ChaosScenario> cells;
+  for (ChaosScenario& s : builtin_chaos_scenarios(optd)) {
+    if (s.name == "baseline") {
+      s.name = "read_repair";
+      s.config.client.read_repair = true;
+      cells.push_back(s);
+    } else if (s.name == "lossy_bursts") {
+      cells.push_back(s);
+      s.name = "tight_deadline";
+      s.config.client.op_deadline = 0.6;
+      cells.push_back(s);
+    } else if (s.name == "partition_storm" || s.name == "gray_servers") {
+      cells.push_back(s);
+    }
+  }
+  const MaskingThresholdFamily masking(12, 1);
+  cells.push_back(byzantine_chaos_scenario(masking, 1));
+  cells.back().family.kind = "masking-majority";
+  cells.back().family.n = 12;
+  cells.back().family.b = 1;
+  FamilySpec churn;
+  churn.kind = "majority";
+  churn.n = 12;
+  churn.alpha = 2;
+  cells.push_back(churn_replace_chaos_scenario(churn));
+
+  const struct {
+    const char* scenario;
+    obs::FlightKind must_see;
+    std::uint64_t digest;
+    std::uint64_t events;
+  } expected[] = {
+      {"read_repair", obs::FlightKind::kQuorumAcquired,
+       0xB0BBB54526CA69E2ull, 25762},
+      {"gray_servers", obs::FlightKind::kProbeMiss,
+       0xCBAB96BE3E67CA27ull, 18506},
+      {"partition_storm", obs::FlightKind::kFiltered,
+       0xC98DFC649E5AB2A0ull, 26062},
+      {"lossy_bursts", obs::FlightKind::kRetry,
+       0x73EC2B2787089898ull, 20020},
+      {"tight_deadline", obs::FlightKind::kDeadline,
+       0xAADC4CC777A2BB31ull, 20834},
+      {"byzantine", obs::FlightKind::kQuorumAcquired,
+       0x090038A681EFD7D8ull, 32661},
+      {"churn_replace", obs::FlightKind::kEpochFenced,
+       0x6BFCBBACCB1419F2ull, 32246},
+  };
+  ASSERT_EQ(cells.size(), std::size(expected));
+  RecorderScope scope;
+  TrialOptions one_thread;
+  one_thread.threads = 1;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    obs::reset_flight_recorder();
+    ASSERT_EQ(cells[i].name, expected[i].scenario);
+    run_chaos(optd, {cells[i]}, /*replicates=*/1, one_thread);
+    const FlightDigest d = digest_flight_events();
+    EXPECT_GT(d.kinds.count(expected[i].must_see), 0u) << cells[i].name;
+    EXPECT_EQ(d.digest, expected[i].digest) << cells[i].name;
+    EXPECT_EQ(d.events, expected[i].events) << cells[i].name;
+  }
 }
 
 // --- strict flag parsing ----------------------------------------------------

@@ -1,6 +1,7 @@
-// The register protocol step shared by SimClient and the served runner
-// (src/sim/register_core.h): QuorumAttempt's evidence and verdicts, and
-// RegisterPolicy's validation through both configs that hold it.
+// The register protocol shared by SimClient and the served runner
+// (src/sim/register_core.h): QuorumAttempt's evidence and verdicts, the
+// AcquisitionMachine driven by hand, and RegisterPolicy's validation
+// through both configs that hold it.
 
 #include "sim/register_core.h"
 
@@ -309,6 +310,229 @@ TEST(QuorumAttempt, SizedOnceThenReusedAcrossFamilies) {
   EXPECT_FALSE(attempt.reply(1).has_value());
   attempt.reached(5, Timestamp{2, 0}, 2, false, 0);
   EXPECT_EQ(attempt.fold(0, FoldOrder::kFamilyIndex).index, 5);
+}
+
+// --- the acquisition machine, driven by hand --------------------------------
+//
+// No simulator and no transport: each test plays the caller, naming the
+// clock and every probe outcome, and reads the machine's next move.
+
+// The flight events of `kind` recorded while `run` drives a machine.
+template <typename Run>
+std::vector<obs::FlightEvent> flights_of(obs::FlightKind kind, Run run) {
+  const obs::TelemetryConfig saved = obs::current_config();
+  obs::TelemetryConfig tc = saved;
+  tc.recorder = true;
+  obs::configure(tc);
+  obs::reset_flight_recorder();
+  run();
+  std::vector<obs::FlightEvent> out;
+  for (const obs::FlightEvent& e : obs::collect_flight_events())
+    if (e.kind == kind) out.push_back(e);
+  obs::configure(saved);
+  obs::reset_flight_recorder();
+  return out;
+}
+
+TEST(AcquisitionMachine, FenceRefetchesThenReprobesUnderTheNewView) {
+  // Epoch 1 replaced replica 0 by replica 3. A client still on the epoch-0
+  // view is fenced by 0, cannot reach 3 of 3, and fetches the view.
+  const MembershipView old_view = view_of(0, {0, 1, 2});
+  const MembershipView new_view = view_of(1, {3, 1, 2});
+  ScriptedStrategy strategy(3, {0, 1, 2}, 3);
+  AcquisitionMachine machine(kSimRules, RegisterPolicy{}, 3);
+  const obs::OpId op = obs::make_op_id(1, 7);
+  const auto refreshes = flights_of(obs::FlightKind::kViewRefresh, [&] {
+    machine.start(op);
+    machine.begin(&strategy, nullptr, &old_view);
+    EXPECT_EQ(machine.next_probe(0.0), 0);
+    EXPECT_EQ(machine.on_fence(0.1, /*replica_epoch=*/1), 1);
+    EXPECT_EQ(machine.on_reply(0.2, Timestamp{1, 0}, 10, false, 0), 2);
+    EXPECT_EQ(machine.on_reply(0.3, Timestamp{1, 0}, 10, false, 0), -1);
+    EXPECT_FALSE(machine.acquired());
+    ASSERT_TRUE(machine.refetch_view(/*current_epoch=*/1, /*view_epoch=*/0,
+                                     /*at=*/0.35));
+    EXPECT_EQ(machine.view_fetches(), 1);
+
+    // Re-begun under the fetched view, index 0 is replica 3.
+    machine.begin(&strategy, nullptr, &new_view);
+    EXPECT_EQ(machine.next_probe(0.35), 3);
+    EXPECT_EQ(machine.on_reply(0.4, Timestamp{1, 0}, 10, false, 1), 1);
+    EXPECT_EQ(machine.on_reply(0.5, Timestamp{1, 0}, 10, false, 1), 2);
+    EXPECT_EQ(machine.on_reply(0.6, Timestamp{1, 0}, 10, false, 1), -1);
+    EXPECT_TRUE(machine.acquired());
+    EXPECT_FALSE(machine.refetch_view(1, 1, 0.6));
+    EXPECT_FALSE(machine.finish_acquisition(1, 1, 0.6));
+  });
+  EXPECT_EQ(machine.probes(), 6);
+  EXPECT_EQ(machine.view_fetches(), 1);
+  const Verdict read = machine.read_verdict(0.6);
+  EXPECT_TRUE(read.ok);
+  EXPECT_EQ(read.value, 10u);
+  ASSERT_EQ(refreshes.size(), 1u);
+  EXPECT_EQ(refreshes[0].op, op);
+  EXPECT_EQ(refreshes[0].time_us, 350000u);
+  EXPECT_EQ(refreshes[0].payload, 1u);
+
+  // The fetches are bounded per op.
+  RegisterPolicy once;
+  once.max_view_fetches = 1;
+  AcquisitionMachine bounded(kSimRules, once, 3);
+  bounded.start(op);
+  for (int fetch = 0; fetch < 2; ++fetch) {
+    bounded.begin(&strategy, nullptr, &old_view);
+    EXPECT_EQ(bounded.next_probe(0.0), 0);
+    bounded.on_fence(0.1, 1);
+    bounded.on_timeout(0.2);
+    bounded.on_timeout(0.3);
+    EXPECT_EQ(bounded.refetch_view(1, 0, 0.3), fetch == 0) << fetch;
+  }
+}
+
+TEST(AcquisitionMachine, SuccessfulOpLearnsTheViewAfterwards) {
+  // A reply stamped with a newer epoch is staleness evidence, but the op
+  // acquired anyway: no refetch, the caller learns the view after the op.
+  const MembershipView view = view_of(0, {0, 1, 2});
+  ScriptedStrategy strategy(3, {0, 1, 2}, 2);
+  AcquisitionMachine machine(kServedRules, RegisterPolicy{}, 3);
+  const auto quorum = flights_of(obs::FlightKind::kQuorumAcquired, [&] {
+    machine.start(obs::make_op_id(0, 1));
+    machine.begin(&strategy, nullptr, &view);
+    EXPECT_EQ(machine.next_probe(1.0), 0);
+    EXPECT_EQ(machine.on_reply(1.1, Timestamp{2, 0}, 20, false, 1), 1);
+    EXPECT_EQ(machine.on_reply(1.2, Timestamp{3, 0}, 30, false, 0), -1);
+    ASSERT_TRUE(machine.acquired());
+    EXPECT_FALSE(machine.refetch_view(1, 0, 1.2));
+    EXPECT_TRUE(machine.finish_acquisition(1, 0, 1.2));
+  });
+  ASSERT_EQ(quorum.size(), 1u);
+  EXPECT_EQ(quorum[0].time_us, 1200000u);
+  EXPECT_EQ(quorum[0].payload, 2u);  // probes
+  EXPECT_EQ(machine.view_fetches(), 0);
+  const Verdict write = machine.write_verdict(/*writer=*/5, 1.2);
+  ASSERT_TRUE(write.ok);
+  EXPECT_EQ(write.ts.counter, 4u);
+  EXPECT_EQ(write.ts.writer, 5);
+  EXPECT_EQ(machine.push_count(), 2);
+
+  // A caller whose view is current learns nothing; refresh_views off never.
+  machine.start(obs::make_op_id(0, 2));
+  machine.begin(&strategy, nullptr, &view);
+  machine.next_probe(2.0);
+  machine.on_reply(2.1, Timestamp{}, 0, false, 1);
+  machine.on_reply(2.2, Timestamp{}, 0, false, 1);
+  EXPECT_FALSE(machine.finish_acquisition(1, 1, 2.2));
+  RegisterPolicy stale_forever;
+  stale_forever.refresh_views = false;
+  AcquisitionMachine stale(kServedRules, stale_forever, 3);
+  stale.start(obs::make_op_id(0, 3));
+  stale.begin(&strategy, nullptr, &view);
+  stale.next_probe(3.0);
+  stale.on_reply(3.1, Timestamp{}, 0, false, 1);
+  stale.on_reply(3.2, Timestamp{}, 0, false, 1);
+  EXPECT_FALSE(stale.finish_acquisition(1, 0, 3.2));
+}
+
+TEST(AcquisitionMachine, MaskingVoteFailsTheOpWithoutAVouchedPair) {
+  // b = 1: a pair must be reported by two replicas. Three replicas, three
+  // different pairs: the quorum is acquired but the vote fails the op, so a
+  // read returns nothing and a write pushes nothing.
+  RegisterPolicy masking;
+  masking.lie_tolerance = 1;
+  ScriptedStrategy strategy(3, {0, 1, 2}, 3);
+  for (const AcquisitionRules& rules : {kSimRules, kServedRules}) {
+    AcquisitionMachine machine(rules, masking, 3);
+    for (const bool write : {false, true}) {
+      machine.start(obs::make_op_id(1, 1));
+      machine.begin(&strategy, nullptr, nullptr);
+      machine.next_probe(0.0);
+      machine.on_reply(0.1, Timestamp{9, 4}, 99, false, 0);  // a liar
+      machine.on_reply(0.2, Timestamp{2, 0}, 20, false, 0);
+      machine.on_reply(0.3, Timestamp{1, 0}, 10, false, 0);
+      ASSERT_TRUE(machine.acquired());
+      const Verdict v =
+          write ? machine.write_verdict(3, 0.3) : machine.read_verdict(0.3);
+      EXPECT_FALSE(v.ok) << write;
+      EXPECT_EQ(v.ts, Timestamp{}) << write;
+      EXPECT_EQ(v.value, 0u) << write;
+      EXPECT_EQ(machine.push_count(), 0) << write;
+    }
+    // Two honest replicas agreeing outvote the liar.
+    machine.start(obs::make_op_id(1, 2));
+    machine.begin(&strategy, nullptr, nullptr);
+    machine.next_probe(0.0);
+    machine.on_reply(0.1, Timestamp{9, 4}, 99, false, 0);
+    machine.on_reply(0.2, Timestamp{2, 0}, 20, false, 0);
+    machine.on_reply(0.3, Timestamp{2, 0}, 20, false, 0);
+    const Verdict read = machine.read_verdict(0.3);
+    EXPECT_TRUE(read.ok);
+    EXPECT_EQ(read.value, 20u);
+  }
+}
+
+TEST(AcquisitionMachine, PushesResolveInAnyOrderAndCompleteAtTheLatest) {
+  // Four reached replicas; their acks and timeouts arrive in every order.
+  // The write completes on the last resolve, at push_start + the latest
+  // elapsed time, whichever push that was; a second resolve of a push (an
+  // ack after its timeout) changes nothing.
+  const double elapsed[4] = {0.02, 0.25, 0.07, 0.25};
+  const bool acked[4] = {true, false, true, false};
+  std::vector<int> order = {0, 1, 2, 3};
+  ScriptedStrategy strategy(4, {0, 1, 2, 3}, 4);
+  AcquisitionMachine machine(kSimRules, RegisterPolicy{}, 4);
+  do {
+    machine.start(obs::make_op_id(2, 1));
+    machine.begin(&strategy, nullptr, nullptr);
+    int next = machine.next_probe(10.0);
+    for (int i = 0; i < 4; ++i)
+      next = machine.on_reply(10.0 + 0.01 * (i + 1), Timestamp{1, 0}, 1,
+                              false, 0);
+    ASSERT_EQ(next, -1);
+    const Verdict write = machine.write_verdict(2, 10.04);
+    ASSERT_TRUE(write.ok);
+    ASSERT_EQ(machine.push_count(), 4);
+    EXPECT_EQ(machine.push_start(), 10.04);
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const int k = order[i];
+      EXPECT_EQ(machine.push_replica(k), k);
+      const bool last = machine.on_push(k, acked[k], elapsed[k]);
+      EXPECT_EQ(last, i + 1 == order.size());
+      EXPECT_FALSE(machine.on_push(k, true, 0.01));  // already resolved
+    }
+    EXPECT_EQ(machine.acks(), 2);
+    EXPECT_EQ(machine.push_done(), 10.04 + 0.25);
+  } while (std::next_permutation(order.begin(), order.end()));
+
+  // The ack and nack flight events name each replica and its resolve time.
+  machine.start(obs::make_op_id(2, 2));
+  machine.begin(&strategy, nullptr, nullptr);
+  machine.next_probe(0.0);
+  for (int i = 0; i < 4; ++i)
+    machine.on_reply(0.0, Timestamp{1, 0}, 1, false, 0);
+  machine.write_verdict(2, 1.0);
+  const auto nacks = flights_of(obs::FlightKind::kWriteNack, [&] {
+    for (int k = 3; k >= 0; --k) machine.on_push(k, acked[k], elapsed[k]);
+  });
+  ASSERT_EQ(nacks.size(), 2u);
+  EXPECT_EQ(nacks[0].replica, 1);
+  EXPECT_EQ(nacks[0].time_us, 1000000u);
+  EXPECT_EQ(nacks[0].payload, 250000u);
+}
+
+TEST(AcquisitionMachine, OnlyTheServedRulesRecordAFenceAsAMiss) {
+  const MembershipView view = view_of(0, {0, 1});
+  ScriptedStrategy strategy(2, {0, 1}, 1);
+  for (const AcquisitionRules& rules : {kSimRules, kServedRules}) {
+    AcquisitionMachine machine(rules, RegisterPolicy{}, 2);
+    const auto misses = flights_of(obs::FlightKind::kProbeMiss, [&] {
+      machine.start(obs::make_op_id(1, 3));
+      machine.begin(&strategy, nullptr, &view);
+      machine.next_probe(0.0);
+      EXPECT_EQ(machine.on_fence(0.004, 1), 1);
+    });
+    EXPECT_EQ(misses.size(), rules.fence_is_probe_miss ? 1u : 0u);
+    EXPECT_EQ(machine.probes(), 1);
+  }
 }
 
 TEST(RegisterPolicy, NanViewFetchDelayRejectedByBothConfigs) {

@@ -37,8 +37,8 @@ TEST(Sweep, CoversEveryTrialOfEveryCellExactlyOnce) {
     opts.chunk_size = 16;
     const std::vector<std::uint64_t> sums = run_sweep(
         cells, std::uint64_t{0},
-        [](std::size_t, std::uint64_t& acc, const TrialChunk& tc, Rng&) {
-          for (std::uint64_t t = tc.begin; t < tc.end; ++t) acc += t;
+        [](std::size_t, std::uint64_t& acc, const TrialContext& ctx, Rng&) {
+          for (std::uint64_t t = ctx.chunk.begin; t < ctx.chunk.end; ++t) acc += t;
         },
         [](std::uint64_t& acc, std::uint64_t part) { acc += part; }, opts);
     ASSERT_EQ(sums.size(), cells.size());
@@ -61,8 +61,8 @@ TEST(Sweep, MergesChunksInAscendingOrderPerCell) {
     opts.chunk_size = 8;
     const auto orders = run_sweep(
         cells, std::vector<std::uint64_t>{},
-        [](std::size_t, std::vector<std::uint64_t>& acc, const TrialChunk& tc,
-           Rng&) { acc.push_back(tc.index); },
+        [](std::size_t, std::vector<std::uint64_t>& acc, const TrialContext& ctx,
+           Rng&) { acc.push_back(ctx.chunk.index); },
         [](std::vector<std::uint64_t>& acc, std::vector<std::uint64_t>&& part) {
           acc.insert(acc.end(), part.begin(), part.end());
         },
@@ -83,9 +83,9 @@ TEST(Sweep, MatchesStandaloneRunTrialChunksPerCell) {
   TrialOptions opts;
   opts.threads = 8;
   opts.chunk_size = 32;
-  auto chunk_fn = [](std::vector<std::uint64_t>& acc, const TrialChunk& tc,
+  auto chunk_fn = [](std::vector<std::uint64_t>& acc, const TrialContext& ctx,
                      Rng& rng) {
-    for (std::uint64_t t = tc.begin; t < tc.end; ++t)
+    for (std::uint64_t t = ctx.chunk.begin; t < ctx.chunk.end; ++t)
       acc.push_back(rng.next_u64());
   };
   auto merge = [](std::vector<std::uint64_t>& acc,
@@ -94,8 +94,8 @@ TEST(Sweep, MatchesStandaloneRunTrialChunksPerCell) {
   };
   const auto swept = run_sweep(
       cells, std::vector<std::uint64_t>{},
-      [&](std::size_t, std::vector<std::uint64_t>& acc, const TrialChunk& tc,
-          Rng& rng) { chunk_fn(acc, tc, rng); },
+      [&](std::size_t, std::vector<std::uint64_t>& acc, const TrialContext& ctx,
+          Rng& rng) { chunk_fn(acc, ctx, rng); },
       merge, opts);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const auto alone =
@@ -325,9 +325,9 @@ TEST(Sweep, NestedInsideWorkerRunsInlineAndMatches) {
           inner.chunk_size = 16;
           const auto sums = run_sweep(
               cells, std::uint64_t{0},
-              [](std::size_t, std::uint64_t& acc2, const TrialChunk& tc,
+              [](std::size_t, std::uint64_t& acc2, const TrialContext& ctx,
                  Rng& rng) {
-                for (std::uint64_t i = tc.begin; i < tc.end; ++i)
+                for (std::uint64_t i = ctx.chunk.begin; i < ctx.chunk.end; ++i)
                   acc2 += rng.next_u64() >> 60;
               },
               [](std::uint64_t& acc2, std::uint64_t part) { acc2 += part; },
