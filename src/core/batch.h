@@ -17,11 +17,20 @@
 //     estimates stay bit-identical at any thread count and batch width.
 //   * Several chunks can be sampled at once, one chunk stream per vector
 //     lane (LaneBlocks below, util/rng_lanes.h): each lane still draws its
-//     own chunk's stream in that order, and each chunk's rows are
-//     evaluated as their own 64-trial blocks, so grouping changes no bit.
+//     own chunk's stream in that order.
+//   * A drawn group is evaluated in vector lanes too: one transpose of
+//     lane words flips every lane's block into LaneColumns, and the group
+//     kernels (QuorumFamily::accepts_lanes, the two-client walk of
+//     mismatch/batch.h) advance all G blocks with each instruction. Lane
+//     g only ever reads and writes lane g, and each block is still its
+//     chunk's own 64 trials counted into its own accumulator, so grouping
+//     changes no bit. Every group kernel is one template on G, and G = 1
+//     is the plain 64-bit kernel.
 //   * accepts_batch(worlds, out) must satisfy out[t] == accepts(world t)
-//     for every trial. BatchPolicy::kDifferential re-runs the scalar oracle
-//     per trial and throws std::runtime_error on the first disagreement.
+//     for every trial, and accepts_lanes the same for every live trial of
+//     every lane (and 0 past it). BatchPolicy::kDifferential re-runs the
+//     scalar oracle per trial and throws std::runtime_error on the first
+//     disagreement.
 
 #pragma once
 
@@ -109,13 +118,12 @@ class WorldBatch {
   }
 
   // Loads up to 64 trial rows into lane word `w` via 64x64 block
-  // transposes. `rows` is row-major scalar-draw-order staging:
-  // rows[(r * batch_row_words(n) + rw) * stride] holds servers
-  // [rw*64, rw*64+64) of trial w*64+r (stride > 1 reads one lane of
-  // lane-interleaved staging, see LaneBlocks). Rows beyond `count` are
-  // treated as absent (their lanes stay clear) — the ragged-tail case.
-  void load_rows(std::size_t w, const std::uint64_t* rows, std::size_t count,
-                 std::size_t stride = 1);
+  // transposes (the one-lane instance of LaneColumns::load_rows's group
+  // transpose). `rows` is row-major scalar-draw-order staging:
+  // rows[r * batch_row_words(n) + rw] holds servers [rw*64, rw*64+64) of
+  // trial w*64+r. Rows beyond `count` are not read and treated as absent
+  // (their lanes stay clear) — the ragged-tail case.
+  void load_rows(std::size_t w, const std::uint64_t* rows, std::size_t count);
 
   // Writes trial t's row back into a Configuration (up = bit set): the
   // inverse transpose the differential oracle and the default
@@ -133,35 +141,56 @@ class WorldBatch {
 //
 // planes[j] holds bit j of a 64-lane vertical counter; num_planes planes
 // count up to 2^num_planes - 1 per lane. Used by the threshold ladders and
-// the batched OPT_d probe walks.
+// the batched OPT_d probe walks. The G template parameter widens every
+// plane to G lane words (LaneWords<G>::U, util/rng_lanes.h), so one
+// instance counts G blocks of 64 trials; G = 1 is the plain-word counter.
 
 // planes += w (per lane, ripple carry). The caller sizes num_planes so the
 // counter cannot overflow (counts are bounded by the universe size);
-// asserted in debug builds.
-inline void lane_counter_add(std::uint64_t* planes, int num_planes,
-                             std::uint64_t w) {
-  std::uint64_t carry = w;
-  for (int j = 0; j < num_planes && carry != 0; ++j) {
-    const std::uint64_t t = planes[j] & carry;
+// asserted for one word (the benchmark build keeps asserts, and a
+// cross-lane test per add would slow the vector walks).
+template <int G = 1>
+[[gnu::always_inline]] inline void lane_counter_add(
+    typename LaneWords<G>::U* planes, int num_planes,
+    const typename LaneWords<G>::U& w) {
+  using U = typename LaneWords<G>::U;
+  U carry = w;
+  for (int j = 0; j < num_planes; ++j) {
+    // One word stops at its last carry; a vector runs every plane (a
+    // cross-lane test costs more than the plane it would skip).
+    if constexpr (G == 1)
+      if (carry == 0) break;
+    const U t = planes[j] & carry;
     planes[j] ^= carry;
     carry = t;
   }
-  assert(carry == 0 && "lane counter overflow: too few planes");
+  if constexpr (G == 1)
+    assert(carry == 0 && "lane counter overflow: too few planes");
 }
 
-// Lanes whose counter is >= c (bit-sliced borrow subtraction). Exact for
-// counter values and c below 2^num_planes; a c beyond that range is simply
-// unreachable and yields 0.
+// out = lanes whose counter is >= c (bit-sliced borrow subtraction). Exact
+// for counter values and c below 2^num_planes; a c beyond that range is
+// simply unreachable and yields 0.
+template <int G = 1>
+[[gnu::always_inline]] inline void lane_counter_at_least(
+    const typename LaneWords<G>::U* planes, int num_planes, std::uint64_t c,
+    typename LaneWords<G>::U& out) {
+  using U = typename LaneWords<G>::U;
+  if (num_planes < 64 && (c >> num_planes) != 0) {
+    out = U{};
+    return;
+  }
+  U borrow = U{};
+  for (int j = 0; j < num_planes; ++j)
+    borrow = ((c >> j) & 1u) ? (~planes[j] | borrow) : (~planes[j] & borrow);
+  out = ~borrow;
+}
+
 inline std::uint64_t lane_counter_at_least(const std::uint64_t* planes,
                                            int num_planes, std::uint64_t c) {
-  if (num_planes < 64 && (c >> num_planes) != 0) return 0;
-  std::uint64_t borrow = 0;
-  for (int j = 0; j < num_planes; ++j) {
-    const std::uint64_t a = planes[j];
-    const std::uint64_t b = ((c >> j) & 1u) ? ~0ull : 0ull;
-    borrow = (~a & (b | borrow)) | (a & b & borrow);
-  }
-  return ~borrow;
+  std::uint64_t out;
+  lane_counter_at_least<1>(planes, num_planes, c, out);
+  return out;
 }
 
 // Planes needed to count to n without overflow (2^planes > n).
@@ -245,6 +274,62 @@ class LaneBlocks {
   std::size_t rows_[kMaxRngLanes] = {};
 };
 
+// --- lane-group evaluation -----------------------------------------------
+
+// One 64-trial block per lane for `width` lanes (1, 4 or 8), side by side:
+// word s * width + g is server s's column of block g, so the G lane words
+// of one server load as one LaneWords<G>::U and a group kernel evaluates
+// all G blocks with each instruction. live(g) holds block g's trials (its
+// low rows(g) bits; 0 for an idle lane); kernels AND it in, so bits past a
+// block's rows never reach a count.
+class LaneColumns {
+ public:
+  // Re-targets to n servers x `width` blocks, all columns and live masks
+  // clear, reusing the word storage.
+  void reshape(int n, int width) {
+    assert(n >= 0 && width >= 1 && width <= kMaxRngLanes);
+    n_ = n;
+    width_ = width;
+    words_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(width), 0);
+    std::fill(live_, live_ + kMaxRngLanes, 0);
+  }
+
+  int universe_size() const { return n_; }
+  int width() const { return width_; }
+  std::uint64_t live(int g) const { return live_[g]; }
+  // The width live masks as one lane word.
+  const std::uint64_t* live_masks() const { return live_; }
+  const std::uint64_t* data() const { return words_.data(); }
+
+  std::uint64_t column(int server, int g) const {
+    return words_[static_cast<std::size_t>(server) * static_cast<std::size_t>(width_) +
+                  static_cast<std::size_t>(g)];
+  }
+  bool test(int g, std::uint64_t t, int server) const {
+    return (column(server, g) >> t) & 1u;
+  }
+  // Block g's trial t as a Configuration (up = bit set), for the
+  // differential replay.
+  void extract_trial(int g, std::uint64_t t, Configuration& out) const;
+
+  // Transposes one drawn block of every lane at once: `rows` is the
+  // lane-interleaved staging of `blocks` (lane_block_words(n, width)
+  // words), and lane g keeps its first blocks.rows(g) rows (stale staging
+  // rows and lanes past the stream count are masked off).
+  void load_rows(const std::uint64_t* rows, const LaneBlocks& blocks);
+
+  // Re-targets to `width` lanes holding lane words [w, w + width) of
+  // `worlds` (lanes past its last word idle), so a group kernel can
+  // evaluate a whole-chunk WorldBatch.
+  void gather(const WorldBatch& worlds, std::size_t w, int width);
+
+ private:
+  int n_ = 0;
+  int width_ = 1;
+  std::vector<std::uint64_t> words_;
+  std::uint64_t live_[kMaxRngLanes] = {};
+};
+
 // Draws rows [r0, r1) of a block for `width` lane streams (1, 4 or 8; the
 // CPU must run it, see rng_lanes_supported), each row in
 // sample_worlds_into's order: bit i of row word rw is set iff server
@@ -268,11 +353,11 @@ void sample_worlds_into(int n, double p, std::uint64_t num_trials, Rng& rng,
 void batch_count_at_least(const WorldBatch& worlds, int k, Bitset& out);
 
 // The batched/differential body of availability_mc_group: the group's
-// streams are sampled side by side
-// (rng_lanes_for(group.size) lanes), each 64-trial block of each chunk is
-// evaluated by accepts_batch and added to live[i], and under
-// kDifferential every trial is replayed through the scalar oracle,
-// throwing std::runtime_error on the first mismatched trial.
+// streams are sampled side by side (rng_lanes_for(group.size) lanes), each
+// drawn group of 64-trial blocks is evaluated by one accepts_lanes call and
+// lane i's accept count added to live[i], and under kDifferential every
+// trial is replayed through the scalar oracle, throwing
+// std::runtime_error on the first mismatched trial.
 void availability_mc_chunk_batched(const QuorumFamily& family, double p,
                                    TrialGroup& group, std::int64_t* live);
 

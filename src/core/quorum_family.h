@@ -24,6 +24,7 @@ struct TrialContext;
 struct TrialGroup;
 class Bitset;
 class WorldBatch;
+class LaneColumns;
 
 // Defaults of the Monte Carlo availability fallback. Exposed so the sweep
 // engine (src/sweep) can schedule grid cells that reduce to exactly the
@@ -58,6 +59,12 @@ class QuorumFamily {
   // with a frontier BFS (64 trials per word pass); the default extracts
   // each trial and runs accepts(), so every family is batch-callable.
   virtual void accepts_batch(const WorldBatch& worlds, Bitset& out) const;
+
+  // Group acceptance over LaneColumns (src/core/batch.h): out[g] is block
+  // g's accept word, bit t == accepts(block g's trial t) for every live
+  // trial and 0 past cols.live(g). Paths overrides it with one vector pass
+  // over all lanes; the default runs accepts_batch on each lane's block.
+  virtual void accepts_lanes(const LaneColumns& cols, std::uint64_t* out) const;
 
   // Size of the smallest quorum; drives the load lower bound of Theorem 38
   // and the composition precondition of Definition 40 (>= 2 alpha).

@@ -96,31 +96,57 @@ template <int G>
   draw_two_client_rows_lanes<4>(n, model, states, rows1, rows2, r0, r1);
 }
 
-// One 64-trial word of the two-client walk: `both` = lanes where both
-// clients acquire, `miss` = those of them whose probed-positive sets do
-// not meet (Definition 8).
-void nonintersection_word(const CountingWalk& walk, const std::uint64_t* up1,
-                          const std::uint64_t* up2, std::uint64_t mask,
-                          std::uint64_t& both, std::uint64_t& miss) {
+// The two-client walk over G lane blocks at once: `both` = lanes where
+// both clients acquire, `miss` = those of them whose probed-positive sets
+// do not meet (Definition 8). up1 / up2 are LaneColumns data, live the G
+// live masks.
+template <int G>
+[[gnu::always_inline]] inline void nonintersection_walk(
+    const CountingWalk& walk, const std::uint64_t* up1,
+    const std::uint64_t* up2, const std::uint64_t* live, std::uint64_t* both,
+    std::uint64_t* miss) {
+  using U = typename LaneWords<G>::U;
+  U mask = U{};
+  lanes_load<G>(live, mask);
   const int steps = static_cast<int>(walk.order.size());
-  CountingLaneWalk walk1(walk.rule, mask);
-  CountingLaneWalk walk2(walk.rule, mask);
+  CountingLaneWalks<G> walk1(walk.rule, mask);
+  CountingLaneWalks<G> walk2(walk.rule, mask);
   // Both clients probe the same order prefix, so server order[i] is in
   // client c's probed-positive set iff lane c was still active at step i
   // and reached it.
-  std::uint64_t meet = 0;
-  for (int i = 0; i < steps && (walk1.active() | walk2.active()) != 0; ++i) {
-    const int server = walk.order[static_cast<std::size_t>(i)];
-    const std::uint64_t reach1 = up1[server];
-    const std::uint64_t reach2 = up2[server];
+  U meet = U{};
+  for (int i = 0;
+       i < steps && lanes_any<G>(walk1.active() | walk2.active()); ++i) {
+    const auto server =
+        static_cast<std::size_t>(walk.order[static_cast<std::size_t>(i)]);
+    U reach1 = U{};
+    U reach2 = U{};
+    lanes_load<G>(up1 + server * G, reach1);
+    lanes_load<G>(up2 + server * G, reach2);
     meet |= (walk1.active() & reach1) & (walk2.active() & reach2);
     walk1.observe(reach1);
     walk2.observe(reach2);
   }
-  assert(walk1.active() == 0 && walk2.active() == 0 &&
+  assert(!lanes_any<G>(walk1.active() | walk2.active()) &&
          "a counting walk resolves within its order");
-  both = walk1.acquired() & walk2.acquired();
-  miss = both & ~meet;
+  const U acquired = walk1.acquired() & walk2.acquired();
+  lanes_store<G>(both, acquired);
+  const U missed = acquired & ~meet;
+  lanes_store<G>(miss, missed);
+}
+
+[[gnu::target("avx512f")]] void nonintersection_walk_8(
+    const CountingWalk& walk, const std::uint64_t* up1,
+    const std::uint64_t* up2, const std::uint64_t* live, std::uint64_t* both,
+    std::uint64_t* miss) {
+  nonintersection_walk<8>(walk, up1, up2, live, both, miss);
+}
+
+[[gnu::target("avx2")]] void nonintersection_walk_4(
+    const CountingWalk& walk, const std::uint64_t* up1,
+    const std::uint64_t* up2, const std::uint64_t* live, std::uint64_t* both,
+    std::uint64_t* miss) {
+  nonintersection_walk<4>(walk, up1, up2, live, both, miss);
 }
 
 }  // namespace
@@ -134,6 +160,30 @@ void draw_two_client_rows(int width, int n, const MismatchModel& model,
     case 4: draw_two_client_rows_4(n, model, rngs, rows1, rows2, r0, r1); break;
     default:
       draw_two_client_rows_lanes<1>(n, model, rngs, rows1, rows2, r0, r1);
+  }
+}
+
+void nonintersection_word(const CountingWalk& walk, const std::uint64_t* up1,
+                          const std::uint64_t* up2, std::uint64_t mask,
+                          std::uint64_t& both, std::uint64_t& miss) {
+  nonintersection_walk<1>(walk, up1, up2, &mask, &both, &miss);
+}
+
+void nonintersection_lanes(const CountingWalk& walk, const LaneColumns& reach1,
+                           const LaneColumns& reach2, std::uint64_t* both,
+                           std::uint64_t* miss) {
+  assert(reach1.width() == reach2.width());
+  assert(rng_lanes_supported(reach1.width()));
+  // Both clients' blocks hold the same trials.
+  assert(std::equal(reach1.live_masks(), reach1.live_masks() + reach1.width(),
+                    reach2.live_masks()));
+  const std::uint64_t* up1 = reach1.data();
+  const std::uint64_t* up2 = reach2.data();
+  const std::uint64_t* live = reach1.live_masks();
+  switch (reach1.width()) {
+    case 8: nonintersection_walk_8(walk, up1, up2, live, both, miss); break;
+    case 4: nonintersection_walk_4(walk, up1, up2, live, both, miss); break;
+    default: nonintersection_walk<1>(walk, up1, up2, live, both, miss);
   }
 }
 
@@ -178,7 +228,10 @@ bool nonintersection_chunk_batched(const QuorumFamily& family,
       scratch.borrow<std::vector<std::uint64_t>>();
   staging1->resize(lane_block_words(n, width));
   staging2->resize(lane_block_words(n, width));
-  Borrowed<TwoClientWorldBatch> worlds = scratch.borrow<TwoClientWorldBatch>();
+  Borrowed<LaneColumns> reach1 = scratch.borrow<LaneColumns>();
+  Borrowed<LaneColumns> reach2 = scratch.borrow<LaneColumns>();
+  reach1->reshape(n, width);
+  reach2->reshape(n, width);
 
   const bool differential = group.ctx[0].batch == BatchPolicy::kDifferential;
   std::unique_ptr<ProbeStrategy> oracle1;
@@ -195,26 +248,25 @@ bool nonintersection_chunk_batched(const QuorumFamily& family,
     draw_two_client_rows(width, n, model, states, staging1->data(),
                          staging2->data(), r0, r1);
   })) {
+    reach1->load_rows(staging1->data(), blocks);
+    reach2->load_rows(staging2->data(), blocks);
+    std::uint64_t both[kMaxRngLanes] = {};
+    std::uint64_t miss[kMaxRngLanes] = {};
+    nonintersection_lanes(*walk, *reach1, *reach2, both, miss);
     for (int g = 0; g < group.size; ++g) {
       const std::size_t rows = blocks.rows(g);
-      if (rows == 0) continue;
-      worlds->reach1.reshape(n, rows);
-      worlds->reach2.reshape(n, rows);
-      worlds->reach1.load_rows(0, staging1->data() + g, rows, width);
-      worlds->reach2.load_rows(0, staging2->data() + g, rows, width);
-      const std::uint64_t mask = worlds->reach1.lane_mask(0);
-      std::uint64_t both = 0;
-      std::uint64_t miss = 0;
-      nonintersection_word(*walk, worlds->reach1.lanes(0),
-                           worlds->reach2.lanes(0), mask, both, miss);
       if (differential) {
+        if ((both[g] & ~reach1->live(g)) != 0)
+          throw std::runtime_error(
+              "BatchPolicy::differential: batched two-client counting walk "
+              "set a bit past the live trials for " + family.name());
         for (std::size_t b = 0; b < rows; ++b) {
           world->reach1.reshape(static_cast<std::size_t>(n));
           world->reach2.reshape(static_cast<std::size_t>(n));
           for (int s = 0; s < n; ++s) {
-            if (worlds->reach1.test(b, s))
+            if (reach1->test(g, b, s))
               world->reach1.set(static_cast<std::size_t>(s));
-            if (worlds->reach2.test(b, s))
+            if (reach2->test(g, b, s))
               world->reach2.set(static_cast<std::size_t>(s));
           }
           WorldOracle o1(&world->reach1);
@@ -225,8 +277,8 @@ bool nonintersection_chunk_batched(const QuorumFamily& family,
           const bool scalar_miss =
               scalar_both &&
               !r1->probed.positive().intersects(r2->probed.positive());
-          if (scalar_both != (((both >> b) & 1u) != 0) ||
-              scalar_miss != (((miss >> b) & 1u) != 0))
+          if (scalar_both != (((both[g] >> b) & 1u) != 0) ||
+              scalar_miss != (((miss[g] >> b) & 1u) != 0))
             throw std::runtime_error(
                 "BatchPolicy::differential: batched two-client counting walk "
                 "disagrees with run_probe for " + family.name() +
@@ -235,16 +287,16 @@ bool nonintersection_chunk_batched(const QuorumFamily& family,
                                blocks.block() * kBatchLaneBits + b) +
                 " (scalar both=" + std::to_string(scalar_both) +
                 " nonintersect=" + std::to_string(scalar_miss) +
-                ", batched both=" + std::to_string((both >> b) & 1u) +
-                " nonintersect=" + std::to_string((miss >> b) & 1u) + ")");
+                ", batched both=" + std::to_string((both[g] >> b) & 1u) +
+                " nonintersect=" + std::to_string((miss[g] >> b) & 1u) + ")");
         }
       }
       acc[g].both_acquired.trials += rows;
       acc[g].both_acquired.successes +=
-          static_cast<std::size_t>(__builtin_popcountll(both));
+          static_cast<std::size_t>(__builtin_popcountll(both[g]));
       acc[g].nonintersection.trials += rows;
       acc[g].nonintersection.successes +=
-          static_cast<std::size_t>(__builtin_popcountll(miss));
+          static_cast<std::size_t>(__builtin_popcountll(miss[g]));
     }
   }
   return true;

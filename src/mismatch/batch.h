@@ -15,13 +15,18 @@
 // one cut draw per server), so every lane draws all candidates and then
 // takes, per lane, the state after one draw or after three (after the
 // redraw or before it): each lane still consumes exactly its chunk's
-// scalar stream.
+// scalar stream. The drawn group is evaluated in the same lanes: each
+// client's blocks are transposed at once into LaneColumns, and one
+// CountingLaneWalks<G> per client walks all G blocks together
+// (nonintersection_lanes); idle lanes carry a zero live mask and never
+// acquire.
 
 #pragma once
 
 #include <cstdint>
 
 #include "core/batch.h"
+#include "core/probe_strategy.h"
 #include "mismatch/model.h"
 #include "runtime/run_trials.h"
 
@@ -40,6 +45,23 @@ void draw_two_client_rows(int width, int n, const MismatchModel& model,
                           LaneStates& rngs, std::uint64_t* rows1,
                           std::uint64_t* rows2, int r0, int r1);
 
+// One 64-trial word of the two-client walk: up1 / up2 are the clients'
+// column words (server s at index s), mask the live trials. `both` gets
+// the trials where both clients acquire, `miss` those of them whose
+// probed-positive sets do not meet (Definition 8). The one-lane case of
+// nonintersection_lanes.
+void nonintersection_word(const CountingWalk& walk, const std::uint64_t* up1,
+                          const std::uint64_t* up2, std::uint64_t mask,
+                          std::uint64_t& both, std::uint64_t& miss);
+
+// The two-client walk over every block of a lane group at once: both
+// clients of all reach1.width() blocks advance with each step (one vector
+// pass at width 4 or 8). both[g] / miss[g] are nonintersection_word's
+// outputs for block g, zero past its live trials.
+void nonintersection_lanes(const CountingWalk& walk, const LaneColumns& reach1,
+                           const LaneColumns& reach2, std::uint64_t* both,
+                           std::uint64_t* miss);
+
 // Fills `out` with num_trials joint worlds, drawing `rng` bit-for-bit like
 // num_trials successive sample_world_into calls.
 void sample_two_client_worlds_into(int n, const MismatchModel& model,
@@ -55,8 +77,9 @@ void sample_two_client_worlds_into(int n, const MismatchModel& model,
 // BatchPolicy::kDifferential every trial is replayed through run_probe_into
 // and a disagreement throws std::runtime_error.
 // The group form samples the group's streams side by side
-// (rng_lanes_for(group.size) lanes) and evaluates each chunk's 64-trial
-// blocks into acc[i]; the one-chunk form is the group of one.
+// (rng_lanes_for(group.size) lanes), walks each drawn group of blocks with
+// one nonintersection_lanes call and counts lane i into acc[i]; the
+// one-chunk form is the group of one.
 bool nonintersection_chunk_batched(const QuorumFamily& family,
                                    const MismatchModel& model,
                                    TrialGroup& group,

@@ -48,7 +48,8 @@ bool probe_measurement_chunk_batched(const QuorumFamily& family, double p,
   Borrowed<std::vector<std::uint64_t>> staging =
       scratch.borrow<std::vector<std::uint64_t>>();
   staging->resize(lane_block_words(n, blocks.width()));
-  Borrowed<WorldBatch> worlds = scratch.borrow<WorldBatch>();
+  Borrowed<LaneColumns> cols = scratch.borrow<LaneColumns>();
+  cols->reshape(n, blocks.width());
   const std::uint64_t threshold = bernoulli_threshold(p);
 
   const bool differential = group.ctx[0].batch == BatchPolicy::kDifferential;
@@ -63,13 +64,11 @@ bool probe_measurement_chunk_batched(const QuorumFamily& family, double p,
     draw_world_rows(blocks.width(), n, threshold, states, staging->data(), r0,
                     r1);
   })) {
+    cols->load_rows(staging->data(), blocks);
     for (int g = 0; g < group.size; ++g) {
       const std::size_t rows = blocks.rows(g);
       if (rows == 0) continue;
-      worlds->reshape(n, rows);
-      worlds->load_rows(0, staging->data() + g, rows, blocks.width());
-      const std::uint64_t* up = worlds->lanes(0);
-      CountingLaneWalk lanes(walk->rule, worlds->lane_mask(0));
+      CountingLaneWalk lanes(walk->rule, cols->live(g));
       std::fill(probes_planes, probes_planes + planes_n, 0);
       for (int i = 0; i < steps && lanes.active() != 0; ++i) {
         const int server = order[static_cast<std::size_t>(i)];
@@ -77,7 +76,7 @@ bool probe_measurement_chunk_batched(const QuorumFamily& family, double p,
         lane_counter_add(probes_planes, planes_n, probing);
         acc[g].probe_counts[static_cast<std::size_t>(server)] +=
             __builtin_popcountll(probing);
-        lanes.observe(up[server]);
+        lanes.observe(cols->column(server, g));
       }
       assert(lanes.active() == 0 &&
              "a counting walk resolves within its order");
@@ -87,7 +86,7 @@ bool probe_measurement_chunk_batched(const QuorumFamily& family, double p,
             lane_value(probes_planes, planes_n, static_cast<int>(b));
         const bool acquired = (lanes.acquired() >> b) & 1u;
         if (differential) {
-          worlds->extract_trial(b, *config);
+          cols->extract_trial(g, b, *config);
           ConfigurationOracle oracle(config.get());
           run_probe_into(*oracle_strategy, oracle, nullptr, *record);
           if (record->acquired != acquired || record->num_probes != probes)

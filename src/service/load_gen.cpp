@@ -1,5 +1,6 @@
 #include "service/load_gen.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
@@ -43,26 +44,35 @@ std::vector<std::uint8_t> generate_load(const LoadGenConfig& config,
   // Chunks write disjoint record ranges, so the shared buffer needs no
   // synchronization; all randomness comes from the chunk rng, so the bytes
   // are identical for any thread count. Arrival (i + u_i) / rate with
-  // u_i in [0, 1) is strictly increasing in i.
+  // u_i in [0, 1) is strictly increasing in i. Requests are drawn a batch
+  // at a time in rng order, then encoded together (encode_requests).
+  constexpr std::uint64_t kBatch = 64;
   run_trial_chunks(
       n, Rng(config.seed).split("loadgen"), 0,
       [&](int&, const TrialContext& ctx, Rng& rng) {
-        for (std::uint64_t i = ctx.chunk.begin; i < ctx.chunk.end; ++i) {
-          const double u = rng.next_double();
-          const std::uint32_t client = static_cast<std::uint32_t>(
-              rng.next_below(static_cast<std::uint64_t>(config.num_clients)));
-          const bool is_read = rng.bernoulli(config.read_fraction);
-          Request req;
-          req.seq = i;
-          req.arrival_us = static_cast<std::uint64_t>(
-              (static_cast<double>(i) + u) / config.rate * 1e6);
-          req.client = client;
-          req.kind = is_read ? OpKind::kRead : OpKind::kWrite;
-          req.value = is_read ? 0 : i + 1;  // nonzero, unique per write
-          encode_request(req, base + i * kRequestWireSize);
-          obs::flight(obs::FlightKind::kGenerated,
-                      obs::make_op_id(obs::kServiceStream, i), req.arrival_us,
-                      -1, client);
+        Request reqs[kBatch];
+        for (std::uint64_t begin = ctx.chunk.begin; begin < ctx.chunk.end;
+             begin += kBatch) {
+          const std::uint64_t count =
+              std::min(kBatch, ctx.chunk.end - begin);
+          for (std::uint64_t j = 0; j < count; ++j) {
+            const std::uint64_t i = begin + j;
+            const double u = rng.next_double();
+            const std::uint32_t client = static_cast<std::uint32_t>(
+                rng.next_below(static_cast<std::uint64_t>(config.num_clients)));
+            const bool is_read = rng.bernoulli(config.read_fraction);
+            Request& req = reqs[j];
+            req.seq = i;
+            req.arrival_us = static_cast<std::uint64_t>(
+                (static_cast<double>(i) + u) / config.rate * 1e6);
+            req.client = client;
+            req.kind = is_read ? OpKind::kRead : OpKind::kWrite;
+            req.value = is_read ? 0 : i + 1;  // nonzero, unique per write
+            obs::flight(obs::FlightKind::kGenerated,
+                        obs::make_op_id(obs::kServiceStream, i),
+                        req.arrival_us, -1, client);
+          }
+          encode_requests(reqs, count, base + begin * kRequestWireSize);
         }
       },
       [](int&, int&&) {}, opts);

@@ -176,6 +176,43 @@ void decode_group(const std::uint8_t* in, Request* out,
   }
 }
 
+// Encodes the K requests at `reqs` into consecutive records at `out`; see
+// encode_request.
+template <std::size_t K>
+void encode_request_group(const Request* reqs, std::uint8_t* out) {
+  std::array<SigningKey, K> keys;
+  FusedChains<K> chains;
+  for (std::size_t k = 0; k < K; ++k) {
+    const Request& req = reqs[k];
+    std::uint8_t* rec = out + k * kRequestWireSize;
+    std::memset(rec, 0, kRequestWireSize);
+    put<std::uint32_t>(rec, 0, kRequestMagic);
+    put<std::uint64_t>(rec, 8, req.seq);
+    put<std::uint64_t>(rec, 16, req.arrival_us);
+    put<std::uint32_t>(rec, 24, req.client);
+    put<std::uint8_t>(rec, 28, static_cast<std::uint8_t>(req.kind));
+    put<std::uint64_t>(rec, 32, req.value);
+    keys[k] = client_key(req.client);
+    chains.rec[k] = rec;
+    chains.sum[k] = kFnvBasis;
+    chains.cert[k] = keys[k].start;
+  }
+  // The client cert signs the wire bytes [8, 29) and [32, 40) (request_cert's
+  // canonical buffer) and sits at [40, 44), so the checksum chain absorbs
+  // it after it is finished.
+  chains.unsigned_bytes(0, 4);
+  chains.checksum_field();
+  chains.signed_bytes(8, 29);
+  chains.unsigned_bytes(29, 32);
+  chains.signed_bytes(32, 40);
+  for (std::size_t k = 0; k < K; ++k)
+    put<std::uint32_t>(out + k * kRequestWireSize, 40,
+                       keys[k].finish(chains.cert[k]));
+  chains.unsigned_bytes(40, kRequestWireSize);
+  for (std::size_t k = 0; k < K; ++k)
+    put<std::uint32_t>(out + k * kRequestWireSize, 4, chains.sum[k]);
+}
+
 // Encodes the K replies at `reps` into consecutive records at `out`; see
 // encode_reply. `fold` runs once per record byte position.
 template <std::size_t K, typename Fold = NoFold>
@@ -226,15 +263,16 @@ std::uint32_t request_cert(const Request& req) {
 }
 
 void encode_request(const Request& req, std::uint8_t* out) {
-  std::memset(out, 0, kRequestWireSize);
-  put<std::uint32_t>(out, 0, kRequestMagic);
-  put<std::uint64_t>(out, 8, req.seq);
-  put<std::uint64_t>(out, 16, req.arrival_us);
-  put<std::uint32_t>(out, 24, req.client);
-  put<std::uint8_t>(out, 28, static_cast<std::uint8_t>(req.kind));
-  put<std::uint64_t>(out, 32, req.value);
-  put<std::uint32_t>(out, 40, request_cert(req));
-  put<std::uint32_t>(out, 4, record_checksum(out, kRequestWireSize));
+  encode_request_group<1>(&req, out);
+}
+
+void encode_requests(const Request* reqs, std::size_t count,
+                     std::uint8_t* out) {
+  std::size_t i = 0;
+  for (; i + kCodecGroup <= count; i += kCodecGroup)
+    encode_request_group<kCodecGroup>(reqs + i, out + i * kRequestWireSize);
+  for (; i < count; ++i)
+    encode_request_group<1>(reqs + i, out + i * kRequestWireSize);
 }
 
 Request decode_request(const std::uint8_t* in, std::uint32_t* expected_cert) {

@@ -91,6 +91,12 @@ std::uint32_t request_cert(const Request& req);
 void encode_request(const Request& req, std::uint8_t* out);
 void encode_reply(const Reply& rep, std::uint8_t* out);
 
+// encode_request for `count` requests into consecutive records at `out`,
+// several records per pass so their certificate and checksum chains
+// overlap (encode_request is the one-record case of the same code).
+void encode_requests(const Request* reqs, std::size_t count,
+                     std::uint8_t* out);
+
 // The reply-stream fingerprint (ServiceResult::reply_fingerprint): FNV-1a
 // 64 over the encoded reply bytes in stream order, starting from
 // kFingerprintBasis. fold_fingerprint advances `h` over `size` bytes.

@@ -24,6 +24,9 @@ Transport::Transport(int num_clients, int num_servers,
     : num_clients_(num_clients),
       num_servers_(num_servers),
       config_(config),
+      jitter_rate_(1.0 / config.jitter_mean),
+      up_rate_(1.0 / config.link_mean_up),
+      down_rate_(1.0 / config.link_mean_down),
       rng_(std::move(rng)) {
   links_.resize(static_cast<std::size_t>(num_clients * num_servers));
   client_partition_until_.assign(static_cast<std::size_t>(num_clients), 0.0);
@@ -36,16 +39,14 @@ Transport::Transport(int num_clients, int num_servers,
   const double p_down = config_.stationary_link_down();
   for (auto& l : links_) {
     l.up = !rng_.bernoulli(p_down);
-    const double mean = l.up ? config_.link_mean_up : config_.link_mean_down;
-    l.next_toggle = rng_.exponential(1.0 / mean);
+    l.next_toggle = rng_.exponential(l.up ? up_rate_ : down_rate_);
   }
 }
 
 void Transport::advance_link(Link& l, double now) {
   while (l.next_toggle <= now) {
     l.up = !l.up;
-    const double mean = l.up ? config_.link_mean_up : config_.link_mean_down;
-    l.next_toggle += rng_.exponential(1.0 / mean);
+    l.next_toggle += rng_.exponential(l.up ? up_rate_ : down_rate_);
   }
 }
 
@@ -80,7 +81,7 @@ Transport::Delivery Transport::attempt(int client, int server, double now) {
     return out;
   }
   double latency =
-      config_.base_latency + rng_.exponential(1.0 / config_.jitter_mean);
+      config_.base_latency + rng_.exponential(jitter_rate_);
   if (now < latency_burst_until_) latency *= latency_factor_;
   ++delivered_;
   out.delivered = true;

@@ -112,6 +112,11 @@ class Transport {
   int num_clients_;
   int num_servers_;
   NetworkConfig config_;
+  // The exponential rates of the jitter and of the link up/down periods,
+  // 1 / mean, divided once here instead of on every hop.
+  double jitter_rate_;
+  double up_rate_;
+  double down_rate_;
   Rng rng_;
   std::vector<Link> links_;
   std::vector<double> client_partition_until_;

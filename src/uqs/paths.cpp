@@ -183,10 +183,13 @@ bool PathsFamily::accepts(const Configuration& config) const {
 namespace {
 
 // One graph's move lists laid out flat (CSR): node v's moves are
-// moves[offsets[v] .. offsets[v + 1]).
-struct FlatMoves {
+// moves[offsets[v] .. offsets[v + 1]). `seeds` are the nodes a search
+// starts from and goal[v] says whether v is in its target set.
+struct ReachGraph {
   std::vector<int> offsets;
   std::vector<Move> moves;
+  std::vector<int> seeds;
+  std::vector<char> goal;
 
   template <typename MovesFn>
   void build(int num_nodes, const MovesFn& moves_of, std::vector<Move>& buf) {
@@ -197,88 +200,163 @@ struct FlatMoves {
       moves.insert(moves.end(), buf.begin(), buf.end());
       offsets.push_back(static_cast<int>(moves.size()));
     }
+    goal.assign(static_cast<std::size_t>(num_nodes), 0);
   }
 
   int num_nodes() const { return static_cast<int>(offsets.size()) - 1; }
 };
 
-// Lane-word reachability to fixpoint over one 64-trial word: visited[node]
-// holds the lanes that reached the node, and every relaxation advances all
-// 64 trials at once (node v gains the lanes of a neighbour across an up
-// edge). Both move graphs are symmetric (every move has its reverse), so v
-// pulls from its own move list. Sweeps alternate forward and backward so a
-// path running against one direction still spreads in the next pass. The
-// scalar BFS above is the per-trial oracle this must agree with — same
-// graph, same edge-liveness predicate, order-independent because
-// reachability is a monotone fixpoint.
-void batch_reach(const FlatMoves& graph, const std::uint64_t* up,
-                 std::uint64_t* visited) {
+// Lane-word reachability over G blocks of 64 trials at once: visited holds
+// one lane word per node (visited[v * G + g] = block g's trials that
+// reached v), and every relaxation advances all 64 * G trials (node v
+// gains the lanes of a neighbour across an up edge; `up` is LaneColumns
+// data). Both move graphs are symmetric (every move has its reverse), so
+// v pulls from its own move list. Sweeps alternate forward and backward
+// so a path running against one direction still spreads in the next pass.
+//
+// A lane is open until it reaches a goal node; then it is settled: it
+// stops spreading and no longer keeps the sweeps going, and the search
+// ends once no seeded lane is open or no open lane changes. `reached`
+// gets the settled lanes. Exact, because reachability is a monotone
+// fixpoint: a settled lane's verdict cannot change, and an open lane is
+// relaxed exactly as without the exit, so it settles iff some goal is
+// reachable. The scalar BFS above is the per-trial oracle this must agree
+// with — same graph, same edge-liveness predicate.
+template <int G>
+[[gnu::always_inline]] inline void batch_reach(
+    const ReachGraph& graph, const std::uint64_t* up,
+    const typename LaneWords<G>::U& seed, std::uint64_t* visited,
+    typename LaneWords<G>::U& reached) {
+  using U = typename LaneWords<G>::U;
   const int num_nodes = graph.num_nodes();
   const int* offsets = graph.offsets.data();
   const Move* moves = graph.moves.data();
-  bool changed = true;
-  for (bool forward = true; changed; forward = !forward) {
-    changed = false;
+  const char* goal = graph.goal.data();
+  std::fill(visited, visited + static_cast<std::size_t>(num_nodes) * G, 0);
+  U open = seed;
+  for (const int s : graph.seeds) {
+    lanes_store<G>(visited + static_cast<std::size_t>(s) * G, seed);
+    if (goal[s]) open = U{};
+  }
+  U changed = open;
+  for (bool forward = true; lanes_any<G>(changed & open); forward = !forward) {
+    changed = U{};
     for (int i = 0; i < num_nodes; ++i) {
       const int v = forward ? i : num_nodes - 1 - i;
-      std::uint64_t reach = visited[v];
-      for (int k = offsets[v]; k < offsets[v + 1]; ++k)
-        reach |= visited[moves[k].to] & up[moves[k].edge];
-      changed |= reach != visited[v];
-      visited[v] = reach;
+      U cur = U{};
+      lanes_load<G>(visited + static_cast<std::size_t>(v) * G, cur);
+      U reach = cur;
+      for (int k = offsets[v]; k < offsets[v + 1]; ++k) {
+        U from = U{};
+        U edge = U{};
+        lanes_load<G>(visited + static_cast<std::size_t>(moves[k].to) * G, from);
+        lanes_load<G>(up + static_cast<std::size_t>(moves[k].edge) * G, edge);
+        reach |= from & edge;
+      }
+      const U gained = reach & ~cur & open;
+      changed |= gained;
+      lanes_store<G>(visited + static_cast<std::size_t>(v) * G, cur | gained);
+      if (goal[v]) {
+        open &= ~gained;
+        if (!lanes_any<G>(open)) break;
+      }
     }
   }
+  reached = seed & ~open;
 }
 
 }  // namespace
 
 struct PathsFamily::BatchGraphs {
-  FlatMoves primal;
-  FlatMoves dual;
+  ReachGraph primal;
+  ReachGraph dual;
 };
 
 PathsFamily::PathsFamily(int l) : l_(l) {
   assert(l >= 1);
   auto graphs = std::make_shared<BatchGraphs>();
   std::vector<Move> buf;
+  // Left-right in the primal grid: seed column 0, goal column l.
   graphs->primal.build((l + 1) * (l + 1), [&](int v, std::vector<Move>& mv) {
     primal_moves(*this, v / (l + 1), v % (l + 1), false, mv);
   }, buf);
+  for (int r = 0; r <= l; ++r) {
+    graphs->primal.seeds.push_back(vertex_id(l, r, 0));
+    graphs->primal.goal[static_cast<std::size_t>(vertex_id(l, r, l))] = 1;
+  }
+  // Top-bottom in the dual grid: seed TOP, goal BOTTOM.
   graphs->dual.build(l * l + 2, [&](int v, std::vector<Move>& mv) {
     dual_moves(*this, v, false, mv);
   }, buf);
+  graphs->dual.seeds.push_back(top_id(l));
+  graphs->dual.goal[static_cast<std::size_t>(bottom_id(l))] = 1;
   graphs_ = std::move(graphs);
+}
+
+namespace {
+
+// accepts_lanes for G lanes: LR-reachability in the primal grid, then
+// TB-reachability in the dual grid seeded only with the lanes that found
+// a left-right path (the others reject whatever the dual says).
+template <int G>
+[[gnu::always_inline]] inline void paths_accepts_lanes(
+    const ReachGraph& primal, const ReachGraph& dual,
+    const LaneColumns& cols, std::uint64_t* visited, std::uint64_t* out) {
+  using U = typename LaneWords<G>::U;
+  U live = U{};
+  lanes_load<G>(cols.live_masks(), live);
+  U lr = U{};
+  batch_reach<G>(primal, cols.data(), live, visited, lr);
+  U accepted = U{};
+  if (lanes_any<G>(lr)) batch_reach<G>(dual, cols.data(), lr, visited, accepted);
+  lanes_store<G>(out, accepted);
+}
+
+[[gnu::target("avx512f")]] void paths_accepts_8(
+    const ReachGraph& primal, const ReachGraph& dual, const LaneColumns& cols,
+    std::uint64_t* visited, std::uint64_t* out) {
+  paths_accepts_lanes<8>(primal, dual, cols, visited, out);
+}
+
+[[gnu::target("avx2")]] void paths_accepts_4(
+    const ReachGraph& primal, const ReachGraph& dual, const LaneColumns& cols,
+    std::uint64_t* visited, std::uint64_t* out) {
+  paths_accepts_lanes<4>(primal, dual, cols, visited, out);
+}
+
+}  // namespace
+
+void PathsFamily::accepts_lanes(const LaneColumns& cols,
+                                std::uint64_t* out) const {
+  assert(cols.universe_size() == universe_size());
+  assert(rng_lanes_supported(cols.width()));
+  const ReachGraph& primal = graphs_->primal;
+  const ReachGraph& dual = graphs_->dual;
+  Borrowed<std::vector<std::uint64_t>> visited =
+      WorkerScratch::for_thread().borrow<std::vector<std::uint64_t>>();
+  visited->resize(static_cast<std::size_t>(
+                      std::max(primal.num_nodes(), dual.num_nodes())) *
+                  static_cast<std::size_t>(cols.width()));
+  switch (cols.width()) {
+    case 8: paths_accepts_8(primal, dual, cols, visited->data(), out); break;
+    case 4: paths_accepts_4(primal, dual, cols, visited->data(), out); break;
+    default: paths_accepts_lanes<1>(primal, dual, cols, visited->data(), out);
+  }
 }
 
 void PathsFamily::accepts_batch(const WorldBatch& worlds, Bitset& out) const {
   assert(worlds.universe_size() == universe_size());
-  const int l = l_;
   out.reshape(static_cast<std::size_t>(worlds.num_trials()));
-  Borrowed<std::vector<std::uint64_t>> visited =
-      WorkerScratch::for_thread().borrow<std::vector<std::uint64_t>>();
-  const FlatMoves& primal = graphs_->primal;
-  const FlatMoves& dual = graphs_->dual;
-  for (std::size_t w = 0; w < worlds.num_lane_words(); ++w) {
-    const std::uint64_t mask = worlds.lane_mask(w);
-    const std::uint64_t* up = worlds.lanes(w);
-    // Left-right in the primal grid: seed column 0, read column l.
-    visited->assign(static_cast<std::size_t>((l + 1) * (l + 1)), 0);
-    for (int r = 0; r <= l; ++r)
-      (*visited)[static_cast<std::size_t>(vertex_id(l, r, 0))] = mask;
-    batch_reach(primal, up, visited->data());
-    std::uint64_t lr = 0;
-    for (int r = 0; r <= l; ++r)
-      lr |= (*visited)[static_cast<std::size_t>(vertex_id(l, r, l))];
-    // Top-bottom in the dual grid: seed TOP, read BOTTOM. Lanes without an
-    // LR path reject whatever the dual says.
-    std::uint64_t tb = 0;
-    if (lr != 0) {
-      visited->assign(static_cast<std::size_t>(l * l + 2), 0);
-      (*visited)[static_cast<std::size_t>(top_id(l))] = mask;
-      batch_reach(dual, up, visited->data());
-      tb = (*visited)[static_cast<std::size_t>(bottom_id(l))];
-    }
-    out.set_word(w, lr & tb);
+  Borrowed<LaneColumns> cols =
+      WorkerScratch::for_thread().borrow<LaneColumns>();
+  const std::size_t words = worlds.num_lane_words();
+  for (std::size_t w = 0; w < words;) {
+    const int width = rng_lanes_for(static_cast<int>(
+        std::min<std::size_t>(words - w, kMaxRngLanes)));
+    cols->gather(worlds, w, width);
+    std::uint64_t accepted[kMaxRngLanes] = {};
+    accepts_lanes(*cols, accepted);
+    for (int g = 0; g < width && w < words; ++g, ++w) out.set_word(w, accepted[g]);
   }
 }
 

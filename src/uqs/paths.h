@@ -42,12 +42,16 @@ class PathsFamily : public QuorumFamily {
   // Live quorum exists iff a live LR path exists in the primal grid AND a
   // live TB path exists in the dual grid (both BFS over up servers).
   bool accepts(const Configuration& config) const override;
-  // Reachability over 64-trial lane words: visited[node] is a lane word and
-  // every edge relaxation advances all trials of the word at once. The
-  // primal and dual move lists are laid out flat once per family (the
-  // lane samplers call this once per 64-trial block) and relaxed to
-  // fixpoint in alternating forward/backward sweeps; accepts =
+  // Reachability over the G blocks of a lane group at once: visited[node]
+  // is G lane words and every edge relaxation advances all 64 * G trials.
+  // The primal and dual move lists are laid out flat once per family and
+  // relaxed in alternating forward/backward sweeps until no open lane
+  // changes; a lane that reaches its goal settles and stops spreading, and
+  // only lanes with an LR path seed the dual search. accepts =
   // LR-reachability AND TB-dual-reachability lanes.
+  void accepts_lanes(const LaneColumns& cols, std::uint64_t* out) const override;
+  // accepts_lanes over groups of the batch's lane words (as many per group
+  // as the CPU has lanes, see host_rng_lanes).
   void accepts_batch(const WorldBatch& worlds, Bitset& out) const override;
   // The straight-line quorum: l horizontal edges (an LR row) + l+1 horizontal
   // edges crossed by a TB dual path, sharing one server.

@@ -247,16 +247,23 @@ class Bitset {
 // behind the draw-order-preserving row→column flip of WorldBatch sampling:
 // rows are per-trial server masks drawn in scalar order, columns are the
 // per-server trial lanes the batch kernels consume.
-inline void transpose_64x64(std::uint64_t m[64]) {
+//
+// `Word` is std::uint64_t or a GCC vector of 64-bit lanes: a vector word
+// transposes one independent 64x64 matrix per lane with the same
+// instructions (the lane-group transpose of core/batch.h).
+template <typename Word>
+[[gnu::always_inline]] inline void transpose_64x64_words(Word m[64]) {
   std::uint64_t mask = 0x00000000ffffffffull;
   for (std::size_t shift = 32; shift != 0; shift >>= 1) {
     for (std::size_t r = 0; r < 64; r = (r + shift + 1) & ~shift) {
-      const std::uint64_t t = ((m[r] >> shift) ^ m[r + shift]) & mask;
+      const Word t = ((m[r] >> shift) ^ m[r + shift]) & mask;
       m[r] ^= t << shift;
       m[r + shift] ^= t;
     }
     mask ^= mask << (shift >> 1);
   }
 }
+
+inline void transpose_64x64(std::uint64_t m[64]) { transpose_64x64_words(m); }
 
 }  // namespace sqs

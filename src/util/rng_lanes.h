@@ -67,6 +67,20 @@ struct LaneWords<1> {
   using S = std::int64_t;
 };
 
+// Lane words to and from plain word arrays: p[g] is lane g. Vectors are
+// only ever held in registers or locals; memory keeps plain 64-bit words,
+// so no container has to honour a vector type's 32- or 64-byte alignment.
+template <int G>
+[[gnu::always_inline]] inline void lanes_load(const std::uint64_t* p,
+                                              typename LaneWords<G>::U& out) {
+  std::memcpy(&out, p, sizeof out);
+}
+template <int G>
+[[gnu::always_inline]] inline void lanes_store(
+    std::uint64_t* p, const typename LaneWords<G>::U& v) {
+  std::memcpy(p, &v, sizeof v);
+}
+
 // out = all-ones in the lanes where x < t, zero elsewhere. Both operands
 // must be below 2^63 (a draw >> 11 and a bernoulli_threshold are at most
 // 2^53), which makes the signed compare — the only 64-bit compare AVX2

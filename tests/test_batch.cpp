@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/batch.h"
@@ -242,9 +246,9 @@ class LaneSamplers : public ::testing::TestWithParam<int> {
   }
 
   // Runs `count` streams through LaneBlocks at this width, handing each
-  // block's rows of stream g to check(g, row_offset_in_block, rows), and
-  // then checks every stream's trial count and final state against
-  // `scalar` (the per-stream oracle rngs, advanced by check).
+  // drawn block to check(blocks), and then checks every stream's trial
+  // count and final state against `scalar` (the per-stream oracle rngs,
+  // advanced by check).
   template <typename DrawFn, typename CheckFn>
   void run_streams(int count, std::uint64_t seed, Rng* scalar, DrawFn&& draw,
                    CheckFn&& check) {
@@ -257,11 +261,8 @@ class LaneSamplers : public ::testing::TestWithParam<int> {
     while (blocks.next([&](LaneStates& states, int r0, int r1) {
       draw(width, states, r0, r1);
     })) {
-      for (int g = 0; g < count; ++g) {
-        if (blocks.rows(g) == 0) continue;
-        check(g, width, blocks.rows(g));
-        seen[g] += blocks.rows(g);
-      }
+      check(blocks);
+      for (int g = 0; g < count; ++g) seen[g] += blocks.rows(g);
     }
     for (int g = 0; g < count; ++g) {
       ASSERT_EQ(seen[g], kLaneTrials[g]) << "stream " << g;
@@ -285,8 +286,10 @@ TEST_P(LaneSamplers, MatchScalarDrawsAndFinalStates) {
           static_cast<std::uint64_t>(n) * 100 + static_cast<std::uint64_t>(count);
       std::vector<std::uint64_t> rows1(lane_block_words(n, width));
       std::vector<std::uint64_t> rows2(lane_block_words(n, width));
-      WorldBatch block1;
-      WorldBatch block2;
+      LaneColumns cols1;
+      LaneColumns cols2;
+      cols1.reshape(n, width);
+      cols2.reshape(n, width);
       Rng scalar[kMaxRngLanes];
 
       // p = 0 and 1 put the threshold at 0 and 2^53, the ends of the
@@ -298,15 +301,14 @@ TEST_P(LaneSamplers, MatchScalarDrawsAndFinalStates) {
             [&](int w, LaneStates& states, int r0, int r1) {
               draw_world_rows(w, n, threshold, states, rows1.data(), r0, r1);
             },
-            [&](int g, int w, std::size_t rows) {
-              block1.reshape(n, rows);
-              block1.load_rows(0, rows1.data() + g, rows,
-                               static_cast<std::size_t>(w));
-              for (std::uint64_t t = 0; t < rows; ++t)
-                for (int s = 0; s < n; ++s)
-                  ASSERT_EQ(block1.test(t, s), !scalar[g].bernoulli(p))
-                      << "n=" << n << " p=" << p << " stream " << g
-                      << " trial " << t << " server " << s;
+            [&](const LaneBlocks& blocks) {
+              cols1.load_rows(rows1.data(), blocks);
+              for (int g = 0; g < count; ++g)
+                for (std::uint64_t t = 0; t < blocks.rows(g); ++t)
+                  for (int s = 0; s < n; ++s)
+                    ASSERT_EQ(cols1.test(g, t, s), !scalar[g].bernoulli(p))
+                        << "n=" << n << " p=" << p << " stream " << g
+                        << " trial " << t << " server " << s;
             });
       }
 
@@ -323,21 +325,23 @@ TEST_P(LaneSamplers, MatchScalarDrawsAndFinalStates) {
               draw_two_client_rows(w, n, model, states, rows1.data(),
                                    rows2.data(), r0, r1);
             },
-            [&](int g, int w, std::size_t rows) {
-              block1.reshape(n, rows);
-              block2.reshape(n, rows);
-              block1.load_rows(0, rows1.data() + g, rows, static_cast<std::size_t>(w));
-              block2.load_rows(0, rows2.data() + g, rows, static_cast<std::size_t>(w));
-              for (std::uint64_t t = 0; t < rows; ++t) {
-                sample_world_into(n, model, scalar[g], world);
-                for (int s = 0; s < n; ++s) {
-                  const auto i = static_cast<std::size_t>(s);
-                  ASSERT_EQ(block1.test(t, s), world.reach1.test(i))
-                      << "n=" << n << " partition " << partition_rate
-                      << " stream " << g << " trial " << t << " server " << s;
-                  ASSERT_EQ(block2.test(t, s), world.reach2.test(i))
-                      << "n=" << n << " partition " << partition_rate
-                      << " stream " << g << " trial " << t << " server " << s;
+            [&](const LaneBlocks& blocks) {
+              cols1.load_rows(rows1.data(), blocks);
+              cols2.load_rows(rows2.data(), blocks);
+              for (int g = 0; g < count; ++g) {
+                for (std::uint64_t t = 0; t < blocks.rows(g); ++t) {
+                  sample_world_into(n, model, scalar[g], world);
+                  for (int s = 0; s < n; ++s) {
+                    const auto i = static_cast<std::size_t>(s);
+                    ASSERT_EQ(cols1.test(g, t, s), world.reach1.test(i))
+                        << "n=" << n << " partition " << partition_rate
+                        << " stream " << g << " trial " << t << " server "
+                        << s;
+                    ASSERT_EQ(cols2.test(g, t, s), world.reach2.test(i))
+                        << "n=" << n << " partition " << partition_rate
+                        << " stream " << g << " trial " << t << " server "
+                        << s;
+                  }
                 }
               }
             });
@@ -748,6 +752,263 @@ TEST(Batch, PolicyNamesRoundTrip) {
   EXPECT_FALSE(parse_batch_policy("vectorized", parsed));
   EXPECT_EQ(parsed, BatchPolicy::kBatched);  // untouched on failure
 }
+
+// --- lane-group kernels ----------------------------------------------------
+//
+// Each group kernel (the transpose, Paths reach, the two-client walk) runs
+// G blocks in one vector pass; lane g of its result must equal the same
+// kernel run on block g alone (and, for Paths, the scalar accepts()).
+
+class LaneGroupKernels : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override {
+    if (!rng_lanes_supported(GetParam()))
+      GTEST_SKIP() << "this CPU lacks "
+                   << (GetParam() == 8 ? "AVX-512F" : "AVX2") << " for "
+                   << GetParam() << " lanes";
+  }
+
+  // Stream counts of a group at this width: full, and 3 chunks in 8 lanes
+  // (idle lanes past the streams).
+  std::vector<int> stream_counts() const {
+    const int width = GetParam();
+    return width == 8 ? std::vector<int>{8, 3} : std::vector<int>{width};
+  }
+
+  // Draws the ragged streams of kLaneTrials block by block through
+  // LaneBlocks at this width and hands each drawn block to check().
+  template <typename DrawFn, typename CheckFn>
+  void for_each_block(int count, std::uint64_t seed, DrawFn&& draw,
+                      CheckFn&& check) {
+    Rng rngs[kMaxRngLanes];
+    for (int g = 0; g < count; ++g)
+      rngs[g] = Rng(seed).split(static_cast<std::uint64_t>(g));
+    LaneBlocks blocks(rngs, kLaneTrials, count, GetParam());
+    while (blocks.next([&](LaneStates& states, int r0, int r1) {
+      draw(GetParam(), states, r0, r1);
+    }))
+      check(blocks);
+  }
+};
+
+// Block g of `cols` as a one-word WorldBatch.
+WorldBatch lane_block(const LaneColumns& cols, int g) {
+  WorldBatch block;
+  block.reshape(cols.universe_size(),
+                static_cast<std::uint64_t>(__builtin_popcountll(cols.live(g))));
+  for (int s = 0; s < cols.universe_size(); ++s)
+    block.lanes(0)[s] = cols.column(s, g);
+  return block;
+}
+
+TEST_P(LaneGroupKernels, TransposeMatchesOneLaneAtATime) {
+  const int width = GetParam();
+  for (const int n : {1, 24, 64, 65, 144}) {
+    for (const int count : stream_counts()) {
+      std::vector<std::uint64_t> rows(lane_block_words(n, width));
+      LaneColumns cols;
+      cols.reshape(n, width);
+      for_each_block(
+          count, 40 + static_cast<std::uint64_t>(n),
+          [&](int w, LaneStates& states, int r0, int r1) {
+            draw_world_rows(w, n, bernoulli_threshold(0.5), states,
+                            rows.data(), r0, r1);
+          },
+          [&](const LaneBlocks& blocks) {
+            cols.load_rows(rows.data(), blocks);
+            const std::size_t row_words = batch_row_words(n);
+            for (int g = 0; g < width; ++g) {
+              const std::size_t live = blocks.rows(g);
+              ASSERT_EQ(cols.live(g),
+                        live == 64 ? ~0ull : (1ull << live) - 1)
+                  << "lane " << g;
+              for (std::size_t rw = 0; rw < row_words; ++rw) {
+                std::uint64_t block[64];
+                for (std::size_t r = 0; r < 64; ++r)
+                  block[r] = r < live ? rows[(r * row_words + rw) * width +
+                                             static_cast<std::size_t>(g)]
+                                      : 0;
+                transpose_64x64(block);
+                for (int c = 0; c < row_word_bits(n, rw); ++c)
+                  ASSERT_EQ(cols.column(static_cast<int>(rw * 64) + c, g),
+                            block[c])
+                      << "n=" << n << " streams " << count << " block "
+                      << blocks.block() << " lane " << g << " server "
+                      << rw * 64 + static_cast<std::size_t>(c);
+              }
+            }
+          });
+    }
+  }
+}
+
+TEST_P(LaneGroupKernels, PathsReachMatchesOneLaneAndScalar) {
+  const int width = GetParam();
+  for (int l = 1; l <= 10; ++l) {
+    const PathsFamily paths(l);
+    const int n = paths.universe_size();
+    Configuration config(Bitset(static_cast<std::size_t>(n)));
+    for (const int count : stream_counts()) {
+      for (const double p : {0.3, 0.5}) {
+        std::vector<std::uint64_t> rows(lane_block_words(n, width));
+        LaneColumns cols;
+        cols.reshape(n, width);
+        for_each_block(
+            count, 700 + static_cast<std::uint64_t>(l),
+            [&](int w, LaneStates& states, int r0, int r1) {
+              draw_world_rows(w, n, bernoulli_threshold(p), states,
+                              rows.data(), r0, r1);
+            },
+            [&](const LaneBlocks& blocks) {
+              cols.load_rows(rows.data(), blocks);
+              std::uint64_t group[kMaxRngLanes];
+              paths.accepts_lanes(cols, group);
+              for (int g = 0; g < width; ++g) {
+                ASSERT_EQ(group[g] & ~cols.live(g), 0u) << "lane " << g;
+                if (cols.live(g) == 0) continue;
+                const WorldBatch block = lane_block(cols, g);
+                Bitset one;
+                paths.accepts_batch(block, one);
+                ASSERT_EQ(group[g], one.word(0))
+                    << paths.name() << " p=" << p << " streams " << count
+                    << " block " << blocks.block() << " lane " << g;
+                for (std::uint64_t t = 0; t < block.num_trials(); ++t) {
+                  block.extract_trial(t, config);
+                  ASSERT_EQ((group[g] >> t) & 1u, paths.accepts(config) ? 1u : 0u)
+                      << paths.name() << " lane " << g << " trial " << t;
+                }
+              }
+            });
+      }
+    }
+  }
+}
+
+TEST_P(LaneGroupKernels, PathsSettledLaneLeavesTheOthersExact) {
+  // Trial 0 of lane 0 has every server up: its straight row-0 path
+  // settles it in the first sweep. Trial 1 of the last lane holds a snake
+  // from vertex (0, 0) through every row (right along row 0, left along
+  // row 1, ...) that stops one column short of the right side, so its
+  // component takes about a sweep per row to fill and never reaches a
+  // goal; trial 2 is the same snake with the last row's edge into column l
+  // up. Both must come out as accepts() says while trial 0 no longer
+  // spreads (at one lane, all three share the lane word).
+  const int width = GetParam();
+  const int l = 8;
+  const PathsFamily paths(l);
+  const int n = paths.universe_size();
+  Configuration snake(Bitset(static_cast<std::size_t>(n)));
+  for (int r = 0; r <= l; ++r) {
+    for (int c = r == 0 ? 0 : 1; c < l - 1; ++c)
+      snake.set_up(paths.horizontal_edge(r, c), true);
+    if (r < l)
+      snake.set_up(paths.vertical_edge(r, r % 2 == 0 ? l - 1 : 1), true);
+  }
+  Configuration reaching = snake;
+  reaching.set_up(paths.horizontal_edge(l, l - 1), true);
+  Configuration all_up(Bitset::all_set(static_cast<std::size_t>(n)));
+  ASSERT_FALSE(paths.accepts(snake));
+  ASSERT_TRUE(paths.accepts(all_up));
+
+  LaneColumns cols;
+  WorldBatch worlds;
+  worlds.reshape(n, 64 * static_cast<std::uint64_t>(width));
+  for (int s = 0; s < n; ++s) {
+    if (all_up.is_up(s)) worlds.set(0, s);
+    const std::uint64_t last = 64 * static_cast<std::uint64_t>(width - 1);
+    if (snake.is_up(s)) worlds.set(last + 1, s);
+    if (reaching.is_up(s)) worlds.set(last + 2, s);
+  }
+  ASSERT_TRUE(paths.accepts(reaching));
+  std::uint64_t expected[kMaxRngLanes] = {1};
+  expected[width - 1] |= 4;
+  cols.gather(worlds, 0, width);
+  std::uint64_t group[kMaxRngLanes];
+  paths.accepts_lanes(cols, group);
+  Bitset one;
+  paths.accepts_batch(worlds, one);
+  for (int g = 0; g < width; ++g) {
+    EXPECT_EQ(group[g], expected[g]) << "lane " << g;
+    EXPECT_EQ(one.word(static_cast<std::size_t>(g)), expected[g]) << "lane " << g;
+  }
+}
+
+TEST_P(LaneGroupKernels, TwoClientWalkMatchesOneLaneAtATime) {
+  const int width = GetParam();
+  std::vector<std::pair<std::string, CountingWalk>> walks;
+  std::vector<std::shared_ptr<QuorumFamily>> families = lane_walk_families(24);
+  families.push_back(std::make_shared<OptDFamily>(24, 1));
+  families.push_back(std::make_shared<OptDFamily>(70, 3));
+  for (const auto& family : families) {
+    std::optional<CountingWalk> walk = lane_counting_walk(*family);
+    ASSERT_TRUE(walk.has_value()) << family->name();
+    walks.emplace_back(family->name(), std::move(*walk));
+  }
+  // need = 0 acquires with no positive at all, so an all-down trial — and
+  // the cleared columns past a block's rows — would acquire too: only the
+  // live masks keep those lanes out.
+  std::vector<int> order(24);
+  for (int s = 0; s < 24; ++s) order[static_cast<std::size_t>(s)] = s;
+  walks.emplace_back("need 0, at need",
+                     CountingWalk(order, 0, CountingRule::Acquire::kAtNeed));
+  walks.emplace_back("need 0, after all",
+                     CountingWalk(order, 0, CountingRule::Acquire::kAfterAll));
+  for (const auto& [name, walk_value] : walks) {
+    const CountingWalk* walk = &walk_value;
+    const int n = *std::max_element(walk->order.begin(), walk->order.end()) + 1;
+    MismatchModel model;
+    model.p = 0.1;
+    model.link_miss = 0.3;
+    model.partition_rate = 0.2;
+    model.partition_fraction = 0.5;
+    for (const int count : stream_counts()) {
+      std::vector<std::uint64_t> rows1(lane_block_words(n, width));
+      std::vector<std::uint64_t> rows2(lane_block_words(n, width));
+      LaneColumns reach1;
+      LaneColumns reach2;
+      reach1.reshape(n, width);
+      reach2.reshape(n, width);
+      for_each_block(
+          count, 90 + static_cast<std::uint64_t>(n),
+          [&](int w, LaneStates& states, int r0, int r1) {
+            draw_two_client_rows(w, n, model, states, rows1.data(),
+                                 rows2.data(), r0, r1);
+          },
+          [&](const LaneBlocks& blocks) {
+            reach1.load_rows(rows1.data(), blocks);
+            reach2.load_rows(rows2.data(), blocks);
+            std::uint64_t both[kMaxRngLanes];
+            std::uint64_t miss[kMaxRngLanes];
+            nonintersection_lanes(*walk, reach1, reach2, both, miss);
+            for (int g = 0; g < width; ++g) {
+              std::vector<std::uint64_t> up1(static_cast<std::size_t>(n));
+              std::vector<std::uint64_t> up2(static_cast<std::size_t>(n));
+              for (int s = 0; s < n; ++s) {
+                up1[static_cast<std::size_t>(s)] = reach1.column(s, g);
+                up2[static_cast<std::size_t>(s)] = reach2.column(s, g);
+              }
+              std::uint64_t one_both = 0;
+              std::uint64_t one_miss = 0;
+              nonintersection_word(*walk, up1.data(), up2.data(),
+                                   reach1.live(g), one_both, one_miss);
+              ASSERT_EQ(both[g], one_both)
+                  << name << " streams " << count << " block "
+                  << blocks.block() << " lane " << g;
+              ASSERT_EQ(miss[g], one_miss)
+                  << name << " streams " << count << " block "
+                  << blocks.block() << " lane " << g;
+              ASSERT_EQ(both[g] & ~reach1.live(g), 0u)
+                  << name << " lane " << g;
+              if (walk->rule.need == 0) {
+                ASSERT_EQ(both[g], reach1.live(g)) << name << " lane " << g;
+              }
+            }
+          });
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, LaneGroupKernels, ::testing::Values(1, 4, 8));
 
 }  // namespace
 }  // namespace sqs

@@ -491,6 +491,65 @@ TEST(ServiceWire, BatchCodecMatchesTheOneRecordCodec) {
   }
 }
 
+// The request record the wire layout specifies, built field by field with
+// the unbatched request_cert and checksum: the reference encode_requests
+// and encode_request must reproduce byte for byte.
+std::vector<std::uint8_t> reference_request_record(const Request& req) {
+  std::vector<std::uint8_t> rec(kRequestWireSize, 0);
+  const auto poke = [&](std::size_t offset, std::uint64_t v, std::size_t size) {
+    for (std::size_t i = 0; i < size; ++i)
+      rec[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  };
+  poke(0, kRequestMagic, 4);
+  poke(8, req.seq, 8);
+  poke(16, req.arrival_us, 8);
+  poke(24, req.client, 4);
+  poke(28, static_cast<std::uint8_t>(req.kind), 1);
+  poke(32, req.value, 8);
+  poke(40, request_cert(req), 4);
+  fix_request_checksum(rec.data());
+  return rec;
+}
+
+TEST(ServiceWire, BatchRequestEncoderMatchesTheWireLayout) {
+  // encode_requests runs 4 records per pass; every record, at counts off
+  // the group size, must be the reference record, for clients with
+  // precomputed key schedules (< 256) and without, and both kinds.
+  Rng rng(91);
+  for (const std::size_t count :
+       {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{4},
+        std::size_t{5}, std::size_t{7}, std::size_t{9}, std::size_t{130}}) {
+    std::vector<Request> reqs(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      Request& req = reqs[i];
+      req.seq = rng.next_u64();
+      req.arrival_us = rng.next_u64();
+      req.client = i % 3 == 0 ? static_cast<std::uint32_t>(rng.next_below(256))
+                              : static_cast<std::uint32_t>(
+                                    256 + rng.next_below(1u << 31));
+      req.kind = i % 2 == 0 ? OpKind::kRead : OpKind::kWrite;
+      req.value = req.kind == OpKind::kWrite ? rng.next_u64() : 0;
+    }
+    std::vector<std::uint8_t> grouped(count * kRequestWireSize, 0xAB);
+    encode_requests(reqs.data(), count, grouped.data());
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::vector<std::uint8_t> expected = reference_request_record(reqs[i]);
+      const std::vector<std::uint8_t> got(
+          grouped.begin() + static_cast<std::ptrdiff_t>(i * kRequestWireSize),
+          grouped.begin() + static_cast<std::ptrdiff_t>((i + 1) * kRequestWireSize));
+      EXPECT_EQ(got, expected) << "count " << count << " record " << i
+                               << " client " << reqs[i].client;
+      std::vector<std::uint8_t> one(kRequestWireSize, 0xCD);
+      encode_request(reqs[i], one.data());
+      EXPECT_EQ(one, expected) << "record " << i;
+      std::uint32_t cert = 0;
+      const Request decoded = decode_request(got.data(), &cert);
+      ASSERT_TRUE(decoded.valid) << "record " << i;
+      EXPECT_EQ(decoded.cert, cert) << "record " << i;
+    }
+  }
+}
+
 // One random edit of a wire record: replace a byte, truncate to a
 // zero-padded buffer, or flip a bit.
 void mutate_record(std::uint8_t* rec, std::size_t size, Rng& rng) {
