@@ -80,7 +80,7 @@ enum class FlightKind : std::uint8_t {
   kEpochFenced,     // probe rejected by retired `replica` (payload: its epoch)
   kFiltered,        // partition filter aborted the attempt
   kRetry,           // acquisition retry scheduled (payload: attempt)
-  kViewRefresh,     // stale view detected, fetch scheduled (payload: epoch)
+  kViewRefresh,     // fetched view arrives (payload: its epoch)
   kDeadline,        // op deadline exceeded
   kQuorumAcquired,  // acquisition succeeded (payload: probes)
   kQuorumFailed,    // acquisition failed for good (payload: probes)

@@ -336,7 +336,7 @@ ServiceRunner::ServiceRunner(const QuorumFamily& family,
                  config.network, Rng(config.seed).split("network")),
       op_rng_base_(Rng(config.seed).split("ops")),
       fault_timeline_(config.plan.events),
-      machine_(kServedRules, config.policy,
+      machine_(FoldOrder::kProbe, config.policy,
                config.epochs != nullptr ? config.epochs->num_logical
                                         : family.universe_size()),
       lat_bounds_(service_latency_bounds()),
@@ -495,9 +495,8 @@ Reply ServiceRunner::execute_op(const Request& req, double* finish_out) {
       }
       dst = machine.on_timeout(t += rtt);
     }
-    const double fetched = t + config_.policy.view_fetch_delay;
-    if (!machine.refetch_view(current_epoch_, view_epoch_, fetched)) break;
-    t = fetched;
+    if (!machine.refetch_view(current_epoch_, view_epoch_, t)) break;
+    t += config_.policy.view_fetch_delay;
     adopt_view();
   }
   if (machine.finish_acquisition(current_epoch_, view_epoch_, t)) adopt_view();

@@ -6,10 +6,12 @@
 //   prologue  — stateless decode + checksum and client-cert verification,
 //               a batch at a time;
 //   solo      — every step a reply depends on (the register protocol's
-//               AcquisitionMachine, sim/register_core.h, driven inline over
-//               the Transport; replica reads/writes; fault-plan
-//               application), executed strictly in arrival order by one
-//               sequencer thread that runs batch after batch;
+//               AcquisitionMachine, sim/register_core.h, which holds each
+//               op's evidence and makes every protocol decision, driven
+//               inline over the Transport with its max fold in probe
+//               order; replica reads/writes; fault-plan application),
+//               executed strictly in arrival order by one sequencer thread
+//               that runs batch after batch;
 //   audit     — the invariant bookkeeping no reply reads (completed-write
 //               frontier, stale- and fabricated-read checks, the genuine-
 //               write audit set, latency accounting), in arrival order over

@@ -190,52 +190,51 @@ void SimClient::issue_probe(std::uint32_t slot, int target) {
              [this, slot, generation, target, object = acq.object,
               epoch_mode = acq.epoch_mode] {
     Replica& s = (*servers_)[static_cast<std::size_t>(target)];
+    ProbeReply reply;
     // Epoch fence: a retired server answers — at normal cost — with a
     // rejection carrying the current epoch instead of register state.
-    const bool fenced = epoch_mode && s.fences_requests() && s.up(sim_->now());
-    ReplySlot reply;
-    if (!fenced) {
-      reply = s.handle_read(sim_->now(), object, id_);
-      if (!reply.has_value()) return;  // server crashed: no reply
+    reply.fenced = epoch_mode && s.fences_requests() && s.up(sim_->now());
+    if (!reply.fenced) {
+      const auto read = s.handle_read(sim_->now(), object, id_);
+      if (!read.has_value()) return;  // server crashed: no reply
+      reply.ts = read->first;
+      reply.value = read->second;
     }
     // Retirement is sampled AT SERVE TIME and carried with the reply: the
     // server may retire (or a fresh one take its slot) before the op
     // finishes, and only a reply actually served while retired counts as a
     // retired read.
-    const bool was_retired = s.retired();
+    reply.served_retired = s.retired();
     // Service delay, then the reply leg.
-    sim_->schedule(s.service_time(sim_->now()), [this, slot, generation,
-                                                 target, reply, was_retired,
-                                                 fenced] {
+    sim_->schedule(s.service_time(sim_->now()),
+                   [this, slot, generation, target, reply] {
       net_->send(id_, target, Network::Direction::kToClient,
-                 [this, slot, generation, target, reply, was_retired, fenced] {
-                   finish_probe(slot, generation, target, reply, was_retired,
-                                fenced);
+                 [this, slot, generation, target, reply] {
+                   finish_probe(slot, generation, target, &reply);
                  });
     });
   });
 
   // Timeout leg.
   sim_->schedule(current_probe_timeout(), [this, slot, generation, target] {
-    finish_probe(slot, generation, target, std::nullopt, false, false);
+    finish_probe(slot, generation, target, nullptr);
   });
 }
 
 void SimClient::finish_probe(std::uint32_t slot, std::uint32_t generation,
-                             int target, const ReplySlot& reply,
-                             bool served_retired, bool fenced) {
+                             int target, const ProbeReply* reply) {
   Acquisition& acq = *slots_[slot];
   if (acq.generation != generation) return;  // stale: already resolved
   ++acq.generation;
   const double now = sim_->now();
   const int epoch = (*servers_)[static_cast<std::size_t>(target)].epoch();
-  if (fenced) {
-    ++epoch_rejects_;
-    issue_probe(slot, acq.machine.on_fence(now, epoch));
+  if (reply == nullptr) {
+    issue_probe(slot, acq.machine.on_timeout(now));
     return;
   }
-  if (!reply.has_value()) {
-    issue_probe(slot, acq.machine.on_timeout(now));
+  if (reply->fenced) {
+    ++epoch_rejects_;
+    issue_probe(slot, acq.machine.on_fence(now, epoch));
     return;
   }
   if (config_.adaptive_timeout) {
@@ -245,8 +244,8 @@ void SimClient::finish_probe(std::uint32_t slot, std::uint32_t generation,
                           : rtt;
     have_rtt_ = true;
   }
-  issue_probe(slot, acq.machine.on_reply(now, reply->first, reply->second,
-                                         served_retired, epoch));
+  issue_probe(slot, acq.machine.on_reply(now, reply->ts, reply->value,
+                                         reply->served_retired, epoch));
 }
 
 void SimClient::adopt_current_view() {
@@ -310,7 +309,7 @@ void SimClient::finish_attempt(std::uint32_t slot) {
   acq.result.num_probes = machine.probes();
   acq.result.view_fetches = machine.view_fetches();
   acq.result.latency = sim_->now() - acq.op_start;
-  machine.attempt().probed(acq.result.probed);
+  machine.probed(acq.result.probed);
   if (acq.kind == OpKind::kAcquire) {
     complete(slot);
   } else {
@@ -330,17 +329,14 @@ void SimClient::finish_op(std::uint32_t slot) {
     if (verdict.retired_read) ++retired_reads_;
     if (config_.read_repair && result.ok) {
       // Fire-and-forget write-back to stale reached servers.
-      QuorumAttempt& attempt = machine.attempt();
-      for (const int s : attempt.push_targets()) {
-        if (!(attempt.reply(s)->first < result.timestamp)) continue;
-        const int server = attempt.wire(s);
+      machine.for_each_stale_reply(result.timestamp, [&](int server) {
         net_->send(id_, server, Network::Direction::kToServer,
                    [this, server, object = acq.object, ts = result.timestamp,
                     value = result.value] {
                      (*servers_)[static_cast<std::size_t>(server)]
                          .handle_write(sim_->now(), ts, value, object);
                    });
-      }
+      });
     }
     complete(slot);
     return;

@@ -8,10 +8,13 @@
 // counterpart of the abstract model in src/mismatch.
 //
 // SimClient drives the register protocol's AcquisitionMachine
-// (sim/register_core.h), one per in-flight op, from event callbacks: the
-// machine decides every probe, view fetch, verdict and write push; the
-// client owns sends and timeouts, retries with backoff, the deadline, the
-// partition filter, the adaptive timeout and read repair (ClientConfig).
+// (sim/register_core.h), one per in-flight op, from event callbacks, with
+// its max fold in family-index order: the machine holds the op's evidence
+// and decides every probe, view fetch, verdict and write push, and the
+// client sees only its calls (the probed set it reports, read repair's
+// stale targets). The client owns sends and timeouts, retries with
+// backoff, the deadline, the partition filter, the adaptive timeout and
+// read repair (ClientConfig).
 //
 // Nothing is allocated per operation once the client has warmed up. Each
 // in-flight operation lives in a slot of a per-client pool (reused after
@@ -26,6 +29,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -152,7 +156,7 @@ class SimClient {
   // register verdict and a write's push phase, all decided by `machine`.
   struct Acquisition {
     explicit Acquisition(const RegisterPolicy& policy)
-        : machine(kSimRules, policy) {}
+        : machine(FoldOrder::kFamilyIndex, policy) {}
 
     const QuorumFamily* family = nullptr;
     bool epoch_mode = false;
@@ -180,10 +184,21 @@ class SimClient {
   // Probes replica `target` (the machine's next probe), or ends the attempt
   // when there is none (-1) or the deadline has passed.
   void issue_probe(std::uint32_t slot, int target);
-  // A probe's outcome from replica `target`: a reply, a retired server's
-  // fence, or neither.
+  // What a probe's reply leg carries back: register state, or a retired
+  // server's fence. Trivially copyable, so the service-delay and reply-leg
+  // closures holding it move by memcpy rather than through a manager call
+  // (a ReplySlot would not: std::pair's assignment is user-provided).
+  struct ProbeReply {
+    Timestamp ts;
+    std::uint64_t value = 0;
+    bool served_retired = false;  // sampled at serve time
+    bool fenced = false;
+  };
+  static_assert(std::is_trivially_copyable_v<ProbeReply>);
+  // A probe's outcome from replica `target`: its reply or fence, or
+  // nullptr when the timeout fired first.
   void finish_probe(std::uint32_t slot, std::uint32_t generation, int target,
-                    const ReplySlot& reply, bool served_retired, bool fenced);
+                    const ProbeReply* reply);
   void finish_attempt(std::uint32_t slot);
   // The register verdict of a read or write whose acquisition finished.
   void finish_op(std::uint32_t slot);

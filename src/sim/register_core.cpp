@@ -18,33 +18,20 @@ bool RegisterPolicy::validate(const char* owner) const {
   return ok;
 }
 
-void QuorumAttempt::probed(SignedSet& out) const {
+void AcquisitionMachine::probed(SignedSet& out) const {
   out.reshape(universe_);
   for (const int s : touched_) out.add_positive(s);
   for (const int s : missed_) out.add_negative(s);
 }
 
-bool QuorumAttempt::audit_retired_read(const FoldResult& adopted,
-                                       obs::OpId op,
-                                       std::uint64_t at_us) const {
+bool AcquisitionMachine::audit_retired_read(const FoldResult& adopted,
+                                            double now) const {
   if (!adopted.ok || adopted.index < 0 ||
       served_retired_[static_cast<std::size_t>(adopted.index)] == 0)
     return false;
-  obs::flight(obs::FlightKind::kRetiredRead, op, at_us, wire(adopted.index),
-              adopted.ts.counter);
+  obs::flight(obs::FlightKind::kRetiredRead, op_, obs::to_us(now),
+              wire(adopted.index), adopted.ts.counter);
   return true;
-}
-
-int AcquisitionMachine::on_fence(double now, int replica_epoch) {
-  if (rules_.fence_is_probe_miss) {
-    resolve_probe(obs::FlightKind::kProbeMiss, now);
-  } else {
-    ++probes_;
-  }
-  obs::flight(obs::FlightKind::kEpochFenced, op_, obs::to_us(sent_at_),
-              attempt_.wire(index_), static_cast<std::uint64_t>(replica_epoch));
-  attempt_.fenced(index_);
-  return next_probe(now);
 }
 
 bool acked_write_visible(const std::vector<Replica>& replicas,

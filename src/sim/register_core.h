@@ -2,8 +2,8 @@
 // harness) and the served runner. Each caller owns its clock, transport,
 // timeouts and rng streams; the protocol decisions live here:
 // RegisterPolicy (the knobs), AcquisitionMachine (one op, probe by probe,
-// to its verdict and write pushes), QuorumAttempt (one attempt's evidence
-// and verdicts), fold_replies (max fold or masking vote), WriteSet
+// to its verdict and write pushes, holding the attempt's evidence as
+// private state), fold_replies (max fold or masking vote), WriteSet
 // (genuine write bindings), and the end-of-run and epoch-boundary steps
 // acked_write_visible and apply_epoch_transition.
 
@@ -14,7 +14,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -64,12 +63,12 @@ struct FoldResult {
   int index = -1;  // reply index adopted, -1 when none
 };
 
-// Folds replies[i] for i in `order` (a range of reply indices; replies
-// outside it must be nullopt). With lie_tolerance b == 0 this is the max-
-// timestamp fold over reached replies (Sect. 4's client requirement). With
-// b > 0 it is the masking vote: the highest-timestamped (ts, value) pair
-// reported identically by at least b+1 replies, else !ok — the op fails
-// rather than return a possible fabrication. Both adopt the first reply in
+// Folds replies[i] for i in `order` (a range of reply indices; no other
+// entry is read). With lie_tolerance b == 0 this is the max-timestamp fold
+// over reached replies (Sect. 4's client requirement). With b > 0 it is the
+// masking vote: the highest-timestamped (ts, value) pair reported
+// identically by at least b+1 replies, else !ok — the op fails rather than
+// return a possible fabrication. Both adopt the first reply in
 // `order` among equal timestamps. Two distinct pairs can never both clear
 // b+1 at one timestamp in-model (that would need b+1 coordinated liars),
 // and the tie rule keeps the first-seen winner stable if the model is ever
@@ -99,159 +98,12 @@ FoldResult fold_replies(const std::vector<ReplySlot>& replies,
   return out;
 }
 
-// Which reached reply a fold visits first, so which one wins a tie.
+// Which reached reply a max fold (lie_tolerance 0) visits first, so which
+// one wins a timestamp tie: family-index order in the simulator, probe
+// order in the runner. The one thing the two callers do differently, fixed
+// per caller (never a config field); a masking vote is always family-index
+// ordered.
 enum class FoldOrder { kFamilyIndex, kProbe };
-
-// One acquisition attempt: the driver asks for the next family index,
-// resolves the probe on its own clock and transport, and reports the
-// outcome; the attempt feeds the strategy and keeps the evidence the
-// verdicts read. Evidence is indexed by family index; in epoch mode the
-// view maps an index to the replica on the wire.
-class QuorumAttempt {
- public:
-  // Evidence for families of up to `capacity` indices allocates nothing.
-  explicit QuorumAttempt(int capacity = 0) { reset(capacity, nullptr); }
-
-  // Resets `strategy` (caller-owned) from `rng` and drops the previous
-  // attempt's evidence in O(touched). `view` is nullptr outside epoch mode.
-  void begin(ProbeStrategy* strategy, Rng* rng, const MembershipView* view) {
-    strategy_ = strategy;
-    strategy_->reset(rng);
-    reset(strategy_->universe_size(), view);
-  }
-  // An attempt aborted before its first probe (the partition filter).
-  void begin_aborted(int universe, const MembershipView* view) {
-    strategy_ = nullptr;
-    reset(universe, view);
-  }
-
-  bool in_progress() const { return status() == ProbeStatus::kInProgress; }
-  bool acquired() const { return status() == ProbeStatus::kAcquired; }
-  int next_server() const { return strategy_->next_server(); }
-  int wire(int s) const {  // family index -> replica id
-    return view_ != nullptr ? view_->members[static_cast<std::size_t>(s)] : s;
-  }
-
-  // Probe outcomes for family index `s`. A reply's `served_retired` is
-  // sampled AT SERVE TIME (a member serving just before its epoch boundary
-  // is not a retired read); a `reply_epoch` newer than the view, like a
-  // fence, is staleness evidence. A fence is also a miss.
-  void reached(int s, const Timestamp& ts, std::uint64_t value,
-               bool served_retired, int reply_epoch) {
-    if (view_ != nullptr && reply_epoch > view_->epoch)
-      saw_newer_epoch_ = true;
-    replies_[static_cast<std::size_t>(s)] = std::make_pair(ts, value);
-    served_retired_[static_cast<std::size_t>(s)] = served_retired ? 1 : 0;
-    touched_.push_back(s);
-    if (max_.ts < ts) max_ = FoldResult{true, ts, value, s};
-    sorted_ = false;
-    strategy_->observe(s, true);
-  }
-  void missed(int s) {
-    missed_.push_back(s);
-    strategy_->observe(s, false);
-  }
-  void fenced(int s) {
-    saw_newer_epoch_ = true;
-    missed(s);
-  }
-
-  // Refills `out` with +reached, -missed or fenced, reusing its storage.
-  void probed(SignedSet& out) const;
-  const ReplySlot& reply(int s) const {
-    return replies_[static_cast<std::size_t>(s)];
-  }
-
-  // --- verdicts ------------------------------------------------------------
-  // fold_replies over the reached replies; !ok also when not acquired. A
-  // kProbe fold must precede every index-ordered verdict. The max fold in
-  // probe order is the running max kept as replies arrive: a later reply
-  // replaces it only with a strictly higher timestamp, the tie rule of
-  // fold_replies.
-  FoldResult fold(int lie_tolerance, FoldOrder order) {
-    if (!acquired()) return FoldResult{false, {}, 0, -1};
-    if (lie_tolerance <= 0 && order == FoldOrder::kProbe) return max_;
-    if (order == FoldOrder::kFamilyIndex) sort_touched();
-    assert(order == FoldOrder::kFamilyIndex || !sorted_);
-    return fold_replies(replies_, touched_, lie_tolerance);
-  }
-  static Timestamp write_timestamp(const FoldResult& adopted, int writer) {
-    return Timestamp{adopted.ts.counter + 1, writer};
-  }
-  // S+ — every reached probed replica — in ascending family-index order.
-  std::span<const int> push_targets() {
-    sort_touched();
-    return touched_;
-  }
-  // No-read-from-retired-server: true, with a kRetiredRead flight event
-  // naming the replica, when the adopted reply was served retired (only
-  // the serve_while_retired bug switch gets past the fence).
-  bool audit_retired_read(const FoldResult& adopted, obs::OpId op,
-                          std::uint64_t at_us) const;
-  // After the op, either outcome: learn the view for the next op.
-  bool learn_view(const RegisterPolicy& policy, int current_epoch,
-                  int view_epoch) const {
-    return view_ != nullptr && saw_newer_epoch_ && policy.refresh_views &&
-           current_epoch > view_epoch;
-  }
-  // Re-fetch the view after this attempt failed with staleness evidence.
-  bool refetch_view(const RegisterPolicy& policy, int view_fetches,
-                    int current_epoch, int view_epoch) const {
-    return !acquired() && view_fetches < policy.max_view_fetches &&
-           learn_view(policy, current_epoch, view_epoch);
-  }
-
- private:
-  ProbeStatus status() const {
-    return strategy_ != nullptr ? strategy_->status() : ProbeStatus::kNoQuorum;
-  }
-  void reset(int universe, const MembershipView* view) {
-    const std::size_t n = static_cast<std::size_t>(universe);
-    if (replies_.size() < n) {
-      replies_.resize(n);
-      served_retired_.resize(n, 0);
-      touched_.reserve(n);
-      missed_.reserve(n);
-    }
-    for (const int s : touched_) {
-      replies_[static_cast<std::size_t>(s)].reset();
-      served_retired_[static_cast<std::size_t>(s)] = 0;
-    }
-    touched_.clear();
-    missed_.clear();
-    max_ = FoldResult{};
-    universe_ = universe;
-    view_ = view;
-    sorted_ = false;
-    saw_newer_epoch_ = false;
-  }
-  void sort_touched() {
-    if (!sorted_) std::sort(touched_.begin(), touched_.end());
-    sorted_ = true;
-  }
-
-  ProbeStrategy* strategy_ = nullptr;
-  const MembershipView* view_ = nullptr;
-  std::vector<ReplySlot> replies_;
-  std::vector<char> served_retired_;
-  std::vector<int> touched_;  // reached indices, probe order until sorted
-  std::vector<int> missed_;   // missed or fenced indices
-  FoldResult max_;            // the max fold of the replies so far
-  int universe_ = 0;
-  bool sorted_ = false;
-  bool saw_newer_epoch_ = false;
-};
-
-// What the two callers do differently, fixed per caller (never a config
-// field): the order a max fold (lie_tolerance 0) visits replies in, so
-// which wins a timestamp tie, and whether a fenced probe is also recorded
-// as a kProbeMiss.
-struct AcquisitionRules {
-  FoldOrder max_fold;
-  bool fence_is_probe_miss;
-};
-inline constexpr AcquisitionRules kSimRules{FoldOrder::kFamilyIndex, false};
-inline constexpr AcquisitionRules kServedRules{FoldOrder::kProbe, true};
 
 // A read's or a write's verdict; !ok when the acquisition failed or a
 // masking vote found no pair it could trust.
@@ -265,9 +117,14 @@ struct Verdict {
 // One register operation of the Sect. 4 protocol as a sans-I/O machine: a
 // read acquires a signed quorum and adopts the max-timestamp (ts, value)
 // over S+, the reached probed replicas (or the masking vote); a write
-// acquires, then pushes (max+1, writer) to every replica of S+. The
-// machine owns the op's QuorumAttempt and makes every protocol decision;
-// its caller owns the clock (each `now`, in seconds), the transport,
+// acquires, then pushes (max+1, writer) to every replica of S+. The machine
+// makes every protocol decision and keeps the attempt's evidence (in the
+// shape of dsnet's QuorumCert: accumulate replies, then check): the replies
+// and their serve-time retired flags, the reached and missed indices, the
+// running max, the staleness flag, the universe and the view. Evidence is
+// indexed by family index; in epoch mode the view maps an index to the
+// replica on the wire, and every replica the machine names is a wire id.
+// Its caller owns the clock (each `now`, in seconds), the transport,
 // timeouts and rng streams. The calls, in order: start once per op; begin
 // (or begin_aborted) per attempt; next_probe, then on_reply / on_fence /
 // on_timeout per probe, each naming the replica to probe next (-1 once the
@@ -278,9 +135,11 @@ struct Verdict {
 // largest family it runs.
 class AcquisitionMachine {
  public:
-  AcquisitionMachine(const AcquisitionRules& rules,
-                     const RegisterPolicy& policy, int capacity = 0)
-      : rules_(rules), policy_(policy), attempt_(capacity) {
+  // Evidence for families of up to `capacity` indices allocates nothing.
+  AcquisitionMachine(FoldOrder max_fold, const RegisterPolicy& policy,
+                     int capacity = 0)
+      : max_fold_(max_fold), policy_(policy) {
+    reset(capacity, nullptr);
     push_resolved_.reserve(static_cast<std::size_t>(capacity));
   }
 
@@ -290,86 +149,120 @@ class AcquisitionMachine {
     view_fetches_ = 0;
     pushes_ = 0;
   }
-  // The op's probe and view-fetch counts carry across its attempts.
+  // One attempt: resets `strategy` (caller-owned) from `rng` and drops the
+  // previous attempt's evidence; `view` is nullptr outside epoch mode. The
+  // op's probe and view-fetch counts carry across its attempts.
   void begin(ProbeStrategy* strategy, Rng* rng, const MembershipView* view) {
-    attempt_.begin(strategy, rng, view);
+    strategy_ = strategy;
+    strategy_->reset(rng);
+    reset(strategy_->universe_size(), view);
   }
+  // An attempt aborted before its first probe (the partition filter).
   void begin_aborted(int universe, const MembershipView* view) {
-    attempt_.begin_aborted(universe, view);
+    strategy_ = nullptr;
+    reset(universe, view);
   }
 
   // The replica to probe at `now`, then the outcome of the one in flight:
-  // a reply (served_retired sampled when served), a retired replica's
-  // fence, or no usable reply by `now`.
+  // a reply (served_retired sampled when served, so a member serving just
+  // before its epoch boundary is not a retired read), a retired replica's
+  // fence, or no usable reply by `now`. A reply's epoch newer than the
+  // view, like a fence, is staleness evidence. A fence is negative
+  // evidence too, recorded as kEpochFenced only: it is not a kProbeMiss.
   int next_probe(double now) {
-    if (!attempt_.in_progress()) return -1;
+    if (status() != ProbeStatus::kInProgress) return -1;
     sent_at_ = now;
-    index_ = attempt_.next_server();
-    return attempt_.wire(index_);
+    index_ = strategy_->next_server();
+    return wire(index_);
   }
   int on_reply(double now, const Timestamp& ts, std::uint64_t value,
                bool served_retired, int reply_epoch) {
     resolve_probe(obs::FlightKind::kProbe, now);
-    attempt_.reached(index_, ts, value, served_retired, reply_epoch);
+    const std::size_t s = static_cast<std::size_t>(index_);
+    if (view_ != nullptr && reply_epoch > view_->epoch)
+      saw_newer_epoch_ = true;
+    replies_[s] = std::make_pair(ts, value);
+    served_retired_[s] = served_retired ? 1 : 0;
+    touched_.push_back(index_);
+    if (max_.ts < ts) max_ = FoldResult{true, ts, value, index_};
+    sorted_ = false;
+    strategy_->observe(index_, true);
     return next_probe(now);
   }
-  int on_fence(double now, int replica_epoch);
+  int on_fence(double now, int replica_epoch) {
+    ++probes_;
+    obs::flight(obs::FlightKind::kEpochFenced, op_, obs::to_us(sent_at_),
+                wire(index_), static_cast<std::uint64_t>(replica_epoch));
+    saw_newer_epoch_ = true;
+    return missed(now);
+  }
   int on_timeout(double now) {
     resolve_probe(obs::FlightKind::kProbeMiss, now);
-    attempt_.missed(index_);
-    return next_probe(now);
+    return missed(now);
   }
   double probe_sent_at() const { return sent_at_; }
 
-  // After an attempt: true when it failed with staleness evidence and the
-  // op has fetches left. It counts the fetch and records kViewRefresh at
-  // `at`; the caller then waits view_fetch_delay, adopts the current view
-  // and begins again.
-  bool refetch_view(int current_epoch, int view_epoch, double at) {
-    if (!attempt_.refetch_view(policy_, view_fetches_, current_epoch,
-                               view_epoch))
+  // After an attempt ending at `now`: true when it failed with staleness
+  // evidence and the op has fetches left. It counts the fetch and records
+  // kViewRefresh; the caller then waits view_fetch_delay, adopts the
+  // current view and begins again. Every kViewRefresh is stamped when the
+  // fetched view arrives, view_fetch_delay after `now`.
+  bool refetch_view(int current_epoch, int view_epoch, double now) {
+    if (acquired() || view_fetches_ >= policy_.max_view_fetches ||
+        !view_is_stale(current_epoch, view_epoch))
       return false;
     ++view_fetches_;
-    obs::flight(obs::FlightKind::kViewRefresh, op_, obs::to_us(at), -1,
-                static_cast<std::uint64_t>(current_epoch));
+    record_refresh(current_epoch, now);
     return true;
   }
   // The op is done acquiring: records the quorum event at `now`; true, with
-  // a kViewRefresh, when the caller should learn the current view.
+  // a kViewRefresh, when the caller should fetch the current view for its
+  // next op.
   bool finish_acquisition(int current_epoch, int view_epoch, double now) {
-    const bool learn = attempt_.learn_view(policy_, current_epoch, view_epoch);
-    if (learn)
-      obs::flight(obs::FlightKind::kViewRefresh, op_, obs::to_us(now), -1,
-                  static_cast<std::uint64_t>(current_epoch));
+    const bool learn = view_is_stale(current_epoch, view_epoch);
+    if (learn) record_refresh(current_epoch, now);
     if (obs::recorder_enabled())
       obs::flight(acquired() ? obs::FlightKind::kQuorumAcquired
                              : obs::FlightKind::kQuorumFailed,
                   op_, obs::to_us(now), -1, static_cast<std::uint64_t>(probes_));
     return learn;
   }
+  // Refills `out` with the last attempt's probes: +reached, -missed or
+  // fenced, reusing its storage.
+  void probed(SignedSet& out) const;
 
   // The fold (or masking vote) over S+; a read also runs the retired-read
   // audit, an ok write starts its pushes to S+ at `now`.
   Verdict read_verdict(double now) {
     const FoldResult adopted = fold();
     return Verdict{adopted.ok, adopted.ts, adopted.value,
-                   attempt_.audit_retired_read(adopted, op_, obs::to_us(now))};
+                   audit_retired_read(adopted, now)};
   }
   Verdict write_verdict(int writer, double now) {
     const FoldResult adopted = fold();
     if (!adopted.ok) return Verdict{};
-    pushes_ = static_cast<int>(attempt_.push_targets().size());
+    sort_touched();
+    pushes_ = static_cast<int>(touched_.size());
     assert(pushes_ > 0 && "an acquired quorum has a reached server");
     push_resolved_.assign(static_cast<std::size_t>(pushes_), 0);
     pushes_pending_ = pushes_;
     acks_ = 0;
     push_start_ = now;
     push_elapsed_ = 0.0;
-    return Verdict{true, QuorumAttempt::write_timestamp(adopted, writer)};
+    return Verdict{true, Timestamp{adopted.ts.counter + 1, writer}};
   }
+  // Read repair: calls `send(replica)` for every reached replica whose
+  // reply is older than `ts`, in ascending family-index order.
+  template <typename Send>
+  void for_each_stale_reply(const Timestamp& ts, Send send) {
+    sort_touched();
+    for (const int s : touched_)
+      if (replies_[static_cast<std::size_t>(s)]->first < ts) send(wire(s));
+  }
+  // S+ in ascending family-index order: push k goes to push_replica(k).
   int push_count() const { return pushes_; }
-  int push_replica(int k) {
-    return attempt_.wire(attempt_.push_targets()[static_cast<std::size_t>(k)]);
+  int push_replica(int k) const {
+    return wire(touched_[static_cast<std::size_t>(k)]);
   }
   double push_start() const { return push_start_; }
   // Push k acked or timed out `elapsed` seconds after push_start(); true
@@ -391,33 +284,100 @@ class AcquisitionMachine {
   // When the latest resolved push resolved.
   double push_done() const { return push_start_ + push_elapsed_; }
 
-  bool acquired() const { return attempt_.acquired(); }
+  bool acquired() const { return status() == ProbeStatus::kAcquired; }
   int probes() const { return probes_; }
   int view_fetches() const { return view_fetches_; }
-  QuorumAttempt& attempt() { return attempt_; }
 
  private:
+  ProbeStatus status() const {
+    return strategy_ != nullptr ? strategy_->status() : ProbeStatus::kNoQuorum;
+  }
+  int wire(int s) const {  // family index -> replica id
+    return view_ != nullptr ? view_->members[static_cast<std::size_t>(s)] : s;
+  }
+  // replies_ and served_retired_ are read only at reached indices of the
+  // current attempt, each written when reached, so a new attempt drops the
+  // old evidence by clearing the index lists.
+  void reset(int universe, const MembershipView* view) {
+    const std::size_t n = static_cast<std::size_t>(universe);
+    if (replies_.size() < n) {
+      replies_.resize(n);
+      served_retired_.resize(n, 0);
+      touched_.reserve(n);
+      missed_.reserve(n);
+    }
+    touched_.clear();
+    missed_.clear();
+    max_ = FoldResult{};
+    universe_ = universe;
+    view_ = view;
+    sorted_ = false;
+    saw_newer_epoch_ = false;
+  }
+  void sort_touched() {
+    if (!sorted_) std::sort(touched_.begin(), touched_.end());
+    sorted_ = true;
+  }
   // Counts the probe in flight as resolved at `now`, recording `kind`.
   void resolve_probe(obs::FlightKind kind, double now) {
     ++probes_;
     if (obs::recorder_enabled())
-      obs::flight(kind, op_, obs::to_us(sent_at_), attempt_.wire(index_),
+      obs::flight(kind, op_, obs::to_us(sent_at_), wire(index_),
                   obs::to_us(now - sent_at_));
   }
-  FoldResult fold() {
-    const int b = policy_.lie_tolerance;
-    return attempt_.fold(b, b > 0 ? FoldOrder::kFamilyIndex : rules_.max_fold);
+  // The probe in flight is negative evidence.
+  int missed(double now) {
+    missed_.push_back(index_);
+    strategy_->observe(index_, false);
+    return next_probe(now);
   }
+  // The view of `current_epoch`, fetched at `now`, arrives.
+  void record_refresh(int current_epoch, double now) const {
+    obs::flight(obs::FlightKind::kViewRefresh, op_,
+                obs::to_us(now + policy_.view_fetch_delay), -1,
+                static_cast<std::uint64_t>(current_epoch));
+  }
+  // The attempt saw a fence or a newer epoch stamp, and the caller may
+  // learn a newer view.
+  bool view_is_stale(int current_epoch, int view_epoch) const {
+    return view_ != nullptr && saw_newer_epoch_ && policy_.refresh_views &&
+           current_epoch > view_epoch;
+  }
+  // fold_replies over S+; !ok also when not acquired. The probe-order max
+  // fold is the running max kept as replies arrive: a later reply replaces
+  // it only with a strictly higher timestamp, the tie rule of fold_replies.
+  FoldResult fold() {
+    if (!acquired()) return FoldResult{false, {}, 0, -1};
+    const int b = policy_.lie_tolerance;
+    if (b <= 0 && max_fold_ == FoldOrder::kProbe) return max_;
+    sort_touched();
+    return fold_replies(replies_, touched_, b);
+  }
+  // No-read-from-retired-server: true, with a kRetiredRead flight event
+  // naming the replica, when the adopted reply was served retired (only
+  // the serve_while_retired bug switch gets past the fence).
+  bool audit_retired_read(const FoldResult& adopted, double now) const;
 
-  AcquisitionRules rules_;
+  FoldOrder max_fold_;
   RegisterPolicy policy_;
-  QuorumAttempt attempt_;
   obs::OpId op_ = obs::kNoOp;
   int probes_ = 0;  // resolved, across the op's attempts
   int view_fetches_ = 0;
+  // The attempt's evidence.
+  ProbeStrategy* strategy_ = nullptr;
+  const MembershipView* view_ = nullptr;
+  std::vector<ReplySlot> replies_;
+  std::vector<char> served_retired_;
+  std::vector<int> touched_;  // reached indices, probe order until sorted
+  std::vector<int> missed_;   // missed or fenced indices
+  FoldResult max_;            // the max fold of the replies so far
+  int universe_ = 0;
+  bool sorted_ = false;
+  bool saw_newer_epoch_ = false;
   int index_ = -1;  // family index of the probe in flight
   double sent_at_ = 0.0;
-  int pushes_ = 0;  // |S+| of an ok write
+  // An ok write's pushes to S+.
+  int pushes_ = 0;
   std::vector<char> push_resolved_;
   int pushes_pending_ = 0;
   int acks_ = 0;

@@ -477,8 +477,8 @@ TEST(Recorder, ServedFlightStreamIsPinned) {
     bool verify;
     std::uint64_t digest;
     std::uint64_t events;
-  } runs[] = {{true, 0xBC835E0DF62CD357ull, 16706},
-              {false, 0x8C47389D62B76439ull, 16265}};
+  } runs[] = {{true, 0x47ED3634C18B66B3ull, 16705},
+              {false, 0xA8B856BACD23A633ull, 16264}};
   for (const auto& run : runs) {
     obs::reset_flight_recorder();
     config.verify_replica_certs = run.verify;
@@ -556,7 +556,7 @@ TEST(Recorder, ChaosFlightStreamIsPinned) {
       {"byzantine", obs::FlightKind::kQuorumAcquired,
        0x090038A681EFD7D8ull, 32661},
       {"churn_replace", obs::FlightKind::kEpochFenced,
-       0x6BFCBBACCB1419F2ull, 32246},
+       0x190639C552DA5BC5ull, 32246},
   };
   ASSERT_EQ(cells.size(), std::size(expected));
   RecorderScope scope;

@@ -1,7 +1,7 @@
 // The register protocol shared by SimClient and the served runner
-// (src/sim/register_core.h): QuorumAttempt's evidence and verdicts, the
-// AcquisitionMachine driven by hand, and RegisterPolicy's validation
-// through both configs that hold it.
+// (src/sim/register_core.h): the AcquisitionMachine driven by hand — its
+// attempt evidence and verdicts, view refreshes and pushes — and
+// RegisterPolicy's validation through both configs that hold it.
 
 #include "sim/register_core.h"
 
@@ -11,7 +11,6 @@
 #include <functional>
 #include <limits>
 #include <queue>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,9 +24,9 @@
 namespace sqs {
 namespace {
 
-SignedSet probed_of(const QuorumAttempt& attempt) {
+SignedSet probed_of(const AcquisitionMachine& machine) {
   SignedSet out;
-  attempt.probed(out);
+  machine.probed(out);
   return out;
 }
 
@@ -71,252 +70,6 @@ class ScriptedStrategy : public ProbeStrategy {
   std::vector<std::pair<int, bool>> observed_;
 };
 
-MembershipView view_of(int epoch, std::vector<int> members) {
-  MembershipView view;
-  view.epoch = epoch;
-  view.members = std::move(members);
-  return view;
-}
-
-TEST(QuorumAttempt, BeginDropsAPartialAttemptsEvidence) {
-  ScriptedStrategy strategy(4, {2, 0, 1, 3}, 3);
-  QuorumAttempt attempt(4);
-  attempt.begin(&strategy, nullptr, nullptr);
-  attempt.reached(2, Timestamp{5, 1}, 50, /*served_retired=*/true, 0);
-  attempt.missed(0);
-  ASSERT_TRUE(attempt.in_progress());
-
-  attempt.begin(&strategy, nullptr, nullptr);
-  EXPECT_TRUE(attempt.in_progress());
-  EXPECT_TRUE(probed_of(attempt).empty());
-  EXPECT_EQ(probed_of(attempt).universe_size(), 4);
-  EXPECT_FALSE(attempt.reply(2).has_value());
-  EXPECT_TRUE(attempt.push_targets().empty());
-  // The old attempt's retired reply is gone with it.
-  attempt.reached(2, Timestamp{1, 1}, 10, false, 0);
-  attempt.reached(0, Timestamp{1, 1}, 10, false, 0);
-  attempt.reached(1, Timestamp{1, 1}, 10, false, 0);
-  ASSERT_TRUE(attempt.acquired());
-  const FoldResult adopted = attempt.fold(0, FoldOrder::kFamilyIndex);
-  ASSERT_TRUE(adopted.ok);
-  EXPECT_EQ(adopted.index, 0);
-  EXPECT_FALSE(attempt.audit_retired_read(adopted, obs::kNoOp, 0));
-
-  // An aborted attempt (the partition filter) keeps no evidence either.
-  attempt.begin_aborted(4, nullptr);
-  EXPECT_FALSE(attempt.in_progress());
-  EXPECT_FALSE(attempt.acquired());
-  EXPECT_TRUE(probed_of(attempt).empty());
-  EXPECT_FALSE(attempt.fold(0, FoldOrder::kFamilyIndex).ok);
-}
-
-TEST(QuorumAttempt, FenceIsNegativeEvidenceAndStaleness) {
-  const MembershipView view = view_of(0, {4, 5, 6});
-  ScriptedStrategy strategy(3, {1, 0, 2}, 2);
-  QuorumAttempt attempt(3);
-  attempt.begin(&strategy, nullptr, &view);
-  EXPECT_EQ(attempt.wire(1), 5);
-  attempt.fenced(1);
-  EXPECT_TRUE(probed_of(attempt).has_negative(1));
-  ASSERT_EQ(strategy.observed().size(), 1u);
-  EXPECT_EQ(strategy.observed()[0], std::make_pair(1, false));
-  attempt.missed(0);
-  attempt.missed(2);
-  ASSERT_FALSE(attempt.in_progress());
-  ASSERT_FALSE(attempt.acquired());
-
-  RegisterPolicy policy;
-  EXPECT_TRUE(attempt.refetch_view(policy, 0, /*current_epoch=*/1, 0));
-  EXPECT_FALSE(attempt.refetch_view(policy, policy.max_view_fetches, 1, 0));
-  EXPECT_FALSE(attempt.refetch_view(policy, 0, 1, /*view_epoch=*/1));
-  EXPECT_TRUE(attempt.learn_view(policy, 1, 0));
-  policy.refresh_views = false;
-  EXPECT_FALSE(attempt.refetch_view(policy, 0, 1, 0));
-  EXPECT_FALSE(attempt.learn_view(policy, 1, 0));
-
-  // A reply stamped with the view's own epoch is no staleness evidence; a
-  // newer stamp is.
-  attempt.begin(&strategy, nullptr, &view);
-  attempt.reached(1, Timestamp{}, 0, false, 0);
-  EXPECT_FALSE(attempt.learn_view(RegisterPolicy{}, 1, 0));
-  attempt.reached(0, Timestamp{}, 0, false, 1);
-  EXPECT_TRUE(attempt.learn_view(RegisterPolicy{}, 1, 0));
-  // Staleness is learned only in epoch mode.
-  attempt.begin(&strategy, nullptr, nullptr);
-  attempt.fenced(1);
-  EXPECT_FALSE(attempt.learn_view(RegisterPolicy{}, 1, 0));
-}
-
-TEST(QuorumAttempt, RetiredReadAuditChecksTheAdoptedReply) {
-  obs::TelemetryConfig saved = obs::current_config();
-  obs::TelemetryConfig tc = saved;
-  tc.recorder = true;
-  obs::configure(tc);
-  obs::reset_flight_recorder();
-
-  const MembershipView view = view_of(0, {7, 8, 9});
-  ScriptedStrategy strategy(3, {0, 1, 2}, 3);
-  QuorumAttempt attempt(3);
-  // Index 1 carries the adopted pair but was a member when it served; index
-  // 2 reports the same pair from a retired replica. Only the adopted reply
-  // decides.
-  attempt.begin(&strategy, nullptr, &view);
-  attempt.reached(0, Timestamp{1, 0}, 10, false, 0);
-  attempt.reached(1, Timestamp{2, 0}, 20, false, 0);
-  attempt.reached(2, Timestamp{2, 0}, 20, true, 0);
-  FoldResult adopted = attempt.fold(0, FoldOrder::kFamilyIndex);
-  ASSERT_TRUE(adopted.ok);
-  EXPECT_EQ(adopted.index, 1);
-  EXPECT_FALSE(attempt.audit_retired_read(adopted, obs::kNoOp, 5));
-
-  // Now the newest reply comes from the retired replica behind index 2.
-  attempt.begin(&strategy, nullptr, &view);
-  attempt.reached(0, Timestamp{1, 0}, 10, false, 0);
-  attempt.reached(1, Timestamp{2, 0}, 20, false, 0);
-  attempt.reached(2, Timestamp{3, 0}, 30, true, 0);
-  adopted = attempt.fold(0, FoldOrder::kFamilyIndex);
-  ASSERT_EQ(adopted.index, 2);
-  const obs::OpId op = obs::make_op_id(3, 4);
-  EXPECT_TRUE(attempt.audit_retired_read(adopted, op, 6));
-
-  std::vector<obs::FlightEvent> retired;
-  for (const obs::FlightEvent& e : obs::collect_flight_events())
-    if (e.kind == obs::FlightKind::kRetiredRead) retired.push_back(e);
-  obs::configure(saved);
-  obs::reset_flight_recorder();
-  ASSERT_EQ(retired.size(), 1u);
-  EXPECT_EQ(retired[0].replica, 9);  // the wire id, not the family index
-  EXPECT_EQ(retired[0].op, op);
-  EXPECT_EQ(retired[0].time_us, 6u);
-  EXPECT_EQ(retired[0].payload, 3u);
-}
-
-TEST(QuorumAttempt, PushTargetsAscendAfterAProbeOrderFold) {
-  ScriptedStrategy strategy(5, {4, 0, 3, 2}, 3);
-  QuorumAttempt attempt(5);
-  attempt.begin(&strategy, nullptr, nullptr);
-  // Equal timestamps, different values (only a liar could do that): the
-  // probe-order fold adopts the first reached, the index-order fold the
-  // lowest index.
-  attempt.reached(4, Timestamp{4, 1}, 44, false, 0);
-  attempt.missed(0);
-  attempt.reached(3, Timestamp{4, 1}, 43, false, 0);
-  attempt.reached(2, Timestamp{2, 1}, 22, false, 0);
-  ASSERT_TRUE(attempt.acquired());
-  const FoldResult by_probe = attempt.fold(0, FoldOrder::kProbe);
-  EXPECT_EQ(by_probe.index, 4);
-  EXPECT_EQ(by_probe.value, 44u);
-  const Timestamp next = QuorumAttempt::write_timestamp(by_probe, 9);
-  EXPECT_EQ(next.counter, 5u);
-  EXPECT_EQ(next.writer, 9);
-
-  const std::span<const int> targets = attempt.push_targets();
-  EXPECT_EQ(std::vector<int>(targets.begin(), targets.end()),
-            (std::vector<int>{2, 3, 4}));
-  EXPECT_TRUE(probed_of(attempt).has_negative(0));
-  EXPECT_EQ(attempt.fold(0, FoldOrder::kFamilyIndex).index, 3);
-
-  // With b = 1 the vote needs two identical pairs, which no timestamp has.
-  EXPECT_FALSE(attempt.fold(1, FoldOrder::kFamilyIndex).ok);
-}
-
-TEST(QuorumAttempt, RunningMaxMatchesTheProbeOrderFold) {
-  // The probe-order max fold is kept as replies arrive; it must adopt
-  // exactly what fold_replies over the reached replies in probe order
-  // adopts. Timestamps come from a tiny range, so most sets hold ties
-  // (with distinct values, as only liars produce) and unwritten replies.
-  Rng rng(2024);
-  for (int trial = 0; trial < 2000; ++trial) {
-    const int n = 1 + static_cast<int>(rng.next_below(12));
-    std::vector<int> order(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) order[static_cast<std::size_t>(i)] = i;
-    std::shuffle(order.begin(), order.end(), rng);
-    ScriptedStrategy strategy(n, order, 1);
-    QuorumAttempt attempt(n);
-    attempt.begin(&strategy, nullptr, nullptr);
-    std::vector<ReplySlot> replies(static_cast<std::size_t>(n));
-    std::vector<int> reached;
-    for (const int s : order) {
-      if (rng.bernoulli(0.3)) {
-        attempt.missed(s);
-        continue;
-      }
-      const Timestamp ts{rng.next_below(3),
-                         static_cast<int>(rng.next_below(2))};
-      const std::uint64_t value = rng.next_below(4);
-      attempt.reached(s, ts, value, false, 0);
-      replies[static_cast<std::size_t>(s)] = std::make_pair(ts, value);
-      reached.push_back(s);
-    }
-    SCOPED_TRACE("trial " + std::to_string(trial));
-    const FoldResult expected = fold_replies(replies, reached, 0);
-    const FoldResult got = attempt.fold(0, FoldOrder::kProbe);
-    ASSERT_EQ(got.ok, attempt.acquired() && expected.ok);
-    if (!attempt.acquired()) continue;
-    EXPECT_EQ(got.index, expected.index);
-    EXPECT_TRUE(got.ts == expected.ts);
-    EXPECT_EQ(got.value, expected.value);
-  }
-}
-
-TEST(WriteFrontier, MatchesAHeapOfEveryPendingWrite) {
-  // The reference keeps every write in a min-heap by finish time and folds
-  // each completed one into the max. Finish times and timestamps come from
-  // small ranges, so ties in either are common; some streams run their
-  // timestamps mostly upward (the served case), some at random.
-  struct Pending {
-    double finish;
-    Timestamp ts;
-    bool operator>(const Pending& o) const { return finish > o.finish; }
-  };
-  Rng rng(77);
-  for (int stream = 0; stream < 200; ++stream) {
-    const bool rising = stream % 2 == 0;
-    std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>>
-        heap;
-    Timestamp expect;
-    WriteFrontier frontier;
-    double now = 0.0;
-    std::uint64_t counter = 0;
-    for (int op = 0; op < 500; ++op) {
-      now += static_cast<double>(rng.next_below(3));
-      while (!heap.empty() && heap.top().finish <= now) {
-        expect = std::max(expect, heap.top().ts);
-        heap.pop();
-      }
-      ASSERT_TRUE(frontier.advance(now) == expect)
-          << "stream " << stream << " op " << op;
-      if (rng.bernoulli(0.3)) continue;  // a read
-      counter = rising ? counter + (rng.bernoulli(0.8) ? 1 : 0)
-                       : rng.next_below(40);
-      const Timestamp ts{counter, static_cast<int>(rng.next_below(3))};
-      const double finish = now + static_cast<double>(rng.next_below(12));
-      heap.push(Pending{finish, ts});
-      frontier.add(finish, ts);
-    }
-  }
-}
-
-TEST(QuorumAttempt, SizedOnceThenReusedAcrossFamilies) {
-  // A smaller family after a larger one reuses the evidence storage; a
-  // larger one grows it.
-  ScriptedStrategy small(2, {1, 0}, 1);
-  ScriptedStrategy large(6, {5, 4}, 1);
-  QuorumAttempt attempt(2);
-  attempt.begin(&small, nullptr, nullptr);
-  attempt.reached(1, Timestamp{1, 0}, 1, false, 0);
-  attempt.begin(&large, nullptr, nullptr);
-  EXPECT_EQ(probed_of(attempt).universe_size(), 6);
-  EXPECT_FALSE(attempt.reply(1).has_value());
-  attempt.reached(5, Timestamp{2, 0}, 2, false, 0);
-  EXPECT_EQ(attempt.fold(0, FoldOrder::kFamilyIndex).index, 5);
-}
-
-// --- the acquisition machine, driven by hand --------------------------------
-//
-// No simulator and no transport: each test plays the caller, naming the
-// clock and every probe outcome, and reads the machine's next move.
-
 // The flight events of `kind` recorded while `run` drives a machine.
 template <typename Run>
 std::vector<obs::FlightEvent> flights_of(obs::FlightKind kind, Run run) {
@@ -334,13 +87,289 @@ std::vector<obs::FlightEvent> flights_of(obs::FlightKind kind, Run run) {
   return out;
 }
 
+MembershipView view_of(int epoch, std::vector<int> members) {
+  MembershipView view;
+  view.epoch = epoch;
+  view.members = std::move(members);
+  return view;
+}
+
+// --- the acquisition machine, driven by hand --------------------------------
+//
+// No simulator and no transport: each test plays the caller, naming the
+// clock and every probe outcome, and reads the machine's next move. The
+// QuorumAttempt.* tests check one attempt's evidence (what a new attempt
+// drops, fences, the retired-read audit, push targets, the running max,
+// sizing); the AcquisitionMachine.* tests check an op across attempts.
+
+TEST(QuorumAttempt, BeginDropsAPartialAttemptsEvidence) {
+  ScriptedStrategy strategy(4, {2, 0, 1, 3}, 3);
+  AcquisitionMachine machine(FoldOrder::kFamilyIndex, RegisterPolicy{}, 4);
+  machine.start(obs::make_op_id(1, 1));
+  machine.begin(&strategy, nullptr, nullptr);
+  EXPECT_EQ(machine.next_probe(0.0), 2);
+  // The newest reply, from a replica that served it while retired.
+  EXPECT_EQ(machine.on_reply(0.1, Timestamp{5, 1}, 50,
+                             /*served_retired=*/true, 0),
+            0);
+  ASSERT_EQ(machine.on_timeout(0.2), 1);
+
+  machine.begin(&strategy, nullptr, nullptr);
+  EXPECT_TRUE(probed_of(machine).empty());
+  EXPECT_EQ(probed_of(machine).universe_size(), 4);
+  // Equal timestamps, distinct values: the index-order fold adopts index 0,
+  // and neither the old newer reply nor its retired flag survives.
+  EXPECT_EQ(machine.next_probe(1.0), 2);
+  EXPECT_EQ(machine.on_reply(1.1, Timestamp{1, 1}, 12, false, 0), 0);
+  EXPECT_EQ(machine.on_reply(1.2, Timestamp{1, 1}, 10, false, 0), 1);
+  EXPECT_EQ(machine.on_reply(1.3, Timestamp{1, 1}, 11, false, 0), -1);
+  ASSERT_TRUE(machine.acquired());
+  const Verdict read = machine.read_verdict(1.3);
+  ASSERT_TRUE(read.ok);
+  EXPECT_EQ(read.ts, (Timestamp{1, 1}));
+  EXPECT_EQ(read.value, 10u);
+  EXPECT_FALSE(read.retired_read);
+
+  // A write's S+ holds this attempt's reached replicas only.
+  machine.begin(&strategy, nullptr, nullptr);
+  machine.next_probe(2.0);
+  machine.on_reply(2.1, Timestamp{1, 1}, 10, false, 0);
+  machine.on_timeout(2.2);
+  machine.on_reply(2.3, Timestamp{1, 1}, 10, false, 0);
+  machine.on_reply(2.4, Timestamp{1, 1}, 10, false, 0);
+  ASSERT_TRUE(machine.write_verdict(1, 2.4).ok);
+  ASSERT_EQ(machine.push_count(), 3);
+  EXPECT_EQ(machine.push_replica(0), 1);
+  EXPECT_EQ(machine.push_replica(1), 2);
+  EXPECT_EQ(machine.push_replica(2), 3);
+
+  // An aborted attempt (the partition filter) keeps no evidence either.
+  machine.start(obs::make_op_id(1, 2));
+  machine.begin_aborted(4, nullptr);
+  EXPECT_EQ(machine.next_probe(3.0), -1);
+  EXPECT_FALSE(machine.acquired());
+  EXPECT_TRUE(probed_of(machine).empty());
+  EXPECT_FALSE(machine.read_verdict(3.0).ok);
+  EXPECT_FALSE(machine.write_verdict(1, 3.0).ok);
+  EXPECT_EQ(machine.push_count(), 0);
+}
+
+TEST(QuorumAttempt, FenceIsNegativeEvidenceAndStaleness) {
+  const MembershipView view = view_of(0, {4, 5, 6});
+  ScriptedStrategy strategy(3, {1, 0, 2}, 2);
+  // Fenced by index 1, then two misses: a failed attempt with staleness
+  // evidence.
+  const auto fenced_out = [&](AcquisitionMachine& machine) {
+    machine.start(obs::make_op_id(1, 2));
+    machine.begin(&strategy, nullptr, &view);
+    EXPECT_EQ(machine.next_probe(0.0), 5);  // index 1 on the wire
+    EXPECT_EQ(machine.on_fence(0.1, /*replica_epoch=*/1), 4);
+    EXPECT_TRUE(probed_of(machine).has_negative(1));
+    EXPECT_EQ(strategy.observed().size(), 1u);
+    EXPECT_EQ(strategy.observed()[0], std::make_pair(1, false));
+    EXPECT_EQ(machine.on_timeout(0.2), 6);
+    EXPECT_EQ(machine.on_timeout(0.3), -1);
+    EXPECT_FALSE(machine.acquired());
+  };
+
+  RegisterPolicy policy;
+  AcquisitionMachine machine(FoldOrder::kFamilyIndex, policy, 3);
+  fenced_out(machine);
+  EXPECT_FALSE(machine.refetch_view(1, /*view_epoch=*/1, 0.3));
+  EXPECT_TRUE(machine.refetch_view(/*current_epoch=*/1, 0, 0.3));
+  EXPECT_TRUE(machine.finish_acquisition(1, 0, 0.3));
+  RegisterPolicy no_fetches = policy;
+  no_fetches.max_view_fetches = 0;
+  AcquisitionMachine spent(FoldOrder::kFamilyIndex, no_fetches, 3);
+  fenced_out(spent);
+  EXPECT_FALSE(spent.refetch_view(1, 0, 0.3));
+  policy.refresh_views = false;
+  AcquisitionMachine stale(FoldOrder::kFamilyIndex, policy, 3);
+  fenced_out(stale);
+  EXPECT_FALSE(stale.refetch_view(1, 0, 0.3));
+  EXPECT_FALSE(stale.finish_acquisition(1, 0, 0.3));
+
+  // A reply stamped with the view's own epoch is no staleness evidence; a
+  // newer stamp is.
+  machine.begin(&strategy, nullptr, &view);
+  machine.next_probe(1.0);
+  machine.on_reply(1.1, Timestamp{}, 0, false, 0);
+  machine.on_reply(1.2, Timestamp{}, 0, false, 0);
+  ASSERT_TRUE(machine.acquired());
+  EXPECT_FALSE(machine.finish_acquisition(1, 0, 1.2));
+  machine.begin(&strategy, nullptr, &view);
+  machine.next_probe(2.0);
+  machine.on_reply(2.1, Timestamp{}, 0, false, 0);
+  machine.on_reply(2.2, Timestamp{}, 0, false, 1);
+  EXPECT_TRUE(machine.finish_acquisition(1, 0, 2.2));
+  // Staleness is learned only in epoch mode.
+  machine.begin(&strategy, nullptr, nullptr);
+  EXPECT_EQ(machine.next_probe(3.0), 1);
+  machine.on_fence(3.1, 1);
+  machine.on_timeout(3.2);
+  machine.on_timeout(3.3);
+  EXPECT_FALSE(machine.refetch_view(1, 0, 3.3));
+  EXPECT_FALSE(machine.finish_acquisition(1, 0, 3.3));
+}
+
+TEST(QuorumAttempt, RetiredReadAuditChecksTheAdoptedReply) {
+  const MembershipView view = view_of(0, {7, 8, 9});
+  ScriptedStrategy strategy(3, {0, 1, 2}, 3);
+  AcquisitionMachine machine(FoldOrder::kFamilyIndex, RegisterPolicy{}, 3);
+  const obs::OpId op = obs::make_op_id(3, 4);
+  const auto retired = flights_of(obs::FlightKind::kRetiredRead, [&] {
+    // Index 1 carries the adopted pair but was a member when it served;
+    // index 2 reports the same pair from a retired replica. Only the
+    // adopted reply decides.
+    machine.start(obs::make_op_id(3, 3));
+    machine.begin(&strategy, nullptr, &view);
+    machine.next_probe(0.0);
+    machine.on_reply(0.1, Timestamp{1, 0}, 10, false, 0);
+    machine.on_reply(0.2, Timestamp{2, 0}, 20, false, 0);
+    machine.on_reply(0.3, Timestamp{2, 0}, 20, true, 0);
+    Verdict read = machine.read_verdict(0.3);
+    ASSERT_TRUE(read.ok);
+    EXPECT_EQ(read.value, 20u);
+    EXPECT_FALSE(read.retired_read);
+
+    // Now the newest reply comes from the retired replica behind index 2.
+    machine.start(op);
+    machine.begin(&strategy, nullptr, &view);
+    machine.next_probe(1.0);
+    machine.on_reply(1.1, Timestamp{1, 0}, 10, false, 0);
+    machine.on_reply(1.2, Timestamp{2, 0}, 20, false, 0);
+    machine.on_reply(1.3, Timestamp{3, 0}, 30, true, 0);
+    read = machine.read_verdict(1.5);
+    EXPECT_EQ(read.value, 30u);
+    EXPECT_TRUE(read.retired_read);
+  });
+  ASSERT_EQ(retired.size(), 1u);
+  EXPECT_EQ(retired[0].replica, 9);  // the wire id, not the family index
+  EXPECT_EQ(retired[0].op, op);
+  EXPECT_EQ(retired[0].time_us, 1500000u);
+  EXPECT_EQ(retired[0].payload, 3u);
+}
+
+TEST(QuorumAttempt, PushTargetsAscendAfterAProbeOrderFold) {
+  ScriptedStrategy strategy(5, {4, 0, 3, 2}, 3);
+  // Equal timestamps, different values (only a liar could do that): the
+  // probe-order fold adopts the first reached, the index-order fold the
+  // lowest index.
+  const auto run = [&](AcquisitionMachine& machine) {
+    machine.start(obs::make_op_id(1, 5));
+    machine.begin(&strategy, nullptr, nullptr);
+    machine.next_probe(0.0);
+    machine.on_reply(0.1, Timestamp{4, 1}, 44, false, 0);
+    machine.on_timeout(0.2);
+    machine.on_reply(0.3, Timestamp{4, 1}, 43, false, 0);
+    machine.on_reply(0.4, Timestamp{2, 1}, 22, false, 0);
+    EXPECT_TRUE(machine.acquired());
+  };
+  AcquisitionMachine by_probe(FoldOrder::kProbe, RegisterPolicy{}, 5);
+  run(by_probe);
+  EXPECT_EQ(by_probe.read_verdict(0.4).value, 44u);
+  const Verdict write = by_probe.write_verdict(/*writer=*/9, 0.4);
+  ASSERT_TRUE(write.ok);
+  EXPECT_EQ(write.ts.counter, 5u);
+  EXPECT_EQ(write.ts.writer, 9);
+  ASSERT_EQ(by_probe.push_count(), 3);
+  std::vector<int> targets;
+  for (int k = 0; k < by_probe.push_count(); ++k)
+    targets.push_back(by_probe.push_replica(k));
+  EXPECT_EQ(targets, (std::vector<int>{2, 3, 4}));
+  EXPECT_TRUE(probed_of(by_probe).has_negative(0));
+
+  AcquisitionMachine by_index(FoldOrder::kFamilyIndex, RegisterPolicy{}, 5);
+  run(by_index);
+  EXPECT_EQ(by_index.read_verdict(0.4).value, 43u);
+
+  // With b = 1 the vote needs two identical pairs, which no timestamp has.
+  RegisterPolicy masking;
+  masking.lie_tolerance = 1;
+  AcquisitionMachine voting(FoldOrder::kProbe, masking, 5);
+  run(voting);
+  EXPECT_FALSE(voting.read_verdict(0.4).ok);
+}
+
+TEST(QuorumAttempt, RunningMaxMatchesTheProbeOrderFold) {
+  // The probe-order max fold is kept as replies arrive; it must adopt
+  // exactly what fold_replies over the reached replies in probe order
+  // adopts. Timestamps come from a tiny range, so most sets hold ties
+  // (with distinct values, as only liars produce) and unwritten replies.
+  // Each value carries its family index in its low bits, so the verdict
+  // names the reply it adopted.
+  Rng rng(2024);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const int n = 1 + static_cast<int>(rng.next_below(12));
+    std::vector<int> order(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) order[static_cast<std::size_t>(i)] = i;
+    std::shuffle(order.begin(), order.end(), rng);
+    std::vector<ReplySlot> replies(static_cast<std::size_t>(n));
+    std::vector<int> reached;
+    for (const int s : order) {
+      if (rng.bernoulli(0.3)) continue;  // missed
+      const Timestamp ts{rng.next_below(3),
+                         static_cast<int>(rng.next_below(2))};
+      const std::uint64_t value = rng.next_below(4) * 64 +
+                                  static_cast<std::uint64_t>(s);
+      replies[static_cast<std::size_t>(s)] = std::make_pair(ts, value);
+      reached.push_back(s);
+    }
+    // The attempt acquires on its last reached reply; one with none fails.
+    ScriptedStrategy strategy(
+        n, order, std::max<int>(1, static_cast<int>(reached.size())));
+    AcquisitionMachine machine(FoldOrder::kProbe, RegisterPolicy{}, n);
+    machine.start(obs::make_op_id(1, 6));
+    machine.begin(&strategy, nullptr, nullptr);
+    for (int s = machine.next_probe(0.0); s >= 0;) {
+      const ReplySlot& r = replies[static_cast<std::size_t>(s)];
+      s = r.has_value() ? machine.on_reply(0.0, r->first, r->second, false, 0)
+                        : machine.on_timeout(0.0);
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const FoldResult expected = fold_replies(replies, reached, 0);
+    const Verdict got = machine.read_verdict(0.0);
+    ASSERT_EQ(got.ok, machine.acquired() && expected.ok);
+    ASSERT_EQ(machine.acquired(), !reached.empty());
+    if (!machine.acquired()) continue;
+    if (expected.index >= 0) {
+      EXPECT_EQ(static_cast<int>(got.value % 64), expected.index);
+    }
+    EXPECT_TRUE(got.ts == expected.ts);
+    EXPECT_EQ(got.value, expected.value);
+  }
+}
+
+TEST(QuorumAttempt, SizedOnceThenReusedAcrossFamilies) {
+  // A smaller family after a larger one reuses the evidence storage; a
+  // larger one grows it.
+  ScriptedStrategy small(2, {1, 0}, 1);
+  ScriptedStrategy large(6, {5, 4}, 1);
+  AcquisitionMachine machine(FoldOrder::kFamilyIndex, RegisterPolicy{}, 2);
+  machine.start(obs::make_op_id(1, 7));
+  machine.begin(&small, nullptr, nullptr);
+  machine.next_probe(0.0);
+  machine.on_reply(0.1, Timestamp{3, 0}, 1, false, 0);
+  machine.begin(&large, nullptr, nullptr);
+  EXPECT_EQ(probed_of(machine).universe_size(), 6);
+  EXPECT_EQ(machine.next_probe(1.0), 5);
+  EXPECT_EQ(machine.on_reply(1.1, Timestamp{2, 0}, 2, false, 0), -1);
+  const Verdict read = machine.read_verdict(1.1);
+  ASSERT_TRUE(read.ok);
+  EXPECT_EQ(read.value, 2u);  // the small family's newer reply is gone
+  EXPECT_EQ(probed_of(machine).universe_size(), 6);
+  EXPECT_TRUE(probed_of(machine).has_positive(5));
+  machine.begin(&small, nullptr, nullptr);
+  EXPECT_EQ(probed_of(machine).universe_size(), 2);
+}
+
 TEST(AcquisitionMachine, FenceRefetchesThenReprobesUnderTheNewView) {
   // Epoch 1 replaced replica 0 by replica 3. A client still on the epoch-0
   // view is fenced by 0, cannot reach 3 of 3, and fetches the view.
   const MembershipView old_view = view_of(0, {0, 1, 2});
   const MembershipView new_view = view_of(1, {3, 1, 2});
   ScriptedStrategy strategy(3, {0, 1, 2}, 3);
-  AcquisitionMachine machine(kSimRules, RegisterPolicy{}, 3);
+  AcquisitionMachine machine(FoldOrder::kFamilyIndex, RegisterPolicy{}, 3);
   const obs::OpId op = obs::make_op_id(1, 7);
   const auto refreshes = flights_of(obs::FlightKind::kViewRefresh, [&] {
     machine.start(op);
@@ -350,8 +379,10 @@ TEST(AcquisitionMachine, FenceRefetchesThenReprobesUnderTheNewView) {
     EXPECT_EQ(machine.on_reply(0.2, Timestamp{1, 0}, 10, false, 0), 2);
     EXPECT_EQ(machine.on_reply(0.3, Timestamp{1, 0}, 10, false, 0), -1);
     EXPECT_FALSE(machine.acquired());
+    // Fetched when the attempt ends; the view arrives view_fetch_delay
+    // later, and the refresh is stamped then.
     ASSERT_TRUE(machine.refetch_view(/*current_epoch=*/1, /*view_epoch=*/0,
-                                     /*at=*/0.35));
+                                     /*now=*/0.3));
     EXPECT_EQ(machine.view_fetches(), 1);
 
     // Re-begun under the fetched view, index 0 is replica 3.
@@ -377,7 +408,7 @@ TEST(AcquisitionMachine, FenceRefetchesThenReprobesUnderTheNewView) {
   // The fetches are bounded per op.
   RegisterPolicy once;
   once.max_view_fetches = 1;
-  AcquisitionMachine bounded(kSimRules, once, 3);
+  AcquisitionMachine bounded(FoldOrder::kFamilyIndex, once, 3);
   bounded.start(op);
   for (int fetch = 0; fetch < 2; ++fetch) {
     bounded.begin(&strategy, nullptr, &old_view);
@@ -394,7 +425,7 @@ TEST(AcquisitionMachine, SuccessfulOpLearnsTheViewAfterwards) {
   // acquired anyway: no refetch, the caller learns the view after the op.
   const MembershipView view = view_of(0, {0, 1, 2});
   ScriptedStrategy strategy(3, {0, 1, 2}, 2);
-  AcquisitionMachine machine(kServedRules, RegisterPolicy{}, 3);
+  AcquisitionMachine machine(FoldOrder::kProbe, RegisterPolicy{}, 3);
   const auto quorum = flights_of(obs::FlightKind::kQuorumAcquired, [&] {
     machine.start(obs::make_op_id(0, 1));
     machine.begin(&strategy, nullptr, &view);
@@ -424,7 +455,7 @@ TEST(AcquisitionMachine, SuccessfulOpLearnsTheViewAfterwards) {
   EXPECT_FALSE(machine.finish_acquisition(1, 1, 2.2));
   RegisterPolicy stale_forever;
   stale_forever.refresh_views = false;
-  AcquisitionMachine stale(kServedRules, stale_forever, 3);
+  AcquisitionMachine stale(FoldOrder::kProbe, stale_forever, 3);
   stale.start(obs::make_op_id(0, 3));
   stale.begin(&strategy, nullptr, &view);
   stale.next_probe(3.0);
@@ -440,8 +471,8 @@ TEST(AcquisitionMachine, MaskingVoteFailsTheOpWithoutAVouchedPair) {
   RegisterPolicy masking;
   masking.lie_tolerance = 1;
   ScriptedStrategy strategy(3, {0, 1, 2}, 3);
-  for (const AcquisitionRules& rules : {kSimRules, kServedRules}) {
-    AcquisitionMachine machine(rules, masking, 3);
+  for (const FoldOrder order : {FoldOrder::kFamilyIndex, FoldOrder::kProbe}) {
+    AcquisitionMachine machine(order, masking, 3);
     for (const bool write : {false, true}) {
       machine.start(obs::make_op_id(1, 1));
       machine.begin(&strategy, nullptr, nullptr);
@@ -479,7 +510,7 @@ TEST(AcquisitionMachine, PushesResolveInAnyOrderAndCompleteAtTheLatest) {
   const bool acked[4] = {true, false, true, false};
   std::vector<int> order = {0, 1, 2, 3};
   ScriptedStrategy strategy(4, {0, 1, 2, 3}, 4);
-  AcquisitionMachine machine(kSimRules, RegisterPolicy{}, 4);
+  AcquisitionMachine machine(FoldOrder::kFamilyIndex, RegisterPolicy{}, 4);
   do {
     machine.start(obs::make_op_id(2, 1));
     machine.begin(&strategy, nullptr, nullptr);
@@ -519,19 +550,65 @@ TEST(AcquisitionMachine, PushesResolveInAnyOrderAndCompleteAtTheLatest) {
   EXPECT_EQ(nacks[0].payload, 250000u);
 }
 
-TEST(AcquisitionMachine, OnlyTheServedRulesRecordAFenceAsAMiss) {
+TEST(AcquisitionMachine, BothFoldOrdersRecordAFenceButNoMiss) {
+  // A fence is negative evidence of its own kind: it counts as a probe and
+  // is recorded once, as kEpochFenced, whichever driver's fold order runs.
   const MembershipView view = view_of(0, {0, 1});
   ScriptedStrategy strategy(2, {0, 1}, 1);
-  for (const AcquisitionRules& rules : {kSimRules, kServedRules}) {
-    AcquisitionMachine machine(rules, RegisterPolicy{}, 2);
-    const auto misses = flights_of(obs::FlightKind::kProbeMiss, [&] {
+  for (const FoldOrder order : {FoldOrder::kFamilyIndex, FoldOrder::kProbe}) {
+    AcquisitionMachine machine(order, RegisterPolicy{}, 2);
+    const auto fence = [&] {
       machine.start(obs::make_op_id(1, 3));
       machine.begin(&strategy, nullptr, &view);
-      machine.next_probe(0.0);
+      machine.next_probe(0.001);
       EXPECT_EQ(machine.on_fence(0.004, 1), 1);
-    });
-    EXPECT_EQ(misses.size(), rules.fence_is_probe_miss ? 1u : 0u);
+    };
+    const auto fenced = flights_of(obs::FlightKind::kEpochFenced, fence);
+    ASSERT_EQ(fenced.size(), 1u);
+    EXPECT_EQ(fenced[0].replica, 0);
+    EXPECT_EQ(fenced[0].time_us, 1000u);  // when the probe was sent
+    EXPECT_EQ(fenced[0].payload, 1u);     // the replica's epoch
+    EXPECT_TRUE(flights_of(obs::FlightKind::kProbeMiss, fence).empty());
     EXPECT_EQ(machine.probes(), 1);
+    EXPECT_TRUE(probed_of(machine).has_negative(0));
+  }
+}
+
+TEST(WriteFrontier, MatchesAHeapOfEveryPendingWrite) {
+  // The reference keeps every write in a min-heap by finish time and folds
+  // each completed one into the max. Finish times and timestamps come from
+  // small ranges, so ties in either are common; some streams run their
+  // timestamps mostly upward (the served case), some at random.
+  struct Pending {
+    double finish;
+    Timestamp ts;
+    bool operator>(const Pending& o) const { return finish > o.finish; }
+  };
+  Rng rng(77);
+  for (int stream = 0; stream < 200; ++stream) {
+    const bool rising = stream % 2 == 0;
+    std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>>
+        heap;
+    Timestamp expect;
+    WriteFrontier frontier;
+    double now = 0.0;
+    std::uint64_t counter = 0;
+    for (int op = 0; op < 500; ++op) {
+      now += static_cast<double>(rng.next_below(3));
+      while (!heap.empty() && heap.top().finish <= now) {
+        expect = std::max(expect, heap.top().ts);
+        heap.pop();
+      }
+      ASSERT_TRUE(frontier.advance(now) == expect)
+          << "stream " << stream << " op " << op;
+      if (rng.bernoulli(0.3)) continue;  // a read
+      counter = rising ? counter + (rng.bernoulli(0.8) ? 1 : 0)
+                       : rng.next_below(40);
+      const Timestamp ts{counter, static_cast<int>(rng.next_below(3))};
+      const double finish = now + static_cast<double>(rng.next_below(12));
+      heap.push(Pending{finish, ts});
+      frontier.add(finish, ts);
+    }
   }
 }
 
