@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the library's hot paths: quorum
 // acquisition via each family's probe strategy, pairwise SQS verification,
-// exact analyses, and the simulator's event loop. These are engineering
+// exact analyses, the lane-parallel Monte Carlo samplers, and the
+// simulator's event loop. These are engineering
 // benchmarks (throughput of this implementation), complementing the
 // paper-reproduction harnesses in the sibling binaries.
 
@@ -11,8 +12,10 @@
 #include <memory>
 #include <vector>
 
+#include "core/batch.h"
 #include "core/composition.h"
 #include "core/constructions.h"
+#include "mismatch/batch.h"
 #include "probe/engine.h"
 #include "probe/measurements.h"
 #include "probe/sequential_analysis.h"
@@ -112,6 +115,65 @@ void BM_SequentialAnalysisDp(benchmark::State& state) {
     benchmark::DoNotOptimize(analyze_sequential(n, 0.7, rule).expected_probes);
 }
 BENCHMARK(BM_SequentialAnalysisDp)->Arg(64)->Arg(512);
+
+// The lane samplers on their own, one 64-trial block of `width` chunk
+// streams per iteration (1, 4 or 8 lanes: scalar, AVX2, AVX-512F). The
+// ns_per_trial counter is the sampling cost of one Monte Carlo trial,
+// which the end-to-end sweeps' per-layer timers, run at one lane, cannot
+// show for the wider widths.
+template <typename DrawFn>
+void run_lane_sampler(benchmark::State& state, int width, DrawFn&& draw) {
+  if (!rng_lanes_supported(width)) {
+    state.SkipWithError("this CPU lacks the ISA for this lane width");
+    return;
+  }
+  LaneStates states;
+  const Rng base(5);
+  for (int g = 0; g < width; ++g)
+    states.set(g, base.split(static_cast<std::uint64_t>(g)));
+  for (auto _ : state) {
+    draw(states);
+    benchmark::ClobberMemory();
+  }
+  state.counters["ns_per_trial"] = benchmark::Counter(
+      static_cast<double>(kBatchLaneBits) * width,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+// Availability worlds (draw_world_rows) at p = 0.3 over Paths(6), Paths(8)
+// and Paths(10)'s 84, 144 and 220 edges. Args: width, n.
+void BM_WorldRows(benchmark::State& state) {
+  const int width = static_cast<int>(state.range(0));
+  const int n = static_cast<int>(state.range(1));
+  const std::uint64_t threshold = bernoulli_threshold(0.3);
+  std::vector<std::uint64_t> rows(lane_block_words(n, width));
+  run_lane_sampler(state, width, [&](LaneStates& states) {
+    draw_world_rows(width, n, threshold, states, rows.data(), 0,
+                    static_cast<int>(kBatchLaneBits));
+    benchmark::DoNotOptimize(rows.data());
+  });
+}
+BENCHMARK(BM_WorldRows)->ArgsProduct({{1, 4, 8}, {84, 144, 220}});
+
+// Two-client worlds (draw_two_client_rows) over OPT_d(24, alpha)'s 24
+// servers at p = 0.1, link miss 0.2. Arg: width.
+void BM_TwoClientRows(benchmark::State& state) {
+  const int width = static_cast<int>(state.range(0));
+  const int n = 24;
+  MismatchModel model;
+  model.p = 0.1;
+  model.link_miss = 0.2;
+  std::vector<std::uint64_t> rows1(lane_block_words(n, width));
+  std::vector<std::uint64_t> rows2(lane_block_words(n, width));
+  run_lane_sampler(state, width, [&](LaneStates& states) {
+    draw_two_client_rows(width, n, model, states, rows1.data(), rows2.data(),
+                         0, static_cast<int>(kBatchLaneBits));
+    benchmark::DoNotOptimize(rows1.data());
+    benchmark::DoNotOptimize(rows2.data());
+  });
+}
+BENCHMARK(BM_TwoClientRows)->Arg(1)->Arg(4)->Arg(8);
 
 // The shared trial runtime end to end: sharded probe measurement at a given
 // thread count (results are identical across the Arg values by contract).

@@ -118,7 +118,7 @@ template <int G>
   using U = typename LaneWords<G>::U;
   RngLanes<G> rng;
   rng.load(states);
-  const U t = U{} + threshold;
+  const LaneThreshold<G> t(threshold);
   const std::size_t row_words = batch_row_words(n);
   for (int r = r0; r < r1; ++r) {
     for (std::size_t rw = 0; rw < row_words; ++rw) {
@@ -126,9 +126,9 @@ template <int G>
       U word = U{};
       U bit = U{} + 1;
       for (int i = 0; i < bits; ++i) {
-        U hit;
-        rng.next_below(t, hit);
-        word |= bit & ~hit;
+        LaneMask<G> up;
+        rng.next_up(t, up);
+        lanes_or_where<G>(up, bit, word);
         bit += bit;
       }
       std::memcpy(rows + (static_cast<std::size_t>(r) * row_words + rw) * G,

@@ -17,7 +17,10 @@
 //     estimates stay bit-identical at any thread count and batch width.
 //   * Several chunks can be sampled at once, one chunk stream per vector
 //     lane (LaneBlocks below, util/rng_lanes.h): each lane still draws its
-//     own chunk's stream in that order.
+//     own chunk's stream in that order. At 8 lanes each draw is one
+//     AVX-512 compare of the raw draw against threshold << 11 into a mask
+//     register and each up server's bit one merge-masked OR; the outcome
+//     is the scalar draw >> 11 < threshold's, p = 1 included.
 //   * A drawn group is evaluated in vector lanes too: one transpose of
 //     lane words flips every lane's block into LaneColumns, and the group
 //     kernels (QuorumFamily::accepts_lanes, the two-client walk of

@@ -20,10 +20,10 @@ template <int G>
   using U = typename LaneWords<G>::U;
   RngLanes<G> rng;
   rng.load(states);
-  const U crash = U{} + bernoulli_threshold(model.p);
-  const U link_miss = U{} + bernoulli_threshold(model.link_miss);
-  const U partition = U{} + bernoulli_threshold(model.partition_rate);
-  const U cut = U{} + bernoulli_threshold(model.partition_fraction);
+  const LaneThreshold<G> crash(bernoulli_threshold(model.p));
+  const LaneThreshold<G> link_miss(bernoulli_threshold(model.link_miss));
+  const LaneThreshold<G> partition(bernoulli_threshold(model.partition_rate));
+  const LaneThreshold<G> cut(bernoulli_threshold(model.partition_fraction));
   const bool partitions = model.partition_rate > 0.0;
   const std::size_t row_words = batch_row_words(n);
   for (int r = r0; r < r1; ++r) {
@@ -34,52 +34,52 @@ template <int G>
       U reach2 = U{};
       U bit = U{} + 1;
       for (int i = 0; i < bits; ++i) {
-        U down;
-        rng.next_below(crash, down);
+        LaneMask<G> up;
+        rng.next_up(crash, up);
         // A down server skips both link draws. One lane branches (the
-        // scalar loop); G lanes draw both and keep, where down, the state
-        // after the crash draw.
+        // scalar loop); G lanes make them only in the up lanes.
         if constexpr (G == 1) {
-          if (down != 0) {
+          if (up == 0) {
             bit += bit;
             continue;
           }
         }
-        const RngLanes<G> after_crash = rng;
-        U miss1;
-        U miss2;
-        rng.next_below(link_miss, miss1);
-        rng.next_below(link_miss, miss2);
-        reach1 |= bit & ~(down | miss1);
-        reach2 |= bit & ~(down | miss2);
-        if constexpr (G > 1) rng.take_where(down, after_crash);
+        MaskedDraws<G> links(rng, up);
+        LaneMask<G> link1;
+        LaneMask<G> link2;
+        links.next_up(link_miss, link1);
+        links.next_up(link_miss, link2);
+        links.done();
+        lanes_or_where<G>(link1, bit, reach1);
+        lanes_or_where<G>(link2, bit, reach2);
         bit += bit;
       }
       std::memcpy(rows1 + (row + rw) * G, &reach1, sizeof reach1);
       std::memcpy(rows2 + (row + rw) * G, &reach2, sizeof reach2);
     }
     if (!partitions) continue;
-    U hit;
-    rng.next_below(partition, hit);
-    if (!lanes_any<G>(hit)) continue;
+    LaneMask<G> calm;
+    rng.next_up(partition, calm);
+    const auto hit = static_cast<LaneMask<G>>(~calm);
+    if (!mask_any<G>(hit)) continue;
     // Lanes without a partition make no cut draws: they go on from here.
-    const RngLanes<G> after_hit = rng;
+    MaskedDraws<G> cuts(rng, hit);
     for (std::size_t rw = 0; rw < row_words; ++rw) {
       const int bits = row_word_bits(n, rw);
       U keep = U{};
       U bit = U{} + 1;
       for (int i = 0; i < bits; ++i) {
-        U cut_off;
-        rng.next_below(cut, cut_off);
-        keep |= bit & ~cut_off;
+        LaneMask<G> kept;
+        cuts.next_up(cut, kept);
+        lanes_or_where<G>(kept, bit, keep);
         bit += bit;
       }
       U reach2;
       std::memcpy(&reach2, rows2 + (row + rw) * G, sizeof reach2);
-      reach2 &= keep | ~hit;
+      lanes_and_where<G>(hit, keep, reach2);
       std::memcpy(rows2 + (row + rw) * G, &reach2, sizeof reach2);
     }
-    rng.take_where(~hit, after_hit);
+    cuts.done();
   }
   rng.store(states);
 }

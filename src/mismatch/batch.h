@@ -12,9 +12,11 @@
 // A group of chunks is sampled side by side, one chunk stream per vector
 // lane (core/batch.h's LaneBlocks). The draw count of a trial depends on
 // its outcomes (a down server skips its two link draws, a partition adds
-// one cut draw per server), so every lane draws all candidates and then
-// takes, per lane, the state after one draw or after three (after the
-// redraw or before it): each lane still consumes exactly its chunk's
+// one cut draw per server), so those draws go through MaskedDraws
+// (util/rng_lanes.h): at 8 lanes they step only the lanes that make them,
+// under an AVX-512 merge mask; at 4 lanes every lane draws and the others
+// take back their earlier state once per run of draws; one lane branches
+// like the scalar loop. Each lane still consumes exactly its chunk's
 // scalar stream. The drawn group is evaluated in the same lanes: each
 // client's blocks are transposed at once into LaneColumns, and one
 // CountingLaneWalks<G> per client walks all G blocks together

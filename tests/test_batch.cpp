@@ -293,7 +293,7 @@ TEST_P(LaneSamplers, MatchScalarDrawsAndFinalStates) {
       Rng scalar[kMaxRngLanes];
 
       // p = 0 and 1 put the threshold at 0 and 2^53, the ends of the
-      // signed compare's range.
+      // signed compare's range (and of the 8-lane unsigned one).
       for (const double p : {0.0, 0.3, 1.0}) {
         const std::uint64_t threshold = bernoulli_threshold(p);
         run_streams(
@@ -312,12 +312,30 @@ TEST_P(LaneSamplers, MatchScalarDrawsAndFinalStates) {
             });
       }
 
-      for (const double partition_rate : {0.0, 0.3}) {
+      // Crash and link-miss probabilities at 0 and 1 as well (the ends of
+      // the 8-lane unsigned compare against threshold << 11, where 2^53
+      // wraps to 0), and the partition redraw with no cut, some cuts and
+      // every server cut, and in every row.
+      std::vector<MismatchModel> models;
+      for (const double p : {0.0, 0.1, 1.0})
+        for (const double link_miss : {0.0, 0.2, 1.0}) {
+          MismatchModel model;
+          model.p = p;
+          model.link_miss = link_miss;
+          models.push_back(model);
+        }
+      for (const double partition_fraction : {0.0, 0.5, 1.0}) {
         MismatchModel model;
         model.p = 0.1;
         model.link_miss = 0.2;
-        model.partition_rate = partition_rate;
-        model.partition_fraction = 0.5;
+        model.partition_rate = 0.3;
+        model.partition_fraction = partition_fraction;
+        models.push_back(model);
+      }
+      models.push_back(models.back());
+      models.back().partition_rate = 1.0;
+      models.back().partition_fraction = 0.5;
+      for (const MismatchModel& model : models) {
         TwoClientWorld world;
         run_streams(
             count, seed + 7, scalar,
@@ -334,13 +352,17 @@ TEST_P(LaneSamplers, MatchScalarDrawsAndFinalStates) {
                   for (int s = 0; s < n; ++s) {
                     const auto i = static_cast<std::size_t>(s);
                     ASSERT_EQ(cols1.test(g, t, s), world.reach1.test(i))
-                        << "n=" << n << " partition " << partition_rate
-                        << " stream " << g << " trial " << t << " server "
-                        << s;
+                        << "n=" << n << " p=" << model.p << " miss "
+                        << model.link_miss << " partition "
+                        << model.partition_rate << "/"
+                        << model.partition_fraction << " stream " << g
+                        << " trial " << t << " server " << s;
                     ASSERT_EQ(cols2.test(g, t, s), world.reach2.test(i))
-                        << "n=" << n << " partition " << partition_rate
-                        << " stream " << g << " trial " << t << " server "
-                        << s;
+                        << "n=" << n << " p=" << model.p << " miss "
+                        << model.link_miss << " partition "
+                        << model.partition_rate << "/"
+                        << model.partition_fraction << " stream " << g
+                        << " trial " << t << " server " << s;
                   }
                 }
               }

@@ -349,6 +349,90 @@ TEST(Recorder, ServedStaleViewForeverNamesTheRetiredReplica) {
   EXPECT_GT(named, 0u);
 }
 
+TEST(Recorder, ServedRefetchIsStampedWhenTheFetchedViewArrives) {
+  // A rolling replacement behind a partition: the runner's view goes stale
+  // at each boundary, a probe to the retired replica is fenced, and an
+  // attempt that fails with that evidence (or a newer epoch stamp)
+  // refetches the view (refetch_view) and probes again. Its kViewRefresh
+  // is stamped when the fetched view arrives: view_fetch_delay after the
+  // attempt's last probe resolved, and exactly when the op's next attempt
+  // sends its first probe.
+  FamilySpec spec;
+  spec.kind = "majority";
+  spec.n = 12;
+  spec.alpha = 2;
+  const auto family = spec.make();
+  ASSERT_NE(family, nullptr);
+  ServiceConfig config = tiny_service();
+  config.epochs = build_epoch_schedule(make_replace_churn(0.5, 0.5, 2),
+                                       family_factory(spec), spec.n);
+  ASSERT_NE(config.epochs, nullptr);
+  // Six partitioned servers leave the first op past a boundary at most
+  // six of its stale view's twelve, short of a quorum of seven, so its
+  // attempt fails with the staleness in hand and refetches the view.
+  for (int server = 6; server < 12; ++server)
+    config.plan.server_partition(0.4, server, 5.0);
+  const std::uint64_t delay_us = obs::to_us(config.policy.view_fetch_delay);
+
+  RecorderScope scope;
+  ServiceRunner runner(*family, config);
+  const ServiceResult r = runner.serve(generate_load(tiny_load()));
+  EXPECT_GT(r.epoch_rejects, 0u);
+  ASSERT_EQ(obs::flight_recorder_stats().overwritten, 0u);
+
+  std::map<obs::OpId, std::vector<obs::FlightEvent>> ops;
+  for (const obs::FlightEvent& e : obs::collect_flight_events())
+    if (e.op != obs::kNoOp) ops[e.op].push_back(e);
+  const auto is_probe = [](const obs::FlightEvent& e) {
+    return e.kind == obs::FlightKind::kProbe ||
+           e.kind == obs::FlightKind::kProbeMiss ||
+           e.kind == obs::FlightKind::kEpochFenced;
+  };
+  std::uint64_t refetches = 0, fenced = 0, timed_ends = 0;
+  for (const auto& [op, events] : ops) {
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const obs::FlightEvent& refresh = events[i];
+      if (refresh.kind != obs::FlightKind::kViewRefresh) continue;
+      // The attempt's probes were all sent before the refresh, the next
+      // attempt's at or after it; a refresh after the op's last probe is
+      // the post-op one of finish_acquisition.
+      const obs::FlightEvent* last = nullptr;
+      const obs::FlightEvent* next = nullptr;
+      for (const obs::FlightEvent& e : events) {
+        if (!is_probe(e)) continue;
+        if (e.time_us < refresh.time_us) {
+          if (last == nullptr || e.time_us >= last->time_us) last = &e;
+        } else if (next == nullptr || e.time_us < next->time_us) {
+          next = &e;
+        }
+      }
+      if (next == nullptr) continue;
+      ++refetches;
+      ASSERT_NE(last, nullptr);
+      for (const obs::FlightEvent& e : events)
+        if (e.kind == obs::FlightKind::kEpochFenced &&
+            e.time_us < refresh.time_us) {
+          ++fenced;
+          break;
+        }
+      EXPECT_EQ(next->time_us, refresh.time_us) << "op " << op;
+      EXPECT_GE(refresh.time_us, last->time_us + delay_us) << "op " << op;
+      // A reply's or a miss's payload is the time the probe took (a
+      // fence's is the replica's epoch), so the attempt's end is known
+      // there, to the microsecond rounding of each term.
+      if (last->kind == obs::FlightKind::kEpochFenced) continue;
+      ++timed_ends;
+      const std::uint64_t end_plus_delay =
+          last->time_us + last->payload + delay_us;
+      EXPECT_LE(refresh.time_us, end_plus_delay + 1) << "op " << op;
+      EXPECT_GE(refresh.time_us + 1, end_plus_delay) << "op " << op;
+    }
+  }
+  EXPECT_GT(refetches, 0u);
+  EXPECT_GT(fenced, 0u);
+  EXPECT_GT(timed_ends, 0u);
+}
+
 TEST(Recorder, ServedViolationMarkedOnlyByTheViolatingCall) {
   // Replica 0 (OPT_d's first probe) lies over [0.5, 1.0) and certificates
   // go unchecked, so the first call's reads adopt fabrications. The second

@@ -148,11 +148,12 @@ TEST(Rng, ThresholdDrawsReproduceBernoulli) {
     states.set(0, Rng(2024));
     RngLanes<1> lane;
     lane.load(states);
+    const LaneThreshold<1> lane_threshold(threshold);
     Rng scalar(2024);
     for (int i = 0; i < kDraws; ++i) {
-      std::uint64_t hit = 0;
-      lane.next_below(threshold, hit);
-      ASSERT_EQ(hit, scalar.bernoulli(p) ? ~0ull : 0ull)
+      std::uint64_t up = 0;
+      lane.next_up(lane_threshold, up);
+      ASSERT_EQ(up, scalar.bernoulli(p) ? 0ull : ~0ull)
           << "p=" << p << " lane draw " << i;
     }
     lane.store(states);
