@@ -191,6 +191,7 @@ void scaling_json(int configured_threads) {
 
   struct Run {
     int threads;
+    BatchPolicy mode;
     double wall_ms;
     std::vector<std::int64_t> live;  // per-cell raw counts
   };
@@ -211,6 +212,7 @@ void scaling_json(int configured_threads) {
     const auto stop = std::chrono::steady_clock::now();
     Run run;
     run.threads = threads;
+    run.mode = opts.batch;
     run.wall_ms =
         std::chrono::duration<double, std::milli>(stop - start).count();
     for (const AvailabilityEstimate& e : estimates) run.live.push_back(e.live);
@@ -233,7 +235,10 @@ void scaling_json(int configured_threads) {
       .end_object();
   json.key("runs").begin_array();
   for (const Run& r : runs) {
-    json.begin_object().kv("threads", r.threads).kv("wall_ms", r.wall_ms);
+    json.begin_object()
+        .kv("threads", r.threads)
+        .kv("mode", batch_policy_name(r.mode))
+        .kv("wall_ms", r.wall_ms);
     json.key("live").begin_array();
     for (const std::int64_t v : r.live)
       json.value(static_cast<std::uint64_t>(v));
@@ -257,9 +262,12 @@ void scaling_json(int configured_threads) {
 }
 
 // When telemetry is on (--trace/--metrics), run one small probe workload and
-// one small register-simulation so the exported trace covers all three
-// instrumented layers ("runtime" chunk spans from the Monte Carlo sections
-// above, "probe" spans/instants, "sim" spans) in a single file.
+// one small register-simulation so the export covers all three instrumented
+// layers ("runtime" chunk spans from the Monte Carlo sections above, the
+// "probe.*" metrics, "sim" spans) in a single file. The probe workload runs
+// the batched counting walk, which records the probe.* counters and
+// histograms but no per-probe spans or instants (only the scalar oracle's
+// run_probe emits those).
 void telemetry_demo() {
   if (!obs::telemetry_enabled()) return;
   const OptDFamily fam(64, 2);

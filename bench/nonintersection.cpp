@@ -23,6 +23,7 @@
 #include "core/constructions.h"
 #include "mismatch/exact.h"
 #include "mismatch/model.h"
+#include "runtime/run_trials.h"
 #include "sweep/sweep.h"
 #include "uqs/majority.h"
 #include "uqs/paths.h"
@@ -166,6 +167,7 @@ void scaling_json(int configured_threads) {
 
   struct Run {
     int threads;
+    BatchPolicy mode;
     double wall_ms;
     std::size_t nonintersections;
   };
@@ -183,7 +185,7 @@ void scaling_json(int configured_threads) {
     const NonintersectionStats stats = sweep_nonintersection(cells, opts)[0];
     const auto stop = std::chrono::steady_clock::now();
     runs.push_back(
-        {threads,
+        {threads, opts.batch,
          std::chrono::duration<double, std::milli>(stop - start).count(),
          stats.nonintersection.successes});
   }
@@ -207,6 +209,7 @@ void scaling_json(int configured_threads) {
   for (const Run& r : runs) {
     json.begin_object()
         .kv("threads", r.threads)
+        .kv("mode", batch_policy_name(r.mode))
         .kv("wall_ms", r.wall_ms)
         .kv("nonintersections", static_cast<std::uint64_t>(r.nonintersections))
         .end_object();

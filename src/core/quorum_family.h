@@ -115,9 +115,9 @@ class QuorumFamily {
 // cell reproduces the per-cell estimate bit for bit: chunk i of the group
 // samples one configuration per trial in [ctx[i].chunk.begin,
 // ctx[i].chunk.end) from rng[i] and adds the accepting ones to live[i].
-// Batched policies sample the group's streams side by side
+// Batched policies (the default) sample the group's streams side by side
 // (availability_mc_chunk_batched); kScalar runs the one-trial-at-a-time
-// loop per chunk with scratch from the chunk's arena.
+// oracle loop per chunk with scratch from the chunk's arena.
 void availability_mc_group(const QuorumFamily& family, double p,
                            TrialGroup& group, std::int64_t* live);
 

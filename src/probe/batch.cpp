@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/telemetry.h"
 #include "probe/engine.h"
 #include "runtime/scratch.h"
 
@@ -58,6 +59,13 @@ bool probe_measurement_chunk_batched(const QuorumFamily& family, double p,
   Borrowed<ProbeRecord> record = scratch.borrow<ProbeRecord>();
   if (differential) oracle_strategy = family.make_probe_strategy();
 
+  // The probe.* metrics run_probe_into would record for these trials, from
+  // the walk's own per-trial values; the flag is read once per group (null:
+  // off). Under kDifferential the replayed run_probe_into records them.
+  const ProbeMetrics* metrics = obs::telemetry_enabled() && !differential
+                                    ? &ProbeMetrics::get()
+                                    : nullptr;
+
   const int planes_n = lane_counter_planes(steps);
   std::uint64_t probes_planes[CountingLaneWalk::kMaxPlanes];
   while (blocks.next([&](LaneStates& states, int r0, int r1) {
@@ -70,17 +78,21 @@ bool probe_measurement_chunk_batched(const QuorumFamily& family, double p,
       if (rows == 0) continue;
       CountingLaneWalk lanes(walk->rule, cols->live(g));
       std::fill(probes_planes, probes_planes + planes_n, 0);
+      std::uint64_t positives = 0;
       for (int i = 0; i < steps && lanes.active() != 0; ++i) {
         const int server = order[static_cast<std::size_t>(i)];
         const std::uint64_t probing = lanes.active();
+        const std::uint64_t column = cols->column(server, g);
         lane_counter_add(probes_planes, planes_n, probing);
         acc[g].probe_counts[static_cast<std::size_t>(server)] +=
             __builtin_popcountll(probing);
-        lanes.observe(cols->column(server, g));
+        if (metrics) positives += __builtin_popcountll(probing & column);
+        lanes.observe(column);
       }
       assert(lanes.active() == 0 &&
              "a counting walk resolves within its order");
 
+      std::uint64_t probes_total = 0;
       for (std::size_t b = 0; b < rows; ++b) {
         const int probes =
             lane_value(probes_planes, planes_n, static_cast<int>(b));
@@ -104,6 +116,21 @@ bool probe_measurement_chunk_batched(const QuorumFamily& family, double p,
         acc[g].probes_overall.add(probes);
         (acquired ? acc[g].probes_acquired : acc[g].probes_failed).add(probes);
         acc[g].max_probes_seen = std::max(acc[g].max_probes_seen, probes);
+        if (metrics) {
+          probes_total += static_cast<std::uint64_t>(probes);
+          (acquired ? metrics->probes_to_acquire : metrics->probes_to_fail)
+              .record(static_cast<std::uint64_t>(probes));
+        }
+      }
+      if (metrics) {
+        const std::uint64_t won =
+            static_cast<std::uint64_t>(__builtin_popcountll(lanes.acquired()));
+        metrics->runs.add(rows);
+        metrics->acquired.add(won);
+        metrics->failed.add(rows - won);
+        metrics->probes_total.add(probes_total);
+        metrics->positive_probes.add(positives);
+        metrics->negative_probes.add(probes_total - positives);
       }
     }
   }

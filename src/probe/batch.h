@@ -96,10 +96,13 @@ std::optional<CountingWalk> lane_counting_walk(const QuorumFamily& family);
 // lane_counting_walk(): samples the group's streams side by side
 // (rng_lanes_for(group.size) lanes), transposes each drawn group at once
 // into LaneColumns and walks each chunk's 64-trial block into acc[i] (one
-// lane at a time: the per-trial statistics are read out lane by lane). Returns false — rngs and accs untouched — when the family
-// has none, so the caller falls back to the scalar loop. Per-trial
-// statistics are extracted in trial order, which keeps the Welford
-// aggregates bit-identical to the scalar kernel's.
+// lane at a time: the per-trial statistics are read out lane by lane).
+// Returns false — rngs and accs untouched — when the family has none, so
+// the caller falls back to the scalar loop. Per-trial statistics are
+// extracted in trial order, which keeps the Welford aggregates
+// bit-identical to the scalar kernel's. With telemetry on it records the
+// probe.* counters and histograms run_probe_into would (ProbeMetrics,
+// probe/engine.h), but no per-probe spans or instants.
 bool probe_measurement_chunk_batched(const QuorumFamily& family, double p,
                                      TrialGroup& group, ProbeAccumulator* acc);
 

@@ -8,35 +8,10 @@
 
 namespace sqs {
 
-namespace {
-
-// Probe-layer telemetry: where probes are spent and how acquisitions end.
-// positive_probes/negative_probes split every probe by outcome — positive
-// hits build intersection evidence, negative ones build the dual-overlap
-// side of Definition 3 — so the ratio shows which compatibility mechanism an
-// acquisition workload is actually leaning on.
-struct ProbeMetrics {
-  obs::Counter runs = obs::Registry::instance().counter("probe.runs");
-  obs::Counter acquired = obs::Registry::instance().counter("probe.acquired");
-  obs::Counter failed = obs::Registry::instance().counter("probe.failed");
-  obs::Counter probes_total =
-      obs::Registry::instance().counter("probe.probes_total");
-  obs::Counter positive_probes =
-      obs::Registry::instance().counter("probe.positive_probes");
-  obs::Counter negative_probes =
-      obs::Registry::instance().counter("probe.negative_probes");
-  obs::Histogram probes_to_acquire = obs::Registry::instance().histogram(
-      "probe.probes_to_acquire", obs::linear_bounds(1, 32, 1));
-  obs::Histogram probes_to_fail = obs::Registry::instance().histogram(
-      "probe.probes_to_fail", obs::linear_bounds(1, 32, 1));
-
-  static const ProbeMetrics& get() {
-    static const ProbeMetrics metrics;
-    return metrics;
-  }
-};
-
-}  // namespace
+const ProbeMetrics& ProbeMetrics::get() {
+  static const ProbeMetrics metrics;
+  return metrics;
+}
 
 ProbeRecord run_probe(ProbeStrategy& strategy, ProbeOracle& oracle, Rng* rng) {
   ProbeRecord record;

@@ -6,6 +6,7 @@
 
 #include "core/probe_strategy.h"
 #include "core/signed_set.h"
+#include "obs/telemetry.h"
 #include "util/rng.h"
 
 namespace sqs {
@@ -36,6 +37,32 @@ struct ProbeRecord {
   // The acquired quorum (subset of `probed`); empty when !acquired.
   SignedSet quorum;
   int num_probes = 0;
+};
+
+// Probe-layer telemetry: where probes are spent and how acquisitions end.
+// positive_probes/negative_probes split every probe by outcome — positive
+// hits build intersection evidence, negative ones build the dual-overlap
+// side of Definition 3 — so the ratio shows which compatibility mechanism an
+// acquisition workload is actually leaning on. run_probe_into records one
+// run per call; the batched counting walk (probe/batch.h) records the same
+// values per trial, so a measurement's snapshot does not depend on the
+// BatchPolicy.
+struct ProbeMetrics {
+  obs::Counter runs = obs::Registry::instance().counter("probe.runs");
+  obs::Counter acquired = obs::Registry::instance().counter("probe.acquired");
+  obs::Counter failed = obs::Registry::instance().counter("probe.failed");
+  obs::Counter probes_total =
+      obs::Registry::instance().counter("probe.probes_total");
+  obs::Counter positive_probes =
+      obs::Registry::instance().counter("probe.positive_probes");
+  obs::Counter negative_probes =
+      obs::Registry::instance().counter("probe.negative_probes");
+  obs::Histogram probes_to_acquire = obs::Registry::instance().histogram(
+      "probe.probes_to_acquire", obs::linear_bounds(1, 32, 1));
+  obs::Histogram probes_to_fail = obs::Registry::instance().histogram(
+      "probe.probes_to_fail", obs::linear_bounds(1, 32, 1));
+
+  static const ProbeMetrics& get();
 };
 
 // Resets `strategy` (drawing randomness from rng, which may be null for

@@ -38,13 +38,16 @@ namespace sqs {
 inline constexpr std::uint64_t kDefaultTrialChunk = 1024;
 
 // How a chunk kernel evaluates its trials (see DESIGN.md §3.12):
-//   kScalar       — the original one-trial-at-a-time loop (the oracle).
-//   kBatched      — structure-of-arrays kernels, 64 trials per word pass.
+//   kBatched      — the default: structure-of-arrays kernels, 64 trials per
+//                   word pass, lane groups of chunks side by side.
+//   kScalar       — the one-trial-at-a-time loop, kept as the oracle that
+//                   tests and kDifferential compare against.
 //   kDifferential — run both and throw std::runtime_error on the first trial
 //                   whose batched bit differs from the scalar oracle's.
 // Batched kernels draw the chunk rng in exactly the scalar order, so all
 // three policies consume identical rng streams and kScalar/kBatched publish
-// bit-identical estimates; kDifferential is the proof harness.
+// bit-identical estimates; kDifferential is the proof harness. Families
+// without a batched kernel take the scalar loop under every policy.
 enum class BatchPolicy { kScalar, kBatched, kDifferential };
 
 const char* batch_policy_name(BatchPolicy policy);
@@ -58,7 +61,7 @@ struct TrialOptions {
   // Trials per shard; also the granularity of rng splitting and reduction.
   std::uint64_t chunk_size = kDefaultTrialChunk;
   // Trial evaluation policy, forwarded to every chunk via TrialContext.
-  BatchPolicy batch = BatchPolicy::kScalar;
+  BatchPolicy batch = BatchPolicy::kBatched;
 };
 
 struct TrialChunk {
@@ -74,9 +77,10 @@ struct TrialChunk {
 struct TrialContext {
   TrialChunk chunk;
   WorkerScratch* arena = nullptr;
-  // Policy the submitting caller selected; kernels that have no batched
-  // implementation simply ignore it and stay scalar.
-  BatchPolicy batch = BatchPolicy::kScalar;
+  // Policy the submitting caller selected (TrialOptions::batch, batched
+  // unless the caller asked for the scalar oracle); kernels that have no
+  // batched implementation ignore it and stay scalar.
+  BatchPolicy batch = BatchPolicy::kBatched;
 
   WorkerScratch& scratch() const {
     assert(arena != nullptr);

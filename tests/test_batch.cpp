@@ -127,6 +127,14 @@ std::int64_t count_live(const QuorumFamily& family, double p,
       [](std::int64_t& total, std::int64_t part) { total += part; }, opts);
 }
 
+// The reference a batched run is compared against: the scalar oracle loop,
+// named explicitly because kBatched is the default policy.
+TrialOptions scalar_oracle() {
+  TrialOptions opts;
+  opts.batch = BatchPolicy::kScalar;
+  return opts;
+}
+
 TEST(Batch, TransposeContractAndInvolution) {
   Rng rng(42);
   std::uint64_t m[64], orig[64];
@@ -496,9 +504,8 @@ TEST(Batch, ProbeKernelMatchesScalarBitForBit) {
   families.insert(families.begin(), std::make_shared<OptDFamily>(48, 2));
   for (const auto& family : families) {
     ASSERT_TRUE(lane_counting_walk(*family).has_value()) << family->name();
-    TrialOptions scalar_opts;
     const ProbeMeasurement scalar =
-        measure_probes(*family, 0.25, 10000, Rng(91), scalar_opts);
+        measure_probes(*family, 0.25, 10000, Rng(91), scalar_oracle());
     for (const BatchPolicy policy :
          {BatchPolicy::kBatched, BatchPolicy::kDifferential}) {
       TrialOptions opts;
@@ -531,7 +538,8 @@ TEST(Batch, ProbeKernelRespectsRotatedProbeOrders) {
   opts.batch = BatchPolicy::kDifferential;
   const ProbeMeasurement batched =
       measure_probes(family, 0.3, 6000, Rng(17), opts);
-  const ProbeMeasurement scalar = measure_probes(family, 0.3, 6000, Rng(17));
+  const ProbeMeasurement scalar =
+      measure_probes(family, 0.3, 6000, Rng(17), scalar_oracle());
   EXPECT_EQ(batched.server_probe_frequency, scalar.server_probe_frequency);
   EXPECT_EQ(batched.probes_overall.mean(), scalar.probes_overall.mean());
 }
@@ -552,7 +560,8 @@ TEST(Batch, ProbeKernelFallsBackForRandomizedStrategies) {
     opts.batch = BatchPolicy::kBatched;
     const ProbeMeasurement batched =
         measure_probes(*family, 0.2, 5000, Rng(8), opts);
-    const ProbeMeasurement scalar = measure_probes(*family, 0.2, 5000, Rng(8));
+    const ProbeMeasurement scalar =
+        measure_probes(*family, 0.2, 5000, Rng(8), scalar_oracle());
     EXPECT_EQ(batched.acquired.successes, scalar.acquired.successes)
         << family->name();
     EXPECT_EQ(batched.probes_overall.mean(), scalar.probes_overall.mean());
@@ -567,8 +576,8 @@ TEST(Batch, NonintersectionKernelMatchesScalarBitForBit) {
     MismatchModel model;
     model.p = 0.1;
     model.link_miss = 0.25;
-    const NonintersectionStats scalar =
-        measure_nonintersection(*family, model, 20000, Rng(500));
+    const NonintersectionStats scalar = measure_nonintersection(
+        *family, model, 20000, Rng(500), 1.0, scalar_oracle());
     for (const BatchPolicy policy :
          {BatchPolicy::kBatched, BatchPolicy::kDifferential}) {
       TrialOptions opts;
@@ -595,8 +604,8 @@ TEST(Batch, NonintersectionKernelHandlesCorrelatedPartitions) {
   model.link_miss = 0.2;
   model.partition_rate = 0.3;
   model.partition_fraction = 0.5;
-  const NonintersectionStats scalar =
-      measure_nonintersection(family, model, 12000, Rng(31));
+  const NonintersectionStats scalar = measure_nonintersection(
+      family, model, 12000, Rng(31), 1.0, scalar_oracle());
   TrialOptions opts;
   opts.batch = BatchPolicy::kDifferential;
   const NonintersectionStats batched =
@@ -646,7 +655,8 @@ TEST(Batch, SweepDispatchesBatchPolicyPerCell) {
   for (const int n : {30, 40})
     for (const double p : {0.2, 0.4})
       cells.push_back({std::make_shared<OptDFamily>(n, 2), p, 20000, 777});
-  const std::vector<AvailabilityEstimate> scalar = sweep_availability(cells);
+  const std::vector<AvailabilityEstimate> scalar =
+      sweep_availability(cells, scalar_oracle());
   for (const BatchPolicy policy :
        {BatchPolicy::kBatched, BatchPolicy::kDifferential}) {
     TrialOptions opts;

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -363,27 +364,65 @@ TEST(ObsTelemetry, MidBatchEnableFlushesWorkerShards) {
 
 // Enabling full telemetry must not change any Monte Carlo estimate: the
 // instrumented probe engine + runtime produce bit-identical measurements.
+// The probe.* part of a snapshot as text: every counter, and every
+// histogram's buckets, count, sum, min and max.
+std::string probe_metrics(const obs::MetricsSnapshot& snap) {
+  std::ostringstream out;
+  auto probe = [](const std::string& name) { return name.rfind("probe.", 0) == 0; };
+  for (const auto& [name, value] : snap.counters)
+    if (probe(name)) out << name << ' ' << value << '\n';
+  for (const obs::HistogramSnapshot& h : snap.histograms) {
+    if (!probe(h.name)) continue;
+    out << h.name << " count " << h.count << " sum " << h.sum << " min "
+        << h.min << " max " << h.max << " buckets";
+    for (const std::uint64_t c : h.counts) out << ' ' << c;
+    out << '\n';
+  }
+  return out.str();
+}
+
 TEST(ObsTelemetry, InstrumentedRunIsBitIdentical) {
+  // Under the scalar oracle (run_probe per trial), the batched counting walk
+  // and the differential replay alike: enabling telemetry changes no
+  // estimate, and every policy records the same probe.* snapshot.
   TelemetryGuard guard;
   const OptDFamily fam(64, 2);
-  auto run = [&] { return measure_probes(fam, 0.25, 5000, Rng(11)); };
+  std::vector<std::string> snapshots;
+  for (const BatchPolicy policy : {BatchPolicy::kScalar, BatchPolicy::kBatched,
+                                   BatchPolicy::kDifferential}) {
+    SCOPED_TRACE(batch_policy_name(policy));
+    TrialOptions opts;
+    opts.batch = policy;
+    auto run = [&] { return measure_probes(fam, 0.25, 5000, Rng(11), opts); };
 
-  obs::configure(enabled_config(false, false));
-  const ProbeMeasurement off = run();
-  obs::configure(enabled_config(true, true));
-  const ProbeMeasurement on = run();
+    obs::Registry::instance().reset();
+    obs::configure(enabled_config(false, false));
+    const ProbeMeasurement off = run();
+    obs::configure(enabled_config(true, true));
+    const ProbeMeasurement on = run();
+    const obs::MetricsSnapshot snap = obs::Registry::instance().snapshot();
+    obs::configure(enabled_config(false, false));
+    obs::clear_trace();
 
-  EXPECT_EQ(off.acquired.successes, on.acquired.successes);
-  EXPECT_EQ(off.acquired.trials, on.acquired.trials);
-  EXPECT_EQ(off.probes_overall.mean(), on.probes_overall.mean());
-  EXPECT_EQ(off.probes_overall.variance(), on.probes_overall.variance());
-  EXPECT_EQ(off.max_probes_seen, on.max_probes_seen);
-  EXPECT_EQ(off.load(), on.load());
+    EXPECT_EQ(off.acquired.successes, on.acquired.successes);
+    EXPECT_EQ(off.acquired.trials, on.acquired.trials);
+    EXPECT_EQ(off.probes_overall.mean(), on.probes_overall.mean());
+    EXPECT_EQ(off.probes_overall.variance(), on.probes_overall.variance());
+    EXPECT_EQ(off.max_probes_seen, on.max_probes_seen);
+    EXPECT_EQ(off.load(), on.load());
 
-  // And the instrumented run did actually record probe metrics.
-  const obs::MetricsSnapshot snap = obs::Registry::instance().snapshot();
-  EXPECT_EQ(snap.counter("probe.runs"), 5000u);
-  EXPECT_GT(snap.counter("probe.probes_total"), 0u);
+    // And the instrumented run did actually record probe metrics.
+    EXPECT_EQ(snap.counter("probe.runs"), 5000u);
+    EXPECT_GT(snap.counter("probe.probes_total"), 0u);
+    EXPECT_EQ(snap.counter("probe.acquired") + snap.counter("probe.failed"),
+              5000u);
+    EXPECT_EQ(snap.counter("probe.positive_probes") +
+                  snap.counter("probe.negative_probes"),
+              snap.counter("probe.probes_total"));
+    snapshots.push_back(probe_metrics(snap));
+  }
+  EXPECT_EQ(snapshots[1], snapshots[0]) << "batched vs scalar";
+  EXPECT_EQ(snapshots[2], snapshots[0]) << "differential vs scalar";
 }
 
 TEST(ObsTrace, SpanNestingAndInstants) {

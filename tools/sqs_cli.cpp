@@ -39,10 +39,11 @@
 //
 // `sweep` flattens the whole grid (every cell × every trial-chunk) into one
 // submission on the shared thread pool; results are bit-identical to running
-// the cells one by one. `--batch scalar|batched|differential` picks the
-// chunk-kernel policy (DESIGN.md §3.12): batched runs the SoA bit-sliced
-// kernels (same bits, faster), differential replays the scalar oracle per
-// trial and aborts on the first disagreement. `search` finds the minimal alpha meeting the targets
+// the cells one by one. Every Monte Carlo command runs the batched (SoA
+// bit-sliced) kernels; `sweep --batch scalar|batched|differential` picks the
+// chunk-kernel policy (DESIGN.md §3.12): scalar runs the one-trial oracle
+// loop (same bits, for bisecting), differential replays it per trial and
+// aborts on the first disagreement. `search` finds the minimal alpha meeting the targets
 // (exact DP by default, `--mc` for a sweep-backed Monte Carlo ladder) and
 // then races the UQ + OPT_a compositions at that alpha by successive halving.
 //
@@ -412,11 +413,11 @@ int cmd_sweep(const Args& args) {
   const std::string kind = args.gets("kind", "avail");
   const std::uint64_t seed = args.getu("seed", 1);
   // --batch scalar|batched|differential selects the chunk-kernel policy
-  // (see DESIGN.md §3.12); all three publish identical bits, differential
-  // additionally replays the scalar oracle per trial and aborts on any
-  // disagreement.
+  // (see DESIGN.md §3.12), batched by default; all three publish identical
+  // bits, scalar runs the oracle loop alone, differential additionally
+  // replays it per trial and aborts on any disagreement.
   TrialOptions opts;
-  const std::string batch = args.gets("batch", "scalar");
+  const std::string batch = args.gets("batch", "batched");
   if (!parse_batch_policy(batch, opts.batch)) {
     std::fprintf(stderr,
                  "unknown --batch policy '%s' (scalar|batched|differential)\n",
@@ -958,9 +959,10 @@ int usage() {
                "parallel trial runtime;\n          --metrics FILE / --trace FILE "
                "/ --trace-jsonl FILE for telemetry;\n          "
                "--flight-recorder-events N for the black-box ring capacity\n"
-               "  sweep: --batch scalar|batched|differential picks the chunk "
-               "kernel\n         (same bits; differential cross-checks every "
-               "trial)\n"
+               "  sweep: --batch batched|scalar|differential picks the chunk "
+               "kernel\n         (default batched; same bits; scalar is the "
+               "oracle loop,\n         differential cross-checks every trial "
+               "against it)\n"
                "  chaos: --scenario NAME|all "
                "--replicates R --family F --n N --alpha A (--list)\n"
                "         --scenario-file F.json --list-scenarios "
