@@ -1,5 +1,7 @@
 #include "runtime/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
@@ -15,15 +17,21 @@ namespace sqs {
 namespace {
 
 // Scheduling telemetry: how long a thread waits between finishing one chunk
-// and claiming the next (steal latency), and how deep the unclaimed pile is
-// at each claim (queue occupancy). Chunk wall time itself is recorded by
-// run_trials, which knows the trial ranges.
+// and claiming the next (steal latency), how deep the unclaimed pile is at
+// each claim (queue occupancy), and which CPU made each claim (placement:
+// one bucket per CPU id below kClaimCpuBuckets; higher ids and a failed
+// sched_getcpu() land in the overflow bucket). Chunk wall time itself is
+// recorded by run_trials, which knows the trial ranges.
+constexpr std::uint64_t kClaimCpuBuckets = 256;
+
 struct PoolMetrics {
   obs::Counter batches = obs::Registry::instance().counter("runtime.batches");
   obs::Histogram steal_ns = obs::Registry::instance().histogram(
       "runtime.steal_ns", obs::pow2_bounds(6, 30));
   obs::Histogram queue_depth = obs::Registry::instance().histogram(
       "runtime.queue_depth", obs::pow2_bounds(0, 16));
+  obs::Histogram claim_cpu = obs::Registry::instance().histogram(
+      "runtime.claim_cpu", obs::linear_bounds(0, kClaimCpuBuckets - 1, 1));
 
   static const PoolMetrics& get() {
     static const PoolMetrics metrics;
@@ -152,6 +160,9 @@ void ThreadPool::run_chunks() {
       const std::uint64_t now = obs::trace_now_ns();
       metrics.steal_ns.record(now - last_done_ns);
       metrics.queue_depth.record(num_chunks_ - c - 1);
+      const int cpu = sched_getcpu();
+      metrics.claim_cpu.record(cpu < 0 ? kClaimCpuBuckets
+                                       : static_cast<std::uint64_t>(cpu));
     }
     try {
       (*fn_)(c);

@@ -73,7 +73,7 @@ struct Experiment {
     if (r.filtered) ++result.ops_filtered;
     if (r.ok) {
       result.latency_ok.add(r.latency);
-      result.latencies_ok.push_back(r.latency);
+      result.latency_us.record(register_latency_bounds(), to_us(r.latency));
     }
     obs::flight(obs::FlightKind::kOpDone, r.op, to_us(sim.now()), -1,
                 to_us(r.latency));
@@ -132,6 +132,20 @@ struct Experiment {
 };
 
 }  // namespace
+
+const std::vector<std::uint64_t>& register_latency_bounds() {
+  static const std::vector<std::uint64_t> bounds = [] {
+    std::vector<std::uint64_t> b = obs::linear_bounds(10'000, 4'000'000, 10'000);
+    const std::vector<std::uint64_t> tail = obs::pow2_bounds(22, 26);
+    b.insert(b.end(), tail.begin(), tail.end());
+    return b;
+  }();
+  return bounds;
+}
+
+obs::HistogramSnapshot RegisterExperimentResult::latency_snapshot() const {
+  return latency_us.snapshot("latency_us", register_latency_bounds());
+}
 
 bool RegisterExperimentConfig::validate() const {
   bool ok = true;
@@ -320,7 +334,6 @@ ReplicatedRegisterResult run_register_experiment_replicated(
     out.availability.add(r.availability());
     out.stale_read_fraction.add(r.stale_read_fraction());
     out.probes_per_op.add(r.probes_per_op.mean());
-    out.latency_p99.add(r.latency_percentile(99));
   }
   return out;
 }

@@ -17,6 +17,7 @@
 
 #include "core/epoch.h"
 #include "core/quorum_family.h"
+#include "obs/telemetry.h"
 #include "runtime/run_trials.h"
 #include "sim/client.h"
 #include "util/stats.h"
@@ -60,6 +61,14 @@ struct RegisterExperimentConfig {
   bool validate() const;
 };
 
+// Bucket upper bounds of RegisterExperimentResult::latency_us, in simulated
+// microseconds: 10 ms steps from 10 ms to 4 s, then powers of two from
+// 2^22 us (~4.2 s) to 2^26 us (~67 s), then one overflow bucket. The 10 ms
+// steps cover the 0.3-3.6 s p50/p99 range of bench/register_sim's wide-area
+// worlds; slower ops keep a coarse tail, and the recorded min/max tighten
+// the outermost buckets. 405 bounds, so 406 counts (3.2 KB) per result.
+const std::vector<std::uint64_t>& register_latency_bounds();
+
 struct RegisterExperimentResult {
   long reads_attempted = 0;
   long reads_ok = 0;
@@ -97,11 +106,14 @@ struct RegisterExperimentResult {
   std::size_t peak_event_queue = 0;
   RunningStat probes_per_op;
   RunningStat latency_ok;  // seconds, successful ops only
-  std::vector<double> latencies_ok;  // raw samples for percentiles
+  // Successful ops' latencies in simulated microseconds, bucketed over
+  // register_latency_bounds(). Constant-size whatever the run length: a
+  // long run keeps no per-op sample, so quantiles read from it are
+  // estimates within one bucket of the exact percentile (see
+  // HistogramSnapshot::quantile), not exact order statistics.
+  obs::HistAccum latency_us;
 
-  double latency_percentile(double pct) const {
-    return percentile(latencies_ok, pct);
-  }
+  obs::HistogramSnapshot latency_snapshot() const;
 
   double availability() const {
     const long attempted = reads_attempted + writes_attempted;
@@ -134,7 +146,6 @@ struct ReplicatedRegisterResult {
   RunningStat availability;
   RunningStat stale_read_fraction;
   RunningStat probes_per_op;
-  RunningStat latency_p99;
 };
 
 ReplicatedRegisterResult run_register_experiment_replicated(

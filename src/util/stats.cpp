@@ -37,15 +37,4 @@ double Proportion::wilson_high() const {
   return wilson_bound(successes, trials, /*upper=*/true);
 }
 
-double percentile(std::vector<double> values, double pct) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double rank =
-      std::clamp(pct, 0.0, 100.0) / 100.0 * static_cast<double>(values.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
 }  // namespace sqs

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace sqs {
 
@@ -72,8 +71,5 @@ struct Proportion {
   double wilson_low() const;
   double wilson_high() const;
 };
-
-// Percentile of a sample (linear interpolation); sorts a copy.
-double percentile(std::vector<double> values, double pct);
 
 }  // namespace sqs

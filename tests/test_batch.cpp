@@ -650,10 +650,12 @@ TEST(Batch, EstimatorsBitIdenticalAcrossThreadCountsWhenBatched) {
 
 TEST(Batch, SweepDispatchesBatchPolicyPerCell) {
   // run_sweep forwards opts.batch through TrialContext: a batched grid must
-  // reduce to the scalar grid's bits (and differential must pass).
+  // reduce to the scalar grid's bits (and differential must pass). At
+  // p = 0.2 and 0.4 every trial is live; p = 0.8 (availability ~0.99)
+  // leaves dead trials, so a mis-sampled world changes the counts.
   std::vector<AvailabilityCell> cells;
   for (const int n : {30, 40})
-    for (const double p : {0.2, 0.4})
+    for (const double p : {0.2, 0.4, 0.8})
       cells.push_back({std::make_shared<OptDFamily>(n, 2), p, 20000, 777});
   const std::vector<AvailabilityEstimate> scalar =
       sweep_availability(cells, scalar_oracle());

@@ -488,7 +488,11 @@ void expect_identical_results(const RegisterExperimentResult& a,
   // Bit-identical floating point, not approximate.
   EXPECT_EQ(a.probes_per_op.mean(), b.probes_per_op.mean());
   EXPECT_EQ(a.latency_ok.mean(), b.latency_ok.mean());
-  EXPECT_EQ(a.latencies_ok, b.latencies_ok);
+  EXPECT_EQ(a.latency_us.counts, b.latency_us.counts);
+  EXPECT_EQ(a.latency_us.count, b.latency_us.count);
+  EXPECT_EQ(a.latency_us.sum, b.latency_us.sum);
+  EXPECT_EQ(a.latency_us.min, b.latency_us.min);
+  EXPECT_EQ(a.latency_us.max, b.latency_us.max);
 }
 
 TEST(Faults, SamePlanAndSeedReproducesBitIdenticalRuns) {

@@ -28,6 +28,7 @@
 #include "obs/trace.h"
 #include "probe/measurements.h"
 #include "runtime/run_trials.h"
+#include "runtime/thread_pool.h"
 #include "sim/harness.h"
 #include "sweep/sweep.h"
 #include "util/json.h"
@@ -295,6 +296,27 @@ TEST(ObsTelemetry, MergeDeterminismUnderSweepLoad) {
   EXPECT_EQ(per_thread_count[0].sweep_chunks, total_chunks);
   EXPECT_TRUE(per_thread_count[0] == per_thread_count[1]) << "1 vs 2 threads";
   EXPECT_TRUE(per_thread_count[0] == per_thread_count[2]) << "1 vs 8 threads";
+}
+
+TEST(ObsTelemetry, PoolRecordsTheCpuOfEveryClaim) {
+  // Placement telemetry: one runtime.claim_cpu sample per task claim, by
+  // the caller and the workers alike (runtime.queue_depth counts the same
+  // claims).
+  TelemetryGuard guard;
+  obs::configure(enabled_config(true, false));
+  const std::uint64_t kTasks = 37;
+  std::atomic<std::uint64_t> ran{0};
+  ThreadPool::global(3).for_each_chunk(kTasks, 4, [&](std::uint64_t) {
+    ran.fetch_add(1, std::memory_order_relaxed);
+  });
+  ASSERT_EQ(ran.load(), kTasks);
+  const obs::MetricsSnapshot snap = obs::Registry::instance().snapshot();
+  const obs::HistogramSnapshot* cpu = snap.histogram("runtime.claim_cpu");
+  ASSERT_NE(cpu, nullptr);
+  EXPECT_EQ(cpu->count, kTasks);
+  const obs::HistogramSnapshot* depth = snap.histogram("runtime.queue_depth");
+  ASSERT_NE(depth, nullptr);
+  EXPECT_EQ(depth->count, kTasks);
 }
 
 TEST(ObsTelemetry, GroupedSweepRecordsOneWallSamplePerChunk) {

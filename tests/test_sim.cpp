@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <functional>
 #include <iterator>
 #include <memory>
@@ -792,9 +794,42 @@ TEST(RegisterExperiment, LatencyPercentilesAreOrdered) {
   const OptDFamily fam(12, 2);
   RegisterExperimentConfig config = reliable_world();
   const auto r = run_register_experiment(fam, config);
-  EXPECT_GT(r.latencies_ok.size(), 100u);
-  EXPECT_LE(r.latency_percentile(50), r.latency_percentile(99) + 1e-12);
-  EXPECT_GT(r.latency_percentile(50), 0.0);
+  EXPECT_GT(r.reads_ok + r.writes_ok, 100);
+  EXPECT_EQ(r.latency_us.count,
+            static_cast<std::uint64_t>(r.reads_ok + r.writes_ok));
+  const obs::HistogramSnapshot latency = r.latency_snapshot();
+  EXPECT_GT(latency.p50(), 0.0);
+  EXPECT_LE(latency.p50(), latency.p99());
+}
+
+TEST(RegisterExperiment, LatencyQuantilesWithinOneBucketOfExactPercentile) {
+  // Known samples from 1 ms to 4.5 s, so both the 10 ms steps and the first
+  // power-of-two tail bucket hold some. Each quantile must lie within the
+  // width of the bucket that holds the exact (nearest-rank) percentile.
+  const std::vector<std::uint64_t>& bounds = register_latency_bounds();
+  ASSERT_EQ(bounds.size(), 405u);
+  obs::HistAccum hist;
+  std::vector<std::uint64_t> samples;
+  for (std::uint64_t i = 0; i < 5000; ++i) {
+    const std::uint64_t us = 1000 + (i * i * 7919) % 4'500'000;
+    samples.push_back(us);
+    hist.record(bounds, us);
+  }
+  std::sort(samples.begin(), samples.end());
+  const obs::HistogramSnapshot snap = hist.snapshot("latency_us", bounds);
+  for (const double q : {0.0, 0.01, 0.1, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+    const std::size_t rank = std::max<std::size_t>(
+        1, static_cast<std::size_t>(std::ceil(q * samples.size())));
+    const std::uint64_t exact = samples[rank - 1];
+    const std::size_t b = static_cast<std::size_t>(
+        std::lower_bound(bounds.begin(), bounds.end(), exact) -
+        bounds.begin());
+    const std::uint64_t lo = b == 0 ? 0 : bounds[b - 1];
+    const std::uint64_t hi = b < bounds.size() ? bounds[b] : samples.back();
+    EXPECT_NEAR(snap.quantile(q), static_cast<double>(exact),
+                static_cast<double>(hi - lo))
+        << "q=" << q;
+  }
 }
 
 TEST(RegisterExperiment, DeterministicAcrossRuns) {

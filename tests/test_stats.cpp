@@ -55,15 +55,6 @@ TEST(Proportion, EmptyAndExtremes) {
   EXPECT_GT(all.wilson_low(), 0.9);
 }
 
-TEST(Percentile, InterpolatesAndClamps) {
-  std::vector<double> v{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 100), 4.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 50), 2.5);
-  EXPECT_DOUBLE_EQ(percentile({}, 50), 0.0);
-  EXPECT_DOUBLE_EQ(percentile({7.0}, 99), 7.0);
-}
-
 TEST(Table, RendersAlignedRows) {
   Table t({"name", "value"});
   t.add_row({"x", "1"});
