@@ -94,7 +94,7 @@ void simulated_scheduler() {
   NetworkConfig net_config;
   net_config.link_mean_down = 1e-9;
   net_config.link_mean_up = 1e9;
-  Network net(&sim, 2, 2, net_config, Rng(5));
+  Transport transport(2, 2, net_config, Rng(5));
   ServerConfig server_config;
   server_config.mean_down = 1e-9;
   server_config.mean_up = 1e9;
@@ -103,12 +103,12 @@ void simulated_scheduler() {
 
   const ThresholdFamily pqs(2, 1, "PQS(2 servers, quorum size 1)");
   ClientConfig client_config;
-  SimClient x(&sim, &net, &servers, 0, &pqs, client_config, Rng(10));
-  SimClient y(&sim, &net, &servers, 1, &pqs, client_config, Rng(11));
+  SimClient x(&sim, &transport, &servers, 0, &pqs, client_config, Rng(10));
+  SimClient y(&sim, &transport, &servers, 1, &pqs, client_config, Rng(11));
 
   // Scheduler: starve x->server2 and y->server1 for the whole run.
-  net.transport().block_link(0, 1, sim.now(), 1e9);
-  net.transport().block_link(1, 0, sim.now(), 1e9);
+  transport.block_link(0, 1, sim.now(), 1e9);
+  transport.block_link(1, 0, sim.now(), 1e9);
 
   int both = 0, meet = 0;
   std::function<void(int)> round = [&](int remaining) {

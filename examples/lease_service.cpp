@@ -58,7 +58,7 @@ LeaseStats run_lease_experiment(const QuorumFamily& family, double duration,
   NetworkConfig net_config;
   net_config.link_mean_up = 20.0;  // fairly flaky: ~5% link downtime
   net_config.link_mean_down = 1.0;
-  Network net(&sim, num_clients, n, net_config, rng.split("net"));
+  Transport transport(num_clients, n, net_config, rng.split("net"));
 
   ServerConfig server_config;
   server_config.mean_up = 30.0;
@@ -73,8 +73,8 @@ LeaseStats run_lease_experiment(const QuorumFamily& family, double duration,
   ClientConfig client_config;
   clients.reserve(static_cast<std::size_t>(num_clients));
   for (int c = 0; c < num_clients; ++c)
-    clients.emplace_back(&sim, &net, &servers, c, &family, client_config,
-                         rng.split(200 + c));
+    clients.emplace_back(&sim, &transport, &servers, c, &family,
+                         client_config, rng.split(200 + c));
 
   // Conflict detection. Two grants whose acquisitions overlapped in time
   // can both succeed under ANY register-based lease protocol (the register

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "mismatch/exact.h"
@@ -67,8 +68,8 @@ ChaosScenario byzantine_chaos_scenario(const QuorumFamily& family, int b) {
   // every lie (zero fabricated reads); a plain family (masking_b() == 0)
   // folds max-timestamp and adopts the liars' boosted fabrications.
   s.config.client.policy.lie_tolerance = family.masking_b();
-  s.plan = make_byzantine_plan(n, b, /*start=*/0.1 * kDuration,
-                               /*duration=*/0.8 * kDuration);
+  s.config.plan = make_byzantine_plan(n, b, /*start=*/0.1 * kDuration,
+                                      /*duration=*/0.8 * kDuration);
   // Floor: liars answer probes but their replies carry no vote, so they are
   // discounted from both the universe and the accept threshold. Plain
   // families (no vote) clear this trivially; masking families must keep
@@ -128,7 +129,8 @@ std::vector<ChaosScenario> builtin_chaos_scenarios(const QuorumFamily& family) {
     // (alpha() == 0, e.g. the masking variants) need a full minimal quorum
     // to stay live, so crashing past that would test nothing survivable.
     const int keep = alpha > 0 ? alpha : family.min_quorum_size();
-    s.plan = make_mass_crash_plan(n, keep, 0.25 * kDuration, 0.5 * kDuration);
+    s.config.plan =
+        make_mass_crash_plan(n, keep, 0.25 * kDuration, 0.5 * kDuration);
     s.invariants.availability_floor =
         chaos_availability_floor(family, background_miss(s.config), 0.10);
     // An adversarial mass crash is OUTSIDE the iid mismatch model: the
@@ -148,9 +150,9 @@ std::vector<ChaosScenario> builtin_chaos_scenarios(const QuorumFamily& family) {
     s.description = "rolling crash waves, 2 servers per 20 s";
     s.config = base;
     s.config.seed = 0xFA0703;
-    s.plan = make_churn_plan(n, /*start=*/20.0, /*period=*/20.0,
-                             /*group_size=*/2, /*outage=*/8.0,
-                             /*until=*/kDuration - 20.0);
+    s.config.plan = make_churn_plan(n, /*start=*/20.0, /*period=*/20.0,
+                                    /*group_size=*/2, /*outage=*/8.0,
+                                    /*until=*/kDuration - 20.0);
     // Crashed fraction: group * outage / (period * n) of server-time.
     const double crashed = 2.0 * 8.0 / (20.0 * n);
     s.invariants.availability_floor =
@@ -170,9 +172,9 @@ std::vector<ChaosScenario> builtin_chaos_scenarios(const QuorumFamily& family) {
     s.config.seed = 0xFA0704;
     s.config.client.adaptive_timeout = true;
     s.config.client.max_probe_timeout = 0.3;
-    s.plan = make_gray_plan(n, n / 2, /*factor=*/300.0,
-                            /*start=*/0.125 * kDuration,
-                            /*duration=*/0.75 * kDuration);
+    s.config.plan = make_gray_plan(n, n / 2, /*factor=*/300.0,
+                                   /*start=*/0.125 * kDuration,
+                                   /*duration=*/0.75 * kDuration);
     // Gray servers time out like down servers while the window is active.
     const double gray_miss = 0.5 * 0.75;
     s.invariants.availability_floor = chaos_availability_floor(
@@ -195,7 +197,7 @@ std::vector<ChaosScenario> builtin_chaos_scenarios(const QuorumFamily& family) {
     s.config.seed = 0xFA0705;
     s.config.client.use_partition_filter = true;
     s.config.client.max_attempts = 4;
-    s.plan = make_partition_storm_plan(
+    s.config.plan = make_partition_storm_plan(
         base.num_clients, /*start=*/30.0, /*until=*/kDuration - 30.0,
         /*period=*/15.0, /*outage=*/4.0, /*fraction=*/0.75, Rng(0xFA0705f));
     s.invariants.availability_floor =
@@ -213,7 +215,7 @@ std::vector<ChaosScenario> builtin_chaos_scenarios(const QuorumFamily& family) {
     s.description = "periodic 25% loss and 6x latency bursts";
     s.config = base;
     s.config.seed = 0xFA0706;
-    s.plan = make_lossy_plan(
+    s.config.plan = make_lossy_plan(
         /*start=*/20.0, /*until=*/kDuration - 20.0, /*period=*/20.0,
         /*burst_len=*/6.0, /*drop_prob=*/0.25, /*latency_factor=*/6.0);
     // Bursts cover ~30% of the run at ~0.44 per-probe miss.
@@ -355,10 +357,11 @@ std::vector<ChaosCellResult> run_chaos(
     const std::string& blackbox_path) {
   // Expand each scenario's data into a runnable configuration: build its
   // family from the spec (falling back to `family` for empty specs),
-  // compose the fault plan with any programmatic hook, and expand the
-  // churn plan into the epoch schedule every replicate shares. A scenario
-  // whose family or churn plan fails to build runs no replicates and
-  // reports the failure as a violation.
+  // expand the churn plan into the epoch schedule every replicate shares,
+  // and check the fault plan against the fleet that schedule implies. A
+  // scenario whose family, churn plan or fault plan is unusable runs no
+  // replicates and reports the failure as a violation (not as the
+  // availability-floor miss its empty results would read as).
   struct PreparedScenario {
     std::shared_ptr<const QuorumFamily> spec_family;  // null = caller's family
     const QuorumFamily* run_family = nullptr;
@@ -379,26 +382,23 @@ std::vector<ChaosCellResult> run_chaos(
       }
     }
     p.run_family = p.spec_family != nullptr ? p.spec_family.get() : &family;
-    if (!s.plan.events.empty()) {
-      // The data plan runs first; a hook a caller installed programmatically
-      // still fires (both only schedule events at time 0).
-      const auto prev = p.config.fault_hook;
-      const FaultPlan plan = s.plan;
-      p.config.fault_hook = [plan, prev](Simulator& sim, Network& net,
-                                         std::vector<Replica>& servers) {
-        install_fault_plan(plan, &sim, &net, &servers);
-        if (prev) prev(sim, net, servers);
-      };
-    }
+    int fleet = p.run_family->universe_size();
     if (!s.churn.empty()) {
-      p.config.epochs = build_epoch_schedule(s.churn, family_factory(s.family),
-                                             p.run_family->universe_size());
-      if (p.config.epochs == nullptr)
+      p.config.epochs =
+          build_epoch_schedule(s.churn, family_factory(s.family), fleet);
+      if (p.config.epochs == nullptr) {
         p.setup_failure = ChaosViolation{
             "churn-plan", "churn plan failed to expand into an epoch schedule"};
-      else
-        p.run_family = p.config.epochs->entry(0).family.get();
+        continue;
+      }
+      p.run_family = p.config.epochs->entry(0).family.get();
+      fleet = p.config.epochs->num_logical;
     }
+    if (!s.config.plan.validate(s.config.num_clients, fleet))
+      p.setup_failure = ChaosViolation{
+          "fault-plan", "fault plan is invalid for " +
+                            std::to_string(s.config.num_clients) +
+                            " clients x " + std::to_string(fleet) + " servers"};
   }
 
   // One replicate per chunk, so replicate r of scenario s draws
@@ -444,6 +444,13 @@ std::vector<ChaosCellResult> run_chaos(
     ChaosCellResult cell;
     cell.scenario = scenario.name;
     cell.replicates = std::move(grid[i]);
+    if (prepared[i].setup_failure) {
+      // Nothing ran, so no invariant has evidence: the setup failure is the
+      // cell's one verdict (not an availability-floor miss at zero ops).
+      cell.violations.push_back(*prepared[i].setup_failure);
+      out.push_back(std::move(cell));
+      continue;
+    }
 
     long ok = 0;
     for (const RegisterExperimentResult& r : cell.replicates) {
@@ -532,8 +539,6 @@ std::vector<ChaosCellResult> run_chaos(
                     cell.retired_reads);
       cell.violations.push_back({"retired-read", buf});
     }
-    if (prepared[i].setup_failure)
-      cell.violations.push_back(*prepared[i].setup_failure);
     // Cross-epoch intersection: a stale client's quorum against the next
     // epoch's write quorums, per adjacent pair of the expanded schedule.
     if (inv.check_cross_epoch && prepared[i].config.epochs != nullptr) {

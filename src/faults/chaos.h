@@ -76,23 +76,23 @@ struct ChaosInvariants {
   double max_cross_epoch_nonintersection = 0.0;
 };
 
-// A scenario is *data*: the family by spec, the fault timeline, the churn
-// timeline, the experiment knobs, and the invariant budget. run_chaos
-// expands the plans at execution time (installing the fault hook and the
-// epoch schedule), so a scenario round-trips through JSON
-// (src/faults/scenario_io) and replays without recompiling.
+// A scenario is *data*: the family by spec, the churn timeline, the
+// experiment knobs with their fault timeline (config.plan), and the
+// invariant budget. run_chaos checks the fault plan against the run's
+// fleet and expands the churn plan into the epoch schedule at execution
+// time, so a scenario round-trips through JSON (src/faults/scenario_io)
+// and replays without recompiling.
 struct ChaosScenario {
   std::string name;
   std::string description;
   // The family under test, by construction spec. Empty kind = inherit the
   // family passed to run_chaos (the legacy builtin grid).
   FamilySpec family;
-  // Pre-expanded fault timeline; composed with (runs before) any
-  // config.fault_hook a caller installed programmatically.
-  FaultPlan plan;
   // Membership timeline; non-empty requires a resizable `family` spec, and
   // run_chaos expands it into config.epochs for every replicate.
   ChurnPlan churn;
+  // The experiment knobs; config.plan is the pre-expanded fault timeline,
+  // serialized under the scenario file's top-level "faults" key.
   RegisterExperimentConfig config;
   ChaosInvariants invariants;
 };

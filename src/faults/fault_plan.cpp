@@ -1,8 +1,6 @@
 #include "faults/fault_plan.h"
 
 #include <cstdio>
-#include <memory>
-#include <utility>
 
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -304,12 +302,12 @@ void apply_fault(const FaultEvent& event, double now, Transport& transport,
   }
 }
 
-void install_fault_plan(const FaultPlan& plan, Simulator* sim, Network* net,
-                        std::vector<Replica>* servers) {
+void install_fault_plan(const FaultPlan& plan, Simulator* sim,
+                        Transport* transport, std::vector<Replica>* servers) {
   for (const FaultEvent& ev : plan.events) {
     const double delay = ev.at > sim->now() ? ev.at - sim->now() : 0.0;
-    sim->schedule(delay, [ev, sim, net, servers] {
-      apply_fault(ev, sim->now(), net->transport(), *servers);
+    sim->schedule(delay, [ev, sim, transport, servers] {
+      apply_fault(ev, sim->now(), *transport, *servers);
       const FaultMetrics& m = FaultMetrics::get();
       m.injected.add(1);
       m.for_kind(ev.kind).add(1);
@@ -319,14 +317,6 @@ void install_fault_plan(const FaultPlan& plan, Simulator* sim, Network* net,
                                                                : 0));
     });
   }
-}
-
-std::function<void(Simulator&, Network&, std::vector<Replica>&)>
-fault_hook(FaultPlan plan) {
-  auto shared = std::make_shared<const FaultPlan>(std::move(plan));
-  return [shared](Simulator& sim, Network& net, std::vector<Replica>& servers) {
-    install_fault_plan(*shared, &sim, &net, &servers);
-  };
 }
 
 }  // namespace sqs

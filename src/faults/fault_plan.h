@@ -5,13 +5,15 @@
 // builders expand churn waves, mass-crash windows, gray fleets, partition
 // storms, and loss/latency bursts into concrete events, drawing any
 // randomness from an explicit Rng so the expansion itself is a pure
-// function of its inputs. Applying a plan (install_fault_plan, or a
-// RegisterExperimentConfig::fault_hook) schedules one simulator event per
-// fault event; the served runner applies the same events as its arrival
-// clock crosses them. Both go through apply_fault, the one switch onto the
-// Transport and Replica injection hooks. Application draws nothing from
-// any rng stream, so the same plan + seed reproduces a bit-identical run at
-// any thread count (tests/test_faults.cpp asserts this at 1/2/8 threads).
+// function of its inputs. Both drivers take a plan as a config field,
+// checked by validate() before anything runs: RegisterExperimentConfig::
+// plan, which run_register_experiment installs (install_fault_plan, one
+// simulator event per fault event), and ServiceConfig::plan, whose events
+// the served runner applies as its arrival clock crosses them. Both go
+// through apply_fault, the one switch onto the Transport and Replica
+// injection hooks. Application draws nothing from any rng stream, so the
+// same plan + seed reproduces a bit-identical run at any thread count
+// (tests/test_faults.cpp asserts this at 1/2/8 threads).
 //
 // Telemetry: each event a simulation applies bumps `sim.faults.injected`
 // plus a per-kind `sim.faults.<kind>` counter and emits a trace instant, so
@@ -21,13 +23,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
-#include "sim/network.h"
 #include "sim/replica.h"
 #include "sim/simulator.h"
+#include "sim/transport.h"
 #include "util/rng.h"
 
 namespace sqs {
@@ -150,13 +151,8 @@ void apply_fault(const FaultEvent& event, double now, Transport& transport,
 
 // Schedules every event of `plan` on `sim` (events whose time already
 // passed fire immediately). Call while the simulator is at time 0 for
-// absolute timing; `servers` outlives the simulation.
-void install_fault_plan(const FaultPlan& plan, Simulator* sim, Network* net,
-                        std::vector<Replica>* servers);
-
-// Wraps the plan as a RegisterExperimentConfig::fault_hook. The returned
-// functor owns a copy of the plan (shared across config copies).
-std::function<void(Simulator&, Network&, std::vector<Replica>&)>
-fault_hook(FaultPlan plan);
+// absolute timing; `transport` and `servers` outlive the simulation.
+void install_fault_plan(const FaultPlan& plan, Simulator* sim,
+                        Transport* transport, std::vector<Replica>* servers);
 
 }  // namespace sqs

@@ -72,7 +72,8 @@ bool for_each_field(F&& f, S&... s) {
          f("max_view_fetches", s.policy.max_view_fetches...);
 }
 
-// Not serialized: fault_hook (programmatic) and epochs (derived from the
+// Not serialized here: plan (written under the document's top-level
+// "faults" key, see the ChaosScenario table) and epochs (derived from the
 // churn plan at run time).
 template <class F, Of<RegisterExperimentConfig>... S>
 bool for_each_field(F&& f, S&... s) {
@@ -116,8 +117,8 @@ template <class F, Of<ChaosScenario>... S>
 bool for_each_field(F&& f, S&... s) {
   return f("name", s.name...) && f("description", s.description...) &&
          f("family", s.family...) && f("config", s.config...) &&
-         f("faults", s.plan.events...) && f("churn", s.churn.events...) &&
-         f("invariants", s.invariants...);
+         f("faults", s.config.plan.events...) &&
+         f("churn", s.churn.events...) && f("invariants", s.invariants...);
 }
 
 template <class T>

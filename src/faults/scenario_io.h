@@ -11,9 +11,10 @@
 //
 // Each serialized struct has one field table in scenario_io.cpp; the key
 // order, the reader, the unknown-key check and scenario_equal all come
-// from it. Deliberately NOT serialized: config.fault_hook (programmatic)
-// and config.epochs (derived — run_chaos expands the churn plan at
-// execution time). scenario_equal compares only the serialized fields.
+// from it. config.plan is written under the document's top-level "faults"
+// key, beside "churn". Deliberately NOT serialized: config.epochs (derived
+// — run_chaos expands the churn plan at execution time). scenario_equal
+// compares only the serialized fields.
 
 #pragma once
 

@@ -23,6 +23,16 @@ struct ClientMetrics {
   }
 };
 
+// Every send's outcome, so injected trouble shows in metric snapshots.
+struct NetMetrics {
+  obs::Counter delivered = obs::Registry::instance().counter("sim.net.delivered");
+  obs::Counter dropped = obs::Registry::instance().counter("sim.net.dropped");
+  static const NetMetrics& get() {
+    static const NetMetrics m;
+    return m;
+  }
+};
+
 using obs::to_us;
 
 }  // namespace
@@ -49,12 +59,12 @@ bool ClientConfig::validate() const {
   return policy.validate("ClientConfig") && ok;
 }
 
-SimClient::SimClient(Simulator* sim, Network* net,
+SimClient::SimClient(Simulator* sim, Transport* transport,
                      std::vector<Replica>* servers, int id,
                      const QuorumFamily* family, const ClientConfig& config,
                      Rng rng, const EpochState* epochs)
     : sim_(sim),
-      net_(net),
+      transport_(transport),
       servers_(servers),
       id_(id),
       family_(epochs != nullptr ? nullptr : family),
@@ -144,11 +154,13 @@ void SimClient::start_attempt(std::uint32_t slot) {
     view = &entry.view;
   }
   const QuorumFamily& family = *acq.family;
-  if (config_.use_partition_filter && net_->client_partition_active(id_)) {
+  if (config_.use_partition_filter &&
+      transport_->client_partition_active(id_, sim_->now())) {
     // Beacon check: the beacon is an arbitrary node outside the client's
     // domain, so during a partition it is unreachable with probability
     // equal to the partitioned fraction.
-    const double fraction = net_->client_partition_fraction(id_);
+    const double fraction =
+        transport_->client_partition_fraction(id_, sim_->now());
     if (rng_.bernoulli(fraction)) {
       acq.result.filtered = true;
       acq.machine.begin_aborted(family.universe_size(), view);
@@ -165,6 +177,16 @@ void SimClient::start_attempt(std::uint32_t slot) {
   // over, so the result reflects the final attempt's world view.
   acq.machine.begin(strategy_for(acq, family), &acq.strategy_rng, view);
   issue_probe(slot, acq.machine.next_probe(sim_->now()));
+}
+
+void SimClient::send(int server, SimCallback on_delivery) {
+  const Transport::Delivery d = transport_->attempt(id_, server, sim_->now());
+  if (!d.delivered) {
+    NetMetrics::get().dropped.add(1);
+    return;
+  }
+  NetMetrics::get().delivered.add(1);
+  sim_->schedule(d.latency, std::move(on_delivery));
 }
 
 void SimClient::issue_probe(std::uint32_t slot, int target) {
@@ -186,9 +208,8 @@ void SimClient::issue_probe(std::uint32_t slot, int target) {
   // Request leg. It runs at the server even if the probe has since gone
   // stale, so it carries the op's object and mode rather than reading a
   // slot a later op may own.
-  net_->send(id_, target, Network::Direction::kToServer,
-             [this, slot, generation, target, object = acq.object,
-              epoch_mode = acq.epoch_mode] {
+  send(target, [this, slot, generation, target, object = acq.object,
+                epoch_mode = acq.epoch_mode] {
     Replica& s = (*servers_)[static_cast<std::size_t>(target)];
     ProbeReply reply;
     // Epoch fence: a retired server answers — at normal cost — with a
@@ -208,10 +229,9 @@ void SimClient::issue_probe(std::uint32_t slot, int target) {
     // Service delay, then the reply leg.
     sim_->schedule(s.service_time(sim_->now()),
                    [this, slot, generation, target, reply] {
-      net_->send(id_, target, Network::Direction::kToClient,
-                 [this, slot, generation, target, reply] {
-                   finish_probe(slot, generation, target, &reply);
-                 });
+      send(target, [this, slot, generation, target, reply] {
+        finish_probe(slot, generation, target, &reply);
+      });
     });
   });
 
@@ -330,12 +350,11 @@ void SimClient::finish_op(std::uint32_t slot) {
     if (config_.read_repair && result.ok) {
       // Fire-and-forget write-back to stale reached servers.
       machine.for_each_stale_reply(result.timestamp, [&](int server) {
-        net_->send(id_, server, Network::Direction::kToServer,
-                   [this, server, object = acq.object, ts = result.timestamp,
-                    value = result.value] {
-                     (*servers_)[static_cast<std::size_t>(server)]
-                         .handle_write(sim_->now(), ts, value, object);
-                   });
+        send(server, [this, server, object = acq.object,
+                      ts = result.timestamp, value = result.value] {
+          (*servers_)[static_cast<std::size_t>(server)].handle_write(
+              sim_->now(), ts, value, object);
+        });
       });
     }
     complete(slot);
@@ -354,19 +373,17 @@ void SimClient::finish_op(std::uint32_t slot) {
   const std::uint32_t generation = acq.generation;
   for (int k = 0; k < machine.push_count(); ++k) {
     const int server = machine.push_replica(k);
-    net_->send(id_, server, Network::Direction::kToServer,
-               [this, slot, generation, k, server, object = acq.object,
-                ts = result.timestamp, value = result.value] {
-                 Replica& s = (*servers_)[static_cast<std::size_t>(server)];
-                 if (!s.handle_write(sim_->now(), ts, value, object)) return;
-                 sim_->schedule(s.service_time(sim_->now()),
-                                [this, slot, generation, k, server] {
-                   net_->send(id_, server, Network::Direction::kToClient,
-                              [this, slot, generation, k] {
-                                finish_push(slot, generation, k, true);
-                              });
-                 });
-               });
+    send(server, [this, slot, generation, k, server, object = acq.object,
+                  ts = result.timestamp, value = result.value] {
+      Replica& s = (*servers_)[static_cast<std::size_t>(server)];
+      if (!s.handle_write(sim_->now(), ts, value, object)) return;
+      sim_->schedule(s.service_time(sim_->now()),
+                     [this, slot, generation, k, server] {
+        send(server, [this, slot, generation, k] {
+          finish_push(slot, generation, k, true);
+        });
+      });
+    });
     sim_->schedule(current_probe_timeout(), [this, slot, generation, k] {
       finish_push(slot, generation, k, false);
     });

@@ -14,7 +14,10 @@
 // client sees only its calls (the probed set it reports, read repair's
 // stale targets). The client owns sends and timeouts, retries with
 // backoff, the deadline, the partition filter, the adaptive timeout and
-// read repair (ClientConfig).
+// read repair (ClientConfig). Every send asks the shared Transport
+// (sim/transport.h) for the hop's fate at Simulator::now(), schedules a
+// delivered hop after its latency, and counts the outcome
+// (`sim.net.delivered` / `sim.net.dropped`).
 //
 // Nothing is allocated per operation once the client has warmed up. Each
 // in-flight operation lives in a slot of a per-client pool (reused after
@@ -37,9 +40,9 @@
 #include "core/quorum_family.h"
 #include "obs/recorder.h"
 #include "sim/inline_function.h"
-#include "sim/network.h"
 #include "sim/register_core.h"
 #include "sim/simulator.h"
+#include "sim/transport.h"
 
 namespace sqs {
 
@@ -120,9 +123,10 @@ class SimClient {
   // `epochs` (optional) switches the client into epoch mode: the default
   // acquire/read/write overloads resolve family and membership from the
   // client's own — possibly stale — view epoch instead of `family`.
-  SimClient(Simulator* sim, Network* net, std::vector<Replica>* servers,
-            int id, const QuorumFamily* family, const ClientConfig& config,
-            Rng rng, const EpochState* epochs = nullptr);
+  SimClient(Simulator* sim, Transport* transport,
+            std::vector<Replica>* servers, int id, const QuorumFamily* family,
+            const ClientConfig& config, Rng rng,
+            const EpochState* epochs = nullptr);
 
   int id() const { return id_; }
 
@@ -180,6 +184,9 @@ class SimClient {
   void start_op(const QuorumFamily* family, int object, OpKind kind,
                 std::uint64_t value, OpCallback done);
   void start_attempt(std::uint32_t slot);
+  // One message hop to or from `server`: `on_delivery` runs after the
+  // transport's latency if the link delivers at send time, never otherwise.
+  void send(int server, SimCallback on_delivery);
   ProbeStrategy* strategy_for(Acquisition& acq, const QuorumFamily& family);
   // Probes replica `target` (the machine's next probe), or ends the attempt
   // when there is none (-1) or the deadline has passed.
@@ -211,7 +218,7 @@ class SimClient {
   void adopt_current_view();
 
   Simulator* sim_;
-  Network* net_;
+  Transport* transport_;
   std::vector<Replica>* servers_;
   int id_;
   const QuorumFamily* family_;  // nullptr in epoch mode (see start_op)

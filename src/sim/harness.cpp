@@ -1,7 +1,8 @@
 #include "sim/harness.h"
 
 #include <cstdio>
-#include <memory>
+#include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,7 +30,7 @@ obs::Histogram client_latency_histogram(int client_idx) {
 struct Experiment {
   RegisterExperimentConfig config;
   Simulator sim;
-  std::unique_ptr<Network> net;
+  std::optional<Transport> transport;
   std::vector<Replica> servers;
   std::vector<SimClient> clients;
   Rng rng;
@@ -147,7 +148,7 @@ obs::HistogramSnapshot RegisterExperimentResult::latency_snapshot() const {
   return latency_us.snapshot("latency_us", register_latency_bounds());
 }
 
-bool RegisterExperimentConfig::validate() const {
+bool RegisterExperimentConfig::validate(int num_servers) const {
   bool ok = true;
   const auto reject = [&ok](const char* what, double value) {
     std::fprintf(stderr, "RegisterExperimentConfig: invalid %s %g\n", what,
@@ -168,12 +169,18 @@ bool RegisterExperimentConfig::validate() const {
   if (!server.validate()) ok = false;
   if (!client.validate()) ok = false;
   if (epochs != nullptr && !epochs->validate()) ok = false;
+  if (!plan.validate(num_clients, num_servers)) ok = false;
   return ok;
 }
 
 RegisterExperimentResult run_register_experiment(
     const QuorumFamily& family, const RegisterExperimentConfig& config) {
-  if (!config.validate()) return {};  // rejected; details already on stderr
+  // Epoch mode sizes the fleet to every logical id the schedule will ever
+  // use; `family` is epoch 0's family (clients resolve the active family
+  // from their own view, so it only seeds the classic code path).
+  const bool epoch_mode = config.epochs != nullptr;
+  const int n = epoch_mode ? config.epochs->num_logical : family.universe_size();
+  if (!config.validate(n)) return {};  // rejected; details already on stderr
   obs::Span span("sim", "register_experiment");
   span.arg("clients", static_cast<std::uint64_t>(config.num_clients));
   Experiment e;
@@ -184,14 +191,9 @@ RegisterExperimentResult run_register_experiment(
     for (int c = 0; c < config.num_clients; ++c)
       e.latency_hists.push_back(client_latency_histogram(c));
   }
-  // Epoch mode sizes the fleet to every logical id the schedule will ever
-  // use; `family` is epoch 0's family (clients resolve the active family
-  // from their own view, so it only seeds the classic code path).
-  const bool epoch_mode = config.epochs != nullptr;
-  const int n = epoch_mode ? config.epochs->num_logical : family.universe_size();
 
-  e.net = std::make_unique<Network>(&e.sim, config.num_clients, n,
-                                    config.network, e.rng.split("network"));
+  e.transport.emplace(config.num_clients, n, config.network,
+                      e.rng.split("network"));
   e.servers.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
     e.servers.emplace_back(i, config.server,
@@ -205,17 +207,17 @@ RegisterExperimentResult run_register_experiment(
   }
   e.clients.reserve(static_cast<std::size_t>(config.num_clients));
   for (int c = 0; c < config.num_clients; ++c)
-    e.clients.emplace_back(&e.sim, e.net.get(), &e.servers, c, &family,
+    e.clients.emplace_back(&e.sim, &*e.transport, &e.servers, c, &family,
                            config.client,
                            e.rng.split(2000 + static_cast<std::uint64_t>(c)),
                            epoch_mode ? &e.epoch_state : nullptr);
   e.last_read_ts.assign(static_cast<std::size_t>(config.num_clients),
                         Timestamp{});
 
-  // Install the fault plan (if any) before the first load event. The hook
-  // draws no randomness, so runs with and without it consume identical
-  // rng streams for everything else.
-  if (config.fault_hook) config.fault_hook(e.sim, *e.net, e.servers);
+  // Install the fault plan before the first load event. Installing draws
+  // no randomness, so runs with and without faults consume identical rng
+  // streams for everything else.
+  install_fault_plan(config.plan, &e.sim, &*e.transport, &e.servers);
 
   // Schedule the epoch transitions (entry times are strictly increasing and
   // sim.now() is still 0, so the delay is the absolute time).
@@ -240,7 +242,7 @@ RegisterExperimentResult run_register_experiment(
       const int victim =
           static_cast<int>(part_rng.next_below(static_cast<std::uint64_t>(
               config.num_clients)));
-      e.net->transport().partition_client_partial(
+      e.transport->partition_client_partial(
           victim, config.partition_fraction, e.sim.now(),
           config.partition_duration);
       e.sim.schedule(part_rng.exponential(config.partition_rate),
@@ -296,8 +298,8 @@ RegisterExperimentResult run_register_experiment(
       if (c.view_epoch() != final_epoch) ++e.result.stale_views_at_end;
     }
   }
-  e.result.net_delivered = e.net->messages_delivered();
-  e.result.net_dropped = e.net->messages_dropped();
+  e.result.net_delivered = e.transport->messages_delivered();
+  e.result.net_dropped = e.transport->messages_dropped();
 
   span.arg("events", e.sim.executed_events());
   return e.result;

@@ -11,12 +11,12 @@
 
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "core/epoch.h"
 #include "core/quorum_family.h"
+#include "faults/fault_plan.h"
 #include "obs/telemetry.h"
 #include "runtime/run_trials.h"
 #include "sim/client.h"
@@ -41,12 +41,11 @@ struct RegisterExperimentConfig {
   double partition_fraction = 0.6;
   double partition_duration = 5.0;
   std::uint64_t seed = 1;
-  // Fault-injection hook (see src/faults): invoked once after the world is
-  // built, before any load or background event is scheduled. It must not
-  // draw from the experiment's rng (fault plans are pre-expanded), so
-  // installing a plan never perturbs the load's random streams and the
-  // same plan + seed reproduces a bit-identical run.
-  std::function<void(Simulator&, Network&, std::vector<Replica>&)> fault_hook;
+  // The fault timeline (src/faults/fault_plan.h), installed once after the
+  // world is built, before any load or background event is scheduled.
+  // Installing it draws from no rng stream, so it never perturbs the load's
+  // random streams and the same plan + seed reproduces a bit-identical run.
+  FaultPlan plan;
   // Epoch-based reconfiguration (nullptr = classic fixed universe). The
   // fleet is sized to epochs->num_logical; servers outside epoch 0's view
   // start retired. At each entry's `at` the harness performs the membership
@@ -57,8 +56,10 @@ struct RegisterExperimentConfig {
   std::shared_ptr<const EpochedFamily> epochs;
 
   // True iff every duration/fraction is usable (delegates to the network/
-  // server/client validators); complaints go to stderr.
-  bool validate() const;
+  // server/client validators) and every fault event fits a fleet of
+  // `num_servers` (epochs->num_logical under churn); complaints go to
+  // stderr.
+  bool validate(int num_servers) const;
 };
 
 // Bucket upper bounds of RegisterExperimentResult::latency_us, in simulated
@@ -96,7 +97,7 @@ struct RegisterExperimentResult {
                                // serve_while_retired re-opens the hole)
   long stale_views_at_end = 0;  // clients not on the final epoch when the run
                                 // ended (view-refresh-converges evidence)
-  // Network/server drop totals for the run (always on, mirrors sim.net.*).
+  // Transport/server drop totals for the run (always on, mirrors sim.net.*).
   std::uint64_t net_delivered = 0;
   std::uint64_t net_dropped = 0;
   std::uint64_t server_dropped_requests = 0;

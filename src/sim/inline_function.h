@@ -1,5 +1,5 @@
 // A move-only callable with fixed inline storage, for the simulator's hot
-// callbacks: event closures (Simulator::schedule, Network::send) and op
+// callbacks: event closures (Simulator::schedule, SimClient's sends) and op
 // completions (SimClient::read/write/acquire).
 //
 // Unlike std::function it never allocates: the closure is constructed in an

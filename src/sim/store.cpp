@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
+#include <optional>
 
 namespace sqs {
 
@@ -48,7 +48,7 @@ namespace {
 struct StoreExperiment {
   StoreExperimentConfig config;
   Simulator sim;
-  std::unique_ptr<Network> net;
+  std::optional<Transport> transport;
   std::vector<Replica> servers;
   std::vector<SimClient> clients;
   std::vector<OptDFamily> families;  // one per object
@@ -122,15 +122,15 @@ StoreExperimentResult run_store_experiment(const StoreExperimentConfig& config) 
     e.families.push_back(std::move(family));
   }
 
-  e.net = std::make_unique<Network>(&e.sim, config.num_clients, n,
-                                    config.network, e.rng.split("network"));
+  e.transport.emplace(config.num_clients, n, config.network,
+                      e.rng.split("network"));
   e.servers.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
     e.servers.emplace_back(i, config.server,
                            e.rng.split(1000 + static_cast<std::uint64_t>(i)));
   e.clients.reserve(static_cast<std::size_t>(config.num_clients));
   for (int c = 0; c < config.num_clients; ++c)
-    e.clients.emplace_back(&e.sim, e.net.get(), &e.servers, c,
+    e.clients.emplace_back(&e.sim, &*e.transport, &e.servers, c,
                            &e.families.front(), config.client,
                            e.rng.split(2000 + static_cast<std::uint64_t>(c)));
 

@@ -1,21 +1,29 @@
 // The in-process message transport: one shared link-state machine for the
 // discrete-event simulator AND the staged replicated-register service.
 //
-// Extracted from Network (src/sim/network.*), which now adapts it to the
-// event loop. Transport owns everything that decides a message's fate —
-// flapping per-(client, server) links, partitions, link blocks, latency and
-// loss bursts — but holds no clock of its own: every query passes the
-// caller's notion of "now" explicitly. The simulator passes Simulator::now();
-// the service runner (src/service) passes the virtual timeline of its
-// open-loop load schedule. Because the state machine and its rng draw order
-// are exactly the ones Network used, extracting it changed no simulated
-// result bit, and a FaultPlan timeline drives served traffic through the
+// Links between each (client, server) pair flap independently: alternating
+// exponentially-distributed up and down periods, evaluated lazily. A message
+// sent while the link is down is lost; otherwise it is delivered after base
+// latency plus exponential jitter. Because down periods persist in time, two
+// clients probing the same server around the same moment can see different
+// outcomes — exactly the paper's *mismatch* mechanism — while mismatches on
+// different servers stay independent (each pair has its own process),
+// matching the Sect. 4 assumption. A partition makes a whole client's links
+// fail together for testing the correlated case.
+//
+// Transport owns everything that decides a message's fate — flapping links,
+// partitions, link blocks, latency and loss bursts — but holds no clock of
+// its own: every query passes the caller's notion of "now" explicitly. The
+// simulator's callers (SimClient, the harness, install_fault_plan) pass
+// Simulator::now() and schedule a delivered hop after its latency; the
+// service runner (src/service) passes the virtual timeline of its open-loop
+// load schedule. So a FaultPlan timeline drives served traffic through the
 // same hooks it drives a simulation through.
 //
 // Time must not flow backwards between calls that touch the same link: the
-// flap processes advance lazily and only forward (the same contract the
-// Network always had via the monotone simulator clock). The service runner
-// satisfies it by evaluating operations in arrival order.
+// flap processes advance lazily and only forward. The simulator satisfies
+// it through its monotone clock, the service runner by evaluating
+// operations in arrival order.
 
 #pragma once
 
@@ -54,7 +62,8 @@ class Transport {
   // Decides the fate of a message on the (client, server) link at `now`:
   // lost if the link is down (or a loss burst fires), otherwise delivered
   // after base latency plus exponential jitter (times any active latency
-  // burst). Draw order matches the historical Network::send exactly.
+  // burst). Draws in a fixed order, so the same seed and the same calls
+  // decide the same fates.
   Delivery attempt(int client, int server, double now);
 
   // True if the (client, server) link is up at `now`.

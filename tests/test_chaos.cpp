@@ -87,6 +87,27 @@ TEST(Chaos, ViolatedInvariantIsReported) {
   EXPECT_EQ(results[0].violations.front().invariant, "availability-floor");
 }
 
+TEST(Chaos, OutOfRangeFaultPlanIsASetupViolation) {
+  // A fault naming server 99 of 12 is checked before anything runs: the
+  // cell reports a fault-plan setup violation and runs no replicate,
+  // instead of applying the fault to a replica that does not exist.
+  const OptDFamily family(12, 2);
+  ChaosScenario bad;
+  for (const ChaosScenario& s : builtin_chaos_scenarios(family))
+    if (s.name == "churn") bad = s;
+  ASSERT_FALSE(bad.config.plan.events.empty());
+  bad.config.plan.events.front().server = 99;
+  testing::internal::CaptureStderr();
+  const auto results = run_chaos(family, {bad}, /*replicates=*/2);
+  const std::string err = testing::internal::GetCapturedStderr();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_TRUE(results[0].replicates.empty());
+  EXPECT_EQ(results[0].ops_attempted, 0);
+  ASSERT_EQ(results[0].violations.size(), 1u);
+  EXPECT_EQ(results[0].violations.front().invariant, "fault-plan");
+  EXPECT_NE(err.find("server index out of range"), std::string::npos) << err;
+}
+
 TEST(Chaos, GridBitIdenticalAcrossThreadCounts) {
   const OptDFamily family(12, 2);
   const auto scenarios = builtin_chaos_scenarios(family);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/constructions.h"
@@ -89,76 +90,58 @@ TEST(Faults, ServerTracksMaxTimestampAcrossAmnesia) {
 // ---- network injections ----
 
 TEST(Faults, ForcePartitionBlocksServerWideAndExtends) {
-  Simulator sim;
-  Network net(&sim, 3, 4, reliable_network(), Rng(17));
-  net.transport().force_partition(1, sim.now(), 5.0);
+  Transport transport(3, 4, reliable_network(), Rng(17));
+  transport.force_partition(1, 0.0, 5.0);
   for (int c = 0; c < 3; ++c) {
-    EXPECT_FALSE(net.link_up(c, 1));
-    EXPECT_TRUE(net.link_up(c, 0));  // other servers unaffected
+    EXPECT_FALSE(transport.link_up(c, 1, 0.0));
+    EXPECT_TRUE(transport.link_up(c, 0, 0.0));  // other servers unaffected
   }
-  sim.run_until(3.0);
   // A shorter window must not shorten the first.
-  net.transport().force_partition(1, sim.now(), 1.0);
-  sim.run_until(4.5);
-  EXPECT_FALSE(net.link_up(0, 1));
-  sim.run_until(6.0);
-  EXPECT_TRUE(net.link_up(0, 1));
+  transport.force_partition(1, 3.0, 1.0);
+  EXPECT_FALSE(transport.link_up(0, 1, 4.5));
+  EXPECT_TRUE(transport.link_up(0, 1, 6.0));
 }
 
 TEST(Faults, ForcePartitionOverlapsInFlightDownPeriod) {
   // Natural link state persists underneath a forced window: a link that is
   // naturally down when the window expires stays down, a healthy one
   // resumes service.
-  Simulator sim;
   NetworkConfig always_down;
   always_down.link_mean_up = 1e-9;
   always_down.link_mean_down = 1e9;  // in a ~forever down-period
-  Network dead(&sim, 1, 2, always_down, Rng(19));
-  dead.transport().force_partition(0, sim.now(), 5.0);
-  EXPECT_FALSE(dead.link_up(0, 0));
-  sim.run_until(6.0);
-  EXPECT_FALSE(dead.link_up(0, 0));  // forced window over, natural down holds
+  Transport dead(1, 2, always_down, Rng(19));
+  dead.force_partition(0, 0.0, 5.0);
+  EXPECT_FALSE(dead.link_up(0, 0, 0.0));
+  // Forced window over, the natural down-period holds.
+  EXPECT_FALSE(dead.link_up(0, 0, 6.0));
 
-  Simulator sim2;
-  Network healthy(&sim2, 1, 2, reliable_network(), Rng(19));
-  healthy.transport().force_partition(0, sim2.now(), 5.0);
-  EXPECT_FALSE(healthy.link_up(0, 0));
-  sim2.run_until(6.0);
-  EXPECT_TRUE(healthy.link_up(0, 0));  // natural up state resumes
+  Transport healthy(1, 2, reliable_network(), Rng(19));
+  healthy.force_partition(0, 0.0, 5.0);
+  EXPECT_FALSE(healthy.link_up(0, 0, 0.0));
+  EXPECT_TRUE(healthy.link_up(0, 0, 6.0));  // natural up state resumes
 }
 
 TEST(Faults, LatencyBurstMultipliesDeliveryLatency) {
-  Simulator sim;
   NetworkConfig config = reliable_network();
   config.base_latency = 0.05;
   config.jitter_mean = 1e-9;
-  Network net(&sim, 1, 1, config, Rng(23));
-  net.transport().inject_latency_burst(10.0, sim.now(), 5.0);
-  double first = -1.0;
-  net.send(0, 0, Network::Direction::kToServer, [&] { first = sim.now(); });
-  sim.run();
-  EXPECT_NEAR(first, 0.5, 0.01);  // 10x the base latency
-  sim.run_until(6.0);
-  double second = -1.0;
-  net.send(0, 0, Network::Direction::kToServer, [&] { second = sim.now(); });
-  sim.run();
-  EXPECT_NEAR(second - 6.0, 0.05, 0.01);  // burst expired
+  Transport transport(1, 1, config, Rng(23));
+  transport.inject_latency_burst(10.0, 0.0, 5.0);
+  const Transport::Delivery first = transport.attempt(0, 0, 0.0);
+  ASSERT_TRUE(first.delivered);
+  EXPECT_NEAR(first.latency, 0.5, 0.01);  // 10x the base latency
+  const Transport::Delivery second = transport.attempt(0, 0, 6.0);
+  ASSERT_TRUE(second.delivered);
+  EXPECT_NEAR(second.latency, 0.05, 0.01);  // burst expired
 }
 
 TEST(Faults, LossBurstDropsDeliverableMessages) {
-  Simulator sim;
-  Network net(&sim, 1, 1, reliable_network(), Rng(29));
-  net.transport().inject_loss_burst(1.0, sim.now(), 5.0);
-  bool delivered = false;
-  net.send(0, 0, Network::Direction::kToServer, [&] { delivered = true; });
-  sim.run();
-  EXPECT_FALSE(delivered);
-  EXPECT_EQ(net.messages_dropped(), 1u);
-  sim.run_until(6.0);
-  net.send(0, 0, Network::Direction::kToServer, [&] { delivered = true; });
-  sim.run();
-  EXPECT_TRUE(delivered);
-  EXPECT_EQ(net.messages_delivered(), 1u);
+  Transport transport(1, 1, reliable_network(), Rng(29));
+  transport.inject_loss_burst(1.0, 0.0, 5.0);
+  EXPECT_FALSE(transport.attempt(0, 0, 0.0).delivered);
+  EXPECT_EQ(transport.messages_dropped(), 1u);
+  EXPECT_TRUE(transport.attempt(0, 0, 6.0).delivered);
+  EXPECT_EQ(transport.messages_delivered(), 1u);
 }
 
 // ---- plans ----
@@ -207,13 +190,13 @@ TEST(Faults, PlanValidateRejectsBadEvents) {
 
 TEST(Faults, InstallPlanFiresAtAbsoluteTimes) {
   Simulator sim;
-  Network net(&sim, 1, 2, reliable_network(), Rng(31));
+  Transport transport(1, 2, reliable_network(), Rng(31));
   std::vector<Replica> servers;
   servers.emplace_back(0, reliable_server(), Rng(32));
   servers.emplace_back(1, reliable_server(), Rng(33));
   FaultPlan plan;
   plan.crash(10.0, 0, 5.0);
-  install_fault_plan(plan, &sim, &net, &servers);
+  install_fault_plan(plan, &sim, &transport, &servers);
   sim.run_until(11.0);
   EXPECT_FALSE(servers[0].up(sim.now()));
   EXPECT_TRUE(servers[1].up(sim.now()));
@@ -330,7 +313,7 @@ RegisterExperimentConfig lossy_world() {
   // Long severe loss bursts: many acquisitions fail on first attempt.
   FaultPlan plan;
   for (double t = 10.0; t < 240.0; t += 20.0) plan.loss_burst(t, 0.6, 10.0);
-  config.fault_hook = fault_hook(std::move(plan));
+  config.plan = std::move(plan);
   config.seed = 77;
   return config;
 }
@@ -356,7 +339,7 @@ TEST(Faults, OpDeadlineBoundsLatencyAndReportsFailure) {
   // timeout, so an unbounded OPT_d scan over 12 servers takes ~3 s. A 1 s
   // deadline must cut the operation off and mark it.
   Simulator sim;
-  Network net(&sim, 1, 12, reliable_network(), Rng(41));
+  Transport transport(1, 12, reliable_network(), Rng(41));
   std::vector<Replica> servers;
   for (int i = 0; i < 12; ++i) {
     servers.emplace_back(i, reliable_server(),
@@ -367,7 +350,7 @@ TEST(Faults, OpDeadlineBoundsLatencyAndReportsFailure) {
   ClientConfig config;
   config.max_attempts = 5;
   config.op_deadline = 1.0;
-  SimClient client(&sim, &net, &servers, 0, &family, config, Rng(43));
+  SimClient client(&sim, &transport, &servers, 0, &family, config, Rng(43));
   AcquisitionResult result;
   bool done = false;
   client.acquire([&](AcquisitionResult r) {
@@ -388,7 +371,7 @@ TEST(Faults, AdaptiveTimeoutLearnsFromReplies) {
   NetworkConfig net_config = reliable_network();
   net_config.base_latency = 0.02;
   net_config.jitter_mean = 0.005;
-  Network net(&sim, 1, 8, net_config, Rng(47));
+  Transport transport(1, 8, net_config, Rng(47));
   std::vector<Replica> servers;
   for (int i = 0; i < 8; ++i)
     servers.emplace_back(i, reliable_server(),
@@ -396,7 +379,7 @@ TEST(Faults, AdaptiveTimeoutLearnsFromReplies) {
   const OptDFamily family(8, 2);
   ClientConfig config;
   config.adaptive_timeout = true;
-  SimClient client(&sim, &net, &servers, 0, &family, config, Rng(53));
+  SimClient client(&sim, &transport, &servers, 0, &family, config, Rng(53));
   EXPECT_DOUBLE_EQ(client.current_probe_timeout(), 0.25);  // no samples yet
   bool done = false;
   client.acquire([&](AcquisitionResult r) {
@@ -429,13 +412,13 @@ TEST(Faults, ConfigValidationRejectsBadValues) {
 
   RegisterExperimentConfig experiment;
   experiment.read_fraction = 1.5;
-  EXPECT_FALSE(experiment.validate());
+  EXPECT_FALSE(experiment.validate(/*num_servers=*/8));
   testing::internal::GetCapturedStderr();
 
   EXPECT_TRUE(NetworkConfig{}.validate());
   EXPECT_TRUE(ServerConfig{}.validate());
   EXPECT_TRUE(ClientConfig{}.validate());
-  EXPECT_TRUE(RegisterExperimentConfig{}.validate());
+  EXPECT_TRUE(RegisterExperimentConfig{}.validate(/*num_servers=*/8));
 }
 
 TEST(Faults, InvalidExperimentConfigYieldsEmptyResult) {
@@ -445,6 +428,21 @@ TEST(Faults, InvalidExperimentConfigYieldsEmptyResult) {
   const OptDFamily family(8, 2);
   const auto result = run_register_experiment(family, config);
   testing::internal::GetCapturedStderr();
+  EXPECT_EQ(result.reads_attempted, 0);
+  EXPECT_EQ(result.writes_attempted, 0);
+  EXPECT_EQ(result.events_executed, 0u);
+}
+
+TEST(Faults, OutOfRangeFaultPlanYieldsEmptyResult) {
+  // A fault naming server 99 of 8 is rejected before the world is built,
+  // not applied to a replica that does not exist.
+  testing::internal::CaptureStderr();
+  RegisterExperimentConfig config;
+  config.plan.crash(10.0, /*server=*/99, 5.0);
+  const OptDFamily family(8, 2);
+  const auto result = run_register_experiment(family, config);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("server index out of range"), std::string::npos) << err;
   EXPECT_EQ(result.reads_attempted, 0);
   EXPECT_EQ(result.writes_attempted, 0);
   EXPECT_EQ(result.events_executed, 0u);
@@ -463,7 +461,7 @@ RegisterExperimentConfig chaos_like_world() {
   FaultPlan plan = make_churn_plan(8, 10.0, 25.0, 2, 8.0, 140.0);
   for (double t = 15.0; t < 140.0; t += 40.0) plan.loss_burst(t, 0.3, 6.0);
   plan.latency_burst(60.0, 5.0, 10.0);
-  config.fault_hook = fault_hook(std::move(plan));
+  config.plan = std::move(plan);
   config.seed = 4242;
   return config;
 }

@@ -56,7 +56,7 @@ TEST(ReadRepair, PropagatesValuesToStaleReplicas) {
   NetworkConfig net_config;
   net_config.link_mean_down = 1e-9;
   net_config.link_mean_up = 1e9;
-  Network net(&sim, 1, 3, net_config, Rng(1));
+  Transport transport(1, 3, net_config, Rng(1));
   ServerConfig server_config;
   server_config.mean_down = 1e-9;
   server_config.mean_up = 1e9;
@@ -72,7 +72,8 @@ TEST(ReadRepair, PropagatesValuesToStaleReplicas) {
   const OptAFamily fam(3, 1);  // probes everything
   ClientConfig client_config;
   client_config.read_repair = true;
-  SimClient client(&sim, &net, &servers, 0, &fam, client_config, Rng(99));
+  SimClient client(&sim, &transport, &servers, 0, &fam, client_config,
+                   Rng(99));
   OpResult result;
   client.read([&](OpResult r) { result = r; });
   sim.run();

@@ -319,7 +319,7 @@ TEST(Recorder, ServedStaleViewForeverNamesTheRetiredReplica) {
   config.network = scenario.config.network;
   config.server = scenario.config.server;
   config.policy = scenario.config.client.policy;
-  config.plan = scenario.plan;
+  config.plan = scenario.config.plan;
   config.epochs = build_epoch_schedule(
       scenario.churn, family_factory(scenario.family), family->universe_size());
   ASSERT_NE(config.epochs, nullptr);

@@ -98,11 +98,11 @@ MembershipView view_of(int epoch, std::vector<int> members) {
 //
 // No simulator and no transport: each test plays the caller, naming the
 // clock and every probe outcome, and reads the machine's next move. The
-// QuorumAttempt.* tests check one attempt's evidence (what a new attempt
-// drops, fences, the retired-read audit, push targets, the running max,
-// sizing); the AcquisitionMachine.* tests check an op across attempts.
+// first tests check one attempt's evidence (what a new attempt drops,
+// fences, the retired-read audit, push targets, the running max, sizing);
+// the later ones check an op across attempts.
 
-TEST(QuorumAttempt, BeginDropsAPartialAttemptsEvidence) {
+TEST(AcquisitionMachine, BeginDropsAPartialAttemptsEvidence) {
   ScriptedStrategy strategy(4, {2, 0, 1, 3}, 3);
   AcquisitionMachine machine(FoldOrder::kFamilyIndex, RegisterPolicy{}, 4);
   machine.start(obs::make_op_id(1, 1));
@@ -154,7 +154,7 @@ TEST(QuorumAttempt, BeginDropsAPartialAttemptsEvidence) {
   EXPECT_EQ(machine.push_count(), 0);
 }
 
-TEST(QuorumAttempt, FenceIsNegativeEvidenceAndStaleness) {
+TEST(AcquisitionMachine, FenceIsNegativeEvidenceAndStaleness) {
   const MembershipView view = view_of(0, {4, 5, 6});
   ScriptedStrategy strategy(3, {1, 0, 2}, 2);
   // Fenced by index 1, then two misses: a failed attempt with staleness
@@ -212,7 +212,7 @@ TEST(QuorumAttempt, FenceIsNegativeEvidenceAndStaleness) {
   EXPECT_FALSE(machine.finish_acquisition(1, 0, 3.3));
 }
 
-TEST(QuorumAttempt, RetiredReadAuditChecksTheAdoptedReply) {
+TEST(AcquisitionMachine, RetiredReadAuditChecksTheAdoptedReply) {
   const MembershipView view = view_of(0, {7, 8, 9});
   ScriptedStrategy strategy(3, {0, 1, 2}, 3);
   AcquisitionMachine machine(FoldOrder::kFamilyIndex, RegisterPolicy{}, 3);
@@ -250,7 +250,7 @@ TEST(QuorumAttempt, RetiredReadAuditChecksTheAdoptedReply) {
   EXPECT_EQ(retired[0].payload, 3u);
 }
 
-TEST(QuorumAttempt, PushTargetsAscendAfterAProbeOrderFold) {
+TEST(AcquisitionMachine, PushTargetsAscendAfterAProbeOrderFold) {
   ScriptedStrategy strategy(5, {4, 0, 3, 2}, 3);
   // Equal timestamps, different values (only a liar could do that): the
   // probe-order fold adopts the first reached, the index-order fold the
@@ -291,7 +291,7 @@ TEST(QuorumAttempt, PushTargetsAscendAfterAProbeOrderFold) {
   EXPECT_FALSE(voting.read_verdict(0.4).ok);
 }
 
-TEST(QuorumAttempt, RunningMaxMatchesTheProbeOrderFold) {
+TEST(AcquisitionMachine, RunningMaxMatchesTheProbeOrderFold) {
   // The probe-order max fold is kept as replies arrive; it must adopt
   // exactly what fold_replies over the reached replies in probe order
   // adopts. Timestamps come from a tiny range, so most sets hold ties
@@ -340,7 +340,7 @@ TEST(QuorumAttempt, RunningMaxMatchesTheProbeOrderFold) {
   }
 }
 
-TEST(QuorumAttempt, SizedOnceThenReusedAcrossFamilies) {
+TEST(AcquisitionMachine, SizedOnceThenReusedAcrossFamilies) {
   // A smaller family after a larger one reuses the evidence storage; a
   // larger one grows it.
   ScriptedStrategy small(2, {1, 0}, 1);

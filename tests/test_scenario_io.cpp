@@ -150,9 +150,9 @@ TEST(ScenarioLoad, EveryFieldRoundTrips) {
   c.client.policy.refresh_views = false;
   c.client.policy.view_fetch_delay = 0.06;
   c.client.policy.max_view_fetches = 7;
-  s.plan.lie(1.5, 2, LieMode::kEquivocate, 4.5);
-  s.plan.events.back().client = 3;
-  s.plan.events.back().magnitude = 0.5;
+  s.config.plan.lie(1.5, 2, LieMode::kEquivocate, 4.5);
+  s.config.plan.events.back().client = 3;
+  s.config.plan.events.back().magnitude = 0.5;
   s.churn.join(10.0, 2).leave(20.0, 4);
   s.invariants.availability_floor = 0.9;
   s.invariants.stale_envelope = 0.02;
@@ -215,8 +215,8 @@ TEST(ScenarioLoad, EveryFieldRoundTrips) {
   EXPECT_EQ(x.client.policy.refresh_views, false);
   EXPECT_EQ(x.client.policy.view_fetch_delay, 0.06);
   EXPECT_EQ(x.client.policy.max_view_fetches, 7);
-  ASSERT_EQ(r.plan.events.size(), 1u);
-  const FaultEvent& f = r.plan.events[0];
+  ASSERT_EQ(r.config.plan.events.size(), 1u);
+  const FaultEvent& f = r.config.plan.events[0];
   EXPECT_EQ(f.kind, FaultEvent::Kind::kLieEquivocate);
   EXPECT_EQ(f.at, 1.5);
   EXPECT_EQ(f.duration, 4.5);
@@ -243,11 +243,11 @@ TEST(ScenarioLoad, EveryFieldRoundTrips) {
   // Each kind's name round-trips too.
   for (const auto& [kind, name] : kFaultKindNames) {
     ChaosScenario one = s;
-    one.plan.events[0].kind = kind;
+    one.config.plan.events[0].kind = kind;
     const JsonParseResult text = parse_json(serialize_chaos_scenario(one));
     ASSERT_TRUE(text.ok) << name;
     ASSERT_TRUE(parse_chaos_scenario(text.value, &r, &error)) << error;
-    EXPECT_EQ(r.plan.events[0].kind, kind) << name;
+    EXPECT_EQ(r.config.plan.events[0].kind, kind) << name;
   }
   for (const auto& [kind, name] : kChurnKindNames) {
     ChaosScenario one = s;

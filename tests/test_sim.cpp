@@ -16,10 +16,10 @@
 #include "core/constructions.h"
 #include "sim/client.h"
 #include "sim/harness.h"
-#include "sim/network.h"
 #include "sim/register_core.h"
 #include "sim/replica.h"
 #include "sim/simulator.h"
+#include "sim/transport.h"
 #include "uqs/majority.h"
 #include "util/rng.h"
 
@@ -307,14 +307,15 @@ TEST(SimClient, StaleProbeReplyIsDroppedAfterItsSlotIsReused) {
   // crash, land at 0.79 and 0.85 while that probe is pending. Both must be
   // dropped.
   Simulator sim;
-  Network net(&sim, 1, 4, steady_network(), Rng(1));
+  Transport transport(1, 4, steady_network(), Rng(1));
   std::vector<Replica> servers = steady_servers(4);
   servers[0].set_gray(810.0, sim.now(), 0.6);
   servers[1].set_gray(500.0, sim.now(), 0.6);
   servers[2].set_gray(500.0, sim.now(), 0.6);
   sim.schedule(0.6, [&] { servers[0].force_crash(sim.now(), 100.0); });
   const OptAFamily family(4, 2);
-  SimClient client(&sim, &net, &servers, 0, &family, ClientConfig{}, Rng(2));
+  SimClient client(&sim, &transport, &servers, 0, &family, ClientConfig{},
+                   Rng(2));
 
   std::vector<OpResult> results;
   client.acquire([&](OpResult&& first) {
@@ -347,12 +348,13 @@ TEST(SimClient, LateWriteAckIsIgnoredAfterPushTimeout) {
   // 0.58, so write 2's own push to it must time out. Write 1's late ack
   // arrives mid-push and must not count for write 2.
   Simulator sim;
-  Network net(&sim, 1, 4, steady_network(), Rng(3));
+  Transport transport(1, 4, steady_network(), Rng(3));
   std::vector<Replica> servers = steady_servers(4);
   sim.schedule(0.17, [&] { servers[3].set_gray(500.0, sim.now(), 0.35); });
   sim.schedule(0.58, [&] { servers[3].force_crash(sim.now(), 100.0); });
   const OptAFamily family(4, 2);
-  SimClient client(&sim, &net, &servers, 0, &family, ClientConfig{}, Rng(4));
+  SimClient client(&sim, &transport, &servers, 0, &family, ClientConfig{},
+                   Rng(4));
 
   std::vector<OpResult> results;
   client.write(11, [&](OpResult&& first) {
@@ -379,36 +381,31 @@ TEST(SimClient, LateWriteAckIsIgnoredAfterPushTimeout) {
   EXPECT_EQ(servers[0].timestamp(0).counter, results[1].timestamp.counter);
 }
 
-// ---- network ----
+// ---- network: the Transport driven by the event loop ----
 
-TEST(Network, StationaryLinkDownRate) {
-  Simulator sim;
+// One simulated hop, as SimClient sends: the Transport decides the fate at
+// the simulator's now(), and a delivered message runs after its latency.
+void sim_send(Simulator& sim, Transport& transport, int client, int server,
+              SimCallback on_delivery) {
+  const Transport::Delivery d = transport.attempt(client, server, sim.now());
+  if (d.delivered) sim.schedule(d.latency, std::move(on_delivery));
+}
+
+NetworkConfig never_down_network() {
   NetworkConfig config;
-  config.link_mean_up = 9.0;
-  config.link_mean_down = 1.0;  // stationary down = 0.1
-  Network net(&sim, 1, 200, config, Rng(3));
-  // Sample link states across time.
-  int down = 0, samples = 0;
-  for (int step = 0; step < 50; ++step) {
-    sim.run_until(sim.now() + 5.0);
-    for (int s = 0; s < 200; ++s) {
-      if (!net.link_up(0, s)) ++down;
-      ++samples;
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(down) / samples, 0.1, 0.02);
+  config.link_mean_down = 1e-9;
+  config.link_mean_up = 1e9;
+  return config;
 }
 
 TEST(Network, DeliversWithLatencyWhenUp) {
   Simulator sim;
-  NetworkConfig config;
-  config.link_mean_down = 1e-9;  // effectively never down
-  config.link_mean_up = 1e9;
+  NetworkConfig config = never_down_network();
   config.base_latency = 0.05;
-  Network net(&sim, 1, 1, config, Rng(5));
+  Transport transport(1, 1, config, Rng(5));
   bool delivered = false;
   double at = 0.0;
-  net.send(0, 0, Network::Direction::kToServer, [&] {
+  sim_send(sim, transport, 0, 0, [&] {
     delivered = true;
     at = sim.now();
   });
@@ -419,34 +416,28 @@ TEST(Network, DeliversWithLatencyWhenUp) {
 
 TEST(Network, PartitionedClientLosesAllLinks) {
   Simulator sim;
-  NetworkConfig config;
-  config.link_mean_down = 1e-9;
-  config.link_mean_up = 1e9;
-  Network net(&sim, 2, 4, config, Rng(7));
-  net.transport().partition_client(0, sim.now(), 10.0);
+  Transport transport(2, 4, never_down_network(), Rng(7));
+  transport.partition_client(0, sim.now(), 10.0);
   for (int s = 0; s < 4; ++s) {
-    EXPECT_FALSE(net.link_up(0, s));
-    EXPECT_TRUE(net.link_up(1, s));
+    EXPECT_FALSE(transport.link_up(0, s, sim.now()));
+    EXPECT_TRUE(transport.link_up(1, s, sim.now()));
   }
   bool delivered = false;
-  net.send(0, 1, Network::Direction::kToServer, [&] { delivered = true; });
+  sim_send(sim, transport, 0, 1, [&] { delivered = true; });
   sim.run();
   EXPECT_FALSE(delivered);
 }
 
 TEST(Network, BlockLinkIsPerPairAndExpires) {
   Simulator sim;
-  NetworkConfig config;
-  config.link_mean_down = 1e-9;
-  config.link_mean_up = 1e9;
-  Network net(&sim, 2, 3, config, Rng(9));
-  net.transport().block_link(0, 1, sim.now(), 5.0);
-  EXPECT_TRUE(net.link_up(0, 0));
-  EXPECT_FALSE(net.link_up(0, 1));
-  EXPECT_TRUE(net.link_up(0, 2));
-  EXPECT_TRUE(net.link_up(1, 1));  // other client unaffected
+  Transport transport(2, 3, never_down_network(), Rng(9));
+  transport.block_link(0, 1, sim.now(), 5.0);
+  EXPECT_TRUE(transport.link_up(0, 0, sim.now()));
+  EXPECT_FALSE(transport.link_up(0, 1, sim.now()));
+  EXPECT_TRUE(transport.link_up(0, 2, sim.now()));
+  EXPECT_TRUE(transport.link_up(1, 1, sim.now()));  // other client unaffected
   sim.run_until(6.0);
-  EXPECT_TRUE(net.link_up(0, 1));
+  EXPECT_TRUE(transport.link_up(0, 1, sim.now()));
 }
 
 // ---- servers ----

@@ -66,13 +66,11 @@ TEST(SimAllocations, ChaosScenarioAveragesAtMostFourPerOp) {
     // The scenarios over the family passed in; the ones that bring their
     // own family or a membership timeline need run_chaos to expand them.
     if (!scenario.family.empty() || !scenario.churn.empty()) continue;
-    RegisterExperimentConfig config = scenario.config;
-    if (!scenario.plan.events.empty())
-      config.fault_hook = fault_hook(scenario.plan);
-    run_register_experiment(family, config);  // warm-up
+    run_register_experiment(family, scenario.config);  // warm-up
 
     const long before = g_allocations.load(std::memory_order_relaxed);
-    const RegisterExperimentResult r = run_register_experiment(family, config);
+    const RegisterExperimentResult r =
+        run_register_experiment(family, scenario.config);
     const long allocations =
         g_allocations.load(std::memory_order_relaxed) - before;
 

@@ -34,7 +34,7 @@ TwoClientSimResult run_two_client_sim(int n, int alpha, double link_down,
   // down link look like a crisp mismatch.
   net_config.link_mean_down = 1.0;
   net_config.link_mean_up = (1.0 - link_down) / link_down;
-  Network net(&sim, 2, n, net_config, rng.split("net"));
+  Transport transport(2, n, net_config, rng.split("net"));
   ServerConfig server_config;
   server_config.mean_down = 1e-9;  // isolate link-induced mismatches
   server_config.mean_up = 1e9;
@@ -45,8 +45,10 @@ TwoClientSimResult run_two_client_sim(int n, int alpha, double link_down,
 
   const OptDFamily family(n, alpha);
   ClientConfig client_config;
-  SimClient a(&sim, &net, &servers, 0, &family, client_config, rng.split("a"));
-  SimClient b(&sim, &net, &servers, 1, &family, client_config, rng.split("b"));
+  SimClient a(&sim, &transport, &servers, 0, &family, client_config,
+              rng.split("a"));
+  SimClient b(&sim, &transport, &servers, 1, &family, client_config,
+              rng.split("b"));
 
   TwoClientSimResult result;
   for (int round = 0; round < rounds; ++round) {

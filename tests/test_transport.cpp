@@ -58,6 +58,23 @@ TEST(Transport, SameSeedSameFate) {
   }
 }
 
+TEST(Transport, StationaryLinkDownRate) {
+  // Link states sampled across time settle at the stationary down
+  // probability mean_down / (mean_up + mean_down).
+  NetworkConfig config;
+  config.link_mean_up = 9.0;
+  config.link_mean_down = 1.0;  // stationary down = 0.1
+  Transport t(1, 200, config, Rng(3));
+  int down = 0, samples = 0;
+  for (int step = 1; step <= 50; ++step) {
+    for (int s = 0; s < 200; ++s) {
+      if (!t.link_up(0, s, 5.0 * step)) ++down;
+      ++samples;
+    }
+  }
+  EXPECT_NEAR(static_cast<double>(down) / samples, 0.1, 0.02);
+}
+
 TEST(Transport, FlappingLinksDropInDownPeriods) {
   // Symmetric up/down: roughly half of widely spaced attempts must fail,
   // and the stationary start means even time 0 can be down.
@@ -81,6 +98,10 @@ TEST(Transport, ClientPartitionWindow) {
   // Injection happens AT `now` (there is no stored window start — time only
   // flows forward), so all queries are at or after the injection time.
   t.partition_client(0, 10.0, 5.0);
+  for (int s = 0; s < 2; ++s) {
+    EXPECT_FALSE(t.link_up(0, s, 12.0));  // every link of the client
+    EXPECT_TRUE(t.link_up(1, s, 12.0));
+  }
   EXPECT_TRUE(t.client_partition_active(0, 12.0));
   EXPECT_DOUBLE_EQ(t.client_partition_fraction(0, 12.0), 1.0);
   EXPECT_FALSE(t.attempt(0, 0, 12.0).delivered);  // partitioned client

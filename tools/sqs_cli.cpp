@@ -35,7 +35,9 @@
 // grid as strict JSON (scenarios/ holds the checked-in set, schema in
 // scenarios/README.md) and `--scenario-file F` replays one without
 // recompiling; `serve --scenario-file F` replays the same file through the
-// staged service, churn included.
+// staged service, churn included. Both exit 2 before running a file whose
+// fault plan does not validate against the run's fleet (a server or client
+// index out of range, a magnitude outside its domain).
 //
 // `sweep` flattens the whole grid (every cell × every trial-chunk) into one
 // submission on the shared thread pool; results are bit-identical to running
@@ -638,6 +640,17 @@ int cmd_chaos(const Args& args) {
                   : loaded.family)
                  .make();
     if (family == nullptr) return 2;
+    // The fault plan must fit the fleet the run will have (the churn
+    // schedule's logical ids under churn), as serve requires.
+    int world = family->universe_size();
+    if (!loaded.churn.empty()) {
+      const auto epochs = build_epoch_schedule(
+          loaded.churn, family_factory(loaded.family), world);
+      if (epochs == nullptr) return 2;
+      world = epochs->num_logical;
+    }
+    if (!loaded.config.plan.validate(loaded.config.num_clients, world))
+      return 2;
     scenarios.push_back(std::move(loaded));
   } else {
     const FamilySpec spec = spec_from_args(args.gets("family", "optd"), args);
@@ -678,7 +691,7 @@ int cmd_chaos(const Args& args) {
                      s.family.empty() ? family->name() : s.family.label(),
                      Table::fmt(s.invariants.availability_floor, 4),
                      Table::fmt_sci(s.invariants.stale_envelope),
-                     std::to_string(s.plan.events.size()),
+                     std::to_string(s.config.plan.events.size()),
                      std::to_string(s.churn.events.size()), inv});
     }
     table.print("chaos scenario grid (" + family->name() + ")");
@@ -827,7 +840,7 @@ int cmd_serve(const Args& args) {
     config.network = from_file.config.network;
     config.server = from_file.config.server;
     config.policy = from_file.config.client.policy;
-    config.plan = from_file.plan;
+    config.plan = from_file.config.plan;
     if (!from_file.churn.empty()) {
       config.epochs =
           build_epoch_schedule(from_file.churn, family_factory(from_file.family),
